@@ -98,7 +98,8 @@ PER_ITEM_TO_BATCH = {
     "lookup": "lookup_batch",
     "lookup_or_insert": "lookup_or_insert_batch",
     "contains": "contains_batch",
-    "probe": "lookup_batch",
+    "probe": "probe_batch",
+    "holds": "holds_batch",
 }
 
 

@@ -32,18 +32,29 @@ class TransferLog:
 
 
 @dataclass
+class _Session:
+    """One open snapshot: its recipe so far and what arrived for it."""
+
+    digests: list[bytes] = field(default_factory=list)
+    log: TransferLog = field(default_factory=TransferLog)
+    #: Bytes the recipe reassembles to: received payloads plus the
+    #: lengths of the chunks its pointers name.
+    total_bytes: int = 0
+
+
+@dataclass
 class ShredderAgent:
     """Receives chunks/pointers and recreates snapshots."""
 
     store: ChunkStore = field(default_factory=ChunkStore)
-    _open: dict[str, tuple[list[bytes], TransferLog]] = field(default_factory=dict)
+    _open: dict[str, _Session] = field(default_factory=dict)
 
     def begin_snapshot(self, snapshot_id: str) -> None:
         if snapshot_id in self._open:
             raise ValueError(f"snapshot {snapshot_id!r} already open")
-        self._open[snapshot_id] = ([], TransferLog())
+        self._open[snapshot_id] = _Session()
 
-    def _session(self, snapshot_id: str):
+    def _session(self, snapshot_id: str) -> _Session:
         try:
             return self._open[snapshot_id]
         except KeyError:
@@ -71,10 +82,9 @@ class ShredderAgent:
         verified against the payloads in one hashing pass
         (:func:`~repro.core.hashing.digest_many`, threaded on large
         batches) before anything is stored, and the store insert is one
-        ``put_batch`` where the store supports it.  A ``None`` digest
-        means "compute it for me".
+        ``put_chunks``.  A ``None`` digest means "compute it for me".
         """
-        digests, log = self._session(snapshot_id)
+        session = self._session(snapshot_id)
         computed = digest_many([data for _, data in items])
         verified: list[tuple[bytes, bytes]] = []
         for (declared, data), actual in zip(items, computed):
@@ -84,16 +94,12 @@ class ShredderAgent:
                     f"{declared.hex()[:16]} in snapshot {snapshot_id!r}"
                 )
             verified.append((actual, data))
-        put_chunks = getattr(self.store, "put_chunks", None)
-        if put_chunks is not None:
-            put_chunks(verified)
-        else:
-            for digest, data in verified:
-                self.store.put_chunk(digest, data)
-        for digest, data in verified:
-            digests.append(digest)
-            log.chunks_received += 1
-            log.bytes_received += len(data)
+        self.store.put_chunks(verified)
+        received = sum(len(data) for _, data in verified)
+        session.digests.extend(digest for digest, _ in verified)
+        session.log.chunks_received += len(verified)
+        session.log.bytes_received += received
+        session.total_bytes += received
 
     def receive_pointer(self, snapshot_id: str, digest: bytes) -> None:
         """A pointer to an already-stored chunk arrives."""
@@ -102,35 +108,34 @@ class ShredderAgent:
     def receive_pointers(self, snapshot_id: str, pointer_digests: Sequence[bytes]) -> None:
         """A batch of pointers to already-stored chunks arrives.
 
-        Presence is checked for the whole batch in one probe where the
-        store supports it — the wire path validates a POINTER_BATCH
-        frame with one index pass, not one round trip per pointer.
+        One batched store probe proves the whole batch present *and*
+        learns each chunk's length (``chunk_lengths``) — the wire path
+        validates a POINTER_BATCH frame with one index pass, not one
+        round trip per pointer, and :meth:`finish_snapshot` never has to
+        read a chunk back to size the recipe.
         """
-        digests, log = self._session(snapshot_id)
-        has_chunks = getattr(self.store, "has_chunks", None)
-        if has_chunks is not None:
-            present = has_chunks(pointer_digests)
-        else:
-            # repro: lint-ok[batched-api] duck-typed fallback for stores without has_chunks
-            present = [self.store.has_chunk(d) for d in pointer_digests]
-        for digest, ok in zip(pointer_digests, present):
-            if not ok:
+        session = self._session(snapshot_id)
+        lengths = self.store.chunk_lengths(pointer_digests)
+        for digest, length in zip(pointer_digests, lengths):
+            if length is None:
                 raise KeyError(
                     f"pointer to unknown chunk {digest.hex()[:16]} in "
                     f"snapshot {snapshot_id!r}"
                 )
-        digests.extend(pointer_digests)
-        log.pointers_received += len(pointer_digests)
+        session.digests.extend(pointer_digests)
+        session.log.pointers_received += len(pointer_digests)
+        session.total_bytes += sum(lengths)
 
     def finish_snapshot(self, snapshot_id: str) -> TransferLog:
         """Close the session, persist the recipe, return the transfer log."""
-        digests, log = self._session(snapshot_id)
-        total = sum(len(self.store.get_chunk(d)) for d in digests)
+        session = self._session(snapshot_id)
         self.store.put_recipe(
-            SnapshotRecipe(snapshot_id, tuple(digests), total_bytes=total)
+            SnapshotRecipe(
+                snapshot_id, tuple(session.digests), total_bytes=session.total_bytes
+            )
         )
         del self._open[snapshot_id]
-        return log
+        return session.log
 
     def abort_snapshot(self, snapshot_id: str) -> None:
         """Drop an open session without writing a recipe.
@@ -145,7 +150,7 @@ class ShredderAgent:
 
     def open_log(self, snapshot_id: str) -> TransferLog:
         """The live transfer log of an open snapshot (resume reporting)."""
-        return self._session(snapshot_id)[1]
+        return self._session(snapshot_id).log
 
     @property
     def open_snapshots(self) -> tuple[str, ...]:

@@ -78,6 +78,14 @@ class ChunkStore:
         """Batched membership over chunk digests (one backend probe)."""
         return self._chunks.contains_batch(list(digests))
 
+    def chunk_lengths(self, digests) -> list[int | None]:
+        """Length of every stored chunk, ``None`` where absent: presence
+        and length from one backend read."""
+        return [
+            None if data is None else len(data)
+            for data in self._chunks.get_batch(list(digests))
+        ]
+
     def get_chunk(self, digest: bytes) -> bytes:
         data = self._chunks.get_batch([digest])[0]
         if data is None:

@@ -11,9 +11,11 @@ Wraps a real backend and injects, per the plan's
   landed, the caller saw a failure);
 * **bit flips** — ``get_batch`` returns one value with a single bit
   flipped (silent corruption; only digest verification catches it);
-* **node death** — from the Nth data-plane op onward every call raises
-  (a crashed shard: the failure detector must notice from errors
-  alone).
+* **node death** — the call that carries the node's Nth data-plane
+  *key* raises, and so does every call after it (a crashed shard: the
+  failure detector must notice from errors alone).  The kill counter
+  is charged per key so a plan means the same thing however callers
+  batch; every other fault is drawn once per call.
 
 Control-plane surface (``keys``/``__len__``/``value_bytes``/``flush``/
 ``compact``/``clear``/``close``) passes through unfaulted — except on a
@@ -68,16 +70,17 @@ class FaultyBackend:
 
     # -- injection core ------------------------------------------------
 
-    def _data_plane(self, op: str) -> None:
-        """One data-plane op: count it, maybe die, delay, or fail."""
+    def _data_plane(self, op: str, n_keys: int) -> None:
+        """One data-plane call over ``n_keys`` keys: charge the kill
+        counter per key, then maybe die, delay, or fail (per call)."""
         if self._dead:
             raise InjectedFault(f"{self.name}: node is dead ({op})")
-        self._ops += 1
+        self._ops += n_keys
         if self._kill_at is not None and self._ops >= self._kill_at:
             self._dead = True
             self.fault_stats.add("kills")
             raise InjectedFault(
-                f"{self.name}: injected node death at op {self._ops} ({op})"
+                f"{self.name}: injected node death at key {self._ops} ({op})"
             )
         spec = self.spec
         if spec.latency and self._rng.random() < spec.latency:
@@ -94,14 +97,14 @@ class FaultyBackend:
     # -- data plane ----------------------------------------------------
 
     def contains_batch(self, keys: Sequence[bytes]) -> list[bool]:
-        self._data_plane("contains_batch")
+        self._data_plane("contains_batch", len(keys))
         return self.inner.contains_batch(keys)
 
     def __contains__(self, key: bytes) -> bool:
         return self.contains_batch([key])[0]
 
     def get_batch(self, keys: Sequence[bytes]) -> list[bytes | None]:
-        self._data_plane("get_batch")
+        self._data_plane("get_batch", len(keys))
         values = self.inner.get_batch(keys)
         spec = self.spec
         if spec.bit_flip and self._rng.random() < spec.bit_flip:
@@ -118,7 +121,7 @@ class FaultyBackend:
     def put_batch(
         self, items: Sequence[tuple[bytes, bytes]], *, known_absent: bool = False
     ) -> list[bool]:
-        self._data_plane("put_batch")
+        self._data_plane("put_batch", len(items))
         spec = self.spec
         if (
             spec.torn_write
@@ -135,7 +138,7 @@ class FaultyBackend:
         return self.inner.put_batch(items, known_absent=known_absent)
 
     def delete_batch(self, keys: Sequence[bytes]) -> list[int]:
-        self._data_plane("delete_batch")
+        self._data_plane("delete_batch", len(keys))
         return self.inner.delete_batch(keys)
 
     # -- control plane -------------------------------------------------
@@ -170,5 +173,5 @@ class FaultyBackend:
         self.inner.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "dead" if self._dead else f"{self._ops} ops"
+        state = "dead" if self._dead else f"{self._ops} keys"
         return f"FaultyBackend({self.name!r}, {state}, over {self.inner!r})"

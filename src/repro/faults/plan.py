@@ -25,8 +25,12 @@ A plan is a comma-separated list of ``key=value`` clauses::
 * ``wire.garble`` — probability that a frame's payload has one byte
   flipped before dispatch.
 * ``node.kill`` — ``<node_id>:<op>``: that node's backend dies
-  permanently at its Nth data-plane operation (an injected crash; the
-  failure detector must notice without an explicit ``fail_node()``).
+  permanently at its Nth data-plane *key* — every key of a
+  ``contains_batch``/``get_batch``/``put_batch``/``delete_batch`` call
+  counts, so the threshold means the same whether keys arrive one per
+  call or batched (an injected crash; the failure detector must notice
+  without an explicit ``fail_node()``).  All other backend faults are
+  drawn once per call.
   Repeatable — one clause per node lets a drill kill several nodes at
   staggered points (e.g. two deaths against an ``ec 4+2`` placement).
 * ``wire.flood`` — ``N[:seconds]``: the overload driver opens ``N``
@@ -125,7 +129,8 @@ class OverloadSpec:
 
 @dataclass(frozen=True)
 class KillSpec:
-    """A scheduled one-shot node death: ``node_id`` dies at op ``at_op``."""
+    """A scheduled one-shot node death: ``node_id`` dies at its
+    ``at_op``-th data-plane key."""
 
     node_id: str
     at_op: int

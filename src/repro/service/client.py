@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import io
 import random
 import secrets
 import socket
@@ -596,7 +597,12 @@ class AsyncBackupClient:
         await self._send(Msg.RESTORE, wire.encode_snapshot_id(snapshot_id))
         payload = await self._expect(Msg.RESTORE_BEGIN)
         total_bytes, _n_chunks = wire.decode_restore_begin(payload)
-        pieces: list[bytes] = []
+        # One buffer of the announced size, filled in place as pieces
+        # arrive; ``getvalue`` hands it back without a copy.  The only
+        # large allocation happens here, before the stream: one made at
+        # RESTORE_END would land wherever the pieces still in flight
+        # left room, and peak memory would follow the timing.
+        out = io.BytesIO(bytes(total_bytes))
         received = 0
         while True:
             msg, payload = await self._recv()
@@ -606,13 +612,13 @@ class AsyncBackupClient:
                 raise wire.ProtocolError(
                     f"expected RESTORE_DATA, got {msg.name}"
                 )
-            pieces.append(payload)
+            out.write(payload)
             received += len(payload)
         if received != total_bytes:
             raise wire.ProtocolError(
                 f"restore announced {total_bytes} bytes, streamed {received}"
             )
-        return b"".join(pieces)
+        return out.getvalue()
 
     async def close(self) -> None:
         if self._closed:

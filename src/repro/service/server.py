@@ -1298,7 +1298,7 @@ class _Session:
         view = memoryview(data)
         for off in range(0, len(view), piece):
             await self.service._send_frame(
-                self.writer, Msg.RESTORE_DATA, bytes(view[off : off + piece])
+                self.writer, Msg.RESTORE_DATA, view[off : off + piece]
             )
         await self.service._send_frame(self.writer, Msg.RESTORE_END)
 

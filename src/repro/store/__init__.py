@@ -5,7 +5,7 @@ Layers, bottom up: :mod:`~repro.store.backend` (the batched
 behind every state owner), :mod:`~repro.store.ring` (consistent
 hashing), :mod:`~repro.store.bloom` (negative-lookup filters),
 :mod:`~repro.store.node` (per-shard stores), :mod:`~repro.store.schemes`
-(pluggable placement), :mod:`~repro.store.lookup` (batched async
+(pluggable placement), :mod:`~repro.store.lookup` (batched, node-grouped
 probes), :mod:`~repro.store.cluster` (the ChunkStore-compatible facade
 with failure recovery, persistence, and cluster-wide GC).
 """

@@ -57,22 +57,35 @@ class BloomFilter:
         bloom.n_added = n_added
         return bloom
 
-    def _probes(self, key: bytes):
+    @staticmethod
+    def _hash_pair(key: bytes) -> tuple[int, int]:
+        """``(h1, h2)`` of the double-hashing scheme: probe ``i`` tests
+        bit ``(h1 + i * h2) % n_bits``.  On-disk run filters depend on
+        these positions never changing."""
         h = hashlib.blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(h[:8], "big")
-        h2 = int.from_bytes(h[8:], "big") | 1  # odd, so probes cycle
-        for i in range(self.n_hashes):
-            yield (h1 + i * h2) % self.n_bits
+        return (
+            int.from_bytes(h[:8], "big"),
+            int.from_bytes(h[8:], "big") | 1,  # odd, so probes cycle
+        )
 
     def add(self, key: bytes) -> None:
-        for pos in self._probes(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        pos, step = self._hash_pair(key)
+        bits, n_bits = self._bits, self.n_bits
+        for _ in range(self.n_hashes):
+            bit = pos % n_bits
+            bits[bit >> 3] |= 1 << (bit & 7)
+            pos += step
         self.n_added += 1
 
     def __contains__(self, key: bytes) -> bool:
-        return all(
-            self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._probes(key)
-        )
+        pos, step = self._hash_pair(key)
+        bits, n_bits = self._bits, self.n_bits
+        for _ in range(self.n_hashes):
+            bit = pos % n_bits
+            if not bits[bit >> 3] & (1 << (bit & 7)):
+                return False
+            pos += step
+        return True
 
     def clear(self) -> None:
         self._bits = bytearray(len(self._bits))

@@ -59,8 +59,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.faults import FaultPlan
 from repro.store.backend import RecipeStore, make_backend, resolve_backend
@@ -68,10 +69,16 @@ from repro.store.erasure import (
     CorruptFragmentError,
     FragmentFormatError,
     codec_for,
+    fragment_chunk_len,
     unpack_fragment,
 )
 from repro.store.health import FailureDetector, HealthPolicy, NodeState
-from repro.store.lookup import BatchedLookup, BatchLookupStats, LookupCostModel
+from repro.store.lookup import (
+    BatchedLookup,
+    BatchLookupStats,
+    LookupCostModel,
+    walk_positions,
+)
 from repro.store.node import NodeDownError, StoreNode
 from repro.store.ring import DEFAULT_VNODES, HashRing
 from repro.store.schemes import PlacementScheme, ReplicatedPlacement
@@ -373,36 +380,79 @@ class ChunkStoreCluster:
 
     def _placement(self, digest: bytes) -> list[StoreNode]:
         """Alive nodes the scheme targets for this digest."""
+        nodes = self._nodes
         return [
-            self._nodes[nid]
-            for nid in self.scheme.nodes_for(self.ring, digest)
-            if self._nodes[nid].alive
+            nodes[nid]
+            for nid in self.lookup.placement(digest)
+            if nodes[nid].alive
         ]
 
-    def _node_holds(self, node: StoreNode, digest: bytes) -> bool:
-        """``node.holds`` with detector accounting; errors read as "no"."""
+    def _read_order(self, digest: bytes) -> Iterator[StoreNode]:
+        """Candidate holders of ``digest``, cheapest/healthiest first.
+
+        Placement targets lead, in preference order; under erasure
+        coding healthy data-position holders come first (the all-healthy
+        read is then pure concatenation), healthy parity positions next,
+        suspects after their peers.  Off-placement alive nodes follow (a
+        copy or fragment can survive off-placement mid-repair or
+        mid-decommission) — lazily, since a healthy walk never gets
+        that far.
+        """
+        placed = self._placement(digest)
+        if self._ec:
+            k = self.scheme.k
+
+            def suspicion(node: StoreNode) -> bool:
+                return self.detector.state(node.node_id) is not NodeState.ALIVE
+
+            yield from sorted(placed[:k], key=suspicion)
+            yield from sorted(placed[k:], key=suspicion)
+        else:
+            yield from placed
+        for node in self._alive_nodes():
+            if node not in placed:
+                yield node
+
+    def _ask(self, node: StoreNode, call, digests: list[bytes]):
+        """``call(digests)`` — one of the node's batched reads — with
+        detector accounting; ``None`` when the node cannot answer (which
+        reads as "no" for every digest)."""
         try:
-            held = node.holds(digest)
+            answers = call(digests)
         except NodeDownError:
-            return False
+            return None
         except OSError:
             node.stats.io_errors += 1
             self._note(node.node_id, False)
-            return False
+            return None
         self._note(node.node_id, True)
-        return held
+        return answers
 
-    def _holder(self, digest: bytes) -> StoreNode | None:
-        """Any alive node holding the chunk: placement first, then a
-        degraded-mode scan (a replica may be off-placement mid-repair)."""
-        placed = self._placement(digest)
-        for node in placed:
-            if self._node_holds(node, digest):
-                return node
-        for node in self._alive_nodes():
-            if node not in placed and self._node_holds(node, digest):
-                return node
-        return None
+    def _holders(self, window) -> list[StoreNode | None]:
+        """Per digest, an alive node that holds it — ``None`` unless
+        ``scheme.min_fragments`` alive nodes do (presence needs
+        reconstructability, not a full census).
+
+        The window walks one read-order position per round, each round's
+        digests grouped per node into a single ``holds_batch`` (see
+        :func:`walk_positions`).
+        """
+        need = self.scheme.min_fragments
+        first: list[StoreNode | None] = [None] * len(window)
+
+        def ask(node: StoreNode, items: list[int]) -> list[bool] | None:
+            held = self._ask(node, node.holds_batch, [window[i] for i in items])
+            if held is not None:
+                for i, yes in zip(items, held):
+                    if yes and first[i] is None:
+                        first[i] = node
+            return held
+
+        counts = walk_positions([self._read_order(d) for d in window], need, ask)
+        return [
+            holder if count >= need else None
+            for holder, count in zip(first, counts)
+        ]
 
     def _read_any(self, digest: bytes) -> bytes | None:
         """A verified copy from any replica, with bounded retries.
@@ -434,19 +484,12 @@ class ChunkStoreCluster:
         the read succeeds as long as *some* replica serves a good copy.
         Returns the payload (or ``None``) and the failure count.
         """
-        placed = self._placement(digest)
-        candidates = placed + [n for n in self._alive_nodes() if n not in placed]
         failures = 0
-        for node in candidates:
+        for node in self._read_order(digest):
             try:
-                if not node.holds(digest):
-                    continue
                 data = node.get_chunk(digest)
-            except NodeDownError:
-                continue
-            except KeyError:
-                failures += 1  # holds() raced a delete; not a health signal
-                continue
+            except (NodeDownError, KeyError):
+                continue  # down, or simply not a holder
             except OSError:
                 node.stats.io_errors += 1
                 node.stats.degraded_reads += 1
@@ -466,25 +509,6 @@ class ChunkStoreCluster:
         return None, failures
 
     # -- erasure-coded data path ---------------------------------------
-
-    def _ec_read_order(self, digest: bytes) -> list[StoreNode]:
-        """Fragment-read candidate order: cheapest/healthiest first.
-
-        Healthy data-position holders lead (the all-healthy read is then
-        pure concatenation), healthy parity positions next, suspects
-        after their peers, and finally off-placement alive nodes (a
-        fragment can survive off-placement mid-repair/decommission).
-        """
-        placed = self._placement(digest)
-        k = self.scheme.k
-
-        def suspicion(node: StoreNode) -> int:
-            return 0 if self.detector.state(node.node_id) is NodeState.ALIVE else 1
-
-        data = sorted(placed[:k], key=suspicion)
-        parity = sorted(placed[k:], key=suspicion)
-        rest = [n for n in self._alive_nodes() if n not in placed]
-        return data + parity + rest
 
     def _gather_fragments(
         self,
@@ -506,20 +530,13 @@ class ChunkStoreCluster:
         held: dict[str, int | None] = {}
         chunk_len: int | None = None
         failures = 0
-        for node in self._ec_read_order(digest):
+        for node in self._read_order(digest):
             if exclude is not None and node.node_id in exclude:
                 continue
-            if need is not None and len(fragments) >= need:
-                break
             try:
-                if not node.holds(digest):
-                    continue
                 record = node.get_fragment(digest)
-            except NodeDownError:
-                continue
-            except KeyError:
-                failures += 1  # holds() raced a delete; not a health signal
-                continue
+            except (NodeDownError, KeyError):
+                continue  # down, or simply not a holder
             except (FragmentFormatError, CorruptFragmentError):
                 # The node answered, but its fragment fails verification:
                 # detected corruption, not a liveness signal.
@@ -545,6 +562,8 @@ class ChunkStoreCluster:
             if record.index not in fragments:
                 fragments[record.index] = record.payload
                 chunk_len = record.chunk_len
+                if len(fragments) == need:
+                    break
         return fragments, chunk_len, held, failures
 
     def _read_ec_once(self, digest: bytes) -> tuple[bytes | None, int]:
@@ -588,143 +607,98 @@ class ChunkStoreCluster:
     #: chunk) are retried.
     READ_ATTEMPTS = 3
 
-    def _put_one(self, node, digest: bytes, data: bytes) -> bool:
-        """Write one replica with bounded retry; True iff it landed.
+    def _put_with_retry(self, node: StoreNode, write) -> bool | None:
+        """Run one placement write with bounded retry.
 
+        ``write`` is the node's insert-if-absent put, bound to its
+        arguments.  Returns its flag — ``False`` means the node already
+        held a record under the digest, which lands the write just the
+        same — or ``None`` when nothing landed because the node is gone.
         Raises the final OSError only when the target is still a live
         ring member after exhausting its attempts — a node the failed
         writes killed has left the replica set and is not owed a copy.
         """
         for attempt in range(self.put_attempts):
             try:
-                node.put_chunk(digest, data)
+                inserted = write()
             except NodeDownError:
-                return False  # raced a declared death; placement shrank
-            except OSError as exc:
+                return None  # raced a declared death; placement shrank
+            except OSError:
                 node.stats.io_errors += 1
                 self._note(node.node_id, False)
                 if attempt + 1 < self.put_attempts:
                     continue
                 if node.alive:
                     raise
-                return False
-            else:
-                self._note(node.node_id, True)
-                return True
-        return False
+                return None
+            self._note(node.node_id, True)
+            return inserted
+        return None
 
     def _put_fragment_one(
-        self, node, digest: bytes, index: int, chunk_len: int, payload: bytes
-    ) -> bool:
-        """``_put_one`` for a framed fragment: same retry/death contract."""
+        self, node: StoreNode, digest: bytes, index: int, chunk_len: int, payload: bytes
+    ) -> bool | None:
+        """Write one framed fragment (see :meth:`_put_with_retry`)."""
         codec = self._codec
-        for attempt in range(self.put_attempts):
-            try:
-                node.put_fragment(
-                    digest, index, codec.k, codec.m, chunk_len, payload
-                )
-            except NodeDownError:
-                return False
-            except OSError as exc:
-                node.stats.io_errors += 1
-                self._note(node.node_id, False)
-                if attempt + 1 < self.put_attempts:
-                    continue
-                if node.alive:
-                    raise
-                return False
-            else:
-                self._note(node.node_id, True)
-                return True
-        return False
+        return self._put_with_retry(
+            node,
+            partial(
+                node.put_fragment, digest, index, codec.k, codec.m, chunk_len, payload
+            ),
+        )
 
     def put_chunk(self, digest: bytes, data: bytes) -> bool:
         """Store a chunk on every placement target; False if known.
 
-        Durability is strict: if any placement write errors past its
-        retry budget, the error propagates (after every target was
-        attempted) — an acked chunk always has its full replica set.
-        Copies that did land make the caller's retry a cheap
-        content-addressed no-op.
-        """
-        if self._ec:
-            return self._put_chunk_ec(digest, data)
-        known = self._holder(digest) is not None
-        targets = self._placement(digest)
-        if not targets:
-            raise NodeDownError(
-                f"no alive placement target for chunk {digest.hex()[:16]}"
-            )
-        last_error: OSError | None = None
-        stored = 0
-        for node in targets:
-            try:
-                if self._put_one(node, digest, data):
-                    stored += 1
-            except OSError as exc:
-                last_error = exc
-        if last_error is not None:
-            raise last_error
-        if stored == 0 and not known:
-            # Every target died mid-put without a hard error surviving:
-            # re-place on the shrunken ring (bounded by node count).
-            return self.put_chunk(digest, data)
-        return not known
-
-    def _put_chunk_ec(self, digest: bytes, data: bytes) -> bool:
-        """Erasure-coded put: fragment ``i`` to preference position ``i``.
-
-        Same strict-ack contract as the replicated path, with the EC
-        twist that an acked chunk needs at least ``k`` fragments landed
+        Under erasure coding fragment ``i`` goes to preference position
+        ``i``.  Durability is strict: if any placement write errors past
+        its retry budget, the error propagates (after every target was
+        attempted) — an acked chunk always has its full replica set, and
+        an acked erasure-coded chunk at least ``k`` fragments landed
         (fewer cannot reconstruct — a partial set that acked would be
-        silent data loss on the first degraded read).
+        silent data loss on the first degraded read).  Copies that did
+        land make the caller's retry a cheap content-addressed no-op.
+
+        There is no "do you have it?" round first: every node put is
+        insert-if-absent, and its return value already says whether the
+        record was there (which counts as landed).
         """
-        codec = self._codec
-        known = self.has_chunk(digest)
+        need = self.scheme.min_fragments
         targets = self._placement(digest)
-        if len(targets) < codec.k:
+        if len(targets) < need:
             raise NodeDownError(
                 f"only {len(targets)} alive placement targets for "
-                f"ec({codec.k}+{codec.m}) chunk {digest.hex()[:16]}"
+                f"{self.scheme.name} chunk {digest.hex()[:16]}, need {need}"
             )
-        fragments = codec.encode(data)
+        fragments = self._codec.encode(data) if self._ec else None
         last_error: OSError | None = None
-        stored = 0
+        landed = already = 0
         for position, node in enumerate(targets):
             try:
-                if self._node_holds(node, digest):
-                    stored += 1  # content-addressed: fragment already there
-                    continue
-                if self._put_fragment_one(
-                    node, digest, position, len(data), fragments[position]
-                ):
-                    stored += 1
+                if fragments is None:
+                    inserted = self._put_with_retry(
+                        node, partial(node.put_chunk, digest, data)
+                    )
+                else:
+                    inserted = self._put_fragment_one(
+                        node, digest, position, len(data), fragments[position]
+                    )
             except OSError as exc:
                 last_error = exc
+                continue
+            if inserted is not None:
+                landed += 1
+                already += not inserted
         if last_error is not None:
             raise last_error
-        if stored < codec.k and not known:
-            # Too many targets died mid-put to reconstruct: re-place on
-            # the shrunken ring (bounded by node count).
+        if landed < need:
+            # Too many targets died mid-put to serve the chunk: re-place
+            # on the shrunken ring (bounded by node count).
             return self.put_chunk(digest, data)
-        return not known
+        return already < need
 
     def has_chunk(self, digest: bytes) -> bool:
-        if self._ec:
-            return self._fragment_holders(digest) >= self.scheme.k
-        return self._holder(digest) is not None
-
-    def _fragment_holders(self, digest: bytes) -> int:
-        """Alive nodes holding a fragment of ``digest`` (early exit at
-        ``k`` — presence needs reconstructability, not a full census)."""
-        need = self.scheme.k
-        count = 0
-        for node in self._ec_read_order(digest):
-            if self._node_holds(node, digest):
-                count += 1
-                if count >= need:
-                    break
-        return count
+        return self.has_chunks([digest])[0]
 
     def put_chunks(self, items) -> list[bool]:
         """Store a batch of ``(digest, data)``; placement is per digest,
@@ -774,7 +748,55 @@ class ChunkStoreCluster:
 
     def has_chunks(self, digests) -> list[bool]:
         """Batched membership straight through replica resolution."""
-        return [self.has_chunk(d) for d in digests]
+        return [
+            holder is not None
+            for window in self.lookup.windows(digests)
+            for holder in self._holders(window)
+        ]
+
+    def chunk_lengths(self, digests) -> list[int | None]:
+        """Length of every chunk the cluster can serve, ``None`` where
+        :meth:`has_chunks` would say no — presence and length in one
+        pass, so a pointer never has to be read back to size a recipe.
+
+        The length comes from one holder's stored record — its payload,
+        or under erasure coding its fragment *header* — read in one
+        batch per node.  With ``verify_reads`` it comes from a verified
+        read instead: a bare header is not trusted under faults.
+        """
+        lengths: list[int | None] = []
+        for window in self.lookup.windows(digests):
+            by_node: dict[StoreNode, list[int]] = {}
+            for i, node in enumerate(self._holders(window)):
+                if node is not None:
+                    by_node.setdefault(node, []).append(i)
+            found: list[int | None] = [None] * len(window)
+            for node, items in by_node.items():
+                records = None
+                if not self.verify_reads:
+                    records = self._ask(
+                        node, node.get_chunks, [window[i] for i in items]
+                    )
+                for n, i in enumerate(items):
+                    found[i] = self._stored_length(
+                        window[i], records[n] if records else None
+                    )
+            lengths.extend(found)
+        return lengths
+
+    def _stored_length(self, digest: bytes, record: bytes | None) -> int | None:
+        """Chunk length from a holder's raw record, else from a full read."""
+        if record is not None:
+            if not self._ec:
+                return len(record)
+            try:
+                return fragment_chunk_len(record)
+            except FragmentFormatError:
+                pass
+        try:
+            return len(self.get_chunk(digest))
+        except KeyError:
+            return None
 
     def restore(self, snapshot_id: str) -> bytes:
         """Reassemble a snapshot, pulling each chunk from any replica."""
@@ -922,8 +944,11 @@ class ChunkStoreCluster:
             payload = codec.rebuild(fragments, [position])[position]
             try:
                 node.delete_chunk(digest)
-                return self._put_fragment_one(
-                    node, digest, position, chunk_len, payload
+                return (
+                    self._put_fragment_one(
+                        node, digest, position, chunk_len, payload
+                    )
+                    is not None
                 )
             except (NodeDownError, OSError):
                 return False
@@ -932,7 +957,8 @@ class ChunkStoreCluster:
             return False
         try:
             node.delete_chunk(digest)
-            return self._put_one(node, digest, data)
+            write = partial(node.put_chunk, digest, data)
+            return self._put_with_retry(node, write) is not None
         except (NodeDownError, OSError):
             return False
 
@@ -951,11 +977,9 @@ class ChunkStoreCluster:
                 if candidate.node_id in exclude:
                     continue
                 try:
-                    if not candidate.holds(digest):
-                        continue
                     data = candidate.get_chunk(digest)
                 except (NodeDownError, KeyError):
-                    continue
+                    continue  # down, or simply not a holder
                 except OSError:
                     candidate.stats.io_errors += 1
                     self._note(candidate.node_id, False)
@@ -1093,7 +1117,8 @@ class ChunkStoreCluster:
                 lost.append(digest)
                 continue
             for target in self._placement(digest):
-                if self._node_holds(target, digest):
+                held = self._ask(target, target.holds_batch, [digest])
+                if held is not None and held[0]:
                     continue
                 try:
                     target.put_chunk(digest, data)
@@ -1186,7 +1211,7 @@ class ChunkStoreCluster:
                         node.delete_chunk(digest)
                     if self._put_fragment_one(
                         node, digest, index, chunk_len, payload
-                    ):
+                    ) is not None:
                         report.chunks_recopied += 1
                         report.bytes_copied += len(payload)
                 except NodeDownError:
@@ -1221,6 +1246,7 @@ class ChunkStoreCluster:
                     report.chunks_moved += 1
                     report.bytes_moved += len(data)
             for node in self._alive_nodes():
+                # repro: lint-ok[batched-api] one digest across the nodes off its placement, not a digest batch
                 if node not in targets and node.holds(digest):
                     node.delete_chunk(digest)
                     report.chunks_dropped += 1
@@ -1245,13 +1271,14 @@ class ChunkStoreCluster:
                             node.delete_chunk(digest)
                         if self._put_fragment_one(
                             node, digest, index, chunk_len, payload
-                        ):
+                        ) is not None:
                             report.chunks_moved += 1
                             report.bytes_moved += len(payload)
                     except (NodeDownError, OSError):
                         continue
             target_ids = {node.node_id for node in targets}
             for node in self._alive_nodes():
+                # repro: lint-ok[batched-api] one digest across the nodes off its placement, not a digest batch
                 if node.node_id not in target_ids and node.holds(digest):
                     node.delete_chunk(digest)
                     report.chunks_dropped += 1
@@ -1328,4 +1355,5 @@ class ChunkStoreCluster:
         return len(self._recipes)
 
     def replica_count(self, digest: bytes) -> int:
+        # repro: lint-ok[batched-api] one digest across every node, not a digest batch
         return sum(1 for n in self._alive_nodes() if n.holds(digest))

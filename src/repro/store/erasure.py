@@ -41,6 +41,7 @@ __all__ = [
     "FragmentRecord",
     "ReedSolomonCodec",
     "codec_for",
+    "fragment_chunk_len",
     "pack_fragment",
     "unpack_fragment",
     "FRAGMENT_HEADER_SIZE",
@@ -155,6 +156,28 @@ def pack_fragment(
     return header + payload
 
 
+def _unpack_header(blob: bytes) -> tuple[int, int, int, int, bytes]:
+    """``(index, k, m, chunk_len, payload_digest)`` of a fragment record."""
+    if len(blob) < _HEADER.size:
+        raise FragmentFormatError(
+            f"fragment record truncated ({len(blob)} B < header)"
+        )
+    magic, index, k, m, chunk_len, digest = _HEADER.unpack_from(blob)
+    if magic != _MAGIC:
+        raise FragmentFormatError(f"bad fragment magic {magic!r}")
+    return index, k, m, chunk_len, digest
+
+
+def fragment_chunk_len(blob: bytes) -> int:
+    """The original chunk's length, from the record header alone.
+
+    The payload is *not* re-digested: this answers "how long is the
+    chunk this fragment belongs to" for a presence probe, never a read
+    whose bytes are used (those go through :func:`unpack_fragment`).
+    """
+    return _unpack_header(blob)[3]
+
+
 def unpack_fragment(blob: bytes) -> FragmentRecord:
     """Parse and *verify* a fragment record.
 
@@ -163,13 +186,7 @@ def unpack_fragment(blob: bytes) -> FragmentRecord:
     payload no longer matches its stored digest (bit rot — the record
     must not be trusted).
     """
-    if len(blob) < _HEADER.size:
-        raise FragmentFormatError(
-            f"fragment record truncated ({len(blob)} B < header)"
-        )
-    magic, index, k, m, chunk_len, digest = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise FragmentFormatError(f"bad fragment magic {magic!r}")
+    index, k, m, chunk_len, digest = _unpack_header(blob)
     payload = blob[_HEADER.size:]
     if _payload_digest(payload) != digest:
         raise CorruptFragmentError(
@@ -270,6 +287,11 @@ class ReedSolomonCodec:
 
     def decode(self, fragments: Mapping[int, bytes], chunk_len: int) -> bytes:
         """The original chunk from any ``k`` of the ``n`` fragments."""
+        data = [fragments.get(i) for i in range(self.k)]
+        if None not in data and len({len(piece) for piece in data}) == 1:
+            # Systematic code: the data fragments *are* the chunk's
+            # slices, so the all-healthy read is a join, not a solve.
+            return b"".join(data)[:chunk_len]
         grid = self._data_grid(fragments)
         return grid.reshape(-1).tobytes()[:chunk_len]
 

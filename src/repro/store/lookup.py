@@ -1,4 +1,4 @@
-"""Batched, Bloom-filtered, async chunk-index lookups.
+"""Batched, Bloom-filtered chunk-index lookups.
 
 §7.3 blames the *unoptimized index lookup + network shipping* stage for
 backup bandwidth collapsing as snapshot similarity drops: every digest
@@ -6,11 +6,12 @@ pays a synchronous per-lookup round trip, and every unique chunk pays
 the expensive full-index miss.  This module implements the two standard
 fixes and the timing model that prices them:
 
-* **Batching** — digests are grouped into batches, each batch is
-  partitioned by owning node, and the per-node sub-batches are probed
-  concurrently (``asyncio``).  One round trip is charged per *batch*
-  instead of per digest, so the dispatch overhead amortizes as
-  ``batch_rtt_s / batch_size``.
+* **Batching** — digests are grouped into batches, and a batch walks
+  its placements one *position* per round: every round's digests are
+  grouped per node, so a node answers one ``probe_batch`` per round
+  instead of one probe per digest (:func:`walk_positions`).  One round
+  trip is charged per *batch* instead of per digest, so the dispatch
+  overhead amortizes as ``batch_rtt_s / batch_size``.
 * **Bloom filtering** — each node answers "definitely absent" from its
   in-memory filter, so negative lookups (every unique chunk) cost a
   memory probe instead of a full index walk.  Only Bloom false
@@ -23,15 +24,58 @@ backup server's single-node path uses.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.store.node import NodeDownError, ProbeResult, StoreNode
 from repro.store.ring import HashRing
 from repro.store.schemes import PlacementScheme
 
-__all__ = ["LookupCostModel", "BatchLookupStats", "BatchedLookup"]
+__all__ = [
+    "LookupCostModel",
+    "BatchLookupStats",
+    "BatchedLookup",
+    "walk_positions",
+]
+
+_Candidate = TypeVar("_Candidate", bound=Hashable)
+
+
+def walk_positions(
+    orders: Sequence[Iterable[_Candidate]],
+    need: int,
+    ask: Callable[[_Candidate, list[int]], Sequence[bool] | None],
+) -> list[int]:
+    """Ask every item's candidates in order until ``need`` of them say yes.
+
+    ``orders[i]`` is item ``i``'s candidates in the order they must be
+    asked (its placement).  Each round takes the next candidate of every
+    item still short of ``need``, groups those items per candidate, and
+    makes one ``ask(candidate, items)`` call per group; ``ask`` returns
+    one answer per item, or ``None`` when the candidate cannot answer
+    (which counts as "no" for all of them).  For each item that is the
+    same questions in the same order with the same early exit as walking
+    its candidates alone — in one call per candidate per round instead
+    of one per item.  Returns the yes-count per item.
+    """
+    counts = [0] * len(orders)
+    walks = [iter(order) for order in orders]
+    pending = range(len(orders))
+    while pending:
+        groups: dict[_Candidate, list[int]] = {}
+        asked: list[int] = []
+        for i in pending:
+            candidate = next(walks[i], None)
+            if candidate is not None:
+                groups.setdefault(candidate, []).append(i)
+                asked.append(i)
+        for candidate, items in groups.items():
+            answers = ask(candidate, items)
+            if answers is not None:
+                for i, yes in zip(items, answers):
+                    counts[i] += yes
+        pending = [i for i in asked if counts[i] < need]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -112,6 +156,9 @@ class BatchedLookup:
     miss only after the quota provably cannot be met.
     """
 
+    #: Placement memo entries kept before the memo starts over.
+    PLACEMENT_MEMO_MAX = 1 << 15
+
     def __init__(
         self,
         ring: HashRing,
@@ -131,111 +178,110 @@ class BatchedLookup:
         #: Optional ``(node_id, ok)`` observer — the cluster wires its
         #: failure detector here so probe outcomes drive membership.
         self.on_probe = on_probe
+        self._placements: dict[bytes, tuple[str, ...]] = {}
+        self._placements_version = ring.version
+
+    # -- placement -----------------------------------------------------
+
+    def placement(self, digest: bytes) -> tuple[str, ...]:
+        """``scheme.nodes_for`` on the current ring, computed once per
+        digest per ring membership version (a placement from an older
+        ring names the wrong nodes, so any change drops the memo)."""
+        memo = self._placements
+        if (
+            self._placements_version != self.ring.version
+            or len(memo) >= self.PLACEMENT_MEMO_MAX
+        ):
+            memo.clear()
+            self._placements_version = self.ring.version
+        placement = memo.get(digest)
+        if placement is None:
+            placement = memo[digest] = self.scheme.nodes_for(self.ring, digest)
+        return placement
 
     # -- probing -------------------------------------------------------
 
-    def _probe_one(
-        self,
-        digest: bytes,
-        placement: tuple[str, ...],
-        stats: BatchLookupStats,
-    ) -> bool:
-        """Probe the digest's replica set; True iff enough replicas
-        (``scheme.min_fragments``) have it."""
+    def windows(self, digests: Sequence[bytes]) -> Iterator[Sequence[bytes]]:
+        """``digests`` in ``batch_size`` runs: the unit one position
+        walk covers, and the most keys one node call carries."""
+        for start in range(0, len(digests), self.batch_size):
+            yield digests[start : start + self.batch_size]
+
+    def _probe_window(
+        self, batch: Sequence[bytes], stats: BatchLookupStats
+    ) -> list[bool]:
+        """Probe one batch's replica sets; True per digest iff enough
+        replicas (``scheme.min_fragments``) have it."""
         need = getattr(self.scheme, "min_fragments", 1)
-        probed = False
-        saw_false_positive = False
-        node_hits = 0
-        for node_id in placement:
+        placements = [self.placement(d) for d in batch]
+        stats.n_batches += 1
+        stats.n_node_batches += len({p[0] for p in placements})
+        probed = [False] * len(batch)
+        false_positive = [False] * len(batch)
+
+        def ask(node_id: str, items: list[int]) -> list[bool] | None:
             node = self.nodes.get(node_id)
             if node is None or not node.alive:
-                continue
+                return None
             try:
-                # repro: lint-ok[batched-api] one digest across its replicas, not a digest batch
-                result = node.probe(digest)
+                results = node.probe_batch([batch[i] for i in items])
             except NodeDownError:
-                continue  # raced a mid-batch death; try the next replica
+                return None  # raced a mid-batch death; try the next replica
             except OSError:
-                # A replica that errors is unavailable for this digest,
+                # A replica that errors is unavailable for these digests,
                 # not a verdict: surviving replicas still answer.
                 node.stats.io_errors += 1
                 stats.probe_errors += 1
                 if self.on_probe is not None:
                     self.on_probe(node_id, False)
-                continue
-            probed = True
-            stats.bloom_probes += 1
+                return None
+            stats.bloom_probes += len(items)
             if self.on_probe is not None:
                 self.on_probe(node_id, True)
-            if result is ProbeResult.HIT:
-                node_hits += 1
-                if node_hits >= need:
-                    stats.hits += 1
-                    return True
-                continue  # fragment quota not met yet; keep probing
-            if result is ProbeResult.FALSE_POSITIVE:
-                saw_false_positive = True
-                stats.index_walks += 1
-        if not probed:
-            raise NodeDownError(
-                f"no alive replica for chunk {digest.hex()[:16]}"
-            )
-        if node_hits:
-            # Some fragments exist but too few to reconstruct: the chunk
-            # must be re-shipped.  The partial holders paid index walks
-            # for a miss verdict, the same shape as a false positive.
-            stats.index_walks += node_hits
-            stats.false_positives += 1
-        elif saw_false_positive:
-            stats.false_positives += 1
-        else:
-            stats.bloom_negatives += 1
-        return False
+            for i, result in zip(items, results):
+                probed[i] = True
+                if result is ProbeResult.FALSE_POSITIVE:
+                    false_positive[i] = True
+                    stats.index_walks += 1
+            return [result is ProbeResult.HIT for result in results]
 
-    async def _probe_node_batch(
-        self,
-        group: Sequence[tuple[bytes, tuple[str, ...]]],
-        stats: BatchLookupStats,
-    ) -> list[bool]:
-        stats.n_node_batches += 1
-        await asyncio.sleep(0)  # yield: node sub-batches interleave
-        return [self._probe_one(d, placement, stats) for d, placement in group]
+        node_hits = walk_positions(placements, need, ask)
+        for i, hits in enumerate(node_hits):
+            if hits >= need:
+                stats.hits += 1
+            elif not probed[i]:
+                raise NodeDownError(
+                    f"no alive replica for chunk {batch[i].hex()[:16]}"
+                )
+            elif hits:
+                # Some fragments exist but too few to reconstruct: the
+                # chunk must be re-shipped.  The partial holders paid
+                # index walks for a miss verdict, the same shape as a
+                # false positive.
+                stats.index_walks += hits
+                stats.false_positives += 1
+            elif false_positive[i]:
+                stats.false_positives += 1
+            else:
+                stats.bloom_negatives += 1
+        return [hits >= need for hits in node_hits]
 
-    async def lookup_batch_async(
+    def lookup_batch(
         self, digests: Sequence[bytes]
     ) -> tuple[dict[bytes, bool], BatchLookupStats]:
-        """Resolve digest membership in node-partitioned concurrent batches.
+        """Resolve digest membership in node-grouped batches.
 
-        Returns ``(hit_map, stats)``; ``hit_map[d]`` is True iff some
-        alive replica already stores ``d``.  Duplicate digests in the
+        Returns ``(hit_map, stats)``; ``hit_map[d]`` is True iff enough
+        alive replicas already store ``d``.  Duplicate digests in the
         input resolve once.
         """
         stats = BatchLookupStats()
         unique = list(dict.fromkeys(digests))
         stats.n_digests = len(unique)
         hit_map: dict[bytes, bool] = {}
-        for start in range(0, len(unique), self.batch_size):
-            batch = unique[start : start + self.batch_size]
-            stats.n_batches += 1
-            # Partition by primary owner, carrying the preference list
-            # along so the probe does not recompute placement.
-            by_node: dict[str, list[tuple[bytes, tuple[str, ...]]]] = {}
-            for d in batch:
-                placement = self.scheme.nodes_for(self.ring, d)
-                by_node.setdefault(placement[0], []).append((d, placement))
-            groups = list(by_node.values())
-            results = await asyncio.gather(
-                *(self._probe_node_batch(g, stats) for g in groups)
-            )
-            for group, answers in zip(groups, results):
-                hit_map.update(zip((d for d, _ in group), answers))
+        for batch in self.windows(unique):
+            hit_map.update(zip(batch, self._probe_window(batch, stats)))
         return hit_map, stats
-
-    def lookup_batch(
-        self, digests: Sequence[bytes]
-    ) -> tuple[dict[bytes, bool], BatchLookupStats]:
-        """Synchronous wrapper around :meth:`lookup_batch_async`."""
-        return asyncio.run(self.lookup_batch_async(digests))
 
     def lookup_chunks(self, chunks) -> tuple[dict[bytes, bool], BatchLookupStats]:
         """Batched lookup of chunk records (digests hashed in one pass).

@@ -123,31 +123,54 @@ class StoreNode:
         self._track_fill()
         return True
 
-    def probe(self, digest: bytes) -> ProbeResult:
-        """Membership probe, classified for the lookup cost model."""
+    def probe_batch(self, digests) -> list[ProbeResult]:
+        """Membership probes, classified for the lookup cost model.
+
+        Every digest is tested against the Bloom filter; the ones it
+        admits share a single backend ``contains_batch``.
+        """
         self._require_alive()
-        self.stats.probes += 1
-        if digest not in self._bloom:
-            self.stats.bloom_negatives += 1
-            return ProbeResult.BLOOM_NEGATIVE
-        if self._backend.contains_batch([digest])[0]:
-            self.stats.hits += 1
-            return ProbeResult.HIT
-        self.stats.false_positives += 1
-        return ProbeResult.FALSE_POSITIVE
+        bloom = self._bloom
+        results = [ProbeResult.BLOOM_NEGATIVE] * len(digests)
+        maybe = [i for i, digest in enumerate(digests) if digest in bloom]
+        hits = 0
+        if maybe:
+            found = self._backend.contains_batch([digests[i] for i in maybe])
+            for i, present in zip(maybe, found):
+                if present:
+                    results[i] = ProbeResult.HIT
+                    hits += 1
+                else:
+                    results[i] = ProbeResult.FALSE_POSITIVE
+        stats = self.stats
+        stats.probes += len(digests)
+        stats.bloom_negatives += len(digests) - len(maybe)
+        stats.hits += hits
+        stats.false_positives += len(maybe) - hits
+        return results
+
+    def probe(self, digest: bytes) -> ProbeResult:
+        return self.probe_batch([digest])[0]
 
     def has_chunk(self, digest: bytes) -> bool:
         return self.probe(digest) is ProbeResult.HIT
 
-    def holds(self, digest: bytes) -> bool:
+    def holds_batch(self, digests) -> list[bool]:
         """Raw membership check for the control plane (repair, GC,
         placement): no Bloom probe, no stats — not a data-plane lookup."""
         self._require_alive()
-        return self._backend.contains_batch([digest])[0]
+        return self._backend.contains_batch(digests)
+
+    def holds(self, digest: bytes) -> bool:
+        return self.holds_batch([digest])[0]
+
+    def get_chunks(self, digests) -> list[bytes | None]:
+        """Stored values in one backend read (``None`` where absent)."""
+        self._require_alive()
+        return self._backend.get_batch(digests)
 
     def get_chunk(self, digest: bytes) -> bytes:
-        self._require_alive()
-        data = self._backend.get_batch([digest])[0]
+        data = self.get_chunks([digest])[0]
         if data is None:
             raise KeyError(
                 f"chunk {digest.hex()[:16]} missing from node {self.node_id!r}"

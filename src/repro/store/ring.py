@@ -34,12 +34,18 @@ class HashRing:
         self.vnodes = vnodes
         self._positions: list[int] = []  # sorted vnode positions
         self._owners: dict[int, str] = {}  # position -> node id
+        self._node_ids: set[str] = set()
+        #: Bumped on every membership change; placements derived from an
+        #: older version are stale (the placement memo keys on it).
+        self.version = 0
 
     # -- membership ----------------------------------------------------
 
     def add_node(self, node_id: str) -> None:
-        if node_id in self.node_ids:
+        if node_id in self._node_ids:
             raise ValueError(f"node {node_id!r} already on ring")
+        self._node_ids.add(node_id)
+        self.version += 1
         for i in range(self.vnodes):
             pos = _position(f"{node_id}#{i}".encode())
             while pos in self._owners:  # vanishingly rare 64-bit collision
@@ -48,22 +54,24 @@ class HashRing:
             bisect.insort(self._positions, pos)
 
     def remove_node(self, node_id: str) -> None:
-        if node_id not in self.node_ids:
+        if node_id not in self._node_ids:
             raise KeyError(f"node {node_id!r} not on ring")
+        self._node_ids.remove(node_id)
+        self.version += 1
         dropped = {p for p, n in self._owners.items() if n == node_id}
         self._positions = [p for p in self._positions if p not in dropped]
         for pos in dropped:
             del self._owners[pos]
 
     @property
-    def node_ids(self) -> set[str]:
-        return set(self._owners.values())
+    def node_ids(self) -> frozenset[str]:
+        return frozenset(self._node_ids)
 
     def __len__(self) -> int:
-        return len(self.node_ids)
+        return len(self._node_ids)
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self.node_ids
+        return node_id in self._node_ids
 
     # -- placement -----------------------------------------------------
 

@@ -190,6 +190,32 @@ class TestFaultyBackend:
         backend.clear()
         backend.close()
 
+    @pytest.mark.parametrize("op", ["contains_batch", "get_batch", "put_batch", "delete_batch"])
+    @pytest.mark.parametrize("batch", [1, 7, 25, 60])
+    def test_kill_threshold_counts_keys_not_calls(self, op, batch):
+        """A plan kills after the same number of keys however callers
+        batch them: the call carrying the 100th key dies."""
+        _, backend = wrapped("seed=6,node.kill=node-0:100")
+        keys = [i.to_bytes(4, "big") for i in range(200)]
+        delivered = 0
+        with pytest.raises(InjectedFault, match="node death"):
+            for start in range(0, len(keys), batch):
+                part = keys[start : start + batch]
+                args = [(k, b"v") for k in part] if op == "put_batch" else part
+                getattr(backend, op)(args)
+                delivered += len(part)
+        assert backend.dead
+        # Every whole call before the 100th key went through; the call
+        # that carried it did not.
+        assert delivered == (99 // batch) * batch
+
+    def test_other_backend_faults_draw_per_call(self):
+        """One call is one draw, whatever it carries."""
+        plan, backend = wrapped("seed=8,backend.latency=1.0:0.0")
+        backend.contains_batch([bytes([i]) for i in range(50)])
+        backend.contains_batch([b"a"])
+        assert plan.stats.latencies == 2
+
     def test_latency_counts(self):
         plan, backend = wrapped(
             "seed=7,backend.latency=1.0:0.0001"

@@ -132,6 +132,23 @@ class TestBatchedApi:
             "batched-api"
         ]
 
+    @pytest.mark.parametrize(
+        "per_item, twin", [("holds", "holds_batch"), ("probe", "probe_batch")]
+    )
+    def test_fires_on_per_item_node_calls(self, tmp_path, per_item, twin):
+        write_tree(
+            tmp_path,
+            {
+                "store/caller.py": (
+                    "def presence(node, digests):\n"
+                    f"    return [node.{per_item}(d) for d in digests]\n"
+                )
+            },
+        )
+        result = lint(tmp_path, rules=["batched-api"])
+        assert rules_of(result) == ["batched-api"]
+        assert f".{twin}(" in result.findings[0].message
+
     def test_quiet_inside_the_batch_twin_itself(self, tmp_path):
         write_tree(
             tmp_path,

@@ -4,7 +4,6 @@ racing in-flight batched lookups."""
 
 from __future__ import annotations
 
-import asyncio
 
 import pytest
 
@@ -232,11 +231,12 @@ class TestSelfHealing:
 class TestRepairVsLookup:
     @pytest.mark.parametrize("backend", ["memory", "disk"])
     def test_repair_during_inflight_lookup(self, backend, tmp_path):
-        """repair() interleaving with a suspended lookup stays correct.
+        """repair() interleaving with an in-flight lookup stays correct.
 
-        The batched lookup yields control between node sub-batches;
-        driving repair() at that suspension point interleaves the two
-        operations the same way a live server would.
+        The batched lookup reports every node sub-batch to its
+        ``on_probe`` observer; driving repair() from there runs it
+        between two node calls of one lookup, the same interleaving a
+        detector-triggered auto-repair produces on a live server.
         """
         kwargs = {"backend": backend}
         if backend == "disk":
@@ -248,16 +248,19 @@ class TestRepairVsLookup:
         cluster.fail_node("node-2")
         digests = [d for d, _ in items]
 
-        async def drive():
-            task = asyncio.create_task(
-                cluster.lookup.lookup_batch_async(digests)
-            )
-            await asyncio.sleep(0)  # let the lookup start and suspend
-            report = cluster.repair()
-            hit_map, stats = await task
-            return report, hit_map, stats
+        reports = []
+        observe = cluster.lookup.on_probe
 
-        report, hit_map, stats = asyncio.run(drive())
+        def repair_once(node_id, ok):
+            observe(node_id, ok)
+            if not reports:
+                reports.append(None)  # claim the slot: repair() probes too
+                reports[0] = cluster.repair()
+
+        cluster.lookup.on_probe = repair_once
+        hit_map, stats = cluster.lookup.lookup_batch(digests)
+        cluster.lookup.on_probe = observe
+        (report,) = reports
         assert report.healthy
         assert all(hit_map[d] for d in digests)
         assert stats.n_digests == len(digests)

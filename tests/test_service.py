@@ -232,6 +232,24 @@ class TestService:
         assert report.n_chunks > 0
         assert report.transfer.total_items == report.n_chunks
 
+    def test_restore_assembles_pieces_in_place(self, snapshots):
+        """A restore streamed in many pieces (the last one short) and an
+        empty one both come back as exact ``bytes``; the client fills one
+        buffer of the announced size instead of joining a piece list."""
+        data = snapshots[0][: 300_000 + 7]
+
+        async def scenario(service):
+            client = await connect(service, "acme")
+            await client.backup(data, "odd")
+            await client.backup(b"", "empty")
+            restored = (await client.restore("odd"), await client.restore("empty"))
+            await client.close()
+            return restored
+
+        odd, empty = run_service(scenario, restore_piece=4096)
+        assert type(odd) is bytes and odd == data
+        assert type(empty) is bytes and empty == b""
+
     def test_matches_in_process_dedup_pattern(self, snapshots):
         """Remote decisions replay the in-process single path exactly."""
         with BackupServer(BackupConfig()) as server:

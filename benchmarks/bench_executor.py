@@ -1,9 +1,10 @@
-"""Real threaded host-driver execution (the §5.2.1 pipeline, live).
+"""Real host-driver execution (the §5.2.1 pipeline, live).
 
-Measures wall-clock throughput of the 3-stage threaded executor
-(Transfer/Kernel/Store threads over the simulated device) against the
-single-threaded reference chunker, and verifies output equivalence.
-This is an honest Python-level number, not a modeled one.
+Measures wall-clock throughput of the executor — the one scan driver
+(``pipeline_chunks``) with every candidate scan round-tripped through
+the simulated device (alloc, upload, kernel launch, free) — and verifies
+its output against the reference chunker.  This is an honest
+Python-level number, not a modeled one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def test_executor_throughput(benchmark, report):
         ShredderConfig.gpu_streams_memory(chunker=CHUNKER, buffer_size=MB)
     )
     table = report(
-        "Threaded executor: real wall-clock scan rate",
+        "Device-round-trip executor: real wall-clock scan rate",
         ["Path", "MB/s (wall)"],
         paper_note="integration measurement; modeled GPU numbers are separate",
     )
@@ -34,4 +35,4 @@ def test_executor_throughput(benchmark, report):
         (c.offset, c.digest) for c in reference
     ]
     seconds = benchmark.stats.stats.mean
-    table.add("threaded 3-stage executor", 4 / seconds)
+    table.add("scan driver over the simulated device", 4 / seconds)

@@ -20,6 +20,7 @@ from repro.core import (
     ShredderConfig,
     ensure_digests,
     get_threads,
+    pipeline_chunks,
     set_threads,
 )
 from repro.workloads import mutate, seeded_bytes
@@ -84,19 +85,24 @@ def main() -> None:
 
     # -- threaded scan + stage-overlapped pipeline ---------------------------
     # One knob (REPRO_THREADS / set_threads / CLI --threads) drives the
-    # scan and hash worker pools; 0/1 = serial.  chunk_pipelined overlaps
-    # the marker scan of buffer i+1 with the hashing of buffer i, and the
-    # caller's work (here: dedup probes) overlaps both.  Chunks are
+    # scan and hash worker pools; 0/1 = serial.  pipeline_chunks — the
+    # one driver every entry point runs — overlaps the marker scan of
+    # buffer i+1 with the hashing of buffer i, and the caller's work on
+    # each digested batch (here: flattening) overlaps both.  Chunks are
     # bit-identical to the serial path at any thread count.
     set_threads(4)
-    piped = list(chunker.chunk_pipelined(buffers))
+    piped = [
+        chunk
+        for batch in pipeline_chunks(chunker.candidate_cuts, chunker.config, buffers)
+        for chunk in batch
+    ]
     assert [c.digest for c in piped] == [c.digest for c in chunks]
     print(f"\npipelined chunk+hash with {get_threads()} workers: "
           f"{len(piped)} chunks, digests prefilled, stream order kept")
     set_threads(None)  # back to auto-detect
 
-    # The backup server runs the same way by default (pipelined=True):
-    # batched index/cluster lookups and agent shipping overlap the scan.
+    # The backup server always runs this way: batched index/cluster
+    # lookups and agent shipping overlap the scan and hash.
     with BackupServer(BackupConfig(engine="gpu")) as server:
         server.backup_snapshot(data, "base")
         report = server.backup_snapshot(edited, "edited")

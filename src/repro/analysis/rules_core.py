@@ -9,12 +9,14 @@ from repro.analysis.index import SourceModule, dotted_name
 from repro.analysis.model import Finding
 from repro.analysis.registry import Checker, LintContext, register
 
-#: Modules on the scan fast path: every byte copied here is paid per
-#: input byte, so materialization must be explicit and justified.
+#: Modules on the scan fast path (engine, the one scan driver, the
+#: Shredder buffer splitter every backup goes through): every byte
+#: copied here is paid per input byte, so materialization must be
+#: explicit and justified.
 HOT_PATH_SUFFIXES = (
     "core/engines.py",
-    "core/pipeline.py",
     "core/chunking.py",
+    "core/shredder.py",
     "core/buffers.py",
 )
 

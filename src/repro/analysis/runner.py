@@ -27,6 +27,9 @@ class LintResult:
     suppressed: int = 0
     baselined: int = 0
     checked_files: int = 0
+    #: Physical lines (newline count, as ``wc -l``) of the Python files
+    #: under each requested path — the per-PR size trend of ``src/``.
+    lines: dict[str, int] = field(default_factory=dict)
     #: Internal errors (unparseable file, checker crash): exit code 2.
     errors: list[str] = field(default_factory=list)
 
@@ -45,6 +48,7 @@ class LintResult:
                 "baselined": self.baselined,
                 "checked_files": self.checked_files,
             },
+            "lines": self.lines,
             "errors": self.errors,
         }
 
@@ -91,12 +95,12 @@ def run_lint(
     index = ModuleIndex(discover_files(universe), root)
     for rel, message in index.broken:
         result.errors.append(f"failed to parse {rel}: {message}")
-    report_files = {
-        f.resolve() for f in discover_files(requested)
-    }
-    report_rels = {
-        m.rel for m in index.modules if m.path in report_files
-    }
+    report_rels: set[str] = set()
+    for given, path in zip(paths, requested):
+        files = {f.resolve() for f in discover_files([path])}
+        modules = [m for m in index.modules if m.path in files]
+        report_rels.update(m.rel for m in modules)
+        result.lines[str(given)] = sum(m.source.count("\n") for m in modules)
     result.checked_files = len(report_rels)
 
     ctx = LintContext(index)

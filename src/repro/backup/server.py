@@ -35,17 +35,15 @@ a new one opened on the same ``data_dir``: every snapshot restores
 bit-identical and the reopened index/cluster answer ``lookup_batch``
 with the same hit/miss pattern as before the restart.
 
-With ``pipelined=True`` (the default) the server *executes* as the
-paper's pipeline instead of running stage-at-a-time: chunks arrive in
-digested batches from a bounded scan→hash pipeline
+The server *executes* as the paper's pipeline: chunks arrive in
+digested batches from the bounded scan→hash pipeline
 (:meth:`repro.core.shredder.Shredder.pipeline_batches`), and each
 batch's index/cluster lookups and agent shipping run while later
 buffers are still being scanned and hashed.  Chunks, dedup decisions,
-shipped bytes, and recipes are bit-identical to the unpipelined path
-(``pipelined=False``, kept for differential testing); only the
-cluster's ``lookup_stats`` batch counters — and therefore the modeled
-index-stage seconds — may differ, because probes are issued per
-pipeline batch instead of once per snapshot.
+shipped bytes, and recipes do not depend on how the stream is batched;
+only the cluster's ``lookup_stats`` batch counters — and therefore the
+modeled index-stage seconds — follow ``pipeline_batch_chunks``,
+because probes are issued per pipeline batch.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from pathlib import Path
 
 from repro.backup.agent import ShredderAgent, TransferLog
 from repro.backup.store import ChunkStore
-from repro.core.chunking import ChunkerConfig, ensure_digests
+from repro.core.chunking import ChunkerConfig
 from repro.core.dedup import DedupIndex
 from repro.core.shredder import Shredder, ShredderConfig
 from repro.store.backend import make_backend, resolve_backend
@@ -123,10 +121,6 @@ class BackupConfig:
     batch_rtt_s: float = 5e-5
     bloom_probe_s: float = 2e-7
     bloom_fp_rate: float = 0.01
-    #: Execute the backup as a bounded scan → hash → lookup/ship
-    #: pipeline (stage overlap on real threads); ``False`` runs the
-    #: stage-at-a-time path, kept bit-identical for differential tests.
-    pipelined: bool = True
     #: Chunks per pipeline batch handed to the lookup/ship stage;
     #: ``None`` follows the autotuned scan-tile geometry (one hashing
     #: pass per scan tile).
@@ -337,24 +331,15 @@ class BackupServer:
     def backup_snapshot(self, data: bytes, snapshot_id: str) -> BackupReport:
         """Deduplicate and ship one image snapshot to the backup site.
 
-        Pipelined (the default): digested chunk batches stream out of
-        the bounded scan→hash pipeline in input order, and this stage's
-        batched index/cluster probes + agent shipping overlap the scan
-        and hash of later buffers.  ``pipelined=False`` falls back to
-        stage-at-a-time execution (one batch spanning the snapshot);
-        both produce identical chunks, decisions, shipped bytes, and
-        recipes (the cluster's per-batch lookup counters are the one
-        observable allowed to differ).
+        Digested chunk batches stream out of the bounded scan→hash
+        pipeline in input order, and this stage's batched index/cluster
+        probes + agent shipping overlap the scan and hash of later
+        buffers.
         """
         cfg = self.config
-        if cfg.pipelined:
-            batches = self.shredder.pipeline_batches(
-                data, batch_chunks=cfg.pipeline_batch_chunks
-            )
-        else:
-            whole = self.shredder.process(data)[0]
-            ensure_digests(whole)
-            batches = iter([whole])
+        batches = self.shredder.pipeline_batches(
+            data, batch_chunks=cfg.pipeline_batch_chunks
+        )
 
         lookup_stats: BatchLookupStats | None = (
             BatchLookupStats() if self.cluster is not None else None

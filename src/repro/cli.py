@@ -87,14 +87,18 @@ def _profiled_chunk(chunker, view) -> list:
     reflect the production data path.  Chunks are identical to the
     whole-buffer path (stream chunking is boundary-exact).
     """
-    from repro.core import DedupIndex, get_geometry
+    from repro.core import DedupIndex, get_geometry, pipeline_chunks
     from repro.core import reset_scan_counters, reset_stage_times
 
     reset_scan_counters()
     reset_stage_times()
     piece = max(get_geometry().tile_bytes, 1 << 20)
     buffers = [view[off : off + piece] for off in range(0, len(view), piece)]
-    chunks = list(chunker.chunk_pipelined(buffers))
+    chunks = [
+        chunk
+        for batch in pipeline_chunks(chunker.candidate_cuts, chunker.config, buffers)
+        for chunk in batch
+    ]
     DedupIndex().lookup_or_insert_batch(chunks)
     return chunks
 
@@ -656,8 +660,9 @@ def cmd_lint(args) -> int:
             print(finding.format())
         for error in result.errors:
             print(f"error: {error}", file=sys.stderr)
+        lines = ", ".join(f"{path} {n}" for path, n in result.lines.items())
         counts = (
-            f"{result.checked_files} files checked, "
+            f"{result.checked_files} files checked ({lines} lines), "
             f"{len(result.findings)} finding(s)"
         )
         if result.suppressed:

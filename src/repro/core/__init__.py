@@ -1,4 +1,10 @@
-"""Core Shredder library: Rabin fingerprinting, chunking, dedup, pipeline."""
+"""Core Shredder library: Rabin fingerprinting, chunking, dedup.
+
+One scan driver turns bytes into chunks — ``stream_chunks`` (scan +
+incremental min/max stitch) run by ``pipeline_chunks`` (batched hashing
++ stage overlap); ``Chunker``, ``HostParallelChunker``, ``Shredder`` and
+``ShredderExecutor`` are configurations of it.
+"""
 
 from repro.core.baselines import FixedSizeChunker, SampleByteChunker
 from repro.core.buffers import DoubleBuffer, PinnedRingBuffer, RingSlot
@@ -6,6 +12,7 @@ from repro.core.chunking import (
     Chunk,
     Chunker,
     ChunkerConfig,
+    PipelineError,
     chunk_sizes,
     ensure_digests,
     pipeline_chunks,
@@ -32,9 +39,8 @@ from repro.core.threads import (
     set_threads,
 )
 from repro.core.host_chunker import HOARD, MALLOC, AllocatorModel, HostParallelChunker
-from repro.core.executor import BoundaryStitcher, ExecutionTotals, ShredderExecutor
+from repro.core.executor import ExecutionTotals, ShredderExecutor
 from repro.core.parallel_minmax import compute_jumps, parallel_select_cuts
-from repro.core.pipeline import PipelineError, Stage, StreamingPipeline
 from repro.core.rabin import DEFAULT_WINDOW_SIZE, RabinFingerprinter, default_polynomial
 from repro.core.shredder import Shredder, ShredderConfig, ShredderReport
 from repro.core.stats import (
@@ -52,11 +58,11 @@ from repro.core.stats import snapshot as stats_snapshot
 
 __all__ = [
     "FixedSizeChunker", "SampleByteChunker",
-    "BoundaryStitcher", "ExecutionTotals", "ShredderExecutor",
+    "ExecutionTotals", "ShredderExecutor",
     "compute_jumps", "parallel_select_cuts",
     "DoubleBuffer", "PinnedRingBuffer", "RingSlot",
     "Chunk", "Chunker", "ChunkerConfig", "chunk_sizes", "ensure_digests",
-    "pipeline_chunks", "select_cuts", "select_cuts_fast",
+    "pipeline_chunks", "PipelineError", "select_cuts", "select_cuts_fast",
     "DedupIndex", "DedupStats",
     "ScanGeometry", "get_geometry",
     "Engine", "SerialEngine", "VectorEngine", "as_byte_view", "as_uint8",
@@ -65,7 +71,6 @@ __all__ = [
     "available_cpus", "close_pools", "get_threads", "set_default_threads",
     "set_threads",
     "HOARD", "MALLOC", "AllocatorModel", "HostParallelChunker",
-    "PipelineError", "Stage", "StreamingPipeline",
     "DEFAULT_WINDOW_SIZE", "RabinFingerprinter", "default_polynomial",
     "Shredder", "ShredderConfig", "ShredderReport",
     "ScanCounters", "SizeStats", "dedup_ratio", "reset_scan_counters",

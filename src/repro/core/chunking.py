@@ -26,7 +26,7 @@ import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,12 +44,12 @@ __all__ = [
     "ChunkerConfig",
     "Chunk",
     "Chunker",
-    "chunks_from_cuts",
     "select_cuts",
     "select_cuts_fast",
     "chunk_sizes",
     "ensure_digests",
     "pipeline_chunks",
+    "PipelineError",
 ]
 
 #: Default number of low-order fingerprint bits compared against the marker
@@ -262,24 +262,6 @@ def ensure_digests(chunks: Sequence[Chunk], parallel: bool | None = None) -> Seq
     it = iter(digests)
     for c, piece in zip(pending, pieces):
         c._digest = next(it) if piece is not None else digest_views(c._views)
-    return chunks
-
-
-def chunks_from_cuts(view: memoryview, cuts: Sequence[int], base_offset: int = 0) -> list[Chunk]:
-    """Assemble lazy view chunks for a selected cut list, one digest pass.
-
-    The shared back half of every whole-buffer chunker: slice ``view``
-    at ``cuts`` into zero-copy :class:`Chunk` records whose digests are
-    computed for the whole batch by :func:`digest_chunks`.
-    """
-    digests = digest_chunks(view, cuts)
-    chunks = []
-    prev = 0
-    for cut, digest in zip(cuts, digests):
-        chunks.append(
-            Chunk(base_offset + prev, cut - prev, digest=digest, views=(view[prev:cut],))
-        )
-        prev = cut
     return chunks
 
 
@@ -506,16 +488,6 @@ def stream_chunks(
         yield Chunk(prev, end - prev, views=take(end))
 
 
-#: Fallback chunks per pipeline batch: at the 8 KiB expected chunk size
-#: this is ~2 MiB of payload per hashing pass — big enough to amortize
-#: dispatch, small enough that three in-flight batches stay cache-warm.
-#: When ``batch_chunks`` is left ``None`` the pipeline derives the batch
-#: from the autotuned scan-tile size instead (one hashing pass covers
-#: about one scan tile), so the stage boundary follows the measured
-#: geometry rather than this constant.
-DEFAULT_PIPELINE_BATCH = 256
-
-
 def _resolve_batch_chunks(config: ChunkerConfig) -> int:
     """Hash-batch size matched to the tuned scan tile.
 
@@ -528,49 +500,112 @@ def _resolve_batch_chunks(config: ChunkerConfig) -> int:
     expected = max(1, config.expected_chunk_size)
     return max(32, min(4096, get_geometry().tile_bytes // expected))
 
+
 _PIPE_END = object()
 
 
-class _PipelineHandoff:
-    """Bounded queues + stop/error plumbing between pipeline stages.
+class PipelineError(RuntimeError):
+    """A pipeline stage raised; carries the original exception as ``__cause__``."""
 
-    Deliberately separate from :class:`repro.core.pipeline.
-    StreamingPipeline`: that runs a *finite* item list to completion and
-    returns a list, while :func:`pipeline_chunks` must stream batches to
-    a consumer generator with backpressure (the consumer is the third
-    stage) and survive early ``close()`` — different lifecycle, shared
-    error type.
+
+def _scan_batches(
+    candidate_fn, config: ChunkerConfig, buffers: Iterable, carry_limit: int, batch_chunks: int
+) -> Generator[list[Chunk], None, None]:
+    """Scan stage: undigested batches off :func:`stream_chunks`.
+
+    Time blocked in the stream (scan + min/max selection) accumulates
+    into the ``scan`` stage timer, recorded when the stage ends.
     """
+    from repro.core import stats
 
-    __slots__ = ("stop", "errors", "_queues")
+    scan_s = 0.0
+    stream = stream_chunks(candidate_fn, config, buffers, carry_limit=carry_limit)
+    try:
+        batch: list[Chunk] = []
+        while True:
+            t0 = time.perf_counter()
+            chunk = next(stream, _PIPE_END)
+            scan_s += time.perf_counter() - t0
+            if chunk is _PIPE_END:
+                break
+            batch.append(chunk)
+            if len(batch) >= batch_chunks:
+                yield batch
+                batch = []
+        if batch:
+            yield batch
+    finally:
+        stats.record_stage("scan", scan_s)
 
-    def __init__(self, n_queues: int, depth: int) -> None:
-        self.stop = threading.Event()
-        self.errors: list[BaseException] = []
-        self._queues = [queue.Queue(maxsize=depth) for _ in range(n_queues)]
 
-    def put(self, i: int, item) -> bool:
+def _hash_batches(
+    batches: Generator[list[Chunk], None, None]
+) -> Generator[list[Chunk], None, None]:
+    """Hash stage: one :func:`ensure_digests` pass per batch (``hash`` timer)."""
+    from repro.core import stats
+
+    hash_s = 0.0
+    try:
+        for batch in batches:
+            t0 = time.perf_counter()
+            ensure_digests(batch)
+            hash_s += time.perf_counter() - t0
+            yield batch
+    finally:
+        stats.record_stage("hash", hash_s)
+        batches.close()  # a stage that stops early stops its upstream too
+
+
+def _run_ahead(
+    stage: Generator, depth: int, stop: threading.Event, errors: list, name: str
+) -> tuple[threading.Thread, Generator]:
+    """Run ``stage`` on a worker thread, up to ``depth`` items ahead.
+
+    The one thread hand-off: a bounded queue filled by the worker and
+    drained by the returned generator.  ``stop`` tears every hand-off of
+    a pipeline down together; a stage exception lands in ``errors`` and
+    sets it.
+    """
+    handoff: queue.Queue = queue.Queue(maxsize=depth)
+
+    def put(item) -> bool:
         """Blocking put that aborts when the pipeline is torn down."""
-        while not self.stop.is_set():
+        while not stop.is_set():
             try:
-                self._queues[i].put(item, timeout=0.05)
+                handoff.put(item, timeout=0.05)
                 return True
             except queue.Full:
                 continue
         return False
 
-    def get(self, i: int):
-        """Blocking get that drains queued items even after stop."""
+    def produce() -> None:
+        try:
+            for item in stage:
+                if not put(item):
+                    return
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+        finally:
+            stage.close()  # records the stage timer on this thread
+            put(_PIPE_END)
+
+    def drain() -> Generator:
+        """Blocking gets; queued items still drain after ``stop``."""
         while True:
             try:
-                return self._queues[i].get(timeout=0.05)
+                item = handoff.get(timeout=0.05)
             except queue.Empty:
-                if self.stop.is_set():
-                    return _PIPE_END
+                if stop.is_set():
+                    return
+                continue
+            if item is _PIPE_END:
+                return
+            yield item
 
-    def fail(self, exc: BaseException) -> None:
-        self.errors.append(exc)
-        self.stop.set()
+    worker = threading.Thread(target=produce, name=name, daemon=True)
+    worker.start()
+    return worker, drain()
 
 
 def pipeline_chunks(
@@ -583,31 +618,33 @@ def pipeline_chunks(
 ) -> Iterator[list[Chunk]]:
     """Stage-overlapped chunking: scan || hash || consume (§4.2 on the CPU).
 
-    Runs :func:`stream_chunks` on a *scan* worker thread and
-    :func:`ensure_digests` on a *hash* worker thread, connected by
-    bounded queues, and yields successive **batches** (lists) of
-    digested :class:`Chunk` records to the caller — so hashing batch
-    ``i`` overlaps scanning batch ``i + 1``, and whatever the caller
-    does with a batch (index probes, cluster lookups, shipping)
-    overlaps both.  NumPy releases the GIL inside the scan and
-    ``hashlib`` inside the hash, so the three stages genuinely run
-    concurrently on multi-core hosts.
+    The one executor behind every chunking entry point.  Two stage
+    generators — :func:`stream_chunks` cut into batches, then
+    :func:`ensure_digests` per batch — yield successive **batches**
+    (lists) of digested :class:`Chunk` records to the caller.  On a
+    multi-core host each stage runs one hand-off ahead on its own
+    worker thread, so hashing batch ``i`` overlaps scanning batch
+    ``i + 1``, and whatever the caller does with a batch (index probes,
+    cluster lookups, shipping) overlaps both.  NumPy releases the GIL
+    inside the scan and ``hashlib`` inside the hash, so the three
+    stages genuinely run concurrently.
 
     Batches preserve stream order exactly: concatenating them yields
     the same chunk sequence (offsets, lengths, digests) as
     ``stream_chunks`` followed by one big ``ensure_digests`` pass.
-    ``queue_depth`` bounds in-flight batches per queue (the pinned-ring
-    role from the paper's GPU pipeline: bounded buffering, no
-    unbounded memory growth when one stage stalls).
+    ``queue_depth`` bounds in-flight batches per hand-off (the
+    pinned-ring role from the paper's GPU pipeline: bounded buffering,
+    no unbounded memory growth when one stage stalls).
 
     A stage exception tears the pipeline down and re-raises in the
-    consumer (as :class:`~repro.core.pipeline.PipelineError`).  Closing
-    the generator early stops both workers.
+    consumer as :class:`PipelineError`.  Closing the generator early
+    stops both workers.
 
     With the process-wide thread setting at 0/1 (``REPRO_THREADS`` /
-    :func:`repro.core.threads.set_threads`) the stages run inline on
-    the calling thread — no workers, same batches, same error type —
-    so the serial configuration is genuinely single-threaded.
+    :func:`repro.core.threads.set_threads`) the same two generators run
+    chained on the calling thread — no workers, no queue, same batches,
+    same error type — so the serial configuration is genuinely
+    single-threaded.
 
     ``batch_chunks=None`` (the default) sizes batches from the
     autotuned scan-tile geometry (one hashing pass per scan tile, see
@@ -615,8 +652,6 @@ def pipeline_chunks(
     into the ``scan`` / ``hash`` stage timers of
     :mod:`repro.core.stats`, powering ``repro chunk --profile``.
     """
-    from repro.core import stats
-    from repro.core.pipeline import PipelineError  # shared error type
     from repro.core.threads import get_threads
 
     if batch_chunks is None:
@@ -626,108 +661,34 @@ def pipeline_chunks(
     if queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
 
+    scanned = _scan_batches(candidate_fn, config, buffers, carry_limit, batch_chunks)
     if get_threads() <= 1:
-        scan_s = hash_s = 0.0
-        stream = stream_chunks(
-            candidate_fn, config, buffers, carry_limit=carry_limit
-        )
         try:
-            batch: list[Chunk] = []
-            while True:
-                t0 = time.perf_counter()
-                chunk = next(stream, _PIPE_END)
-                scan_s += time.perf_counter() - t0
-                if chunk is _PIPE_END:
-                    break
-                batch.append(chunk)
-                if len(batch) >= batch_chunks:
-                    t0 = time.perf_counter()
-                    ensure_digests(batch)
-                    hash_s += time.perf_counter() - t0
-                    yield batch
-                    batch = []
-            if batch:
-                t0 = time.perf_counter()
-                ensure_digests(batch)
-                hash_s += time.perf_counter() - t0
-                yield batch
+            yield from _hash_batches(scanned)
         except Exception as exc:  # KeyboardInterrupt/SystemExit pass through
             raise PipelineError(f"chunk pipeline stage failed: {exc!r}") from exc
-        finally:
-            stats.record_stage("scan", scan_s)
-            stats.record_stage("hash", hash_s)
         return
 
-    handoff = _PipelineHandoff(2, queue_depth)
-
-    def scan_worker() -> None:
-        scan_s = 0.0
-        stream = stream_chunks(
-            candidate_fn, config, buffers, carry_limit=carry_limit
-        )
-        try:
-            batch: list[Chunk] = []
-            while True:
-                t0 = time.perf_counter()
-                chunk = next(stream, _PIPE_END)
-                scan_s += time.perf_counter() - t0
-                if chunk is _PIPE_END:
-                    break
-                batch.append(chunk)
-                if len(batch) >= batch_chunks:
-                    if not handoff.put(0, batch):
-                        return
-                    batch = []
-            if batch:
-                handoff.put(0, batch)
-        except BaseException as exc:
-            handoff.fail(exc)
-        finally:
-            stats.record_stage("scan", scan_s)
-            handoff.put(0, _PIPE_END)
-
-    def hash_worker() -> None:
-        hash_s = 0.0
-        try:
-            while True:
-                batch = handoff.get(0)
-                if batch is _PIPE_END:
-                    return
-                t0 = time.perf_counter()
-                ensure_digests(batch)
-                hash_s += time.perf_counter() - t0
-                if not handoff.put(1, batch):
-                    return
-        except BaseException as exc:
-            handoff.fail(exc)
-        finally:
-            stats.record_stage("hash", hash_s)
-            handoff.put(1, _PIPE_END)
-
-    workers = [
-        threading.Thread(target=scan_worker, name="chunk-scan", daemon=True),
-        threading.Thread(target=hash_worker, name="chunk-hash", daemon=True),
-    ]
-    for t in workers:
-        t.start()
+    stop = threading.Event()
+    errors: list[BaseException] = []
+    scan_worker, scanned = _run_ahead(scanned, queue_depth, stop, errors, "chunk-scan")
+    hash_worker, hashed = _run_ahead(
+        _hash_batches(scanned), queue_depth, stop, errors, "chunk-hash"
+    )
     try:
-        while True:
-            batch = handoff.get(1)
-            if batch is _PIPE_END:
-                break
-            yield batch
+        yield from hashed
     finally:
         # Stop *before* joining: after a stage failure the scan worker
         # may be blocked inside the caller's buffer iterator (e.g. a
         # live socket), which nothing can interrupt — the bounded join
         # keeps the consumer from hanging on it (workers are daemons).
-        handoff.stop.set()
-        for t in workers:
-            t.join(timeout=5.0)
-    if handoff.errors:
+        stop.set()
+        for worker in (scan_worker, hash_worker):
+            worker.join(timeout=5.0)
+    if errors:
         raise PipelineError(
-            f"chunk pipeline stage failed: {handoff.errors[0]!r}"
-        ) from handoff.errors[0]
+            f"chunk pipeline stage failed: {errors[0]!r}"
+        ) from errors[0]
 
 
 class Chunker:
@@ -770,14 +731,23 @@ class Chunker:
 
     # -- boundary-level API -------------------------------------------------
 
+    def candidate_cut_array(self, data) -> np.ndarray:
+        """Marker positions only, before min/max selection (GPU-kernel view).
+
+        The one scan hook: subclasses that scan differently (the SPMD
+        host chunker) override this and inherit everything else.
+        """
+        return self.engine.candidate_cut_array(data, self.config.mask, self.config.marker)
+
     def candidate_cuts(self, data) -> list[int]:
-        """Marker positions only, before min/max selection (GPU-kernel view)."""
-        return self.engine.candidate_cuts(data, self.config.mask, self.config.marker)
+        """:meth:`candidate_cut_array` as a list (the ``candidate_fn`` of
+        :func:`stream_chunks` / :func:`pipeline_chunks`)."""
+        return self.candidate_cut_array(data).tolist()
 
     def cuts(self, data) -> list[int]:
         """Selected exclusive cut offsets for ``data`` (ends with ``len(data)``)."""
         return select_cuts_fast(
-            self.engine.candidate_cut_array(data, self.config.mask, self.config.marker),
+            self.candidate_cut_array(data),
             len(as_byte_view(data)),
             self.config.min_size,
             self.config.max_size,
@@ -797,8 +767,16 @@ class Chunker:
         the chunks first or their ``.data`` will no longer match
         ``.digest`` (the backup agent rejects such payloads).
         """
-        mv = as_byte_view(data)
-        return chunks_from_cuts(mv, self.cuts(mv), base_offset)
+        view = as_byte_view(data)
+        cuts = self.cuts(view)
+        chunks = []
+        prev = 0
+        for cut, digest in zip(cuts, digest_chunks(view, cuts)):
+            chunks.append(
+                Chunk(base_offset + prev, cut - prev, digest=digest, views=(view[prev:cut],))
+            )
+            prev = cut
+        return chunks
 
     def chunk_stream(
         self, buffers: Iterable, carry_limit: int = 1 << 26
@@ -811,27 +789,3 @@ class Chunker:
         return stream_chunks(
             self.candidate_cuts, self.config, buffers, carry_limit=carry_limit
         )
-
-    def chunk_pipelined(
-        self,
-        buffers: Iterable,
-        carry_limit: int = 1 << 26,
-        batch_chunks: int | None = None,
-        queue_depth: int = 4,
-    ) -> Iterator[Chunk]:
-        """Chunk a stream with scan/hash stage overlap; digests prefilled.
-
-        Same chunks in the same order as :meth:`chunk_stream` + batched
-        ``ensure_digests``, but the marker scan of buffer ``i + 1``
-        overlaps the hashing of buffer ``i`` (and the caller's work
-        overlaps both).  See :func:`pipeline_chunks`.
-        """
-        for batch in pipeline_chunks(
-            self.candidate_cuts,
-            self.config,
-            buffers,
-            carry_limit=carry_limit,
-            batch_chunks=batch_chunks,
-            queue_depth=queue_depth,
-        ):
-            yield from batch

@@ -1,40 +1,32 @@
-"""Threaded Shredder executor: the host driver of §5.2.1, for real.
+"""Shredder executor: the host driver of §5.2.1 moving real bytes.
 
-:class:`ShredderExecutor` runs the four Shredder stages as real threads
-connected by bounded queues (via :class:`StreamingPipeline`), moving real
-bytes through the simulated GPU:
+:class:`ShredderExecutor` is the one scan driver
+(:func:`~repro.core.chunking.pipeline_chunks` over the
+:class:`~repro.core.shredder.Shredder` buffer splitter) configured with
+a ``candidate_fn`` that goes through the simulated GPU: for every
+buffer the Store thread asks about, it allocates a device buffer,
+uploads the bytes, launches the chunking kernel, collects the
+*candidate* cuts and frees the buffer.  Reader, min/max stitch across
+buffer boundaries, batched hashing and stage overlap are the driver's;
+the executor owns only the device round trip and the modeled per-stage
+times it accumulates in :class:`ExecutionTotals`.
 
-* **Reader** — splits the input stream into buffers and attaches the
-  ``window-1`` byte context tail of the previous buffer (so marker
-  windows spanning buffer boundaries are evaluated exactly once);
-* **Transfer** — allocates a device buffer and uploads the bytes;
-* **Kernel** — launches the chunking kernel, collects *candidate* cuts,
-  frees the device buffer;
-* **Store** — the only stateful stage: applies min/max selection across
-  buffer boundaries and emits hashed :class:`Chunk` records.
-
-The emitted chunks are bit-identical to ``Chunker.chunk_stream`` (tested),
-demonstrating that the paper's decomposition — data-parallel candidate
-scan on the device, sequential min/max stitch on the host — loses
-nothing.  Modeled per-stage times are aggregated alongside, so the
-executor doubles as an end-to-end integration of device, buffers and
-pipeline machinery.
+The emitted chunks are bit-identical to ``Chunker.chunk_stream``
+(tested), demonstrating that the paper's decomposition — data-parallel
+candidate scan on the device, sequential min/max stitch on the host —
+loses nothing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
 
-from repro.core.chunking import Chunk, ChunkerConfig
-from repro.core.pipeline import Stage, StreamingPipeline
-from repro.core.shredder import ShredderConfig
-from repro.gpu import chunking_kernel as _ck
+from repro.core.chunking import Chunk, pipeline_chunks
+from repro.core.shredder import Shredder, ShredderConfig
 from repro.gpu.device import GPUDevice
-from repro.gpu.dma import Direction, MemoryType
+from repro.gpu.dma import MemoryType
 
-__all__ = ["ShredderExecutor", "ExecutionTotals", "BoundaryStitcher"]
+__all__ = ["ShredderExecutor", "ExecutionTotals"]
 
 
 @dataclass
@@ -47,150 +39,51 @@ class ExecutionTotals:
     kernel_seconds: float = 0.0
 
 
-class BoundaryStitcher:
-    """The Store thread's stateful min/max selection across buffers.
-
-    Receives per-buffer payloads plus their *global* candidate cuts and
-    emits chunks with exactly the semantics of the sequential greedy over
-    the whole stream.  A cut at the current end of data is emitted only
-    if it is a genuine candidate (or an exact max-size boundary) —
-    otherwise it waits for more data.
-    """
-
-    def __init__(self, config: ChunkerConfig) -> None:
-        self.config = config
-        self._pending = bytearray()
-        self._pending_start = 0  # global offset of _pending[0]
-        self._candidates: list[int] = []  # global cuts, > last emitted cut
-        self._prev = 0  # last emitted global cut
-
-    def _emit(self, cut: int) -> Chunk:
-        rel = cut - self._pending_start
-        chunk = Chunk.from_bytes(self._prev, bytes(self._pending[: rel]))
-        del self._pending[:rel]
-        self._pending_start = cut
-        self._prev = cut
-        idx = bisect_left(self._candidates, cut + 1)
-        del self._candidates[:idx]
-        return chunk
-
-    def push(self, payload: bytes, global_candidates: list[int]) -> Iterator[Chunk]:
-        """Feed one buffer's payload and candidate cuts; yield ready chunks."""
-        self._pending.extend(payload)
-        self._candidates.extend(global_candidates)
-        end = self._pending_start + len(self._pending)
-        min_size, max_size = self.config.min_size, self.config.max_size
-        while True:
-            cut = None
-            for cand in self._candidates:
-                if max_size is not None and cand - self._prev > max_size:
-                    cut = self._prev + max_size  # forced boundary first
-                    break
-                if cand - self._prev >= max(min_size, 1):
-                    cut = cand
-                    break
-            if cut is None and max_size is not None and end - self._prev > max_size:
-                cut = self._prev + max_size
-            if cut is None or cut > end:
-                return
-            if cut == end:
-                # Only emit an end-of-data cut when it cannot move: a real
-                # candidate past min, or an exact forced boundary.
-                is_candidate = bool(self._candidates) and self._candidates[0] == cut
-                forced = max_size is not None and cut - self._prev == max_size
-                if not (is_candidate or forced):
-                    return
-            yield self._emit(cut)
-
-    def finish(self) -> Iterator[Chunk]:
-        """End of stream: flush forced cuts and the trailing chunk."""
-        end = self._pending_start + len(self._pending)
-        if self.config.max_size is not None:
-            while end - self._prev > self.config.max_size:
-                yield self._emit(self._prev + self.config.max_size)
-        if end > self._prev:
-            yield self._emit(end)
-
-
 class ShredderExecutor:
-    """Run the Shredder data path with real threads over the simulator."""
+    """Run the Shredder data path through the simulated device."""
 
     def __init__(
         self, config: ShredderConfig | None = None, device: GPUDevice | None = None
     ) -> None:
         self.config = config or ShredderConfig()
         if self.config.backend != "gpu":
-            raise ValueError("the threaded executor drives the GPU backend")
-        if self.config.buffer_size < self.config.chunker.window_size:
-            raise ValueError("buffer_size must be >= the chunking window")
-        self.device = device or GPUDevice()
-        from repro.core.chunking import Chunker
+            raise ValueError("the executor drives the GPU backend")
+        self._shredder = Shredder(self.config, device=device)
+        self.device = self._shredder.device
+        self.kernel = self._shredder.kernel
 
-        self._chunker = Chunker(self.config.chunker)
-        self.kernel = _ck.ChunkingKernel(
-            self.config.chunker, engine=self._chunker.engine
-        )
+    def run(self, data) -> tuple[list[Chunk], ExecutionTotals]:
+        """Execute; returns chunks identical to ``Chunker.chunk_stream``.
 
-    def _read(self, data: bytes | Iterable[bytes]):
-        """Reader stage input: (global_offset, context, payload) triples."""
-        w = self.config.chunker.window_size
-        buffer_size = self.config.buffer_size
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            data = [bytes(data)]
-        pending = bytearray()
-        offset = 0
-        context = b""
-        for piece in data:
-            pending.extend(piece)
-            while len(pending) >= buffer_size:
-                payload = bytes(pending[:buffer_size])
-                del pending[:buffer_size]
-                yield offset, context, payload
-                context = payload[-(w - 1):]
-                offset += len(payload)
-        if pending:
-            yield offset, context, bytes(pending)
-
-    def run(self, data: bytes | Iterable[bytes]) -> tuple[list[Chunk], ExecutionTotals]:
-        """Execute; returns chunks identical to ``Chunker.chunk_stream``."""
+        ``data`` is any buffer-protocol object (sliced zero-copy; the
+        chunks are lazy views into it) or an iterable of byte pieces.
+        """
         totals = ExecutionTotals()
-        stitcher = BoundaryStitcher(self.config.chunker)
 
-        def transfer(item):
-            offset, context, payload = item
-            scan = context + payload
-            buf = self.device.alloc(len(scan))
-            seconds = self.device.upload(buf, scan, MemoryType.PINNED)
-            totals.transfer_seconds += seconds
-            return offset, len(context), payload, buf
+        def read():
+            for buf in self._shredder._buffers(data):
+                totals.buffers += 1
+                totals.bytes += len(buf)
+                yield buf
 
-        def kernel(item):
-            offset, context_len, payload, buf = item
-            cuts, stats = self.device.launch(
-                self.kernel, buf, coalesced=self.config.coalesced_memory
-            )
-            self.device.free(buf)
+        def device_candidates(piece) -> list[int]:
+            buf = self.device.alloc(len(piece))
+            try:
+                totals.transfer_seconds += self.device.upload(
+                    buf, piece, MemoryType.PINNED
+                )
+                cuts, stats = self.device.launch(
+                    self.kernel, buf, coalesced=self.config.coalesced_memory
+                )
+            finally:
+                self.device.free(buf)
             totals.kernel_seconds += stats.kernel_seconds
-            global_cuts = [
-                offset + c - context_len for c in cuts if c > context_len
-            ]
-            return offset, payload, global_cuts
+            return cuts
 
-        def store(item):
-            offset, payload, global_cuts = item
-            totals.buffers += 1
-            totals.bytes += len(payload)
-            return list(stitcher.push(payload, global_cuts))
-
-        pipeline = StreamingPipeline(
-            [
-                Stage("transfer", transfer),
-                Stage("kernel", kernel),
-                Stage("store", store),
-            ],
-            max_in_flight=self.config.ring_slots,
+        batches = pipeline_chunks(
+            device_candidates,
+            self.config.chunker,
+            read(),
+            queue_depth=self.config.ring_slots,
         )
-        emitted = pipeline.run(self._read(data))
-        chunks = [c for batch in emitted for c in batch]
-        chunks.extend(stitcher.finish())
-        return chunks, totals
+        return [chunk for batch in batches for chunk in batch], totals

@@ -22,19 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.chunking import (
-    Chunk,
-    Chunker,
-    ChunkerConfig,
-    chunks_from_cuts,
-    select_cuts_fast,
-)
-from repro.core.engines import (
-    Engine,
-    as_byte_view,
-    default_engine,
-    parallel_candidate_cuts,
-)
+import numpy as np
+
+from repro.core.chunking import Chunker, ChunkerConfig
+from repro.core.engines import Engine, parallel_candidate_cuts
 from repro.gpu.specs import HostSpec, XEON_X5650_HOST
 
 __all__ = ["AllocatorModel", "MALLOC", "HOARD", "HostParallelChunker"]
@@ -66,9 +57,11 @@ MALLOC = AllocatorModel("malloc", per_alloc_seconds=1e-6, lock_serialization=0.5
 HOARD = AllocatorModel("hoard", per_alloc_seconds=1e-6, lock_serialization=0.01)
 
 
-class HostParallelChunker:
+class HostParallelChunker(Chunker):
     """SPMD parallel chunker with neighbour merge (the pthreads library).
 
+    A :class:`Chunker` whose candidate scan is the region-parallel one;
+    cut selection, chunk assembly and streaming are inherited.
     Parameters mirror the paper's setup: 12 threads on the Xeon host,
     optional Hoard allocator.
     """
@@ -83,17 +76,14 @@ class HostParallelChunker:
     ) -> None:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
-        self.config = config or ChunkerConfig()
+        super().__init__(config, engine)
         self.threads = threads
         self.allocator = allocator
-        self.engine = engine or default_engine()
         self.host = host
-        if self.engine.window_size != self.config.window_size:
-            raise ValueError("engine window size does not match chunker config")
 
     # -- real parallel algorithm --------------------------------------------
 
-    def candidate_cuts(self, data) -> list[int]:
+    def candidate_cut_array(self, data) -> np.ndarray:
         """Marker positions found by the SPMD scan (merged, sorted).
 
         The region split with ``window - 1`` overlap and seam-exact
@@ -105,21 +95,7 @@ class HostParallelChunker:
         """
         return parallel_candidate_cuts(
             self.engine, data, self.config.mask, self.config.marker, self.threads
-        ).tolist()
-
-    def cuts(self, data) -> list[int]:
-        """Selected cut offsets after min/max rules (synchronized merge)."""
-        return select_cuts_fast(
-            self.candidate_cuts(data),
-            len(as_byte_view(data)),
-            self.config.min_size,
-            self.config.max_size,
         )
-
-    def chunk(self, data, base_offset: int = 0) -> list[Chunk]:
-        """Zero-copy chunking: lazy view chunks with one batched digest pass."""
-        mv = as_byte_view(data)
-        return chunks_from_cuts(mv, self.cuts(mv), base_offset)
 
     # -- cost model (Fig. 12 CPU bars) ---------------------------------------
 
@@ -145,7 +121,3 @@ class HostParallelChunker:
     def throughput_bps(self, n_bytes: int = 1 << 30) -> float:
         """Modeled chunking bandwidth (bytes/s) for an ``n_bytes`` stream."""
         return n_bytes / self.estimate_seconds(n_bytes)
-
-    def sequential_reference(self, data: bytes) -> list[Chunk]:
-        """Single-threaded chunking with the same config (for verification)."""
-        return Chunker(self.config, self.engine).chunk(data)

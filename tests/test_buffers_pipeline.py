@@ -1,14 +1,10 @@
-"""Tests for the pinned ring buffer, double buffer, and streaming pipeline."""
+"""Tests for the pinned ring buffer and the double buffer."""
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 
 from repro.core.buffers import DoubleBuffer, PinnedRingBuffer
-from repro.core.pipeline import PipelineError, Stage, StreamingPipeline
 from repro.gpu.device import GPUDevice
 from repro.gpu.host_memory import HostMemoryModel
 
@@ -96,86 +92,3 @@ class TestDoubleBuffer:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             DoubleBuffer(GPUDevice(), MB, count=1)
-
-
-class TestStreamingPipeline:
-    def test_identity(self):
-        pipe = StreamingPipeline([Stage("id", lambda x: x)])
-        assert pipe.run(range(10)) == list(range(10))
-
-    def test_multi_stage_composition(self):
-        pipe = StreamingPipeline(
-            [Stage("double", lambda x: 2 * x), Stage("inc", lambda x: x + 1)]
-        )
-        assert pipe.run([1, 2, 3]) == [3, 5, 7]
-
-    def test_order_preserved_with_jitter(self):
-        import random
-
-        def jitter(x):
-            time.sleep(random.random() * 0.002)
-            return x
-
-        pipe = StreamingPipeline([Stage("a", jitter), Stage("b", jitter)])
-        assert pipe.run(range(30)) == list(range(30))
-
-    def test_empty_input(self):
-        pipe = StreamingPipeline([Stage("id", lambda x: x)])
-        assert pipe.run([]) == []
-
-    def test_stage_error_propagates(self):
-        def boom(x):
-            if x == 3:
-                raise ValueError("bad item")
-            return x
-
-        pipe = StreamingPipeline([Stage("boom", boom)])
-        with pytest.raises(PipelineError):
-            pipe.run(range(10))
-
-    def test_stages_actually_overlap(self):
-        """With 4 concurrent stages, wall time is well below the serial sum."""
-        delay = 0.01
-        n = 8
-
-        def slow(x):
-            time.sleep(delay)
-            return x
-
-        stages = [Stage(f"s{i}", slow) for i in range(4)]
-        start = time.perf_counter()
-        StreamingPipeline(stages, max_in_flight=4).run(range(n))
-        elapsed = time.perf_counter() - start
-        serial = 4 * n * delay
-        assert elapsed < 0.7 * serial
-
-    def test_in_flight_limit_respected(self):
-        in_flight = 0
-        peak = 0
-        lock = threading.Lock()
-
-        def enter(x):
-            nonlocal in_flight, peak
-            with lock:
-                in_flight += 1
-                peak = max(peak, in_flight)
-            time.sleep(0.002)
-            return x
-
-        def leave(x):
-            nonlocal in_flight
-            with lock:
-                in_flight -= 1
-            return x
-
-        pipe = StreamingPipeline(
-            [Stage("enter", enter), Stage("leave", leave)], max_in_flight=2
-        )
-        pipe.run(range(20))
-        # Bounded queues keep admitted-but-unfinished items limited: with
-        # 2 stages and queue depth 2 the in-flight count stays small.
-        assert peak <= 6
-
-    def test_requires_stages(self):
-        with pytest.raises(ValueError):
-            StreamingPipeline([])

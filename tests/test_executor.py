@@ -1,100 +1,70 @@
-"""Tests for the threaded Shredder executor and the boundary stitcher."""
+"""Tests for the Shredder executor: the device round trip and its totals.
+
+Chunk bit-identity to the serial reference is covered, with every other
+entry point, by ``tests/test_scan_drivers.py``.
+"""
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import mmap
 
-from repro.core.chunking import Chunker, ChunkerConfig, select_cuts
-from repro.core.executor import BoundaryStitcher, ShredderExecutor
+import numpy as np
+import pytest
+
+from repro.core.chunking import Chunker, ChunkerConfig
+from repro.core.executor import ShredderExecutor
 from repro.core.shredder import ShredderConfig
 from tests.conftest import seeded_bytes
 
 SMALL = ChunkerConfig(mask_bits=6, marker=0x2A)
+BUFFER = 64 * 1024
 
 
-def executor_for(cfg: ChunkerConfig, buffer_size: int = 64 * 1024) -> ShredderExecutor:
+def executor_for(cfg: ChunkerConfig, buffer_size: int = BUFFER) -> ShredderExecutor:
     return ShredderExecutor(
         ShredderConfig.gpu_streams_memory(chunker=cfg, buffer_size=buffer_size)
     )
 
 
-class TestBoundaryStitcher:
-    def test_simple_passthrough(self):
-        st_ = BoundaryStitcher(ChunkerConfig(mask_bits=6, marker=0x2A))
-        chunks = list(st_.push(b"a" * 100, [30, 70]))
-        chunks += list(st_.finish())
-        assert [(c.offset, c.length) for c in chunks] == [(0, 30), (30, 40), (70, 30)]
-
-    def test_candidate_held_until_confirmed(self):
-        """A cut at the current end of data must wait unless real."""
-        st_ = BoundaryStitcher(ChunkerConfig(mask_bits=6, marker=0x2A))
-        first = list(st_.push(b"a" * 50, []))
-        assert first == []  # no cut yet; 50 might continue
-        rest = list(st_.push(b"b" * 50, [60]))
-        assert [(c.offset, c.length) for c in rest] == [(0, 60)]
-        tail = list(st_.finish())
-        assert [(c.offset, c.length) for c in tail] == [(60, 40)]
-
-    def test_candidate_exactly_at_end_emitted(self):
-        st_ = BoundaryStitcher(ChunkerConfig(mask_bits=6, marker=0x2A))
-        out = list(st_.push(b"a" * 50, [50]))
-        assert [(c.offset, c.length) for c in out] == [(0, 50)]
-
-    @given(
-        candidates=st.lists(st.integers(1, 500), max_size=40),
-        min_size=st.integers(0, 50),
-        max_gap=st.integers(50, 200) | st.none(),
-        split=st.integers(1, 499),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_select_cuts(self, candidates, min_size, max_gap, split):
-        """Stitching buffer-by-buffer == whole-buffer sequential select."""
-        length = 500
-        cands = sorted(set(candidates))
-        cfg = ChunkerConfig(
-            mask_bits=6, marker=0x2A, min_size=min_size, max_size=max_gap
-        )
-        stitcher = BoundaryStitcher(cfg)
-        data = seeded_bytes(length, seed=1)
-        chunks = list(
-            stitcher.push(data[:split], [c for c in cands if c <= split])
-        )
-        chunks += list(
-            stitcher.push(data[split:], [c for c in cands if c > split])
-        )
-        chunks += list(stitcher.finish())
-        expected = select_cuts(cands, length, min_size, max_gap)
-        assert [c.end for c in chunks] == expected
-        assert b"".join(c.data for c in chunks) == data
+def shape(chunks):
+    return [(c.offset, c.length, c.digest) for c in chunks]
 
 
 class TestShredderExecutor:
-    def test_matches_reference_chunker(self):
+    def test_totals_count_buffers_and_bytes(self):
         data = seeded_bytes(300_000, seed=52)
-        chunks, totals = executor_for(SMALL).run(data)
-        reference = Chunker(SMALL).chunk(data)
-        assert [(c.offset, c.digest) for c in chunks] == [
-            (c.offset, c.digest) for c in reference
-        ]
+        _, totals = executor_for(SMALL).run(data)
         assert totals.bytes == len(data)
-        assert totals.buffers == -(-len(data) // (64 * 1024))
+        assert totals.buffers == -(-len(data) // BUFFER)
 
-    def test_with_min_max(self):
-        cfg = ChunkerConfig(mask_bits=6, marker=0x2A, min_size=64, max_size=512)
-        data = seeded_bytes(200_000, seed=53)
-        chunks, _ = executor_for(cfg).run(data)
-        reference = Chunker(cfg).chunk(data)
-        assert [(c.offset, c.length) for c in chunks] == [
-            (c.offset, c.length) for c in reference
-        ]
+    @pytest.mark.parametrize("kind", ["ndarray", "mmap"])
+    def test_buffer_protocol_input_taken_whole(self, kind, tmp_path):
+        """Any buffer-protocol object is sliced into ``buffer_size``
+        views — never iterated element by element — and the chunks are
+        lazy views into it."""
+        data = seeded_bytes(150_000, seed=57)
+        if kind == "mmap":
+            path = tmp_path / "input.bin"
+            path.write_bytes(data)
+            fh = path.open("rb")
+            source = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        else:
+            source = np.frombuffer(data, dtype=np.uint8)
+        chunks, totals = executor_for(SMALL).run(source)
+        assert shape(chunks) == shape(Chunker(SMALL).chunk(data))
+        assert totals.buffers == -(-len(data) // BUFFER)
+        assert all(c._data is None for c in chunks)  # no payload was copied
+        if kind == "mmap":
+            for c in chunks:
+                c.release()  # drop the views so the map can close
+            source.close()
+            fh.close()
 
-    def test_stream_input(self):
-        data = seeded_bytes(150_000, seed=54)
-        pieces = [data[i : i + 33333] for i in range(0, len(data), 33333)]
-        chunks, _ = executor_for(SMALL).run(iter(pieces))
-        assert b"".join(c.data for c in chunks) == data
+    def test_buffers_smaller_than_the_window(self):
+        data = seeded_bytes(2_000, seed=58)
+        chunks, totals = executor_for(SMALL, buffer_size=16).run(data)
+        assert shape(chunks) == shape(Chunker(SMALL).chunk(data))
+        assert totals.buffers == 125
 
     def test_empty_input(self):
         chunks, totals = executor_for(SMALL).run(b"")
@@ -105,7 +75,7 @@ class TestShredderExecutor:
 
         device = GPUDevice()
         executor = ShredderExecutor(
-            ShredderConfig.gpu_streams_memory(chunker=SMALL, buffer_size=64 * 1024),
+            ShredderConfig.gpu_streams_memory(chunker=SMALL, buffer_size=BUFFER),
             device=device,
         )
         executor.run(seeded_bytes(200_000, seed=55))
@@ -120,9 +90,3 @@ class TestShredderExecutor:
     def test_rejects_cpu_backend(self):
         with pytest.raises(ValueError, match="GPU"):
             ShredderExecutor(ShredderConfig.cpu())
-
-    def test_rejects_tiny_buffers(self):
-        with pytest.raises(ValueError, match="window"):
-            ShredderExecutor(
-                ShredderConfig.gpu_streams_memory(chunker=SMALL, buffer_size=16)
-            )

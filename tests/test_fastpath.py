@@ -112,25 +112,6 @@ class TestDifferentialFuzz:
             SMALL_FP
         ).candidate_cuts(data, SMALL_MASK, SMALL_MARKER)
 
-    @pytest.mark.parametrize(
-        "sizes",
-        [
-            [1],  # every buffer below the window
-            [3, 5, 7],  # odd sizes straddling windows
-            [8192, 13, 1, 999],  # mixed large/tiny
-        ],
-    )
-    def test_stream_matches_whole_buffer(self, sizes):
-        data = seeded_bytes(20000, seed=11)
-        chunker = Chunker(small_config())
-        whole = chunker.chunk(data)
-        streamed = list(chunker.chunk_stream(split_buffers(data, sizes)))
-        assert [(c.offset, c.length) for c in streamed] == [
-            (c.offset, c.length) for c in whole
-        ]
-        assert [c.digest for c in streamed] == [c.digest for c in whole]
-        assert b"".join(c.data for c in streamed) == data
-
     @pytest.mark.parametrize("kind", ["bytearray", "memoryview", "ndarray"])
     def test_stream_buffer_protocol_inputs(self, kind):
         data = seeded_bytes(10000, seed=13)
@@ -165,20 +146,6 @@ class TestDifferentialFuzz:
         assert [(c.offset, c.length, c.digest) for c in streamed] == [
             (c.offset, c.length, c.digest) for c in whole
         ]
-
-    def test_kernel_runs_serial_engine(self):
-        """Odd windows select SerialEngine; the GPU kernel must still run
-        (candidate_cut_array has a base-class fallback)."""
-        from repro.core import ShredderConfig, ShredderExecutor
-
-        data = seeded_bytes(8 * 1024, seed=53)
-        config = ShredderConfig(
-            chunker=ChunkerConfig(window_size=47, mask_bits=5, marker=SMALL_MARKER),
-            buffer_size=4096,
-        )
-        executor = ShredderExecutor(config)
-        chunks, _ = executor.run(data)
-        assert b"".join(c.data for c in chunks) == data
 
     def test_serial_engine_stream_agrees(self):
         """The streaming layer is engine-agnostic: serial == vector."""

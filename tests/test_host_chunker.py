@@ -35,25 +35,6 @@ class TestParallelCorrectness:
         parallel = HostParallelChunker(CFG, threads=threads).candidate_cuts(data)
         assert parallel == reference
 
-    def test_chunks_reassemble(self, chunker, data_64k):
-        chunks = chunker.chunk(data_64k)
-        assert b"".join(c.data for c in chunks) == data_64k
-
-    def test_chunks_match_sequential_reference(self, chunker, data_64k):
-        parallel = chunker.chunk(data_64k)
-        sequential = chunker.sequential_reference(data_64k)
-        assert [(c.offset, c.digest) for c in parallel] == [
-            (c.offset, c.digest) for c in sequential
-        ]
-
-    def test_with_min_max(self, data_64k):
-        cfg = ChunkerConfig(mask_bits=6, marker=0x2A, min_size=64, max_size=512)
-        hc = HostParallelChunker(cfg, threads=5)
-        chunks = hc.chunk(data_64k)
-        assert all(c.length <= 512 for c in chunks)
-        assert all(c.length >= 64 for c in chunks[:-1])
-        assert b"".join(c.data for c in chunks) == data_64k
-
     def test_empty(self, chunker):
         assert chunker.candidate_cuts(b"") == []
         assert chunker.chunk(b"") == []

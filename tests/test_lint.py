@@ -79,7 +79,7 @@ class TestZeroCopy:
                 # Same copy, but not a hot-path module: out of scope.
                 "core/util.py": "def payload(view):\n    return bytes(view)\n",
                 # Hot-path module without a copy: clean.
-                "core/pipeline.py": (
+                "core/shredder.py": (
                     "def passthrough(view):\n"
                     "    return memoryview(view)\n"
                 ),
@@ -820,7 +820,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["lint", "mod.py"]) == 0
         out = capsys.readouterr().out
-        assert "1 files checked, 0 finding(s)" in out
+        assert "1 files checked (mod.py 1 lines), 0 finding(s)" in out
 
     def test_exit_one_with_clickable_findings(self, tmp_path, capsys, monkeypatch):
         write_tree(
@@ -863,6 +863,7 @@ class TestCli:
         assert main(["lint", "mod.py", "--out", "report.json"]) == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["counts"]["checked_files"] == 1
+        assert doc["lines"] == {"mod.py": 1}
 
     def test_rule_filter(self, tmp_path, capsys, monkeypatch):
         write_tree(

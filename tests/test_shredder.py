@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.chunking import Chunker, ChunkerConfig
+from repro.core.chunking import ChunkerConfig
 from repro.core.dedup import DedupIndex
 from repro.core.shredder import Shredder, ShredderConfig
 from tests.conftest import seeded_bytes
@@ -60,27 +60,24 @@ class TestChunkCorrectness:
             assert report.n_chunks == len(chunks)
             assert report.total_bytes == len(data)
 
-    def test_matches_plain_chunker(self, data):
-        with Shredder(ShredderConfig.gpu_streams_memory(chunker=SMALL, buffer_size=MB)) as s:
-            chunks, _ = s.process(data)
-        plain = Chunker(SMALL).chunk(data)
-        assert [(c.offset, c.digest) for c in chunks] == [
-            (c.offset, c.digest) for c in plain
-        ]
-
-    def test_stream_input(self, data):
-        with Shredder(ShredderConfig.gpu_streams_memory(chunker=SMALL, buffer_size=MB)) as s:
-            whole, _ = s.process(data)
-            pieces = [data[i : i + 700000] for i in range(0, len(data), 700000)]
-            streamed, _ = s.process(iter(pieces))
-        assert [(c.offset, c.digest) for c in whole] == [
-            (c.offset, c.digest) for c in streamed
-        ]
-
     def test_empty_input(self):
         with Shredder(ShredderConfig.gpu_streams_memory(chunker=SMALL)) as s:
             chunks, report = s.process(b"")
         assert chunks == [] and report.total_bytes == 0
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    @pytest.mark.parametrize("n_bytes", [0, 1, MB, 2 * MB + 7])
+    def test_report_is_simulate_at_the_real_counts(self, preset, n_bytes):
+        """One report builder: ``process`` and ``simulate`` agree field
+        for field, empty input included (0 buffers, 0 s on any backend)."""
+        data = seeded_bytes(n_bytes, seed=12)
+        with Shredder(ALL_PRESETS[preset]) as s:
+            chunks, report = s.process(data)
+            assert report == s.simulate(len(data), len(chunks))
+            assert report == s.process(iter([data[:300], b"", data[300:]]))[1]
+        assert report.n_buffers == -(-n_bytes // MB)
+        if n_bytes == 0:
+            assert report.simulated_seconds == 0.0 and report.n_chunks == 0
 
     def test_chunk_convenience(self, data):
         with Shredder(ShredderConfig.cpu(chunker=SMALL, buffer_size=MB)) as s:

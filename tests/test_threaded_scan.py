@@ -7,9 +7,9 @@ Differential guarantees under test:
   tile, tiny inputs, markerless data);
 * the scan → hash → consume pipeline yields exactly the chunks of the
   serial streaming path, in stream order, with digests prefilled;
-* the pipelined backup server matches the stage-at-a-time server on
-  every observable (reports, recipes, restores) for both store
-  backends;
+* the backup server's decisions match an oracle built from
+  ``Shredder.process`` + a seen-set on every observable (reports,
+  recipes, restores) for both engines and store backends;
 * the ``REPRO_THREADS`` / ``set_threads`` knob and the shared pools
   behave (0/1 = serial, pools survive close/reuse cycles).
 """
@@ -24,6 +24,7 @@ from repro.backup import BackupConfig, BackupServer
 from repro.core import (
     Chunker,
     ChunkerConfig,
+    PipelineError,
     SerialEngine,
     VectorEngine,
     close_pools,
@@ -34,7 +35,6 @@ from repro.core import (
 )
 from repro.core.chunking import stream_chunks
 from repro.core.hashing import digest_many
-from repro.core.pipeline import PipelineError
 from repro.core import threads as threads_mod
 from repro.workloads import seeded_bytes
 
@@ -287,13 +287,6 @@ class TestPipelineOrdering:
         assert offsets == sorted(offsets)
         assert all(len(b) <= batch_chunks for b in batches)
 
-    def test_chunk_pipelined_matches_chunk(self):
-        data = seeded_bytes(128 * 1024, seed=9)
-        chunker = Chunker(self.CONFIG)
-        whole = chunker.chunk(data)
-        piped = list(chunker.chunk_pipelined(self._buffers(data, 9)))
-        assert chunk_shape(piped) == chunk_shape(whole)
-
     @pytest.mark.parametrize("workers", [1, 4])  # same error type both ways
     def test_stage_error_propagates(self, workers):
         set_threads(workers)
@@ -377,33 +370,37 @@ class TestPipelineOrdering:
 class TestPipelinedBackupServer:
     @pytest.mark.parametrize("store_backend", ["single", "cluster"])
     @pytest.mark.parametrize("engine", ["gpu", "cpu"])
-    def test_matches_unpipelined(self, engine, store_backend):
+    def test_matches_oracle(self, engine, store_backend):
+        """Many small batches decide exactly what one whole-stream pass
+        over ``Shredder.process`` output with a plain seen-set decides."""
         from repro.backup import MasterImage, SimilarityTable
+        from repro.core import Shredder, ShredderConfig
 
         image = MasterImage(size=1 << 20, segment_size=32 * 1024, seed=31)
         t = SimilarityTable.uniform(0.3, image.n_segments)
         snap = image.snapshot(t, 2)
-        observed = []
-        for pipelined in (True, False):
-            cfg = BackupConfig(
-                engine=engine,
-                store_backend=store_backend,
-                pipelined=pipelined,
-                pipeline_batch_chunks=19,  # force many small batches
-            )
-            with BackupServer(cfg) as server:
-                r0 = server.backup_snapshot(image.data, "master")
-                r1 = server.backup_snapshot(snap, "gen")
-                assert server.agent.restore("gen") == snap
-                recipe = server.agent.store.get_recipe("gen")
-                observed.append(
-                    (
-                        r0.n_chunks, r0.duplicate_chunks, r0.shipped_bytes,
-                        r1.n_chunks, r1.duplicate_chunks, r1.shipped_bytes,
-                        recipe.digests,
-                    )
-                )
-        assert observed[0] == observed[1]
+        cfg = BackupConfig(
+            engine=engine,
+            store_backend=store_backend,
+            pipeline_batch_chunks=19,  # force many small batches
+        )
+        oracle = Shredder(ShredderConfig(backend=engine, chunker=cfg.chunker))
+        stored: set[bytes] = set()
+        with BackupServer(cfg) as server:
+            for snapshot_id, data in (("master", image.data), ("gen", snap)):
+                report = server.backup_snapshot(data, snapshot_id)
+                chunks = oracle.process(data)[0]
+                unique = []
+                for chunk in chunks:
+                    if chunk.digest not in stored:
+                        stored.add(chunk.digest)
+                        unique.append(chunk)
+                assert report.n_chunks == len(chunks)
+                assert report.duplicate_chunks == len(chunks) - len(unique)
+                assert report.shipped_bytes == sum(c.length for c in unique)
+                recipe = server.agent.store.get_recipe(snapshot_id)
+                assert list(recipe.digests) == [c.digest for c in chunks]
+                assert server.agent.restore(snapshot_id) == data
 
     def test_recipe_preserves_stream_order(self):
         """Chunks/pointers must reach the agent in stream order even

@@ -25,53 +25,56 @@ bit-identical.  Reopen with the same membership you closed with; after
 reopening a cluster whose ring changed mid-life (decommission, resize),
 run ``repair()``/``rebalance()`` to realign placements.
 
-Failure handling is self-managing: every node operation feeds a
+Failure handling is self-managing: every node operation goes through
+one guarded call (:meth:`ChunkStoreCluster._ask`) that feeds a
 consecutive-error :class:`~repro.store.health.FailureDetector`, so a
 node that starts erroring is marked suspect, then declared dead —
 dropped from the ring and (by default) immediately re-replicated from
-surviving copies — without anyone calling :meth:`fail_node`.  Reads
-degrade instead of failing: ``get_chunk`` falls through erroring or
-corrupt replicas to any surviving copy (``degraded_reads`` /
-``corrupt_reads`` in :class:`ClusterStats`).  Under an active
-:class:`~repro.faults.FaultPlan` (the ``REPRO_FAULTS`` env var) every
-shard backend is wrapped in a chaos decorator and reads are
+surviving copies — without anyone calling :meth:`fail_node`.  Under an
+active :class:`~repro.faults.FaultPlan` (the ``REPRO_FAULTS`` env var)
+every shard backend is wrapped in a chaos decorator and reads are
 digest-verified end to end.
 
-Under :class:`~repro.store.schemes.ErasureCodedPlacement` the unit of
-storage is a Reed–Solomon *fragment* (``k`` data slices + ``m`` parity,
-:mod:`repro.store.erasure`), one per placement node, keyed by the chunk
-digest.  Reads gather whichever ``k`` verified fragments are cheapest
-(healthy data fragments first; parity decodes cover up to ``m`` dead
-nodes or corrupt fragments), :meth:`repair` rebuilds only the missing
-fragments from any ``k`` survivors, and GC / decommission / rebalance
-operate on fragments through the same digest-keyed machinery.
+**The scheme seam.**  The cluster never asks what kind of scheme it
+runs.  A :class:`~repro.store.schemes.PlacementScheme` names a digest's
+targets *and* owns the item form — ``encode`` / ``write`` / ``read``
+(verifying) / ``decode`` / ``rebuild``: whole-chunk schemes are the
+repetition code (every item is the chunk, stored raw), erasure coding
+stores framed Reed–Solomon fragments (:mod:`repro.store.erasure`).
+Over that seam there is one of each path:
 
-:meth:`scrub` is the background integrity loop on top of the same
-verify-on-read machinery: it walks shard contents at a bounded rate
-(``HealthPolicy.scrub_batch`` items per :meth:`heartbeat`, or a full
-pass on demand), re-digests every payload/fragment, quarantines
-mismatches, and rebuilds them from parity or surviving replicas —
-``scrub_{chunks,corrupt,repaired}`` in :class:`ClusterStats` close the
-loop with ``FaultPlan``'s ``backend.bit_flip`` injections.
+* **read** — :meth:`_gather` walks a digest's holders healthiest first
+  until ``min_fragments`` verified items are in hand, and falls through
+  erroring or corrupt holders instead of failing (``degraded_reads`` /
+  ``corrupt_reads`` / ``ec_parity_decodes`` in :class:`ClusterStats`);
+* **write** — ``put_chunk`` sends item ``i`` to placement position
+  ``i`` with bounded retry, and acks only a reconstructable set;
+* **reconcile** — :meth:`_reconcile` diffs the desired placement
+  against what verified holders cover and rebuilds only the missing
+  items (fragment-sized traffic under erasure coding).  :meth:`repair`,
+  the snapshot heal in ``put_recipe``, :meth:`rebalance`,
+  :meth:`decommission` and the scrub heal are thin callers; its
+  contract — *rebuild before replace*, *write before drop* — means a
+  failed write can leave a placement short until the next pass, never
+  a chunk unreadable.
+
+:meth:`scrub` is the background integrity loop on top: it walks shard
+contents at a bounded rate (``HealthPolicy.scrub_batch`` items per
+:meth:`heartbeat`, or a full pass on demand), re-verifies every stored
+record through the scheme, and reconciles the digests whose records
+fail — ``scrub_{chunks,corrupt,repaired}`` in :class:`ClusterStats`
+close the loop with ``FaultPlan``'s ``backend.bit_flip`` injections.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Collection, Iterator
 
 from repro.faults import FaultPlan
 from repro.store.backend import RecipeStore, make_backend, resolve_backend
-from repro.store.erasure import (
-    CorruptFragmentError,
-    FragmentFormatError,
-    codec_for,
-    fragment_chunk_len,
-    unpack_fragment,
-)
 from repro.store.health import FailureDetector, HealthPolicy, NodeState
 from repro.store.lookup import (
     BatchedLookup,
@@ -81,7 +84,11 @@ from repro.store.lookup import (
 )
 from repro.store.node import NodeDownError, StoreNode
 from repro.store.ring import DEFAULT_VNODES, HashRing
-from repro.store.schemes import PlacementScheme, ReplicatedPlacement
+from repro.store.schemes import (
+    CorruptItemError,
+    PlacementScheme,
+    ReplicatedPlacement,
+)
 
 if TYPE_CHECKING:  # annotation-only: keeps repro.store import-clean of repro.backup
     from repro.backup.store import SnapshotRecipe
@@ -93,14 +100,6 @@ __all__ = [
     "ScrubReport",
     "UnrecoverableChunkError",
 ]
-
-
-def _chunk_hash(data: bytes) -> bytes:
-    """Digest for read verification (lazy: same layering discipline as
-    the lookup path's chunk import)."""
-    from repro.core.hashing import chunk_hash
-
-    return chunk_hash(data)
 
 
 class UnrecoverableChunkError(KeyError):
@@ -227,10 +226,6 @@ class ChunkStoreCluster:
         self.backend_kind = resolve_backend(backend, data_dir)
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.scheme = scheme or ReplicatedPlacement(min(2, n_nodes))
-        self._ec = bool(getattr(self.scheme, "is_erasure", False))
-        self._codec = (
-            codec_for(self.scheme.k, self.scheme.m) if self._ec else None
-        )
         self.ring = HashRing(vnodes=vnodes)
         self._nodes: dict[str, StoreNode] = {}
         self._bloom_capacity = bloom_capacity
@@ -307,23 +302,19 @@ class ChunkStoreCluster:
     def _auto_repair(self) -> None:
         """Re-replicate after a declared death (policy-gated).
 
-        A death declared *while* a repair pass is running (the pass
-        itself feeds the detector) queues one follow-up pass instead of
-        recursing.
+        A death declared *while* a reconcile pass is running (the pass
+        itself feeds the detector) queues one follow-up repair, which
+        the pass runs when it ends, instead of recursing.
         """
         if not self.health.auto_repair:
             return
         if self._repairing:
             self._repair_pending = True
             return
-        while True:
-            self._repair_pending = False
-            report = self.repair()
-            self.stats.repairs_auto += 1
-            self.stats.repair_chunks_recopied += report.chunks_recopied
-            self.stats.repair_unrecoverable += len(report.unrecoverable)
-            if not self._repair_pending:
-                break
+        report = self.repair()
+        self.stats.repairs_auto += 1
+        self.stats.repair_chunks_recopied += report.chunks_recopied
+        self.stats.repair_unrecoverable += len(report.unrecoverable)
 
     def heartbeat(self, scrub: bool = True) -> dict[str, NodeState]:
         """Ping every live node's backend and feed the detector.
@@ -336,17 +327,8 @@ class ChunkStoreCluster:
         """
         self.stats.heartbeats += 1
         for node in list(self._nodes.values()):
-            if not node.alive:
-                continue
-            try:
-                node.ping()
-            except NodeDownError:
-                continue
-            except OSError:
-                node.stats.io_errors += 1
-                self._note(node.node_id, False)
-            else:
-                self._note(node.node_id, True)
+            if node.alive:
+                self._ask(node, node.ping)
         if scrub and self.health.scrub_batch:
             # Background integrity: each heartbeat advances the rolling
             # scrub cursor by a bounded slice, so corruption is found in
@@ -360,18 +342,14 @@ class ChunkStoreCluster:
             nid: (self.detector.state(nid) if node.alive else NodeState.DEAD)
             for nid, node in self._nodes.items()
         }
-        doc: dict = {
+        return {
             "nodes": {nid: state.value for nid, state in states.items()},
             "nodes_total": len(self._nodes),
             "nodes_alive": len(self._alive_nodes()),
             "verify_reads": self.verify_reads,
-            "scheme": self.scheme.name,
+            **self.scheme.describe(),
+            **asdict(self.stats),
         }
-        if self._ec:
-            doc["ec_k"] = self.scheme.k
-            doc["ec_m"] = self.scheme.m
-        doc.update(asdict(self.stats))
-        return doc
 
     # -- node plumbing -------------------------------------------------
 
@@ -387,46 +365,55 @@ class ChunkStoreCluster:
             if nodes[nid].alive
         ]
 
-    def _read_order(self, digest: bytes) -> Iterator[StoreNode]:
-        """Candidate holders of ``digest``, cheapest/healthiest first.
+    def _read_order(self, placed: list[StoreNode]) -> Iterator[StoreNode]:
+        """Candidate holders of a digest placed on ``placed``,
+        cheapest/healthiest first.
 
-        Placement targets lead, in preference order; under erasure
-        coding healthy data-position holders come first (the all-healthy
-        read is then pure concatenation), healthy parity positions next,
-        suspects after their peers.  Off-placement alive nodes follow (a
-        copy or fragment can survive off-placement mid-repair or
-        mid-decommission) — lazily, since a healthy walk never gets
-        that far.
+        Placement targets lead: the first ``min_fragments`` positions
+        (their items decode by concatenation — the all-healthy read
+        never solves for parity), then the rest, suspects after their
+        peers within each group.  Off-placement alive nodes follow (an
+        item can survive there mid-repair or mid-decommission) — lazily,
+        since a healthy walk never gets that far.
         """
-        placed = self._placement(digest)
-        if self._ec:
-            k = self.scheme.k
+        suspects = self.detector.suspects()
+        if suspects:
+            need = self.scheme.min_fragments
 
             def suspicion(node: StoreNode) -> bool:
-                return self.detector.state(node.node_id) is not NodeState.ALIVE
+                return node.node_id in suspects
 
-            yield from sorted(placed[:k], key=suspicion)
-            yield from sorted(placed[k:], key=suspicion)
-        else:
-            yield from placed
+            placed = sorted(placed[:need], key=suspicion) + sorted(
+                placed[need:], key=suspicion
+            )
+        yield from placed
         for node in self._alive_nodes():
             if node not in placed:
                 yield node
 
-    def _ask(self, node: StoreNode, call, digests: list[bytes]):
-        """``call(digests)`` — one of the node's batched reads — with
-        detector accounting; ``None`` when the node cannot answer (which
-        reads as "no" for every digest)."""
+    def _ask(self, node: StoreNode, call, *args):
+        """``call(*args)`` — any operation on ``node`` — with detector
+        accounting: the one guarded node call.
+
+        Returns the result, or ``None`` when the node cannot answer: it
+        is down, or the call hit an I/O error (charged to the node and
+        the detector).  ``KeyError`` (no such record) and
+        :class:`CorruptItemError` (a record that fails verification)
+        are answers from a live node, and propagate.
+        """
         try:
-            answers = call(digests)
+            result = call(*args)
         except NodeDownError:
             return None
         except OSError:
             node.stats.io_errors += 1
             self._note(node.node_id, False)
             return None
+        except (KeyError, CorruptItemError):
+            self._note(node.node_id, True)
+            raise
         self._note(node.node_id, True)
-        return answers
+        return result
 
     def _holders(self, window) -> list[StoreNode | None]:
         """Per digest, an alive node that holds it — ``None`` unless
@@ -448,150 +435,112 @@ class ChunkStoreCluster:
                         first[i] = node
             return held
 
-        counts = walk_positions([self._read_order(d) for d in window], need, ask)
+        orders = [self._read_order(self._placement(d)) for d in window]
+        counts = walk_positions(orders, need, ask)
         return [
             holder if count >= need else None
             for holder, count in zip(first, counts)
         ]
 
-    def _read_any(self, digest: bytes) -> bytes | None:
-        """A verified copy from any replica, with bounded retries.
-
-        One pass over the candidates can come up empty because every
-        surviving holder hit a *transient* fault; that must not read as
-        data loss.  The pass is retried while it reports failures —
-        ``None`` without a failure means no replica holds the chunk.
-        """
-        for _attempt in range(self.read_attempts):
-            data, failures = (
-                self._read_ec_once(digest)
-                if self._ec
-                else self._read_any_once(digest)
-            )
-            if data is not None:
-                return data
-            if not failures:
-                break  # genuinely held nowhere; retrying cannot help
-        return None
-
-    def _read_any_once(self, digest: bytes) -> tuple[bytes | None, int]:
-        """One pass for a verified copy, falling through failures.
-
-        Placement targets are tried first, then every other alive node
-        (a copy can survive off-placement mid-repair).  Replicas that
-        error or — with ``verify_reads`` — return a payload that no
-        longer hashes to its digest are skipped and charged as degraded;
-        the read succeeds as long as *some* replica serves a good copy.
-        Returns the payload (or ``None``) and the failure count.
-        """
-        failures = 0
-        for node in self._read_order(digest):
-            try:
-                data = node.get_chunk(digest)
-            except (NodeDownError, KeyError):
-                continue  # down, or simply not a holder
-            except OSError:
-                node.stats.io_errors += 1
-                node.stats.degraded_reads += 1
-                self._note(node.node_id, False)
-                failures += 1
-                continue
-            self._note(node.node_id, True)
-            if self.verify_reads and _chunk_hash(data) != digest:
-                self.stats.corrupt_reads += 1
-                self._note_detected()
-                node.stats.degraded_reads += 1
-                failures += 1
-                continue
-            if failures:
-                self.stats.degraded_reads += 1
-            return data, failures
-        return None, failures
-
-    # -- erasure-coded data path ---------------------------------------
-
-    def _gather_fragments(
+    def _gather(
         self,
         digest: bytes,
-        need: int | None = None,
-        exclude: set[str] | None = None,
+        verify: bool,
+        census: Collection[StoreNode] = (),
+        distrust: Collection[str] = (),
     ) -> tuple[dict[int, bytes], int | None, dict[str, int | None], int]:
-        """Collect verified fragments of ``digest`` from alive nodes.
+        """Collect verified items of ``digest`` from alive nodes.
 
-        Stops once ``need`` distinct fragment indices are in hand
-        (``None`` = walk every candidate, for repair/rebalance which
-        must see who holds what).  Returns ``(fragments, chunk_len,
-        held, failures)`` where ``held`` maps node_id -> fragment index
-        for every holder (``None`` for a holder whose record was
-        corrupt, unparseable, or from a different geometry).
+        Walks the read order until ``scheme.min_fragments`` distinct
+        items are in hand *and* every node in ``census`` has been asked
+        (a reconcile pass must see what each of them holds).  Items are
+        read and verified (whole copies only when ``verify``) while the
+        set is short; past that a holder is only asked which item it has
+        (``scheme.peek``), so a census of whole copies reads no payload.
+        Nodes in ``distrust`` are not asked: they count as holding a
+        record that is no use.
+
+        Returns ``(items, chunk_len, held, failures)``: ``held`` maps
+        node_id -> item index for every holder met (``None`` where the
+        record was corrupt, unparseable, or of another geometry), and
+        ``failures`` counts the nodes that failed to serve — the number
+        that decides whether a retry can help.
         """
-        codec = self._codec
-        fragments: dict[int, bytes] = {}
+        scheme = self.scheme
+        need = scheme.min_fragments
+        placed = self._placement(digest)
+        order = self._read_order(placed)
+        owed = {node.node_id for node in census}
+        items: dict[int, bytes] = {}
         held: dict[str, int | None] = {}
         chunk_len: int | None = None
         failures = 0
-        for node in self._read_order(digest):
-            if exclude is not None and node.node_id in exclude:
+        while len(items) < need or owed:
+            node = next(order, None)
+            if node is None:
+                break
+            owed.discard(node.node_id)
+            if node.node_id in distrust:
+                held[node.node_id] = None
                 continue
+            ask = scheme.read if len(items) < need else scheme.peek
             try:
-                record = node.get_fragment(digest)
-            except (NodeDownError, KeyError):
-                continue  # down, or simply not a holder
-            except (FragmentFormatError, CorruptFragmentError):
-                # The node answered, but its fragment fails verification:
+                item = self._ask(node, ask, node, digest, verify)
+            except KeyError:
+                continue  # simply not a holder
+            except CorruptItemError:
+                # The node answered, but its record fails verification:
                 # detected corruption, not a liveness signal.
                 self.stats.corrupt_reads += 1
-                node.stats.degraded_reads += 1
                 self._note_detected()
-                self._note(node.node_id, True)
+                item = None
                 held[node.node_id] = None
-                failures += 1
-                continue
-            except OSError:
-                node.stats.io_errors += 1
+            if item is None:
                 node.stats.degraded_reads += 1
-                self._note(node.node_id, False)
                 failures += 1
                 continue
-            self._note(node.node_id, True)
-            if record.k != codec.k or record.m != codec.m:
-                held[node.node_id] = None  # stale geometry; unusable
-                failures += 1
-                continue
-            held[node.node_id] = record.index
-            if record.index not in fragments:
-                fragments[record.index] = record.payload
-                chunk_len = record.chunk_len
-                if len(fragments) == need:
-                    break
-        return fragments, chunk_len, held, failures
+            index = item.index
+            if index is None:  # a whole copy stands for its holder's position
+                index = placed.index(node) if node in placed else 0
+            held[node.node_id] = index
+            if item.payload is not None and index not in items:
+                items[index] = item.payload
+                chunk_len = item.chunk_len
+        return items, chunk_len, held, failures
 
-    def _read_ec_once(self, digest: bytes) -> tuple[bytes | None, int]:
-        """One erasure-coded read pass: any ``k`` verified fragments.
+    def _read_any(self, digest: bytes) -> bytes | None:
+        """The chunk, decoded from any ``min_fragments`` verified items,
+        with bounded retries.
 
-        Mirrors ``_read_any_once``'s contract — payload or ``None``,
-        plus the failure count that decides whether a retry can help.
+        Holders that error or serve a record that fails verification
+        are skipped and charged as degraded; a pass succeeds if enough
+        of the rest serve good items.  A pass can come up short because
+        surviving holders hit a *transient* fault, which must not read
+        as data loss: it is retried while it reports failures — ``None``
+        without a failure means the chunk is held nowhere.
         """
-        codec = self._codec
-        fragments, chunk_len, _held, failures = self._gather_fragments(
-            digest, need=codec.k
-        )
-        if len(fragments) < codec.k or chunk_len is None:
-            return None, failures
-        parity_decode = not all(i in fragments for i in range(codec.k))
-        data = codec.decode(fragments, chunk_len)
-        if self.verify_reads and _chunk_hash(data) != digest:
-            # Fragments verified individually but the assembly does not
-            # hash: a stale/mixed fragment set.  Fail the pass; retry
-            # may draw a consistent set.
-            self.stats.corrupt_reads += 1
-            self._note_detected()
-            return None, failures + 1
-        if parity_decode:
-            self.stats.ec_parity_decodes += 1
-        if failures or parity_decode:
-            self.stats.degraded_reads += 1
-        return data, failures
+        scheme, verify = self.scheme, self.verify_reads
+        for _attempt in range(self.read_attempts):
+            items, chunk_len, _held, failures = self._gather(digest, verify)
+            if len(items) >= scheme.min_fragments:
+                try:
+                    data = scheme.decode(digest, items, chunk_len, verify)
+                except CorruptItemError:
+                    # Items verified one by one, yet the assembly does
+                    # not: a stale/mixed set.  A retry may draw a
+                    # consistent one.
+                    self.stats.corrupt_reads += 1
+                    self._note_detected()
+                    continue
+                through_parity = scheme.through_parity(items)
+                if through_parity:
+                    self.stats.ec_parity_decodes += 1
+                if failures or through_parity:
+                    self.stats.degraded_reads += 1
+                return data
+            if not failures:
+                break
+        return None
 
     # -- ChunkStore-compatible surface ---------------------------------
 
@@ -607,20 +556,23 @@ class ChunkStoreCluster:
     #: chunk) are retried.
     READ_ATTEMPTS = 3
 
-    def _put_with_retry(self, node: StoreNode, write) -> bool | None:
-        """Run one placement write with bounded retry.
+    def _put_with_retry(
+        self, node: StoreNode, digest: bytes, index: int, payload: bytes,
+        chunk_len: int,
+    ) -> bool | None:
+        """Write item ``index`` of a chunk to ``node``, with bounded retry.
 
-        ``write`` is the node's insert-if-absent put, bound to its
-        arguments.  Returns its flag — ``False`` means the node already
-        held a record under the digest, which lands the write just the
-        same — or ``None`` when nothing landed because the node is gone.
-        Raises the final OSError only when the target is still a live
-        ring member after exhausting its attempts — a node the failed
-        writes killed has left the replica set and is not owed a copy.
+        Returns the insert-if-absent flag of ``scheme.write`` — ``False``
+        means the node already held a record under the digest, which
+        lands the write just the same — or ``None`` when nothing landed
+        because the node is gone.  Raises the final OSError only when
+        the target is still a live ring member after exhausting its
+        attempts — a node the failed writes killed has left the replica
+        set and is not owed a copy.
         """
         for attempt in range(self.put_attempts):
             try:
-                inserted = write()
+                inserted = self.scheme.write(node, digest, index, payload, chunk_len)
             except NodeDownError:
                 return None  # raced a declared death; placement shrank
             except OSError:
@@ -635,29 +587,17 @@ class ChunkStoreCluster:
             return inserted
         return None
 
-    def _put_fragment_one(
-        self, node: StoreNode, digest: bytes, index: int, chunk_len: int, payload: bytes
-    ) -> bool | None:
-        """Write one framed fragment (see :meth:`_put_with_retry`)."""
-        codec = self._codec
-        return self._put_with_retry(
-            node,
-            partial(
-                node.put_fragment, digest, index, codec.k, codec.m, chunk_len, payload
-            ),
-        )
-
     def put_chunk(self, digest: bytes, data: bytes) -> bool:
         """Store a chunk on every placement target; False if known.
 
-        Under erasure coding fragment ``i`` goes to preference position
+        Item ``i`` of ``scheme.encode`` goes to preference position
         ``i``.  Durability is strict: if any placement write errors past
         its retry budget, the error propagates (after every target was
-        attempted) — an acked chunk always has its full replica set, and
-        an acked erasure-coded chunk at least ``k`` fragments landed
-        (fewer cannot reconstruct — a partial set that acked would be
-        silent data loss on the first degraded read).  Copies that did
-        land make the caller's retry a cheap content-addressed no-op.
+        attempted) — an acked chunk has an item on every target that is
+        still alive, at least ``min_fragments`` of them (fewer cannot
+        reconstruct — a partial set that acked would be silent data
+        loss on the first degraded read).  Items that did land make the
+        caller's retry a cheap content-addressed no-op.
 
         There is no "do you have it?" round first: every node put is
         insert-if-absent, and its return value already says whether the
@@ -670,19 +610,14 @@ class ChunkStoreCluster:
                 f"only {len(targets)} alive placement targets for "
                 f"{self.scheme.name} chunk {digest.hex()[:16]}, need {need}"
             )
-        fragments = self._codec.encode(data) if self._ec else None
+        items = self.scheme.encode(data)
         last_error: OSError | None = None
         landed = already = 0
         for position, node in enumerate(targets):
             try:
-                if fragments is None:
-                    inserted = self._put_with_retry(
-                        node, partial(node.put_chunk, digest, data)
-                    )
-                else:
-                    inserted = self._put_fragment_one(
-                        node, digest, position, len(data), fragments[position]
-                    )
+                inserted = self._put_with_retry(
+                    node, digest, position, items[position], len(data)
+                )
             except OSError as exc:
                 last_error = exc
                 continue
@@ -725,19 +660,15 @@ class ChunkStoreCluster:
                 "missing chunks"
             )
         self._recipes.put(recipe)
-        if any(not n.alive for n in self._nodes.values()) and not self._repairing:
+        if any(not n.alive for n in self._nodes.values()):
             # A node died while this snapshot was being written: the
             # auto-repair that ran at death time was recipe-driven, so
             # chunks stored *before* this recipe existed may be down to
             # a single replica.  Heal exactly this snapshot's digests
             # now that they are enumerable.
-            report = RepairReport(chunks_scanned=len(recipe.digests))
-            self._repairing = True
-            try:
-                self._repair_digests(recipe.digests, report)
-            finally:
-                self._repairing = False
-            self.stats.repair_chunks_recopied += report.chunks_recopied
+            moves = MigrationReport()
+            self._reconcile(recipe.digests, moves)
+            self.stats.repair_chunks_recopied += moves.chunks_moved
 
     def get_recipe(self, snapshot_id: str) -> SnapshotRecipe:
         return self._recipes.get(snapshot_id)
@@ -759,10 +690,10 @@ class ChunkStoreCluster:
         :meth:`has_chunks` would say no — presence and length in one
         pass, so a pointer never has to be read back to size a recipe.
 
-        The length comes from one holder's stored record — its payload,
-        or under erasure coding its fragment *header* — read in one
-        batch per node.  With ``verify_reads`` it comes from a verified
-        read instead: a bare header is not trusted under faults.
+        The length comes from one holder's stored record — a whole
+        copy's size, a fragment's *header* — read in one batch per node.
+        With ``verify_reads`` it comes from a verified read instead: a
+        bare header is not trusted under faults.
         """
         lengths: list[int | None] = []
         for window in self.lookup.windows(digests):
@@ -787,11 +718,9 @@ class ChunkStoreCluster:
     def _stored_length(self, digest: bytes, record: bytes | None) -> int | None:
         """Chunk length from a holder's raw record, else from a full read."""
         if record is not None:
-            if not self._ec:
-                return len(record)
             try:
-                return fragment_chunk_len(record)
-            except FragmentFormatError:
+                return self.scheme.record_chunk_len(record)
+            except CorruptItemError:
                 pass
         try:
             return len(self.get_chunk(digest))
@@ -862,13 +791,9 @@ class ChunkStoreCluster:
         queue: list[tuple[str, bytes]] = []
         for node_id in sorted(self._nodes):
             node = self._nodes[node_id]
-            if not node.alive:
-                continue
-            try:
-                digests = sorted(node.digests())
-            except (NodeDownError, OSError):
-                continue
-            queue.extend((node_id, digest) for digest in digests)
+            digests = self._ask(node, node.digests) if node.alive else None
+            if digests is not None:
+                queue.extend((node_id, digest) for digest in sorted(digests))
         return queue
 
     def _scrub_one(
@@ -879,25 +804,19 @@ class ChunkStoreCluster:
         if node is None or not node.alive:
             return
         try:
-            raw = node.get_chunk(digest)
-        except (NodeDownError, KeyError):
-            return  # gone (death, GC, repair moved it): nothing to verify
-        except OSError:
-            node.stats.io_errors += 1
-            self._note(node.node_id, False)
+            raw = self._ask(node, node.get_chunk, digest)
+        except KeyError:
+            return  # gone (GC, repair moved it): nothing to verify
+        if raw is None:
             return
-        self._note(node.node_id, True)
         report.chunks_scanned += 1
         report.bytes_verified += len(raw)
         self.stats.scrub_chunks += 1
-        if self._ec:
-            try:
-                unpack_fragment(raw)
-                return  # parsed and digest-verified: healthy
-            except (FragmentFormatError, CorruptFragmentError):
-                pass
-        elif _chunk_hash(raw) == digest:
-            return
+        try:
+            self.scheme.unpack(digest, raw, verify=True)
+            return  # parsed and digest-verified: healthy
+        except CorruptItemError:
+            pass
         report.corrupt += 1
         self.stats.scrub_corrupt += 1
         self._note_detected()
@@ -909,89 +828,21 @@ class ChunkStoreCluster:
             self.stats.scrub_unrepaired += 1
 
     def _scrub_heal(self, node: StoreNode, digest: bytes) -> bool:
-        """Replace one failed-verification item from a healthy source.
+        """Replace one failed-verification item from healthy sources.
 
-        Rebuild first, replace after — if no healthy source survives,
-        the suspect copy stays put (it may itself be a transient
-        read-side fault, and even a genuinely rotten fragment can still
-        help a later decode if enough of it is intact... but a verified
-        rebuild always supersedes it).
+        One reconcile of the digest that distrusts ``node``'s record:
+        on the placement the record is rebuilt, then replaced; off it,
+        dropping the stray *is* the heal — once the placement holds the
+        full set.  With no healthy source the suspect copy stays put: it
+        may itself be a transient read-side fault.
         """
-        if self._ec:
-            codec = self._codec
-            targets = self._placement(digest)
-            position = next(
-                (p for p, n in enumerate(targets) if n is node), None
-            )
-            if position is None:
-                # Off-placement stray that fails verification: dropping
-                # it *is* the heal — placement holds the real set.
-                try:
-                    node.delete_chunk(digest)
-                except (NodeDownError, OSError):
-                    return False
-                return True
-            fragments: dict[int, bytes] = {}
-            chunk_len: int | None = None
-            for _attempt in range(self.read_attempts):
-                fragments, chunk_len, _held, failures = self._gather_fragments(
-                    digest, need=codec.k, exclude={node.node_id}
-                )
-                if len(fragments) >= codec.k or not failures:
-                    break
-            if len(fragments) < codec.k or chunk_len is None:
-                return False
-            payload = codec.rebuild(fragments, [position])[position]
-            try:
-                node.delete_chunk(digest)
-                return (
-                    self._put_fragment_one(
-                        node, digest, position, chunk_len, payload
-                    )
-                    is not None
-                )
-            except (NodeDownError, OSError):
-                return False
-        data = self._read_verified_excluding(digest, {node.node_id})
-        if data is None:
-            return False
-        try:
-            node.delete_chunk(digest)
-            write = partial(node.put_chunk, digest, data)
-            return self._put_with_retry(node, write) is not None
-        except (NodeDownError, OSError):
-            return False
-
-    def _read_verified_excluding(
-        self, digest: bytes, exclude: set[str]
-    ) -> bytes | None:
-        """A digest-verified whole-chunk copy from any other replica.
-
-        Verification is unconditional here (unlike the data path's
-        ``verify_reads`` gate): the scrubber must never heal from an
-        unverified source.
-        """
-        for _attempt in range(self.read_attempts):
-            failures = 0
-            for candidate in self._alive_nodes():
-                if candidate.node_id in exclude:
-                    continue
-                try:
-                    data = candidate.get_chunk(digest)
-                except (NodeDownError, KeyError):
-                    continue  # down, or simply not a holder
-                except OSError:
-                    candidate.stats.io_errors += 1
-                    self._note(candidate.node_id, False)
-                    failures += 1
-                    continue
-                self._note(candidate.node_id, True)
-                if _chunk_hash(data) == digest:
-                    return data
-                failures += 1
-            if not failures:
-                break
-        return None
+        lost, short = self._reconcile(
+            [digest],
+            MigrationReport(),
+            drop_strays=node not in self._placement(digest),
+            distrust={node.node_id},
+        )
+        return not lost and not short
 
     # -- batched lookup ------------------------------------------------
 
@@ -1046,103 +897,63 @@ class ChunkStoreCluster:
         self.ring.remove_node(node_id)
 
     def decommission(self, node_id: str) -> MigrationReport:
-        """Gracefully drain a node: re-place its chunks, then retire it."""
+        """Gracefully drain a node: re-place its chunks, then retire it.
+
+        A ring too small to lose the node refuses before anything
+        changes.  Otherwise the node leaves the ring but stays alive
+        while its digests are reconciled: one more off-placement source,
+        and each new target gets exactly the item it lacks.
+        """
         node = self._node(node_id)
         if not node.alive:
             raise ValueError(f"node {node_id!r} is down; use repair()")
+        self.scheme.validate(self.ring, leaving=1)
+        affected = node.digests()
         self.ring.remove_node(node_id)
-        self.scheme.validate(self.ring)
         report = MigrationReport()
-        if self._ec:
-            # A retiring node's lone fragment per chunk cannot re-derive
-            # the other indices by itself, so EC drains via the fragment
-            # repair path: the node is off-ring but still alive, so the
-            # gather reads it as an off-placement source while each new
-            # target gets exactly its own fragment rebuilt.
-            affected = node.digests()
-            repair_report = RepairReport(chunks_scanned=len(affected))
-            self._repairing = True
-            try:
-                self._repair_digests_ec(affected, repair_report)
-            finally:
-                self._repairing = False
-            report.chunks_moved = repair_report.chunks_recopied
-            report.bytes_moved = repair_report.bytes_copied
-            report.chunks_dropped = len(affected)
-            node.fail()
-            return report
-        for digest in node.digests():
-            data = node.get_chunk(digest)
-            for target in self._placement(digest):
-                if target.put_chunk(digest, data):
-                    report.chunks_moved += 1
-                    report.bytes_moved += len(data)
-            report.chunks_dropped += 1
+        self._reconcile(affected, report)
+        report.chunks_dropped = len(affected)
         node.fail()  # retire: contents dropped after migration
         return report
 
     def repair(self) -> RepairReport:
         """Recipe-driven re-replication after failures or ring changes.
 
-        Walks every digest referenced by any recipe, re-derives its
-        placement on the current ring, and copies from any surviving
-        replica to targets that lack it.  Digests with no surviving
-        replica are reported as unrecoverable (the data is gone; the
-        snapshot cannot be restored).
+        Reconciles every digest referenced by any recipe with its
+        placement on the current ring: targets that lack their item get
+        it rebuilt from any sufficient set of survivors — whole copies
+        re-copied, erasure-coded fragments rebuilt one by one, so
+        ``bytes_copied`` is fragment-sized there, the whole point of
+        erasure-coded repair traffic.  Digests with fewer than
+        ``min_fragments`` surviving items are reported as unrecoverable
+        (the data is gone; the snapshot cannot be restored).
         """
         live = self._recipes.live_digests()
-        report = RepairReport(chunks_scanned=len(live))
-        self._repairing = True
-        try:
-            lost = self._repair_digests(live, report)
-        finally:
-            self._repairing = False
-        report.unrecoverable = tuple(lost)
+        moves = MigrationReport()
+        lost, _short = self._reconcile(live, moves)
+        return RepairReport(
+            len(live), moves.chunks_moved, moves.bytes_moved, tuple(lost)
+        )
+
+    def rebalance(self) -> MigrationReport:
+        """Move chunks to their current placement after a ring resize.
+
+        Reconciles everything stored with its placement, then drops the
+        items the scheme no longer targets — per digest, and only once
+        that digest's placement holds its full set.
+        """
+        report = MigrationReport()
+        self._reconcile(self.digests(), report, drop_strays=True)
         return report
 
-    def _repair_digests(self, digests, report: RepairReport) -> list[bytes]:
-        """Re-replicate the given digests onto their current placement.
-
-        Copies from any surviving replica to targets that lack it,
-        accumulating work into ``report``; returns the digests with no
-        surviving replica at all.  (Erasure-coded clusters rebuild
-        fragments instead — see :meth:`_repair_digests_ec`.)
-        """
-        if self._ec:
-            return self._repair_digests_ec(digests, report)
-        lost: list[bytes] = []
-        for digest in digests:
-            data = self._read_any(digest)
-            if data is None:
-                lost.append(digest)
-                continue
-            for target in self._placement(digest):
-                held = self._ask(target, target.holds_batch, [digest])
-                if held is not None and held[0]:
-                    continue
-                try:
-                    target.put_chunk(digest, data)
-                except NodeDownError:
-                    continue
-                except OSError:
-                    # Copy lost to a fault: the replica stays short
-                    # this pass; the next repair pass recopies it.
-                    target.stats.io_errors += 1
-                    self._note(target.node_id, False)
-                    continue
-                self._note(target.node_id, True)
-                report.chunks_recopied += 1
-                report.bytes_copied += len(data)
-        return lost
-
-    def _ec_assignments(
+    def _assign(
         self,
         targets: list[StoreNode],
         held: dict[str, int | None],
     ) -> list[tuple[StoreNode, int, bool]]:
-        """Plan fragment writes so the targets cover distinct indices.
+        """Plan item writes so the targets cover distinct indices.
 
-        A valid fragment is fine *wherever* it sits in the target set —
+        A valid item is fine *wherever* it sits in the target set —
         rewriting every fragment whose preference position shifted after
         ring churn would ship more bytes than whole-chunk repair.  Only
         targets holding nothing usable (no record, a corrupt/stale one,
@@ -1150,7 +961,6 @@ class ChunkStoreCluster:
         *missing* index, preferring their own position's index.  Returns
         ``(node, index, had_record)`` write orders.
         """
-        codec = self._codec
         covered: set[int] = set()
         needy: list[tuple[int, StoreNode]] = []
         for position, node in enumerate(targets):
@@ -1159,7 +969,7 @@ class ChunkStoreCluster:
                 covered.add(index)
             else:
                 needy.append((position, node))
-        missing = [i for i in range(codec.n) if i not in covered]
+        missing = [i for i in range(self.scheme.copies) if i not in covered]
         orders: list[tuple[StoreNode, int, bool]] = []
         for position, node in needy:
             if not missing:
@@ -1172,117 +982,97 @@ class ChunkStoreCluster:
             orders.append((node, index, node.node_id in held))
         return orders
 
-    def _repair_digests_ec(self, digests, report: RepairReport) -> list[bytes]:
-        """Fragment repair: rebuild only the *missing* fragment indices.
+    def _place(
+        self, node: StoreNode, digest: bytes, index: int, payload: bytes,
+        chunk_len: int, replace: bool,
+    ) -> bool:
+        """Write one rebuilt item — with ``replace``, over the unusable
+        record the node holds under the key (replace, don't accrete).
+        False when it did not land: lost to a fault, or the node left."""
+        if replace and self._ask(node, node.delete_chunk, digest) is None:
+            return False
+        try:
+            landed = self._put_with_retry(node, digest, index, payload, chunk_len)
+        except OSError:
+            return False
+        return landed is not None
 
-        For each digest, gather any ``k`` verified fragments, work out
-        which of the ``k + m`` indices the placement targets no longer
-        cover, and ship each uncovered target exactly one rebuilt
-        fragment — never the whole chunk.  ``bytes_copied`` therefore
-        counts fragment payloads, the whole point of erasure-coded
-        repair traffic.  Digests with fewer than ``k`` surviving
-        fragments anywhere are unrecoverable.
+    def _reconcile(
+        self,
+        digests,
+        report: MigrationReport,
+        drop_strays: bool = False,
+        distrust: Collection[str] = (),
+    ) -> tuple[list[bytes], list[bytes]]:
+        """Make each digest's current placement hold its full item set.
+
+        The one maintenance pass.  Per digest: diff the desired
+        placement against what verified holders cover (:meth:`_gather`,
+        :meth:`_assign`), rebuild only the missing items from any
+        ``min_fragments`` verified ones, and write them.  Two orderings
+        keep it safe when writes fail:
+
+        * *rebuild before replace* — a target's unusable record (fails
+          verification, named in ``distrust``, or a duplicate of an
+          index another target covers) is deleted only once its
+          replacement is rebuilt and in hand;
+        * *write before drop* — with ``drop_strays``, records on nodes
+          the placement no longer names go only after every planned
+          write landed: the placement verifiably holds a full set.
+
+        Work accumulates into ``report`` (``bytes_moved`` is the size of
+        the items written).  Returns ``(lost, short)``: digests with
+        fewer than ``min_fragments`` verified items anywhere, and
+        digests whose placement stays short because a write was lost to
+        a fault — the next pass rebuilds those.
         """
-        codec = self._codec
+        scheme = self.scheme
+        need = scheme.min_fragments
+        # A heal never rebuilds from an unverified source.
+        verify = self.verify_reads or bool(distrust)
         lost: list[bytes] = []
-        for digest in digests:
-            fragments: dict[int, bytes] = {}
-            chunk_len: int | None = None
-            held: dict[str, int | None] = {}
-            for _attempt in range(self.read_attempts):
-                fragments, chunk_len, held, failures = self._gather_fragments(
-                    digest
-                )
-                if len(fragments) >= codec.k or not failures:
-                    break
-            if len(fragments) < codec.k or chunk_len is None:
-                lost.append(digest)
-                continue
-            orders = self._ec_assignments(self._placement(digest), held)
-            if not orders:
-                continue
-            rebuilt = codec.rebuild(fragments, [i for _, i, _ in orders])
-            for node, index, had_record in orders:
-                payload = rebuilt[index]
-                try:
-                    if had_record:
-                        # Corrupt/stale/duplicate record under this key:
-                        # replace, don't accrete.
-                        node.delete_chunk(digest)
-                    if self._put_fragment_one(
-                        node, digest, index, chunk_len, payload
-                    ) is not None:
-                        report.chunks_recopied += 1
-                        report.bytes_copied += len(payload)
-                except NodeDownError:
+        short: list[bytes] = []
+        self._repairing = True
+        try:
+            for digest in digests:
+                targets = self._placement(digest)
+                census = self._alive_nodes() if drop_strays else targets
+                for _attempt in range(self.read_attempts):
+                    items, chunk_len, held, failures = self._gather(
+                        digest, verify, census, distrust
+                    )
+                    if len(items) >= need or not failures:
+                        break
+                if len(items) < need:
+                    lost.append(digest)
                     continue
-                except OSError:
-                    # Fragment lost to a fault: the placement stays
-                    # short this pass; the next repair pass rebuilds it.
-                    node.stats.io_errors += 1
-                    self._note(node.node_id, False)
-                    continue
-        return lost
-
-    def rebalance(self) -> MigrationReport:
-        """Move chunks to their current placement after a ring resize.
-
-        Copies each chunk to placement targets missing it and drops
-        copies from nodes the scheme no longer targets.  Erasure-coded
-        clusters move *fragments*: each target gets the fragment its
-        preference-list position calls for, rebuilt from any ``k``
-        survivors.
-        """
-        report = MigrationReport()
-        if self._ec:
-            return self._rebalance_ec(report)
-        for digest in self.digests():
-            targets = self._placement(digest)
-            data = self._read_any(digest)
-            if data is None:
-                continue  # every replica erroring; repair() owns recovery
-            for target in targets:
-                if target.put_chunk(digest, data):
-                    report.chunks_moved += 1
-                    report.bytes_moved += len(data)
-            for node in self._alive_nodes():
-                # repro: lint-ok[batched-api] one digest across the nodes off its placement, not a digest batch
-                if node not in targets and node.holds(digest):
-                    node.delete_chunk(digest)
-                    report.chunks_dropped += 1
-        return report
-
-    def _rebalance_ec(self, report: MigrationReport) -> MigrationReport:
-        codec = self._codec
-        for digest in self.digests():
-            fragments, chunk_len, held, _failures = self._gather_fragments(
-                digest
-            )
-            if len(fragments) < codec.k or chunk_len is None:
-                continue  # short on survivors; repair() owns recovery
-            targets = self._placement(digest)
-            orders = self._ec_assignments(targets, held)
-            if orders:
-                rebuilt = codec.rebuild(fragments, [i for _, i, _ in orders])
+                orders = self._assign(targets, held)
+                wanted = [index for _, index, _ in orders]
+                rebuilt = scheme.rebuild(items, wanted) if wanted else {}
+                whole = True
                 for node, index, had_record in orders:
                     payload = rebuilt[index]
-                    try:
-                        if had_record:
-                            node.delete_chunk(digest)
-                        if self._put_fragment_one(
-                            node, digest, index, chunk_len, payload
-                        ) is not None:
-                            report.chunks_moved += 1
-                            report.bytes_moved += len(payload)
-                    except (NodeDownError, OSError):
-                        continue
-            target_ids = {node.node_id for node in targets}
-            for node in self._alive_nodes():
-                # repro: lint-ok[batched-api] one digest across the nodes off its placement, not a digest batch
-                if node.node_id not in target_ids and node.holds(digest):
-                    node.delete_chunk(digest)
-                    report.chunks_dropped += 1
-        return report
+                    if self._place(node, digest, index, payload, chunk_len, had_record):
+                        report.chunks_moved += 1
+                        report.bytes_moved += len(payload)
+                    else:
+                        whole = False
+                if not whole:
+                    short.append(digest)
+                elif drop_strays:
+                    for node_id in held:
+                        node = self._nodes[node_id]
+                        if node not in targets and (
+                            self._ask(node, node.delete_chunk, digest) is not None
+                        ):
+                            report.chunks_dropped += 1
+        finally:
+            self._repairing = False
+        if self._repair_pending:
+            # A node was declared dead mid-pass: one follow-up repair.
+            self._repair_pending = False
+            self._auto_repair()
+        return lost, short
 
     def _node(self, node_id: str) -> StoreNode:
         try:
@@ -1348,7 +1138,7 @@ class ChunkStoreCluster:
     @property
     def unique_bytes(self) -> int:
         """Logical bytes: one copy per distinct chunk."""
-        return sum(len(self.get_chunk(d)) for d in self.digests())
+        return sum(n or 0 for n in self.chunk_lengths(list(self.digests())))
 
     @property
     def snapshot_count(self) -> int:

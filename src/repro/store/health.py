@@ -109,6 +109,12 @@ class FailureDetector:
     def state(self, node_id: str) -> NodeState:
         return self._state.get(node_id, NodeState.ALIVE)
 
+    def suspects(self) -> set[str]:
+        """Ids of the nodes currently suspect (usually none)."""
+        return {
+            nid for nid, state in self._state.items() if state is NodeState.SUSPECT
+        }
+
     def error_run(self, node_id: str) -> int:
         """Current consecutive-error count (0 after any success)."""
         return self._errors.get(node_id, 0)

@@ -365,7 +365,7 @@ def test_pointer_length_comes_from_a_verified_read_under_verify_reads(
     def bare_header(_record):
         raise AssertionError("length taken from an unverified header")
 
-    monkeypatch.setattr("repro.store.cluster.fragment_chunk_len", bare_header)
+    monkeypatch.setattr("repro.store.schemes.fragment_chunk_len", bare_header)
     cluster = make_cluster("ec", "memory", tmp_path, verify_reads=True)
     items = make_items(6)
     cluster.put_chunks(items)

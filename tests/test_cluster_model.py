@@ -45,6 +45,7 @@ from repro.store import (
     ErasureCodedPlacement,
     ReplicatedPlacement,
 )
+from repro.store.schemes import CorruptItemError
 
 #: Chunk payloads the rules draw from: lengths that no ``k`` divides,
 #: one byte, and a few that share a prefix.
@@ -274,16 +275,13 @@ class ClusterModel(RuleBasedStateMachine):
         for digest in self._live():
             targets = scheme.nodes_for(cluster.ring, digest)
             assert len(targets) == scheme.copies
+            # Rot on a whole copy is the scrubber's to find, not repair's:
+            # while some is outstanding, only ask what each target holds.
+            ask = scheme.peek if self.rotten else scheme.read
             indices = set()
             for position, node_id in enumerate(targets):
-                node = cluster.nodes[node_id]
-                assert node.holds(digest), (digest.hex()[:8], node_id)
-                if isinstance(scheme, ErasureCodedPlacement):
-                    indices.add(node.get_fragment(digest).index)
-                else:
-                    indices.add(position)
-                    if not self.rotten:
-                        assert chunk_hash(node.get_chunk(digest)) == digest
+                index = ask(cluster.nodes[node_id], digest, True).index
+                indices.add(position if index is None else index)
             assert len(indices) == scheme.copies, (digest.hex()[:8], indices)
 
     @invariant()
@@ -409,3 +407,113 @@ class TestShrunkExamples:
         assert report.chunks_dropped == 0
         for digest, data in chunks:
             assert cluster.get_chunk(digest) == data
+
+
+# ----------------------------------------------------------------------
+# the one path: what every scheme gets from the shared reconcile / read
+# ----------------------------------------------------------------------
+
+SCHEMES = {
+    "replicated": lambda: ReplicatedPlacement(3),
+    "ec": lambda: ErasureCodedPlacement(4, 2),
+}
+
+
+def make_cluster(scheme: str, **kwargs) -> ChunkStoreCluster:
+    kwargs.setdefault("n_nodes", 8)
+    return ChunkStoreCluster(scheme=SCHEMES[scheme](), fault_plan=None, **kwargs)
+
+
+def payload_reads(cluster: ChunkStoreCluster) -> list[int]:
+    """Spy on every node's backend reads: one entry per call, the number
+    of payloads it returned (a miss returns none)."""
+    reads: list[int] = []
+    for node in cluster.nodes.values():
+        original = node.backend.get_batch
+
+        def spy(keys, original=original):
+            values = original(keys)
+            reads.append(sum(value is not None for value in values))
+            return values
+
+        node.backend.get_batch = spy
+    return reads
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestOnePath:
+    def test_item_form_round_trips_and_rejects_bad_records(self, scheme):
+        cluster = make_cluster(scheme)
+        form = cluster.scheme
+        ((digest, data),) = make_chunks(1, 1001)
+        items = form.encode(data)
+        assert len(items) == form.copies
+        node = cluster.nodes["node-0"]
+        assert form.write(node, digest, 1, items[1], len(data)) is True
+        assert form.write(node, digest, 1, items[1], len(data)) is False
+        item = form.read(node, digest, True)
+        assert item.payload == items[1] and item.chunk_len == len(data)
+        assert item.index in (1, None)  # a whole copy names no position
+        (record,) = node.get_chunks([digest])
+        assert form.record_chunk_len(record) == len(data)
+        have = dict(list(enumerate(items))[-form.min_fragments :])
+        assert form.decode(digest, have, len(data), True) == data
+        assert form.rebuild(have, [0]) == {0: items[0]}
+        with pytest.raises(KeyError):
+            form.read(cluster.nodes["node-1"], digest, True)
+        corrupt_stored(node, digest)
+        with pytest.raises(CorruptItemError):
+            form.read(node, digest, True)
+
+    def test_maintenance_survives_a_target_that_refuses_writes(self, scheme):
+        """Repair, rebalance and decommission go through the guarded
+        call and the write retry: an erroring target leaves its digests
+        short for the next pass instead of aborting this one."""
+        cluster = make_cluster(scheme)
+        chunks = make_chunks(40, 600)
+        cluster.put_chunks(chunks)
+        cluster.put_recipe(
+            SnapshotRecipe("snap", tuple(d for d, _ in chunks), 40 * 600)
+        )
+
+        def disk_full(_items, **_kwargs):
+            raise OSError("disk full")
+
+        sick = cluster.add_node()
+        cluster.nodes[sick].backend.put_batch = disk_full
+        cluster.fail_node("node-0")
+        assert cluster.repair().healthy
+        assert cluster.rebalance().chunks_moved >= 0
+        cluster.decommission("node-1")
+        assert cluster.nodes[sick].stats.io_errors > 0
+        for digest, data in chunks:
+            assert cluster.get_chunk(digest) == data
+
+    def test_unique_bytes_and_snapshot_need_no_payload_read(self, scheme):
+        cluster = make_cluster(scheme)
+        chunks = make_chunks(20, 777)
+        cluster.put_chunks(chunks)
+        cluster.get_chunk = None  # a full read would raise TypeError
+        assert cluster.unique_bytes == 20 * 777
+        snapshot = cluster.health_snapshot()
+        assert snapshot["scheme"] == cluster.scheme.name
+        assert snapshot == {**snapshot, **cluster.scheme.describe()}
+        assert ("ec_k" in snapshot) == (scheme == "ec")
+
+
+def test_whole_copy_census_reads_one_source_per_digest():
+    """Repair and rebalance of whole copies ask targets and strays what
+    they hold (``holds``); only the source copy is read."""
+    cluster = make_cluster("replicated")
+    chunks = make_chunks(30, 500)
+    cluster.put_chunks(chunks)
+    cluster.put_recipe(SnapshotRecipe("snap", tuple(d for d, _ in chunks), 0))
+    cluster.fail_node("node-2")
+    cluster.add_node()
+    reads = payload_reads(cluster)
+    report = cluster.repair()
+    assert report.healthy and report.chunks_recopied > 0
+    assert sum(reads) == len(chunks)
+    reads.clear()
+    cluster.rebalance()
+    assert sum(reads) == len(chunks)

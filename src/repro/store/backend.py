@@ -11,22 +11,25 @@ path already charges — with two implementations every state owner
   perf-identical default.
 * :class:`PersistentBackend` — the paper's backup site as *durable*
   storage (§7): an append-only chunk log of CRC-framed records plus an
-  LSM-style digest index (in-memory memtable, sorted on-disk runs with
-  per-run Bloom filters — the hash-front-ended lookup structure of
-  RVH-style designs — and size-tiered compaction collapsing the run
-  set once it exceeds the fanout).  Reopening a directory recovers the
-  exact prefix of validly framed records: a torn final record is
-  truncated away and reported, never silently decoded.
+  LSM-style digest index (in-memory memtable, sorted CRC-checked
+  on-disk runs, and size-tiered compaction collapsing the run set once
+  it exceeds the fanout).  Reopening a directory recovers the exact
+  prefix of validly framed records: a torn final record is truncated
+  away and reported, never silently decoded.
 
 Durability model: records reach the OS page cache on ``flush``; the
 recovery path assumes *prefix* durability (a crash may lose a suffix of
 the log, never rewrite its middle), which tail-truncation handles.  Run
 files are published by atomic rename; a run that fails validation is
 discarded wholesale and the whole log is replayed instead, so index
-corruption degrades to a slower open, not wrong answers.  The run
-key/offset arrays are held in memory once loaded — the on-disk format,
-Bloom front-ends, and merge schedule model the LSM I/O discipline the
-same way the GPU layer models device timing.
+corruption degrades to a slower open, not wrong answers.  A run's
+key/offset arrays are held in memory once loaded, so a lookup is the
+memtable and then one ``bisect`` per run, newest first, and nothing sits
+in front of it: a filter guarding a binary search over resident keys
+costs several times the search.  The one Bloom filter of the store is
+the node's (:mod:`repro.store.bloom`), which answers "absent" ahead of
+the whole backend.  The on-disk format and merge schedule model the LSM
+I/O discipline the same way the GPU layer models device timing.
 
 Backends are not thread-safe; each state owner confines its backend to
 the thread that owns it (the pipelined server probes from one stage).
@@ -45,8 +48,6 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence, runtime_checkable
-
-from repro.store.bloom import BloomFilter
 
 if TYPE_CHECKING:  # annotation-only: repro.store stays import-clean of repro.backup
     from repro.backup.store import SnapshotRecipe
@@ -84,8 +85,12 @@ _LOG_NAME = "chunks.log"
 _FRAME = struct.Struct("<IBII")
 _OP_PUT = 1
 _OP_DEL = 2
-_RUN_MAGIC = b"RRUN1\n"
-_RUN_HEADER = struct.Struct("<IQQdI")  # n_entries, watermark, capacity, fp_rate, n_added
+_RUN_MAGIC = b"RRUN2\n"
+_RUN_HEADER = struct.Struct("<IQ")  # n_entries, watermark
+#: The format PR 5 wrote: a serialized Bloom filter sat between a longer
+#: header and the entries.  Still loaded — the filter bytes are skipped.
+_RUN_MAGIC_V1 = b"RRUN1\n"
+_RUN_HEADER_V1 = struct.Struct("<IQQdII")  # ..., capacity, fp_rate, n_added, filter_len
 _RUN_ENTRY = struct.Struct("<HBQI")  # key_len, tombstone, value_offset, value_len
 
 
@@ -111,8 +116,8 @@ def _register_stats(stats_obj: "BackendStats") -> None:
 class BackendStats:
     """Operation counters shared by every backend implementation.
 
-    The disk-only counters (flushes, compactions, Bloom skips, recovery)
-    stay zero on :class:`MemoryBackend`.
+    The disk-only counters (flushes, compactions, recovery) stay zero
+    on :class:`MemoryBackend`.
     """
 
     puts: int = 0  # keys newly inserted
@@ -124,7 +129,6 @@ class BackendStats:
     fsyncs: int = 0  # device syncs (only with the fsync knob on)
     compactions: int = 0  # run merges
     log_compactions: int = 0  # whole-log rewrites (GC)
-    bloom_negatives: int = 0  # run probes skipped by the run's filter
     recovered_records: int = 0
     truncated_bytes: int = 0
 
@@ -265,11 +269,11 @@ class MemoryBackend:
 
 
 class _Run:
-    """One immutable sorted run of the LSM index, Bloom-fronted."""
+    """One immutable sorted run of the LSM index, keys resident."""
 
-    __slots__ = ("path", "seq", "watermark", "keys", "tombs", "offs", "vlens", "bloom")
+    __slots__ = ("path", "seq", "watermark", "keys", "tombs", "offs", "vlens")
 
-    def __init__(self, path, seq, watermark, keys, tombs, offs, vlens, bloom):
+    def __init__(self, path, seq, watermark, keys, tombs, offs, vlens):
         self.path = path
         self.seq = seq
         self.watermark = watermark
@@ -277,7 +281,6 @@ class _Run:
         self.tombs = tombs
         self.offs = offs
         self.vlens = vlens
-        self.bloom = bloom
 
     def lookup(self, key: bytes):
         """``(offset, vlen) | _TOMBSTONE | None`` (None = not in run)."""
@@ -297,12 +300,13 @@ class PersistentBackend:
 
     Every mutation appends one framed record to ``chunks.log`` and lands
     in the memtable; once the memtable exceeds ``memtable_limit`` keys
-    it is written out as a sorted, Bloom-fronted run file, and once
+    it is written out as a sorted, CRC-checked run file, and once
     ``compact_fanout`` runs accumulate (one size tier — this backend's
     run counts stay within a tier of each other because flushes are
     fixed-size) they merge into a single run, dropping tombstones.
-    Reads probe memtable first, then runs newest-to-oldest, each behind
-    its own Bloom filter — absent keys usually cost filter probes only.
+    Reads probe memtable first, then bisect each run's resident key
+    list newest-to-oldest — a hit and a miss cost about the same, and
+    neither reads the log to decide.
 
     Crash recovery: each run records the log offset it covers
     (``watermark``); reopening replays only the log suffix past the
@@ -319,7 +323,6 @@ class PersistentBackend:
         *,
         memtable_limit: int = 4096,
         compact_fanout: int = 4,
-        bloom_fp_rate: float = 0.01,
         fsync: bool | None = None,
         _ephemeral: bool = False,
     ) -> None:
@@ -342,7 +345,6 @@ class PersistentBackend:
         self.directory = Path(directory)
         self.memtable_limit = memtable_limit
         self.compact_fanout = compact_fanout
-        self.bloom_fp_rate = bloom_fp_rate
         self.stats = BackendStats()
         _register_stats(self.stats)
         self._ephemeral = _ephemeral
@@ -459,19 +461,18 @@ class PersistentBackend:
 
     def _load_run(self, path: Path) -> _Run:
         raw = path.read_bytes()
-        if len(raw) < len(_RUN_MAGIC) + 4 or not raw.startswith(_RUN_MAGIC):
+        magic = raw[: len(_RUN_MAGIC)]
+        if len(raw) < len(_RUN_MAGIC) + 4 or magic not in (_RUN_MAGIC, _RUN_MAGIC_V1):
             raise ValueError(f"bad run magic in {path.name}")
         payload, (crc,) = raw[len(_RUN_MAGIC) : -4], struct.unpack("<I", raw[-4:])
         if zlib.crc32(payload) != crc:
             raise ValueError(f"run checksum mismatch in {path.name}")
-        n, watermark, capacity, fp_rate, n_added = _RUN_HEADER.unpack_from(payload, 0)
-        pos = _RUN_HEADER.size
-        (bloom_len,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        bloom = BloomFilter.from_bits(
-            int(capacity), fp_rate, payload[pos : pos + bloom_len], n_added
-        )
-        pos += bloom_len
+        if magic == _RUN_MAGIC:
+            n, watermark = _RUN_HEADER.unpack_from(payload, 0)
+            pos = _RUN_HEADER.size
+        else:
+            n, watermark, *_, filter_len = _RUN_HEADER_V1.unpack_from(payload, 0)
+            pos = _RUN_HEADER_V1.size + filter_len
         keys, tombs, offs, vlens = [], [], [], []
         for _ in range(n):
             klen, tomb, off, vlen = _RUN_ENTRY.unpack_from(payload, pos)
@@ -482,7 +483,7 @@ class PersistentBackend:
             offs.append(off)
             vlens.append(vlen)
         seq = int(path.stem.split("-")[1])
-        return _Run(path, seq, watermark, keys, tombs, offs, vlens, bloom)
+        return _Run(path, seq, watermark, keys, tombs, offs, vlens)
 
     def _write_run(
         self, entries: list[tuple[bytes, tuple[int, int] | None]], watermark: int
@@ -490,26 +491,13 @@ class PersistentBackend:
         """Persist sorted ``(key, entry)`` pairs as the next run file."""
         seq = self._next_seq
         self._next_seq += 1
-        bloom = BloomFilter(max(1, len(entries)), self.bloom_fp_rate)
-        parts = []
+        parts = [_RUN_HEADER.pack(len(entries), watermark)]
         for key, entry in entries:
-            bloom.add(key)
             tomb = entry is None
             off, vlen = (0, 0) if tomb else entry
             parts.append(_RUN_ENTRY.pack(len(key), tomb, off, vlen))
             parts.append(key)
-        bits = bytes(bloom._bits)
-        payload = b"".join(
-            [
-                _RUN_HEADER.pack(
-                    len(entries), watermark, bloom.capacity,
-                    bloom.fp_rate, bloom.n_added,
-                ),
-                struct.pack("<I", len(bits)),
-                bits,
-                *parts,
-            ]
-        )
+        payload = b"".join(parts)
         path = self.directory / f"run-{seq:08d}.run"
         tmp = path.with_suffix(".tmp")
         tmp.write_bytes(_RUN_MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
@@ -520,7 +508,6 @@ class PersistentBackend:
             [e is None for _, e in entries],
             [0 if e is None else e[0] for _, e in entries],
             [0 if e is None else e[1] for _, e in entries],
-            bloom,
         )
 
     def _flush_memtable(self) -> None:
@@ -562,9 +549,6 @@ class PersistentBackend:
         if entry is not _MISSING:
             return entry  # may be None (tombstone)
         for run in reversed(self._runs):
-            if key not in run.bloom:
-                self.stats.bloom_negatives += 1
-                continue
             # repro: lint-ok[batched-api] one key walking the LSM runs, not a key batch
             found = run.lookup(key)
             if found is _TOMBSTONE:

@@ -36,32 +36,10 @@ class BloomFilter:
         self._bits = bytearray((self.n_bits + 7) // 8)
         self.n_added = 0
 
-    @classmethod
-    def from_bits(
-        cls, capacity: int, fp_rate: float, bits: bytes, n_added: int = 0
-    ) -> "BloomFilter":
-        """Reconstruct a filter from its serialized bit array.
-
-        Used by the persistent backend's run files: the sizing formulas
-        are re-derived from ``(capacity, fp_rate)``, so a bit array of
-        the wrong length (a corrupt run) is rejected here rather than
-        silently mis-probed.
-        """
-        bloom = cls(capacity, fp_rate)
-        if len(bits) != len(bloom._bits):
-            raise ValueError(
-                f"bit array length {len(bits)} does not match capacity "
-                f"{capacity} (expected {len(bloom._bits)})"
-            )
-        bloom._bits = bytearray(bits)
-        bloom.n_added = n_added
-        return bloom
-
     @staticmethod
     def _hash_pair(key: bytes) -> tuple[int, int]:
         """``(h1, h2)`` of the double-hashing scheme: probe ``i`` tests
-        bit ``(h1 + i * h2) % n_bits``.  On-disk run filters depend on
-        these positions never changing."""
+        bit ``(h1 + i * h2) % n_bits``."""
         h = hashlib.blake2b(key, digest_size=16).digest()
         return (
             int.from_bytes(h[:8], "big"),

@@ -21,17 +21,18 @@ the codec underneath it:
 Fragments travel framed (:func:`pack_fragment` / :func:`unpack_fragment`):
 a fixed header carries the fragment index, the ``(k, m)`` geometry, the
 original chunk length (padding is trimmed on decode), and a
-collision-resistant digest of the fragment payload.  ``unpack_fragment``
-re-digests on every read, so a silently corrupted fragment — bit rot, or
-an injected ``backend.bit_flip`` — raises
-:class:`CorruptFragmentError` instead of feeding garbage into a decode.
+collision-resistant digest of those fields and the fragment payload.
+``unpack_fragment`` re-digests on every read, so a silently corrupted
+fragment — bit rot in the payload *or* the header, or an injected
+``backend.bit_flip`` — raises :class:`CorruptFragmentError` instead of
+feeding garbage (or another fragment's position) into a decode.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from hashlib import sha256
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,9 +110,16 @@ def _matrix_invert(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 # -- fragment framing --------------------------------------------------
 
-#: ``magic | index | k | m | pad | chunk_len | payload_digest``
+#: ``magic | index | k | m | pad | chunk_len`` — the fields — then the
+#: record digest: 48 bytes in all, the payload follows.
+_FIELDS = struct.Struct("!4sBBBxQ")
 _HEADER = struct.Struct("!4sBBBxQ32s")
-_MAGIC = b"ECF1"
+#: Written today: the digest covers the fields *and* the payload, so a
+#: flipped index or chunk length fails the read like a flipped payload
+#: byte does.
+_MAGIC = b"ECF2"
+#: Read, never written: the digest covers the payload only.
+_MAGIC_V1 = b"ECF1"
 FRAGMENT_HEADER_SIZE = _HEADER.size
 
 
@@ -120,11 +128,10 @@ class FragmentFormatError(ValueError):
 
 
 class CorruptFragmentError(ValueError):
-    """A fragment payload no longer hashes to its stored digest."""
+    """A fragment record no longer hashes to its stored digest."""
 
 
-@dataclass(frozen=True)
-class FragmentRecord:
+class FragmentRecord(NamedTuple):
     """One decoded fragment: geometry, position, and verified payload."""
 
     index: int
@@ -138,44 +145,35 @@ class FragmentRecord:
         return self.index >= self.k
 
 
-def _payload_digest(payload) -> bytes:
-    # Lazy import: keeps repro.store import-clean of repro.core (same
-    # layering discipline as the cluster's verification hash).
-    from repro.core.hashing import chunk_hash
-
-    return chunk_hash(payload)
-
-
 def pack_fragment(
     index: int, k: int, m: int, chunk_len: int, payload: bytes
 ) -> bytes:
-    """Frame a fragment payload with geometry and its own digest."""
-    header = _HEADER.pack(
-        _MAGIC, index, k, m, chunk_len, _payload_digest(payload)
-    )
-    return header + payload
+    """Frame a fragment payload with geometry and the record's digest
+    (SHA-256, what ``chunk_hash`` is — pinned here because it is on disk)."""
+    fields = _FIELDS.pack(_MAGIC, index, k, m, chunk_len)
+    return b"".join((fields, sha256(fields + payload).digest(), payload))
 
 
-def _unpack_header(blob: bytes) -> tuple[int, int, int, int, bytes]:
-    """``(index, k, m, chunk_len, payload_digest)`` of a fragment record."""
+def _unpack_header(blob: bytes) -> tuple[bytes, int, int, int, int, bytes]:
+    """``(magic, index, k, m, chunk_len, digest)`` of a fragment record."""
     if len(blob) < _HEADER.size:
         raise FragmentFormatError(
             f"fragment record truncated ({len(blob)} B < header)"
         )
-    magic, index, k, m, chunk_len, digest = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise FragmentFormatError(f"bad fragment magic {magic!r}")
-    return index, k, m, chunk_len, digest
+    header = _HEADER.unpack_from(blob)
+    if header[0] not in (_MAGIC, _MAGIC_V1):
+        raise FragmentFormatError(f"bad fragment magic {header[0]!r}")
+    return header
 
 
 def fragment_chunk_len(blob: bytes) -> int:
     """The original chunk's length, from the record header alone.
 
-    The payload is *not* re-digested: this answers "how long is the
-    chunk this fragment belongs to" for a presence probe, never a read
-    whose bytes are used (those go through :func:`unpack_fragment`).
+    Nothing is re-digested: this answers "how long is the chunk this
+    fragment belongs to" for a presence probe, never a read whose bytes
+    are used (those go through :func:`unpack_fragment`).
     """
-    return _unpack_header(blob)[3]
+    return _unpack_header(blob)[4]
 
 
 def unpack_fragment(blob: bytes) -> FragmentRecord:
@@ -183,15 +181,15 @@ def unpack_fragment(blob: bytes) -> FragmentRecord:
 
     Raises :class:`FragmentFormatError` when the bytes are not a
     fragment record at all, and :class:`CorruptFragmentError` when the
-    payload no longer matches its stored digest (bit rot — the record
-    must not be trusted).
+    record no longer matches its stored digest (bit rot — it must not be
+    trusted).
     """
-    index, k, m, chunk_len, digest = _unpack_header(blob)
+    magic, index, k, m, chunk_len, digest = _unpack_header(blob)
     payload = blob[_HEADER.size:]
-    if _payload_digest(payload) != digest:
+    covered = blob[: _FIELDS.size] + payload if magic == _MAGIC else payload
+    if sha256(covered).digest() != digest:
         raise CorruptFragmentError(
-            f"fragment {index} payload fails its digest "
-            f"({len(payload)} B)"
+            f"fragment {index} fails its digest ({len(payload)} B)"
         )
     return FragmentRecord(index, k, m, chunk_len, payload)
 

@@ -170,7 +170,8 @@ class StoreNode:
         return self._backend.get_batch(digests)
 
     def get_chunk(self, digest: bytes) -> bytes:
-        data = self.get_chunks([digest])[0]
+        self._require_alive()
+        data = self._backend.get_batch([digest])[0]
         if data is None:
             raise KeyError(
                 f"chunk {digest.hex()[:16]} missing from node {self.node_id!r}"
@@ -199,7 +200,7 @@ class StoreNode:
 
         Raises ``KeyError`` when absent, ``FragmentFormatError`` when
         the stored bytes are not a fragment record, and
-        ``CorruptFragmentError`` when the payload fails its digest —
+        ``CorruptFragmentError`` when the record fails its digest —
         every fragment read is an integrity check.
         """
         return unpack_fragment(self.get_chunk(digest))

@@ -273,7 +273,7 @@ class ErasureCodedPlacement(PlacementScheme):
     # -- item form: framed Reed-Solomon fragments ----------------------
     #
     # A record is one ``pack_fragment`` frame carrying its own index,
-    # geometry and payload digest, so every read verifies regardless of
+    # geometry and record digest, so every read verifies regardless of
     # ``verify`` and an index is only known by reading the record.
 
     def encode(self, data: bytes) -> Sequence[bytes]:

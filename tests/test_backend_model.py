@@ -70,11 +70,10 @@ class BackendModel(RuleBasedStateMachine):
         compact_fanout=st.sampled_from(COMPACT_FANOUTS),
     )
     def open(self, memtable_limit, compact_fanout):
-        if self.kind == "disk":
-            self.options = {
-                "memtable_limit": memtable_limit,
-                "compact_fanout": compact_fanout,
-            }
+        self.options = {
+            "memtable_limit": memtable_limit,
+            "compact_fanout": compact_fanout,
+        }
         self.backend = self._open()
 
     def teardown(self) -> None:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 
 import pytest
 
@@ -170,6 +171,20 @@ class TestFragmentFraming:
         with pytest.raises(FragmentFormatError):
             unpack_fragment(b"short")
 
+    def test_v1_records_still_verify(self):
+        """Disks written before the digest covered the header hold
+        ``ECF1`` records (digest over the payload only): they read under
+        the old rule, and their payload is still checked."""
+        payload = b"old payload" * 9
+        blob = struct.pack(
+            "!4sBBBxQ32s", b"ECF1", 5, 4, 2, 300, chunk_hash(payload)
+        ) + payload
+        rec = unpack_fragment(blob)
+        assert (rec.index, rec.k, rec.m, rec.chunk_len) == (5, 4, 2, 300)
+        assert rec.payload == payload
+        with pytest.raises(CorruptFragmentError):
+            unpack_fragment(blob[:-1] + b"!")
+
 
 # ----------------------------------------------------------------------
 # cluster: EC placement end to end
@@ -282,6 +297,35 @@ class TestECCluster:
         populate(cluster, 10)
         with pytest.raises(ValueError):
             cluster.decommission("node-0")
+
+    @pytest.mark.parametrize(
+        "offset, flip",
+        [(offset, flip) for offset in range(16) for flip in (0x01, 0xFF)]
+        + [(3, 0x03)],  # the magic, rewritten as the v1 magic
+    )
+    def test_flipped_header_byte_is_caught_and_healed(self, offset, flip):
+        """Any of the 16 header bytes ahead of the digest (magic, index,
+        k, m, pad, chunk_len): the record's digest used to cover the
+        payload only, so position 0 rewritten as ``index`` 1 was served
+        as data — 4000 wrong bytes, no error — and scrub called the
+        store healthy."""
+        cluster = make_ec_cluster(fault_plan=None)
+        data = random.Random(offset).randbytes(4000)
+        digest = chunk_hash(data)
+        cluster.put_chunk(digest, data)
+        node = cluster.nodes[cluster.scheme.nodes_for(cluster.ring, digest)[0]]
+        (record,) = node.backend.get_batch([digest])
+        rotten = bytearray(record)
+        rotten[offset] ^= flip
+        node.backend.delete_batch([digest])
+        node.backend.put_batch([(digest, bytes(rotten))])
+
+        assert cluster.get_chunk(digest) == data  # rebuilt from the rest
+        assert cluster.stats.corrupt_reads == 1
+        report = cluster.scrub()
+        assert (report.corrupt, report.repaired, report.unrepaired) == (1, 1, 0)
+        assert node.backend.get_batch([digest]) == [record]
+        assert cluster.scrub().corrupt == 0
 
     def test_make_scheme_ec(self):
         scheme = make_scheme("ec", ec_k=6, ec_m=3)

@@ -9,6 +9,7 @@ import pytest
 from repro.core.hashing import chunk_hash
 from repro.store.backend import (
     _FRAME,
+    _Run,
     BACKEND_KINDS,
     MemoryBackend,
     PersistentBackend,
@@ -26,6 +27,18 @@ def make_items(n: int, salt: bytes = b"") -> list[tuple[bytes, bytes]]:
         (chunk_hash(salt + i.to_bytes(4, "big")), salt + b"value-%d-" % i * 3)
         for i in range(n)
     ]
+
+
+@pytest.fixture
+def run_lookups(monkeypatch) -> list[bytes]:
+    """Every key a run is searched for, in order — counted by wrapping
+    ``_Run.lookup`` here, because the hot path keeps no counter."""
+    keys: list[bytes] = []
+    lookup = _Run.lookup
+    monkeypatch.setattr(
+        _Run, "lookup", lambda run, key: keys.append(key) or lookup(run, key)
+    )
+    return keys
 
 
 @pytest.fixture(params=["memory", "disk"])
@@ -128,7 +141,7 @@ class TestPersistence:
             assert len(b2) == 50
             assert b2.get_batch([items[17][0]]) == [items[17][1]]
 
-    def test_runs_flush_and_compact(self, tmp_path):
+    def test_runs_flush_and_compact(self, tmp_path, monkeypatch, run_lookups):
         b = PersistentBackend(tmp_path / "b", memtable_limit=8, compact_fanout=3)
         for start in range(0, 80, 8):
             b.put_batch(make_items(8, salt=b"%d-" % start))
@@ -140,10 +153,13 @@ class TestPersistence:
         for start in range(0, 80, 8):
             items = make_items(8, salt=b"%d-" % start)
             assert b.get_batch([k for k, _ in items]) == [v for _, v in items]
-        # Absent keys are mostly absorbed by the per-run Bloom filters.
-        before = b.stats.bloom_negatives
-        b.contains_batch([chunk_hash(b"miss-%d" % i) for i in range(200)])
-        assert b.stats.bloom_negatives > before
+        # Absent keys are answered by the runs' resident key lists: one
+        # bisect per run, and the log is never read to say "no".
+        misses = [chunk_hash(b"miss-%d" % i) for i in range(200)]
+        monkeypatch.setattr(b, "_read_value", None)  # calling it raises
+        run_lookups.clear()
+        assert b.contains_batch(misses) == [False] * 200
+        assert len(run_lookups) == 200 * len(b._runs)
         b.close()
 
     def test_log_compaction_reclaims_dead_records(self, tmp_path):
@@ -247,14 +263,14 @@ class TestPersistence:
             assert values == [v for _, v in items[:10]]  # no short reads
             assert b2.contains_batch([items[20][0]]) == [False]
 
-    def test_put_known_absent_skips_reprobe(self, tmp_path):
+    def test_put_known_absent_skips_reprobe(self, tmp_path, run_lookups):
         b = PersistentBackend(tmp_path / "b", memtable_limit=4)
         items = make_items(12)  # several runs: run probes are the cost
         b.put_batch(items)
         fresh = make_items(3, salt=b"fresh")
-        before = b.stats.bloom_negatives
+        run_lookups.clear()
         assert b.put_batch(fresh, known_absent=True) == [True, True, True]
-        assert b.stats.bloom_negatives == before  # no run probes paid
+        assert not run_lookups  # no run probes paid
         assert b.get_batch([fresh[0][0]]) == [fresh[0][1]]
         # The pledge only covers run state; a memtable duplicate is
         # still refused rather than double-counted.

@@ -133,28 +133,6 @@ class TestBloomFilter:
         bloom.clear()
         assert b"key" not in bloom and bloom.n_added == 0
 
-    def test_bit_positions_are_the_serialized_format(self):
-        """Run filters on disk were written with ``(h1 + i*h2) % n_bits``
-        from one 128-bit BLAKE2b: a filter serialized with exactly those
-        positions must probe true for every key, and the bits ``add``
-        sets must be exactly those bits."""
-        import hashlib
-
-        written = BloomFilter(capacity=300, fp_rate=0.01)
-        keys = make_digests(300)
-        bits = bytearray(len(written._bits))
-        for key in keys:
-            h = hashlib.blake2b(key, digest_size=16).digest()
-            h1 = int.from_bytes(h[:8], "big")
-            h2 = int.from_bytes(h[8:], "big") | 1
-            for i in range(written.n_hashes):
-                pos = (h1 + i * h2) % written.n_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-            written.add(key)
-        reopened = BloomFilter.from_bits(300, 0.01, bytes(bits), n_added=300)
-        assert all(key in reopened for key in keys)
-        assert bytes(written._bits) == bytes(bits)
-
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             BloomFilter(capacity=0)

@@ -30,6 +30,14 @@ the server answers with its applied-frame high-water mark, so only
 frames the server never applied are replayed — acked chunks never cross
 the wire twice.  Without a policy the client behaves exactly like
 protocol v1: no token, no parking, errors propagate on first failure.
+
+**Transport** — one :class:`FrameConnection`: a non-blocking socket
+(``loop.sock_sendall`` out, ``recv_into`` behind one reader registration
+in) with a single receive path.  A header is parsed out of a small
+read-ahead scratch (a small reply costs one ``recv``) and checked before
+anything is allocated; the payload lands in a frame-sized buffer or, for
+``RESTORE_DATA``, straight in its slice of the restore's one output
+buffer — no copy in between.
 """
 
 from __future__ import annotations
@@ -89,6 +97,124 @@ _RETRYABLE_CODES = frozenset(
 
 #: Exceptions that mean "the connection (not the request) failed".
 _RECOVERABLE_EXC = (OSError, EOFError, asyncio.TimeoutError)
+
+
+class FrameConnection:
+    """One framed client connection over a non-blocking socket."""
+
+    def __init__(self, sock: socket.socket, max_frame: int) -> None:
+        sock.setblocking(False)
+        self.sock = sock
+        self.max_frame = max_frame
+        #: Read-ahead scratch, and what of it the last frame left unread.
+        self._ahead = memoryview(bytearray(4096))
+        self._left = b""
+        #: Set while a frame is partly consumed: a failed or cancelled
+        #: receive leaves the connection good for a redial, nothing else.
+        self._mid_frame = False
+        #: The loop ``_wake`` is the socket's reader on, and the receive
+        #: waiting for it with the view it wants filled.
+        self._loop = self._waiter = self._into = None
+
+    @classmethod
+    async def open(cls, host: str, port: int, max_frame: int) -> "FrameConnection":
+        loop = asyncio.get_running_loop()
+        error: OSError = OSError(f"no address for {host!r}")
+        infos = await loop.getaddrinfo(host, port, type=socket.SOCK_STREAM)
+        for family, kind, proto, _, address in infos:
+            conn = cls(socket.socket(family, kind, proto), max_frame)
+            try:
+                await loop.sock_connect(conn.sock, address)
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                return conn
+            except BaseException as exc:
+                conn.close()
+                if not isinstance(exc, OSError):
+                    raise
+                error = exc
+        raise error
+
+    async def send(self, data) -> None:
+        await asyncio.get_running_loop().sock_sendall(self.sock, data)
+
+    def _wake(self) -> None:
+        """Reader callback, left registered between receives (request/reply
+        pays no ``epoll_ctl``) until it fires with nobody receiving.  It
+        receives for the waiter right here: left to the woken task, the
+        next poll would report the same bytes again first."""
+        waiter = self._waiter
+        if waiter is None:
+            self._loop.remove_reader(self.sock.fileno())
+            self._loop = None
+        elif not waiter.done():  # done: its task is about to clear it
+            try:
+                waiter.set_result(self.sock.recv_into(self._into))
+            except BlockingIOError:
+                pass
+            except OSError as exc:
+                waiter.set_exception(exc)
+
+    async def _recv_until(self, buf: memoryview, have: int, need: int, limit: int) -> int:
+        """Receive into ``buf[have:limit]`` until ``need`` bytes are there."""
+        while have < need:
+            # Released however it ends: a view kept by a failed receive's
+            # traceback would pin the caller's buffer.
+            with buf[have:limit] as rest:
+                try:
+                    n = self.sock.recv_into(rest)
+                except BlockingIOError:
+                    if self._loop is None:
+                        self._loop = asyncio.get_running_loop()
+                        self._loop.add_reader(self.sock.fileno(), self._wake)
+                    self._into, self._waiter = rest, self._loop.create_future()
+                    try:
+                        n = await self._waiter
+                    finally:
+                        self._into = self._waiter = None
+            if not n:
+                raise asyncio.IncompleteReadError(bytes(buf[:have]), need)
+            have += n
+        return have
+
+    async def recv(self, into: memoryview | None = None) -> tuple[Msg, bytearray | int]:
+        """One frame, ``(msg, payload)`` — or ``(msg, size)`` for a
+        ``RESTORE_DATA`` payload landed at the front of ``into``; one
+        larger than that view is refused before a byte of it is read."""
+        if self._mid_frame:
+            raise ConnectionResetError("connection abandoned mid-frame")
+        self._mid_frame = True
+        ahead, head, left = self._ahead, wire.HEADER.size, len(self._left)
+        ahead[:left] = self._left
+        have = await self._recv_until(ahead, left, head, len(ahead))
+        msg, size = wire.parse_header(ahead[:head], self.max_frame)
+        in_place = into is not None and msg is Msg.RESTORE_DATA
+        if not in_place:
+            into = memoryview(bytearray(size))
+        elif size > len(into):
+            raise wire.ProtocolError(
+                f"restore data overruns the announced size by {size - len(into)} bytes"
+            )
+        took = min(size, have - head)
+        into[:took] = ahead[head : head + took]
+        self._left = bytes(ahead[head + took : have])
+        if took < size:
+            await self._recv_until(into, took, size, size)
+        self._mid_frame = False
+        return msg, (size if in_place else into.obj)
+
+    def close(self) -> None:
+        if self._loop is not None:
+            self._loop.remove_reader(self.sock.fileno())
+            self._loop = None
+        self.sock.close()
+
+    def abort(self) -> None:
+        """Close with an RST (``SO_LINGER 0``): a FIN on a frame boundary reads
+        as a walk-away and aborts the open snapshot; a reset parks it for resume."""
+        if self.sock.fileno() >= 0:
+            linger = struct.pack("ii", 1, 0)
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -162,8 +288,7 @@ class AsyncBackupClient:
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        conn: FrameConnection,
         *,
         tenant: str,
         session_id: str,
@@ -175,8 +300,7 @@ class AsyncBackupClient:
         auth: str = "",
         purpose: int = wire.PURPOSE_BACKUP,
     ) -> None:
-        self.reader = reader
-        self.writer = writer
+        self.conn = conn
         self.tenant = tenant
         self.auth = auth
         self.purpose = purpose
@@ -187,7 +311,6 @@ class AsyncBackupClient:
         self.retry = retry
         self._address = address
         self._client_name = client_name
-        self._closed = False
         self._rng = random.Random()
         # -- resume state (only driven when a RetryPolicy is set) ------
         self._open_snapshot: str | None = None
@@ -226,33 +349,11 @@ class AsyncBackupClient:
         with ``--auth-file``; ``purpose`` tags the session for
         priority-aware shedding (restores shed last).
         """
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(wire.MAGIC)
-        writer.write(
-            wire.encode_frame(
-                Msg.HELLO,
-                wire.encode_hello(
-                    tenant, client_name, auth=auth, purpose=purpose
-                ),
-            )
-        )
-        await writer.drain()
-        try:
-            msg, payload = await wire.read_frame(reader, max_frame)
-            if msg is Msg.ERROR:
-                raise RemoteError(*wire.decode_error(payload))
-            if msg is not Msg.HELLO_OK:
-                raise wire.ProtocolError(f"expected HELLO_OK, got {msg.name}")
-        except BaseException:
-            writer.close()
-            raise
-        _version, window, session_id = wire.decode_hello_ok(payload)
-        return cls(
-            reader,
-            writer,
+        client = cls(
+            None,
             tenant=tenant,
-            session_id=session_id,
-            window=window,
+            session_id="",
+            window=1,
             max_frame=max_frame,
             retry=retry,
             address=(host, port),
@@ -260,6 +361,28 @@ class AsyncBackupClient:
             auth=auth,
             purpose=purpose,
         )
+        client.conn, (_, window, client.session_id) = await client._dial(None)
+        client.window = max(1, window)
+        return client
+
+    async def _dial(self, timeout: float | None) -> tuple[FrameConnection, tuple]:
+        """Dial and identify (magic + HELLO): the new connection and the
+        decoded HELLO_OK, or the server's refusal as a typed error."""
+        hello = wire.encode_hello(
+            self.tenant, self._client_name, auth=self.auth, purpose=self.purpose
+        )
+        conn = await FrameConnection.open(*self._address, self.max_frame)
+        try:
+            await conn.send(wire.MAGIC + wire.encode_frame(Msg.HELLO, hello))
+            msg, payload = await asyncio.wait_for(conn.recv(), timeout)
+            if msg is Msg.ERROR:
+                raise RemoteError(*wire.decode_error(payload))
+            if msg is not Msg.HELLO_OK:
+                raise wire.ProtocolError(f"expected HELLO_OK, got {msg.name}")
+            return conn, wire.decode_hello_ok(payload)
+        except BaseException:
+            conn.close()
+            raise
 
     # -- low-level request/reply ---------------------------------------
 
@@ -283,15 +406,13 @@ class AsyncBackupClient:
 
     async def _send(self, msg: Msg, payload: bytes = b"") -> None:
         await self._pace()
-        self.writer.write(wire.encode_frame(msg, payload))
-        await self.writer.drain()
+        await self.conn.send(wire.encode_frame(msg, payload))
 
-    async def _recv(self) -> tuple[Msg, bytes]:
+    async def _recv(self, into: memoryview | None = None) -> tuple[Msg, bytearray | int]:
+        """:meth:`FrameConnection.recv`, THROTTLE absorbed and ERROR raised."""
         timeout = self.retry.op_timeout_s if self.retry is not None else None
         while True:
-            msg, payload = await asyncio.wait_for(
-                wire.read_frame(self.reader, self.max_frame), timeout
-            )
+            msg, payload = await asyncio.wait_for(self.conn.recv(into), timeout)
             if msg is Msg.THROTTLE:
                 # Advisory control frame riding ahead of the real FIFO
                 # reply: absorb it, arm the pacer, keep waiting.
@@ -318,54 +439,11 @@ class AsyncBackupClient:
 
     async def _redial(self) -> None:
         """Dial a fresh connection and redo the magic + HELLO handshake."""
-        host, port = self._address
         await self._pace()  # a throttled client backs off before redialing
-        try:
-            # Abort, don't close: a graceful FIN on the old socket looks
-            # like a deliberate walk-away to the server (clean EOF =>
-            # snapshot aborted); an RST parks the snapshot for resume.
-            # abort() only guarantees an RST when unread data is pending
-            # in the receive buffer, so force it with SO_LINGER 0.
-            sock = self.writer.get_extra_info("socket")
-            if sock is not None:
-                sock.setsockopt(
-                    socket.SOL_SOCKET,
-                    socket.SO_LINGER,
-                    struct.pack("ii", 1, 0),
-                )
-            self.writer.transport.abort()
-        except Exception:
-            pass
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(wire.MAGIC)
-        writer.write(
-            wire.encode_frame(
-                Msg.HELLO,
-                wire.encode_hello(
-                    self.tenant,
-                    self._client_name,
-                    auth=self.auth,
-                    purpose=self.purpose,
-                ),
-            )
-        )
-        await writer.drain()
-        try:
-            msg, payload = await asyncio.wait_for(
-                wire.read_frame(reader, self.max_frame),
-                self.retry.op_timeout_s,
-            )
-            if msg is Msg.ERROR:
-                raise RemoteError(*wire.decode_error(payload))
-            if msg is not Msg.HELLO_OK:
-                raise wire.ProtocolError(f"expected HELLO_OK, got {msg.name}")
-        except BaseException:
-            writer.close()
-            raise
-        _version, window, session_id = wire.decode_hello_ok(payload)
-        self.reader, self.writer = reader, writer
+        self.conn.abort()  # RST, not FIN: the server parks the snapshot
+        timeout = self.retry.op_timeout_s
+        self.conn, (_, window, self.session_id) = await self._dial(timeout)
         self.window = max(1, window)
-        self.session_id = session_id
         self.reconnects += 1
 
     async def _recover(self) -> None:
@@ -597,23 +675,22 @@ class AsyncBackupClient:
         await self._send(Msg.RESTORE, wire.encode_snapshot_id(snapshot_id))
         payload = await self._expect(Msg.RESTORE_BEGIN)
         total_bytes, _n_chunks = wire.decode_restore_begin(payload)
-        # One buffer of the announced size, filled in place as pieces
-        # arrive; ``getvalue`` hands it back without a copy.  The only
-        # large allocation happens here, before the stream: one made at
-        # RESTORE_END would land wherever the pieces still in flight
-        # left room, and peak memory would follow the timing.
+        # One buffer of the announced size, each piece received straight
+        # into its slice; ``getvalue`` hands it back without a copy once
+        # every view is released.  The only large allocation is made here,
+        # before the stream: made at RESTORE_END it would land wherever the
+        # pieces in flight left room, and peak memory would follow the timing.
         out = io.BytesIO(bytes(total_bytes))
         received = 0
-        while True:
-            msg, payload = await self._recv()
-            if msg is Msg.RESTORE_END:
-                break
-            if msg is not Msg.RESTORE_DATA:
-                raise wire.ProtocolError(
-                    f"expected RESTORE_DATA, got {msg.name}"
-                )
-            out.write(payload)
-            received += len(payload)
+        with out.getbuffer() as dest:
+            while True:
+                with dest[received:] as rest:  # released whichever way it ends
+                    msg, landed = await self._recv(into=rest)
+                if msg is Msg.RESTORE_END:
+                    break
+                if msg is not Msg.RESTORE_DATA:
+                    raise wire.ProtocolError(f"expected RESTORE_DATA, got {msg.name}")
+                received += landed
         if received != total_bytes:
             raise wire.ProtocolError(
                 f"restore announced {total_bytes} bytes, streamed {received}"
@@ -621,14 +698,7 @@ class AsyncBackupClient:
         return out.getvalue()
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        self.conn.close()
 
     async def __aenter__(self) -> "AsyncBackupClient":
         return self

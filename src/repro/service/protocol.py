@@ -56,7 +56,7 @@ PROTOCOL_VERSION = 3
 #: stays far below this; anything larger is a corrupt or hostile frame.
 DEFAULT_MAX_FRAME = 64 << 20
 
-_HEADER = struct.Struct("!BI")  # type, payload length
+HEADER = struct.Struct("!BI")  # type, payload length
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _U64 = struct.Struct("!Q")
@@ -158,18 +158,14 @@ class RemoteError(RuntimeError):
 
 def encode_frame(msg: Msg, payload: bytes = b"") -> bytes:
     """One wire frame: header + payload."""
-    return _HEADER.pack(int(msg), len(payload)) + payload
+    return HEADER.pack(int(msg), len(payload)) + payload
 
 
-async def read_frame(reader, max_frame: int = DEFAULT_MAX_FRAME) -> tuple[Msg, bytes]:
-    """Read exactly one frame from an asyncio stream reader.
-
-    Raises :class:`ProtocolError` on an unknown type or an oversized
-    length, and lets ``asyncio.IncompleteReadError`` surface on EOF so
-    callers can distinguish a clean close from garbage.
-    """
-    header = await reader.readexactly(_HEADER.size)
-    type_byte, size = _HEADER.unpack(header)
+def parse_header(header, max_frame: int = DEFAULT_MAX_FRAME) -> tuple[Msg, int]:
+    """Frame type and payload size off a :data:`HEADER`; an unknown type
+    or an oversized length is a :class:`ProtocolError` before any
+    payload is read."""
+    type_byte, size = HEADER.unpack(header)
     try:
         msg = Msg(type_byte)
     except ValueError:
@@ -178,6 +174,13 @@ async def read_frame(reader, max_frame: int = DEFAULT_MAX_FRAME) -> tuple[Msg, b
         raise ProtocolError(
             f"frame of {size} bytes exceeds the {max_frame}-byte limit"
         )
+    return msg, size
+
+
+async def read_frame(reader, max_frame: int = DEFAULT_MAX_FRAME) -> tuple[Msg, bytes]:
+    """Read exactly one frame from an asyncio stream reader; EOF surfaces
+    as ``asyncio.IncompleteReadError`` (a clean close is not garbage)."""
+    msg, size = parse_header(await reader.readexactly(HEADER.size), max_frame)
     payload = await reader.readexactly(size) if size else b""
     return msg, payload
 

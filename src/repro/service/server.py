@@ -1279,12 +1279,18 @@ class _Session:
             raise SessionError(Err.BAD_FRAME, str(exc)) from None
         try:
             recipe = self.service.store.get_recipe(scoped)
-            data = self.service.store.restore(scoped)
         except KeyError:
             raise SessionError(
                 Err.UNKNOWN_SNAPSHOT,
                 f"no snapshot {snapshot_id!r} for tenant "
                 f"{self.namespace.name!r}",
+            ) from None
+        try:
+            data = self.service.store.restore(scoped)
+        except KeyError as exc:
+            # Recipe present, chunk gone: data loss, not a mistyped id.
+            raise SessionError(
+                Err.INTERNAL, f"snapshot {snapshot_id!r}: {exc.args[0]}"
             ) from None
         counters = self.namespace.counters
         counters.restores += 1
@@ -1297,9 +1303,12 @@ class _Session:
         piece = self.service.config.restore_piece
         view = memoryview(data)
         for off in range(0, len(view), piece):
-            await self.service._send_frame(
-                self.writer, Msg.RESTORE_DATA, view[off : off + piece]
-            )
+            # Header, then the slice itself: no per-piece concatenation.
+            part = view[off : off + piece]
+            self.writer.write(wire.HEADER.pack(Msg.RESTORE_DATA, len(part)))
+            self.writer.write(part)
+            await self.writer.drain()
+            self.service.metrics.add(frames_sent=1)
         await self.service._send_frame(self.writer, Msg.RESTORE_END)
 
     async def _on_list(self, payload: bytes) -> None:

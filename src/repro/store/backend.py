@@ -853,6 +853,7 @@ def make_backend(
 # ----------------------------------------------------------------------
 
 _RECIPE_HEADER = struct.Struct("<QI")  # total_bytes, n_digests
+_ENTRY32 = struct.Struct("<2x32s")  # one recipe entry holding a 32-byte digest
 
 
 def encode_recipe(snapshot_id: str, digests: Sequence[bytes], total_bytes: int) -> bytes:
@@ -867,6 +868,14 @@ def encode_recipe(snapshot_id: str, digests: Sequence[bytes], total_bytes: int) 
 def decode_recipe(snapshot_id: str, blob: bytes) -> tuple[str, tuple[bytes, ...], int]:
     total_bytes, n = _RECIPE_HEADER.unpack_from(blob, 0)
     pos = _RECIPE_HEADER.size
+    if (
+        len(blob) == pos + n * _ENTRY32.size
+        and blob[pos :: _ENTRY32.size] == b"\x20" * n
+        and blob[pos + 1 :: _ENTRY32.size] == bytes(n)
+    ):
+        # Every length prefix reads 32: slice at the fixed stride.
+        entries = _ENTRY32.iter_unpack(memoryview(blob)[pos:])
+        return snapshot_id, tuple([d for (d,) in entries]), total_bytes
     digests = []
     for _ in range(n):
         (dlen,) = struct.unpack_from("<H", blob, pos)

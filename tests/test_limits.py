@@ -558,7 +558,7 @@ class TestServiceRateLimit:
 
         async def scenario(service):
             client = await connect(service, "acme")
-            client.writer.write(wire.encode_frame(Msg.LIST_SNAPSHOTS))
+            await client.conn.send(wire.encode_frame(Msg.LIST_SNAPSHOTS))
             # Pretend the handshake negotiated v2: the server must keep
             # pacing silently instead of sending THROTTLE frames the
             # old client cannot parse.

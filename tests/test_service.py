@@ -512,13 +512,12 @@ class TestService:
             # worker (slowed above) falls behind the socket.
             payloads = [bytes([i]) * 1000 for i in range(40)]
             for data in payloads:
-                client.writer.write(
+                await client.conn.send(
                     wire.encode_frame(
                         Msg.CHUNK_BATCH,
                         wire.encode_chunk_batch([(chunk_hash(data), data)]),
                     )
                 )
-            await client.writer.drain()
             for _ in payloads:
                 await client._expect(Msg.BATCH_OK)
             await client.finish_snapshot("snap")
@@ -543,6 +542,33 @@ class TestService:
 
         # 64 KiB pieces -> the 300 KB restore crosses several frames.
         assert run_service(scenario, restore_piece=1 << 16) == data
+
+    def test_lost_chunk_is_not_reported_as_unknown_snapshot(self):
+        """The recipe is there and a chunk under it is gone: that is
+        data loss (INTERNAL, naming the digest), not a mistyped id."""
+        data = b"".join(bytes([i]) * 5000 for i in range(40))
+
+        async def scenario(service):
+            client = await connect(service, "acme")
+            await client.backup(data, "snap")
+            scoped = service.registry.get("acme").scoped_id("snap")
+            recipe = service.store.get_recipe(scoped)
+            lost = recipe.digests[len(recipe.digests) // 2]
+            service.store._chunks.delete_batch([lost])
+            with pytest.raises(RemoteError) as missing_chunk:
+                await client.restore("snap")
+            with pytest.raises(RemoteError) as missing_recipe:
+                await client.restore("snop")
+            listing = await client.list_snapshots()  # the session survives both
+            await client.close()
+            return missing_chunk.value, missing_recipe.value, lost, listing, service.metrics
+
+        chunk_err, recipe_err, lost, listing, metrics = run_service(scenario)
+        assert chunk_err.code is Err.INTERNAL
+        assert lost.hex()[:16] in chunk_err.remote_message
+        assert recipe_err.code is Err.UNKNOWN_SNAPSHOT
+        assert listing == ["snap"]
+        assert metrics.errors_sent == 2
 
     def test_cluster_store_backend(self, snapshots):
         async def scenario(service):

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-import socket
-import struct
 import time
 
 import pytest
@@ -168,13 +166,7 @@ class TestParkLifecycle:
             await client.begin_snapshot("doomed")
             # Crash, don't close: force an RST (SO_LINGER 0) so the
             # server sees an abnormal disconnect and parks the snapshot.
-            sock = client.writer.get_extra_info("socket")
-            sock.setsockopt(
-                socket.SOL_SOCKET,
-                socket.SO_LINGER,
-                struct.pack("ii", 1, 0),
-            )
-            client.writer.transport.abort()
+            client.conn.abort()
             await asyncio.sleep(0.4)  # > resume_grace_s
             probe = await connect(service, retry=None)
             listing = await probe.list_snapshots()

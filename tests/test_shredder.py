@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.chunking import ChunkerConfig
@@ -141,6 +143,44 @@ class TestTimingShape:
             report = s.simulate(GB)
         assert report.n_buffers == 32
         assert report.total_bytes == GB
+
+    @pytest.mark.parametrize(
+        "config, buffer_mb",
+        [
+            # Every preset at the default buffer ...
+            (ShredderConfig.gpu_basic(), 32),
+            (ShredderConfig.gpu_streams(), 32),
+            (replace(ShredderConfig.gpu_streams(), pinned_ring=False), 32),
+            (ShredderConfig.gpu_streams_memory(gpu_direct=True, num_gpus=2), 32),
+            # ... and the sizes the figure scripts sweep.
+            *((ShredderConfig.gpu_streams_memory(), mb) for mb in (16, 32, 64, 128, 256)),
+        ],
+    )
+    def test_simulate_prices_each_distinct_buffer_size_once(
+        self, config, buffer_mb, monkeypatch
+    ):
+        """The sizes the figure scripts sweep: pricing identical buffers
+        once gives the per-buffer list, cost for cost — the schedule and
+        every other report field are functions of that list."""
+        config = replace(config, buffer_size=buffer_mb * MB)
+        total = 4 * config.buffer_size + config.buffer_size // 3  # a short tail
+        sizes = [config.buffer_size] * 4 + [config.buffer_size // 3]
+        with Shredder(config) as s, Shredder(config) as reference:
+            priced = []
+            costs = s._gpu_phase_costs
+            monkeypatch.setattr(
+                s, "_gpu_phase_costs",
+                lambda size, n: priced.append(size) or costs(size, n),
+            )
+            report = s.simulate(total)
+            per_buffer = max(1, round(report.n_chunks / len(sizes)))
+            assert report.phase_costs == [
+                reference._gpu_phase_costs(size, per_buffer) for size in sizes
+            ]
+        # Without the ring each transfer pins a buffer on the host-memory
+        # model: that preset stays per buffer.
+        no_ring = config.double_buffering and not config.pinned_ring
+        assert priced == (sizes if no_ring else sizes[-2:])
 
     def test_ring_setup_accounted(self):
         with Shredder(ShredderConfig.gpu_streams_memory()) as s:

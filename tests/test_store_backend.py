@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import shutil
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.hashing import chunk_hash
 from repro.store.backend import (
@@ -16,6 +18,8 @@ from repro.store.backend import (
     RecipeStore,
     STORE_BACKEND_ENV,
     STORE_TMP_ENV,
+    decode_recipe,
+    encode_recipe,
     make_backend,
     resolve_backend,
 )
@@ -445,6 +449,55 @@ class TestRecipeStore:
     def test_empty_recipe(self, recipes):
         recipes.put(SnapshotRecipe("empty", (), 0))
         assert recipes.get("empty").digests == ()
+
+    @staticmethod
+    def decode_by_loop(blob: bytes) -> tuple[tuple[bytes, ...], int]:
+        """The reference: one length prefix and one slice per digest."""
+        total, n = struct.unpack_from("<QI", blob, 0)
+        pos, digests = 12, []
+        for _ in range(n):
+            (size,) = struct.unpack_from("<H", blob, pos)
+            digests.append(blob[pos + 2 : pos + 2 + size])
+            pos += 2 + size
+        return tuple(digests), total
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        digests=st.one_of(
+            # All 32 bytes: the fixed-stride path.
+            st.lists(st.binary(min_size=32, max_size=32), max_size=40),
+            # Mixed lengths, weighted so that blobs of exactly
+            # header + n*34 bytes with a non-32 prefix do occur.
+            st.lists(
+                st.sampled_from([0, 20, 32, 64]).flatmap(
+                    lambda size: st.binary(min_size=size, max_size=size)
+                ),
+                max_size=40,
+            ),
+        ),
+        total=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_recipe_codec_round_trips_on_both_decode_paths(self, digests, total):
+        blob = encode_recipe("snap", digests, total)
+        assert decode_recipe("snap", blob) == ("snap", tuple(digests), total)
+        assert self.decode_by_loop(blob) == (tuple(digests), total)
+
+    def test_fixed_stride_decode_checks_every_length_prefix(self):
+        """Same blob size as three 32-byte digests, different prefixes:
+        0 + 64 + 32 bytes must not be sliced at the fixed stride."""
+        d32 = [chunk_hash(bytes([i])) for i in range(3)]
+        mixed = [b"", d32[0] + d32[1], d32[2]]
+        assert len(encode_recipe("s", mixed, 7)) == len(encode_recipe("s", d32, 7))
+        assert decode_recipe("s", encode_recipe("s", mixed, 7)) == ("s", tuple(mixed), 7)
+        # A 288-byte digest (prefix 0x0120) carrying 0x20 0x00 wherever
+        # the stride lands inside it: only the prefixes' high bytes tell
+        # this blob from ten 32-byte digests.
+        wide = bytearray(288)
+        wide[32::34] = b"\x20" * len(wide[32::34])
+        crafted = [bytes(wide)] + [b""] * 8 + d32[:1]
+        blob = encode_recipe("s", crafted, 7)
+        assert len(blob) == 12 + 10 * 34 and blob[12::34] == b"\x20" * 10
+        assert decode_recipe("s", blob) == ("s", tuple(crafted), 7)
 
     def test_persistent_recipes_survive_reopen(self, tmp_path):
         digests = tuple(chunk_hash(bytes([i]) * 3) for i in range(9))

@@ -392,11 +392,11 @@ class Shredder:
         if total_bytes % cfg.buffer_size:
             sizes.append(total_bytes % cfg.buffer_size)
         chunks_per_buffer = max(1, round(n_chunks / len(sizes)))
-        # Identical buffers cost the same: price each distinct size once —
-        # unless (no ring) each transfer pins a buffer on the host-memory model.
-        per_buffer = cfg.double_buffering and not cfg.pinned_ring
-        distinct = sizes if per_buffer else dict.fromkeys(sizes)
-        costs = {size: self._gpu_phase_costs(size, chunks_per_buffer) for size in distinct}
+        # Identical buffers cost the same: price each distinct size once.
+        costs = {
+            size: self._gpu_phase_costs(size, chunks_per_buffer)
+            for size in dict.fromkeys(sizes)
+        }
         report.phase_costs = [costs[size] for size in sizes]
         if cfg.pipeline_stages > 1:
             report.schedule = pipeline_schedule(

@@ -119,20 +119,9 @@ class FrameConnection:
     @classmethod
     async def open(cls, host: str, port: int, max_frame: int) -> "FrameConnection":
         loop = asyncio.get_running_loop()
-        error: OSError = OSError(f"no address for {host!r}")
-        infos = await loop.getaddrinfo(host, port, type=socket.SOCK_STREAM)
-        for family, kind, proto, _, address in infos:
-            conn = cls(socket.socket(family, kind, proto), max_frame)
-            try:
-                await loop.sock_connect(conn.sock, address)
-                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                return conn
-            except BaseException as exc:
-                conn.close()
-                if not isinstance(exc, OSError):
-                    raise
-                error = exc
-        raise error
+        sock = await loop.run_in_executor(None, socket.create_connection, (host, port))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return cls(sock, max_frame)
 
     async def send(self, data) -> None:
         await asyncio.get_running_loop().sock_sendall(self.sock, data)
@@ -211,9 +200,11 @@ class FrameConnection:
     def abort(self) -> None:
         """Close with an RST (``SO_LINGER 0``): a FIN on a frame boundary reads
         as a walk-away and aborts the open snapshot; a reset parks it for resume."""
-        if self.sock.fileno() >= 0:
+        try:
             linger = struct.pack("ii", 1, 0)
             self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+        except OSError:
+            pass  # already closed, or past resetting: close it all the same
         self.close()
 
 

@@ -11,6 +11,7 @@ restore lands byte-exact in the caller's buffer.
 from __future__ import annotations
 
 import asyncio
+import errno
 import socket
 import tracemalloc
 
@@ -271,6 +272,31 @@ class TestEof:
 
         with pytest.raises(ConnectionError):
             scripted(scenario)
+
+    def test_abort_closes_a_socket_it_cannot_reset(self):
+        """``SO_LINGER`` refused (a socket the peer already reset, on some
+        platforms): the socket and its reader registration still go, so
+        the redial that called ``abort`` proceeds."""
+
+        class Stubborn(socket.socket):
+            def setsockopt(self, *args):
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+        async def scenario():
+            ours, peer = socket.socketpair()
+            conn = FrameConnection(
+                Stubborn(fileno=ours.detach()), wire.DEFAULT_MAX_FRAME
+            )
+            try:
+                receiving = asyncio.ensure_future(conn.recv())
+                await asyncio.sleep(0.01)  # the reader is registered
+                receiving.cancel()
+                conn.abort()
+                return conn.sock.fileno(), conn._loop
+            finally:
+                peer.close()
+
+        assert asyncio.run(scenario()) == (-1, None)
 
     def test_retry_policy_client_redials_after_eof_mid_frame(self):
         """The client's connection dies half-way through a reply; with a

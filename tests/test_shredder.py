@@ -177,10 +177,7 @@ class TestTimingShape:
             assert report.phase_costs == [
                 reference._gpu_phase_costs(size, per_buffer) for size in sizes
             ]
-        # Without the ring each transfer pins a buffer on the host-memory
-        # model: that preset stays per buffer.
-        no_ring = config.double_buffering and not config.pinned_ring
-        assert priced == (sizes if no_ring else sizes[-2:])
+        assert priced == sizes[-2:]
 
     def test_ring_setup_accounted(self):
         with Shredder(ShredderConfig.gpu_streams_memory()) as s:

@@ -13,8 +13,8 @@ Two pipelines per configuration:
     per chunk, one index probe per digest.
 
 ``fast``
-    The zero-copy path: striped vector scan running the fused
-    multi-step roll kernel on the self-tuned per-host geometry
+    The zero-copy path: striped vector scan running the byte-plane
+    roll kernel on the self-tuned per-host geometry
     (``repro.core.autotune``), vectorized ``select_cuts_fast``, lazy
     view chunks with one batched hashing pass, batched index/cluster
     lookups.  Rows carry the scan's kernel-dispatch counters
@@ -69,9 +69,9 @@ from repro.workloads import seeded_bytes
 
 MB = 1 << 20
 TARGET_SPEEDUP = 3.0
-#: Fused-kernel dispatch acceptance: at roll_steps=8 the scan must issue
-#: at least this factor fewer kernel dispatches per MiB than the 1-step
-#: reference on the same geometry (ISSUE 4 bar: >= 4x at S=8).
+#: Roll-kernel dispatch acceptance: at roll_steps=8 the scan must issue
+#: at least this factor fewer kernel dispatches per MiB than blocks of
+#: one row on the same geometry (ISSUE 4 bar: >= 4x at S=8).
 TARGET_DISPATCH_REDUCTION = 4.0
 #: Thread-sweep acceptance: 4 scan/hash workers must beat 1 by this
 #: factor on the fast path — only asserted on hosts with >= 4 CPUs
@@ -255,9 +255,9 @@ def run_sweep(quick: bool) -> dict:
             raise AssertionError("vector path diverged from SerialEngine")
 
     # -- thread sweep: the multi-core scaling curve ---------------------
-    # The sweep input must span one 4 MiB scan tile *per worker* or the
-    # engine rightly refuses to fan that wide: 16 MiB is the floor for
-    # an honest 4-thread row (8 MiB would silently run 2 workers).
+    # The sweep input must span one scan tile *per worker* or the engine
+    # rightly refuses to fan that wide; 16 MiB gives every worker of a
+    # 4-thread row several 1 MiB tiles.
     # Affinity-aware count: on cgroup/affinity-limited runners
     # os.cpu_count() overstates the parallelism actually available, and
     # the scaling gate below must not demand speedups the kernel won't
@@ -504,7 +504,7 @@ def main(argv=None) -> int:
         print(
             f"\ntuned geometry [{geometry.get('source')}]: "
             f"lanes={geometry.get('lanes')} "
-            f"tile={geometry.get('tile_bytes', 0) // MB} MiB "
+            f"tile={geometry.get('tile_bytes', 0) // 1024} KiB "
             f"roll_steps={geometry.get('roll_steps')} "
             f"threads={geometry.get('threads')}"
         )

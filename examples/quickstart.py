@@ -80,7 +80,7 @@ def main() -> None:
 
     geometry = get_geometry()
     print(f"\nscan geometry [{geometry.source}]: lanes={geometry.lanes}, "
-          f"tile={geometry.tile_bytes >> 20} MiB, "
+          f"tile={geometry.tile_bytes >> 10} KiB, "
           f"fused roll_steps={geometry.roll_steps}")
 
     # -- threaded scan + stage-overlapped pipeline ---------------------------

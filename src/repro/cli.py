@@ -136,7 +136,7 @@ def _print_profile(n_bytes: int, seconds: float) -> None:
         )
         print(
             f"scan geometry: lanes={g.get('lanes')} "
-            f"tile={g.get('tile_bytes', 0) >> 20} MiB "
+            f"tile={g.get('tile_bytes', 0) >> 10} KiB "
             f"roll_steps={g.get('roll_steps')}"
         )
     backends = snap["backends"]
@@ -630,7 +630,7 @@ def cmd_tune(args) -> int:
             print(f"tuned geometry for {autotune.host_key()}:")
     table = ResultTable("Striped-scan geometry", ["Knob", "Value"])
     table.add("lanes", geometry.lanes)
-    table.add("tile_bytes", f"{geometry.tile_bytes} ({geometry.tile_bytes >> 20} MiB)")
+    table.add("tile_bytes", f"{geometry.tile_bytes} ({geometry.tile_bytes >> 10} KiB)")
     table.add("roll_steps", geometry.roll_steps)
     table.add("threads", "auto" if geometry.threads is None else geometry.threads)
     if geometry.mib_per_s is not None:

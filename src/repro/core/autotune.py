@@ -10,12 +10,9 @@ coordinate descent, persists the per-host winner to a cache file, and
 feeds it to every consumer of the fast path:
 
 * :class:`repro.core.engines.VectorEngine` — default ``lanes`` /
-  ``tile_bytes`` / ``roll_steps`` (replacing the fixed 4 MiB tiles);
+  ``tile_bytes`` / ``roll_steps`` (replacing the fixed 1 MiB tiles);
 * :func:`repro.core.engines.parallel_candidate_cuts` — the region floor
   follows the tuned tile;
-* :func:`repro.core.chunking.pipeline_chunks` — the hash-batch size is
-  derived from the tuned tile so one hashing pass covers about one scan
-  tile;
 * :mod:`repro.core.threads` — the measured thread-sweep winner becomes
   the auto-detected worker default (explicit ``REPRO_THREADS`` /
   ``set_threads`` still win).
@@ -56,6 +53,7 @@ from repro.core.engines import (
     DEFAULT_LANES,
     DEFAULT_ROLL_STEPS,
     DEFAULT_TILE_BYTES,
+    KERNEL_GENERATION,
     VectorEngine,
 )
 from repro.core.threads import available_cpus, set_default_threads
@@ -140,13 +138,16 @@ def host_key() -> str:
 
     A cache hit on a different machine class (or NumPy build, whose
     gather/dispatch costs set the optimum) would silently apply the
-    wrong answer, so all of it keys the cache entry.
+    wrong answer, so all of it keys the cache entry — the roll kernel's
+    generation included: a winner measured on an older kernel (4 MiB
+    tiles, say) is simply not found, and the host re-tunes.
     """
     return (
         f"{platform.system()}:{platform.machine()}"
         f":cpus={available_cpus()}"
         f":numpy={np.__version__}"
         f":py={sys.version_info[0]}.{sys.version_info[1]}"
+        f":kernel={KERNEL_GENERATION}"
     )
 
 
@@ -318,7 +319,7 @@ def tune(
         size = data_bytes or 4 * MB
         steps_grid = [1, 8, 16, 24]
         lanes_grid = [4096, 8192]
-        tile_grid = [2 * MB, 4 * MB]
+        tile_grid = [MB // 2, MB]
         # The quick buffer is too small for the scan to fan out (regions
         # are at least one tile wide), so a thread sweep here would just
         # compare serial runs and crown noise; leave threads deferred.
@@ -328,7 +329,7 @@ def tune(
         size = data_bytes or 16 * MB
         steps_grid = [1, 4, 8, 16, 24, 32]
         lanes_grid = [2048, 4096, 8192, 16384]
-        tile_grid = [MB, 2 * MB, 4 * MB, 8 * MB, 16 * MB]
+        tile_grid = [MB // 4, MB // 2, MB, 2 * MB, 4 * MB]
         thread_grid = sorted({1, 2, 4, cpus} & set(range(1, cpus + 1)))
         repeats = 3
     rng = np.random.default_rng(0xC0FFEE)

@@ -488,17 +488,18 @@ def stream_chunks(
         yield Chunk(prev, end - prev, views=take(end))
 
 
+#: Bytes one hash batch is sized to cover.  A constant of the pipeline,
+#: not of the scan geometry: batch boundaries decide every probe and
+#: placement count downstream, so they must not move with a tuned tile.
+HASH_BATCH_BYTES = 4 << 20
+
+
 def _resolve_batch_chunks(config: ChunkerConfig) -> int:
-    """Hash-batch size matched to the tuned scan tile.
-
-    ``tile_bytes / expected_chunk_size`` chunks make one hash pass span
-    roughly one scan tile, clamped to a sane range so degenerate mask
-    settings cannot produce 1-chunk or million-chunk batches.
+    """Chunks per hash batch: ``HASH_BATCH_BYTES`` of expected chunks,
+    clamped to a sane range so degenerate mask settings cannot produce
+    1-chunk or million-chunk batches.
     """
-    from repro.core.autotune import get_geometry
-
-    expected = max(1, config.expected_chunk_size)
-    return max(32, min(4096, get_geometry().tile_bytes // expected))
+    return max(32, min(4096, HASH_BATCH_BYTES // config.expected_chunk_size))
 
 
 _PIPE_END = object()
@@ -646,9 +647,8 @@ def pipeline_chunks(
     same error type — so the serial configuration is genuinely
     single-threaded.
 
-    ``batch_chunks=None`` (the default) sizes batches from the
-    autotuned scan-tile geometry (one hashing pass per scan tile, see
-    :func:`_resolve_batch_chunks`).  Both stages accumulate wall-clock
+    ``batch_chunks=None`` (the default) sizes batches to cover
+    ``HASH_BATCH_BYTES`` (see :func:`_resolve_batch_chunks`).  Both stages accumulate wall-clock
     into the ``scan`` / ``hash`` stage timers of
     :mod:`repro.core.stats`, powering ``repro chunk --profile``.
     """

@@ -20,21 +20,21 @@ Two interchangeable implementations:
 ``VectorEngine``
     NumPy data-parallel evaluation.  Small inputs use the linearity of
     Rabin fingerprints (XOR of per-position table entries, folded in
-    16-bit pairs).  Large inputs use a *striped rolling scan*: the buffer
+    16-bit pairs).  Large inputs use a *striped roll kernel*: the buffer
     is cut into cache-sized tiles, each tile into ``lanes`` equal
     sub-streams, and every lane rolls its own window serially while NumPy
-    vectorizes *across* lanes — exactly the paper's SPMD kernel layout
-    (§3.1).  By default the striped scan runs the **fused multi-step
-    roll kernel** (``roll_steps``): the same GF(2) linearity that yields
-    the position tables collapses a step's out-table and entering-byte
-    lookups into one gather from a composite 16-bit-indexed roll table,
-    and one kernel launch pre-gathers ``roll_steps`` steps' data terms
-    for every lane before an unrolled reduce chain retires them —
-    amortizing per-launch dispatch the way the paper amortizes kernel
-    launch and DMA over larger work units (§4.1).  ``roll_steps=1``
-    preserves the original one-step loop as the differential reference.
-    All lookup tables are cached at module level keyed by
-    ``(polynomial, window_size)`` so fresh engines are cheap to build;
+    vectorizes *across* lanes — the paper's SPMD kernel layout (§3.1).
+    The tile is transposed once into **byte planes** (row ``t`` = byte
+    ``t`` of every lane), which is the paper's memory coalescing (§4.3)
+    in NumPy terms: every operand of a step — leaving bytes, entering
+    bytes, state — is one contiguous lane-wide row, never a strided
+    walk of each lane's own sub-stream.  The only tables the kernel
+    reads are two of 256 entries (2 KiB each, L1-resident), and one
+    lookup fetches the data terms of ``roll_steps`` rows ahead of the
+    chain that retires them — amortizing per-launch dispatch the way
+    the paper amortizes kernel launch and DMA over larger work units
+    (§4.1).  The gather path's pair tables are cached at module level
+    keyed by ``(polynomial, window_size)`` and built on first use;
     default geometry (lanes/tile/roll_steps) comes from the per-host
     autotuner (:mod:`repro.core.autotune`) rather than constants.
 """
@@ -44,7 +44,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.rabin import RabinFingerprinter
 from repro.core.threads import get_threads, scan_pool
@@ -57,11 +56,11 @@ __all__ = [
     "as_byte_view",
     "as_uint8",
     "engine_tables",
-    "fused_roll_tables",
     "parallel_candidate_cuts",
     "DEFAULT_LANES",
     "DEFAULT_TILE_BYTES",
     "DEFAULT_ROLL_STEPS",
+    "KERNEL_GENERATION",
 ]
 
 
@@ -97,16 +96,17 @@ def as_uint8(data) -> np.ndarray:
 
 
 class _EngineTables:
-    """Precomputed NumPy lookup tables for one (polynomial, window) pair.
+    """Pair tables of the gather evaluation for one (polynomial, window).
 
-    ``pair``/``low`` drive the gather-based evaluation: ``pair[q][v]`` is
-    the contribution of the 16-bit little-endian pair ``v`` at window
-    pair-offset ``q`` (``low`` is its 16-bit truncation, 4x less gather
-    traffic).  ``out``/``reduce`` are the two 256-entry roll tables of
-    the striped scan — together 4 KB, permanently L1-resident.
+    ``pair[q][v]`` is the contribution of the 16-bit little-endian pair
+    ``v`` at window pair-offset ``q``; ``low`` is its 16-bit truncation
+    (4x less gather traffic).  12.6 MB + 3 MB at the default window and
+    ~0.15 s to build, read only by inputs below the roll crossover and
+    by the :meth:`VectorEngine.fingerprints` reference — so they are
+    built on first use, never by constructing an engine.
     """
 
-    __slots__ = ("pair", "low", "out", "reduce")
+    __slots__ = ("pair", "low")
 
     def __init__(self, fingerprinter: RabinFingerprinter) -> None:
         w = fingerprinter.window_size
@@ -117,21 +117,17 @@ class _EngineTables:
         for q in range(w // 2):
             self.pair[q] = position[2 * q][lo] ^ position[2 * q + 1][hi]
         self.low = self.pair.astype(np.uint16)
-        self.out = np.array(fingerprinter.out_table, dtype=np.uint64)
-        self.reduce = np.array(fingerprinter.reduce_table, dtype=np.uint64)
 
 
 #: Module-level table cache: (polynomial, window_size) -> _EngineTables.
 #: BackupServer and the CLI build a fresh Chunker (hence engine) per
-#: request; without this cache every request rebuilds ~3 MB of tables.
+#: request; without this cache every small scan rebuilds ~15 MB of tables.
 _TABLE_CACHE: dict[tuple[int, int], _EngineTables] = {}
 _TABLE_LOCK = threading.Lock()
 
 
 def engine_tables(fingerprinter: RabinFingerprinter) -> _EngineTables:
-    """Shared lookup tables for ``fingerprinter`` (built once per process)."""
-    if fingerprinter.window_size % 2 != 0:
-        raise ValueError("pair tables require an even window size")
+    """Shared gather tables for ``fingerprinter`` (built once per process)."""
     key = (fingerprinter.polynomial, fingerprinter.window_size)
     tables = _TABLE_CACHE.get(key)
     if tables is None:
@@ -140,52 +136,6 @@ def engine_tables(fingerprinter: RabinFingerprinter) -> _EngineTables:
             tables = _TABLE_CACHE.get(key)
             if tables is None:
                 tables = _TABLE_CACHE[key] = _EngineTables(fingerprinter)
-    return tables
-
-
-class _FusedRollTables:
-    """Composite roll table of the fused multi-step kernel.
-
-    One roll step is GF(2)-linear (see
-    :meth:`RabinFingerprinter.fused_out_table`):
-
-        f(p+1) = f(p) * x**8  ^  d[p] * x**(8*w)  ^  d[p+w]   (mod P)
-
-    ``data[v]`` fuses the whole data-dependent term into **one** gather:
-    for the 16-bit index ``v = d[p] | d[p+w] << 8`` it holds
-    ``lo(v) * x**(8*w)  ^  hi(v)  (mod P)``.  The classic path pays two
-    table lookups per position (out-table + reduce-table); the fused
-    kernel pays this one plus the shared 8-bit reduce fold, and batches
-    ``roll_steps`` positions' worth of ``data`` gathers into a single
-    NumPy dispatch.
-
-    The table is *step-count invariant* — ``roll_steps`` shapes how many
-    of these terms one kernel launch consumes (the stacked gather
-    width), not the table contents — so the cache is keyed by
-    ``(polynomial, window_size)`` alone and every ``roll_steps`` setting
-    shares one 512 KiB table.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, fingerprinter: RabinFingerprinter) -> None:
-        out = np.array(fingerprinter.fused_out_table(), dtype=np.uint64)
-        v = np.arange(65536, dtype=np.uint32)
-        self.data = out[v & 0xFF] ^ (v >> 8).astype(np.uint64)
-
-
-_FUSED_CACHE: dict[tuple[int, int], _FusedRollTables] = {}
-
-
-def fused_roll_tables(fingerprinter: RabinFingerprinter) -> _FusedRollTables:
-    """Shared composite roll table for ``fingerprinter`` (built once)."""
-    key = (fingerprinter.polynomial, fingerprinter.window_size)
-    tables = _FUSED_CACHE.get(key)
-    if tables is None:
-        with _TABLE_LOCK:
-            tables = _FUSED_CACHE.get(key)
-            if tables is None:
-                tables = _FUSED_CACHE[key] = _FusedRollTables(fingerprinter)
     return tables
 
 
@@ -297,43 +247,58 @@ class SerialEngine(Engine):
 
 #: Fallback striped-scan geometry, used when self-tuning is disabled
 #: (``REPRO_AUTOTUNE=0``) or has not produced a per-host answer yet:
-#: 4096 lanes over 4 MiB tiles keeps the per-step working set (a handful
-#: of lane-wide uint64 vectors) in L2 and the tile itself in L3, and the
-#: fused kernel advances every lane 8 positions per launch.  The real
-#: geometry should come from :mod:`repro.core.autotune`, which measures
-#: this host instead of assuming it.
+#: 4096 lanes keep the chain's working set (four lane-wide 64-bit
+#: vectors and one ``roll_steps``-row block of data terms) in L2, and a
+#: 1 MiB tile keeps its byte planes and 16-bit history there too.  The
+#: real geometry should come from :mod:`repro.core.autotune`, which
+#: measures this host instead of assuming it.
 DEFAULT_LANES = 4096
-DEFAULT_TILE_BYTES = 4 << 20
+DEFAULT_TILE_BYTES = 1 << 20
 DEFAULT_ROLL_STEPS = 8
+
+#: Generation of the roll kernel.  The tuner keys its per-host cache on
+#: it, so a geometry measured on an older kernel is never applied to
+#: this one; bump it whenever the kernel's cost model changes.
+KERNEL_GENERATION = 2
+
+#: Fewest window positions a lane is given.  Every lane pays ``window``
+#: seed rows before its first position, so a tile narrows its lane count
+#: to ``positions // _LANE_FLOOR`` rather than seed 4096 lanes for a
+#: handful of rows each.
+_LANE_FLOOR = 64
+#: Inputs of at most this many window positions take the gather path:
+#: one floor-deep row of 64 lanes is where the roll kernel's fixed
+#: per-row dispatch cost (``window + _LANE_FLOOR`` rows whatever the
+#: size) meets the gather path's per-position cost, measured.
+_GATHER_MAX_POSITIONS = 64 * _LANE_FLOOR
+#: Lanes transposed per copy when a tile is laid out as byte planes;
+#: keeps the strided side of the copy inside L1 at any tile size.
+_TRANSPOSE_LANES = 64
 
 
 class VectorEngine(Engine):
     """NumPy engine evaluating all windows in parallel.
 
-    Small buffers (``<= 2 * lanes`` windows) are evaluated by table
-    gathers: the fingerprint of the window starting at ``i`` is
+    Small buffers (``<= _GATHER_MAX_POSITIONS`` windows) are evaluated
+    by table gathers: the fingerprint of the window starting at ``i`` is
     ``XOR_q T2[q][pair(i + 2q)]`` where ``pair(p) = data[p] | data[p+1]<<8``
-    (``T2`` are the cached pair tables).
+    (``T2`` are the pair tables of :func:`engine_tables`, built on first
+    use).
 
-    Large buffers use the striped rolling scan (see module docstring).
-    With ``roll_steps == 1`` each position costs two gathers from
-    256-entry L1-resident roll tables plus a few lane-wide ALU ops —
-    kept as the differential reference for the fused kernel.  With
-    ``roll_steps = S > 1`` (the default) the **fused multi-step roll
-    kernel** runs instead: the two data lookups of a step collapse into
-    one gather from the composite 16-bit-indexed roll table
-    (:func:`fused_roll_tables`), and one kernel launch pre-gathers the
-    data terms for ``S`` consecutive steps of every lane before an
-    unrolled in-launch reduce chain retires them — ``S`` positions per
-    lane per dispatch, amortizing per-launch overhead exactly like the
-    paper amortizes kernel launch + DMA over larger work units (§4.1).
-    Both paths are bit-identical to each other and to the gather
-    reference (differentially fuzzed).
+    Everything larger runs the striped roll kernel
+    (:meth:`_roll_hits`): per tile, one transpose into byte planes, then
+    a chain of lane-wide steps whose every operand is a contiguous row
+    and whose only tables are two 256-entry, L1-resident ones.
+    ``roll_steps`` is the number of rows whose data terms one stacked
+    lookup fetches ahead of the chain — the paper's amortization of
+    per-launch cost over larger work units (§4.1); ``1`` is a block of
+    one row, the same code.  Bit-identical to :class:`SerialEngine` and
+    to the gather reference at every geometry (differentially fuzzed).
 
     On multi-core hosts the striped scan itself fans out: window
     positions are partitioned into per-worker regions (each at least one
     tile) that run concurrently on the shared scan pool — NumPy releases
-    the GIL in the gather/ALU inner loops, so region scans genuinely
+    the GIL in the lookup/ALU inner loops, so region scans genuinely
     overlap.  ``threads=None`` follows the process-wide setting
     (:func:`repro.core.threads.get_threads`, i.e. ``REPRO_THREADS``);
     ``threads=0``/``1`` pins the engine serial.  Output is bit-identical
@@ -376,12 +341,18 @@ class VectorEngine(Engine):
         self.tile_bytes = tile_bytes
         self.roll_steps = roll_steps
         self.threads = threads
-        tables = engine_tables(self.fingerprinter)
-        self._pair_tables = tables.pair
-        self._low_tables = tables.low
-        self._out_table = tables.out
-        self._reduce_table = tables.reduce
-        self._fused_table = fused_roll_tables(self.fingerprinter).data
+        # The roll kernel's two tables, 2 KiB each.  State is int64 so a
+        # shifted-out byte is a valid ``np.take`` index with no cast.
+        # ``_out_table[b] = b * x**(8*w) mod P``: what the byte leaving
+        # the window contributes one step later.  ``_fold_table[t]``
+        # reduces the byte ``t`` that ``f << 8`` pushes past the degree
+        # *and* clears it (``t << degree``) in the same XOR.
+        fp = self.fingerprinter
+        self._out_table = np.array(fp.fused_out_table(), dtype=np.int64)
+        top = np.arange(256, dtype=np.uint64)
+        self._fold_table = (
+            np.array(fp.reduce_table, dtype=np.uint64) ^ (top << np.uint64(fp.degree))
+        ).view(np.int64)
 
     # -- gather evaluation (reference; also the small-input fast path) -----
 
@@ -393,211 +364,130 @@ class VectorEngine(Engine):
         """
         d = as_uint8(data)
         w = self.fingerprinter.window_size
-        n = d.size
-        if n < w:
+        if d.size < w:
             return np.empty(0, dtype=np.uint64)
-        pairs = d[:-1].astype(np.uint16) | (d[1:].astype(np.uint16) << np.uint16(8))
-        m = n - w + 1
-        acc = self._pair_tables[0][pairs[:m]].copy()
-        for q in range(1, w // 2):
-            acc ^= self._pair_tables[q][pairs[2 * q : 2 * q + m]]
-        return acc
+        return self._gather(d, engine_tables(self.fingerprinter).pair)
 
     def _low_fingerprints(self, d: np.ndarray) -> np.ndarray:
         """Low 16 bits of every window fingerprint (untiled gather scan)."""
+        return self._gather(d, engine_tables(self.fingerprinter).low)
+
+    def _gather(self, d: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """XOR of one ``tables`` entry per byte pair of every window."""
         w = self.fingerprinter.window_size
         pairs = d[:-1].astype(np.uint16) | (d[1:].astype(np.uint16) << np.uint16(8))
         m = d.size - w + 1
-        acc = self._low_tables[0][pairs[:m]].copy()
+        acc = tables[0][pairs[:m]].copy()
         for q in range(1, w // 2):
-            acc ^= self._low_tables[q][pairs[2 * q : 2 * q + m]]
+            acc ^= tables[q][pairs[2 * q : 2 * q + m]]
         return acc
 
-    # -- striped rolling scan (the large-input fast path) ------------------
+    # -- striped roll kernel (the large-input fast path) -------------------
 
-    def _striped_hits(self, d: np.ndarray, mask: int, marker: int) -> np.ndarray:
-        """Window-start offsets of marker windows, via the striped scan.
+    @staticmethod
+    def _byte_planes(seg: np.ndarray, steps: int, width: int) -> np.ndarray:
+        """``seg`` as ``(steps, width)`` planes: row ``t`` holds byte ``t``
+        of each of ``width`` consecutive ``steps``-byte sub-streams.
+
+        ``seg`` holds at most ``steps * width`` bytes; those it does not
+        have (the input's tail) read as zero.
+        """
+        planes = np.zeros((steps, width), dtype=np.uint8)
+        full, rest = divmod(seg.size, steps)
+        body = seg[: full * steps].reshape(full, steps)
+        whole = planes[:, :full]
+        for j in range(0, full, _TRANSPOSE_LANES):
+            whole[:, j : j + _TRANSPOSE_LANES] = body[j : j + _TRANSPOSE_LANES].T
+        if rest:
+            planes[:rest, full] = seg[full * steps : full * steps + rest]
+        return planes
+
+    def _roll_hits(self, d: np.ndarray, mask: int, marker: int) -> np.ndarray:
+        """Window-start offsets of marker windows, via the roll kernel.
 
         Each tile of ``tile_bytes`` window positions is split into
-        ``lanes`` contiguous sub-streams.  Lane seeds (the fingerprint of
-        each lane's first window) come from one pair-table gather over a
-        zero-copy ``sliding_window_view``; after that every lane rolls
-        byte-at-a-time, with NumPy vectorizing each roll step across all
-        lanes.  Only the low 16 fingerprint bits are kept per position
-        when the mask allows (XOR never carries across bit 15).
+        ``lanes`` contiguous sub-streams of ``steps`` bytes and laid out
+        once as byte planes (:meth:`_byte_planes`) with one extra
+        *spill* lane, so that every operand of the chain is a
+        contiguous lane-wide row: the byte leaving at row ``t`` is
+        ``planes[t]``, the byte entering is ``planes[t + w]`` of the
+        same lane or, past the lane's end, ``planes[t + w - steps]`` of
+        the next (hence ``steps >= w``).  One step is GF(2)-linear,
+
+            f(p+1) = f(p) * x**8  ^  d[p] * x**(8*w)  ^  d[p+w]   (mod P)
+
+        so a block of ``roll_steps`` rows first fetches its data terms
+        — one ``np.take`` from the 256-entry out-table, XOR the
+        entering rows — and the chain then retires them row by row:
+        shift, fold the overflow byte back through the 256-entry fold
+        table, XOR the data term, record.  Seeding is the same chain:
+        ``w`` append rows from ``f = 0`` (no byte leaves yet).  Only
+        the low 16 fingerprint bits are recorded per position when the
+        mask allows (XOR never carries across bit 15).
         """
         fp = self.fingerprinter
         w = fp.window_size
-        deg = np.uint64(fp.degree)
-        residue_mask = np.uint64((1 << fp.degree) - 1)
-        out_table, reduce_table = self._out_table, self._reduce_table
-        narrow = mask <= 0xFFFF
-        if narrow:
-            fp_dtype, m_mask, m_marker = np.uint16, np.uint16(mask), np.uint16(marker)
-        else:
-            fp_dtype, m_mask, m_marker = np.uint64, np.uint64(mask), np.uint64(marker)
-
-        n = d.size
-        m = n - w + 1
-        windows = sliding_window_view(d, w)  # (m, w) zero-copy view
-        eight = np.uint64(8)
-        hits: list[np.ndarray] = []
-        dispatches = tiles = 0
-        for t0 in range(0, m, self.tile_bytes):
-            tiles += 1
-            mt = min(self.tile_bytes, m - t0)
-            lanes = min(self.lanes, mt)
-            steps = -(-mt // lanes)  # window positions per lane
-            starts = t0 + np.arange(lanes, dtype=np.int64) * steps
-            # Seed fingerprints: one gather of each lane's first window.
-            # Lanes past the last real window (ceil rounding) are clamped;
-            # their positions are >= m and filtered out below.
-            seed = windows[np.minimum(starts, m - 1)]
-            pairs = seed[:, 0::2].astype(np.uint16) | (
-                seed[:, 1::2].astype(np.uint16) << np.uint16(8)
-            )
-            f = self._pair_tables[0][pairs[:, 0]].copy()
-            for q in range(1, w // 2):
-                f ^= self._pair_tables[q][pairs[:, q]]
-            # Roll-step byte planes, transposed so step t reads contiguous
-            # lane-wide rows: leaving[t] = d[start + t], entering[t] =
-            # d[start + t + w - 1].  The final tile zero-pads its tail;
-            # padded positions are >= m and filtered out below.
-            need = lanes * steps + w - 1
-            if t0 + need <= n:
-                seg = d[t0 : t0 + need]
-            else:
-                seg = np.zeros(need, dtype=np.uint8)
-                seg[: n - t0] = d[t0:]
-            body = seg[: lanes * steps].reshape(lanes, steps)
-            leaving = np.ascontiguousarray(body.T)
-            entering = np.ascontiguousarray(
-                seg[w - 1 : w - 1 + lanes * steps].reshape(lanes, steps).T
-            )
-            history = np.empty((steps, lanes), dtype=fp_dtype)
-            history[0] = f if not narrow else f.astype(np.uint16)
-            top = np.empty(lanes, dtype=np.uint64)
-            dispatches += steps  # seed launch + one roll launch per step
-            for t in range(1, steps):
-                f ^= out_table[leaving[t - 1]]
-                f <<= eight
-                f |= entering[t]
-                np.right_shift(f, deg, out=top)
-                f &= residue_mask
-                f ^= reduce_table[top]
-                history[t] = f  # narrow dtype truncates to the low 16 bits
-            tt, jj = np.nonzero((history & m_mask) == m_marker)
-            pos = starts[jj] + tt
-            hits.append(pos[pos < t0 + mt])
-        self._record_scan(dispatches, tiles, m, n, roll_steps=1)
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        out = np.concatenate(hits)
-        out.sort()
-        return out
-
-    def _striped_hits_fused(self, d: np.ndarray, mask: int, marker: int) -> np.ndarray:
-        """Window-start offsets of marker windows, via the fused roll kernel.
-
-        Same tiling and lane layout as :meth:`_striped_hits`, but each
-        kernel launch advances every lane ``roll_steps`` positions:
-
-        * The per-step data term collapses into **one** gather from the
-          composite roll table ``T[d[p] | d[p+w] << 8]``
-          (:class:`_FusedRollTables`) instead of separate out-table and
-          append lookups — the combined 16-bit index array is built once
-          per tile by byte interleaving (a view, not arithmetic).
-        * One stacked gather per launch fetches the data terms of all
-          ``roll_steps`` consecutive steps of every lane; the unrolled
-          in-launch chain then retires them with the shared 8-bit
-          reduce fold.  Dispatch count per position drops by the fused
-          step factor, and the gathered block is read contiguously
-          (the gather runs through a strided index *view*, so the tile
-          is never transposed).
-
-        Bit-identical to :meth:`_striped_hits` and the gather reference
-        at every ``roll_steps`` (differentially fuzzed).
-        """
-        fp = self.fingerprinter
-        w = fp.window_size
-        deg = np.uint64(fp.degree)
-        residue_mask = np.uint64((1 << fp.degree) - 1)
-        reduce_table = self._reduce_table
-        fused_table = self._fused_table
         S = self.roll_steps
-        narrow = mask <= 0xFFFF
-        if narrow:
+        out_table, fold_table = self._out_table, self._fold_table
+        # f < 2**degree between steps, so its top byte is exactly what
+        # the next ``<< 8`` overflows.
+        lead = np.int64(fp.degree - 8)
+        eight = np.int64(8)
+        if mask <= 0xFFFF:
             fp_dtype, m_mask, m_marker = np.uint16, np.uint16(mask), np.uint16(marker)
         else:
             fp_dtype, m_mask, m_marker = np.uint64, np.uint64(mask), np.uint64(marker)
 
+        def retire(f, top, fold, block, into) -> None:
+            """Advance state ``f`` through ``block``'s rows, recording each."""
+            for k in range(len(block)):
+                np.right_shift(f, lead, out=top)
+                np.left_shift(f, eight, out=f)
+                np.take(fold_table, top, out=fold, mode="clip")
+                np.bitwise_xor(f, fold, out=f)
+                np.bitwise_xor(f, block[k], out=f)
+                into[k] = f  # a narrow dtype keeps the low 16 bits
+
         n = d.size
         m = n - w + 1
-        windows = sliding_window_view(d, w)  # (m, w) zero-copy view
-        eight = np.uint64(8)
         hits: list[np.ndarray] = []
         dispatches = tiles = 0
         for t0 in range(0, m, self.tile_bytes):
             tiles += 1
             mt = min(self.tile_bytes, m - t0)
-            # Lane sub-streams are padded to a whole number of fused
-            # launches; padded positions land >= t0 + mt and are
-            # filtered below, exactly like the ceil-rounding of the
-            # 1-step path.
-            blocks = max(1, -(-mt // (self.lanes * S)))
-            steps = blocks * S  # window positions per lane
-            lanes = min(self.lanes, -(-mt // steps))
-            starts = t0 + np.arange(lanes, dtype=np.int64) * steps
-            # Seed fingerprints: one gather of each lane's first window.
-            seed = windows[np.minimum(starts, m - 1)]
-            pairs = seed[:, 0::2].astype(np.uint16) | (
-                seed[:, 1::2].astype(np.uint16) << np.uint16(8)
-            )
-            f = self._pair_tables[0][pairs[:, 0]].copy()
-            for q in range(1, w // 2):
-                f ^= self._pair_tables[q][pairs[:, q]]
-            # Composite roll index: idx[p] = d[p] | d[p+w] << 8 for every
-            # lane-local position p, built by byte interleaving into a
-            # little-endian uint16 view.  Rolling *to* position r
-            # consumes idx[r - 1].  The last roll of the last lane reads
-            # d[lanes*steps + w - 1], hence the +w segment (the final
-            # tile zero-pads its tail; padded positions are filtered).
-            need = lanes * steps + w
-            if t0 + need <= n:
-                seg = d[t0 : t0 + need]
-            else:
-                seg = np.zeros(need, dtype=np.uint8)
-                seg[: n - t0] = d[t0:]
-            span = lanes * steps
-            inter = np.empty((span, 2), dtype=np.uint8)
-            inter[:, 0] = seg[:span]
-            inter[:, 1] = seg[w : w + span]
-            idx = inter.view(np.uint16).reshape(lanes, steps)
-            hist = np.empty((steps, lanes), dtype=fp_dtype)
-            hist[0] = f if not narrow else f.astype(np.uint16)
-            top = np.empty(lanes, dtype=np.uint64)
-            dispatches += 1  # the seed launch
-            for r0 in range(1, steps, S):
-                blk = min(S, steps - r0)
-                dispatches += 1
-                # One stacked gather fetches the whole launch's data
-                # terms; the index view is strided, the gathered block
-                # contiguous.
-                g = fused_table[idx[:, r0 - 1 : r0 - 1 + blk].T]  # (blk, lanes)
-                for k in range(blk):
-                    # f <- f * x**8  ^  data-term   (mod P)
-                    f <<= eight
-                    np.right_shift(f, deg, out=top)
-                    f &= residue_mask
-                    f ^= reduce_table[top]
-                    f ^= g[k]
-                    hist[r0 + k] = f  # narrow dtype keeps the low 16 bits
-            tt, jj = np.nonzero((hist & m_mask) == m_marker)
-            pos = starts[jj] + tt
-            hits.append(pos[pos < t0 + mt])
+            lanes = max(1, min(self.lanes, mt // max(_LANE_FLOOR, w)))
+            rows = -(-mt // lanes)  # window positions per lane
+            steps = max(rows, w)  # lane stride; only a lone short lane is padded
+            planes = self._byte_planes(d[t0 : t0 + (lanes + 1) * steps], steps, lanes + 1)
+            own, spill = planes[:, :lanes], planes[:, 1:]
+            f = np.zeros(lanes, dtype=np.int64)
+            top = np.empty(lanes, dtype=np.intp)
+            fold = np.empty(lanes, dtype=np.int64)
+            terms = np.empty((S, lanes), dtype=np.int64)
+            # trail[u] is f once byte row u has entered: the window
+            # starting at row p ends at row p + w - 1.
+            trail = np.empty((w - 1 + rows, lanes), dtype=fp_dtype)
+
+            for u in range(0, w, S):  # seed: append rows 0..w-1
+                block = terms[: min(S, w - u)]
+                block[:] = own[u : u + len(block)]
+                retire(f, top, fold, block, trail[u : u + len(block)])
+            for r in range(0, rows - 1, S):  # roll: position r+k -> r+k+1
+                block = terms[: min(S, rows - 1 - r)]
+                np.take(out_table, own[r : r + len(block)], out=block, mode="clip")
+                # Entering rows r+w ..: the lane's own until row `steps`,
+                # then the next lane's from row 0.
+                e = r + w
+                cut = min(max(steps - e, 0), len(block))
+                block[:cut] ^= own[e : e + cut]
+                block[cut:] ^= spill[e + cut - steps : e + len(block) - steps]
+                retire(f, top, fold, block, trail[e : e + len(block)])
+            dispatches += -(-w // S) + -(-(rows - 1) // S)
+            flat = np.flatnonzero((trail[w - 1 :].reshape(-1) & m_mask) == m_marker)
+            row, lane = np.divmod(flat, lanes)
+            pos = lane * steps + row
+            hits.append(t0 + pos[pos < mt])
         self._record_scan(dispatches, tiles, m, n, roll_steps=S)
-        if not hits:
-            return np.empty(0, dtype=np.int64)
         out = np.concatenate(hits)
         out.sort()
         return out
@@ -632,29 +522,21 @@ class VectorEngine(Engine):
         return self.threads if self.threads is not None else get_threads()
 
     def serial_cut_array(self, data, mask: int, marker: int) -> np.ndarray:
-        """Single-threaded scan: striped for large inputs, gather for small.
-
-        The striped scan runs the fused multi-step kernel when
-        ``roll_steps > 1`` and the classic one-step roll (the
-        differential reference) at ``roll_steps == 1``.
-        """
+        """Single-threaded scan: roll kernel for large inputs, gather for small."""
         d = as_uint8(data)
         w = self.fingerprinter.window_size
         m = d.size - w + 1
         if m <= 0:
             return np.empty(0, dtype=np.int64)
-        if m > 2 * self.lanes:
-            if self.roll_steps > 1:
-                hits = self._striped_hits_fused(d, mask, marker)
-            else:
-                hits = self._striped_hits(d, mask, marker)
+        if m > _GATHER_MAX_POSITIONS:
+            hits = self._roll_hits(d, mask, marker)
         else:
             if mask <= 0xFFFF:
                 fps = self._low_fingerprints(d)
-                hits = np.nonzero((fps & np.uint16(mask)) == np.uint16(marker))[0]
+                hits = np.flatnonzero((fps & np.uint16(mask)) == np.uint16(marker))
             else:
                 fps = self.fingerprints(d)
-                hits = np.nonzero((fps & np.uint64(mask)) == np.uint64(marker))[0]
+                hits = np.flatnonzero((fps & np.uint64(mask)) == np.uint64(marker))
             self._record_scan(1, 1, m, d.size, roll_steps=0)
         return hits.astype(np.int64, copy=False) + w
 
@@ -672,7 +554,7 @@ class VectorEngine(Engine):
             m = d.size - self.fingerprinter.window_size + 1
             # Only fan out when every worker gets at least a full tile;
             # smaller inputs finish faster without dispatch overhead.
-            if m > max(self.tile_bytes, 2 * self.lanes):
+            if m > self.tile_bytes:
                 return parallel_candidate_cuts(
                     self, d, mask, marker, workers, min_region=self.tile_bytes
                 )

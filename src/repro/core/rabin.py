@@ -47,11 +47,10 @@ def _fused_out_table(polynomial: int, window_size: int):
         f(p+1) = f(p) * x**8  ^  d[p] * x**(8*w)  ^  d[p+w]   (mod P)
 
     so the whole data-dependent part of a step is the XOR of this
-    table's entry for the leaving byte with the raw entering byte.  The
-    vector engines combine the two into a single 16-bit-indexed
-    composite table (one gather per position instead of separate
-    out/append lookups).  Cached keyed by ``(polynomial, window_size)``
-    like the position tables.
+    table's entry for the leaving byte with the raw entering byte —
+    which the vector engine's roll kernel computes a block of rows at a
+    time, ahead of the serial chain.  Cached keyed by
+    ``(polynomial, window_size)`` like the position tables.
     """
     return gf2.byte_shift_table(8 * window_size, polynomial)
 
@@ -187,8 +186,7 @@ class RabinFingerprinter:
 
         ``T[b] == b * x**(8*w) mod P`` — see :func:`_fused_out_table`.
         Together with the raw entering byte this is the complete
-        data-dependent term of one roll step, which the vector engine
-        fuses into a single 16-bit-indexed composite table.  Cached at
-        module level keyed by ``(polynomial, window_size)``.
+        data-dependent term of one roll step.  Cached at module level
+        keyed by ``(polynomial, window_size)``.
         """
         return _fused_out_table(self.polynomial, self.window_size)

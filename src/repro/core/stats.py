@@ -3,13 +3,15 @@
 Besides the chunk-size summaries, this module hosts two lightweight
 process-wide instrumentation sinks for the fast path:
 
-* **Scan counters** — every striped/fused tile scan records how many
-  kernel dispatches it issued (one dispatch = one fused roll-kernel
-  launch advancing every lane ``roll_steps`` positions; the paper's
-  per-launch amortization, §4.1, measured instead of modeled), how many
-  bytes and tiles it covered, and the tile geometry used.  The e2e
-  benchmark surfaces ``bytes_per_dispatch`` so dispatch reduction shows
-  up directly in ``BENCH_e2e.json``.
+* **Scan counters** — every scan records how many kernel dispatches it
+  issued (one dispatch = one block of the roll kernel: a stacked
+  data-term lookup for up to ``roll_steps`` byte-plane rows and the
+  chain that retires them, the ``window`` seed rows of a tile counted
+  in the same blocks; the paper's per-launch amortization, §4.1,
+  measured instead of modeled), how many bytes and tiles it covered,
+  and the tile geometry used.  The e2e benchmark surfaces
+  ``bytes_per_dispatch`` so dispatch reduction shows up directly in
+  ``BENCH_e2e.json``.
 * **Stage timers** — the chunk pipeline (scan / hash) and the dedup
   index (lookup) accumulate wall-clock per stage, powering
   ``python -m repro chunk --profile``.
@@ -99,10 +101,10 @@ def dedup_ratio(chunks: Sequence[Chunk]) -> float:
 class ScanCounters:
     """Cumulative striped-scan instrumentation since the last reset.
 
-    ``dispatches`` counts fused roll-kernel launches (Python-level loop
-    iterations of the striped scan: each launch advances every lane by
-    ``roll_steps`` positions, plus one launch per tile seed / gather
-    evaluation).  ``geometry`` records the last scan's effective
+    ``dispatches`` counts roll-kernel blocks (the Python-level loop of
+    the striped scan: each block advances every lane of a tile by up to
+    ``roll_steps`` rows, seed rows included; a gather evaluation counts
+    as one).  ``geometry`` records the last scan's configured
     ``(lanes, tile_bytes, roll_steps)`` so benchmark rows can attribute
     a dispatch rate to the geometry that produced it.
     """

@@ -26,7 +26,7 @@ from repro.core.autotune import (
     set_geometry,
     tune,
 )
-from repro.core.chunking import ChunkerConfig, _resolve_batch_chunks
+from repro.core.chunking import HASH_BATCH_BYTES, ChunkerConfig, _resolve_batch_chunks
 
 MB = 1 << 20
 
@@ -124,6 +124,18 @@ class TestCacheFile:
         (tmp_path / "autotune.json").write_text(json.dumps(payload))
         assert load_cached() is None
 
+    def test_entry_from_an_older_kernel_ignored(self, tmp_path):
+        """A winner persisted before the kernel generation joined the
+        key (4 MiB tiles, measured on the kernel this one replaced) is
+        not found, so the host re-tunes instead of running it."""
+        old_key, generation = host_key().rsplit(":kernel=", 1)
+        assert generation
+        payload = {"version": 1, "hosts": {old_key: {
+            "lanes": 4096, "tile_bytes": 4 * MB, "roll_steps": 8, "threads": None,
+        }}}
+        (tmp_path / "autotune.json").write_text(json.dumps(payload))
+        assert load_cached() is None
+
     def test_invalid_cached_values_rejected(self, tmp_path):
         payload = {"version": 1, "hosts": {host_key(): {
             "lanes": 0, "tile_bytes": 2 * MB, "roll_steps": 8, "threads": None,
@@ -178,14 +190,16 @@ class TestWiring:
         set_threads(5)
         assert get_threads() == 5
 
-    def test_pipeline_batch_follows_tile(self):
+    def test_pipeline_batch_independent_of_tile(self):
+        """Batch boundaries set every probe and placement count
+        downstream, so a tuned tile must not move them."""
         config = ChunkerConfig()  # 8 KiB expected chunks
-        set_geometry(ScanGeometry(tile_bytes=2 * MB))
-        assert _resolve_batch_chunks(config) == (2 * MB) // config.expected_chunk_size
-        set_geometry(ScanGeometry(tile_bytes=64 * MB))
-        assert _resolve_batch_chunks(config) == 4096  # clamped
-        set_geometry(ScanGeometry(tile_bytes=1))
-        assert _resolve_batch_chunks(config) == 32  # clamped
+        expect = HASH_BATCH_BYTES // config.expected_chunk_size
+        for tile in (1, MB, 64 * MB):
+            set_geometry(ScanGeometry(tile_bytes=tile))
+            assert _resolve_batch_chunks(config) == expect
+        assert _resolve_batch_chunks(ChunkerConfig(mask_bits=4, marker=1)) == 4096  # clamped
+        assert _resolve_batch_chunks(ChunkerConfig(mask_bits=24, marker=1)) == 32  # clamped
 
 
 class TestTuner:

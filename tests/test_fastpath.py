@@ -37,8 +37,9 @@ from repro.core.engines import (
     SerialEngine,
     VectorEngine,
     as_uint8,
+    _GATHER_MAX_POSITIONS,
+    _TABLE_CACHE,
     engine_tables,
-    fused_roll_tables,
 )
 from repro.core.stats import reset_scan_counters, scan_counters
 from repro.core.hashing import chunk_hash, digest_chunks, digest_many
@@ -56,6 +57,14 @@ def small_config(**kw) -> ChunkerConfig:
     return ChunkerConfig(
         window_size=8, mask_bits=5, marker=SMALL_MARKER, polynomial=SMALL_POLY, **kw
     )
+
+
+def kernel_cuts(engine: VectorEngine, data, mask: int, marker: int) -> list[int]:
+    """Cuts straight from the roll kernel, below the gather crossover too."""
+    d = as_uint8(data)
+    if d.size < engine.window_size:
+        return []
+    return (engine._roll_hits(d, mask, marker) + engine.window_size).tolist()
 
 
 def split_buffers(data: bytes, sizes):
@@ -87,7 +96,7 @@ class TestDifferentialFuzz:
         assert serial == vector
 
     def test_striped_path_matches_gather_path(self):
-        """Inputs past the lane threshold exercise the striped rolling scan."""
+        """Inputs past the gather crossover exercise the striped roll kernel."""
         data = seeded_bytes(256 * 1024, seed=5)
         wide = VectorEngine(SMALL_FP)
         tiny = VectorEngine(SMALL_FP, lanes=64, tile_bytes=4096)  # many tiles
@@ -160,13 +169,12 @@ class TestDifferentialFuzz:
 
 
 class TestFusedRollKernel:
-    """Fused S-step roll vs the 1-step reference: bit-identical always.
+    """The roll kernel at every block size: bit-identical always.
 
-    ``roll_steps=1`` runs the original striped loop (the differential
-    reference the ISSUE requires we keep); every fused setting must
-    reproduce it — and the pure-Python SerialEngine — exactly, across
-    padding boundaries, degenerate geometries, zero runs, and wide
-    masks.
+    ``roll_steps`` is the block of rows whose data terms one lookup
+    fetches; ``1`` is a block of one.  Every setting must reproduce the
+    pure-Python SerialEngine exactly, across padding boundaries,
+    degenerate geometries, zero runs, and wide masks.
     """
 
     @pytest.mark.parametrize("steps", [1, 2, 8, 32])
@@ -183,7 +191,7 @@ class TestFusedRollKernel:
     @pytest.mark.parametrize(
         "size_fn",
         [
-            lambda lanes, steps: 2 * lanes + 1,  # barely past the gather path
+            lambda lanes, steps: 2 * lanes + 1,  # a few positions per lane
             lambda lanes, steps: lanes * steps * 3,  # exact launch multiple
             lambda lanes, steps: lanes * steps * 3 + 1,  # one over
             lambda lanes, steps: lanes * steps * 3 - 1,  # one under
@@ -195,7 +203,7 @@ class TestFusedRollKernel:
         size = size_fn(lanes, steps) + SMALL_FP.window_size - 1
         data = random.Random(steps * size).randbytes(size)
         fused = VectorEngine(SMALL_FP, lanes=lanes, tile_bytes=2048, roll_steps=steps)
-        assert fused.candidate_cuts(data, SMALL_MASK, SMALL_MARKER) == SerialEngine(
+        assert kernel_cuts(fused, data, SMALL_MASK, SMALL_MARKER) == SerialEngine(
             SMALL_FP
         ).candidate_cuts(data, SMALL_MASK, SMALL_MARKER)
 
@@ -204,7 +212,7 @@ class TestFusedRollKernel:
         """Tiles smaller than the window still roll seam-exact."""
         data = random.Random(11).randbytes(4096)
         fused = VectorEngine(SMALL_FP, lanes=2, tile_bytes=4, roll_steps=steps)
-        assert fused.candidate_cuts(data, SMALL_MASK, SMALL_MARKER) == SerialEngine(
+        assert kernel_cuts(fused, data, SMALL_MASK, SMALL_MARKER) == SerialEngine(
             SMALL_FP
         ).candidate_cuts(data, SMALL_MASK, SMALL_MARKER)
 
@@ -215,9 +223,9 @@ class TestFusedRollKernel:
         fused = VectorEngine(SMALL_FP, lanes=4096, tile_bytes=1 << 20, roll_steps=steps)
         for size in (SMALL_FP.window_size - 1, 100, 3000, 2 * 4096 + 7):
             data = random.Random(size).randbytes(size)
-            assert fused.candidate_cuts(
-                data, SMALL_MASK, SMALL_MARKER
-            ) == serial.candidate_cuts(data, SMALL_MASK, SMALL_MARKER)
+            expect = serial.candidate_cuts(data, SMALL_MASK, SMALL_MARKER)
+            assert kernel_cuts(fused, data, SMALL_MASK, SMALL_MARKER) == expect
+            assert fused.candidate_cuts(data, SMALL_MASK, SMALL_MARKER) == expect
 
     def test_all_zero_runs_fused(self):
         data = bytes(16 * 1024) + seeded_bytes(1024, seed=7) + bytes(8 * 1024)
@@ -250,13 +258,51 @@ class TestFusedRollKernel:
         with pytest.raises(ValueError, match="roll_steps"):
             VectorEngine(SMALL_FP, lanes=8, tile_bytes=1024, roll_steps=0)
 
-    def test_fused_table_cache_shared(self):
-        """Composite roll tables are built once per (polynomial, window)."""
-        a = fused_roll_tables(RabinFingerprinter(SMALL_POLY, window_size=8))
-        b = fused_roll_tables(RabinFingerprinter(SMALL_POLY, window_size=8))
-        assert a is b
-        other = fused_roll_tables(RabinFingerprinter(SMALL_POLY, window_size=10))
-        assert other is not a
+    #: Fingerprinters of the seam fuzz: the small and the production
+    #: window, one wider than the lane floor (the floor must follow it),
+    #: and the two extreme degrees (56: the shifted state fills the
+    #: int64 sign bit; 8: the fold byte is the whole state).
+    SEAM_FPS = [
+        SMALL_FP,
+        RabinFingerprinter(),
+        RabinFingerprinter(SMALL_POLY, window_size=80),
+        RabinFingerprinter(gf2.find_irreducible(56, seed=5), window_size=16),
+        RabinFingerprinter(gf2.find_irreducible(8, seed=5), window_size=8),
+    ]
+
+    @given(
+        fp=st.sampled_from(SEAM_FPS),
+        lanes=st.sampled_from([1, 2, 3, 16, 61, 4096]),
+        tile=st.sampled_from([3, 64, 257, 1024, 2048, 1 << 20]),
+        steps=st.sampled_from([1, 2, 3, 8, 32]),
+        mask=st.sampled_from([SMALL_MASK, 0x10007]),
+        anchor=st.sampled_from(["tile", "crossover", "free"]),
+        k=st.integers(1, 3),
+        delta=st.integers(-1, 1),
+        free=st.integers(0, 6000),
+        seed=st.integers(0, 1 << 30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_seam_fuzz_vs_serial(
+        self, fp, lanes, tile, steps, mask, anchor, k, delta, free, seed
+    ):
+        """Sizes within a window of a tile edge and of the gather
+        crossover, over every geometry seam: entering rows that straddle
+        into the spill lane mid-block, a lone lane padded up to the
+        window, the zero-padded last tile, one lane, a wide mask."""
+        w = fp.window_size
+        rng = random.Random(seed)
+        positions = {
+            "tile": k * min(tile, 2048),
+            "crossover": _GATHER_MAX_POSITIONS,
+            "free": free,
+        }[anchor] + delta * rng.randint(0, w)
+        data = rng.randbytes(max(0, positions + w - 1))
+        marker = 0x0B & mask
+        engine = VectorEngine(fp, lanes=lanes, tile_bytes=tile, roll_steps=steps, threads=1)
+        expect = SerialEngine(fp).candidate_cuts(data, mask, marker)
+        assert kernel_cuts(engine, data, mask, marker) == expect
+        assert engine.candidate_cuts(data, mask, marker) == expect
 
     def test_dispatch_counters_report_reduction(self):
         """S=8 issues >= 4x fewer kernel dispatches per MiB than S=1."""
@@ -393,9 +439,24 @@ class TestTableCaches:
     def test_engine_pair_tables_shared(self):
         a = VectorEngine(RabinFingerprinter(SMALL_POLY, window_size=8))
         b = VectorEngine(RabinFingerprinter(SMALL_POLY, window_size=8))
-        assert a._pair_tables is b._pair_tables
-        assert a._low_tables is b._low_tables
-        assert a._out_table is b._out_table
+        assert engine_tables(a.fingerprinter) is engine_tables(b.fingerprinter)
+
+    def test_roll_scan_builds_no_pair_tables(self):
+        """Constructing an engine and scanning past the crossover reads
+        only the two 256-entry roll tables; the first small scan (or
+        ``fingerprints()``) is what builds the gather tables."""
+        fp = RabinFingerprinter(gf2.find_irreducible(23, seed=41), window_size=12)
+        key = (fp.polynomial, fp.window_size)
+        assert key not in _TABLE_CACHE
+        engine = VectorEngine(fp)
+        data = seeded_bytes(64 * 1024, seed=37)
+        cuts = engine.candidate_cuts(data, SMALL_MASK, SMALL_MARKER)
+        assert key not in _TABLE_CACHE
+        small = data[: _GATHER_MAX_POSITIONS]
+        assert engine.candidate_cuts(small, SMALL_MASK, SMALL_MARKER) == [
+            c for c in cuts if c <= len(small)
+        ]
+        assert key in _TABLE_CACHE
 
     def test_position_tables_shared(self):
         a = RabinFingerprinter(SMALL_POLY, window_size=8)
@@ -414,7 +475,7 @@ class TestTableCaches:
     def test_fresh_chunkers_share_default_tables(self):
         a = Chunker(ChunkerConfig(mask_bits=12, marker=0xABC, min_size=1024, max_size=16384))
         b = Chunker(ChunkerConfig())
-        assert a.engine._pair_tables is b.engine._pair_tables
+        assert engine_tables(a.engine.fingerprinter) is engine_tables(b.engine.fingerprinter)
 
 
 class TestBatchedHashing:

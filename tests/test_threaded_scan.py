@@ -322,15 +322,18 @@ class TestPipelineOrdering:
             list(pipeline_chunks(chunker.candidate_cuts, self.CONFIG, [], queue_depth=0))
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_tuned_batch_default_matches_explicit(self, workers):
-        """``batch_chunks=None`` follows the tuned tile, chunks unchanged."""
+    def test_default_batch_covers_hash_batch_bytes(self, workers, monkeypatch):
+        """``batch_chunks=None`` sizes batches from ``HASH_BATCH_BYTES``,
+        whatever the scan tile; chunks unchanged."""
+        from repro.core import chunking
         from repro.core.autotune import ScanGeometry, clear_geometry, set_geometry
 
         set_threads(workers)
         data = seeded_bytes(128 * 1024, seed=17)
         chunker = Chunker(self.CONFIG)
         expected = list(chunker.chunk_stream(self._buffers(data, 17)))
-        set_geometry(ScanGeometry(tile_bytes=64 * 1024))
+        monkeypatch.setattr(chunking, "HASH_BATCH_BYTES", 64 * 1024)
+        set_geometry(ScanGeometry(tile_bytes=16 * 1024))
         try:
             batches = list(
                 pipeline_chunks(
@@ -341,9 +344,9 @@ class TestPipelineOrdering:
             clear_geometry()
         flat = [c for batch in batches for c in batch]
         assert chunk_shape(flat) == chunk_shape(expected)
-        # 64 KiB tile / 1 KiB expected chunks -> 64-chunk batches.
+        # 64 KiB / 1 KiB expected chunks -> 64-chunk batches.
         assert all(len(b) <= 64 for b in batches)
-        assert len(batches[0]) == 64  # really followed the tile
+        assert len(batches[0]) == 64  # not the 16 KiB tile's 16
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_stage_timers_accumulate(self, workers):

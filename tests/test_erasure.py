@@ -6,10 +6,12 @@ repair paths (``src/repro/store/erasure.py`` + the EC branches of
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backup import (
     BackupConfig,
@@ -28,7 +30,13 @@ from repro.store import (
     codec_for,
     make_scheme,
 )
-from repro.store.erasure import FRAGMENT_HEADER_SIZE, pack_fragment, unpack_fragment
+from repro.store.erasure import (
+    FRAGMENT_HEADER_SIZE,
+    GF_MUL,
+    gf_mul,
+    pack_fragment,
+    unpack_fragment,
+)
 
 
 def make_ec_cluster(n_nodes=8, k=4, m=2, **kwargs) -> ChunkStoreCluster:
@@ -144,6 +152,78 @@ class TestCodec:
     def test_codec_for_caches(self):
         assert codec_for(4, 2) is codec_for(4, 2)
         assert codec_for(4, 2) is not codec_for(4, 3)
+
+
+def slow_gf_mul(a: int, b: int) -> int:
+    """Shift-and-add product modulo x^8 + x^4 + x^3 + x^2 + 1: no tables."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11D
+        b >>= 1
+    return product
+
+
+SLOW_MUL = [[slow_gf_mul(a, b) for b in range(256)] for a in range(256)]
+
+
+def reference_fragments(codec: ReedSolomonCodec, data: bytes) -> list[bytes]:
+    """Every fragment, byte by byte: row ``i`` of the encode matrix
+    times the zero-padded data grid, in scalar field arithmetic."""
+    size = codec.fragment_size(len(data))
+    padded = data + bytes(codec.k * size - len(data))
+    grid = [padded[j * size : (j + 1) * size] for j in range(codec.k)]
+    fragments = []
+    for row in codec.matrix:
+        fragment = bytearray(size)
+        for coeff, piece in zip(row, grid):
+            products = SLOW_MUL[coeff]
+            for x, byte in enumerate(piece):
+                fragment[x] ^= products[byte]
+        fragments.append(bytes(fragment))
+    return fragments
+
+
+#: (3, 9) and (12, 12) need more than one 8-lane group of output rows.
+KERNEL_GEOMETRIES = [(1, 0), (2, 1), (4, 2), (6, 3), (3, 9), (10, 4), (12, 12)]
+
+
+class TestPackedLaneKernel:
+    """Encode, parity decode and rebuild are one packed-lane kernel;
+    each is held to a scalar reference that shares no table with it."""
+
+    def test_product_table_matches_scalar_multiply(self):
+        assert GF_MUL.tolist() == SLOW_MUL
+        assert gf_mul(0x53, 0xCA) == slow_gf_mul(0x53, 0xCA)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_scalar_reference(self, data):
+        k, m = data.draw(st.sampled_from(KERNEL_GEOMETRIES), label="geometry")
+        n = k + m
+        size = data.draw(
+            st.one_of(st.integers(0, 3 * k + 1), st.integers(4900, 5300)), label="size"
+        )
+        chunk = random.Random(data.draw(st.integers(0, 2**32))).randbytes(size)
+        codec = ReedSolomonCodec(k, m)
+        expected = reference_fragments(codec, chunk)
+        fragments = codec.encode(chunk)
+        assert fragments == expected
+        if math.comb(n, k) <= 220:  # every k-subset, parity included
+            subsets = list(itertools.combinations(range(n), k))
+        else:
+            subsets = [
+                data.draw(st.permutations(range(n)), label="survivors")[:k]
+                for _ in range(4)
+            ]
+        for subset in subsets:
+            survivors = {i: fragments[i] for i in subset}
+            assert codec.decode(survivors, size) == chunk
+            lost = [i for i in range(n) if i not in survivors]
+            assert codec.rebuild(survivors, lost) == {i: expected[i] for i in lost}
 
 
 class TestFragmentFraming:

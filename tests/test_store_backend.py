@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.hashing import chunk_hash
 from repro.store.backend import (
     _FRAME,
@@ -414,6 +419,17 @@ class TestConstruction:
             PersistentBackend(tmp_path / "a", memtable_limit=0)
         with pytest.raises(ValueError):
             PersistentBackend(tmp_path / "b", compact_fanout=1)
+
+    def test_store_imports_clean_of_core(self):
+        """repro.core stores through repro.store: the store reaches core
+        on first use (``core_module``), never while being imported."""
+        code = (
+            "import sys, repro.store; "
+            "assert not [m for m in sys.modules if m.startswith('repro.core')]"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestRecipeStore:

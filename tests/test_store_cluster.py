@@ -127,6 +127,28 @@ class TestBloomFilter:
         fp = sum(1 for k in absent if k in bloom)
         assert fp / len(absent) < 0.05  # nominal 1%, generous ceiling
 
+    def test_false_positive_rate_bounded_on_one_nodes_arc(self):
+        """Probe positions are the digest's own bits: the keys the ring
+        routes to one node must still spread over the whole filter."""
+        ring = HashRing()
+        for i in range(8):
+            ring.add_node(f"node-{i}")
+        mine = [d for d in make_digests(8000, salt=b"in") if ring.node_for(d) == "node-3"]
+        bloom = BloomFilter(capacity=len(mine), fp_rate=0.01)
+        for d in mine:
+            bloom.add(d)
+        assert all(d in bloom for d in mine)
+        absent = [d for d in make_digests(16000, salt=b"out") if ring.node_for(d) == "node-3"]
+        fp = sum(1 for d in absent if d in bloom)
+        assert fp / len(absent) <= 0.05
+
+    def test_short_keys_are_padded_not_false_negative(self):
+        keys = [b"", b"k", b"\x00heartbeat", b"snapshot-7", bytes(15), b"\xff" * 15]
+        bloom = BloomFilter(capacity=len(keys))
+        for key in keys:
+            bloom.add(key)
+        assert all(key in bloom for key in keys)
+
     def test_clear(self):
         bloom = BloomFilter(capacity=10)
         bloom.add(b"key")

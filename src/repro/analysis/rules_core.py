@@ -10,14 +10,16 @@ from repro.analysis.model import Finding
 from repro.analysis.registry import Checker, LintContext, register
 
 #: Modules on the scan fast path (engine, the one scan driver, the
-#: Shredder buffer splitter every backup goes through): every byte
-#: copied here is paid per input byte, so materialization must be
-#: explicit and justified.
+#: Shredder buffer splitter every backup goes through) and the parity
+#: kernel every erasure-coded chunk goes through: every byte copied here
+#: is paid per input byte, so materialization must be explicit and
+#: justified.
 HOT_PATH_SUFFIXES = (
     "core/engines.py",
     "core/chunking.py",
     "core/shredder.py",
     "core/buffers.py",
+    "store/erasure.py",
 )
 
 _LOOPS = (

@@ -209,11 +209,6 @@ class Chunk:
         data = bytes(data)  # repro: lint-ok[zero-copy] eager constructor: the copy is the contract
         return Chunk(offset=offset, length=len(data), data=data, digest=chunk_hash(data))
 
-    @staticmethod
-    def from_views(offset: int, length: int, views: tuple, digest: bytes | None = None) -> "Chunk":
-        """Lazy chunk over zero-copy buffer views."""
-        return Chunk(offset=offset, length=length, digest=digest, views=views)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Chunk):
             return NotImplemented

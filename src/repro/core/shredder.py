@@ -30,7 +30,7 @@ Presets
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.core.buffers import PinnedRingBuffer
@@ -149,9 +149,6 @@ class ShredderConfig:
     def cpu(cls, hoard: bool = True, **overrides) -> "ShredderConfig":
         """Host-only pthreads baseline (§5.1)."""
         return cls(backend="cpu", use_hoard=hoard, **overrides)
-
-    def with_chunker(self, chunker: ChunkerConfig) -> "ShredderConfig":
-        return replace(self, chunker=chunker)
 
 
 @dataclass

@@ -121,7 +121,3 @@ class GPUDevice:
         ``run`` method, which returns ``(result, stats)``.
         """
         return kernel.run(self, buf, **kwargs)
-
-    @property
-    def free_bytes(self) -> int:
-        return self.spec.device_memory_bytes - self.allocated_bytes

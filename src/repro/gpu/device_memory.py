@@ -18,7 +18,7 @@ locality rather than being hard-coded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["DeviceMemoryConfig", "AccessStats", "DeviceMemoryModel", "Transaction"]
 
@@ -149,7 +149,3 @@ class DeviceMemoryModel:
 
         stats.cycles = finish
         return stats
-
-    def sample_bytes_per_cycle(self, trace: Sequence[Transaction]) -> float:
-        """Convenience: throughput (useful bytes/cycle) of a sampled trace."""
-        return self.simulate(trace).bytes_per_cycle

@@ -57,8 +57,3 @@ class MapReduceJob:
             raise ValueError("job needs a name")
         if self.compute_weight <= 0:
             raise ValueError("compute_weight must be positive")
-
-    def with_params(self, params: tuple) -> "MapReduceJob":
-        from dataclasses import replace
-
-        return replace(self, params=params)

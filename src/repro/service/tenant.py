@@ -146,15 +146,6 @@ class TenantRegistry:
             self._tenants[name] = namespace
         return namespace
 
-    def known_tenants(self) -> list[str]:
-        """Tenants seen this process plus durable ones on disk."""
-        names = set(self._tenants)
-        if self.data_dir is not None:
-            root = self.data_dir / "tenants"
-            if root.is_dir():
-                names.update(p.name for p in root.iterdir() if p.is_dir())
-        return sorted(names)
-
     def __len__(self) -> int:
         return len(self._tenants)
 

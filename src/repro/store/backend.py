@@ -38,6 +38,8 @@ the thread that owns it (the pipelined server probes from one stage).
 from __future__ import annotations
 
 import bisect
+import functools
+import importlib
 import os
 import shutil
 import struct
@@ -83,6 +85,10 @@ _LOG_NAME = "chunks.log"
 #: The CRC covers everything after itself, so any torn or bit-flipped
 #: tail fails closed.
 _FRAME = struct.Struct("<IBII")
+_FRAME_FIELDS = struct.Struct("<BII")  # the CRC-covered rest of the header
+#: Appender buffer: a fragment record is ~1.4 KB, so the default 8 KiB
+#: buffer makes a write syscall every ~5 appends; 32 KiB every ~23.
+_LOG_BUFFER = 1 << 15
 _OP_PUT = 1
 _OP_DEL = 2
 _RUN_MAGIC = b"RRUN2\n"
@@ -94,22 +100,24 @@ _RUN_HEADER_V1 = struct.Struct("<IQQdII")  # ..., capacity, fp_rate, n_added, fi
 _RUN_ENTRY = struct.Struct("<HBQI")  # key_len, tombstone, value_offset, value_len
 
 
+@functools.cache
+def core_module(name: str):
+    """``repro.core.<name>``, imported on first use and then held:
+    ``repro.core`` stores through this package, so ``repro.store``
+    must import clean of it."""
+    return importlib.import_module(f"repro.core.{name}")
+
+
 def _record_store(seconds: float) -> None:
-    """Feed backend mutation wall-clock to the ``store`` stage timer.
-
-    Lazy import: core.stats sits in a different layer; backends are the
-    storage primitive underneath all of them.
-    """
-    from repro.core import stats
-
-    stats.record_stage("store", seconds)
+    """Feed backend mutation wall-clock to the ``store`` stage timer."""
+    core_module("stats").record_stage("store", seconds)
 
 
-def _register_stats(stats_obj: "BackendStats") -> None:
-    """Enroll this backend's counters in the process-wide snapshot."""
-    from repro.core import stats
-
-    stats.register_backend_stats(stats_obj)
+def _frame(op: int, key: bytes, value) -> bytes:
+    """One log record, header and CRC included."""
+    fields = _FRAME_FIELDS.pack(op, len(key), len(value))
+    crc = zlib.crc32(value, zlib.crc32(key, zlib.crc32(fields)))
+    return b"".join((crc.to_bytes(4, "little"), fields, key, value))
 
 
 @dataclass
@@ -195,7 +203,7 @@ class MemoryBackend:
         self._data: dict[bytes, bytes] = {}
         self._value_bytes = 0
         self.stats = BackendStats()
-        _register_stats(self.stats)
+        core_module("stats").register_backend_stats(self.stats)
 
     def contains_batch(self, keys: Sequence[bytes]) -> list[bool]:
         self.stats.batches += 1
@@ -346,7 +354,7 @@ class PersistentBackend:
         self.memtable_limit = memtable_limit
         self.compact_fanout = compact_fanout
         self.stats = BackendStats()
-        _register_stats(self.stats)
+        core_module("stats").register_backend_stats(self.stats)
         self._ephemeral = _ephemeral
         self._closed = False
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -358,8 +366,10 @@ class PersistentBackend:
         self._live_bytes = 0
         self._next_seq = 1
         self.recovery = self._open_and_recover()
-        self._appender = open(self._log_path, "ab")
+        self._appender = open(self._log_path, "ab", buffering=_LOG_BUFFER)
         self._reader = open(self._log_path, "rb")
+        #: Where the next record lands: appends never ask the file.
+        self._log_end = self.recovery.valid_bytes
         self._unflushed = False
         # GC-safe cleanup: closes the handles (and removes ephemeral
         # directories) even when the owner never calls close().
@@ -418,7 +428,7 @@ class PersistentBackend:
                 payload = fh.read(klen + vlen)
                 if len(payload) < klen + vlen:
                     break
-                if zlib.crc32(header[4:] + payload) != crc:
+                if zlib.crc32(payload, zlib.crc32(header[4:])) != crc:
                     break
                 key = payload[:klen]
                 if op == _OP_PUT:
@@ -515,9 +525,8 @@ class PersistentBackend:
             return
         self._appender.flush()
         self._unflushed = False
-        watermark = self._appender.tell()
         entries = sorted(self._memtable.items())
-        self._runs.append(self._write_run(entries, watermark))
+        self._runs.append(self._write_run(entries, self._log_end))
         self._memtable = {}
         self.stats.memtable_flushes += 1
         if len(self._runs) >= self.compact_fanout:
@@ -642,14 +651,12 @@ class PersistentBackend:
 
     def _append(self, op: int, key: bytes, value) -> int:
         """Write one framed record; returns the value's log offset."""
-        value = bytes(value)
-        body = key + value
-        crc = zlib.crc32(_FRAME.pack(0, op, len(key), len(value))[4:] + body)
-        record_start = self._appender.tell()
-        self._appender.write(_FRAME.pack(crc, op, len(key), len(value)))
-        self._appender.write(body)
+        record = _frame(op, key, value)
+        self._appender.write(record)
         self._unflushed = True
-        return record_start + _FRAME.size + len(key)
+        offset = self._log_end + _FRAME.size + len(key)
+        self._log_end += len(record)
+        return offset
 
     def keys(self) -> Iterator[bytes]:
         self._require_open()
@@ -698,20 +705,18 @@ class PersistentBackend:
         fresh run covering the rewritten log.
         """
         self._require_open()
-        old_size = self._log_end()
+        old_size = self._log_end
         live = sorted(self.keys())
         tmp = self._log_path.with_suffix(".compact")
         entries: list[tuple[bytes, tuple[int, int] | None]] = []
+        new_size = 0
         with open(tmp, "wb") as out:
             for key in live:
-                entry = self._lookup(key)
-                value = self._read_value(*entry)
-                header_less = _FRAME.pack(0, _OP_PUT, len(key), len(value))[4:]
-                crc = zlib.crc32(header_less + key + value)
-                offset = out.tell() + _FRAME.size + len(key)
-                out.write(_FRAME.pack(crc, _OP_PUT, len(key), len(value)))
-                out.write(key + value)
-                entries.append((key, (offset, len(value))))
+                value = self._read_value(*self._lookup(key))
+                record = _frame(_OP_PUT, key, value)
+                out.write(record)
+                entries.append((key, (new_size + _FRAME.size + len(key), len(value))))
+                new_size += len(record)
         self._appender.close()
         self._reader.close()
         # Drop the old runs BEFORE publishing the rewritten log: their
@@ -720,10 +725,10 @@ class PersistentBackend:
         # both replay correctly — never stale runs over a new log.
         self._discard_runs()
         os.replace(tmp, self._log_path)
-        self._appender = open(self._log_path, "ab")
+        self._appender = open(self._log_path, "ab", buffering=_LOG_BUFFER)
         self._reader = open(self._log_path, "rb")
         self._replace_finalizer()
-        new_size = self._log_end()
+        self._log_end = new_size
         self._runs = [self._write_run(entries, new_size)] if entries else []
         self._memtable = {}
         self._unflushed = False
@@ -736,7 +741,7 @@ class PersistentBackend:
         self._appender.close()
         self._reader.close()
         open(self._log_path, "wb").close()  # truncate
-        self._appender = open(self._log_path, "ab")
+        self._appender = open(self._log_path, "ab", buffering=_LOG_BUFFER)
         self._reader = open(self._log_path, "rb")
         self._replace_finalizer()
         for run in self._runs:
@@ -745,6 +750,7 @@ class PersistentBackend:
         self._memtable = {}
         self._live_count = 0
         self._live_bytes = 0
+        self._log_end = 0
         self._unflushed = False
 
     def close(self) -> None:
@@ -761,10 +767,6 @@ class PersistentBackend:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _log_end(self) -> int:
-        self._appender.flush()
-        return self._appender.tell()
 
     def _require_open(self) -> None:
         if self._closed:

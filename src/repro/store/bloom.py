@@ -6,14 +6,21 @@ filter in front of each node answers "definitely absent" from memory,
 so the common negative lookup (every unique chunk of every snapshot)
 costs one probe instead of one full index walk — the standard trick of
 deduplicating stores since Data Domain.
+
+Keys are SHA-256 digests, and the ring re-hashes a digest to place it,
+so a node's keys are uniform in every bit: probe positions come from the
+key's own first 16 bytes rather than from hashing it again.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
+import struct
 
 __all__ = ["BloomFilter"]
+
+#: The double-hashing pair ``(h1, h2)``: a key's first 16 bytes.
+_PAIR = struct.Struct(">QQ")
 
 
 class BloomFilter:
@@ -21,7 +28,8 @@ class BloomFilter:
 
     Sized from ``capacity`` and ``fp_rate`` via the textbook formulas;
     uses double hashing (Kirsch-Mitzenmacher) to derive the ``k`` probe
-    positions from one 128-bit hash.  No false negatives, ever.
+    positions from 128 key bits (shorter keys are zero-padded).  No
+    false negatives, ever.
     """
 
     def __init__(self, capacity: int, fp_rate: float = 0.01) -> None:
@@ -40,11 +48,10 @@ class BloomFilter:
     def _hash_pair(key: bytes) -> tuple[int, int]:
         """``(h1, h2)`` of the double-hashing scheme: probe ``i`` tests
         bit ``(h1 + i * h2) % n_bits``."""
-        h = hashlib.blake2b(key, digest_size=16).digest()
-        return (
-            int.from_bytes(h[:8], "big"),
-            int.from_bytes(h[8:], "big") | 1,  # odd, so probes cycle
-        )
+        if len(key) < _PAIR.size:
+            key = bytes(key).ljust(_PAIR.size, b"\0")
+        h1, h2 = _PAIR.unpack_from(key)
+        return h1, h2 | 1  # odd, so probes cycle
 
     def add(self, key: bytes) -> None:
         pos, step = self._hash_pair(key)
@@ -68,9 +75,3 @@ class BloomFilter:
     def clear(self) -> None:
         self._bits = bytearray(len(self._bits))
         self.n_added = 0
-
-    @property
-    def saturation(self) -> float:
-        """Fraction of bits set; above ~0.5 the fp rate degrades."""
-        set_bits = sum(bin(b).count("1") for b in self._bits)
-        return set_bits / self.n_bits

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
+from repro.store.backend import core_module
 from repro.store.node import NodeDownError, ProbeResult, StoreNode
 from repro.store.ring import HashRing
 from repro.store.schemes import PlacementScheme
@@ -290,9 +291,7 @@ class BatchedLookup:
         buffer views, and their digests for the whole batch are computed
         together (``ensure_digests``) before the node probes run.
         """
-        from repro.core.chunking import ensure_digests
-
-        ensure_digests(chunks)
+        core_module("chunking").ensure_digests(chunks)
         return self.lookup_batch([c.digest for c in chunks])
 
     # -- costing -------------------------------------------------------

@@ -22,22 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.store.backend import ChunkBackend, make_backend
+from repro.store.backend import ChunkBackend, core_module, make_backend
 from repro.store.bloom import BloomFilter
 from repro.store.erasure import FragmentRecord, pack_fragment, unpack_fragment
 
 __all__ = ["NodeDownError", "NodeStats", "ProbeResult", "StoreNode"]
-
-
-def _register_node_stats(stats_obj: "NodeStats") -> None:
-    """Enroll this node's counters in the process-wide stats snapshot.
-
-    Lazy import: core.stats sits in a different layer of the import
-    graph, same discipline as the backend's stage-timer hook.
-    """
-    from repro.core import stats
-
-    stats.register_node_stats(stats_obj)
 
 
 class NodeDownError(RuntimeError):
@@ -85,7 +74,7 @@ class StoreNode:
         self.node_id = node_id
         self.alive = True
         self.stats = NodeStats()
-        _register_node_stats(self.stats)
+        core_module("stats").register_node_stats(self.stats)
         self._bloom_fp_rate = bloom_fp_rate
         self._backend = backend if backend is not None else make_backend()
         self._bloom = BloomFilter(bloom_capacity, bloom_fp_rate)
@@ -115,10 +104,14 @@ class StoreNode:
         """Store a chunk; returns False if already present on this node."""
         self._require_alive()
         self.stats.puts += 1
-        if not self._backend.put_batch([(digest, data)])[0]:
-            return False
-        self._bloom.add(digest)
-        if self._bloom.n_added > self._bloom.capacity:
+        return self._backend.put_batch([(digest, data)])[0] and self._admit(digest)
+
+    def _admit(self, digest: bytes) -> bool:
+        """Enter a newly stored digest in the Bloom filter (regrown past
+        capacity); True, the put's answer."""
+        bloom = self._bloom
+        bloom.add(digest)
+        if bloom.n_added > bloom.capacity:
             self._rebuild_bloom(grow=True)
         self._track_fill()
         return True
@@ -191,9 +184,10 @@ class StoreNode:
         chunk_len: int, payload: bytes,
     ) -> bool:
         """Store one framed fragment of ``digest`` (False if present)."""
-        return self.put_chunk(
-            digest, pack_fragment(index, k, m, chunk_len, payload)
-        )
+        self._require_alive()
+        self.stats.puts += 1
+        record = pack_fragment(index, k, m, chunk_len, payload)
+        return self._backend.put_batch([(digest, record)])[0] and self._admit(digest)
 
     def get_fragment(self, digest: bytes) -> FragmentRecord:
         """Read, parse, and *verify* this node's fragment of ``digest``.

@@ -75,9 +75,6 @@ class HashRing:
 
     # -- placement -----------------------------------------------------
 
-    def digest_position(self, digest: bytes) -> int:
-        return _position(digest)
-
     def node_for(self, digest: bytes) -> str:
         """The primary owner: first vnode clockwise of the digest."""
         return self.preference_list(digest, 1)[0]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
+from repro.store.backend import core_module
 from repro.store.erasure import (
     CorruptFragmentError,
     FragmentFormatError,
@@ -55,13 +56,6 @@ __all__ = [
     "ErasureCodedPlacement",
     "make_scheme",
 ]
-
-
-def _chunk_hash(data: bytes) -> bytes:
-    # Lazy import: keeps repro.store import-clean of repro.core.
-    from repro.core.hashing import chunk_hash
-
-    return chunk_hash(data)
 
 
 class CorruptItemError(ValueError):
@@ -133,7 +127,7 @@ class PlacementScheme:
         against the chunk digest — only when asked (``verify``), because
         unfaulted callers may store under arbitrary keys.
         """
-        if verify and _chunk_hash(record) != digest:
+        if verify and core_module("hashing").chunk_hash(record) != digest:
             raise CorruptItemError(
                 f"copy of {digest.hex()[:16]} fails its digest ({len(record)} B)"
             )
@@ -318,7 +312,7 @@ class ErasureCodedPlacement(PlacementScheme):
         verify: bool,
     ) -> bytes:
         data = self._codec.decode(items, chunk_len)
-        if verify and _chunk_hash(data) != digest:
+        if verify and core_module("hashing").chunk_hash(data) != digest:
             raise CorruptItemError(
                 f"fragments of {digest.hex()[:16]} do not assemble to it"
             )

@@ -272,6 +272,43 @@ class TestPersistence:
             assert values == [v for _, v in items[:10]]  # no short reads
             assert b2.contains_batch([items[20][0]]) == [False]
 
+    def test_tracked_log_end_is_the_file_size(self, tmp_path):
+        """Appends track where the log ends instead of asking the file;
+        puts, deletes, a memtable flush, a reopen that truncated a torn
+        tail, compact() and clear() must all leave it exact."""
+
+        def assert_tracked(b):
+            b.flush()
+            assert b._log_end == (b.directory / "chunks.log").stat().st_size
+
+        items = make_items(30)
+        b = PersistentBackend(tmp_path / "b", memtable_limit=8)
+        b.put_batch(items[:5])
+        assert_tracked(b)
+        b.delete_batch([items[0][0], items[1][0]])
+        assert_tracked(b)
+        b.put_batch(items[5:])
+        assert b.stats.memtable_flushes > 0
+        assert_tracked(b)
+        shutil.copytree(tmp_path / "b", tmp_path / "torn")
+        b.close()
+
+        log = tmp_path / "torn" / "chunks.log"
+        with open(log, "r+b") as fh:
+            fh.truncate(log.stat().st_size - 3)
+        with PersistentBackend(tmp_path / "torn") as torn:
+            assert torn.recovery.truncated_bytes > 0
+            assert_tracked(torn)
+            torn.put_batch(make_items(3, salt=b"after"))
+            assert_tracked(torn)
+            assert torn.compact() > 0
+            assert_tracked(torn)
+            torn.put_batch(make_items(3, salt=b"compacted"))
+            assert_tracked(torn)
+            assert torn.get_batch([items[20][0]]) == [items[20][1]]
+            torn.clear()
+            assert_tracked(torn)
+
     def test_put_known_absent_skips_reprobe(self, tmp_path, run_lookups):
         b = PersistentBackend(tmp_path / "b", memtable_limit=4)
         items = make_items(12)  # several runs: run probes are the cost

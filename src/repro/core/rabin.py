@@ -32,10 +32,9 @@ __all__ = ["RabinFingerprinter", "DEFAULT_WINDOW_SIZE", "default_polynomial"]
 DEFAULT_WINDOW_SIZE = 48
 
 
-@lru_cache(maxsize=1)
 def default_polynomial() -> int:
-    """The default degree-53 irreducible polynomial (deterministic)."""
-    return gf2.find_irreducible(gf2.DEFAULT_IRREDUCIBLE_DEGREE, seed=2012)
+    """The degree-53 irreducible ``gf2.find_irreducible(53, seed=2012)``."""
+    return 0x268DF112A903CD
 
 
 @lru_cache(maxsize=64)

@@ -24,6 +24,7 @@ which is exactly the transition Figure 11 measures.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.core.chunking import ChunkerConfig
 from repro.core.engines import VectorEngine, default_engine
 from repro.gpu import coalescing
 from repro.gpu.device import DeviceBuffer, GPUDevice
+from repro.gpu.device_memory import DeviceMemoryConfig, DeviceMemoryModel
 
 __all__ = ["KernelStats", "ChunkingKernel", "divergence_factor"]
 
@@ -78,6 +80,13 @@ class KernelStats:
     @property
     def memory_bound(self) -> bool:
         return self.memory_limit_bps < self.compute_limit_bps
+
+
+@functools.lru_cache(maxsize=64)
+def _memory_stats(memory: DeviceMemoryConfig, n: int, threads: int, coalesced: bool):
+    """The (pure) memory model over the fetch trace, priced once per key."""
+    trace = coalescing.coalesced_trace if coalesced else coalescing.naive_trace
+    return DeviceMemoryModel(memory).simulate(trace(n, threads))
 
 
 class ChunkingKernel:
@@ -184,11 +193,7 @@ class ChunkingKernel:
         compute_bps = n / compute_cycles * spec.clock_hz
 
         # -- memory roofline -------------------------------------------------
-        if coalesced:
-            trace = coalescing.coalesced_trace(n, threads)
-        else:
-            trace = coalescing.naive_trace(n, threads)
-        mem_stats = device.memory.simulate(trace)
+        mem_stats = _memory_stats(device.memory_config, n, threads, coalesced)
         mem_bpc = mem_stats.bytes_per_cycle
         memory_cycles = n / mem_bpc if mem_bpc > 0 else float("inf")
         memory_bps = n / memory_cycles * spec.clock_hz

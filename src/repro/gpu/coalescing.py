@@ -12,8 +12,9 @@ This module provides:
   §4.3 (element size 4/8/16; Nth thread accesses Nth element; 16-byte
   aligned base);
 * trace generators producing representative memory-transaction streams
-  for the naive and the cooperative patterns, to be costed by
-  :class:`repro.gpu.device_memory.DeviceMemoryModel`.
+  for the naive pattern (the rule applied per half-warp) and the
+  cooperative one (coalesced by construction; tests check it against the
+  rule), to be costed by :class:`repro.gpu.device_memory.DeviceMemoryModel`.
 """
 
 from __future__ import annotations
@@ -108,10 +109,8 @@ def coalesced_trace(
     staged into shared memory (Fig. 10), so each half-warp access becomes
     one transaction and consecutive transactions walk rows sequentially.
     """
+    if element_size not in VALID_ELEMENT_SIZES:
+        raise ValueError(f"element size {element_size} cannot coalesce")
     segment = element_size * HALF_WARP
     total = min(buffer_size, sample_bytes)
-    trace: list[Transaction] = []
-    for base in range(0, total - segment + 1, segment):
-        addresses = [base + i * element_size for i in range(HALF_WARP)]
-        trace.extend(coalesce_half_warp(addresses, element_size))
-    return trace
+    return [(base, segment) for base in range(0, total - segment + 1, segment)]

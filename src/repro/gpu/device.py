@@ -14,7 +14,7 @@ from itertools import count
 
 import numpy as np
 
-from repro.gpu.device_memory import DeviceMemoryConfig, DeviceMemoryModel
+from repro.gpu.device_memory import DeviceMemoryConfig
 from repro.gpu.dma import DMAModel, Direction, MemoryType
 from repro.gpu.specs import GPUSpec, TESLA_C2050
 
@@ -49,14 +49,13 @@ class DeviceBuffer:
 
 @dataclass
 class GPUDevice:
-    """One simulated GPU with its DMA engine and memory model."""
+    """One simulated GPU with its DMA engine and memory geometry."""
 
     spec: GPUSpec = TESLA_C2050
     memory_config: DeviceMemoryConfig = field(default_factory=DeviceMemoryConfig)
 
     def __post_init__(self) -> None:
         self.dma = DMAModel(self.spec)
-        self.memory = DeviceMemoryModel(self.memory_config)
         self._ids = count()
         self._allocated: dict[int, DeviceBuffer] = {}
         self._next_address = 0

@@ -880,6 +880,9 @@ async def _feed(shredder: Shredder, data: bytes, batch_chunks: int | None):
         while True:
             item = await queue.get()
             if item is _END:
+                # Let the feeder's put() future resolve before the join
+                # below blocks the loop.
+                await asyncio.sleep(0)
                 break
             if isinstance(item, BaseException):
                 raise item

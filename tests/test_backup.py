@@ -13,7 +13,9 @@ from repro.backup import (
     SimilarityTable,
     SnapshotRecipe,
 )
+from repro.core import gf2
 from repro.core.hashing import chunk_hash
+from repro.gpu import chunking_kernel, coalescing
 
 MB = 1 << 20
 
@@ -228,3 +230,27 @@ class TestBackupBandwidthShape:
     def test_invalid_storage_backend(self):
         with pytest.raises(ValueError):
             BackupConfig(backend="tape")
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "engine, chunk_s_per_byte",
+        [("gpu", 5.728555898929622e-10), ("cpu", 3.144782829558712e-09)],
+    )
+    def test_modeled_chunk_cost_is_golden(self, engine, chunk_s_per_byte):
+        """Recorded before the cold path was shortened: every modeled
+        ``BackupReport`` chunking time is ``bytes * this``."""
+        with BackupServer(BackupConfig(engine=engine)) as server:
+            assert server._chunk_s_per_byte == chunk_s_per_byte
+
+    def test_construction_does_no_search_or_per_half_warp_rule(self, monkeypatch):
+        """The default polynomial is a constant and the cooperative trace is
+        coalesced by construction: bringing a server up runs neither."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the cold path")
+
+        monkeypatch.setattr(gf2, "find_irreducible", forbidden)
+        monkeypatch.setattr(coalescing, "is_coalescable", forbidden)
+        chunking_kernel._memory_stats.cache_clear()
+        with BackupServer() as server:
+            assert server._chunk_s_per_byte > 0

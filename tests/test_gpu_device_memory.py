@@ -156,3 +156,25 @@ class TestTraces:
     def test_coalesced_row_friendly(self, model):
         stats = model.simulate(coalesced_trace(64 * MB, 3584))
         assert stats.bank_conflict_rate < 0.1
+
+    @pytest.mark.parametrize("element_size", [4, 8, 16])
+    @pytest.mark.parametrize("n", [0, 63, 64, 65, 4096, MB, 32 * MB])
+    def test_coalesced_trace_is_the_rule_applied(self, n, element_size):
+        """The trace emitted by construction equals the §4.3 rule applied to
+        every half-warp the cooperative fetch generates."""
+        def rule_built(sample_bytes):
+            segment = 16 * element_size
+            trace = []
+            for base in range(0, min(n, sample_bytes) - segment + 1, segment):
+                addresses = [base + i * element_size for i in range(16)]
+                trace.extend(coalesce_half_warp(addresses, element_size))
+            return trace
+
+        assert coalesced_trace(n, 3584, element_size) == rule_built(256 * 1024)
+        if n <= MB:
+            assert coalesced_trace(n, 3584, element_size, sample_bytes=n) == rule_built(n)
+
+    @pytest.mark.parametrize("element_size", [1, 2, 12, 32])
+    def test_coalesced_trace_rejects_uncoalescable_elements(self, element_size):
+        with pytest.raises(ValueError, match="cannot coalesce"):
+            coalesced_trace(MB, 3584, element_size)

@@ -48,8 +48,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="window_size"):
             RabinFingerprinter(window_size=1)
 
-    def test_default_polynomial_cached(self):
-        assert default_polynomial() is default_polynomial()
+    def test_default_polynomial_is_the_seeded_search(self):
+        poly = default_polynomial()
+        assert poly == gf2.find_irreducible(gf2.DEFAULT_IRREDUCIBLE_DEGREE, seed=2012)
+        assert gf2.is_irreducible(poly)
 
 
 class TestDirectFingerprint:

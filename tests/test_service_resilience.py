@@ -306,6 +306,19 @@ class TestFeederJoin:
         asyncio.run(scenario())
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
+    def test_end_of_stream_does_not_wait_out_the_put_poll(self):
+        """The consumer is already waiting when the end marker lands, so
+        it wakes before the feeder's put() future resolves.  Joining
+        before that future resolves blocks the loop until put() polls
+        ``stop`` (0.1 s)."""
+        async def scenario():
+            t0 = time.perf_counter()
+            assert [item async for item in client_mod._feed(_StuckShredder(0.02), b"", None)] == [
+                "first", "late"]
+            return time.perf_counter() - t0
+
+        assert asyncio.run(scenario()) < 0.1
+
 
 # ----------------------------------------------------------------------
 # fsync durability knob (satellite)

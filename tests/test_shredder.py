@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -183,3 +186,38 @@ class TestTimingShape:
         with Shredder(ShredderConfig.gpu_streams_memory()) as s:
             report = s.simulate(GB)
         assert report.setup_seconds > 0
+
+
+#: ``simulate(total)`` reports per configuration at the totals below:
+#: the first 16 hex digits of SHA-256 over the report's fields as sorted
+#: JSON (floats at full ``repr`` precision).  Recorded before the model's
+#: cold path was shortened; any change to a modeled value changes a digest.
+GOLDEN_TOTALS = (1000, 5 * MB + 3, 100 * MB + 1, GB)
+GOLDEN_REPORTS = {
+    "gpu_basic": ("175d4ab05d85c011", "468e8f083d30f6d1", "7cf9ec7e3e3a42a1", "a450496f387f5bc0"),
+    "gpu_streams": ("c9e714e14f8adf23", "095ea1346d9879bf", "1b6fb251dea2bb4b", "29a784755b424fa4"),
+    "gpu_streams_memory": ("4fb052199c8f9f7e", "801266be8e9dea3e", "6aa568478e085461", "164a3837cd144338"),
+    "cpu": ("22198fd0e87511f7", "e410603266a0f819", "4d8bfd5b46aab638", "022792b340db5b24"),
+    "cpu_nohoard": ("5f2fe1a41154dda5", "f7c0a2660b5dd456", "43dccaaf6be59918", "e2fd25702963a2d4"),
+    "gpu_direct_2gpus": ("9483a4906be09798", "786882cb2b4a74ca", "d716d758459815e4", "830c15b21561233b"),
+    "gpu_basic_16mb": ("175d4ab05d85c011", "468e8f083d30f6d1", "a1763ece311988ae", "0bec15d271a03f74"),
+}
+GOLDEN_CONFIGS = {
+    "gpu_basic": ShredderConfig.gpu_basic,
+    "gpu_streams": ShredderConfig.gpu_streams,
+    "gpu_streams_memory": ShredderConfig.gpu_streams_memory,
+    "cpu": ShredderConfig.cpu,
+    "cpu_nohoard": lambda: ShredderConfig.cpu(hoard=False),
+    "gpu_direct_2gpus": lambda: ShredderConfig.gpu_streams_memory(gpu_direct=True, num_gpus=2),
+    "gpu_basic_16mb": lambda: ShredderConfig.gpu_basic(buffer_size=16 * MB),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_simulated_reports_are_golden(name):
+    with Shredder(GOLDEN_CONFIGS[name]()) as s:
+        digests = []
+        for total in GOLDEN_TOTALS:
+            doc = json.dumps(dataclasses.asdict(s.simulate(total)), sort_keys=True)
+            digests.append(hashlib.sha256(doc.encode()).hexdigest()[:16])
+    assert tuple(digests) == GOLDEN_REPORTS[name]

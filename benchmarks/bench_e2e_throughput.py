@@ -14,13 +14,13 @@ Two pipelines per configuration:
 
 ``fast``
     The zero-copy path: striped vector scan running the byte-plane
-    roll kernel on the self-tuned per-host geometry
-    (``repro.core.autotune``), vectorized ``select_cuts_fast``, lazy
-    view chunks with one batched hashing pass, batched index/cluster
-    lookups.  Rows carry the scan's kernel-dispatch counters
-    (dispatches/MiB, bytes/dispatch, geometry) so dispatch reduction is
-    visible in the committed trajectory, and the result records the
-    ``tuned_geometry`` used.
+    roll kernel on the static geometry (``DEFAULT_LANES`` x
+    ``DEFAULT_TILE_BYTES`` x ``DEFAULT_ROLL_STEPS``), vectorized
+    ``select_cuts_fast``, lazy view chunks with one batched hashing
+    pass, batched index/cluster lookups, all on one thread.  Rows carry
+    the scan's kernel-dispatch counters (dispatches/MiB, bytes/dispatch,
+    geometry) so dispatch reduction is visible in the committed
+    trajectory, and the result records the ``scan_geometry`` used.
 
 Acceptance (enforced in full mode): the fast path is >= 3x the reference
 on a 64 MiB input (VectorEngine, batched lookups) and its chunks and
@@ -57,13 +57,11 @@ from repro.core import (
     VectorEngine,
     default_engine,
     ensure_digests,
-    get_threads,
     reset_scan_counters,
     scan_counters,
     select_cuts,
-    set_threads,
 )
-from repro.core.autotune import autotune_enabled, describe, get_geometry
+from repro.core.engines import DEFAULT_LANES, DEFAULT_ROLL_STEPS, DEFAULT_TILE_BYTES
 from repro.store.cluster import ChunkStoreCluster
 from repro.workloads import seeded_bytes
 
@@ -73,11 +71,6 @@ TARGET_SPEEDUP = 3.0
 #: at least this factor fewer kernel dispatches per MiB than blocks of
 #: one row on the same geometry (ISSUE 4 bar: >= 4x at S=8).
 TARGET_DISPATCH_REDUCTION = 4.0
-#: Thread-sweep acceptance: 4 scan/hash workers must beat 1 by this
-#: factor on the fast path — only asserted on hosts with >= 4 CPUs
-#: (thread scaling cannot be demonstrated on a 1-2 core runner; the
-#: sweep rows are still recorded so the curve is visible either way).
-TARGET_THREAD_SPEEDUP = 1.5
 REGRESSION_TOLERANCE = 0.30
 #: Speedup ratios are only recorded (and gated) for sizes at least this
 #: large: sub-4 MiB runs finish in tens of milliseconds, where co-tenant
@@ -193,13 +186,12 @@ def run_sweep(quick: bool) -> dict:
     rows: list[dict] = []
     speedups: dict[str, float] = {}
 
-    def record(size, eng, backend, path, seconds, n_chunks, threads=1, runs=1):
+    def record(size, eng, backend, path, seconds, n_chunks, runs=1):
         row = {
             "size_bytes": size,
             "engine": eng,
             "backend": backend,
             "path": path,
-            "threads": threads,
             "seconds": round(seconds, 6),
             "mib_per_s": round(size / MB / seconds, 3),
             "n_chunks": n_chunks,
@@ -226,7 +218,7 @@ def run_sweep(quick: bool) -> dict:
                 fast_pipeline, data, chunker, backend, repeats=repeats
             )
             record(size, "vector", backend, "fast", fast_s, len(fast_chunks),
-                   threads=get_threads(), runs=repeats)
+                   runs=repeats)
             if backend == "single":
                 ref_s, (ref_chunks, _) = timed(
                     reference_pipeline, data, CONFIG, engine, repeats=repeats
@@ -254,84 +246,15 @@ def run_sweep(quick: bool) -> dict:
         ]:
             raise AssertionError("vector path diverged from SerialEngine")
 
-    # -- thread sweep: the multi-core scaling curve ---------------------
-    # The sweep input must span one scan tile *per worker* or the engine
-    # rightly refuses to fan that wide; 16 MiB gives every worker of a
-    # 4-thread row several 1 MiB tiles.
-    # Affinity-aware count: on cgroup/affinity-limited runners
-    # os.cpu_count() overstates the parallelism actually available, and
-    # the scaling gate below must not demand speedups the kernel won't
-    # schedule.
-    cpus = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else os.cpu_count()
-    ) or 1
-    sweep_size = 16 * MB
-    # On a 1-CPU host a multi-thread sweep can only produce a flat (or
-    # noise-inverted) curve: record *why* there is no scaling data
-    # instead of committing a silently flat curve that reads like a
-    # regression.
-    if cpus < 2:
-        thread_counts = [1]
-        sweep_skip_reason = (
-            f"host exposes {cpus} CPU(s); thread scaling is not "
-            "demonstrable, sweep limited to the 1-thread row"
-        )
-    else:
-        thread_counts = sorted({1, 2, 4, cpus})
-        sweep_skip_reason = None
-    data = seeded_bytes(sweep_size, seed=sweep_size & 0xFFFF)
-    sweep_mibs: dict[int, float] = {}
-    reference_shape = None
-    try:
-        for t in thread_counts:
-            set_threads(t)
-            seconds, (sweep_chunks, _) = timed(
-                fast_pipeline, data, chunker, "single", repeats=2
-            )
-            shape = [(c.offset, c.length, c.digest) for c in sweep_chunks]
-            if reference_shape is None:
-                reference_shape = shape
-            elif shape != reference_shape:
-                raise AssertionError(
-                    f"threaded scan at {t} threads diverged from 1 thread"
-                )
-            record(sweep_size, "vector", "single", "fast", seconds,
-                   len(sweep_chunks), threads=t, runs=2)
-            sweep_mibs[t] = round(sweep_size / MB / seconds, 3)
-    finally:
-        set_threads(None)
-    thread_sweep = {
-        "size_bytes": sweep_size,
-        "cpus": cpus,
-        "mib_per_s": {str(t): v for t, v in sweep_mibs.items()},
-    }
-    if sweep_skip_reason is not None:
-        thread_sweep["skip_reason"] = sweep_skip_reason
-    if 4 in sweep_mibs:
-        thread_sweep["speedup_4_vs_1"] = round(sweep_mibs[4] / sweep_mibs[1], 3)
-        acceptance["thread_speedup_4v1"] = thread_sweep["speedup_4_vs_1"]
-        if not quick and cpus >= 4 and (
-            thread_sweep["speedup_4_vs_1"] < TARGET_THREAD_SPEEDUP
-        ):
-            raise AssertionError(
-                f"4-thread fast path only {thread_sweep['speedup_4_vs_1']:.2f}x "
-                f"the 1-thread rate (target >= {TARGET_THREAD_SPEEDUP}x on a "
-                f"{cpus}-CPU host)"
-            )
-
     # -- fused-kernel dispatch reduction --------------------------------
     # Same geometry, roll_steps 1 vs 8: the fused kernel must amortize
     # per-launch cost by >= TARGET_DISPATCH_REDUCTION (asserted in full
     # mode; recorded always).
-    geometry = get_geometry()
     dispatch_data = seeded_bytes(4 * MB, seed=0x5EED)
     per_mib: dict[int, float] = {}
     for steps in (1, 8):
         probe = VectorEngine(
-            lanes=geometry.lanes, tile_bytes=geometry.tile_bytes,
-            threads=1, roll_steps=steps,
+            lanes=DEFAULT_LANES, tile_bytes=DEFAULT_TILE_BYTES, roll_steps=steps
         )
         reset_scan_counters()
         probe.candidate_cut_array(dispatch_data, CONFIG.mask, CONFIG.marker)
@@ -377,24 +300,14 @@ def run_sweep(quick: bool) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpus": os.cpu_count(),
-            # CPUs this process may actually use (cgroup/affinity-aware);
-            # the honest parallelism ceiling on containerized runners.
-            "cpus_available": (
-                len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity")
-                else os.cpu_count()
-            ),
         },
-        # The self-tuned scan geometry this run used (satellite of the
-        # fused-kernel issue): future readers can attribute throughput
-        # moves to geometry changes instead of guessing.
-        "tuned_geometry": {
-            **describe(geometry),
-            "autotune_enabled": autotune_enabled(),
+        "scan_geometry": {
+            "lanes": DEFAULT_LANES,
+            "tile_bytes": DEFAULT_TILE_BYTES,
+            "roll_steps": DEFAULT_ROLL_STEPS,
         },
         "rows": rows,
         "speedups": speedups,
-        "thread_sweep": thread_sweep,
         "acceptance": acceptance,
     }
 
@@ -407,16 +320,15 @@ def run_sweep(quick: bool) -> dict:
 def build_table(result: dict) -> ResultTable:
     table = ResultTable(
         "End-to-end chunk+hash+dedup throughput",
-        ["Size", "Engine", "Backend", "Path", "Thr", "Seconds", "MiB/s"],
+        ["Size", "Engine", "Backend", "Path", "Seconds", "MiB/s"],
         paper_note="fast = zero-copy striped scan + batched hash/lookup; "
-        "reference = pre-optimization per-chunk path; Thr = worker threads",
+        "reference = pre-optimization per-chunk path",
     )
     for row in result["rows"]:
         size = row["size_bytes"]
         label = f"{size // MB} MiB" if size >= MB else f"{size // 1024} KiB"
         table.add(
             label, row["engine"], row["backend"], row["path"],
-            row.get("threads", 1),
             f"{row['seconds']:.3f}", f"{row['mib_per_s']:.1f}",
         )
     return table
@@ -499,15 +411,12 @@ def main(argv=None) -> int:
         print("\nfast-path speedup vs pre-optimization reference:")
         for key, speedup in result["speedups"].items():
             print(f"  {key:24s} {speedup:5.2f}x")
-    geometry = result.get("tuned_geometry", {})
-    if geometry:
-        print(
-            f"\ntuned geometry [{geometry.get('source')}]: "
-            f"lanes={geometry.get('lanes')} "
-            f"tile={geometry.get('tile_bytes', 0) // 1024} KiB "
-            f"roll_steps={geometry.get('roll_steps')} "
-            f"threads={geometry.get('threads')}"
-        )
+    geometry = result["scan_geometry"]
+    print(
+        f"\nscan geometry: lanes={geometry['lanes']} "
+        f"tile={geometry['tile_bytes'] // 1024} KiB "
+        f"roll_steps={geometry['roll_steps']}"
+    )
     acc = result["acceptance"]
     if "dispatch_reduction_s8" in acc:
         print(
@@ -515,16 +424,6 @@ def main(argv=None) -> int:
             f"at S=1 -> {acc['dispatches_per_mib_s8']:.0f} at S=8 "
             f"({acc['dispatch_reduction_s8']:.1f}x reduction)"
         )
-    sweep = result.get("thread_sweep", {})
-    if sweep.get("mib_per_s"):
-        label = f"{sweep['size_bytes'] // MB} MiB"
-        print(f"\nthread sweep on {label} ({sweep['cpus']} CPU host):")
-        for t, mibs in sweep["mib_per_s"].items():
-            print(f"  {t:>3s} thread(s)  {mibs:8.1f} MiB/s")
-        if "speedup_4_vs_1" in sweep:
-            print(f"  4-thread vs 1-thread: {sweep['speedup_4_vs_1']:.2f}x")
-        if "skip_reason" in sweep:
-            print(f"  ({sweep['skip_reason']})")
     if "speedup_64mib" in result["acceptance"]:
         print(f"\nacceptance: {result['acceptance']['speedup_64mib']:.2f}x on 64 MiB "
               f"(target >= {TARGET_SPEEDUP}x), serial-identical: "

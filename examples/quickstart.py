@@ -3,13 +3,11 @@
 
 Chunks a stream with the fully optimized GPU configuration, verifies the
 chunks reassemble exactly, deduplicates a second, slightly-edited copy,
-shows the zero-copy streaming API, the self-tuned scan geometry, the
-threaded engine + stage-overlapped pipeline, and prints the modeled
-throughput for each backend configuration (the Figure 12 bars).
+shows the zero-copy streaming API and the batched chunk + hash pipeline,
+and prints the modeled throughput for each backend configuration (the
+Figure 12 bars).
 
-Run:  python examples/quickstart.py          # REPRO_THREADS=N to pin workers
-                                             # REPRO_AUTOTUNE=0 for static
-                                             # scan geometry
+Run:  python examples/quickstart.py
 """
 
 from repro.backup import BackupConfig, BackupServer
@@ -19,9 +17,7 @@ from repro.core import (
     Shredder,
     ShredderConfig,
     ensure_digests,
-    get_threads,
     pipeline_chunks,
-    set_threads,
 )
 from repro.workloads import mutate, seeded_bytes
 
@@ -68,41 +64,21 @@ def main() -> None:
     print(f"\nzero-copy stream: {len(streamed)} chunks from {len(buffers)} "
           f"buffer views, {dup} digests matched without copying a payload")
 
-    # -- self-tuned scan geometry --------------------------------------------
-    # The striped scan's tile size, lane count, fused roll-step factor,
-    # and thread default are *measured* for this host, not assumed: the
-    # first defaulted engine triggers a sub-two-second micro-benchmark
-    # whose winner persists to ~/.cache/repro/autotune.json (override
-    # with REPRO_AUTOTUNE_CACHE; disable with REPRO_AUTOTUNE=0).  Run
-    # `python -m repro tune` for the full grid, `--show` to inspect,
-    # `--force` to re-measure after a hardware/NumPy change.
-    from repro.core import get_geometry
-
-    geometry = get_geometry()
-    print(f"\nscan geometry [{geometry.source}]: lanes={geometry.lanes}, "
-          f"tile={geometry.tile_bytes >> 10} KiB, "
-          f"fused roll_steps={geometry.roll_steps}")
-
-    # -- threaded scan + stage-overlapped pipeline ---------------------------
-    # One knob (REPRO_THREADS / set_threads / CLI --threads) drives the
-    # scan and hash worker pools; 0/1 = serial.  pipeline_chunks — the
-    # one driver every entry point runs — overlaps the marker scan of
-    # buffer i+1 with the hashing of buffer i, and the caller's work on
-    # each digested batch (here: flattening) overlaps both.  Chunks are
-    # bit-identical to the serial path at any thread count.
-    set_threads(4)
+    # -- batched chunk + hash pipeline -------------------------------------
+    # pipeline_chunks — the one driver every entry point runs — yields
+    # digested batches in stream order: each batch is scanned and
+    # hashed when the caller asks for it.
     piped = [
         chunk
         for batch in pipeline_chunks(chunker.candidate_cuts, chunker.config, buffers)
         for chunk in batch
     ]
     assert [c.digest for c in piped] == [c.digest for c in chunks]
-    print(f"\npipelined chunk+hash with {get_threads()} workers: "
-          f"{len(piped)} chunks, digests prefilled, stream order kept")
-    set_threads(None)  # back to auto-detect
+    print(f"\npipelined chunk+hash: {len(piped)} chunks, digests prefilled, "
+          "stream order kept")
 
-    # The backup server always runs this way: batched index/cluster
-    # lookups and agent shipping overlap the scan and hash.
+    # The backup server always runs this way: each batch's index/cluster
+    # lookups and agent shipping run before the next batch is scanned.
     with BackupServer(BackupConfig(engine="gpu")) as server:
         server.backup_snapshot(data, "base")
         report = server.backup_snapshot(edited, "edited")

@@ -3,7 +3,7 @@
 A stdlib-``ast`` checker framework that machine-checks the invariants
 the rest of the codebase only promises in prose: zero-copy scanning on
 the hot path, batched-only backend probes, a blocking-call-free asyncio
-service, lock-ordered shared pool state, exhaustive wire-protocol
+service, lock-ordered shared cache state, exhaustive wire-protocol
 dispatch, and metrics counters that actually reach the snapshot.
 
 Layout:

@@ -167,13 +167,9 @@ def _is_lock_ctor(node: ast.AST) -> bool:
     return name is not None and name.split(".")[-1] in ("Lock", "RLock")
 
 
-#: Modules whose module-level caches and pool state carry a designated
-#: lock (the paper's single-Store-thread discipline, made checkable).
-LOCKED_STATE_SUFFIXES = (
-    "core/threads.py",
-    "core/engines.py",
-    "core/hashing.py",
-)
+#: Modules whose module-level caches carry a designated lock (the
+#: paper's single-Store-thread discipline, made checkable).
+LOCKED_STATE_SUFFIXES = ("core/engines.py",)
 
 _MUTATING_METHODS = frozenset(
     {
@@ -199,7 +195,7 @@ class LockDisciplineChecker(Checker):
 
     name = "lock-discipline"
     description = (
-        "module-level caches/pool state in the core modules must be "
+        "module-level caches in the core modules must be "
         "mutated under a designated lock; nested lock acquisitions "
         "must not reverse each other"
     )

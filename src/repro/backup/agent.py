@@ -80,8 +80,8 @@ class ShredderAgent:
         front-end ships in (one CHUNK_BATCH frame) and the pipelined
         server hands over per scan batch.  All declared digests are
         verified against the payloads in one hashing pass
-        (:func:`~repro.core.hashing.digest_many`, threaded on large
-        batches) before anything is stored, and the store insert is one
+        (:func:`~repro.core.hashing.digest_many`) before anything is
+        stored, and the store insert is one
         ``put_chunks``.  A ``None`` digest means "compute it for me".
         """
         session = self._session(snapshot_id)

@@ -36,10 +36,10 @@ bit-identical and the reopened index/cluster answer ``lookup_batch``
 with the same hit/miss pattern as before the restart.
 
 The server *executes* as the paper's pipeline: chunks arrive in
-digested batches from the bounded scan→hash pipeline
+digested batches from the scan→hash pipeline
 (:meth:`repro.core.shredder.Shredder.pipeline_batches`), and each
-batch's index/cluster lookups and agent shipping run while later
-buffers are still being scanned and hashed.  Chunks, dedup decisions,
+batch's index/cluster lookups and agent shipping run before the next
+batch is scanned, all on the calling thread.  Chunks, dedup decisions,
 shipped bytes, and recipes do not depend on how the stream is batched;
 only the cluster's ``lookup_stats`` batch counters — and therefore the
 modeled index-stage seconds — follow ``pipeline_batch_chunks``,
@@ -122,8 +122,8 @@ class BackupConfig:
     bloom_probe_s: float = 2e-7
     bloom_fp_rate: float = 0.01
     #: Chunks per pipeline batch handed to the lookup/ship stage;
-    #: ``None`` follows the autotuned scan-tile geometry (one hashing
-    #: pass per scan tile).
+    #: ``None`` sizes batches to cover ``HASH_BATCH_BYTES`` (4 MiB) of
+    #: expected chunks (one hashing pass per batch).
     pipeline_batch_chunks: int | None = None
 
     def __post_init__(self) -> None:
@@ -331,10 +331,9 @@ class BackupServer:
     def backup_snapshot(self, data: bytes, snapshot_id: str) -> BackupReport:
         """Deduplicate and ship one image snapshot to the backup site.
 
-        Digested chunk batches stream out of the bounded scan→hash
-        pipeline in input order, and this stage's batched index/cluster
-        probes + agent shipping overlap the scan and hash of later
-        buffers.
+        Digested chunk batches stream out of the scan→hash pipeline in
+        input order, and each batch's index/cluster probes and agent
+        shipping run before the next batch is scanned.
         """
         cfg = self.config
         batches = self.shredder.pipeline_batches(

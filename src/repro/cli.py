@@ -21,8 +21,6 @@ Commands
 ``scrub DIR``       reopen a persistent cluster and run one integrity
                     pass: re-digest every stored payload/fragment,
                     rebuild mismatches from parity/replicas
-``tune``            measure + persist the striped-scan geometry for this
-                    host (tile size, lanes, fused roll steps, threads)
 ``lint [PATHS]``    AST-based project-invariant checks (zero-copy hot
                     path, batched-only probes, async-blocking, lock
                     discipline, protocol exhaustiveness, metrics
@@ -61,38 +59,22 @@ def _chunker_config(args) -> "ChunkerConfig":
     )
 
 
-def _apply_threads(args) -> None:
-    """Plumb ``--threads`` to the scan engine and hash pool.
-
-    ``set_threads`` governs both shared worker pools and every engine
-    built afterwards (0/1 = serial).  The default (no flag) auto-detects
-    from ``REPRO_THREADS`` or the host CPU count.
-    """
-    threads = getattr(args, "threads", None)
-    if threads is not None:
-        from repro.core.threads import set_threads
-
-        try:
-            set_threads(threads)
-        except ValueError as exc:
-            raise SystemExit(f"invalid --threads: {exc}")
-
-
 def _profiled_chunk(chunker, view) -> list:
-    """Chunk ``view`` through the stage-overlapped pipeline, metered.
+    """Chunk ``view`` through the chunk + hash pipeline, metered.
 
     Slices the buffer into scan-tile-sized pieces and runs the real
-    scan ∥ hash pipeline plus a batched dedup probe, so the stage
+    scan + hash pipeline plus a batched dedup probe, so the stage
     timers (scan / hash / lookup) and fused-kernel dispatch counters
     reflect the production data path.  Chunks are identical to the
     whole-buffer path (stream chunking is boundary-exact).
     """
-    from repro.core import DedupIndex, get_geometry, pipeline_chunks
+    from repro.core import DedupIndex, pipeline_chunks
     from repro.core import reset_scan_counters, reset_stage_times
+    from repro.core.engines import DEFAULT_TILE_BYTES
 
     reset_scan_counters()
     reset_stage_times()
-    piece = max(get_geometry().tile_bytes, 1 << 20)
+    piece = DEFAULT_TILE_BYTES
     buffers = [view[off : off + piece] for off in range(0, len(view), piece)]
     chunks = [
         chunk
@@ -155,7 +137,6 @@ def cmd_chunk(args) -> int:
 
     from repro.core import Chunker, size_stats
 
-    _apply_threads(args)
     chunker = Chunker(_chunker_config(args))
     profile_seconds = 0.0
     # Zero-copy path: chunk the file through an mmap'd memoryview — the
@@ -357,7 +338,6 @@ def _remote_backup(args, data: bytes) -> int:
 def cmd_backup(args) -> int:
     from repro.backup import BackupConfig, BackupServer
 
-    _apply_threads(args)
     data = _read(args.file)
     if args.remote:
         if args.backend or args.data_dir:
@@ -392,7 +372,6 @@ def cmd_backup(args) -> int:
 def cmd_cluster(args) -> int:
     from repro.backup import BackupConfig, BackupServer
 
-    _apply_threads(args)
     data = _read(args.file)
     try:
         config = BackupConfig(
@@ -474,7 +453,6 @@ def cmd_serve(args) -> int:
 
     from repro.service import BackupService, ServiceConfig
 
-    _apply_threads(args)
     try:
         config = ServiceConfig(
             host=args.host,
@@ -594,51 +572,6 @@ def cmd_scrub(args) -> int:
     return 0
 
 
-def cmd_tune(args) -> int:
-    from repro.core import autotune
-
-    if args.show:
-        # Read-only: report the cached entry (or the static fallback)
-        # without triggering a first-use tune or any file writes.
-        if not autotune.autotune_enabled():
-            geometry = autotune.DEFAULT_GEOMETRY
-            print("autotune disabled (REPRO_AUTOTUNE=0); static defaults:")
-        else:
-            geometry = autotune.load_cached()
-            if geometry is None:
-                geometry = autotune.DEFAULT_GEOMETRY
-                print(f"no cached geometry for {autotune.host_key()} — "
-                      "static defaults shown; run `repro tune` to measure:")
-            else:
-                print(f"cached geometry for {autotune.host_key()}:")
-    else:
-        if not autotune.autotune_enabled():
-            raise SystemExit(
-                "autotune is disabled (REPRO_AUTOTUNE=0); unset it to tune"
-            )
-        cached = None if args.force else autotune.load_cached()
-        if cached is not None:
-            geometry = cached
-            print(f"cached geometry for {autotune.host_key()} "
-                  "(use --force to re-measure):")
-        else:
-            mode = "quick" if args.quick else "full"
-            print(f"measuring scan geometry ({mode} grid) ...")
-            geometry = autotune.tune(quick=args.quick, persist=True, log=print)
-            autotune.set_geometry(geometry)
-            print(f"\nwrote {autotune.cache_path()}")
-            print(f"tuned geometry for {autotune.host_key()}:")
-    table = ResultTable("Striped-scan geometry", ["Knob", "Value"])
-    table.add("lanes", geometry.lanes)
-    table.add("tile_bytes", f"{geometry.tile_bytes} ({geometry.tile_bytes >> 10} KiB)")
-    table.add("roll_steps", geometry.roll_steps)
-    table.add("threads", "auto" if geometry.threads is None else geometry.threads)
-    if geometry.mib_per_s is not None:
-        table.add("measured MiB/s", f"{geometry.mib_per_s:.1f}")
-    print(format_table(table))
-    return 0
-
-
 def cmd_lint(args) -> int:
     import json
 
@@ -687,11 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--min-size", type=int, default=0)
         p.add_argument("--max-size", type=int, default=None)
 
-    def add_threads_arg(p):
-        p.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="worker threads for the scan + hash pools "
-                       "(0/1 = serial; default: REPRO_THREADS or CPU count)")
-
     def add_placement_args(p, with_striped: bool = True):
         choices = ("vanilla", "striped", "replicated", "ec") if with_striped \
             else ("vanilla", "replicated", "ec")
@@ -720,11 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_chunk.add_argument("file")
     p_chunk.add_argument("--all", action="store_true", help="print every chunk")
     p_chunk.add_argument("--profile", action="store_true",
-                         help="run the scan∥hash pipeline + a dedup probe "
+                         help="run the scan + hash pipeline + a dedup probe "
                          "and print the per-stage time split and scan "
                          "dispatch counters")
     add_chunker_args(p_chunk)
-    add_threads_arg(p_chunk)
     p_chunk.set_defaults(fn=cmd_chunk)
 
     p_dedup = sub.add_parser("dedup", help="cross-file dedup statistics")
@@ -756,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="tenant HMAC token for a service running "
                           "with --auth-file (see repro.service.limits"
                           ".auth_token)")
-    add_threads_arg(p_backup)
     p_backup.set_defaults(fn=cmd_backup)
 
     p_serve = sub.add_parser(
@@ -849,7 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="open the store-path circuit breaker after N "
                          "consecutive store failures; open = fast "
                          "RETRY_LATER (default: off)")
-    add_threads_arg(p_serve)
     p_serve.set_defaults(fn=cmd_serve)
 
     p_cluster = sub.add_parser(
@@ -872,7 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="digests per batched index lookup")
     p_cluster.add_argument("--fail-node", action="store_true",
                            help="kill the fullest node, repair, then restore")
-    add_threads_arg(p_cluster)
     p_cluster.set_defaults(fn=cmd_cluster)
 
     p_scrub = sub.add_parser(
@@ -889,18 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="verify at most N stored items (default: "
                          "one full pass)")
     p_scrub.set_defaults(fn=cmd_scrub)
-
-    p_tune = sub.add_parser(
-        "tune", help="measure + persist the striped-scan geometry for this host"
-    )
-    p_tune.add_argument("--quick", action="store_true",
-                        help="small grid / small buffer (CI smoke; "
-                        "well under two seconds)")
-    p_tune.add_argument("--force", action="store_true",
-                        help="re-measure even when a cached answer exists")
-    p_tune.add_argument("--show", action="store_true",
-                        help="print the effective geometry without tuning")
-    p_tune.set_defaults(fn=cmd_tune)
 
     p_lint = sub.add_parser(
         "lint",

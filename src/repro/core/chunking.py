@@ -20,8 +20,6 @@ size of ``2**13`` bytes, with ``min = 0`` and ``max = ∞`` unless noted.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from bisect import bisect_left
 from collections import deque
@@ -230,12 +228,11 @@ class Chunk:
         return (Chunk, (self.offset, self.length, data, self.digest))
 
 
-def ensure_digests(chunks: Sequence[Chunk], parallel: bool | None = None) -> Sequence[Chunk]:
+def ensure_digests(chunks: Sequence[Chunk]) -> Sequence[Chunk]:
     """Materialize digests for a whole chunk batch in one pass.
 
     Chunks that already carry a digest are untouched; the rest are hashed
-    together through :func:`repro.core.hashing.digest_many` (sharded
-    across the hash thread pool on multi-core hosts).  This is the
+    together through :func:`repro.core.hashing.digest_many`.  This is the
     batched-hashing entry point the backup server and cluster lookup
     path use so a scan batch costs one hashing pass, not one call per
     chunk.
@@ -251,9 +248,7 @@ def ensure_digests(chunks: Sequence[Chunk], parallel: bool | None = None) -> Seq
             pieces.append(c._views[0])
         else:
             pieces.append(None)  # multi-view chunks hash incrementally
-    digests = digest_many(
-        [p for p in pieces if p is not None], parallel=parallel
-    )
+    digests = digest_many([p for p in pieces if p is not None])
     it = iter(digests)
     for c, piece in zip(pending, pieces):
         c._digest = next(it) if piece is not None else digest_views(c._views)
@@ -386,7 +381,7 @@ def stream_chunks(
     quadratic re-scan of a growing carry.
 
     ``candidate_fn(data) -> cuts`` supplies min/max-agnostic marker cuts
-    (e.g. ``Chunker.candidate_cuts`` or the SPMD host chunker's); min/max
+    (e.g. ``Chunker.candidate_cuts`` or the simulated device's); min/max
     selection runs incrementally here against the true previous boundary.
 
     Zero-copy applies to *read-only* buffers (bytes, read-only
@@ -485,7 +480,7 @@ def stream_chunks(
 
 #: Bytes one hash batch is sized to cover.  A constant of the pipeline,
 #: not of the scan geometry: batch boundaries decide every probe and
-#: placement count downstream, so they must not move with a tuned tile.
+#: placement count downstream, so they must not move with the tile.
 HASH_BATCH_BYTES = 4 << 20
 
 
@@ -552,138 +547,46 @@ def _hash_batches(
         batches.close()  # a stage that stops early stops its upstream too
 
 
-def _run_ahead(
-    stage: Generator, depth: int, stop: threading.Event, errors: list, name: str
-) -> tuple[threading.Thread, Generator]:
-    """Run ``stage`` on a worker thread, up to ``depth`` items ahead.
-
-    The one thread hand-off: a bounded queue filled by the worker and
-    drained by the returned generator.  ``stop`` tears every hand-off of
-    a pipeline down together; a stage exception lands in ``errors`` and
-    sets it.
-    """
-    handoff: queue.Queue = queue.Queue(maxsize=depth)
-
-    def put(item) -> bool:
-        """Blocking put that aborts when the pipeline is torn down."""
-        while not stop.is_set():
-            try:
-                handoff.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def produce() -> None:
-        try:
-            for item in stage:
-                if not put(item):
-                    return
-        except BaseException as exc:
-            errors.append(exc)
-            stop.set()
-        finally:
-            stage.close()  # records the stage timer on this thread
-            put(_PIPE_END)
-
-    def drain() -> Generator:
-        """Blocking gets; queued items still drain after ``stop``."""
-        while True:
-            try:
-                item = handoff.get(timeout=0.05)
-            except queue.Empty:
-                if stop.is_set():
-                    return
-                continue
-            if item is _PIPE_END:
-                return
-            yield item
-
-    worker = threading.Thread(target=produce, name=name, daemon=True)
-    worker.start()
-    return worker, drain()
-
-
 def pipeline_chunks(
     candidate_fn,
     config: ChunkerConfig,
     buffers: Iterable,
     carry_limit: int = 1 << 26,
     batch_chunks: int | None = None,
-    queue_depth: int = 4,
 ) -> Iterator[list[Chunk]]:
-    """Stage-overlapped chunking: scan || hash || consume (§4.2 on the CPU).
+    """Chunk and hash a buffer stream in batches: scan, then hash.
 
     The one executor behind every chunking entry point.  Two stage
-    generators — :func:`stream_chunks` cut into batches, then
-    :func:`ensure_digests` per batch — yield successive **batches**
-    (lists) of digested :class:`Chunk` records to the caller.  On a
-    multi-core host each stage runs one hand-off ahead on its own
-    worker thread, so hashing batch ``i`` overlaps scanning batch
-    ``i + 1``, and whatever the caller does with a batch (index probes,
-    cluster lookups, shipping) overlaps both.  NumPy releases the GIL
-    inside the scan and ``hashlib`` inside the hash, so the three
-    stages genuinely run concurrently.
+    generators — :func:`stream_chunks` cut into batches, then one
+    :func:`ensure_digests` pass per batch — are chained on the calling
+    thread and yield successive **batches** (lists) of digested
+    :class:`Chunk` records.  Nothing runs ahead of the caller: a batch
+    is scanned and hashed when the caller asks for the next one, so
+    whatever the caller does with a batch (index probes, cluster
+    lookups, shipping) is done before the next is scanned.
 
     Batches preserve stream order exactly: concatenating them yields
     the same chunk sequence (offsets, lengths, digests) as
     ``stream_chunks`` followed by one big ``ensure_digests`` pass.
-    ``queue_depth`` bounds in-flight batches per hand-off (the
-    pinned-ring role from the paper's GPU pipeline: bounded buffering,
-    no unbounded memory growth when one stage stalls).
 
-    A stage exception tears the pipeline down and re-raises in the
-    consumer as :class:`PipelineError`.  Closing the generator early
-    stops both workers.
-
-    With the process-wide thread setting at 0/1 (``REPRO_THREADS`` /
-    :func:`repro.core.threads.set_threads`) the same two generators run
-    chained on the calling thread — no workers, no queue, same batches,
-    same error type — so the serial configuration is genuinely
-    single-threaded.
+    A stage exception re-raises in the consumer as
+    :class:`PipelineError`.  Closing the generator early stops the scan.
 
     ``batch_chunks=None`` (the default) sizes batches to cover
-    ``HASH_BATCH_BYTES`` (see :func:`_resolve_batch_chunks`).  Both stages accumulate wall-clock
-    into the ``scan`` / ``hash`` stage timers of
-    :mod:`repro.core.stats`, powering ``repro chunk --profile``.
+    ``HASH_BATCH_BYTES`` (see :func:`_resolve_batch_chunks`).  Both
+    stages accumulate wall-clock into the ``scan`` / ``hash`` stage
+    timers of :mod:`repro.core.stats`, powering ``repro chunk
+    --profile``.
     """
-    from repro.core.threads import get_threads
-
     if batch_chunks is None:
         batch_chunks = _resolve_batch_chunks(config)
     if batch_chunks < 1:
         raise ValueError("batch_chunks must be >= 1")
-    if queue_depth < 1:
-        raise ValueError("queue_depth must be >= 1")
-
     scanned = _scan_batches(candidate_fn, config, buffers, carry_limit, batch_chunks)
-    if get_threads() <= 1:
-        try:
-            yield from _hash_batches(scanned)
-        except Exception as exc:  # KeyboardInterrupt/SystemExit pass through
-            raise PipelineError(f"chunk pipeline stage failed: {exc!r}") from exc
-        return
-
-    stop = threading.Event()
-    errors: list[BaseException] = []
-    scan_worker, scanned = _run_ahead(scanned, queue_depth, stop, errors, "chunk-scan")
-    hash_worker, hashed = _run_ahead(
-        _hash_batches(scanned), queue_depth, stop, errors, "chunk-hash"
-    )
     try:
-        yield from hashed
-    finally:
-        # Stop *before* joining: after a stage failure the scan worker
-        # may be blocked inside the caller's buffer iterator (e.g. a
-        # live socket), which nothing can interrupt — the bounded join
-        # keeps the consumer from hanging on it (workers are daemons).
-        stop.set()
-        for worker in (scan_worker, hash_worker):
-            worker.join(timeout=5.0)
-    if errors:
-        raise PipelineError(
-            f"chunk pipeline stage failed: {errors[0]!r}"
-        ) from errors[0]
+        yield from _hash_batches(scanned)
+    except Exception as exc:  # KeyboardInterrupt/SystemExit pass through
+        raise PipelineError(f"chunk pipeline stage failed: {exc!r}") from exc
 
 
 class Chunker:
@@ -727,11 +630,7 @@ class Chunker:
     # -- boundary-level API -------------------------------------------------
 
     def candidate_cut_array(self, data) -> np.ndarray:
-        """Marker positions only, before min/max selection (GPU-kernel view).
-
-        The one scan hook: subclasses that scan differently (the SPMD
-        host chunker) override this and inherit everything else.
-        """
+        """Marker positions only, before min/max selection (GPU-kernel view)."""
         return self.engine.candidate_cut_array(data, self.config.mask, self.config.marker)
 
     def candidate_cuts(self, data) -> list[int]:

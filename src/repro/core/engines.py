@@ -34,9 +34,10 @@ Two interchangeable implementations:
     chain that retires them — amortizing per-launch dispatch the way
     the paper amortizes kernel launch and DMA over larger work units
     (§4.1).  The gather path's pair tables are cached at module level
-    keyed by ``(polynomial, window_size)`` and built on first use;
-    default geometry (lanes/tile/roll_steps) comes from the per-host
-    autotuner (:mod:`repro.core.autotune`) rather than constants.
+    keyed by ``(polynomial, window_size)`` and built on first use.
+    Every scan runs on the calling thread, and a defaulted engine's
+    geometry is three constants (:data:`DEFAULT_LANES`,
+    :data:`DEFAULT_TILE_BYTES`, :data:`DEFAULT_ROLL_STEPS`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import threading
 import numpy as np
 
 from repro.core.rabin import RabinFingerprinter
-from repro.core.threads import get_threads, scan_pool
 
 __all__ = [
     "Engine",
@@ -56,11 +56,9 @@ __all__ = [
     "as_byte_view",
     "as_uint8",
     "engine_tables",
-    "parallel_candidate_cuts",
     "DEFAULT_LANES",
     "DEFAULT_TILE_BYTES",
     "DEFAULT_ROLL_STEPS",
-    "KERNEL_GENERATION",
 ]
 
 
@@ -131,7 +129,8 @@ def engine_tables(fingerprinter: RabinFingerprinter) -> _EngineTables:
     key = (fingerprinter.polynomial, fingerprinter.window_size)
     tables = _TABLE_CACHE.get(key)
     if tables is None:
-        # Concurrent scan workers may race to a cold cache; build once.
+        # Threads that chunk (the service client's feeder) may race to
+        # a cold cache; build once.
         with _TABLE_LOCK:
             tables = _TABLE_CACHE.get(key)
             if tables is None:
@@ -163,69 +162,9 @@ class Engine:
         """
         return np.asarray(self.candidate_cuts(data, mask, marker), dtype=np.int64)
 
-    def serial_cut_array(self, data, mask: int, marker: int) -> np.ndarray:
-        """Single-threaded :meth:`candidate_cut_array`.
-
-        :func:`parallel_candidate_cuts` calls this per region so a
-        threaded engine never re-submits work to the scan pool from
-        inside a pool worker (which could deadlock).
-        """
-        return self.candidate_cut_array(data, mask, marker)
-
     @property
     def window_size(self) -> int:
         return self.fingerprinter.window_size
-
-
-def parallel_candidate_cuts(
-    engine: "Engine", data, mask: int, marker: int, workers: int,
-    min_region: int = 1,
-) -> np.ndarray:
-    """SPMD region-parallel scan: the paper's host-parallel split (§5.1).
-
-    Window *starts* ``[0, m)`` are partitioned into ``workers``
-    contiguous regions of at least ``min_region`` positions; each region
-    scans the byte slice ``data[r0 : r1 + window - 1]`` (the ``w - 1``
-    overlap into the neighbour, so every window straddling a seam is
-    evaluated exactly once) on the shared scan pool, and the per-region
-    cut arrays are merged by concatenation.  Seam dedup is inherent in
-    the partition: a window start belongs to exactly one region, so no
-    cut can be reported twice.  Output is bit-identical to a serial
-    scan — this is the one implementation behind both the paper's
-    pthreads host-chunker model and ``VectorEngine``'s threaded scan.
-
-    ``workers`` fixes the region *split* (the paper's SPMD geometry);
-    execution concurrency follows the process-wide knob: with
-    ``REPRO_THREADS``/:func:`set_threads` at 0/1 the regions run inline
-    on the calling thread (the serial configuration truly spawns no
-    workers anywhere), and any higher setting caps how many regions run
-    at once even when the split is wider — results are identical at any
-    concurrency.
-    """
-    mv = as_byte_view(data)
-    w = engine.window_size
-    n = len(mv)
-    m = n - w + 1
-    if m <= 0:
-        return np.empty(0, dtype=np.int64)
-    region = max(min_region, 1, -(-m // max(1, workers)))
-    if workers <= 1 or region >= m:
-        return engine.serial_cut_array(mv, mask, marker)
-    bounds = [(r0, min(r0 + region, m)) for r0 in range(0, m, region)]
-
-    def scan(b: tuple[int, int]) -> np.ndarray:
-        r0, r1 = b
-        cuts = engine.serial_cut_array(mv[r0 : r1 + w - 1], mask, marker)
-        return cuts.astype(np.int64, copy=False) + r0
-
-    cap = get_threads()
-    if cap <= 1:
-        parts = [scan(b) for b in bounds]
-    else:
-        # Pool width <= cap: a 12-region split under REPRO_THREADS=2
-        # queues 12 tasks but runs at most 2 at a time.
-        parts = list(scan_pool(min(workers, cap)).map(scan, bounds))
-    return np.concatenate(parts)  # regions are disjoint and ordered
 
 
 class SerialEngine(Engine):
@@ -245,21 +184,13 @@ class SerialEngine(Engine):
         return cuts
 
 
-#: Fallback striped-scan geometry, used when self-tuning is disabled
-#: (``REPRO_AUTOTUNE=0``) or has not produced a per-host answer yet:
-#: 4096 lanes keep the chain's working set (four lane-wide 64-bit
-#: vectors and one ``roll_steps``-row block of data terms) in L2, and a
-#: 1 MiB tile keeps its byte planes and 16-bit history there too.  The
-#: real geometry should come from :mod:`repro.core.autotune`, which
-#: measures this host instead of assuming it.
+#: Striped-scan geometry of a defaulted engine: 4096 lanes keep the
+#: chain's working set (four lane-wide 64-bit vectors and one
+#: ``roll_steps``-row block of data terms) in L2, and a 1 MiB tile keeps
+#: its byte planes and 16-bit history there too.
 DEFAULT_LANES = 4096
 DEFAULT_TILE_BYTES = 1 << 20
 DEFAULT_ROLL_STEPS = 8
-
-#: Generation of the roll kernel.  The tuner keys its per-host cache on
-#: it, so a geometry measured on an older kernel is never applied to
-#: this one; bump it whenever the kernel's cost model changes.
-KERNEL_GENERATION = 2
 
 #: Fewest window positions a lane is given.  Every lane pays ``window``
 #: seed rows before its first position, so a tile narrows its lane count
@@ -295,52 +226,29 @@ class VectorEngine(Engine):
     one row, the same code.  Bit-identical to :class:`SerialEngine` and
     to the gather reference at every geometry (differentially fuzzed).
 
-    On multi-core hosts the striped scan itself fans out: window
-    positions are partitioned into per-worker regions (each at least one
-    tile) that run concurrently on the shared scan pool — NumPy releases
-    the GIL in the lookup/ALU inner loops, so region scans genuinely
-    overlap.  ``threads=None`` follows the process-wide setting
-    (:func:`repro.core.threads.get_threads`, i.e. ``REPRO_THREADS``);
-    ``threads=0``/``1`` pins the engine serial.  Output is bit-identical
-    at any thread count.
-
     Requires an even window size (the default, 48, is even).
     """
 
     def __init__(
         self,
         fingerprinter: RabinFingerprinter | None = None,
-        lanes: int | None = None,
-        tile_bytes: int | None = None,
-        threads: int | None = None,
-        roll_steps: int | None = None,
+        lanes: int = DEFAULT_LANES,
+        tile_bytes: int = DEFAULT_TILE_BYTES,
+        roll_steps: int = DEFAULT_ROLL_STEPS,
     ) -> None:
         self.fingerprinter = fingerprinter or RabinFingerprinter()
         w = self.fingerprinter.window_size
         if w % 2 != 0:
             raise ValueError(f"VectorEngine requires an even window size, got {w}")
-        if lanes is None or tile_bytes is None or roll_steps is None:
-            # Geometry left open: measured per host, not assumed.  The
-            # import is deferred because autotune builds VectorEngines
-            # (with explicit geometry) while benchmarking.
-            from repro.core.autotune import get_geometry
-
-            geometry = get_geometry()
-            lanes = geometry.lanes if lanes is None else lanes
-            tile_bytes = geometry.tile_bytes if tile_bytes is None else tile_bytes
-            roll_steps = geometry.roll_steps if roll_steps is None else roll_steps
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
         if tile_bytes < 1:
             raise ValueError("tile_bytes must be >= 1")
         if roll_steps < 1:
             raise ValueError("roll_steps must be >= 1")
-        if threads is not None and threads < 0:
-            raise ValueError("threads must be >= 0 (or None for the default)")
         self.lanes = lanes
         self.tile_bytes = tile_bytes
         self.roll_steps = roll_steps
-        self.threads = threads
         # The roll kernel's two tables, 2 KiB each.  State is int64 so a
         # shifted-out byte is a valid ``np.take`` index with no cast.
         # ``_out_table[b] = b * x**(8*w) mod P``: what the byte leaving
@@ -517,12 +425,9 @@ class VectorEngine(Engine):
 
     # -- public scan API ---------------------------------------------------
 
-    def effective_threads(self) -> int:
-        """Worker count this engine scans with right now."""
-        return self.threads if self.threads is not None else get_threads()
-
-    def serial_cut_array(self, data, mask: int, marker: int) -> np.ndarray:
-        """Single-threaded scan: roll kernel for large inputs, gather for small."""
+    def candidate_cut_array(self, data, mask: int, marker: int) -> np.ndarray:
+        """Candidate cuts as an ``int64`` array (exclusive end offsets):
+        roll kernel for large inputs, gather for small."""
         d = as_uint8(data)
         w = self.fingerprinter.window_size
         m = d.size - w + 1
@@ -539,26 +444,6 @@ class VectorEngine(Engine):
                 hits = np.flatnonzero((fps & np.uint64(mask)) == np.uint64(marker))
             self._record_scan(1, 1, m, d.size, roll_steps=0)
         return hits.astype(np.int64, copy=False) + w
-
-    def candidate_cut_array(self, data, mask: int, marker: int) -> np.ndarray:
-        """Candidate cuts as an ``int64`` array (exclusive end offsets).
-
-        Fans the striped scan out across the shared worker pool when the
-        effective thread count allows and the input spans more than one
-        tile per worker; otherwise scans serially.  Bit-identical either
-        way.
-        """
-        workers = self.effective_threads()
-        if workers > 1:
-            d = as_uint8(data)
-            m = d.size - self.fingerprinter.window_size + 1
-            # Only fan out when every worker gets at least a full tile;
-            # smaller inputs finish faster without dispatch overhead.
-            if m > self.tile_bytes:
-                return parallel_candidate_cuts(
-                    self, d, mask, marker, workers, min_region=self.tile_bytes
-                )
-        return self.serial_cut_array(data, mask, marker)
 
     def candidate_cuts(self, data, mask: int, marker: int) -> list[int]:
         return self.candidate_cut_array(data, mask, marker).tolist()

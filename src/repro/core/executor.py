@@ -7,7 +7,7 @@ a ``candidate_fn`` that goes through the simulated GPU: for every
 buffer the Store thread asks about, it allocates a device buffer,
 uploads the bytes, launches the chunking kernel, collects the
 *candidate* cuts and frees the buffer.  Reader, min/max stitch across
-buffer boundaries, batched hashing and stage overlap are the driver's;
+buffer boundaries and batched hashing are the driver's;
 the executor owns only the device round trip and the modeled per-stage
 times it accumulates in :class:`ExecutionTotals`.
 
@@ -80,10 +80,5 @@ class ShredderExecutor:
             totals.kernel_seconds += stats.kernel_seconds
             return cuts
 
-        batches = pipeline_chunks(
-            device_candidates,
-            self.config.chunker,
-            read(),
-            queue_depth=self.config.ring_slots,
-        )
+        batches = pipeline_chunks(device_candidates, self.config.chunker, read())
         return [chunk for batch in batches for chunk in batch], totals

@@ -7,13 +7,7 @@ the paper's era (LBFS, Venti); SHA-256 is the default here.
 
 The batched entry points (:func:`digest_chunks`, :func:`digest_many`)
 hash whole scan batches in one pass over ``memoryview`` slices — no
-per-chunk ``bytes`` copies — and, on multi-core hosts, shard the batch
-across the shared hash pool (``hashlib`` releases the GIL for buffers
-larger than 2 KiB, so SHA throughput scales with cores).  Worker count
-follows :mod:`repro.core.threads` (the ``REPRO_THREADS`` env var /
-:func:`~repro.core.threads.set_threads`; ``0``/``1`` = serial), and the
-pool is shut down at exit via
-:func:`~repro.core.threads.close_pools`.
+per-chunk ``bytes`` copies — on the calling thread.
 """
 
 from __future__ import annotations
@@ -22,13 +16,6 @@ import hashlib
 import zlib
 from typing import Iterable, Sequence
 
-from repro.core.threads import (
-    MAX_HASH_WORKERS,
-    close_pools,
-    get_threads,
-    hash_pool,
-)
-
 __all__ = [
     "chunk_hash",
     "short_hash",
@@ -36,7 +23,6 @@ __all__ = [
     "digest_chunks",
     "digest_many",
     "digest_views",
-    "close_pools",
 ]
 
 def chunk_hash(data) -> bytes:
@@ -66,45 +52,16 @@ def digest_views(views: Iterable) -> bytes:
     return h.digest()
 
 
-#: Below this many bytes the thread-pool dispatch costs more than it saves.
-_PARALLEL_THRESHOLD = 4 << 20
-
-
-def _hash_workers() -> int:
-    """Shards the batch splits into (the shared-pool width, capped)."""
-    return min(MAX_HASH_WORKERS, get_threads())
-
-
-def digest_many(pieces: Sequence, parallel: bool | None = None) -> list[bytes]:
-    """SHA-256 digests of a batch of buffers, one pass, optionally threaded.
+def digest_many(pieces: Sequence) -> list[bytes]:
+    """SHA-256 digests of a batch of buffers, in one pass.
 
     ``pieces`` may be any buffer-protocol objects (memoryview slices in
-    the fast path).  ``parallel=None`` auto-enables the shared thread
-    pool on multi-core hosts for batches worth sharding; with
-    ``REPRO_THREADS`` at 0/1 the batch always hashes serially.
+    the fast path).
     """
-    n = len(pieces)
-    workers = _hash_workers()
-    if parallel is None:
-        parallel = (
-            workers > 1
-            and n >= 2 * workers
-            and sum(len(p) for p in pieces) >= _PARALLEL_THRESHOLD
-        )
-    elif parallel and workers < 2:
-        parallel = False  # explicitly serial configuration wins
-    if not parallel or n < 2:
-        return [hashlib.sha256(p).digest() for p in pieces]
-    shard = -(-n // workers)
-
-    def run(lo: int) -> list[bytes]:
-        return [hashlib.sha256(p).digest() for p in pieces[lo : lo + shard]]
-
-    parts = hash_pool(workers).map(run, range(0, n, shard))
-    return [d for part in parts for d in part]
+    return [hashlib.sha256(p).digest() for p in pieces]
 
 
-def digest_chunks(buffer, cuts: Sequence[int], parallel: bool | None = None) -> list[bytes]:
+def digest_chunks(buffer, cuts: Sequence[int]) -> list[bytes]:
     """Batched digests of the chunks ``buffer[prev:cut]`` implied by ``cuts``.
 
     ``cuts`` are sorted exclusive end offsets (the first chunk starts at
@@ -122,4 +79,4 @@ def digest_chunks(buffer, cuts: Sequence[int], parallel: bool | None = None) -> 
     for cut in cuts:
         slices.append(mv[prev:cut])
         prev = cut
-    return digest_many(slices, parallel=parallel)
+    return digest_many(slices)

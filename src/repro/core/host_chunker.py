@@ -6,26 +6,20 @@ over its region (overlapping ``window - 1`` bytes into the neighbour so
 no boundary straddling a region edge is missed), and neighbouring results
 are merged.
 
-Two parts:
-
-* a *real* parallel scan (``ThreadPoolExecutor`` over the NumPy engine,
-  which releases the GIL in its gather loops) whose merged output is
-  bit-identical to a sequential scan — this is the correctness-critical
-  algorithm;
-* a *cost model* reproducing the effect the paper measures in Fig. 12:
-  with glibc ``malloc``, per-chunk allocations serialize on a global lock
-  and throttle all 12 threads; the Hoard allocator removes the
-  contention.
+The merged result is bit-identical to a sequential scan, so the chunks
+here come from the engine's scan on the calling thread.  What the
+threads change is the time, and that is the *cost model*: it reproduces
+the effect the paper measures in Fig. 12, where with glibc ``malloc``
+per-chunk allocations serialize on a global lock and throttle all 12
+threads, and the Hoard allocator removes the contention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.chunking import Chunker, ChunkerConfig
-from repro.core.engines import Engine, parallel_candidate_cuts
+from repro.core.engines import Engine
 from repro.gpu.specs import HostSpec, XEON_X5650_HOST
 
 __all__ = ["AllocatorModel", "MALLOC", "HOARD", "HostParallelChunker"]
@@ -60,8 +54,9 @@ HOARD = AllocatorModel("hoard", per_alloc_seconds=1e-6, lock_serialization=0.01)
 class HostParallelChunker(Chunker):
     """SPMD parallel chunker with neighbour merge (the pthreads library).
 
-    A :class:`Chunker` whose candidate scan is the region-parallel one;
-    cut selection, chunk assembly and streaming are inherited.
+    A :class:`Chunker` plus the pthreads cost model: scan, cut
+    selection, chunk assembly and streaming are inherited, and
+    ``threads`` is an input to :meth:`estimate_seconds` only.
     Parameters mirror the paper's setup: 12 threads on the Xeon host,
     optional Hoard allocator.
     """
@@ -80,22 +75,6 @@ class HostParallelChunker(Chunker):
         self.threads = threads
         self.allocator = allocator
         self.host = host
-
-    # -- real parallel algorithm --------------------------------------------
-
-    def candidate_cut_array(self, data) -> np.ndarray:
-        """Marker positions found by the SPMD scan (merged, sorted).
-
-        The region split with ``window - 1`` overlap and seam-exact
-        merge lives in :func:`repro.core.engines.parallel_candidate_cuts`
-        — the same implementation ``VectorEngine``'s threaded scan uses,
-        so the paper's host-parallel model and the real engine cannot
-        drift apart.  Regions run on the shared scan pool (one pool per
-        process, not one per call).
-        """
-        return parallel_candidate_cuts(
-            self.engine, data, self.config.mask, self.config.marker, self.threads
-        )
 
     # -- cost model (Fig. 12 CPU bars) ---------------------------------------
 

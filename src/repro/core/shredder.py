@@ -338,21 +338,19 @@ class Shredder:
         self,
         data: bytes | Iterable[bytes],
         batch_chunks: int | None = None,
-        queue_depth: int = 4,
     ) -> Iterator[list[Chunk]]:
-        """Stage-overlapped chunk+hash batches, in stream order.
+        """Digested chunk batches, in stream order.
 
-        Yields digested chunk batches while the scan of later buffers is
-        still running (see :func:`repro.core.chunking.pipeline_chunks`);
-        concatenated, the batches equal :meth:`chunk` output exactly
-        (same driver, same candidate scan, digests prefilled).
+        Each batch is scanned and hashed when the caller asks for it
+        (see :func:`repro.core.chunking.pipeline_chunks`); concatenated,
+        the batches equal :meth:`chunk` output exactly (same driver,
+        same candidate scan, digests prefilled).
         """
         return pipeline_chunks(
             self._candidate_fn,
             self.config.chunker,
             self._buffers(data),
             batch_chunks=batch_chunks,
-            queue_depth=queue_depth,
         )
 
     # ------------------------------------------------------------------

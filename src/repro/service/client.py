@@ -3,7 +3,7 @@
 :class:`AsyncBackupClient` speaks the batched wire protocol and runs
 the paper's client-side pipeline across the network: a feeder thread
 drives :meth:`~repro.core.shredder.Shredder.pipeline_batches` (the
-bounded scan ‖ hash pipeline), and the event loop overlaps that local
+scan + hash pipeline), and the event loop overlaps that local
 work with shipping — digests of batch *i+1* go out while the chunk
 payloads of batch *i* are still in flight, bounded by the server's
 advertised ack window.  Replies are strictly in-order per connection

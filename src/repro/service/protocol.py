@@ -52,8 +52,9 @@ MAGIC = b"SHRD1"
 #: RETRY_LATER are typed errors.
 PROTOCOL_VERSION = 3
 
-#: Hard per-frame ceiling: a CHUNK_BATCH of autotune-sized scan batches
-#: stays far below this; anything larger is a corrupt or hostile frame.
+#: Hard per-frame ceiling: a CHUNK_BATCH of one pipeline batch (about
+#: ``HASH_BATCH_BYTES``, 4 MiB) stays far below this; anything larger
+#: is a corrupt or hostile frame.
 DEFAULT_MAX_FRAME = 64 << 20
 
 HEADER = struct.Struct("!BI")  # type, payload length

@@ -42,7 +42,7 @@ from repro.core.engines import (
     engine_tables,
 )
 from repro.core.stats import reset_scan_counters, scan_counters
-from repro.core.hashing import chunk_hash, digest_chunks, digest_many
+from repro.core.hashing import chunk_hash, digest_chunks
 from repro.core.rabin import RabinFingerprinter
 from tests.conftest import seeded_bytes
 
@@ -299,7 +299,7 @@ class TestFusedRollKernel:
         }[anchor] + delta * rng.randint(0, w)
         data = rng.randbytes(max(0, positions + w - 1))
         marker = 0x0B & mask
-        engine = VectorEngine(fp, lanes=lanes, tile_bytes=tile, roll_steps=steps, threads=1)
+        engine = VectorEngine(fp, lanes=lanes, tile_bytes=tile, roll_steps=steps)
         expect = SerialEngine(fp).candidate_cuts(data, mask, marker)
         assert kernel_cuts(engine, data, mask, marker) == expect
         assert engine.candidate_cuts(data, mask, marker) == expect
@@ -309,9 +309,7 @@ class TestFusedRollKernel:
         data = seeded_bytes(1 << 20, seed=3)
         rates = {}
         for steps in (1, 8):
-            engine = VectorEngine(
-                lanes=1024, tile_bytes=1 << 18, roll_steps=steps, threads=1
-            )
+            engine = VectorEngine(lanes=1024, tile_bytes=1 << 18, roll_steps=steps)
             reset_scan_counters()
             engine.candidate_cut_array(data, (1 << 13) - 1, 0x0123)
             counters = scan_counters()
@@ -488,11 +486,7 @@ class TestBatchedHashing:
             expect.append(chunk_hash(data[prev:cut]))
             prev = cut
         assert digest_chunks(data, cuts) == expect
-        assert digest_chunks(memoryview(data), cuts, parallel=True) == expect
-
-    def test_digest_many_parallel_identical(self):
-        pieces = [seeded_bytes(3000 + i, seed=i) for i in range(50)]
-        assert digest_many(pieces, parallel=True) == digest_many(pieces, parallel=False)
+        assert digest_chunks(memoryview(data), cuts) == expect
 
     def test_ensure_digests_fills_only_missing(self):
         data = seeded_bytes(8192, seed=37)

@@ -19,7 +19,8 @@ def chunker() -> HostParallelChunker:
 
 
 class TestParallelCorrectness:
-    """§5.1 step 3: merged parallel results == sequential results."""
+    """§5.1 step 3: merged parallel results == sequential results, so
+    the thread count changes only the cost model, never the chunks."""
 
     def test_candidates_match_sequential(self, chunker, data_64k):
         from repro.core.chunking import Chunker

@@ -249,7 +249,7 @@ class TestLockDiscipline:
         write_tree(
             tmp_path,
             {
-                "core/threads.py": (
+                "core/engines.py": (
                     "import threading\n"
                     "_lock = threading.Lock()\n"
                     "_cache = {}\n"
@@ -281,7 +281,7 @@ class TestLockDiscipline:
         write_tree(
             tmp_path,
             {
-                "core/threads.py": (
+                "core/engines.py": (
                     "import threading\n"
                     "_lock = threading.Lock()\n"
                     "_tuned = None\n"
@@ -299,7 +299,7 @@ class TestLockDiscipline:
         write_tree(
             tmp_path,
             {
-                "core/threads.py": (
+                "core/engines.py": (
                     "import threading\n"
                     "_lock = threading.Lock()\n"
                     "_cache = {}\n"
@@ -315,7 +315,7 @@ class TestLockDiscipline:
         write_tree(
             tmp_path,
             {
-                "core/threads.py": (
+                "core/engines.py": (
                     "import threading\n"
                     "_a = threading.Lock()\n"
                     "_b = threading.Lock()\n"
@@ -338,7 +338,7 @@ class TestLockDiscipline:
         write_tree(
             tmp_path,
             {
-                "core/threads.py": (
+                "core/engines.py": (
                     "import threading\n"
                     "_lock = threading.Lock()\n"
                     "_cache = {}\n"

@@ -5,19 +5,19 @@
   splits and chunker configs;
 * the stitch contract of ``stream_chunks`` itself (when an end-of-data
   cut may be emitted), fuzzed with arbitrary candidate placements;
-* the hand-off contract of ``pipeline_chunks`` (order under stage
-  jitter, bounded in-flight batches).
+* ``pipeline_chunks`` reads no further ahead than the batch it builds;
+* the backup server's two engines agree over the same table.
 """
 
 from __future__ import annotations
 
-import random
-import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backup import BackupConfig, BackupServer
 from repro.core import (
     Chunker,
     ChunkerConfig,
@@ -29,9 +29,7 @@ from repro.core import (
     chunk_hash,
     pipeline_chunks,
     select_cuts,
-    set_threads,
 )
-from repro.core import chunking
 from repro.core.chunking import stream_chunks
 from repro.core.rabin import RabinFingerprinter
 from tests.conftest import seeded_bytes
@@ -101,17 +99,12 @@ def _shredder_config(backend: str, cfg: ChunkerConfig, sizes: list[int]) -> Shre
     )
 
 
-def _pipeline(threads: int):
-    def run(cfg, data, sizes):
-        set_threads(threads)
-        return flat(
-            pipeline_chunks(
-                Chunker(cfg).candidate_cuts, cfg, split(data, sizes),
-                batch_chunks=5, queue_depth=2,
-            )
+def _pipeline(cfg, data, sizes):
+    return flat(
+        pipeline_chunks(
+            Chunker(cfg).candidate_cuts, cfg, split(data, sizes), batch_chunks=5
         )
-
-    return run
+    )
 
 
 def _shredder(backend: str, method):
@@ -135,8 +128,7 @@ DRIVERS = {
     "Chunker.chunk_stream": lambda cfg, data, sizes: list(
         Chunker(cfg).chunk_stream(split(data, sizes))
     ),
-    "pipeline_chunks@1": _pipeline(1),
-    "pipeline_chunks@4": _pipeline(4),
+    "pipeline_chunks": _pipeline,
     "Shredder.process[gpu]": _shredder("gpu", _process),
     "Shredder.process[cpu]": _shredder("cpu", _process),
     "Shredder.pipeline_batches[gpu]": _shredder("gpu", _batches),
@@ -148,12 +140,6 @@ DRIVERS = {
         _shredder_config("gpu", cfg, sizes)
     ).run(iter(split(data, sizes)))[0],
 }
-
-
-@pytest.fixture(autouse=True)
-def _restore_threads():
-    yield
-    set_threads(None)
 
 
 class TestEveryDriverMatchesSerialReference:
@@ -172,6 +158,33 @@ class TestEveryDriverMatchesSerialReference:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_empty_stream(self, driver):
         assert DRIVERS[driver](CONFIGS["min-max"], b"", [4]) == []
+
+
+def _backup(engine: str, cfg: ChunkerConfig, data: bytes, buffer_size: int) -> tuple:
+    """One backup + restore; the split is the facade's buffer size."""
+    with BackupServer(BackupConfig(engine=engine, chunker=cfg)) as server:
+        server.shredder.close()
+        server.shredder = Shredder(replace(server.shredder.config, buffer_size=buffer_size))
+        report = server.backup_snapshot(data, "s")
+        assert server.agent.restore("s") == data
+        digests = list(server.agent.store.get_recipe("s").digests)
+    return report.n_chunks, report.duplicate_chunks, report.shipped_bytes, digests
+
+
+class TestBackupEnginesAgree:
+    """``engine="cpu"`` (a serial ``HostParallelChunker``) and
+    ``engine="gpu"`` back up to the same chunks, digests and recipes."""
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_same_recipes_over_adversarial_splits(self, config):
+        cfg = CONFIGS[config]
+        data = TestEveryDriverMatchesSerialReference.DATA
+        expected = [digest for _, _, digest in reference(cfg, data)]
+        for name, sizes in SPLITS.items():
+            buffer_size = min(s for s in sizes if s)
+            gpu = _backup("gpu", cfg, data, buffer_size)
+            assert gpu == _backup("cpu", cfg, data, buffer_size), name
+            assert gpu[3] == expected, name
 
 
 # ---------------------------------------------------------------------------
@@ -252,39 +265,14 @@ class TestStitchContract:
 
 
 # ---------------------------------------------------------------------------
-# pipeline_chunks: the only thread hand-off
+# pipeline_chunks: nothing runs ahead of the consumer
 
 
-class TestHandoffContract:
-    def test_order_preserved_under_stage_jitter(self, monkeypatch):
-        set_threads(4)
-        rng = random.Random(3)
-        data = seeded_bytes(64 * 1024, seed=62)
-        cfg = ChunkerConfig(mask_bits=8, marker=0x2A)
-        chunker = Chunker(cfg)
-        hash_batch = chunking.ensure_digests
-
-        def jittery_scan(piece):
-            time.sleep(rng.random() * 0.002)
-            return chunker.candidate_cuts(piece)
-
-        def jittery_hash(batch):
-            time.sleep(rng.random() * 0.002)
-            return hash_batch(batch)
-
-        monkeypatch.setattr(chunking, "ensure_digests", jittery_hash)
-        buffers = split(data, [1500, 700, 4096])
-        batches = list(
-            pipeline_chunks(jittery_scan, cfg, buffers, batch_chunks=3, queue_depth=2)
-        )
-        assert shape(flat(batches)) == shape(chunker.chunk(data))
-
-    def test_in_flight_batches_bounded_by_queue_depth(self):
-        """A slow consumer stalls the stages instead of buffering the
-        stream: each hand-off holds ``queue_depth`` batches, each stage
-        one more in hand."""
-        set_threads(4)
-        depth, n_buffers = 2, 60
+class TestPipelineReadsOnDemand:
+    def test_reads_no_buffer_ahead_of_the_consumer(self):
+        """A slow consumer holds the stream: the buffer behind a batch
+        is read only when the consumer asks for that batch."""
+        n_buffers = 60
         pulled = 0
 
         def feed():
@@ -294,10 +282,7 @@ class TestHandoffContract:
                 yield b"a" * 19 + b"|"  # exactly one chunk per buffer
 
         consumed = 0
-        for batch in pipeline_chunks(
-            bar_cuts, BAR_CFG, feed(), batch_chunks=1, queue_depth=depth
-        ):
+        for batch in pipeline_chunks(bar_cuts, BAR_CFG, feed(), batch_chunks=1):
             consumed += len(batch)
-            time.sleep(0.005)  # let the workers run as far ahead as they can
-            assert pulled - consumed <= 2 * depth + 3
+            assert pulled == consumed
         assert consumed == n_buffers

@@ -42,7 +42,7 @@ from repro.core.engines import (
     engine_tables,
 )
 from repro.core.stats import reset_scan_counters, scan_counters
-from repro.core.hashing import chunk_hash, digest_chunks
+from repro.core.hashing import chunk_hash, digest_chunks, digest_many
 from repro.core.rabin import RabinFingerprinter
 from tests.conftest import seeded_bytes
 
@@ -487,6 +487,15 @@ class TestBatchedHashing:
             prev = cut
         assert digest_chunks(data, cuts) == expect
         assert digest_chunks(memoryview(data), cuts) == expect
+
+    def test_digest_many_matches_chunk_hash(self):
+        """One pass over mixed buffer types == one digest per piece."""
+        raw = [seeded_bytes(3000 + i, seed=i) for i in range(50)]
+        pieces = [
+            [bytes, bytearray, memoryview][i % 3](p) for i, p in enumerate(raw)
+        ]
+        assert digest_many(pieces) == [chunk_hash(p) for p in raw]
+        assert digest_many([]) == []
 
     def test_ensure_digests_fills_only_missing(self):
         data = seeded_bytes(8192, seed=37)

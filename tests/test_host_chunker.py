@@ -36,6 +36,16 @@ class TestParallelCorrectness:
         parallel = HostParallelChunker(CFG, threads=threads).candidate_cuts(data)
         assert parallel == reference
 
+    @pytest.mark.parametrize("threads", [1, 3, 12])
+    def test_chunks_match_sequential(self, threads, data_64k):
+        """Offsets, lengths and digests, not just candidates."""
+        from repro.core.chunking import Chunker
+
+        cfg = CFG.with_limits(256, 4096)
+        expect = [(c.offset, c.length, c.digest) for c in Chunker(cfg).chunk(data_64k)]
+        got = HostParallelChunker(cfg, threads=threads).chunk(data_64k)
+        assert [(c.offset, c.length, c.digest) for c in got] == expect
+
     def test_empty(self, chunker):
         assert chunker.candidate_cuts(b"") == []
         assert chunker.chunk(b"") == []

@@ -1,13 +1,15 @@
 """The chunk + hash pipeline and the backup server that consumes it.
 
-* ``pipeline_chunks`` yields exactly the chunks of the streaming path,
-  in stream order, with digests prefilled; a stage failure surfaces as
+* ``pipeline_chunks`` yields exactly the chunks of the serial reference,
+  in stream order, with digests prefilled, whether its scan stage runs
+  one tile per buffer or many; a failure of either stage surfaces as
   ``PipelineError``; batches default to ``HASH_BATCH_BYTES``;
 * the backup server's decisions match an oracle built from
   ``Shredder.process`` + a seen-set on every observable (reports,
   recipes, restores) for both engines and store backends;
-* the default configuration is the measured one: one thread, no cache
-  file, and the static scan geometry with its exact dispatch count.
+* the default configuration is the measured one: one thread for
+  either engine, no cache file, and the static scan geometry with its
+  exact dispatch count.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.core import (
     Chunker,
     ChunkerConfig,
     PipelineError,
+    SerialEngine,
+    VectorEngine,
     pipeline_chunks,
 )
 from repro.core.stats import (
@@ -44,6 +48,15 @@ def chunk_shape(chunks):
     return [(c.offset, c.length, c.digest) for c in chunks]
 
 
+#: Scan stages the pipeline is driven with: the default engine (one
+#: tile per buffer) and a small-geometry one that cuts every buffer into
+#: many tiles.
+SCANS = {
+    "default-engine": lambda: None,
+    "small-tiles": lambda: VectorEngine(lanes=16, tile_bytes=512),
+}
+
+
 class TestPipelineOrdering:
     CONFIG = ChunkerConfig(mask_bits=10, marker=0x1AB, min_size=64, max_size=4096)
 
@@ -56,12 +69,16 @@ class TestPipelineOrdering:
             pos += step
         return out
 
+    def _expected(self, data: bytes):
+        return Chunker(self.CONFIG, SerialEngine()).chunk(data)
+
+    @pytest.mark.parametrize("scan", SCANS)
     @pytest.mark.parametrize("seed", [0, 4])
     @pytest.mark.parametrize("batch_chunks", [1, 7, 256])
-    def test_batches_preserve_stream_order(self, seed, batch_chunks):
+    def test_batches_preserve_stream_order(self, seed, batch_chunks, scan):
         data = seeded_bytes(192 * 1024, seed=seed)
-        chunker = Chunker(self.CONFIG)
-        expected = list(chunker.chunk_stream(self._buffers(data, seed)))
+        chunker = Chunker(self.CONFIG, SCANS[scan]())
+        expected = self._expected(data)
         batches = list(
             pipeline_chunks(
                 chunker.candidate_cuts,
@@ -79,16 +96,22 @@ class TestPipelineOrdering:
         assert offsets == sorted(offsets)
         assert all(len(b) <= batch_chunks for b in batches)
 
-    def test_stage_error_propagates(self):
-        def bad_candidates(data):
-            raise RuntimeError("scan exploded")
+    @pytest.mark.parametrize("stage", ["scan", "hash"])
+    def test_stage_error_propagates(self, stage, monkeypatch):
+        from repro.core import chunking
 
-        with pytest.raises(PipelineError, match="scan exploded"):
-            list(
-                pipeline_chunks(
-                    bad_candidates, self.CONFIG, [b"x" * 4096], batch_chunks=4
-                )
-            )
+        def explode(_):
+            raise RuntimeError(f"{stage} exploded")
+
+        candidate_fn = Chunker(self.CONFIG).candidate_cuts
+        if stage == "scan":
+            candidate_fn = explode
+        else:
+            monkeypatch.setattr(chunking, "ensure_digests", explode)
+        data = seeded_bytes(16 * 1024, seed=2)
+        with pytest.raises(PipelineError, match=f"{stage} exploded") as info:
+            list(pipeline_chunks(candidate_fn, self.CONFIG, [data], batch_chunks=4))
+        assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_early_close_stops_the_scan(self):
         data = seeded_bytes(256 * 1024, seed=1)
@@ -113,14 +136,15 @@ class TestPipelineOrdering:
         with pytest.raises(ValueError):
             list(pipeline_chunks(chunker.candidate_cuts, self.CONFIG, [], batch_chunks=0))
 
-    def test_default_batch_covers_hash_batch_bytes(self, monkeypatch):
-        """``batch_chunks=None`` sizes batches from ``HASH_BATCH_BYTES``;
-        chunks unchanged."""
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_default_batch_covers_hash_batch_bytes(self, scan, monkeypatch):
+        """``batch_chunks=None`` sizes batches from ``HASH_BATCH_BYTES``,
+        whatever the scan tile; chunks unchanged."""
         from repro.core import chunking
 
         data = seeded_bytes(128 * 1024, seed=17)
-        chunker = Chunker(self.CONFIG)
-        expected = list(chunker.chunk_stream(self._buffers(data, 17)))
+        chunker = Chunker(self.CONFIG, SCANS[scan]())
+        expected = self._expected(data)
         monkeypatch.setattr(chunking, "HASH_BATCH_BYTES", 64 * 1024)
         batches = list(
             pipeline_chunks(chunker.candidate_cuts, self.CONFIG, self._buffers(data, 17))
@@ -131,13 +155,14 @@ class TestPipelineOrdering:
         assert all(len(b) <= 64 for b in batches)
         assert len(batches[0]) == 64
 
-    def test_stage_timers_accumulate(self):
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_stage_timers_accumulate(self, scan):
         """The scan/hash stage split is recorded."""
         data = seeded_bytes(128 * 1024, seed=23)
         reset_stage_times()
         list(
             pipeline_chunks(
-                Chunker(self.CONFIG).candidate_cuts,
+                Chunker(self.CONFIG, SCANS[scan]()).candidate_cuts,
                 self.CONFIG,
                 self._buffers(data, 23),
                 batch_chunks=16,
@@ -202,14 +227,15 @@ class TestPipelinedBackupServer:
 #: A default server's full + incremental backup and restore, in a fresh
 #: interpreter; prints how many threads it left behind.
 _DEFAULT_BACKUP = """
+import sys
 import threading
-from repro.backup import BackupServer
+from repro.backup import BackupConfig, BackupServer
 from repro.workloads import seeded_bytes
 
 before = set(threading.enumerate())
 full = seeded_bytes(2 << 20, seed=41)
 incr = full[: 1 << 20] + seeded_bytes(64 << 10, seed=42) + full[(1 << 20) + (64 << 10) :]
-with BackupServer() as server:
+with BackupServer(BackupConfig(engine=sys.argv[1])) as server:
     server.backup_snapshot(full, "full")
     server.backup_snapshot(incr, "incr")
     assert server.agent.restore("incr") == incr
@@ -218,14 +244,15 @@ print(len(set(threading.enumerate()) ^ before))
 
 
 class TestDefaultConfiguration:
-    def test_default_backup_starts_no_thread_and_writes_no_cache(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["gpu", "cpu"])
+    def test_default_backup_starts_no_thread_and_writes_no_cache(self, engine, tmp_path):
         env = dict(os.environ, HOME=str(tmp_path))
         for name in ("REPRO_THREADS", "REPRO_AUTOTUNE", "REPRO_AUTOTUNE_CACHE", "XDG_CACHE_HOME"):
             env.pop(name, None)
         src = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
-            [sys.executable, "-c", _DEFAULT_BACKUP],
+            [sys.executable, "-c", _DEFAULT_BACKUP, engine],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == 0, out.stderr

@@ -115,6 +115,17 @@ def _shredder(backend: str, method):
     return run
 
 
+def _shredder_whole(backend: str):
+    """The facade handed one buffer: it slices ``buffer_size`` views
+    off it instead of re-buffering an iterable."""
+
+    def run(cfg, data, sizes):
+        with Shredder(_shredder_config(backend, cfg, sizes)) as shredder:
+            return shredder.chunk(data)
+
+    return run
+
+
 def _process(shredder, pieces):
     return shredder.process(pieces)[0]
 
@@ -133,6 +144,8 @@ DRIVERS = {
     "Shredder.process[cpu]": _shredder("cpu", _process),
     "Shredder.pipeline_batches[gpu]": _shredder("gpu", _batches),
     "Shredder.pipeline_batches[cpu]": _shredder("cpu", _batches),
+    "Shredder.chunk[gpu]": _shredder_whole("gpu"),
+    "Shredder.chunk[cpu]": _shredder_whole("cpu"),
     "HostParallelChunker.chunk": lambda cfg, data, sizes: HostParallelChunker(
         cfg, threads=3
     ).chunk(data),
@@ -269,9 +282,11 @@ class TestStitchContract:
 
 
 class TestPipelineReadsOnDemand:
-    def test_reads_no_buffer_ahead_of_the_consumer(self):
-        """A slow consumer holds the stream: the buffer behind a batch
-        is read only when the consumer asks for that batch."""
+    @pytest.mark.parametrize("batch_chunks", [1, 4, 7])
+    def test_reads_no_buffer_ahead_of_the_consumer(self, batch_chunks):
+        """A slow consumer holds the stream: the buffers behind a batch
+        are read only when the consumer asks for that batch, and the
+        last, short batch reads nothing past the stream's end."""
         n_buffers = 60
         pulled = 0
 
@@ -282,7 +297,8 @@ class TestPipelineReadsOnDemand:
                 yield b"a" * 19 + b"|"  # exactly one chunk per buffer
 
         consumed = 0
-        for batch in pipeline_chunks(bar_cuts, BAR_CFG, feed(), batch_chunks=1):
+        for batch in pipeline_chunks(bar_cuts, BAR_CFG, feed(), batch_chunks=batch_chunks):
+            assert len(batch) == min(batch_chunks, n_buffers - consumed)
             consumed += len(batch)
             assert pulled == consumed
         assert consumed == n_buffers

@@ -88,8 +88,7 @@ async def greedy_client(port: int, i: int, outcomes: list) -> None:
     for attempt in range(30):
         try:
             client = await AsyncBackupClient.connect(
-                "127.0.0.1", port, tenant=tenant, auth=token,
-                client_name=f"greedy-{i}",
+                "127.0.0.1", port, tenant=tenant, auth=token
             )
         except RemoteError as exc:
             if exc.code is Err.BUSY:

@@ -120,9 +120,6 @@ _CODEC_ALIASES = {
     "FINISH": "snapshot_id",
     "RESTORE": "snapshot_id",
 }
-#: Frames only a protocol-v3 peer may receive: every server send site
-#: must sit under a version check.
-_V3_ONLY = frozenset({"THROTTLE"})
 
 
 @register
@@ -132,8 +129,7 @@ class ProtocolExhaustivenessChecker(Checker):
     name = "protocol"
     description = (
         "every Msg opcode needs an encoder, a decoder, a server "
-        "dispatch arm, and a client handler; every Err handled; "
-        "v3-only frames version-gated"
+        "dispatch arm, and a client handler; every Err handled"
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
@@ -182,52 +178,6 @@ class ProtocolExhaustivenessChecker(Checker):
                     f"Err.{name} is never handled by the server or "
                     "client — wire it up or suppress with a reason",
                 )
-        if server is not None:
-            for name in sorted(_V3_ONLY & msgs.keys()):
-                yield from self._check_version_gated(server, protocol, name, msgs[name])
-
-    def _check_version_gated(
-        self,
-        server: SourceModule,
-        protocol: SourceModule,
-        member: str,
-        line: int,
-    ) -> Iterator[Finding]:
-        for node in ast.walk(server.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr == member
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "Msg"
-            ):
-                if not self._under_version_check(server, node):
-                    yield self.finding(
-                        server,
-                        node,
-                        f"Msg.{member} is v3-only but this send site is "
-                        "not inside a peer-version check — a v2 client "
-                        "would receive a frame it cannot parse",
-                    )
-
-    def _under_version_check(
-        self, module: SourceModule, node: ast.AST
-    ) -> bool:
-        for anc in module.ancestors(node):
-            if isinstance(anc, ast.If) and _mentions_version(anc.test):
-                return True
-        return False
-
-
-def _mentions_version(test: ast.AST) -> bool:
-    for node in ast.walk(test):
-        name = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        if name is not None and "version" in name.lower():
-            return True
-    return False
 
 
 def _enum_members(module: SourceModule, class_name: str) -> dict[str, int]:

@@ -148,10 +148,6 @@ class ShredderAgent:
         self._session(snapshot_id)
         del self._open[snapshot_id]
 
-    def open_log(self, snapshot_id: str) -> TransferLog:
-        """The live transfer log of an open snapshot (resume reporting)."""
-        return self._session(snapshot_id).log
-
     @property
     def open_snapshots(self) -> tuple[str, ...]:
         """Ids of sessions begun but not yet finished/aborted."""

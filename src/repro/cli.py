@@ -289,19 +289,14 @@ def _parse_remote(remote: str) -> tuple[str, int]:
 
 
 def _remote_backup(args, data: bytes) -> int:
-    from repro.service import RemoteAgent
+    from repro.service import NO_RETRY, RemoteAgent, RetryPolicy
     from repro.service.protocol import RemoteError
 
     host, port = _parse_remote(args.remote)
-    retry = None
-    if args.retry:
-        from repro.service import RetryPolicy
-
-        retry = RetryPolicy(attempts=max(1, args.retry))
+    retry = RetryPolicy(attempts=max(1, args.retry)) if args.retry else NO_RETRY
     try:
         agent = RemoteAgent(
-            host, port, tenant=args.tenant, client_name="cli", retry=retry,
-            auth=args.auth_token,
+            host, port, tenant=args.tenant, retry=retry, auth=args.auth_token
         )
     except (OSError, RemoteError) as exc:
         raise SystemExit(f"cannot reach backup service at {args.remote}: {exc}")

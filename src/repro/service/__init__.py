@@ -41,6 +41,7 @@ from repro.service.protocol import (
 from repro.service.tenant import TenantNamespace, TenantRegistry
 from repro.service.server import BackupService, ServiceConfig
 from repro.service.client import (
+    NO_RETRY,
     AsyncBackupClient,
     RemoteAgent,
     RemoteBackupReport,
@@ -59,6 +60,7 @@ __all__ = [
     "BackupService",
     "ServiceConfig",
     "AsyncBackupClient",
+    "NO_RETRY",
     "RemoteAgent",
     "RemoteBackupReport",
     "RetryPolicy",

@@ -28,8 +28,9 @@ snapshot resumes where it left off.  ``begin_snapshot`` generates a
 client-side resume token; after a reconnect the client sends RESUME and
 the server answers with its applied-frame high-water mark, so only
 frames the server never applied are replayed — acked chunks never cross
-the wire twice.  Without a policy the client behaves exactly like
-protocol v1: no token, no parking, errors propagate on first failure.
+the wire twice.  The default, :data:`NO_RETRY`, allows no recovery: it
+sends no token (the server aborts rather than parks the snapshot), and
+the first failure propagates.
 
 **Transport** — one :class:`FrameConnection`: a non-blocking socket
 (``loop.sock_sendall`` out, ``recv_into`` behind one reader registration
@@ -64,6 +65,7 @@ from repro.service.protocol import Err, Msg, RemoteError
 
 __all__ = [
     "AsyncBackupClient",
+    "NO_RETRY",
     "RemoteAgent",
     "RemoteBackupReport",
     "RetryPolicy",
@@ -222,7 +224,7 @@ class RetryPolicy:
     base_delay_s: float = 0.05
     max_delay_s: float = 2.0
     jitter: bool = True
-    op_timeout_s: float = 30.0
+    op_timeout_s: float | None = 30.0
     max_recoveries: int = 32
 
     def __post_init__(self) -> None:
@@ -240,6 +242,10 @@ class RetryPolicy:
         if not self.jitter:
             return raw
         return raw / 2 + rng.uniform(0, raw / 2)
+
+
+#: The default policy: no per-op timeout, no recovery, no resume token.
+NO_RETRY = RetryPolicy(max_recoveries=0, op_timeout_s=None)
 
 
 @dataclass
@@ -285,9 +291,8 @@ class AsyncBackupClient:
         session_id: str,
         window: int,
         max_frame: int = wire.DEFAULT_MAX_FRAME,
-        retry: RetryPolicy | None = None,
+        retry: RetryPolicy = NO_RETRY,
         address: tuple[str, int] | None = None,
-        client_name: str = "",
         auth: str = "",
         purpose: int = wire.PURPOSE_BACKUP,
     ) -> None:
@@ -301,9 +306,8 @@ class AsyncBackupClient:
         self.max_frame = max_frame
         self.retry = retry
         self._address = address
-        self._client_name = client_name
         self._rng = random.Random()
-        # -- resume state (only driven when a RetryPolicy is set) ------
+        # -- resume state ------------------------------------------------
         self._open_snapshot: str | None = None
         self._resume_token = ""
         self._session_open = False  # server-side snapshot confirmed open
@@ -327,9 +331,8 @@ class AsyncBackupClient:
         port: int,
         *,
         tenant: str = "default",
-        client_name: str = "",
         max_frame: int = wire.DEFAULT_MAX_FRAME,
-        retry: RetryPolicy | None = None,
+        retry: RetryPolicy = NO_RETRY,
         auth: str = "",
         purpose: int = wire.PURPOSE_BACKUP,
     ) -> "AsyncBackupClient":
@@ -348,20 +351,17 @@ class AsyncBackupClient:
             max_frame=max_frame,
             retry=retry,
             address=(host, port),
-            client_name=client_name,
             auth=auth,
             purpose=purpose,
         )
-        client.conn, (_, window, client.session_id) = await client._dial(None)
+        client.conn, (window, client.session_id) = await client._dial(None)
         client.window = max(1, window)
         return client
 
     async def _dial(self, timeout: float | None) -> tuple[FrameConnection, tuple]:
         """Dial and identify (magic + HELLO): the new connection and the
         decoded HELLO_OK, or the server's refusal as a typed error."""
-        hello = wire.encode_hello(
-            self.tenant, self._client_name, auth=self.auth, purpose=self.purpose
-        )
+        hello = wire.encode_hello(self.tenant, self.auth, self.purpose)
         conn = await FrameConnection.open(*self._address, self.max_frame)
         try:
             await conn.send(wire.MAGIC + wire.encode_frame(Msg.HELLO, hello))
@@ -389,7 +389,7 @@ class AsyncBackupClient:
         # full hint plus up to 25% decorrelates a fleet of throttled
         # clients instead of re-synchronising them on the same instant.
         pace = retry_after_s
-        if self.retry is None or self.retry.jitter:
+        if self.retry.jitter:
             pace *= 1.0 + self._rng.uniform(0.0, 0.25)
         self._pace_until = max(
             self._pace_until, time.monotonic() + pace
@@ -401,14 +401,13 @@ class AsyncBackupClient:
 
     async def _recv(self, into: memoryview | None = None) -> tuple[Msg, bytearray | int]:
         """:meth:`FrameConnection.recv`, THROTTLE absorbed and ERROR raised."""
-        timeout = self.retry.op_timeout_s if self.retry is not None else None
+        timeout = self.retry.op_timeout_s
         while True:
             msg, payload = await asyncio.wait_for(self.conn.recv(into), timeout)
             if msg is Msg.THROTTLE:
                 # Advisory control frame riding ahead of the real FIFO
                 # reply: absorb it, arm the pacer, keep waiting.
-                retry_after_s, _reason = wire.decode_throttle(payload)
-                self._note_throttle(retry_after_s)
+                self._note_throttle(wire.decode_throttle(payload)[0])
                 continue
             if msg is Msg.ERROR:
                 raise RemoteError(*wire.decode_error(payload))
@@ -433,7 +432,7 @@ class AsyncBackupClient:
         await self._pace()  # a throttled client backs off before redialing
         self.conn.abort()  # RST, not FIN: the server parks the snapshot
         timeout = self.retry.op_timeout_s
-        self.conn, (_, window, self.session_id) = await self._dial(timeout)
+        self.conn, (window, self.session_id) = await self._dial(timeout)
         self.window = max(1, window)
         self.reconnects += 1
 
@@ -480,9 +479,7 @@ class AsyncBackupClient:
                 # again before trusting the verdict.
                 unknown = exc
                 continue
-            applied, _chunks, _pointers, _received = wire.decode_resume_ok(
-                payload
-            )
+            applied = wire.decode_resume_ok(payload)
             self.resumes += 1
             break
         if applied is None:
@@ -547,25 +544,22 @@ class AsyncBackupClient:
             except _RECOVERABLE_EXC as exc:
                 last = exc
             except RemoteError as exc:
-                if policy is None or exc.code not in _RETRYABLE_CODES:
+                if exc.code not in _RETRYABLE_CODES:
                     raise
                 last = exc
-            if policy is None or self._address is None:
+            if self._address is None:
                 raise last
             need_recover = True
 
     # -- session verbs -------------------------------------------------
 
     async def begin_snapshot(self, snapshot_id: str) -> None:
-        if self.retry is None:
-            await self._rpc(
-                Msg.BEGIN_SNAPSHOT,
-                wire.encode_begin(snapshot_id),
-                Msg.BEGIN_OK,
-            )
-            return
         self._open_snapshot = snapshot_id
-        self._resume_token = secrets.token_hex(8)
+        # No token when the policy allows no recovery: the server then
+        # aborts the snapshot on disconnect instead of parking it.
+        self._resume_token = (
+            secrets.token_hex(8) if self.retry.max_recoveries else ""
+        )
         self._session_open = False
         self._finished_remotely = False
         self._next_seq = 1
@@ -590,17 +584,6 @@ class AsyncBackupClient:
             raise
 
     async def finish_snapshot(self, snapshot_id: str) -> TransferLog:
-        if self.retry is None:
-            payload = await self._rpc(
-                Msg.FINISH, wire.encode_snapshot_id(snapshot_id), Msg.FINISH_OK
-            )
-            chunks, pointers, received = wire.decode_finish_ok(payload)
-            return TransferLog(
-                chunks_received=chunks,
-                pointers_received=pointers,
-                bytes_received=received,
-            )
-
         async def op():
             if self._finished_remotely:  # FINISH applied, ack lost
                 return None
@@ -665,7 +648,7 @@ class AsyncBackupClient:
     async def restore(self, snapshot_id: str) -> bytes:
         await self._send(Msg.RESTORE, wire.encode_snapshot_id(snapshot_id))
         payload = await self._expect(Msg.RESTORE_BEGIN)
-        total_bytes, _n_chunks = wire.decode_restore_begin(payload)
+        total_bytes = wire.decode_restore_begin(payload)
         # One buffer of the announced size, each piece received straight
         # into its slice; ``getvalue`` hands it back without a copy once
         # every view is released.  The only large allocation is made here,
@@ -709,13 +692,13 @@ class AsyncBackupClient:
     ) -> RemoteBackupReport:
         """Chunk, hash, deduplicate, and ship one snapshot.
 
-        Local chunk+hash runs on the Shredder's own threads (a feeder
-        thread pulls :meth:`~repro.core.shredder.Shredder
-        .pipeline_batches`); this coroutine overlaps it with the wire:
-        per batch one DIGEST_BATCH decides source-side, payload misses
-        ship as CHUNK_BATCH and hits as POINTER_BATCH, with up to
-        ``window`` unacked batches in flight while the next scan tile is
-        still being hashed.
+        Local chunk+hash runs on one feeder thread, which drives the
+        serial scan + hash pipeline of :meth:`~repro.core.shredder
+        .Shredder.pipeline_batches`; this coroutine overlaps it with the
+        wire: per batch one DIGEST_BATCH decides source-side, payload
+        misses ship as CHUNK_BATCH and hits as POINTER_BATCH, with up to
+        ``window`` unacked batches in flight while the feeder chunks and
+        hashes the next batch.
         """
         own_shredder = shredder is None
         if own_shredder:
@@ -965,9 +948,8 @@ class RemoteAgent:
         port: int,
         *,
         tenant: str = "default",
-        client_name: str = "",
         flush_items: int = 256,
-        retry: RetryPolicy | None = None,
+        retry: RetryPolicy = NO_RETRY,
         auth: str = "",
         purpose: int = wire.PURPOSE_BACKUP,
     ) -> None:
@@ -989,7 +971,6 @@ class RemoteAgent:
                     host,
                     port,
                     tenant=tenant,
-                    client_name=client_name,
                     retry=retry,
                     auth=auth,
                     purpose=purpose,

@@ -42,15 +42,11 @@ __all__ = [
 ]
 
 MAGIC = b"SHRD1"
-#: v2 added the resume handshake: BEGIN_SNAPSHOT carries a
-#: client-generated resume token, and RESUME / RESUME_OK let a
-#: reconnecting client continue a parked mid-backup session.
-#: v3 adds overload protection: HELLO carries an HMAC auth token and a
-#: traffic purpose (backup vs restore, for priority-aware shedding),
-#: the server may interleave THROTTLE control frames carrying
-#: retry-after pacing hints, and UNAUTHORIZED / QUOTA_EXCEEDED /
-#: RETRY_LATER are typed errors.
-PROTOCOL_VERSION = 3
+#: The one wire format the server accepts.  HELLO leads with it, so a
+#: peer speaking any other layout is refused with VERSION_MISMATCH
+#: before the rest of its frame is parsed.  Any change to a frame's
+#: layout bumps it (and the wire golden in ``tests/test_service.py``).
+PROTOCOL_VERSION = 4
 
 #: Hard per-frame ceiling: a CHUNK_BATCH of one pipeline batch (about
 #: ``HASH_BATCH_BYTES``, 4 MiB) stays far below this; anything larger
@@ -228,51 +224,45 @@ def _done(payload: bytes, offset: int) -> None:
 
 
 def encode_hello(
-    tenant: str,
-    client_name: str = "",
-    version: int = PROTOCOL_VERSION,
-    auth: str = "",
-    purpose: int = PURPOSE_BACKUP,
+    tenant: str, auth: str = "", purpose: int = PURPOSE_BACKUP
 ) -> bytes:
-    """v3 appends an auth token (HMAC hexdigest, empty = anonymous) and
-    a traffic purpose byte; v2 frames simply stop after the name."""
+    """Version, tenant, auth token (HMAC hexdigest, empty = anonymous)
+    and the traffic purpose byte."""
     return (
-        _U16.pack(version)
+        _U16.pack(PROTOCOL_VERSION)
         + _pack_str(tenant)
-        + _pack_str(client_name)
         + _pack_str(auth)
         + bytes([purpose])
     )
 
 
-def decode_hello(payload: bytes) -> tuple[int, str, str, str, int]:
+def decode_hello(payload: bytes) -> tuple[int, str, str, int]:
+    """``(version, tenant, auth, purpose)``; a frame of another version
+    yields only its version (its fields are laid out differently)."""
     raw, offset = _take(payload, 0, _U16.size)
     (version,) = _U16.unpack(raw)
+    if version != PROTOCOL_VERSION:
+        return version, "", "", PURPOSE_BACKUP
     tenant, offset = _take_str(payload, offset)
-    client_name, offset = _take_str(payload, offset)
-    if offset == len(payload):
-        return version, tenant, client_name, "", PURPOSE_BACKUP  # v2 frame
     auth, offset = _take_str(payload, offset)
     raw, offset = _take(payload, offset, 1)
     purpose = raw[0]
     if purpose not in (PURPOSE_BACKUP, PURPOSE_RESTORE):
         raise ProtocolError(f"unknown traffic purpose {purpose}")
     _done(payload, offset)
-    return version, tenant, client_name, auth, purpose
+    return version, tenant, auth, purpose
 
 
-def encode_hello_ok(session_id: str, window: int, version: int = PROTOCOL_VERSION) -> bytes:
-    return _U16.pack(version) + _U16.pack(window) + _pack_str(session_id)
+def encode_hello_ok(session_id: str, window: int) -> bytes:
+    return _U16.pack(window) + _pack_str(session_id)
 
 
-def decode_hello_ok(payload: bytes) -> tuple[int, int, str]:
+def decode_hello_ok(payload: bytes) -> tuple[int, str]:
     raw, offset = _take(payload, 0, _U16.size)
-    (version,) = _U16.unpack(raw)
-    raw, offset = _take(payload, offset, _U16.size)
     (window,) = _U16.unpack(raw)
     session_id, offset = _take_str(payload, offset)
     _done(payload, offset)
-    return version, window, session_id
+    return window, session_id
 
 
 # ----------------------------------------------------------------------
@@ -291,22 +281,19 @@ def decode_snapshot_id(payload: bytes) -> str:
     return snapshot_id
 
 
-def encode_begin(snapshot_id: str, token: str = "") -> bytes:
+def encode_begin(snapshot_id: str, token: str) -> bytes:
     """BEGIN_SNAPSHOT: id + client-generated resume token.
 
     The token is client-generated (not handed out in BEGIN_OK) so a
     client whose BEGIN applied but whose reply was lost can still
     RESUME — it never depends on having *seen* a server reply.  An
-    empty token opts out of parking (the session aborts on disconnect,
-    the v1 behaviour).
+    empty token opts out of parking: the session aborts on disconnect.
     """
     return _pack_str(snapshot_id) + _pack_str(token)
 
 
 def decode_begin(payload: bytes) -> tuple[str, str]:
     snapshot_id, offset = _take_str(payload, 0)
-    if offset == len(payload):
-        return snapshot_id, ""  # v1 frame: no token field
     token, offset = _take_str(payload, offset)
     _done(payload, offset)
     return snapshot_id, token
@@ -324,9 +311,7 @@ def decode_resume(payload: bytes) -> tuple[str, str]:
     return snapshot_id, token
 
 
-def encode_resume_ok(
-    applied_frames: int, chunks: int, pointers: int, received_bytes: int
-) -> bytes:
+def encode_resume_ok(applied_frames: int) -> bytes:
     """RESUME_OK: how far the server got.
 
     ``applied_frames`` is the count of ship frames (CHUNK_BATCH /
@@ -334,25 +319,13 @@ def encode_resume_ok(
     replays only frames numbered beyond it, which is what makes resume
     exactly-once: acked work is never re-shipped, unacked work is.
     """
-    return (
-        _U32.pack(applied_frames)
-        + _U32.pack(chunks)
-        + _U32.pack(pointers)
-        + _U64.pack(received_bytes)
-    )
+    return _U32.pack(applied_frames)
 
 
-def decode_resume_ok(payload: bytes) -> tuple[int, int, int, int]:
+def decode_resume_ok(payload: bytes) -> int:
     raw, offset = _take(payload, 0, _U32.size)
-    (applied_frames,) = _U32.unpack(raw)
-    raw, offset = _take(payload, offset, _U32.size)
-    (chunks,) = _U32.unpack(raw)
-    raw, offset = _take(payload, offset, _U32.size)
-    (pointers,) = _U32.unpack(raw)
-    raw, offset = _take(payload, offset, _U64.size)
-    (received_bytes,) = _U64.unpack(raw)
     _done(payload, offset)
-    return applied_frames, chunks, pointers, received_bytes
+    return _U32.unpack(raw)[0]
 
 
 def encode_finish_ok(chunks: int, pointers: int, received_bytes: int) -> bytes:
@@ -512,17 +485,14 @@ def decode_batch_ok(payload: bytes) -> tuple[int, int]:
 # ----------------------------------------------------------------------
 
 
-def encode_restore_begin(total_bytes: int, n_chunks: int) -> bytes:
-    return _U64.pack(total_bytes) + _U32.pack(n_chunks)
+def encode_restore_begin(total_bytes: int) -> bytes:
+    return _U64.pack(total_bytes)
 
 
-def decode_restore_begin(payload: bytes) -> tuple[int, int]:
+def decode_restore_begin(payload: bytes) -> int:
     raw, offset = _take(payload, 0, _U64.size)
-    (total_bytes,) = _U64.unpack(raw)
-    raw, offset = _take(payload, offset, _U32.size)
-    (n_chunks,) = _U32.unpack(raw)
     _done(payload, offset)
-    return total_bytes, n_chunks
+    return _U64.unpack(raw)[0]
 
 
 # ----------------------------------------------------------------------

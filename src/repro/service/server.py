@@ -11,9 +11,7 @@ parses frames and ``await put()``s them — when the ingest worker falls
 behind, the queue fills, the put blocks, and the reader simply stops
 reading the socket, so kernel TCP flow control pushes back on the
 client; nothing server-side ever buffers more than ``queue_depth``
-frames per connection.  The same bounded-queue discipline the in-process
-pipeline uses (`pipeline_chunks`' pinned-ring role) extended across the
-wire.
+frames per connection.
 
 **Admission control**: at most ``max_sessions`` concurrent agent
 sessions; excess HELLOs receive ``ERROR[BUSY]`` and a clean close.
@@ -116,7 +114,7 @@ class ServiceConfig:
     #: Only meaningful with ``store_backend="cluster"``.
     heartbeat_s: float | None = None
     #: Shared-secret auth file (``tenant: secret`` lines); ``None``
-    #: serves anonymously, exactly the pre-v3 behaviour.
+    #: serves anonymously.
     auth_file: str | None = None
     #: Per-tenant rate limits (``None`` = unlimited): sustained inbound
     #: payload bytes/s and data-frame ops/s, enforced with THROTTLE
@@ -139,7 +137,7 @@ class ServiceConfig:
     restore_reserve: int = 0
     #: Pre-auth deadline: a connection must deliver magic + HELLO
     #: within this many seconds or it is dropped without ever holding a
-    #: session slot; ``None`` disables (pre-v3 behaviour).
+    #: session slot; ``None`` disables.
     hello_timeout_s: float | None = 5.0
     #: Brownout triggers (``None`` disables that trigger; both None =
     #: no monitor task): sustained event-loop lag in seconds, or total
@@ -232,8 +230,9 @@ class SessionError(Exception):
         super().__init__(message)
         self.code = code
         #: Fatal errors close the connection after the ERROR frame
-        #: (corrupted payloads mean an untrustworthy peer); non-fatal
-        #: ones leave the session usable.
+        #: (corrupted payloads mean an untrustworthy peer) and park or
+        #: abort its open snapshot; non-fatal ones leave the session
+        #: usable.
         self.fatal = fatal
 
 
@@ -577,13 +576,11 @@ class BackupService:
             await self._send_error(writer, Err.BAD_FRAME, "expected HELLO")
             return
         try:
-            version, tenant_name, _client_name, auth, purpose = (
-                wire.decode_hello(payload)
-            )
+            version, tenant_name, auth, purpose = wire.decode_hello(payload)
         except wire.ProtocolError as exc:
             await self._send_error(writer, Err.BAD_FRAME, str(exc))
             return
-        if version not in (2, wire.PROTOCOL_VERSION):
+        if version != wire.PROTOCOL_VERSION:
             await self._send_error(
                 writer,
                 Err.VERSION_MISMATCH,
@@ -636,7 +633,6 @@ class BackupService:
         namespace.counters.sessions += 1
         namespace.active_sessions += 1
         session = _Session(self, namespace, reader, writer)
-        session.peer_version = version
         if self.fault_plan is not None:
             session.wire_faults = self.fault_plan.wire_injector(
                 f"conn-{self._conn_seq}"
@@ -739,9 +735,6 @@ class _Session:
         self.clean_eof: bool = False
         #: Per-connection chaos injector (None when no plan is active).
         self.wire_faults = None
-        #: Negotiated protocol version; v2 peers never receive THROTTLE
-        #: frames (they still get server-side pacing).
-        self.peer_version: int = wire.PROTOCOL_VERSION
         #: Pushback slot for brownout decide-coalescing: the first
         #: non-matching frame drained while grouping waits here.
         self._pending = None
@@ -760,8 +753,9 @@ class _Session:
 
         A snapshot interrupted *abnormally* (reset, mid-frame EOF,
         eviction, fatal error) is parked for the resume grace window;
-        a clean frame-boundary EOF means the client walked away, so the
-        snapshot aborts exactly as in protocol v1.
+        a clean frame-boundary EOF means the client walked away, and a
+        client that sent no resume token opted out of parking, so the
+        snapshot aborts.
         """
         if self.open_scoped is None:
             return
@@ -785,11 +779,7 @@ class _Session:
             # drains what was queued, then exits.
             if not worker.done():
                 await self.queue.put(self._EOF)
-            try:
-                await worker
-            except asyncio.CancelledError:
-                raise
-
+            await worker
 
     async def _read_loop(self) -> None:
         metrics = self.service.metrics
@@ -805,10 +795,12 @@ class _Session:
             except asyncio.TimeoutError:
                 # Slow-client eviction: the worker sends ERROR[EVICTED];
                 # an open snapshot parks, so the client can resume.
+                metrics.add(sessions_evicted=1)
                 await self.queue.put(
-                    (
-                        "evicted",
+                    SessionError(
+                        Err.EVICTED,
                         f"no frame in {cfg.stall_timeout_s:g}s; session evicted",
+                        fatal=True,
                     )
                 )
                 return
@@ -820,7 +812,9 @@ class _Session:
             except (ConnectionResetError, BrokenPipeError):
                 return  # abnormal: release() parks any open snapshot
             except wire.ProtocolError as exc:
-                await self.queue.put(("protocol-error", str(exc)))
+                await self.queue.put(
+                    SessionError(Err.BAD_FRAME, str(exc), fatal=True)
+                )
                 return
             metrics.add(frames_received=1)
             if injector is not None:
@@ -851,50 +845,47 @@ class _Session:
                 item = await self.queue.get()
             if item is self._EOF:
                 return
-            if isinstance(item, tuple) and item[0] == "protocol-error":
-                await self.service._send_error(
-                    self.writer, Err.BAD_FRAME, item[1]
-                )
-                return
-            if isinstance(item, tuple) and item[0] == "evicted":
-                self.service.metrics.add(sessions_evicted=1)
+            if isinstance(item, SessionError):  # the reader gave up
+                error = item
+            else:
+                msg, payload = item
                 try:
-                    await self.service._send_error(
-                        self.writer, Err.EVICTED, item[1]
-                    )
+                    # Overload gates first: rate pacing/shedding and the
+                    # store-path breaker answer before any work is done.
+                    await self._admit_frame(msg, payload)
+                    await self._dispatch(msg, payload)
+                    continue
+                except SessionError as exc:
+                    error = exc
+                except wire.ProtocolError as exc:
+                    # A payload its decoder refused: the peer's framing
+                    # can no longer be trusted.
+                    error = SessionError(Err.BAD_FRAME, str(exc), fatal=True)
                 except (ConnectionResetError, BrokenPipeError):
-                    pass
-                return
-            msg, payload = item
+                    break
+                except Exception as exc:  # noqa: BLE001 — wire boundary
+                    error = SessionError(
+                        Err.INTERNAL, f"{type(exc).__name__}: {exc}", fatal=True
+                    )
             try:
-                # Overload gates first: rate pacing/shedding and the
-                # store-path breaker answer before any work is done.
-                await self._admit_frame(msg, payload)
-                await self._dispatch(msg, payload)
-            except SessionError as exc:
-                await self.service._send_error(self.writer, exc.code, str(exc))
-                if exc.fatal:
-                    # Fatal = this connection is untrustworthy, not the
-                    # snapshot: park it now (when the client can resume)
-                    # so a clean-looking teardown of the dead socket
-                    # cannot demote the park to an abort.
-                    self.release()
-                    return
+                await self.service._send_error(self.writer, error.code, str(error))
             except (ConnectionResetError, BrokenPipeError):
-                return
-            except Exception as exc:  # noqa: BLE001 — wire boundary
-                try:
-                    await self.service._send_error(
-                        self.writer, Err.INTERNAL, f"{type(exc).__name__}: {exc}"
-                    )
-                except (ConnectionResetError, BrokenPipeError):
-                    pass
-                # Same disposition as a fatal SessionError: a frame that
-                # explodes in decode (e.g. garbled on the wire) condemns
-                # the connection, not the snapshot — park it so the
-                # client can resume; token-less v1 clients still abort.
+                pass
+            if error.fatal:
+                # Fatal = this connection is untrustworthy, not the
+                # snapshot: park it now (when the client can resume) so
+                # the teardown of the dead socket cannot demote the park
+                # to an abort.
                 self.release()
-                return
+                break
+        # The session is over: hang up so the peer sees EOF, not
+        # silence, and discard what the reader still queues until its
+        # EOF marker — a reader blocked on a full queue must not hold
+        # the connection and its session slot.
+        self.writer.close()
+        item, self._pending = self._pending, None
+        while item is not self._EOF:
+            item = await self.queue.get()
 
     # -- overload gates ------------------------------------------------
 
@@ -954,18 +945,17 @@ class _Session:
                 await self._throttle(delay, "rate limit")
 
     async def _throttle(self, delay: float, reason: str) -> None:
-        """Pace the worker by ``delay``, telling a v3 peer why first.
+        """Pace the worker by ``delay``, telling the peer why first.
 
         The THROTTLE control frame rides ahead of the paced reply (the
         FIFO reply order is untouched); the server-side sleep is the
         enforcement, the frame is the client's hint to self-pace.
         """
         service = self.service
-        if self.peer_version >= 3:
-            service.metrics.add(throttles_sent=1)
-            await service._send_frame(
-                self.writer, Msg.THROTTLE, wire.encode_throttle(delay, reason)
-            )
+        service.metrics.add(throttles_sent=1)
+        await service._send_frame(
+            self.writer, Msg.THROTTLE, wire.encode_throttle(delay, reason)
+        )
         await asyncio.sleep(delay)
 
     # -- frame handlers ------------------------------------------------
@@ -1007,8 +997,8 @@ class _Session:
         except OSError as exc:
             # Store-path failure (includes injected faults).  With the
             # breaker configured this feeds it and answers a typed
-            # RETRY_LATER; without it the generic INTERNAL path (the
-            # pre-v3 behaviour) handles the frame.
+            # RETRY_LATER; without it the generic INTERNAL path handles
+            # the frame.
             if breaker is None:
                 raise
             before_opens = breaker.opens
@@ -1041,9 +1031,7 @@ class _Session:
                 return group
             if (
                 isinstance(item, tuple)
-                and len(item) == 2
                 and item[0] is Msg.DIGEST_BATCH
-                and isinstance(item[1], (bytes, bytearray))
                 and item[1][:1] == bytes([wire.MODE_DECIDE])
             ):
                 group.append(item[1])
@@ -1122,16 +1110,8 @@ class _Session:
         self.resume_token = token
         self.applied_frames = parked.applied_frames
         service.metrics.add(sessions_resumed=1)
-        log = service.agent.open_log(parked.scoped)
         await service._send_frame(
-            self.writer,
-            Msg.RESUME_OK,
-            wire.encode_resume_ok(
-                self.applied_frames,
-                log.chunks_received,
-                log.pointers_received,
-                log.bytes_received,
-            ),
+            self.writer, Msg.RESUME_OK, wire.encode_resume_ok(self.applied_frames)
         )
 
     def _decide_flags(self, digests, lengths) -> list[bool]:
@@ -1278,7 +1258,7 @@ class _Session:
         except ValueError as exc:
             raise SessionError(Err.BAD_FRAME, str(exc)) from None
         try:
-            recipe = self.service.store.get_recipe(scoped)
+            self.service.store.get_recipe(scoped)
         except KeyError:
             raise SessionError(
                 Err.UNKNOWN_SNAPSHOT,
@@ -1296,9 +1276,7 @@ class _Session:
         counters.restores += 1
         counters.bytes_restored += len(data)
         await self.service._send_frame(
-            self.writer,
-            Msg.RESTORE_BEGIN,
-            wire.encode_restore_begin(len(data), len(recipe.digests)),
+            self.writer, Msg.RESTORE_BEGIN, wire.encode_restore_begin(len(data))
         )
         piece = self.service.config.restore_piece
         view = memoryview(data)

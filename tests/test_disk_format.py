@@ -5,7 +5,7 @@
 formats PR 5 introduced: ``RRUN1`` run files (a serialized Bloom filter
 between header and entries) and ``ECF1`` fragment records (digest over
 the payload only).  Every later format change must keep opening it; the
-CI step "Disk format compatibility" scrubs the same directory through
+CI step "Disk and wire format goldens" scrubs the same directory through
 the CLI.
 
 It was generated by running, on that commit::

@@ -89,12 +89,10 @@ def client_over(conn: FrameConnection, **kwargs) -> AsyncBackupClient:
     )
 
 
-def restore_stream(data: bytes, pieces, n_chunks: int = 3) -> list[bytes]:
+def restore_stream(data: bytes, pieces) -> list[bytes]:
     """RESTORE_BEGIN / RESTORE_DATA x n / RESTORE_END as wire frames."""
     frames = [
-        wire.encode_frame(
-            Msg.RESTORE_BEGIN, wire.encode_restore_begin(len(data), n_chunks)
-        )
+        wire.encode_frame(Msg.RESTORE_BEGIN, wire.encode_restore_begin(len(data)))
     ]
     off = 0
     for size in pieces:
@@ -413,7 +411,7 @@ class TestRestore:
     def test_client_refuses_a_stream_longer_than_announced(self):
         frames = restore_stream(RESTORED[:16], [8, 8])
         frames[0] = wire.encode_frame(
-            Msg.RESTORE_BEGIN, wire.encode_restore_begin(10, 1)
+            Msg.RESTORE_BEGIN, wire.encode_restore_begin(10)
         )
         with pytest.raises(ProtocolError, match="overruns the announced size"):
             self.restore_via_client(frames)
@@ -421,7 +419,7 @@ class TestRestore:
     def test_early_restore_end_is_refused(self):
         frames = restore_stream(RESTORED[:4], [4])
         frames[0] = wire.encode_frame(
-            Msg.RESTORE_BEGIN, wire.encode_restore_begin(10, 1)
+            Msg.RESTORE_BEGIN, wire.encode_restore_begin(10)
         )
         with pytest.raises(
             ProtocolError, match="announced 10 bytes, streamed 4"

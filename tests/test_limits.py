@@ -1,6 +1,6 @@
 """Tests for overload protection: rate limits, quotas, auth, brownout,
-the store-path circuit breaker, and the protocol-v3 frames that carry
-them (AUTH on HELLO, THROTTLE, typed overload errors)."""
+the store-path circuit breaker, and the wire fields that carry them
+(auth and purpose on HELLO, THROTTLE, typed overload errors)."""
 
 from __future__ import annotations
 
@@ -303,29 +303,17 @@ class TestCircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# protocol v3 codec
+# HELLO / THROTTLE codec
 # ----------------------------------------------------------------------
 
 
 class TestCodecV3:
     def test_hello_carries_auth_and_purpose(self):
         payload = wire.encode_hello(
-            "acme", "agent", auth="deadbeef", purpose=wire.PURPOSE_RESTORE
+            "acme", auth="deadbeef", purpose=wire.PURPOSE_RESTORE
         )
         assert wire.decode_hello(payload) == (
-            wire.PROTOCOL_VERSION, "acme", "agent", "deadbeef",
-            wire.PURPOSE_RESTORE,
-        )
-
-    def test_v2_hello_still_decodes(self):
-        # A v2 frame stops after the client name: no auth, no purpose.
-        payload = (
-            (2).to_bytes(2, "big")
-            + (4).to_bytes(2, "big") + b"acme"
-            + (0).to_bytes(2, "big")
-        )
-        assert wire.decode_hello(payload) == (
-            2, "acme", "", "", wire.PURPOSE_BACKUP
+            wire.PROTOCOL_VERSION, "acme", "deadbeef", wire.PURPOSE_RESTORE,
         )
 
     def test_unknown_purpose_rejected(self):
@@ -553,35 +541,53 @@ class TestServiceRateLimit:
         assert code is Err.RETRY_LATER
         assert metrics.retry_later_sent == 1
 
-    def test_v2_peer_gets_paced_without_throttle_frames(self):
-        data = unique_payload(400_000, seed=6)
-
-        async def scenario(service):
-            client = await connect(service, "acme")
-            await client.conn.send(wire.encode_frame(Msg.LIST_SNAPSHOTS))
-            # Pretend the handshake negotiated v2: the server must keep
-            # pacing silently instead of sending THROTTLE frames the
-            # old client cannot parse.
-            for session in service._sessions:
-                session.peer_version = 2
-            await client._expect(Msg.SNAPSHOT_LIST)
-            report = await client.backup(data, "old")
-            await client.close()
-            return report, service.metrics
-
-        report, metrics = run_service(
-            scenario, rate_bytes_per_s=200_000.0, shed_debt_s=60.0
-        )
-        assert metrics.throttles_sent == 0
-        assert report.throttles == 0
-
 
 # ----------------------------------------------------------------------
 # service integration: admission + handshake deadline
 # ----------------------------------------------------------------------
 
 
+def v3_hello(tenant: str) -> bytes:
+    """A HELLO as a protocol-3 peer lays it out: a client-name field
+    between tenant and auth."""
+    def field(text: str) -> bytes:
+        return len(text).to_bytes(2, "big") + text.encode()
+
+    return (3).to_bytes(2, "big") + field(tenant) + field("agent") + field("") + b"\0"
+
+
+async def send_v3_hello(service) -> tuple[Msg, Err, bytes]:
+    """Dial raw, send a protocol-3 HELLO: the reply frame, its error
+    code, and what the connection carried after it."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+    writer.write(wire.MAGIC + wire.encode_frame(Msg.HELLO, v3_hello("acme")))
+    await writer.drain()
+    msg, payload = await wire.read_frame(reader)
+    rest = await asyncio.wait_for(reader.read(), 1.0)
+    writer.close()
+    return msg, wire.decode_error(payload)[0], rest
+
+
 class TestAdmission:
+    def test_v3_hello_gets_version_mismatch(self):
+        msg, code, rest = run_service(send_v3_hello)
+        assert msg is Msg.ERROR and code is Err.VERSION_MISMATCH
+        assert rest == b""  # refused and closed, nothing garbled after
+
+    def test_stale_hello_never_holds_a_session_slot(self):
+        async def scenario(service):
+            await send_v3_hello(service)
+            # The only slot is still free for a current peer.
+            client = await connect(service, "acme")
+            listing = await client.list_snapshots()
+            await client.close()
+            return listing, service.metrics
+
+        listing, metrics = run_service(scenario, max_sessions=1)
+        assert listing == []
+        assert metrics.sessions_total == 1  # the current peer's alone
+        assert metrics.sessions_rejected == 0
+
     def test_restore_traffic_sheds_last(self):
         async def scenario(service):
             first = await connect(service, "acme")

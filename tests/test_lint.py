@@ -375,8 +375,7 @@ _SERVER_OK = (
     "    def dispatch(self, op):\n"
     "        if op == Msg.HELLO:\n"
     "            return 'hi'\n"
-    "        if self.peer_version >= 3:\n"
-    "            self.send(Msg.THROTTLE)\n"
+    "        self.send(Msg.THROTTLE)\n"
     "        return Err.BAD\n"
 )
 
@@ -412,8 +411,7 @@ class TestProtocol:
             "from proto import Msg\n"
             "class Server:\n"
             "    def dispatch(self, op):\n"
-            "        if self.peer_version >= 3:\n"
-            "            self.send(Msg.THROTTLE)\n"
+            "        self.send(Msg.THROTTLE)\n"
         )
         client = "from proto import Msg\n" "def handle(op):\n" "    return Msg.THROTTLE\n"
         write_tree(tmp_path, self._tree(server=server, client=client))
@@ -422,21 +420,6 @@ class TestProtocol:
         assert "Msg.HELLO has no server dispatch arm" in messages
         assert "Msg.HELLO has no client handler" in messages
         assert "Err.BAD is never handled" in messages
-
-    def test_fires_on_ungated_v3_frame(self, tmp_path):
-        server = (
-            "from proto import Msg, Err\n"
-            "class Server:\n"
-            "    def dispatch(self, op):\n"
-            "        if op == Msg.HELLO:\n"
-            "            return 'hi'\n"
-            "        self.send(Msg.THROTTLE)\n"
-            "        return Err.BAD\n"
-        )
-        write_tree(tmp_path, self._tree(server=server))
-        result = lint(tmp_path, rules=["protocol"])
-        assert any("v3-only" in f.message for f in result.findings)
-        assert result.findings[0].path == "service/server.py"
 
 
 # ---------------------------------------------------------------------------

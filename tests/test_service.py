@@ -4,6 +4,7 @@ tenancy, client, metrics)."""
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import urllib.request
 
@@ -12,9 +13,11 @@ import pytest
 from repro.backup import BackupConfig, BackupServer, MasterImage, SimilarityTable
 from repro.core.hashing import chunk_hash
 from repro.service import (
+    NO_RETRY,
     AsyncBackupClient,
     BackupService,
     RemoteAgent,
+    RetryPolicy,
     ServiceConfig,
 )
 from repro.service import protocol as wire
@@ -65,18 +68,28 @@ async def connect(service, tenant="default", **kwargs):
 
 class TestCodec:
     def test_hello_round_trip(self):
-        payload = wire.encode_hello("acme", "agent-7")
+        payload = wire.encode_hello("acme")
         assert wire.decode_hello(payload) == (
-            wire.PROTOCOL_VERSION,
-            "acme",
-            "agent-7",
-            "",
-            wire.PURPOSE_BACKUP,
+            wire.PROTOCOL_VERSION, "acme", "", wire.PURPOSE_BACKUP,
         )
+
+    def test_hello_of_another_version_yields_only_its_version(self):
+        payload = (99).to_bytes(2, "big") + b"laid out some other way"
+        assert wire.decode_hello(payload) == (99, "", "", wire.PURPOSE_BACKUP)
 
     def test_hello_ok_round_trip(self):
         payload = wire.encode_hello_ok("acme-3", 8)
-        assert wire.decode_hello_ok(payload) == (wire.PROTOCOL_VERSION, 8, "acme-3")
+        assert wire.decode_hello_ok(payload) == (8, "acme-3")
+
+    def test_begin_round_trip_and_token_is_required(self):
+        payload = wire.encode_begin("snap", "c0ffee")
+        assert wire.decode_begin(payload) == ("snap", "c0ffee")
+        assert wire.decode_begin(wire.encode_begin("snap", "")) == ("snap", "")
+        with pytest.raises(ProtocolError):
+            wire.decode_begin(wire.encode_snapshot_id("snap"))
+
+    def test_resume_ok_round_trip(self):
+        assert wire.decode_resume_ok(wire.encode_resume_ok(17)) == 17
 
     def test_snapshot_id_round_trip(self):
         payload = wire.encode_snapshot_id("snap/with unicode ✓")
@@ -118,9 +131,7 @@ class TestCodec:
         )
 
     def test_restore_begin_round_trip(self):
-        assert wire.decode_restore_begin(wire.encode_restore_begin(1 << 34, 9)) == (
-            1 << 34, 9,
-        )
+        assert wire.decode_restore_begin(wire.encode_restore_begin(1 << 34)) == 1 << 34
 
     def test_snapshot_list_round_trip(self):
         ids = ["a", "b/c", "day-2026-08-08"]
@@ -175,6 +186,79 @@ class TestCodec:
                 await wire.read_frame(reader, max_frame=1 << 20)
 
         asyncio.run(check())
+
+
+# ----------------------------------------------------------------------
+# wire format golden
+# ----------------------------------------------------------------------
+
+
+def golden_frames() -> dict[Msg, bytes]:
+    """One encoded frame per opcode, built from fixed inputs."""
+    a, b = bytes(range(32)), bytes(range(32, 64))
+    token = "0123456789abcdef"
+    payloads = {
+        Msg.HELLO: wire.encode_hello("acme", "f" * 64, wire.PURPOSE_RESTORE),
+        Msg.HELLO_OK: wire.encode_hello_ok("acme-1", 4),
+        Msg.BEGIN_SNAPSHOT: wire.encode_begin("snap", token),
+        Msg.BEGIN_OK: b"",
+        Msg.DIGEST_BATCH: wire.encode_digest_batch([a, b], [4096, 8191]),
+        Msg.DIGEST_REPLY: wire.encode_digest_reply([True, False]),
+        Msg.CHUNK_BATCH: wire.encode_chunk_batch([(a, b"payload")]),
+        Msg.POINTER_BATCH: wire.encode_pointer_batch([a, b]),
+        Msg.BATCH_OK: wire.encode_batch_ok(2, 1 << 33),
+        Msg.FINISH: wire.encode_snapshot_id("snap"),
+        Msg.FINISH_OK: wire.encode_finish_ok(3, 5, 1 << 33),
+        Msg.RESTORE: wire.encode_snapshot_id("snap"),
+        Msg.RESTORE_BEGIN: wire.encode_restore_begin(1 << 33),
+        Msg.RESTORE_DATA: b"payload",
+        Msg.RESTORE_END: b"",
+        Msg.LIST_SNAPSHOTS: b"",
+        Msg.SNAPSHOT_LIST: wire.encode_snapshot_list(["snap", "snap-2"]),
+        Msg.ERROR: wire.encode_error(Err.RETRY_LATER, "over rate limit"),
+        Msg.RESUME: wire.encode_resume("snap", token),
+        Msg.RESUME_OK: wire.encode_resume_ok(7),
+        Msg.THROTTLE: wire.encode_throttle(1.5, "rate limit"),
+    }
+    return {msg: wire.encode_frame(msg, payload) for msg, payload in payloads.items()}
+
+
+#: SHA-256 of each golden frame, per protocol version.  A change to any
+#: frame's layout must bump ``PROTOCOL_VERSION`` and record its hashes
+#: here in the same change: a peer of the old version is then refused
+#: with VERSION_MISMATCH instead of misreading the new layout.
+WIRE_GOLDEN = {
+    4: {
+        "HELLO": "0bb2d06c6fbb176397d8e07febb0008d607e4e5bfef539b46a18cfbf607a7c0a",
+        "HELLO_OK": "c757670523ce6d7d61f71af2e19ac2d164ec576013a662a1b84bac323207d710",
+        "BEGIN_SNAPSHOT": "6707b96fe9bc346e36753e19064a39614ba46bed4a8e2b0a9265c34924d5f9bb",
+        "BEGIN_OK": "88420266dfd64d604627234a8a6c75cf6477c6fd5505df0d17c59959ae9ce234",
+        "DIGEST_BATCH": "7e30d6ead1c1bb87760f158ef21e134bd11dfd762dac1ec85f917b4b4eba2623",
+        "DIGEST_REPLY": "b4d6ae165f8a408a1cf927bd867e5838a86aaab10a261152ac883a564b3ee971",
+        "CHUNK_BATCH": "f173362d9ed1e121a7cbe8f08d06adc01ca14490a3908e10f72b00573e86280b",
+        "POINTER_BATCH": "d77fe59d4ec569019e8d97ce8cc5f0119bfa65c7a1ebf6361686079040a96c65",
+        "BATCH_OK": "4c503f0247fcf23ab8c235f309a59dc1e29415c7e2fabd02321a5030df6080f7",
+        "FINISH": "3b99a2aa6450a48c43585b071c171d5375b09bf1cbe24a724e8b3fdd96bef2f5",
+        "FINISH_OK": "e0b5b661bae2fcbefe837e56884d9b2f7cff880d27574d5e54b08f274b2d311d",
+        "RESTORE": "5c439d7f22cde316403ea6ec30f4149480b4c07be43eaafc618c2a5924f474b8",
+        "RESTORE_BEGIN": "979470bc2abfe23fceaf7d2853307b564c729ff0fb377ba1f4d6d01d4dbb457d",
+        "RESTORE_DATA": "f39ab1f31d5758847168d19e9cd539628932e6f6b088af999ebab370c46fdfc9",
+        "RESTORE_END": "b7be624dcb1dfdacd784f4a79698ee22c0422a166367f2c5c927f01b37a2d93e",
+        "LIST_SNAPSHOTS": "0f7e5b031a1706e40329c19e1059dca60f8cef74aaa8e73a911a414bc59e4907",
+        "SNAPSHOT_LIST": "659ef55cd4b0cd41ef5cb9e116e81134697dba98511d22b86ed8c9ad652b0b84",
+        "ERROR": "133c23b81f307f6128781f95dce7b86af9def04a9e0bc08e5cf07d5e8de71224",
+        "RESUME": "9b0f0b22fff493b27d07ea3426dcbfffdb8e1e4d177fd5d7a91de5241aa1e502",
+        "RESUME_OK": "d7a2083d4bdc329e6e075a9b7c313fc0aca3c22e7c3c8c51bf31c357668152c3",
+        "THROTTLE": "e613b98e5a0cb6dcd8abf50dbe3fb46397a95beefb73ace260cf8a7f64011bfb",
+    },
+}
+
+
+def test_wire_frames_are_golden():
+    frames = golden_frames()
+    assert set(frames) == set(Msg)
+    got = {msg.name: hashlib.sha256(frame).hexdigest() for msg, frame in frames.items()}
+    assert got == WIRE_GOLDEN[wire.PROTOCOL_VERSION]
 
 
 # ----------------------------------------------------------------------
@@ -460,12 +544,8 @@ class TestService:
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", service.port
             )
-            writer.write(wire.MAGIC)
-            writer.write(
-                wire.encode_frame(
-                    Msg.HELLO, wire.encode_hello("acme", version=99)
-                )
-            )
+            hello = (99).to_bytes(2, "big") + wire.encode_hello("acme")[2:]
+            writer.write(wire.MAGIC + wire.encode_frame(Msg.HELLO, hello))
             await writer.drain()
             msg, payload = await wire.read_frame(reader)
             writer.close()
@@ -594,6 +674,85 @@ class TestService:
             ServiceConfig(queue_depth=0)
         with pytest.raises(ValueError):
             ServiceConfig(backend="memory", data_dir="/tmp/x")
+
+
+# ----------------------------------------------------------------------
+# fatal session errors
+# ----------------------------------------------------------------------
+
+#: A client that holds a resume token, so its snapshot can park.
+RESUMABLE = RetryPolicy(op_timeout_s=5.0)
+
+
+async def answer_then_hang_up(service, frame: bytes, *, retry, begin=True):
+    """Send ``frame`` on a fresh session: the ERROR it draws, whether
+    the server then hung up within 1 s, and the service metrics once
+    the session is gone."""
+    client = await connect(service, "acme", retry=retry)
+    if begin:
+        await client.begin_snapshot("snap")
+    await client.conn.send(frame)
+    with pytest.raises(RemoteError) as err:
+        await client._recv()
+    try:
+        await asyncio.wait_for(client.conn.recv(), 1.0)
+        hung_up = False
+    except asyncio.IncompleteReadError:
+        hung_up = True
+    for _ in range(100):
+        if service.metrics.sessions_active == 0:
+            break
+        await asyncio.sleep(0.01)
+    await client.close()
+    return err.value.code, hung_up, service.metrics
+
+
+class TestFatalSessionErrors:
+    @pytest.mark.parametrize("retry,parked", [(RESUMABLE, 1), (NO_RETRY, 0)])
+    def test_digest_mismatch_hangs_up_and_frees_the_slot(self, retry, parked):
+        frame = wire.encode_frame(
+            Msg.CHUNK_BATCH,
+            wire.encode_chunk_batch([(chunk_hash(b"the truth"), b"a lie")]),
+        )
+        code, hung_up, metrics = run_service(
+            lambda service: answer_then_hang_up(service, frame, retry=retry)
+        )
+        assert code is Err.DIGEST_MISMATCH and hung_up
+        assert metrics.sessions_active == 0
+        # A token holder's snapshot parks for RESUME; a token-less one aborts.
+        assert metrics.sessions_parked == parked
+
+    def test_non_fatal_error_keeps_the_session(self):
+        async def scenario(service):
+            client = await connect(service, "acme")
+            with pytest.raises(RemoteError) as err:
+                await client.finish_snapshot("never-begun")
+            listing = await client.list_snapshots()
+            await client.close()
+            return err.value.code, listing
+
+        assert run_service(scenario) == (Err.UNKNOWN_SNAPSHOT, [])
+
+    def test_truncated_digest_batch_is_bad_frame(self):
+        digests = [chunk_hash(bytes([i])) for i in range(3)]
+        payload = wire.encode_digest_batch(digests, [1, 2, 3])
+        frame = wire.encode_frame(Msg.DIGEST_BATCH, payload[:-3])
+        code, hung_up, metrics = run_service(
+            lambda service: answer_then_hang_up(service, frame, retry=RESUMABLE)
+        )
+        assert code is Err.BAD_FRAME and hung_up
+        assert metrics.sessions_active == 0
+        assert metrics.sessions_parked == 1
+
+    def test_tokenless_begin_is_bad_frame(self):
+        frame = wire.encode_frame(Msg.BEGIN_SNAPSHOT, wire.encode_snapshot_id("s"))
+        code, hung_up, metrics = run_service(
+            lambda service: answer_then_hang_up(
+                service, frame, retry=NO_RETRY, begin=False
+            )
+        )
+        assert code is Err.BAD_FRAME and hung_up
+        assert metrics.sessions_active == 0
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.service import (
+    NO_RETRY,
     AsyncBackupClient,
     BackupService,
     RetryPolicy,
@@ -109,6 +110,25 @@ class TestWireFaultRecovery:
         assert report.resumes == 0
         assert report.replayed_frames == 0
 
+    def test_no_retry_client_fails_on_first_drop_without_resume(self):
+        data = chaos_payload(1 * MB, seed=3)
+
+        async def scenario(service):
+            client = await connect(service, retry=NO_RETRY)
+            with pytest.raises((RemoteError, OSError, EOFError)):
+                await client.backup(data, "fragile", batch_chunks=4)
+            await client.close()
+            return client, service.metrics
+
+        client, metrics = run_service(
+            scenario, faults="seed=7,wire.drop=0.05", resume_grace_s=10.0
+        )
+        # One connection, never redialed: no RESUME could be sent.
+        assert metrics.connections_total == 1
+        assert client.reconnects == 0 and client.resumes == 0
+        # No token went out, so the cut snapshot aborted instead of parking.
+        assert metrics.sessions_parked == 0 and metrics.sessions_resumed == 0
+
 
 # ----------------------------------------------------------------------
 # slow-client eviction
@@ -118,20 +138,20 @@ class TestWireFaultRecovery:
 class TestStallEviction:
     def test_idle_session_is_evicted(self):
         async def scenario(service):
-            client = await connect(service, retry=None)
+            client = await connect(service, retry=NO_RETRY)
             await client.begin_snapshot("stalled")
             await asyncio.sleep(0.6)  # > stall_timeout_s, sends nothing
             with pytest.raises((RemoteError, OSError, EOFError)) as err:
                 await client.finish_snapshot("stalled")
             await client.close()
-            listing = await (await connect(service, retry=None)).list_snapshots()
+            listing = await (await connect(service, retry=NO_RETRY)).list_snapshots()
             return err.value, service.metrics, listing
 
         exc, metrics, listing = run_service(scenario, stall_timeout_s=0.2)
         if isinstance(exc, RemoteError):
             assert exc.code is Err.EVICTED
         assert metrics.sessions_evicted == 1
-        # No resume token (retry=None) -> eviction aborts, never parks.
+        # No resume token (NO_RETRY) -> eviction aborts, never parks.
         assert metrics.sessions_parked == 0
         assert "stalled" not in listing
 
@@ -168,7 +188,7 @@ class TestParkLifecycle:
             # server sees an abnormal disconnect and parks the snapshot.
             client.conn.abort()
             await asyncio.sleep(0.4)  # > resume_grace_s
-            probe = await connect(service, retry=None)
+            probe = await connect(service, retry=NO_RETRY)
             listing = await probe.list_snapshots()
             await probe.close()
             return service.metrics, listing

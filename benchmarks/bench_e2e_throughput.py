@@ -119,7 +119,7 @@ def reference_pipeline(data: bytes, config: ChunkerConfig, engine) -> tuple[list
         prev = cut
     index = DedupIndex()
     for chunk in chunks:  # one Python probe per digest (batch of one)
-        index.lookup_or_insert_batch([chunk])
+        index.lookup_or_insert_batch([chunk.digest], [chunk.length], [chunk.offset])
     return chunks, index
 
 
@@ -135,7 +135,7 @@ def fast_pipeline(data, chunker: Chunker, backend: str):
         return chunks, cluster
     index = DedupIndex()
     ensure_digests(chunks)
-    index.lookup_or_insert_batch(chunks)
+    index.add_all(chunks)
     return chunks, index
 
 
@@ -144,7 +144,7 @@ def serial_pipeline(data, config: ChunkerConfig):
     chunker = Chunker(config, SerialEngine(chunker_fingerprinter()))
     chunks = chunker.chunk(data)
     index = DedupIndex()
-    index.lookup_or_insert_batch(chunks)
+    index.add_all(chunks)
     return chunks, index
 
 

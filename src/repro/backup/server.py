@@ -49,7 +49,8 @@ because probes are issued per pipeline batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from repro.backup.agent import ShredderAgent, TransferLog
@@ -291,6 +292,9 @@ class BackupServer:
         shipped becomes a pointer — exactly the whole-snapshot
         semantics, evaluated incrementally.
         """
+        digests = [c.digest for c in batch]
+        lengths = [c.length for c in batch]
+        offsets = [c.offset for c in batch]
         if self.cluster is not None:
             # The cluster is authoritative: hits are chunks some shard
             # already stores.  Probe only digests this snapshot has not
@@ -302,31 +306,19 @@ class BackupServer:
                 hit_map, stats = self.cluster.lookup_chunks(fresh)
                 lookup_stats.merge(stats)
             decisions = []
-            for chunk in batch:
-                decisions.append(
-                    chunk.digest in seen or hit_map.get(chunk.digest, False)
-                )
-                seen.add(chunk.digest)
+            for digest in digests:
+                decisions.append(digest in seen or hit_map.get(digest, False))
+                seen.add(digest)
             # Keep the server-side index warm so both backends expose
             # identical dedup statistics.
-            self.index.lookup_or_insert_batch(batch)
+            self.index.lookup_or_insert_batch(digests, lengths, offsets)
             return decisions
-        decisions = [
-            is_dup for is_dup, _ in self.index.lookup_or_insert_batch(batch)
-        ]
-        # The index can outlive the store (GC reclaimed a chunk, or a
-        # persistent index reopened against a sparser site dir): a
-        # pointer for a missing chunk would crash the agent.  Verify
-        # every claimed dup against the store in one batched probe and
-        # re-ship the payload where it is gone — the cluster path gets
-        # this for free by probing the store itself.
-        dup_digests = [
-            c.digest for c, is_dup in zip(batch, decisions) if is_dup
-        ]
-        if dup_digests:
-            stored = iter(self.agent.store.has_chunks(dup_digests))
-            decisions = [next(stored) if is_dup else False for is_dup in decisions]
-        return decisions
+        # A repeat of an earlier chunk of this batch is a pointer (its
+        # first copy ships ahead of it); every hit is re-checked against
+        # the store, which the index can outlive.
+        return self.index.lookup_or_insert_batch(
+            digests, lengths, offsets
+        ).pointers(digests, self.agent.store.has_chunks)
 
     def backup_snapshot(self, data: bytes, snapshot_id: str) -> BackupReport:
         """Deduplicate and ship one image snapshot to the backup site.
@@ -355,13 +347,8 @@ class BackupServer:
             # same-decision runs become one CHUNK_BATCH-shaped call or
             # one pointer batch, so the recipe order (arrival order at
             # the agent) is exactly the per-chunk path's.
-            i = 0
-            while i < len(batch):
-                is_dup = decisions[i]
-                j = i
-                while j < len(batch) and decisions[j] == is_dup:
-                    j += 1
-                run = batch[i:j]
+            for is_dup, pairs in groupby(zip(decisions, batch), key=itemgetter(0)):
+                run = [c for _, c in pairs]
                 if is_dup:
                     duplicates += len(run)
                     self.agent.receive_pointers(
@@ -375,7 +362,6 @@ class BackupServer:
                     self.agent.receive_chunks(
                         snapshot_id, [(c.digest, c.data) for c in run]
                     )
-                i = j
         transfer = self.agent.finish_snapshot(snapshot_id)
 
         n = len(data)

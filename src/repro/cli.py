@@ -81,7 +81,7 @@ def _profiled_chunk(chunker, view) -> list:
         for batch in pipeline_chunks(chunker.candidate_cuts, chunker.config, buffers)
         for chunk in batch
     ]
-    DedupIndex().lookup_or_insert_batch(chunks)
+    DedupIndex().add_all(chunks)
     return chunks
 
 

@@ -6,9 +6,11 @@ server (§7) feeds digests through a lookup queue and ships either chunk
 data or a pointer, and Inc-HDFS (§6) uses digests as memoization keys.
 
 The probe surface is batched-only: ``lookup_batch`` (read-only) and
-``lookup_or_insert_batch`` (the stateful backup flow).  The per-chunk
-server loop PR 1 deprecated is gone — one call site per batch is the
-shape the cluster lookup path and the §7.3 cost model already charge.
+``lookup_or_insert_batch`` (the stateful backup flow), which takes a
+batch as columns — digests, lengths, offsets — exactly as a decoded
+DIGEST_BATCH frame carries it, so no per-chunk record is built between
+the wire and the index.  One call per batch is the shape the cluster
+lookup path and the §7.3 cost model already charge.
 
 State lives on a pluggable :class:`~repro.store.backend.ChunkBackend`
 (digest -> canonical offset): in-memory by default, or the persistent
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import compress, count
+from operator import not_
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.store.backend import make_backend
 
@@ -71,6 +75,42 @@ class DedupStats:
         if self.total_bytes == 0:
             return 0.0
         return self.duplicate_bytes / self.total_bytes
+
+
+class BatchProbe(NamedTuple):
+    """What one :meth:`DedupIndex.lookup_or_insert_batch` found, by
+    position in the batch."""
+
+    #: The digest was in the index before the call.
+    hits: list[bool]
+    #: Position -> position of its first copy, for each repeat of a
+    #: miss earlier in the same batch.
+    repeats: dict[int, int]
+
+    def pointers(
+        self,
+        digests: Sequence[bytes],
+        has_chunks: Callable[[list[bytes]], list[bool]],
+    ) -> list[bool]:
+        """Per position, whether a pointer may stand in for the payload.
+
+        The index can outlive the store (GC reclaimed a chunk, or a
+        persistent index reopened against a sparser site), so every hit
+        is verified with one batched ``has_chunks`` probe and re-ships
+        where its payload is gone.  A repeat is a pointer unchecked: its
+        first copy is a miss, so it ships — ahead of the repeat, as long
+        as the batch ships in order.
+        """
+        flags = list(self.hits)
+        hit_digests = list(compress(digests, flags))
+        if hit_digests:
+            present = has_chunks(hit_digests)
+            if not all(present):
+                stored = iter(present)
+                flags = [hit and next(stored) for hit in flags]
+        for i in self.repeats:
+            flags[i] = True
+        return flags
 
 
 class DedupIndex:
@@ -121,50 +161,59 @@ class DedupIndex:
         _record_lookup(time.perf_counter() - t0)
         return result
 
-    def lookup_or_insert_batch(self, chunks: Sequence["Chunk"]) -> list[tuple[bool, int]]:
-        """Batched lookup-or-insert over a chunk sequence.
+    def lookup_or_insert_batch(
+        self,
+        digests: Sequence[bytes],
+        lengths: Sequence[int],
+        offsets: Sequence[int],
+    ) -> BatchProbe:
+        """Batched lookup-or-insert over one batch, given as columns.
 
-        Returns ``(is_duplicate, canonical_offset)`` per chunk:
-        duplicates report the offset at which the content was first
-        stored, and intra-batch duplicates resolve against earlier
-        chunks of the same batch — identical semantics to the retired
-        per-chunk server loop, amortized over one probe and one insert
-        per batch.
+        ``digests[i]`` names a chunk of ``lengths[i]`` bytes first seen
+        at ``offsets[i]``.  One backend probe answers the whole batch;
+        each miss is inserted at its offset, and a later copy of a miss
+        in the same batch is a repeat, not a second insert — the same
+        semantics as feeding the chunks one at a time, amortized over one
+        probe and one insert per batch.  The counters move in bulk; only
+        the misses take a Python loop.
         """
         t0 = time.perf_counter()
         stats = self.stats
-        digests = [chunk.digest for chunk in chunks]
         found = self._backend.get_batch(digests)
         probe_seconds = time.perf_counter() - t0
-        result: list[tuple[bool, int]] = []
-        batch_first: dict[bytes, int] = {}
+        # Offsets ride the backend as non-empty u64 values: a found
+        # value is truthy, a miss is None.
+        hits = list(map(bool, found))
+        stats.total_chunks += len(hits)
+        stats.total_bytes += sum(lengths)
+        repeats: dict[int, int] = {}
+        first: dict[bytes, int] = {}
         new_items: list[tuple[bytes, bytes]] = []
-        for chunk, digest, value in zip(chunks, digests, found):
-            stats.total_chunks += 1
-            stats.total_bytes += chunk.length
-            if value is not None:
-                result.append((True, int.from_bytes(value, "big")))
+        for i in compress(count(), map(not_, hits)):
+            digest = digests[i]
+            j = first.setdefault(digest, i)
+            if j != i:
+                repeats[i] = j
                 continue
-            first = batch_first.get(digest)
-            if first is not None:
-                result.append((True, first))
-                continue
-            batch_first[digest] = chunk.offset
-            new_items.append((digest, chunk.offset.to_bytes(_OFFSET_BYTES, "big")))
-            stats.unique_chunks += 1
-            stats.unique_bytes += chunk.length
-            result.append((False, chunk.offset))
+            new_items.append((digest, offsets[i].to_bytes(_OFFSET_BYTES, "big")))
+            stats.unique_bytes += lengths[i]
         if new_items:
+            stats.unique_chunks += len(new_items)
             # known_absent: get_batch just proved these misses, and
-            # batch_first made the keys unique — the backend skips the
+            # ``first`` made the keys unique — the backend skips the
             # second probe, so a miss costs one index walk, not two.
             self._backend.put_batch(new_items, known_absent=True)
         _record_lookup(probe_seconds)
-        return result
+        return BatchProbe(hits, repeats)
 
-    def add_all(self, chunks) -> DedupStats:
+    def add_all(self, chunks: Iterable["Chunk"]) -> DedupStats:
         """Feed a chunk sequence through the index; returns the stats."""
-        self.lookup_or_insert_batch(list(chunks))
+        chunks = list(chunks)
+        self.lookup_or_insert_batch(
+            [c.digest for c in chunks],
+            [c.length for c in chunks],
+            [c.offset for c in chunks],
+        )
         return self.stats
 
     # -- lifecycle -----------------------------------------------------

@@ -55,6 +55,8 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from repro.backup.agent import TransferLog
 from repro.backup.server import _default_backup_chunker
@@ -761,13 +763,8 @@ class AsyncBackupClient:
                 )
                 # Ship consecutive same-decision runs — order of arrival
                 # at the agent is recipe order, identical to in-process.
-                i = 0
-                while i < len(batch):
-                    is_dup = flags[i]
-                    j = i
-                    while j < len(batch) and flags[j] == is_dup:
-                        j += 1
-                    run = batch[i:j]
+                for is_dup, pairs in groupby(zip(flags, batch), key=itemgetter(0)):
+                    run = [c for _, c in pairs]
                     if is_dup:
                         duplicates += len(run)
                         await ship(
@@ -787,7 +784,6 @@ class AsyncBackupClient:
                         )
                     while len(self._unacked) >= self.window:
                         await self._with_recovery(drain_one)
-                    i = j
             while self._unacked:
                 await self._with_recovery(drain_one)
             transfer = await self.finish_snapshot(snapshot_id)
@@ -1016,24 +1012,16 @@ class RemoteAgent:
     def receive_chunk(
         self, snapshot_id: str, data: bytes, digest: bytes | None = None
     ) -> None:
-        self._require_open(snapshot_id)
-        # The wire always carries the digest (it is the integrity check
-        # the site verifies); compute it here when the caller didn't.
-        self._buffer.append(
-            ("chunk", digest if digest is not None else chunk_hash(data), data)
-        )
-        if len(self._buffer) >= self._flush_items:
-            self.flush()
+        self.receive_chunks(snapshot_id, [(digest, data)])
 
     def receive_pointer(self, snapshot_id: str, digest: bytes) -> None:
-        self._require_open(snapshot_id)
-        self._buffer.append(("pointer", digest))
-        if len(self._buffer) >= self._flush_items:
-            self.flush()
+        self.receive_pointers(snapshot_id, [digest])
 
     def receive_chunks(self, snapshot_id: str, items) -> None:
         """Batched twin of :meth:`receive_chunk` (``(digest, data)``)."""
         self._require_open(snapshot_id)
+        # The wire always carries the digest (it is the integrity check
+        # the site verifies); compute it here when the caller didn't.
         for digest, data in items:
             self._buffer.append(
                 (
@@ -1055,13 +1043,8 @@ class RemoteAgent:
     def flush(self) -> None:
         """Push buffered receives out as run-grouped batch frames."""
         buffer, self._buffer = self._buffer, []
-        i = 0
-        while i < len(buffer):
-            kind = buffer[i][0]
-            j = i
-            while j < len(buffer) and buffer[j][0] == kind:
-                j += 1
-            run = buffer[i:j]
+        for kind, ops in groupby(buffer, key=itemgetter(0)):
+            run = list(ops)
             if kind == "chunk":
                 self._call(
                     self._client.ship_chunks([(op[1], op[2]) for op in run])
@@ -1070,7 +1053,6 @@ class RemoteAgent:
                 self._call(
                     self._client.ship_pointers([op[1] for op in run])
                 )
-            i = j
 
     def finish_snapshot(self, snapshot_id: str) -> TransferLog:
         self._require_open(snapshot_id)

@@ -17,15 +17,19 @@ POINTER_BATCH frames.  The request/reply discipline is strictly
 in-order per connection, which is what lets the client pipeline
 requests and resolve replies FIFO (see :mod:`repro.service.client`).
 
-The codec is pure functions over ``bytes`` — no sockets — so it is
-unit-testable and reusable by any transport.
+The codec is pure functions over ``bytes`` — no sockets — and a batch
+frame decodes to columns (digests, lengths) in one header parse plus one
+fixed-stride pass, never a field-by-field walk per item.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from enum import IntEnum
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "MAGIC",
@@ -54,9 +58,12 @@ PROTOCOL_VERSION = 4
 DEFAULT_MAX_FRAME = 64 << 20
 
 HEADER = struct.Struct("!BI")  # type, payload length
+_U8 = struct.Struct("!B")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _U64 = struct.Struct("!Q")
+_BATCH_OK = struct.Struct("!IQ")  # items, received bytes
+_FINISH_OK = struct.Struct("!IIQ")  # chunks, pointers, received bytes
 
 
 class Msg(IntEnum):
@@ -130,7 +137,8 @@ PURPOSE_RESTORE = 1
 #: DIGEST_BATCH modes: QUERY is a read-only membership probe against
 #: the shared payload store (the remote twin of ``has_chunk``); DECIDE
 #: runs the tenant's dedup decision for the open snapshot and *inserts*
-#: into the tenant index, exactly like ``lookup_or_insert_batch``.
+#: into the tenant index, exactly like ``lookup_or_insert_batch``; a
+#: repeat within one batch is a pointer, so ship a batch's runs in order.
 MODE_QUERY = 0
 MODE_DECIDE = 1
 
@@ -194,17 +202,24 @@ def _pack_str(text: str) -> bytes:
     return _U16.pack(len(raw)) + raw
 
 
-def _take(payload: bytes, offset: int, size: int) -> tuple[bytes, int]:
-    end = offset + size
+def _unpack(payload: bytes, fields: struct.Struct, offset: int = 0) -> tuple[tuple, int]:
+    """``fields`` read at ``offset``, and the offset past them."""
+    end = offset + fields.size
     if end > len(payload):
         raise ProtocolError("truncated frame payload")
-    return payload[offset:end], end
+    return fields.unpack_from(payload, offset), end
+
+
+def _exact(payload: bytes, fields: struct.Struct) -> tuple:
+    """A payload that is exactly ``fields``."""
+    values, end = _unpack(payload, fields)
+    _done(payload, end)
+    return values
 
 
 def _take_str(payload: bytes, offset: int) -> tuple[str, int]:
-    raw, offset = _take(payload, offset, _U16.size)
-    (size,) = _U16.unpack(raw)
-    raw, offset = _take(payload, offset, size)
+    (size,), offset = _unpack(payload, _U16, offset)
+    (raw,), offset = _unpack(payload, struct.Struct(f"{size}s"), offset)
     try:
         return raw.decode("utf-8"), offset
     except UnicodeDecodeError as exc:
@@ -212,7 +227,10 @@ def _take_str(payload: bytes, offset: int) -> tuple[str, int]:
 
 
 def _done(payload: bytes, offset: int) -> None:
-    if offset != len(payload):
+    """The payload ends at ``offset``."""
+    if offset > len(payload):
+        raise ProtocolError("truncated frame payload")
+    if offset < len(payload):
         raise ProtocolError(
             f"{len(payload) - offset} trailing bytes in frame payload"
         )
@@ -239,14 +257,12 @@ def encode_hello(
 def decode_hello(payload: bytes) -> tuple[int, str, str, int]:
     """``(version, tenant, auth, purpose)``; a frame of another version
     yields only its version (its fields are laid out differently)."""
-    raw, offset = _take(payload, 0, _U16.size)
-    (version,) = _U16.unpack(raw)
+    (version,), offset = _unpack(payload, _U16)
     if version != PROTOCOL_VERSION:
         return version, "", "", PURPOSE_BACKUP
     tenant, offset = _take_str(payload, offset)
     auth, offset = _take_str(payload, offset)
-    raw, offset = _take(payload, offset, 1)
-    purpose = raw[0]
+    (purpose,), offset = _unpack(payload, _U8, offset)
     if purpose not in (PURPOSE_BACKUP, PURPOSE_RESTORE):
         raise ProtocolError(f"unknown traffic purpose {purpose}")
     _done(payload, offset)
@@ -258,8 +274,7 @@ def encode_hello_ok(session_id: str, window: int) -> bytes:
 
 
 def decode_hello_ok(payload: bytes) -> tuple[int, str]:
-    raw, offset = _take(payload, 0, _U16.size)
-    (window,) = _U16.unpack(raw)
+    (window,), offset = _unpack(payload, _U16)
     session_id, offset = _take_str(payload, offset)
     _done(payload, offset)
     return window, session_id
@@ -323,29 +338,44 @@ def encode_resume_ok(applied_frames: int) -> bytes:
 
 
 def decode_resume_ok(payload: bytes) -> int:
-    raw, offset = _take(payload, 0, _U32.size)
-    _done(payload, offset)
-    return _U32.unpack(raw)[0]
+    return _exact(payload, _U32)[0]
 
 
 def encode_finish_ok(chunks: int, pointers: int, received_bytes: int) -> bytes:
-    return _U32.pack(chunks) + _U32.pack(pointers) + _U64.pack(received_bytes)
+    return _FINISH_OK.pack(chunks, pointers, received_bytes)
 
 
 def decode_finish_ok(payload: bytes) -> tuple[int, int, int]:
-    raw, offset = _take(payload, 0, _U32.size)
-    (chunks,) = _U32.unpack(raw)
-    raw, offset = _take(payload, offset, _U32.size)
-    (pointers,) = _U32.unpack(raw)
-    raw, offset = _take(payload, offset, _U64.size)
-    (received_bytes,) = _U64.unpack(raw)
-    _done(payload, offset)
-    return chunks, pointers, received_bytes
+    return _exact(payload, _FINISH_OK)
 
 
 # ----------------------------------------------------------------------
-# digest batches
+# batch frames
 # ----------------------------------------------------------------------
+#
+# One fixed header, then ``count`` records end to end.  Fixed-stride
+# bodies (DIGEST_BATCH, POINTER_BATCH, DIGEST_REPLY) are one NumPy record
+# array over the payload; a CHUNK_BATCH record is a fixed-stride head
+# (digest, u32 length) and then that many payload bytes.
+
+_DIGEST_HEAD = struct.Struct("!BBI")  # mode, digest size, count
+_BATCH_HEAD = struct.Struct("!BI")  # digest size, count
+_FLAG = np.dtype("u1")  # one DIGEST_REPLY record
+
+
+@functools.lru_cache(maxsize=None)
+def _record(size: int, lengths: bool) -> np.dtype:
+    """A ``size``-byte digest, then (DECIDE mode) a big-endian u32."""
+    fields = [("digest", f"V{size}")]
+    if lengths:
+        fields.append(("length", ">u4"))
+    return np.dtype(fields)
+
+
+def _records(payload, offset: int, count: int, record: np.dtype) -> np.ndarray:
+    """The ``count`` records after ``offset`` — which must end the payload."""
+    _done(payload, offset + count * record.itemsize)
+    return np.frombuffer(payload, record, count, offset)
 
 
 def _check_digests(digests: Sequence[bytes]) -> int:
@@ -354,9 +384,8 @@ def _check_digests(digests: Sequence[bytes]) -> int:
     size = len(digests[0])
     if not 1 <= size <= 0xFF:
         raise ProtocolError(f"digest size {size} out of range")
-    for d in digests:
-        if len(d) != size:
-            raise ProtocolError("mixed digest sizes in one batch")
+    if len(set(map(len, digests))) != 1:
+        raise ProtocolError("mixed digest sizes in one batch")
     return size
 
 
@@ -366,118 +395,89 @@ def encode_digest_batch(
     """QUERY mode without ``lengths``; DECIDE mode with per-digest chunk
     lengths (the tenant index accounts dedup'd bytes from them)."""
     size = _check_digests(digests)
-    mode = MODE_QUERY if lengths is None else MODE_DECIDE
-    parts = [bytes([mode, size]), _U32.pack(len(digests))]
     if lengths is None:
-        parts.extend(digests)
-    else:
-        if len(lengths) != len(digests):
-            raise ProtocolError("lengths/digests count mismatch")
-        for digest, length in zip(digests, lengths):
-            parts.append(digest)
-            parts.append(_U32.pack(length))
-    return b"".join(parts)
+        return _DIGEST_HEAD.pack(MODE_QUERY, size, len(digests)) + b"".join(digests)
+    if len(lengths) != len(digests):
+        raise ProtocolError("lengths/digests count mismatch")
+    rows = np.empty(len(digests), _record(size, True))
+    rows["digest"] = digests
+    rows["length"] = lengths
+    return _DIGEST_HEAD.pack(MODE_DECIDE, size, len(digests)) + rows.tobytes()
 
 
 def decode_digest_batch(payload: bytes) -> tuple[int, list[bytes], list[int] | None]:
-    raw, offset = _take(payload, 0, 2)
-    mode, size = raw[0], raw[1]
+    """``(mode, digests, lengths)`` as columns; ``lengths`` is ``None``
+    in QUERY mode."""
+    (mode, size, count), offset = _unpack(payload, _DIGEST_HEAD)
     if mode not in (MODE_QUERY, MODE_DECIDE):
         raise ProtocolError(f"unknown digest-batch mode {mode}")
     if size < 1:
         raise ProtocolError("zero digest size")
-    raw, offset = _take(payload, offset, _U32.size)
-    (count,) = _U32.unpack(raw)
-    digests: list[bytes] = []
-    lengths: list[int] | None = None if mode == MODE_QUERY else []
-    for _ in range(count):
-        digest, offset = _take(payload, offset, size)
-        digests.append(digest)
-        if lengths is not None:
-            raw, offset = _take(payload, offset, _U32.size)
-            lengths.append(_U32.unpack(raw)[0])
-    _done(payload, offset)
-    return mode, digests, lengths
+    decide = mode == MODE_DECIDE
+    rows = _records(payload, offset, count, _record(size, decide))
+    lengths = rows["length"].tolist() if decide else None
+    return mode, rows["digest"].tolist(), lengths
 
 
 def encode_digest_reply(flags: Sequence[bool]) -> bytes:
-    return _U32.pack(len(flags)) + bytes(1 if f else 0 for f in flags)
+    return _U32.pack(len(flags)) + bytes(map(bool, flags))
 
 
 def decode_digest_reply(payload: bytes) -> list[bool]:
-    raw, offset = _take(payload, 0, _U32.size)
-    (count,) = _U32.unpack(raw)
-    raw, offset = _take(payload, offset, count)
-    _done(payload, offset)
-    return [b != 0 for b in raw]
-
-
-# ----------------------------------------------------------------------
-# chunk / pointer batches
-# ----------------------------------------------------------------------
+    (count,), offset = _unpack(payload, _U32)
+    return _records(payload, offset, count, _FLAG).astype(bool).tolist()
 
 
 def encode_chunk_batch(items: Sequence[tuple[bytes, bytes]]) -> bytes:
     """``(digest, payload)`` pairs — the digests are the sender's claim,
-    verified (batched) by the site agent before anything is stored."""
-    size = _check_digests([digest for digest, _ in items])
-    parts = [bytes([size]), _U32.pack(len(items))]
-    for digest, data in items:
-        parts.append(digest)
-        parts.append(_U32.pack(len(data)))
-        parts.append(bytes(data))
+    verified (batched) by the site agent before anything is stored.
+    Payloads may be any byte views; they are joined, not copied first."""
+    digests = [digest for digest, _ in items]
+    size = _check_digests(digests)
+    datas = [data for _, data in items]
+    parts = [_BATCH_HEAD.pack(size, len(items))] + [None] * (2 * len(items))
+    parts[1::2] = map(struct.Struct(f"!{size}sI").pack, digests, map(len, datas))
+    parts[2::2] = datas
     return b"".join(parts)
 
 
 def decode_chunk_batch(payload: bytes) -> list[tuple[bytes, bytes]]:
-    raw, offset = _take(payload, 0, 1)
-    size = raw[0]
+    (size, count), pos = _unpack(payload, _BATCH_HEAD)
     if size < 1:
         raise ProtocolError("zero digest size")
-    raw, offset = _take(payload, offset, _U32.size)
-    (count,) = _U32.unpack(raw)
+    head = struct.Struct(f"!{size}sI")
     items: list[tuple[bytes, bytes]] = []
-    for _ in range(count):
-        digest, offset = _take(payload, offset, size)
-        raw, offset = _take(payload, offset, _U32.size)
-        (length,) = _U32.unpack(raw)
-        data, offset = _take(payload, offset, length)
-        items.append((digest, data))
-    _done(payload, offset)
+    try:
+        for _ in range(count):
+            digest, length = head.unpack_from(payload, pos)
+            pos += head.size
+            items.append((digest, payload[pos : pos + length]))
+            pos += length
+    except struct.error:
+        raise ProtocolError("truncated frame payload") from None
+    _done(payload, pos)
     return items
 
 
 def encode_pointer_batch(digests: Sequence[bytes]) -> bytes:
     size = _check_digests(digests)
-    return bytes([size]) + _U32.pack(len(digests)) + b"".join(digests)
+    return _BATCH_HEAD.pack(size, len(digests)) + b"".join(digests)
 
 
 def decode_pointer_batch(payload: bytes) -> list[bytes]:
-    raw, offset = _take(payload, 0, 1)
-    size = raw[0]
+    (size, count), offset = _unpack(payload, _BATCH_HEAD)
     if size < 1:
         raise ProtocolError("zero digest size")
-    raw, offset = _take(payload, offset, _U32.size)
-    (count,) = _U32.unpack(raw)
-    digests = []
-    for _ in range(count):
-        digest, offset = _take(payload, offset, size)
-        digests.append(digest)
-    _done(payload, offset)
-    return digests
+    rows = _records(payload, offset, count, _record(size, False))
+    return rows["digest"].tolist()
 
 
 def encode_batch_ok(items: int, received_bytes: int) -> bytes:
-    return _U32.pack(items) + _U64.pack(received_bytes)
+    return _BATCH_OK.pack(items, received_bytes)
 
 
 def decode_batch_ok(payload: bytes) -> tuple[int, int]:
-    raw, offset = _take(payload, 0, _U32.size)
-    (items,) = _U32.unpack(raw)
-    raw, offset = _take(payload, offset, _U64.size)
-    (received_bytes,) = _U64.unpack(raw)
-    _done(payload, offset)
-    return items, received_bytes
+    return _exact(payload, _BATCH_OK)
 
 
 # ----------------------------------------------------------------------
@@ -490,9 +490,7 @@ def encode_restore_begin(total_bytes: int) -> bytes:
 
 
 def decode_restore_begin(payload: bytes) -> int:
-    raw, offset = _take(payload, 0, _U64.size)
-    _done(payload, offset)
-    return _U64.unpack(raw)[0]
+    return _exact(payload, _U64)[0]
 
 
 # ----------------------------------------------------------------------
@@ -507,8 +505,7 @@ def encode_snapshot_list(snapshot_ids: Sequence[str]) -> bytes:
 
 
 def decode_snapshot_list(payload: bytes) -> list[str]:
-    raw, offset = _take(payload, 0, _U32.size)
-    (count,) = _U32.unpack(raw)
+    (count,), offset = _unpack(payload, _U32)
     ids: list[str] = []
     for _ in range(count):
         sid, offset = _take_str(payload, offset)
@@ -529,8 +526,7 @@ def encode_throttle(retry_after_s: float, reason: str = "") -> bytes:
 
 
 def decode_throttle(payload: bytes) -> tuple[float, str]:
-    raw, offset = _take(payload, 0, _U32.size)
-    (millis,) = _U32.unpack(raw)
+    (millis,), offset = _unpack(payload, _U32)
     reason, offset = _take_str(payload, offset)
     _done(payload, offset)
     return millis / 1000.0, reason
@@ -546,8 +542,7 @@ def encode_error(code: Err, message: str) -> bytes:
 
 
 def decode_error(payload: bytes) -> tuple[Err, str]:
-    raw, offset = _take(payload, 0, _U16.size)
-    (code_value,) = _U16.unpack(raw)
+    (code_value,), offset = _unpack(payload, _U16)
     message, offset = _take_str(payload, offset)
     _done(payload, offset)
     try:

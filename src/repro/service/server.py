@@ -30,7 +30,9 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from repro.backup.agent import ShredderAgent
@@ -234,17 +236,6 @@ class SessionError(Exception):
         #: abort its open snapshot; non-fatal ones leave the session
         #: usable.
         self.fatal = fatal
-
-
-class _WireChunk:
-    """Chunk-shaped record for the tenant index's batched probe."""
-
-    __slots__ = ("digest", "length", "offset")
-
-    def __init__(self, digest: bytes, length: int, offset: int) -> None:
-        self.digest = digest
-        self.length = length
-        self.offset = offset
 
 
 class BackupService:
@@ -1114,32 +1105,22 @@ class _Session:
             self.writer, Msg.RESUME_OK, wire.encode_resume_ok(self.applied_frames)
         )
 
-    def _decide_flags(self, digests, lengths) -> list[bool]:
-        """Tenant-scoped dedup decision, exactly the in-process
-        single-store shape: lookup_or_insert on the tenant index, then
-        force a re-ship when the index outlived the payload (GC or
-        restart skew) so pointers can never dangle."""
-        store = self.service.store
-        counters = self.namespace.counters
-        chunks = []
-        offset = counters.bytes_received
-        for digest, length in zip(digests, lengths):
-            chunks.append(_WireChunk(digest, length, offset))
-            offset += length
-        decisions = [
-            is_dup
-            for is_dup, _ in self.namespace.index.lookup_or_insert_batch(
-                chunks
-            )
-        ]
-        dup_digests = [d for d, is_dup in zip(digests, decisions) if is_dup]
-        if dup_digests:
-            present = dict(zip(dup_digests, store.has_chunks(dup_digests)))
-            decisions = [
-                is_dup and present.get(digest, True)
-                for digest, is_dup in zip(digests, decisions)
-            ]
-        return decisions
+    def _decide_flags(self, digests, lengths, frames=()) -> list[bool]:
+        """Tenant-scoped dedup decision, the in-process single-store shape
+        run straight on the decoded columns.  ``frames`` are the starts of
+        a coalesced group's later frames: a repeat of a miss from an
+        earlier frame is checked against the store like a hit, exactly
+        as when each frame is decided alone."""
+        base = self.namespace.counters.bytes_received
+        offsets = list(accumulate(lengths, initial=base))
+        probe = self.namespace.index.lookup_or_insert_batch(
+            digests, lengths, offsets
+        )
+        for i, first in list(probe.repeats.items()):
+            if bisect_right(frames, first) != bisect_right(frames, i):
+                del probe.repeats[i]
+                probe.hits[i] = True
+        return probe.pointers(digests, self.service.store.has_chunks)
 
     async def _on_digest_batch(self, payload: bytes) -> None:
         mode, digests, lengths = wire.decode_digest_batch(payload)
@@ -1162,25 +1143,23 @@ class _Session:
         service = self.service
         service.metrics.add(decide_coalesced=len(payloads) - 1)
         self._require_open()
-        counts: list[int] = []
+        bounds = [0]
         all_digests: list[bytes] = []
         all_lengths: list[int] = []
         for payload in payloads:
             mode, digests, lengths = wire.decode_digest_batch(payload)
             if mode != wire.MODE_DECIDE:  # pragma: no cover — pre-filtered
                 raise SessionError(Err.BAD_FRAME, "mixed modes in group")
-            counts.append(len(digests))
-            all_digests.extend(digests)
-            all_lengths.extend(lengths)
-        flags = self._decide_flags(all_digests, all_lengths)
-        offset = 0
-        for count in counts:
+            all_digests += digests
+            all_lengths += lengths
+            bounds.append(len(all_digests))
+        flags = self._decide_flags(all_digests, all_lengths, bounds[1:-1])
+        for lo, hi in zip(bounds, bounds[1:]):
             await service._send_frame(
                 self.writer,
                 Msg.DIGEST_REPLY,
-                wire.encode_digest_reply(flags[offset : offset + count]),
+                wire.encode_digest_reply(flags[lo:hi]),
             )
-            offset += count
 
     async def _on_chunk_batch(self, payload: bytes) -> None:
         scoped = self._require_open()

@@ -15,6 +15,13 @@ from repro.core import (
 )
 
 
+def probe(index, chunks):
+    """``index.lookup_or_insert_batch`` over ``chunks``, passed as columns."""
+    return index.lookup_or_insert_batch(
+        [c.digest for c in chunks], [c.length for c in chunks], [c.offset for c in chunks]
+    )
+
+
 def seeded_bytes(n: int, seed: int = 7) -> bytes:
     """Deterministic pseudo-random bytes."""
     return random.Random(seed).randbytes(n)

@@ -714,6 +714,33 @@ class TestBrownout:
             assert wire.decode_digest_reply(payload) == [False] * 4
         assert metrics.decide_coalesced == 2
 
+    def test_coalesced_group_decides_like_frames_one_by_one(self):
+        """A repeat inside one frame is a pointer; a repeat of a miss
+        from an earlier frame of the group is checked against the store
+        — as when each frame is decided alone, so it ships here."""
+        x, y, z = (bytes([i]) * 32 for i in range(3))
+        frames = [[x, y, x], [x, z, z]]
+        payloads = [wire.encode_digest_batch(f, [100] * len(f)) for f in frames]
+
+        async def scenario(service):
+            service.enter_brownout(hold_s=30.0)
+            replies = []
+            for tenant, grouped in (("acme", True), ("beta", False)):
+                namespace = service.registry.get(tenant)
+                sink = _FrameSink()
+                session = _Session(service, namespace, None, sink)
+                session.open_scoped = namespace.scoped_id("s")
+                if grouped:
+                    await session._on_digest_group(payloads)
+                else:
+                    for payload in payloads:
+                        await session._on_digest_batch(payload)
+                replies.append([wire.decode_digest_reply(p) for _, p in sink.frames()])
+            return replies
+
+        grouped, one_by_one = run_service(scenario)
+        assert grouped == one_by_one == [[False, False, True], [False, False, True]]
+
     def test_backup_still_correct_while_browned_out(self):
         data = dedup_payload(512 * 1024, seed=9)
 

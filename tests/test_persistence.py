@@ -25,6 +25,7 @@ from repro.core.chunking import Chunk
 from repro.core.dedup import DedupIndex
 from repro.core.hashing import chunk_hash
 from repro.store import ChunkStoreCluster
+from tests.conftest import probe
 
 MB = 1 << 20
 
@@ -47,18 +48,22 @@ class TestDedupIndexRestart:
     def test_lookup_pattern_survives_reopen(self, tmp_path):
         payloads = [bytes([i]) * (40 + i) for i in range(30)]
         with DedupIndex("disk", data_dir=tmp_path / "idx") as index:
-            decisions = index.lookup_or_insert_batch(make_chunks(payloads))
-            probe = [c.digest for c in make_chunks(payloads)] + make_digests(
+            first = make_chunks(payloads)
+            assert probe(index, first) == ([False] * len(payloads), {})
+            probe_digests = [c.digest for c in first] + make_digests(
                 10, salt=b"miss"
             )
-            pattern = index.lookup_batch(probe)
+            pattern = index.lookup_batch(probe_digests)
         with DedupIndex("disk", data_dir=tmp_path / "idx") as index:
-            assert index.lookup_batch(probe) == pattern
+            assert index.lookup_batch(probe_digests) == pattern
             assert len(index) == len(payloads)
             # Every previously-inserted chunk is now a duplicate, at the
             # same canonical offset the first process assigned.
-            again = index.lookup_or_insert_batch(make_chunks(payloads, 10_000))
-            assert again == [(True, off) for _, off in decisions]
+            again = probe(index, make_chunks(payloads, 10_000))
+            assert again.hits == [True] * len(payloads)
+            assert index.lookup_batch(probe_digests[: len(payloads)]) == [
+                c.offset for c in first
+            ]
 
 
 class TestChunkStoreRestart:
@@ -239,9 +244,7 @@ class TestStoreStageTimer:
     def test_profile_shows_lookup_and_store_split(self):
         reset_stage_times()
         index = DedupIndex()
-        index.lookup_or_insert_batch(
-            make_chunks([bytes([i]) * 64 for i in range(64)])
-        )
+        probe(index, make_chunks([bytes([i]) * 64 for i in range(64)]))
         times = stage_times()
         assert times.get("lookup", 0.0) > 0.0
         assert times.get("store", 0.0) > 0.0

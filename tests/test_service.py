@@ -9,6 +9,8 @@ import json
 import urllib.request
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.backup import BackupConfig, BackupServer, MasterImage, SimilarityTable
 from repro.core.hashing import chunk_hash
@@ -24,6 +26,7 @@ from repro.service import protocol as wire
 from repro.service.metrics import render_text, service_snapshot
 from repro.service.protocol import Err, Msg, ProtocolError, RemoteError
 from repro.service.tenant import TenantRegistry, valid_tenant
+from tests.conftest import seeded_bytes
 
 MB = 1 << 20
 
@@ -259,6 +262,109 @@ def test_wire_frames_are_golden():
     assert set(frames) == set(Msg)
     got = {msg.name: hashlib.sha256(frame).hexdigest() for msg, frame in frames.items()}
     assert got == WIRE_GOLDEN[wire.PROTOCOL_VERSION]
+
+
+# ----------------------------------------------------------------------
+# batch codec strictness
+# ----------------------------------------------------------------------
+
+
+def _digest_lists(min_size: int = 1):
+    return st.integers(min_value=1, max_value=40).flatmap(
+        lambda size: st.lists(
+            st.binary(min_size=size, max_size=size), min_size=min_size, max_size=8
+        )
+    )
+
+
+def _columns(digests, values):
+    return st.lists(values, min_size=len(digests), max_size=len(digests))
+
+
+#: codec -> (strategy of valid inputs, encode, decode, decoded form).
+BATCH_CODECS = {
+    "digest_query": (
+        _digest_lists(),
+        wire.encode_digest_batch,
+        wire.decode_digest_batch,
+        lambda ds: (wire.MODE_QUERY, ds, None),
+    ),
+    "digest_decide": (
+        _digest_lists().flatmap(
+            lambda ds: st.tuples(
+                st.just(ds), _columns(ds, st.integers(0, 2**32 - 1))
+            )
+        ),
+        lambda x: wire.encode_digest_batch(*x),
+        wire.decode_digest_batch,
+        lambda x: (wire.MODE_DECIDE, *x),
+    ),
+    "pointer": (
+        _digest_lists(),
+        wire.encode_pointer_batch,
+        wire.decode_pointer_batch,
+        lambda ds: ds,
+    ),
+    "digest_reply": (
+        st.lists(st.booleans(), max_size=40),
+        wire.encode_digest_reply,
+        wire.decode_digest_reply,
+        lambda flags: flags,
+    ),
+    "chunk": (
+        _digest_lists().flatmap(
+            lambda ds: _columns(ds, st.binary(max_size=40)).map(
+                lambda datas: list(zip(ds, datas))
+            )
+        ),
+        wire.encode_chunk_batch,
+        wire.decode_chunk_batch,
+        lambda items: items,
+    ),
+}
+
+
+@pytest.mark.parametrize("codec", sorted(BATCH_CODECS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batch_codecs_are_strict(codec, data):
+    """decode(encode(x)) == x, and every strict prefix and every
+    one-byte extension of a valid payload is refused."""
+    inputs, encode, decode, decoded = BATCH_CODECS[codec]
+    x = data.draw(inputs)
+    payload = encode(x)
+    assert decode(payload) == decoded(x)
+    for cut in range(len(payload)):
+        with pytest.raises(ProtocolError):
+            decode(payload[:cut])
+    extra = data.draw(st.integers(min_value=0, max_value=255))
+    with pytest.raises(ProtocolError):
+        decode(payload + bytes([extra]))
+
+
+#: Each batch encoder that carries digests, fed a digest column.
+DIGEST_ENCODERS = {
+    "digest_query": wire.encode_digest_batch,
+    "digest_decide": lambda ds: wire.encode_digest_batch(ds, [1] * len(ds)),
+    "pointer": wire.encode_pointer_batch,
+    "chunk": lambda ds: wire.encode_chunk_batch([(d, b"x") for d in ds]),
+}
+
+
+@pytest.mark.parametrize("codec", sorted(DIGEST_ENCODERS))
+@settings(max_examples=30, deadline=None)
+@given(digests=_digest_lists(), other=st.integers(min_value=0, max_value=40))
+def test_batch_codecs_refuse_bad_digest_sizes(codec, digests, other):
+    assume(other != len(digests[0]))
+    encode, decode = DIGEST_ENCODERS[codec], BATCH_CODECS[codec][2]
+    payload = bytearray(encode(digests))
+    payload[1 if codec.startswith("digest_") else 0] = 0  # the digest-size byte
+    with pytest.raises(ProtocolError, match="zero digest size"):
+        decode(bytes(payload))
+    with pytest.raises(ProtocolError):
+        encode(digests + [bytes(other)])
+    with pytest.raises(ProtocolError):
+        encode([b""] + digests)
 
 
 # ----------------------------------------------------------------------
@@ -707,6 +813,38 @@ async def answer_then_hang_up(service, frame: bytes, *, retry, begin=True):
     return err.value.code, hung_up, service.metrics
 
 
+class TestRepeatsInOneBatch:
+    def test_zero_run_ships_its_zero_chunk_once(self):
+        """A run of zeros repeats one chunk inside a batch: the first copy
+        ships, every repeat is a pointer, on all three paths alike."""
+        data = bytes(512 * 1024) + seeded_bytes(512 * 1024, seed=31)
+        reports = []
+        for config in (BackupConfig(), BackupConfig(store_backend="cluster", cluster_nodes=4)):
+            with BackupServer(config) as server:
+                reports.append(server.backup_snapshot(data, "z"))
+                assert server.agent.restore("z") == data
+                if server.cluster is None:
+                    stored = server.agent.store.stored_bytes
+
+        async def scenario(service):
+            client = await connect(service, "acme")
+            report = await client.backup(data, "z")
+            restored = await client.restore("z")
+            await client.close()
+            return report, restored, service.store.stored_bytes
+
+        remote, restored, remote_stored = run_service(scenario)
+        assert restored == data
+        reports.append(remote)
+        single = reports[0]
+        assert single.duplicate_chunks > 0
+        for report in reports:
+            got = (report.n_chunks, report.duplicate_chunks, report.shipped_bytes)
+            assert got == (single.n_chunks, single.duplicate_chunks, single.shipped_bytes)
+        # Nothing shipped twice: the site stored exactly what came in.
+        assert single.shipped_bytes == stored == remote_stored
+
+
 class TestFatalSessionErrors:
     @pytest.mark.parametrize("retry,parked", [(RESUMABLE, 1), (NO_RETRY, 0)])
     def test_digest_mismatch_hangs_up_and_frees_the_slot(self, retry, parked):
@@ -743,6 +881,17 @@ class TestFatalSessionErrors:
         assert code is Err.BAD_FRAME and hung_up
         assert metrics.sessions_active == 0
         assert metrics.sessions_parked == 1
+
+    def test_overrunning_digest_count_is_bad_frame(self):
+        digests = [chunk_hash(bytes([i])) for i in range(3)]
+        payload = wire.encode_digest_batch(digests, [1, 2, 3])
+        overrun = payload[:2] + (4).to_bytes(4, "big") + payload[6:]
+        frame = wire.encode_frame(Msg.DIGEST_BATCH, overrun)
+        code, hung_up, metrics = run_service(
+            lambda service: answer_then_hang_up(service, frame, retry=RESUMABLE)
+        )
+        assert code is Err.BAD_FRAME and hung_up
+        assert metrics.sessions_active == 0
 
     def test_tokenless_begin_is_bad_frame(self):
         frame = wire.encode_frame(Msg.BEGIN_SNAPSHOT, wire.encode_snapshot_id("s"))

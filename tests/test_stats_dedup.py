@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import Chunk, DedupIndex, dedup_ratio, size_stats, unique_bytes
 from repro.core.chunking import Chunker, ChunkerConfig
-from tests.conftest import seeded_bytes
+from tests.conftest import probe, seeded_bytes
 
 
 def make_chunk(data: bytes, offset: int = 0) -> Chunk:
@@ -77,10 +77,35 @@ class TestDedupIndex:
         index = DedupIndex()
         a = make_chunk(b"hello", offset=0)
         b = make_chunk(b"hello", offset=100)
-        (dup_a, off_a), = index.lookup_or_insert_batch([a])
-        (dup_b, off_b), = index.lookup_or_insert_batch([b])
-        assert not dup_a and dup_b
-        assert off_a == 0 and off_b == 0  # canonical copy is the first
+        assert probe(index, [a]).hits == [False]
+        assert probe(index, [b]).hits == [True]
+        # The canonical copy is the first.
+        assert index.lookup_batch([b.digest]) == [0]
+
+    def test_repeat_within_a_batch_is_not_a_hit(self):
+        index = DedupIndex()
+        chunks = [make_chunk(b"a"), make_chunk(b"b", 1), make_chunk(b"a", 2)]
+        result = probe(index, chunks)
+        assert result.hits == [False, False, False]
+        assert result.repeats == {2: 0}
+        again = probe(index, chunks)
+        assert again.hits == [True, True, True] and again.repeats == {}
+
+    def test_pointers_check_hits_but_not_repeats(self):
+        index = DedupIndex()
+        old, gone = make_chunk(b"old"), make_chunk(b"gone", 3)
+        probe(index, [old, gone])
+        fresh = make_chunk(b"new", 7)
+        batch = [old, fresh, gone, make_chunk(b"new", 10)]
+        asked = []
+
+        def has_chunks(digests):
+            asked.append(digests)
+            return [d == old.digest for d in digests]
+
+        flags = probe(index, batch).pointers([c.digest for c in batch], has_chunks)
+        assert flags == [True, False, False, True]
+        assert asked == [[old.digest, gone.digest]]
 
     def test_lookup_without_insert(self):
         index = DedupIndex()
@@ -89,15 +114,15 @@ class TestDedupIndex:
     def test_contains(self):
         index = DedupIndex()
         chunk = make_chunk(b"x")
-        index.lookup_or_insert_batch([chunk])
+        probe(index, [chunk])
         assert chunk.digest in index
         assert len(index) == 1
 
     def test_stats_bytes(self):
         index = DedupIndex()
-        index.lookup_or_insert_batch([make_chunk(b"aaaa")])
-        index.lookup_or_insert_batch([make_chunk(b"aaaa", offset=50)])
-        index.lookup_or_insert_batch([make_chunk(b"bb")])
+        probe(index, [make_chunk(b"aaaa")])
+        probe(index, [make_chunk(b"aaaa", offset=50)])
+        probe(index, [make_chunk(b"bb")])
         s = index.stats
         assert s.total_chunks == 3 and s.unique_chunks == 2
         assert s.total_bytes == 10 and s.unique_bytes == 6

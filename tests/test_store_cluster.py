@@ -29,6 +29,7 @@ from repro.store import (
     VanillaPlacement,
     make_scheme,
 )
+from tests.conftest import probe
 
 MB = 1 << 20
 
@@ -495,7 +496,7 @@ class TestDedupIndexBatch:
     def test_lookup_batch_read_only(self):
         index = DedupIndex()
         chunks = make_chunks([b"aa" * 40, b"bb" * 40])
-        index.lookup_or_insert_batch(chunks)
+        probe(index, chunks)
         stats_before = (index.stats.total_chunks, index.stats.unique_chunks)
         hits = index.lookup_batch(
             [chunks[0].digest, chunk_hash(b"unseen"), chunks[1].digest]
@@ -507,15 +508,14 @@ class TestDedupIndexBatch:
         payloads = [b"x" * 50, b"y" * 60, b"x" * 50, b"z" * 70, b"y" * 60]
         batch_index, loop_index = DedupIndex(), DedupIndex()
         chunks = make_chunks(payloads)
-        batched = batch_index.lookup_or_insert_batch(chunks)
-        looped = [
-            loop_index.lookup_or_insert_batch([c])[0]
-            for c in make_chunks(payloads)
-        ]
-        assert batched == looped
+        batched = probe(batch_index, chunks)
+        looped = [probe(loop_index, [c]).hits[0] for c in make_chunks(payloads)]
+        assert [hit or i in batched.repeats for i, hit in enumerate(batched.hits)] == looped
         assert batch_index.stats == loop_index.stats
         # Intra-batch duplicates resolve to the first occurrence.
-        assert batched[2] == (True, chunks[0].offset)
+        assert batched.repeats == {2: 0, 4: 1}
+        digests = [c.digest for c in chunks]
+        assert batch_index.lookup_batch(digests) == loop_index.lookup_batch(digests)
 
 
 class TestSingleStoreRestoreError:

@@ -49,8 +49,7 @@ because probes are issued per pipeline batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
+
 from pathlib import Path
 
 from repro.backup.agent import ShredderAgent, TransferLog
@@ -347,8 +346,13 @@ class BackupServer:
             # same-decision runs become one CHUNK_BATCH-shaped call or
             # one pointer batch, so the recipe order (arrival order at
             # the agent) is exactly the per-chunk path's.
-            for is_dup, pairs in groupby(zip(decisions, batch), key=itemgetter(0)):
-                run = [c for _, c in pairs]
+            i = 0
+            while i < len(batch):
+                is_dup = decisions[i]
+                j = i
+                while j < len(batch) and decisions[j] == is_dup:
+                    j += 1
+                run = batch[i:j]
                 if is_dup:
                     duplicates += len(run)
                     self.agent.receive_pointers(
@@ -362,6 +366,7 @@ class BackupServer:
                     self.agent.receive_chunks(
                         snapshot_id, [(c.digest, c.data) for c in run]
                     )
+                i = j
         transfer = self.agent.finish_snapshot(snapshot_id)
 
         n = len(data)

@@ -55,8 +55,6 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 
 from repro.backup.agent import TransferLog
 from repro.backup.server import _default_backup_chunker
@@ -609,7 +607,14 @@ class AsyncBackupClient:
         )
 
     async def decide_chunks(self, digests, lengths) -> list[bool]:
-        """Tenant dedup decision (and index insert) for an open snapshot."""
+        """Tenant dedup decision (and index insert) for an open snapshot.
+
+        A repeat of an earlier miss in the same batch comes back as a
+        pointer whose payload is that earlier chunk, so ship the batch's
+        runs in batch order: each run of chunks must reach the server
+        before the pointers that follow it, or the server refuses those
+        pointers with a fatal UNKNOWN_CHUNK.
+        """
         payload = await self._rpc(
             Msg.DIGEST_BATCH,
             wire.encode_digest_batch(list(digests), list(lengths)),
@@ -763,8 +768,13 @@ class AsyncBackupClient:
                 )
                 # Ship consecutive same-decision runs — order of arrival
                 # at the agent is recipe order, identical to in-process.
-                for is_dup, pairs in groupby(zip(flags, batch), key=itemgetter(0)):
-                    run = [c for _, c in pairs]
+                i = 0
+                while i < len(batch):
+                    is_dup = flags[i]
+                    j = i
+                    while j < len(batch) and flags[j] == is_dup:
+                        j += 1
+                    run = batch[i:j]
                     if is_dup:
                         duplicates += len(run)
                         await ship(
@@ -784,6 +794,7 @@ class AsyncBackupClient:
                         )
                     while len(self._unacked) >= self.window:
                         await self._with_recovery(drain_one)
+                    i = j
             while self._unacked:
                 await self._with_recovery(drain_one)
             transfer = await self.finish_snapshot(snapshot_id)
@@ -1012,16 +1023,24 @@ class RemoteAgent:
     def receive_chunk(
         self, snapshot_id: str, data: bytes, digest: bytes | None = None
     ) -> None:
-        self.receive_chunks(snapshot_id, [(digest, data)])
+        self._require_open(snapshot_id)
+        # The wire always carries the digest (it is the integrity check
+        # the site verifies); compute it here when the caller didn't.
+        self._buffer.append(
+            ("chunk", digest if digest is not None else chunk_hash(data), data)
+        )
+        if len(self._buffer) >= self._flush_items:
+            self.flush()
 
     def receive_pointer(self, snapshot_id: str, digest: bytes) -> None:
-        self.receive_pointers(snapshot_id, [digest])
+        self._require_open(snapshot_id)
+        self._buffer.append(("pointer", digest))
+        if len(self._buffer) >= self._flush_items:
+            self.flush()
 
     def receive_chunks(self, snapshot_id: str, items) -> None:
         """Batched twin of :meth:`receive_chunk` (``(digest, data)``)."""
         self._require_open(snapshot_id)
-        # The wire always carries the digest (it is the integrity check
-        # the site verifies); compute it here when the caller didn't.
         for digest, data in items:
             self._buffer.append(
                 (
@@ -1043,8 +1062,13 @@ class RemoteAgent:
     def flush(self) -> None:
         """Push buffered receives out as run-grouped batch frames."""
         buffer, self._buffer = self._buffer, []
-        for kind, ops in groupby(buffer, key=itemgetter(0)):
-            run = list(ops)
+        i = 0
+        while i < len(buffer):
+            kind = buffer[i][0]
+            j = i
+            while j < len(buffer) and buffer[j][0] == kind:
+                j += 1
+            run = buffer[i:j]
             if kind == "chunk":
                 self._call(
                     self._client.ship_chunks([(op[1], op[2]) for op in run])
@@ -1053,6 +1077,7 @@ class RemoteAgent:
                 self._call(
                     self._client.ship_pointers([op[1] for op in run])
                 )
+            i = j
 
     def finish_snapshot(self, snapshot_id: str) -> TransferLog:
         self._require_open(snapshot_id)

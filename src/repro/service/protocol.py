@@ -137,8 +137,7 @@ PURPOSE_RESTORE = 1
 #: DIGEST_BATCH modes: QUERY is a read-only membership probe against
 #: the shared payload store (the remote twin of ``has_chunk``); DECIDE
 #: runs the tenant's dedup decision for the open snapshot and *inserts*
-#: into the tenant index, exactly like ``lookup_or_insert_batch``; a
-#: repeat within one batch is a pointer, so ship a batch's runs in order.
+#: into the tenant index, exactly like ``lookup_or_insert_batch``.
 MODE_QUERY = 0
 MODE_DECIDE = 1
 
@@ -219,9 +218,11 @@ def _exact(payload: bytes, fields: struct.Struct) -> tuple:
 
 def _take_str(payload: bytes, offset: int) -> tuple[str, int]:
     (size,), offset = _unpack(payload, _U16, offset)
-    (raw,), offset = _unpack(payload, struct.Struct(f"{size}s"), offset)
+    end = offset + size
+    if end > len(payload):
+        raise ProtocolError("truncated frame payload")
     try:
-        return raw.decode("utf-8"), offset
+        return str(payload[offset:end], "utf-8"), end
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"undecodable string field: {exc}") from None
 

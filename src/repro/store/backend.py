@@ -208,7 +208,8 @@ class MemoryBackend:
     def contains_batch(self, keys: Sequence[bytes]) -> list[bool]:
         self.stats.batches += 1
         self.stats.contains += len(keys)
-        return list(map(self._data.__contains__, keys))
+        data = self._data
+        return [k in data for k in keys]
 
     def __contains__(self, key: bytes) -> bool:
         return self.contains_batch([key])[0]
@@ -216,7 +217,8 @@ class MemoryBackend:
     def get_batch(self, keys: Sequence[bytes]) -> list[bytes | None]:
         self.stats.batches += 1
         self.stats.gets += len(keys)
-        return list(map(self._data.get, keys))
+        data = self._data
+        return [data.get(k) for k in keys]
 
     def put_batch(
         self, items: Sequence[tuple[bytes, bytes]], *, known_absent: bool = False
@@ -854,16 +856,10 @@ def make_backend(
 
 _RECIPE_HEADER = struct.Struct("<QI")  # total_bytes, n_digests
 _ENTRY32 = struct.Struct("<2x32s")  # one recipe entry holding a 32-byte digest
-_PREFIX32 = struct.pack("<H", 32)  # that entry's length prefix
 
 
 def encode_recipe(snapshot_id: str, digests: Sequence[bytes], total_bytes: int) -> bytes:
-    header = _RECIPE_HEADER.pack(total_bytes, len(digests))
-    if digests and set(map(len, digests)) == {32}:
-        # Every entry is 32 bytes: the same bytes as the loop below,
-        # written at the fixed stride decode_recipe slices.
-        return header + _PREFIX32 + _PREFIX32.join(digests)
-    parts = [header]
+    parts = [_RECIPE_HEADER.pack(total_bytes, len(digests))]
     for digest in digests:
         parts.append(struct.pack("<H", len(digest)))
         parts.append(digest)

@@ -30,8 +30,12 @@ _BLOCKING_CALLS = frozenset(
     }
 )
 
-#: Attribute calls that block regardless of receiver spelling.
-_BLOCKING_METHODS = frozenset({"acquire"})
+#: Attribute calls that block regardless of receiver spelling -> the fix.
+_BLOCKING_METHODS = {
+    "acquire": "an asyncio.Lock (await-able) instead of a thread lock",
+    "sendall": "loop.sock_sendall",
+    "accept": "loop.sock_accept",
+}
 
 
 @register
@@ -42,8 +46,8 @@ class AsyncBlockingChecker(Checker):
     name = "async-blocking"
     description = (
         "flags time.sleep, synchronous file I/O, os.fsync, lock "
-        ".acquire(), and known-heavy calls inside async def across "
-        "service/ and store/"
+        ".acquire(), raw-socket .sendall()/.accept(), and known-heavy "
+        "calls inside async def across service/ and store/"
     )
 
     _SCOPES = ("service", "store")
@@ -105,8 +109,8 @@ class AsyncBlockingChecker(Checker):
                     module,
                     node,
                     f".{node.func.attr}() blocks inside async def "
-                    f"{func.name} — use an asyncio.Lock (await-able) "
-                    "instead of a thread lock",
+                    f"{func.name} — use "
+                    f"{_BLOCKING_METHODS[node.func.attr]}",
                 )
 
 

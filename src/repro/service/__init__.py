@@ -5,9 +5,9 @@ stream snapshots to a consolidated backup server over the network.
 This package turns the in-process :class:`~repro.backup.server
 .BackupServer` machinery into that long-running daemon:
 
-* :mod:`repro.service.protocol` — length-prefixed binary framing and
-  the batched agent wire messages (HELLO handshake, DIGEST/CHUNK/
-  POINTER batches, FINISH, RESTORE, ERROR);
+* :mod:`repro.service.protocol` — length-prefixed binary framing, the
+  one transport both ends share, and the batched agent wire messages
+  (HELLO handshake, DIGEST/CHUNK/POINTER batches, FINISH, RESTORE, ERROR);
 * :mod:`repro.service.tenant` — per-tenant namespaces: tenant-scoped
   dedup index and recipes over shared chunk payloads;
 * :mod:`repro.service.server` — the asyncio server with admission

@@ -32,13 +32,9 @@ the wire twice.  The default, :data:`NO_RETRY`, allows no recovery: it
 sends no token (the server aborts rather than parks the snapshot), and
 the first failure propagates.
 
-**Transport** — one :class:`FrameConnection`: a non-blocking socket
-(``loop.sock_sendall`` out, ``recv_into`` behind one reader registration
-in) with a single receive path.  A header is parsed out of a small
-read-ahead scratch (a small reply costs one ``recv``) and checked before
-anything is allocated; the payload lands in a frame-sized buffer or, for
-``RESTORE_DATA``, straight in its slice of the restore's one output
-buffer — no copy in between.
+**Transport** — one :class:`~repro.service.protocol.FrameConnection`,
+the same one the server reads through: a restore's ``RESTORE_DATA``
+pieces land straight in their slices of the restore's one output buffer.
 """
 
 from __future__ import annotations
@@ -48,8 +44,6 @@ import concurrent.futures
 import io
 import random
 import secrets
-import socket
-import struct
 import threading
 import time
 import warnings
@@ -61,7 +55,7 @@ from repro.backup.server import _default_backup_chunker
 from repro.core.hashing import chunk_hash
 from repro.core.shredder import Shredder, ShredderConfig
 from repro.service import protocol as wire
-from repro.service.protocol import Err, Msg, RemoteError
+from repro.service.protocol import Err, FrameConnection, Msg, RemoteError
 
 __all__ = [
     "AsyncBackupClient",
@@ -99,115 +93,6 @@ _RETRYABLE_CODES = frozenset(
 
 #: Exceptions that mean "the connection (not the request) failed".
 _RECOVERABLE_EXC = (OSError, EOFError, asyncio.TimeoutError)
-
-
-class FrameConnection:
-    """One framed client connection over a non-blocking socket."""
-
-    def __init__(self, sock: socket.socket, max_frame: int) -> None:
-        sock.setblocking(False)
-        self.sock = sock
-        self.max_frame = max_frame
-        #: Read-ahead scratch, and what of it the last frame left unread.
-        self._ahead = memoryview(bytearray(4096))
-        self._left = b""
-        #: Set while a frame is partly consumed: a failed or cancelled
-        #: receive leaves the connection good for a redial, nothing else.
-        self._mid_frame = False
-        #: The loop ``_wake`` is the socket's reader on, and the receive
-        #: waiting for it with the view it wants filled.
-        self._loop = self._waiter = self._into = None
-
-    @classmethod
-    async def open(cls, host: str, port: int, max_frame: int) -> "FrameConnection":
-        loop = asyncio.get_running_loop()
-        sock = await loop.run_in_executor(None, socket.create_connection, (host, port))
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return cls(sock, max_frame)
-
-    async def send(self, data) -> None:
-        await asyncio.get_running_loop().sock_sendall(self.sock, data)
-
-    def _wake(self) -> None:
-        """Reader callback, left registered between receives (request/reply
-        pays no ``epoll_ctl``) until it fires with nobody receiving.  It
-        receives for the waiter right here: left to the woken task, the
-        next poll would report the same bytes again first."""
-        waiter = self._waiter
-        if waiter is None:
-            self._loop.remove_reader(self.sock.fileno())
-            self._loop = None
-        elif not waiter.done():  # done: its task is about to clear it
-            try:
-                waiter.set_result(self.sock.recv_into(self._into))
-            except BlockingIOError:
-                pass
-            except OSError as exc:
-                waiter.set_exception(exc)
-
-    async def _recv_until(self, buf: memoryview, have: int, need: int, limit: int) -> int:
-        """Receive into ``buf[have:limit]`` until ``need`` bytes are there."""
-        while have < need:
-            # Released however it ends: a view kept by a failed receive's
-            # traceback would pin the caller's buffer.
-            with buf[have:limit] as rest:
-                try:
-                    n = self.sock.recv_into(rest)
-                except BlockingIOError:
-                    if self._loop is None:
-                        self._loop = asyncio.get_running_loop()
-                        self._loop.add_reader(self.sock.fileno(), self._wake)
-                    self._into, self._waiter = rest, self._loop.create_future()
-                    try:
-                        n = await self._waiter
-                    finally:
-                        self._into = self._waiter = None
-            if not n:
-                raise asyncio.IncompleteReadError(bytes(buf[:have]), need)
-            have += n
-        return have
-
-    async def recv(self, into: memoryview | None = None) -> tuple[Msg, bytearray | int]:
-        """One frame, ``(msg, payload)`` — or ``(msg, size)`` for a
-        ``RESTORE_DATA`` payload landed at the front of ``into``; one
-        larger than that view is refused before a byte of it is read."""
-        if self._mid_frame:
-            raise ConnectionResetError("connection abandoned mid-frame")
-        self._mid_frame = True
-        ahead, head, left = self._ahead, wire.HEADER.size, len(self._left)
-        ahead[:left] = self._left
-        have = await self._recv_until(ahead, left, head, len(ahead))
-        msg, size = wire.parse_header(ahead[:head], self.max_frame)
-        in_place = into is not None and msg is Msg.RESTORE_DATA
-        if not in_place:
-            into = memoryview(bytearray(size))
-        elif size > len(into):
-            raise wire.ProtocolError(
-                f"restore data overruns the announced size by {size - len(into)} bytes"
-            )
-        took = min(size, have - head)
-        into[:took] = ahead[head : head + took]
-        self._left = bytes(ahead[head + took : have])
-        if took < size:
-            await self._recv_until(into, took, size, size)
-        self._mid_frame = False
-        return msg, (size if in_place else into.obj)
-
-    def close(self) -> None:
-        if self._loop is not None:
-            self._loop.remove_reader(self.sock.fileno())
-            self._loop = None
-        self.sock.close()
-
-    def abort(self) -> None:
-        """Close with an RST (``SO_LINGER 0``): a FIN on a frame boundary reads
-        as a walk-away and aborts the open snapshot; a reset parks it for resume."""
-        try:
-            linger = struct.pack("ii", 1, 0)
-            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
-        except OSError:
-            pass  # already closed, or past resetting: close it all the same
-        self.close()
 
 
 @dataclass(frozen=True)

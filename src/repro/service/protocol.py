@@ -19,12 +19,16 @@ requests and resolve replies FIFO (see :mod:`repro.service.client`).
 
 The codec is pure functions over ``bytes`` — no sockets — and a batch
 frame decodes to columns (digests, lengths) in one header parse plus one
-fixed-stride pass, never a field-by-field walk per item.
+fixed-stride pass, never a field-by-field walk per item.  The framing
+section also holds :class:`FrameConnection`, the one transport of both
+ends, which lands every frame in place.
 """
 
 from __future__ import annotations
 
+import asyncio
 import functools
+import socket
 import struct
 from enum import IntEnum
 from typing import Sequence
@@ -40,7 +44,7 @@ __all__ = [
     "ProtocolError",
     "RemoteError",
     "encode_frame",
-    "read_frame",
+    "FrameConnection",
     "MODE_QUERY",
     "MODE_DECIDE",
 ]
@@ -181,12 +185,156 @@ def parse_header(header, max_frame: int = DEFAULT_MAX_FRAME) -> tuple[Msg, int]:
     return msg, size
 
 
-async def read_frame(reader, max_frame: int = DEFAULT_MAX_FRAME) -> tuple[Msg, bytes]:
-    """Read exactly one frame from an asyncio stream reader; EOF surfaces
-    as ``asyncio.IncompleteReadError`` (a clean close is not garbage)."""
-    msg, size = parse_header(await reader.readexactly(HEADER.size), max_frame)
-    payload = await reader.readexactly(size) if size else b""
-    return msg, payload
+class FrameConnection:
+    """One framed connection over a non-blocking socket, at either end: the
+    client dials one (:meth:`open`), the server wraps each accepted socket.
+    A header is parsed from a read-ahead scratch (a small frame costs one
+    ``recv``) and checked before anything is allocated; the payload lands
+    in a frame-sized buffer or, for ``RESTORE_DATA``, in its slice of the
+    caller's buffer.  Sends go out of the caller's buffer; :meth:`close`
+    fails a receive or send still waiting with a connection error."""
+
+    def __init__(self, sock: socket.socket, max_frame: int) -> None:
+        sock.setblocking(False)
+        self.sock = sock
+        self.max_frame = max_frame
+        #: Read-ahead scratch, and what of it the last frame left unread.
+        self._ahead = memoryview(bytearray(4096))
+        self._left = b""
+        #: Set while a frame is partly consumed: a failed or cancelled
+        #: receive leaves the connection good for a redial, nothing else.
+        self._mid_frame = False
+        #: The loop ``_wake`` is the socket's reader on, the receive waiting
+        #: for it with the view it wants filled, and a send waiting for room.
+        self._loop = self._waiter = self._into = self._sending = None
+
+    @classmethod
+    async def open(cls, host: str, port: int, max_frame: int) -> "FrameConnection":
+        loop = asyncio.get_running_loop()
+        sock = await loop.run_in_executor(None, socket.create_connection, (host, port))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return cls(sock, max_frame)
+
+    def _check_open(self) -> None:
+        if self.sock.fileno() < 0:
+            raise ConnectionAbortedError("connection closed")
+
+    async def send(self, data) -> None:
+        view, loop = memoryview(data), asyncio.get_running_loop()
+        try:
+            while view:
+                self._check_open()
+                try:
+                    view = view[self.sock.send(view) :]
+                except BlockingIOError:  # one writer registration per send
+                    if self._sending is None:
+                        loop.add_writer(self.sock.fileno(), self._writable)
+                    self._sending = loop.create_future()
+                    await self._sending
+        finally:
+            if self._sending is not None and self.sock.fileno() >= 0:
+                loop.remove_writer(self.sock.fileno())
+            self._sending = None
+
+    def _writable(self) -> None:
+        if not self._sending.done():
+            self._sending.set_result(None)
+
+    def _wake(self) -> None:
+        """Reader callback, left registered between receives (request/reply
+        pays no ``epoll_ctl``) until it fires with nobody receiving.  It
+        receives for the waiter right here: left to the woken task, the
+        next poll would report the same bytes again first."""
+        waiter = self._waiter
+        if waiter is None:
+            self._loop.remove_reader(self.sock.fileno())
+            self._loop = None
+        elif not waiter.done():  # done: its task is about to clear it
+            try:
+                waiter.set_result(self.sock.recv_into(self._into))
+            except BlockingIOError:
+                pass
+            except OSError as exc:
+                waiter.set_exception(exc)
+
+    async def _recv_until(self, buf: memoryview, have: int, need: int, limit: int) -> int:
+        """Receive into ``buf[have:limit]`` until ``need`` bytes are there."""
+        while have < need:
+            self._check_open()
+            # Released however it ends: a view kept by a failed receive's
+            # traceback would pin the caller's buffer.
+            with buf[have:limit] as rest:
+                try:
+                    n = self.sock.recv_into(rest)
+                except BlockingIOError:
+                    if self._loop is None:
+                        self._loop = asyncio.get_running_loop()
+                        self._loop.add_reader(self.sock.fileno(), self._wake)
+                    self._into, self._waiter = rest, self._loop.create_future()
+                    try:
+                        n = await self._waiter
+                    finally:
+                        self._into = self._waiter = None
+            if not n:
+                raise asyncio.IncompleteReadError(bytes(buf[:have]), need)
+            have += n
+        return have
+
+    async def recv_raw(self, size: int = 0) -> bytes:
+        """Raw bytes ahead of any frame (the magic, an HTTP request head):
+        exactly ``size`` of them, or with 0 whatever one receive brings."""
+        ahead, left = self._ahead, len(self._left)
+        ahead[:left] = self._left
+        have = await self._recv_until(ahead, left, size or 1, len(ahead))
+        self._left = bytes(ahead[size or have : have])
+        return bytes(ahead[: size or have])
+
+    async def recv(self, into: memoryview | None = None) -> tuple[Msg, bytearray | int]:
+        """One frame, ``(msg, payload)`` — or ``(msg, size)`` for a
+        ``RESTORE_DATA`` payload landed at the front of ``into``; one
+        larger than that view is refused before a byte of it is read."""
+        if self._mid_frame:
+            raise ConnectionResetError("connection abandoned mid-frame")
+        self._mid_frame = True
+        ahead, head, left = self._ahead, HEADER.size, len(self._left)
+        ahead[:left] = self._left
+        have = await self._recv_until(ahead, left, head, len(ahead))
+        msg, size = parse_header(ahead[:head], self.max_frame)
+        in_place = into is not None and msg is Msg.RESTORE_DATA
+        if not in_place:
+            into = memoryview(bytearray(size))
+        elif size > len(into):
+            raise ProtocolError(
+                f"restore data overruns the announced size by {size - len(into)} bytes"
+            )
+        took = min(size, have - head)
+        into[:took] = ahead[head : head + took]
+        self._left = bytes(ahead[head + took : have])
+        if took < size:
+            await self._recv_until(into, took, size, size)
+        self._mid_frame = False
+        return msg, (size if in_place else into.obj)
+
+    def close(self) -> None:
+        if self._loop is not None:
+            self._loop.remove_reader(self.sock.fileno())
+            self._loop = None
+        if self._sending is not None:
+            self._sending.get_loop().remove_writer(self.sock.fileno())
+        for waiter in (self._waiter, self._sending):
+            if waiter is not None and not waiter.done():
+                waiter.set_exception(ConnectionAbortedError("connection closed"))
+        self.sock.close()
+
+    def abort(self) -> None:
+        """Close with an RST (``SO_LINGER 0``): a FIN on a frame boundary reads
+        as a walk-away and aborts the open snapshot; a reset parks it for resume."""
+        try:
+            linger = struct.pack("ii", 1, 0)
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+        except OSError:
+            pass  # already closed, or past resetting: close it all the same
+        self.close()
 
 
 # ----------------------------------------------------------------------

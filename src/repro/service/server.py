@@ -1,17 +1,19 @@
 """The asyncio backup service: multi-tenant daemon over the wire API.
 
 Serves the agent protocol (:mod:`repro.service.protocol`) on one
-listening socket.  Connections self-identify in the first five bytes:
-the ``SHRD1`` magic starts an agent session, an HTTP verb gets the
-health/metrics surface, anything else is dropped with one ERROR frame.
+listening socket; each accepted socket is one ``FrameConnection``, so
+frames land in place.  Connections self-identify in the first five
+bytes: the ``SHRD1`` magic starts an agent session, an HTTP verb gets
+the health/metrics surface, anything else is dropped with one ERROR
+frame.
 
 **Backpressure is structural, not advisory.**  Each agent connection
 runs two coroutines joined by a *bounded* ``asyncio.Queue``: the reader
-parses frames and ``await put()``s them — when the ingest worker falls
+receives frames and ``await put()``s them — when the ingest worker falls
 behind, the queue fills, the put blocks, and the reader simply stops
 reading the socket, so kernel TCP flow control pushes back on the
 client; nothing server-side ever buffers more than ``queue_depth``
-frames per connection.
+frames per connection.  The worker is the connection's only writer.
 
 **Admission control**: at most ``max_sessions`` concurrent agent
 sessions; excess HELLOs receive ``ERROR[BUSY]`` and a clean close.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -51,7 +54,7 @@ from repro.service.metrics import (
     render_text,
     service_snapshot,
 )
-from repro.service.protocol import Err, Msg
+from repro.service.protocol import Err, FrameConnection, Msg
 from repro.service.tenant import TenantRegistry
 from repro.store.backend import resolve_backend
 from repro.store.cluster import ChunkStoreCluster
@@ -302,7 +305,8 @@ class BackupService:
         #: new sessions a window of 1.
         self._brownout_until = 0.0
         self._brownout_task: asyncio.Task | None = None
-        self._server: asyncio.base_events.Server | None = None
+        self._listener: socket.socket | None = None
+        self._accepting: asyncio.Task | None = None
         self._session_seq = 0
         self._conn_seq = 0
         self._active_sessions = 0
@@ -323,12 +327,14 @@ class BackupService:
 
     async def start(self) -> None:
         """Bind and start accepting; ``self.port`` is then concrete."""
-        if self._server is not None:
+        if self._listener is not None:
             raise RuntimeError("service already started")
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        cfg = self.config
+        family = socket.AF_INET6 if ":" in cfg.host else socket.AF_INET
+        self._listener = socket.create_server((cfg.host, cfg.port), family=family)
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        self._accepting = asyncio.create_task(self._accept_loop())
         if self.config.heartbeat_s is not None and hasattr(self.store, "heartbeat"):
             self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
         if (
@@ -336,11 +342,6 @@ class BackupService:
             or self.config.brownout_queue_frames is not None
         ):
             self._brownout_task = asyncio.create_task(self._brownout_monitor())
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
 
     async def stop(self, drain_s: float | None = None) -> None:
         """Stop accepting, drain, drop connections, close state owners.
@@ -359,10 +360,11 @@ class BackupService:
                 except asyncio.CancelledError:
                     pass
                 setattr(self, attr, None)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        if self._listener is not None:
+            self._accepting.cancel()
+            await asyncio.gather(self._accepting, return_exceptions=True)
+            self._listener.close()
+            self._listener = None
         drain = self.config.drain_s if drain_s is None else drain_s
         if drain > 0 and self._busy_sessions():
             loop = asyncio.get_running_loop()
@@ -485,12 +487,22 @@ class BackupService:
 
     # -- connection dispatch -------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
+    async def _accept_loop(self) -> None:
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                sock, _ = await loop.sock_accept(self._listener)
+                # Nagle + delayed ACK would stall small replies ~40 ms.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:  # reset before accept, or out of descriptors
+                await asyncio.sleep(0.05)
+                continue
+            conn = FrameConnection(sock, self.config.max_frame)
+            task = asyncio.create_task(self._on_connection(conn))
             self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
+
+    async def _on_connection(self, conn: FrameConnection) -> None:
         self.metrics.add(connections_total=1, connections_active=1)
         try:
             try:
@@ -499,59 +511,39 @@ class BackupService:
                 # slowloris that dials and sends nothing costs only a
                 # parked socket for hello_timeout_s.
                 first = await asyncio.wait_for(
-                    reader.readexactly(len(wire.MAGIC)),
-                    self.config.hello_timeout_s,
+                    conn.recv_raw(len(wire.MAGIC)), self.config.hello_timeout_s
                 )
-            except asyncio.IncompleteReadError:
-                return
             except asyncio.TimeoutError:
                 self.metrics.add(preauth_evictions=1)
                 return
             if first == wire.MAGIC:
-                await self._agent_session(reader, writer)
+                await self._agent_session(conn)
             elif first[:4] in (b"GET ", b"HEAD", b"POST"):
-                await self._http_request(first, reader, writer)
+                await self._http_request(first, conn)
             else:
                 await self._send_error(
-                    writer, Err.BAD_FRAME, "expected SHRD1 magic or HTTP"
+                    conn, Err.BAD_FRAME, "expected SHRD1 magic or HTTP"
                 )
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass  # peer vanished; per-session cleanup already ran
-        except asyncio.CancelledError:
-            # stop() cancelled us; end in a normal (not cancelled) state
-            # so the stream protocol's done-callback stays quiet.
-            pass
         finally:
             self.metrics.add(connections_active=-1)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            conn.close()
 
-    async def _send_frame(self, writer, msg: Msg, payload: bytes = b"") -> None:
-        writer.write(wire.encode_frame(msg, payload))
-        await writer.drain()
+    async def _send_frame(self, conn, msg: Msg, payload: bytes = b"") -> None:
+        await conn.send(wire.encode_frame(msg, payload))
         self.metrics.add(frames_sent=1)
 
-    async def _send_error(self, writer, code: Err, message: str) -> None:
+    async def _send_error(self, conn, code: Err, message: str) -> None:
         self.metrics.add(errors_sent=1)
-        await self._send_frame(writer, Msg.ERROR, wire.encode_error(code, message))
+        await self._send_frame(conn, Msg.ERROR, wire.encode_error(code, message))
 
     # -- agent sessions ------------------------------------------------
 
-    async def _agent_session(self, reader, writer) -> None:
+    async def _agent_session(self, conn: FrameConnection) -> None:
         cfg = self.config
         try:
-            msg, payload = await asyncio.wait_for(
-                wire.read_frame(reader, cfg.max_frame), cfg.hello_timeout_s
-            )
+            msg, payload = await asyncio.wait_for(conn.recv(), cfg.hello_timeout_s)
         except asyncio.TimeoutError:
             # Magic arrived but HELLO never did: drop pre-auth, the
             # connection never held a session slot.
@@ -560,20 +552,20 @@ class BackupService:
         except wire.ProtocolError as exc:
             # Garbage where the HELLO frame belongs (e.g. a flood
             # connection): one typed error, then the door closes.
-            await self._send_error(writer, Err.BAD_FRAME, str(exc))
+            await self._send_error(conn, Err.BAD_FRAME, str(exc))
             return
         self.metrics.add(frames_received=1)
         if msg is not Msg.HELLO:
-            await self._send_error(writer, Err.BAD_FRAME, "expected HELLO")
+            await self._send_error(conn, Err.BAD_FRAME, "expected HELLO")
             return
         try:
             version, tenant_name, auth, purpose = wire.decode_hello(payload)
         except wire.ProtocolError as exc:
-            await self._send_error(writer, Err.BAD_FRAME, str(exc))
+            await self._send_error(conn, Err.BAD_FRAME, str(exc))
             return
         if version != wire.PROTOCOL_VERSION:
             await self._send_error(
-                writer,
+                conn,
                 Err.VERSION_MISMATCH,
                 f"server speaks protocol {wire.PROTOCOL_VERSION}, "
                 f"client sent {version}",
@@ -582,7 +574,7 @@ class BackupService:
         if self.auth is not None and not self.auth.verify(tenant_name, auth):
             self.metrics.add(auth_failures=1)
             await self._send_error(
-                writer, Err.UNAUTHORIZED, "bad tenant or auth token"
+                conn, Err.UNAUTHORIZED, "bad tenant or auth token"
             )
             return
         # Priority-aware shedding: backup traffic only gets the slots
@@ -595,7 +587,7 @@ class BackupService:
             if limit < cfg.max_sessions:
                 self.metrics.add(sessions_shed=1)
             await self._send_error(
-                writer,
+                conn,
                 Err.BUSY,
                 f"session limit {limit} reached",
             )
@@ -603,7 +595,7 @@ class BackupService:
         try:
             namespace = self.registry.get(tenant_name)
         except ValueError as exc:
-            await self._send_error(writer, Err.BAD_TENANT, str(exc))
+            await self._send_error(conn, Err.BAD_TENANT, str(exc))
             return
         if (
             self.quota.max_sessions is not None
@@ -611,7 +603,7 @@ class BackupService:
         ):
             self.metrics.add(quota_rejections=1)
             await self._send_error(
-                writer,
+                conn,
                 Err.QUOTA_EXCEEDED,
                 f"tenant session quota {self.quota.max_sessions} reached",
             )
@@ -623,7 +615,7 @@ class BackupService:
         self.metrics.add(sessions_total=1, sessions_active=1)
         namespace.counters.sessions += 1
         namespace.active_sessions += 1
-        session = _Session(self, namespace, reader, writer)
+        session = _Session(self, namespace, conn)
         if self.fault_plan is not None:
             session.wire_faults = self.fault_plan.wire_injector(
                 f"conn-{self._conn_seq}"
@@ -631,7 +623,7 @@ class BackupService:
         self._sessions.add(session)
         try:
             await self._send_frame(
-                writer,
+                conn,
                 Msg.HELLO_OK,
                 wire.encode_hello_ok(
                     session_id,
@@ -649,17 +641,19 @@ class BackupService:
 
     # -- HTTP surface --------------------------------------------------
 
-    async def _http_request(self, first: bytes, reader, writer) -> None:
+    async def _http_request(self, first: bytes, conn: FrameConnection) -> None:
         self.metrics.add(http_requests=1)
+        head = bytearray(first)
+
+        async def read_head() -> None:  # as much as one read-ahead holds
+            while b"\r\n\r\n" not in head and len(head) < 4096:
+                head.extend(await conn.recv_raw())
+
         try:
-            rest = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=5.0
-            )
+            await asyncio.wait_for(read_head(), timeout=5.0)
         except (asyncio.IncompleteReadError, asyncio.TimeoutError):
-            rest = b"\r\n\r\n"
-        request_line = (first + rest).split(b"\r\n", 1)[0].decode(
-            "latin-1", "replace"
-        )
+            pass  # answer whatever request line arrived
+        request_line = head.split(b"\r\n", 1)[0].decode("latin-1", "replace")
         parts = request_line.split()
         target = parts[1] if len(parts) > 1 else "/"
         path, _, query = target.partition("?")
@@ -688,16 +682,15 @@ class BackupService:
             body = b'{"error": "unknown path; try /health or /metrics"}'
             content_type = "application/json"
             status = "404 Not Found"
-        writer.write(
+        await conn.send(
             (
                 f"HTTP/1.0 {status}\r\n"
                 f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 "Connection: close\r\n\r\n"
             ).encode()
+            + body
         )
-        writer.write(body)
-        await writer.drain()
 
 
 class _Session:
@@ -705,11 +698,10 @@ class _Session:
 
     _EOF = object()
 
-    def __init__(self, service: BackupService, namespace, reader, writer) -> None:
+    def __init__(self, service: BackupService, namespace, conn: FrameConnection) -> None:
         self.service = service
         self.namespace = namespace
-        self.reader = reader
-        self.writer = writer
+        self.conn = conn
         self.queue: asyncio.Queue = asyncio.Queue(
             maxsize=service.config.queue_depth
         )
@@ -775,14 +767,10 @@ class _Session:
     async def _read_loop(self) -> None:
         metrics = self.service.metrics
         cfg = self.service.config
-        max_frame = cfg.max_frame
         injector = self.wire_faults
         while True:
             try:
-                frame = await asyncio.wait_for(
-                    wire.read_frame(self.reader, max_frame),
-                    cfg.stall_timeout_s,
-                )
+                frame = await asyncio.wait_for(self.conn.recv(), cfg.stall_timeout_s)
             except asyncio.TimeoutError:
                 # Slow-client eviction: the worker sends ERROR[EVICTED];
                 # an open snapshot parks, so the client can resume.
@@ -800,7 +788,7 @@ class _Session:
                 # EOF mid-frame = the peer died mid-send.
                 self.clean_eof = not exc.partial and exc.expected == 5
                 return
-            except (ConnectionResetError, BrokenPipeError):
+            except ConnectionError:
                 return  # abnormal: release() parks any open snapshot
             except wire.ProtocolError as exc:
                 await self.queue.put(
@@ -814,7 +802,7 @@ class _Session:
                     if action[0] == "drop":
                         # Kill the connection before the frame applies —
                         # the client sees a reset and must resume.
-                        self.writer.transport.abort()
+                        self.conn.abort()
                         return
                     if action[0] == "stall":
                         await asyncio.sleep(action[1])
@@ -852,15 +840,15 @@ class _Session:
                     # A payload its decoder refused: the peer's framing
                     # can no longer be trusted.
                     error = SessionError(Err.BAD_FRAME, str(exc), fatal=True)
-                except (ConnectionResetError, BrokenPipeError):
+                except ConnectionError:
                     break
                 except Exception as exc:  # noqa: BLE001 — wire boundary
                     error = SessionError(
                         Err.INTERNAL, f"{type(exc).__name__}: {exc}", fatal=True
                     )
             try:
-                await self.service._send_error(self.writer, error.code, str(error))
-            except (ConnectionResetError, BrokenPipeError):
+                await self.service._send_error(self.conn, error.code, str(error))
+            except ConnectionError:
                 pass
             if error.fatal:
                 # Fatal = this connection is untrustworthy, not the
@@ -872,8 +860,8 @@ class _Session:
         # The session is over: hang up so the peer sees EOF, not
         # silence, and discard what the reader still queues until its
         # EOF marker — a reader blocked on a full queue must not hold
-        # the connection and its session slot.
-        self.writer.close()
+        # the connection and its session slot; one inside ``recv`` fails.
+        self.conn.close()
         item, self._pending = self._pending, None
         while item is not self._EOF:
             item = await self.queue.get()
@@ -945,7 +933,7 @@ class _Session:
         service = self.service
         service.metrics.add(throttles_sent=1)
         await service._send_frame(
-            self.writer, Msg.THROTTLE, wire.encode_throttle(delay, reason)
+            self.conn, Msg.THROTTLE, wire.encode_throttle(delay, reason)
         )
         await asyncio.sleep(delay)
 
@@ -983,7 +971,7 @@ class _Session:
         start = time.monotonic()
         try:
             await handler(payload)
-        except (ConnectionResetError, BrokenPipeError):
+        except ConnectionError:
             raise
         except OSError as exc:
             # Store-path failure (includes injected faults).  With the
@@ -1064,7 +1052,7 @@ class _Session:
         self.resume_token = token
         self.applied_frames = 0
         self.namespace.counters.snapshots_begun += 1
-        await self.service._send_frame(self.writer, Msg.BEGIN_OK)
+        await self.service._send_frame(self.conn, Msg.BEGIN_OK)
 
     async def _on_resume(self, payload: bytes) -> None:
         snapshot_id, token = wire.decode_resume(payload)
@@ -1102,7 +1090,7 @@ class _Session:
         self.applied_frames = parked.applied_frames
         service.metrics.add(sessions_resumed=1)
         await service._send_frame(
-            self.writer, Msg.RESUME_OK, wire.encode_resume_ok(self.applied_frames)
+            self.conn, Msg.RESUME_OK, wire.encode_resume_ok(self.applied_frames)
         )
 
     def _decide_flags(self, digests, lengths, frames=()) -> list[bool]:
@@ -1133,7 +1121,7 @@ class _Session:
             self._require_open()
             flags = self._decide_flags(digests, lengths)
         await self.service._send_frame(
-            self.writer, Msg.DIGEST_REPLY, wire.encode_digest_reply(flags)
+            self.conn, Msg.DIGEST_REPLY, wire.encode_digest_reply(flags)
         )
 
     async def _on_digest_group(self, payloads: list[bytes]) -> None:
@@ -1156,14 +1144,15 @@ class _Session:
         flags = self._decide_flags(all_digests, all_lengths, bounds[1:-1])
         for lo, hi in zip(bounds, bounds[1:]):
             await service._send_frame(
-                self.writer,
+                self.conn,
                 Msg.DIGEST_REPLY,
                 wire.encode_digest_reply(flags[lo:hi]),
             )
 
     async def _on_chunk_batch(self, payload: bytes) -> None:
         scoped = self._require_open()
-        items = wire.decode_chunk_batch(payload)
+        # Views of the landed payload: the store's put makes the one copy.
+        items = wire.decode_chunk_batch(memoryview(payload))
         received = sum(len(data) for _, data in items)
         quota = self.service.quota
         deny = quota.deny_reason(self.namespace.usage, received, len(items))
@@ -1191,7 +1180,7 @@ class _Session:
         counters.chunks_received += len(items)
         counters.bytes_received += received
         await self.service._send_frame(
-            self.writer, Msg.BATCH_OK, wire.encode_batch_ok(len(items), received)
+            self.conn, Msg.BATCH_OK, wire.encode_batch_ok(len(items), received)
         )
 
     async def _on_pointer_batch(self, payload: bytes) -> None:
@@ -1206,7 +1195,7 @@ class _Session:
         self.applied_frames += 1
         self.namespace.counters.pointers_received += len(digests)
         await self.service._send_frame(
-            self.writer, Msg.BATCH_OK, wire.encode_batch_ok(len(digests), 0)
+            self.conn, Msg.BATCH_OK, wire.encode_batch_ok(len(digests), 0)
         )
 
     async def _on_finish(self, payload: bytes) -> None:
@@ -1223,7 +1212,7 @@ class _Session:
         self.applied_frames = 0
         self.namespace.counters.snapshots_finished += 1
         await self.service._send_frame(
-            self.writer,
+            self.conn,
             Msg.FINISH_OK,
             wire.encode_finish_ok(
                 log.chunks_received, log.pointers_received, log.bytes_received
@@ -1255,18 +1244,17 @@ class _Session:
         counters.restores += 1
         counters.bytes_restored += len(data)
         await self.service._send_frame(
-            self.writer, Msg.RESTORE_BEGIN, wire.encode_restore_begin(len(data))
+            self.conn, Msg.RESTORE_BEGIN, wire.encode_restore_begin(len(data))
         )
         piece = self.service.config.restore_piece
         view = memoryview(data)
         for off in range(0, len(view), piece):
             # Header, then the slice itself: no per-piece concatenation.
             part = view[off : off + piece]
-            self.writer.write(wire.HEADER.pack(Msg.RESTORE_DATA, len(part)))
-            self.writer.write(part)
-            await self.writer.drain()
+            await self.conn.send(wire.HEADER.pack(Msg.RESTORE_DATA, len(part)))
+            await self.conn.send(part)
             self.service.metrics.add(frames_sent=1)
-        await self.service._send_frame(self.writer, Msg.RESTORE_END)
+        await self.service._send_frame(self.conn, Msg.RESTORE_END)
 
     async def _on_list(self, payload: bytes) -> None:
         if payload:
@@ -1277,5 +1265,5 @@ class _Session:
             if local is not None:
                 mine.append(local)
         await self.service._send_frame(
-            self.writer, Msg.SNAPSHOT_LIST, wire.encode_snapshot_list(mine)
+            self.conn, Msg.SNAPSHOT_LIST, wire.encode_snapshot_list(mine)
         )

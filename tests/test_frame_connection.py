@@ -1,7 +1,7 @@
-"""The client's framed connection, against a scripted peer.
+"""The framed connection both ends speak over, against a scripted peer.
 
 No server: one end of a ``socket.socketpair()`` is the
-:class:`~repro.service.client.FrameConnection` under test, the other a
+:class:`~repro.service.protocol.FrameConnection` under test, the other a
 peer that plays a recorded reply sequence cut into segments — at every
 byte boundary of its first 64 bytes, in 1-byte dribbles, and fully
 coalesced.  However the bytes arrive, the frames out are the same and a
@@ -24,7 +24,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service import protocol as wire
-from repro.service.client import FrameConnection
+from repro.service.protocol import FrameConnection
 from repro.service.protocol import Err, Msg, ProtocolError, RemoteError
 
 MB = 1 << 20
@@ -295,6 +295,54 @@ class TestEof:
                 peer.close()
 
         assert asyncio.run(scenario()) == (-1, None)
+
+    @pytest.mark.parametrize("hang_up", ["close", "abort"])
+    def test_hang_up_fails_a_pending_receive(self, hang_up):
+        """A receive waiting on the socket when the connection is closed
+        under it raises a connection error at once, not never."""
+
+        async def scenario(conn, peer):
+            receiving = asyncio.ensure_future(conn.recv())
+            await asyncio.sleep(0.01)  # parked on the reader registration
+            getattr(conn, hang_up)()
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(receiving, 1.0)
+            return conn._loop, conn.sock.fileno()
+
+        assert scripted(scenario) == (None, -1)
+
+    @pytest.mark.parametrize("hang_up", ["close", "abort"])
+    def test_hang_up_fails_a_pending_send(self, hang_up):
+        """A send waiting for room (the peer reads nothing) fails the
+        same way when the connection is closed under it."""
+
+        async def scenario(conn, peer):
+            sending = asyncio.ensure_future(conn.send(bytes(16 * MB)))
+            await asyncio.sleep(0.05)
+            assert not sending.done()  # the socket is full
+            getattr(conn, hang_up)()
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(sending, 1.0)
+            with pytest.raises(ConnectionError):
+                await conn.send(b"more")
+
+        scripted(scenario)
+
+    def test_send_is_whole_however_the_peer_drains(self):
+        """A send larger than the socket buffers waits for room, then
+        finishes: the peer reads every byte, in order."""
+        data = pattern(6 * MB)
+
+        async def scenario(conn, peer):
+            loop = asyncio.get_running_loop()
+            sending = asyncio.ensure_future(conn.send(data))
+            got = bytearray()
+            while len(got) < len(data):
+                got += await loop.sock_recv(peer, 1 << 16)
+            await sending
+            return bytes(got)
+
+        assert scripted(scenario) == data
 
     def test_retry_policy_client_redials_after_eof_mid_frame(self):
         """The client's connection dies half-way through a reply; with a

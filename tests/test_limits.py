@@ -25,7 +25,7 @@ from repro.service import (
 )
 from repro.service import protocol as wire
 from repro.service.metrics import LATENCY_BUCKETS_S, LatencyHistogram, service_snapshot
-from repro.service.protocol import Err, Msg, ProtocolError, RemoteError
+from repro.service.protocol import Err, FrameConnection, Msg, ProtocolError, RemoteError
 from repro.service.server import _Session
 
 MB = 1 << 20
@@ -559,12 +559,14 @@ def v3_hello(tenant: str) -> bytes:
 async def send_v3_hello(service) -> tuple[Msg, Err, bytes]:
     """Dial raw, send a protocol-3 HELLO: the reply frame, its error
     code, and what the connection carried after it."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
-    writer.write(wire.MAGIC + wire.encode_frame(Msg.HELLO, v3_hello("acme")))
-    await writer.drain()
-    msg, payload = await wire.read_frame(reader)
-    rest = await asyncio.wait_for(reader.read(), 1.0)
-    writer.close()
+    conn = await FrameConnection.open("127.0.0.1", service.port, wire.DEFAULT_MAX_FRAME)
+    await conn.send(wire.MAGIC + wire.encode_frame(Msg.HELLO, v3_hello("acme")))
+    msg, payload = await conn.recv()
+    try:
+        rest = await asyncio.wait_for(conn.recv_raw(), 1.0)
+    except asyncio.IncompleteReadError as eof:
+        rest = eof.partial
+    conn.close()
     return msg, wire.decode_error(payload)[0], rest
 
 
@@ -641,16 +643,13 @@ class TestAdmission:
 
 
 class _FrameSink:
-    """Writer double that collects frames the session sends."""
+    """Connection double that collects frames the session sends."""
 
     def __init__(self) -> None:
         self.buffer = b""
 
-    def write(self, data: bytes) -> None:
-        self.buffer += data
-
-    async def drain(self) -> None:
-        pass
+    async def send(self, data) -> None:
+        self.buffer += bytes(data)
 
     def frames(self) -> list[tuple[Msg, bytes]]:
         out, buf = [], self.buffer
@@ -685,7 +684,7 @@ class TestBrownout:
             service.enter_brownout(hold_s=30.0)
             namespace = service.registry.get("acme")
             sink = _FrameSink()
-            session = _Session(service, namespace, None, sink)
+            session = _Session(service, namespace, sink)
             session.open_scoped = namespace.scoped_id("s")
             batches = [
                 [(bytes([gen * 8 + i]) * 32, 100) for i in range(4)]
@@ -728,7 +727,7 @@ class TestBrownout:
             for tenant, grouped in (("acme", True), ("beta", False)):
                 namespace = service.registry.get(tenant)
                 sink = _FrameSink()
-                session = _Session(service, namespace, None, sink)
+                session = _Session(service, namespace, sink)
                 session.open_scoped = namespace.scoped_id("s")
                 if grouped:
                     await session._on_digest_group(payloads)

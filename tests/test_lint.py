@@ -211,6 +211,37 @@ class TestAsyncBlocking:
         )
         assert len(lint(tmp_path, rules=["async-blocking"]).findings) == 2
 
+    def test_fires_on_raw_socket_sendall_and_accept(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "service/listen.py": (
+                    "async def serve(listener, data):\n"
+                    "    sock, _ = listener.accept()\n"
+                    "    sock.sendall(data)\n"
+                )
+            },
+        )
+        messages = sorted(
+            f.message for f in lint(tmp_path, rules=["async-blocking"]).findings
+        )
+        assert len(messages) == 2
+        assert ".accept() blocks" in messages[0] and "loop.sock_accept" in messages[0]
+        assert ".sendall() blocks" in messages[1] and "loop.sock_sendall" in messages[1]
+
+    def test_loop_sock_calls_are_clean(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "service/listen.py": (
+                    "async def serve(loop, listener, data):\n"
+                    "    sock, _ = await loop.sock_accept(listener)\n"
+                    "    await loop.sock_sendall(sock, data)\n"
+                )
+            },
+        )
+        assert lint(tmp_path, rules=["async-blocking"]).findings == []
+
     def test_nested_sync_def_is_a_thread_target(self, tmp_path):
         write_tree(
             tmp_path,

@@ -24,7 +24,13 @@ from repro.service import (
 )
 from repro.service import protocol as wire
 from repro.service.metrics import render_text, service_snapshot
-from repro.service.protocol import Err, Msg, ProtocolError, RemoteError
+from repro.service.protocol import (
+    Err,
+    FrameConnection,
+    Msg,
+    ProtocolError,
+    RemoteError,
+)
 from repro.service.tenant import TenantRegistry, valid_tenant
 from tests.conftest import seeded_bytes
 
@@ -169,26 +175,6 @@ class TestCodec:
     def test_empty_digest_batch_rejected(self):
         with pytest.raises(ProtocolError):
             wire.encode_digest_batch([])
-
-    def test_read_frame_rejects_unknown_type(self):
-        async def check():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"\xfa" + (0).to_bytes(4, "big"))
-            with pytest.raises(ProtocolError, match="unknown frame type"):
-                await wire.read_frame(reader)
-
-        asyncio.run(check())
-
-    def test_read_frame_rejects_oversized(self):
-        async def check():
-            reader = asyncio.StreamReader()
-            reader.feed_data(
-                bytes([int(Msg.CHUNK_BATCH)]) + (1 << 30).to_bytes(4, "big")
-            )
-            with pytest.raises(ProtocolError, match="exceeds"):
-                await wire.read_frame(reader, max_frame=1 << 20)
-
-        asyncio.run(check())
 
 
 # ----------------------------------------------------------------------
@@ -647,14 +633,13 @@ class TestService:
 
     def test_version_mismatch_rejected(self):
         async def scenario(service):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", service.port
+            conn = await FrameConnection.open(
+                "127.0.0.1", service.port, wire.DEFAULT_MAX_FRAME
             )
             hello = (99).to_bytes(2, "big") + wire.encode_hello("acme")[2:]
-            writer.write(wire.MAGIC + wire.encode_frame(Msg.HELLO, hello))
-            await writer.drain()
-            msg, payload = await wire.read_frame(reader)
-            writer.close()
+            await conn.send(wire.MAGIC + wire.encode_frame(Msg.HELLO, hello))
+            msg, payload = await conn.recv()
+            conn.close()
             return msg, wire.decode_error(payload)[0]
 
         msg, code = run_service(scenario)

@@ -60,29 +60,21 @@ class ShredderAgent:
         except KeyError:
             raise ValueError(f"snapshot {snapshot_id!r} is not open") from None
 
-    def receive_chunk(self, snapshot_id: str, data: bytes, digest: bytes | None = None) -> None:
-        """A new (non-duplicate) chunk payload arrives.
-
-        ``digest`` is the sender's declared content hash.  The agent
-        verifies it against the received bytes before storing: a payload
-        corrupted (or mis-hashed) in flight must fail loudly here, not
-        poison the content-addressed store for every later snapshot that
-        dedups against the digest.
-        """
-        self.receive_chunks(snapshot_id, [(digest, data)])
-
     def receive_chunks(
         self, snapshot_id: str, items: Sequence[tuple[bytes | None, bytes]]
     ) -> None:
         """A batch of new chunk payloads arrives: ``(digest, data)`` pairs.
 
-        The batched twin of :meth:`receive_chunk` — the shape the wire
-        front-end ships in (one CHUNK_BATCH frame) and the pipelined
-        server hands over per scan batch.  All declared digests are
-        verified against the payloads in one hashing pass
+        The shape the wire front-end ships in (one CHUNK_BATCH frame)
+        and the pipelined server hands over per scan batch.  Each
+        declared digest is the sender's content hash, and all of them
+        are verified against the payloads in one hashing pass
         (:func:`~repro.core.hashing.digest_many`) before anything is
-        stored, and the store insert is one
-        ``put_chunks``.  A ``None`` digest means "compute it for me".
+        stored: a payload corrupted (or mis-hashed) in flight must fail
+        loudly here, not poison the content-addressed store for every
+        later snapshot that dedups against the digest.  The store insert
+        is one ``put_chunks``.  A ``None`` digest means "compute it for
+        me".
         """
         session = self._session(snapshot_id)
         computed = digest_many([data for _, data in items])
@@ -100,10 +92,6 @@ class ShredderAgent:
         session.log.chunks_received += len(verified)
         session.log.bytes_received += received
         session.total_bytes += received
-
-    def receive_pointer(self, snapshot_id: str, digest: bytes) -> None:
-        """A pointer to an already-stored chunk arrives."""
-        self.receive_pointers(snapshot_id, [digest])
 
     def receive_pointers(self, snapshot_id: str, pointer_digests: Sequence[bytes]) -> None:
         """A batch of pointers to already-stored chunks arrives.

@@ -183,26 +183,13 @@ class BackupReport:
 class BackupServer:
     """Consolidated backup server; state persists across snapshots."""
 
-    def __init__(
-        self,
-        config: BackupConfig | None = None,
-        agent: ShredderAgent | None = None,
-    ) -> None:
+    def __init__(self, config: BackupConfig | None = None) -> None:
         self.config = config or BackupConfig()
         cfg = self.config
         self.storage_kind = resolve_backend(cfg.backend, cfg.data_dir)
         data_dir = Path(cfg.data_dir) if cfg.data_dir is not None else None
         self.cluster: ChunkStoreCluster | None = None
-        self._owns_store = agent is None
         if cfg.store_backend == "cluster":
-            if agent is not None:
-                # An agent carries its own site store; pairing it with
-                # the cluster would ship chunks past the store the
-                # lookup path probes, silently disabling dedup.
-                raise ValueError(
-                    "store_backend='cluster' manages its own backup-site "
-                    "agent; do not pass one"
-                )
             self.cluster = ChunkStoreCluster(
                 n_nodes=cfg.cluster_nodes,
                 scheme=make_scheme(
@@ -225,22 +212,13 @@ class BackupServer:
                 backend=self.storage_kind,
                 data_dir=data_dir / "cluster" if data_dir is not None else None,
             )
-            agent = ShredderAgent(store=self.cluster)
-        elif agent is None:
-            agent = ShredderAgent(
-                store=ChunkStore(
-                    backend=self.storage_kind,
-                    data_dir=data_dir / "site" if data_dir is not None else None,
-                )
+            store = self.cluster
+        else:
+            store = ChunkStore(
+                backend=self.storage_kind,
+                data_dir=data_dir / "site" if data_dir is not None else None,
             )
-        elif cfg.backend is not None or cfg.data_dir is not None:
-            # The caller's agent carries its own store; silently ignoring
-            # the requested storage backend would fake durability.
-            raise ValueError(
-                "an explicit agent carries its own store; do not also "
-                "request backend/data_dir"
-            )
-        self.agent = agent
+        self.agent = ShredderAgent(store=store)
         self.index = DedupIndex(
             make_backend(
                 self.storage_kind,
@@ -265,10 +243,7 @@ class BackupServer:
     def close(self) -> None:
         self.shredder.close()
         self.index.close()
-        if self.cluster is not None:
-            self.cluster.close()
-        elif self._owns_store:
-            self.agent.store.close()
+        self.agent.store.close()
 
     def __enter__(self) -> "BackupServer":
         return self

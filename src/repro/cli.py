@@ -289,29 +289,39 @@ def _parse_remote(remote: str) -> tuple[str, int]:
 
 
 def _remote_backup(args, data: bytes) -> int:
-    from repro.service import NO_RETRY, RemoteAgent, RetryPolicy
+    import asyncio
+
+    from repro.service import NO_RETRY, AsyncBackupClient, RetryPolicy
     from repro.service.protocol import RemoteError
 
     host, port = _parse_remote(args.remote)
     retry = RetryPolicy(attempts=max(1, args.retry)) if args.retry else NO_RETRY
-    try:
-        agent = RemoteAgent(
-            host, port, tenant=args.tenant, retry=retry, auth=args.auth_token
-        )
-    except (OSError, RemoteError) as exc:
-        raise SystemExit(f"cannot reach backup service at {args.remote}: {exc}")
-    with agent:
-        taken = set(agent.list_snapshots())
-        sid, n = "cli", 1
-        while sid in taken:
-            n += 1
-            sid = f"cli-{n}"
+
+    async def run():
         try:
-            report = agent.backup(data, sid)
-        except RemoteError as exc:
-            raise SystemExit(f"remote backup failed: {exc}")
-        restored = agent.restore(sid)
-    assert restored == data
+            client = await AsyncBackupClient.connect(
+                host, port, tenant=args.tenant, retry=retry, auth=args.auth_token
+            )
+        except (OSError, RemoteError) as exc:
+            raise SystemExit(f"cannot reach backup service at {args.remote}: {exc}")
+        async with client:
+            taken = set(await client.list_snapshots())
+            sid, n = "cli", 1
+            while sid in taken:
+                n += 1
+                sid = f"cli-{n}"
+            try:
+                report = await client.backup(data, sid)
+            except RemoteError as exc:
+                raise SystemExit(f"remote backup failed: {exc}")
+            return sid, report, await client.restore(sid)
+
+    sid, report, restored = asyncio.run(run())
+    if restored != data:
+        raise SystemExit(
+            f"restore of snapshot {sid!r} does not match the input "
+            f"({len(restored)} B restored, {len(data)} B backed up)"
+        )
     print(f"remote service {args.remote} (tenant {args.tenant!r}), "
           f"stored as snapshot {sid!r}")
     print(f"backed up {report.total_bytes} B as {report.n_chunks} chunks")

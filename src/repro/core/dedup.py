@@ -206,6 +206,17 @@ class DedupIndex:
         _record_lookup(probe_seconds)
         return BatchProbe(hits, repeats)
 
+    def insert_batch(self, digests: Sequence[bytes], offsets: Iterable[int]) -> None:
+        """Insert-if-absent with the counters untouched: ``digests[i]``
+        first seen at ``offsets[i]``, recorded without a decide."""
+        present = self._backend.contains_batch(digests)
+        if not all(present):
+            self._backend.put_batch([
+                (digest, offset.to_bytes(_OFFSET_BYTES, "big"))
+                for digest, offset, known in zip(digests, offsets, present)
+                if not known
+            ])
+
     def add_all(self, chunks: Iterable["Chunk"]) -> DedupStats:
         """Feed a chunk sequence through the index; returns the stats."""
         chunks = list(chunks)

@@ -9,12 +9,13 @@ This package turns the in-process :class:`~repro.backup.server
   one transport both ends share, and the batched agent wire messages
   (HELLO handshake, DIGEST/CHUNK/POINTER batches, FINISH, RESTORE, ERROR);
 * :mod:`repro.service.tenant` — per-tenant namespaces: tenant-scoped
-  dedup index and recipes over shared chunk payloads;
+  dedup index and recipes over shared chunk payloads (a tenant may
+  point only to chunks its own index holds);
 * :mod:`repro.service.server` — the asyncio server with admission
   control and bounded-queue backpressure;
-* :mod:`repro.service.client` — the async client agent that overlaps
-  local chunk+hash with in-flight shipping, plus a synchronous
-  drop-in for :class:`~repro.backup.agent.ShredderAgent`;
+* :mod:`repro.service.client` — the async client agent, the one remote
+  backup path: it overlaps local chunk+hash with in-flight shipping, and
+  every verb recovers under its :class:`RetryPolicy`;
 * :mod:`repro.service.metrics` — the aggregated health/metrics
   surface served over plain HTTP on the same port;
 * :mod:`repro.service.limits` — overload protection: token-bucket
@@ -43,7 +44,6 @@ from repro.service.server import BackupService, ServiceConfig
 from repro.service.client import (
     NO_RETRY,
     AsyncBackupClient,
-    RemoteAgent,
     RemoteBackupReport,
     RetryPolicy,
 )
@@ -61,7 +61,6 @@ __all__ = [
     "ServiceConfig",
     "AsyncBackupClient",
     "NO_RETRY",
-    "RemoteAgent",
     "RemoteBackupReport",
     "RetryPolicy",
     "ServiceMetrics",

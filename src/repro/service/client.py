@@ -1,4 +1,4 @@
-"""Client side of the backup service: async agent + sync drop-in.
+"""Client side of the backup service: the async agent.
 
 :class:`AsyncBackupClient` speaks the batched wire protocol and runs
 the paper's client-side pipeline across the network: a feeder thread
@@ -10,27 +10,27 @@ advertised ack window.  Replies are strictly in-order per connection
 (the protocol's contract), so the client never tags requests; it just
 counts outstanding acks.
 
-Dedup decisions are **source-side**: the client sends one DIGEST_BATCH
-(decide mode) per pipeline batch and only ships payloads the server's
-tenant index has not seen — duplicate chunks cross the wire as
+Dedup decisions are **source-side** and tenant-scoped: the client sends
+one DIGEST_BATCH per pipeline batch and only ships payloads the server's
+index for *its tenant* has not seen — duplicate chunks cross the wire as
 pointer-sized digests, which is the §7 bandwidth story end to end.
+There is one remote backup path, :meth:`AsyncBackupClient.backup`;
+``repro backup --remote`` drives it, and the batched verbs it is built
+from (``decide_chunks`` / ``ship_chunks`` / ``ship_pointers``) are public
+for callers that chunk on their own.
 
-:class:`RemoteAgent` wraps the async client behind the synchronous
-:class:`~repro.backup.agent.ShredderAgent` surface (``begin_snapshot`` /
-``receive_chunk`` / ``receive_pointer`` / ``finish_snapshot`` /
-``restore`` + a ``store``-shaped proxy), so existing in-process callers
-can point at a remote service without restructuring.
-
-**Resilience** — pass a :class:`RetryPolicy` and the client survives
-the network: every request carries a per-op timeout, a dropped
+**Resilience** — pass a :class:`RetryPolicy` and every verb survives
+the network: each request carries a per-op timeout, a dropped
 connection is redialed with bounded exponential backoff, and an open
 snapshot resumes where it left off.  ``begin_snapshot`` generates a
 client-side resume token; after a reconnect the client sends RESUME and
 the server answers with its applied-frame high-water mark, so only
 frames the server never applied are replayed — acked chunks never cross
-the wire twice.  The default, :data:`NO_RETRY`, allows no recovery: it
-sends no token (the server aborts rather than parks the snapshot), and
-the first failure propagates.
+the wire twice.  Every ship frame goes through one sender, which queues
+the frame for replay before it sends it once.  The default,
+:data:`NO_RETRY`, allows no recovery: it sends no token (the server
+aborts rather than parks the snapshot), and the first failure
+propagates.
 
 **Transport** — one :class:`~repro.service.protocol.FrameConnection`,
 the same one the server reads through: a restore's ``RESTORE_DATA``
@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 
 from repro.backup.agent import TransferLog
 from repro.backup.server import _default_backup_chunker
-from repro.core.hashing import chunk_hash
 from repro.core.shredder import Shredder, ShredderConfig
 from repro.service import protocol as wire
 from repro.service.protocol import Err, FrameConnection, Msg, RemoteError
@@ -60,7 +59,6 @@ from repro.service.protocol import Err, FrameConnection, Msg, RemoteError
 __all__ = [
     "AsyncBackupClient",
     "NO_RETRY",
-    "RemoteAgent",
     "RemoteBackupReport",
     "RetryPolicy",
 ]
@@ -93,6 +91,10 @@ _RETRYABLE_CODES = frozenset(
 
 #: Exceptions that mean "the connection (not the request) failed".
 _RECOVERABLE_EXC = (OSError, EOFError, asyncio.TimeoutError)
+
+#: What a verb's first attempt hands to ``_with_recovery``, which asks
+#: ``_RETRYABLE_CODES`` whether a RemoteError is worth a recovery.
+_FAILURES = _RECOVERABLE_EXC + (RemoteError,)
 
 
 @dataclass(frozen=True)
@@ -372,8 +374,10 @@ class AsyncBackupClient:
             # snapshot was actually finished (FINISH applied, FINISH_OK
             # lost) or it never progressed server-side (BEGIN lost /
             # grace expired with nothing acked) — anything else is
-            # unrecoverable.
-            if self._open_snapshot in await self.list_snapshots():
+            # unrecoverable.  The LIST is a raw round trip: recovery
+            # never nests.
+            listed = await self._rpc(Msg.LIST_SNAPSHOTS, b"", Msg.SNAPSHOT_LIST)
+            if self._open_snapshot in wire.decode_snapshot_list(listed):
                 self._finished_remotely = True
                 return
             if self._acked_seq > 0:
@@ -394,47 +398,68 @@ class AsyncBackupClient:
             await self._send(msg, payload)
             self.replayed_frames += 1
 
-    async def _with_recovery(self, op):
-        """Run ``op``; on connection failure, recover and retry it.
+    async def _with_recovery(self, op, failure: BaseException):
+        """Recover from ``failure``, then retry ``op`` until it succeeds.
 
-        A recovery that itself dies on the wire just counts as another
+        Verbs come here only from the ``except`` of their own first
+        attempt, so the happy path stays straight-line.  A recovery or a
+        retried ``op`` that dies on the wire just counts as another
         recovery — only ``max_recoveries`` or a decisive server error
         (non-retryable code) ends the fight.
         """
-        policy = self.retry
         recoveries = 0
-        need_recover = False
-        last: BaseException | None = None
         while True:
-            if need_recover:
-                recoveries += 1
-                if recoveries > policy.max_recoveries:
-                    raise last
-                try:
-                    await self._recover()
-                except _RECOVERABLE_EXC as exc:
-                    last = exc
-                    continue
-                except RemoteError as exc:
-                    # e.g. the server answered the recovery handshake
-                    # with INTERNAL because our frame was garbled in
-                    # flight; the session parked, so recover again.
-                    if exc.code not in _RETRYABLE_CODES:
-                        raise
-                    last = exc
-                    continue
-                need_recover = False
+            if self._address is None or (
+                isinstance(failure, RemoteError)
+                and failure.code not in _RETRYABLE_CODES
+            ):
+                raise failure
+            recoveries += 1
+            if recoveries > self.retry.max_recoveries:
+                raise failure
             try:
+                await self._recover()
                 return await op()
-            except _RECOVERABLE_EXC as exc:
-                last = exc
-            except RemoteError as exc:
-                if exc.code not in _RETRYABLE_CODES:
-                    raise
-                last = exc
-            if self._address is None:
-                raise last
-            need_recover = True
+            except _FAILURES as exc:
+                failure = exc
+
+    async def _recovering(self, op):
+        """``await op()``, recovered and retried under the retry policy."""
+        try:
+            return await op()
+        except _FAILURES as exc:
+            return await self._with_recovery(op, exc)
+
+    async def _take_acks(self, limit: int) -> None:
+        """Take BATCH_OKs in order until at most ``limit`` ship frames
+        are unacked."""
+        while len(self._unacked) > limit:
+            wire.decode_batch_ok(await self._expect(Msg.BATCH_OK))
+            self._unacked.popleft()
+            self._acked_seq += 1
+
+    async def _ship(self, msg: Msg, payload: bytes, limit: int) -> None:
+        """Send one ship frame exactly once, then take acks in order
+        until at most ``limit`` frames are unacked.
+
+        The frame joins ``_unacked`` *before* the send: if the send (or
+        an ack) dies, ``_recover`` replays it from the queue, so only
+        the ack taking is retried, never the send.
+        """
+        self._unacked.append((self._next_seq, msg, payload))
+        self._next_seq += 1
+        try:
+            await self._send(msg, payload)
+            await self._take_acks(limit)
+        except _FAILURES as exc:
+            await self._with_recovery(lambda: self._take_acks(limit), exc)
+
+    async def _round_trip(self, msg: Msg, payload: bytes, expected: Msg) -> bytes:
+        """The acks still owed, then one request and its reply (replies
+        are FIFO, so every ship frame ahead of the request is acked
+        first)."""
+        await self._take_acks(0)
+        return await self._rpc(msg, payload, expected)
 
     # -- session verbs -------------------------------------------------
 
@@ -462,7 +487,7 @@ class AsyncBackupClient:
             self._session_open = True
 
         try:
-            await self._with_recovery(op)
+            await self._recovering(op)
         except BaseException:
             self._open_snapshot = None
             self._resume_token = ""
@@ -472,11 +497,11 @@ class AsyncBackupClient:
         async def op():
             if self._finished_remotely:  # FINISH applied, ack lost
                 return None
-            return await self._rpc(
+            return await self._round_trip(
                 Msg.FINISH, wire.encode_snapshot_id(snapshot_id), Msg.FINISH_OK
             )
 
-        payload = await self._with_recovery(op)
+        payload = await self._recovering(op)
         self._open_snapshot = None
         self._resume_token = ""
         self._session_open = False
@@ -498,48 +523,43 @@ class AsyncBackupClient:
         pointer whose payload is that earlier chunk, so ship the batch's
         runs in batch order: each run of chunks must reach the server
         before the pointers that follow it, or the server refuses those
-        pointers with a fatal UNKNOWN_CHUNK.
+        pointers with a fatal UNKNOWN_CHUNK.  Replaying a decide after a
+        reconnect is safe: the server re-ships index entries whose
+        payload never landed, so a lost DIGEST_REPLY cannot lose chunks.
         """
-        payload = await self._rpc(
-            Msg.DIGEST_BATCH,
-            wire.encode_digest_batch(list(digests), list(lengths)),
-            Msg.DIGEST_REPLY,
+        payload = wire.encode_digest_batch(list(digests), list(lengths))
+        reply = await self._recovering(
+            lambda: self._round_trip(Msg.DIGEST_BATCH, payload, Msg.DIGEST_REPLY)
         )
-        return wire.decode_digest_reply(payload)
-
-    async def has_chunks(self, digests) -> list[bool]:
-        """Read-only membership probe against the shared payload store."""
-        payload = await self._rpc(
-            Msg.DIGEST_BATCH,
-            wire.encode_digest_batch(list(digests)),
-            Msg.DIGEST_REPLY,
-        )
-        return wire.decode_digest_reply(payload)
+        return wire.decode_digest_reply(reply)
 
     async def ship_chunks(self, items) -> tuple[int, int]:
-        """Ship ``(digest, payload)`` pairs; returns (items, bytes) acked."""
-        payload = await self._rpc(
-            Msg.CHUNK_BATCH, wire.encode_chunk_batch(list(items)), Msg.BATCH_OK
-        )
-        return wire.decode_batch_ok(payload)
+        """Ship ``(digest, payload)`` pairs and wait for the ack; returns
+        (items, bytes) acked."""
+        items = list(items)
+        await self._ship(Msg.CHUNK_BATCH, wire.encode_chunk_batch(items), 0)
+        return len(items), sum(len(data) for _, data in items)
 
     async def ship_pointers(self, digests) -> int:
-        payload = await self._rpc(
-            Msg.POINTER_BATCH,
-            wire.encode_pointer_batch(list(digests)),
-            Msg.BATCH_OK,
-        )
-        return wire.decode_batch_ok(payload)[0]
+        """Ship pointers to chunks this tenant stored and wait for the ack."""
+        digests = list(digests)
+        await self._ship(Msg.POINTER_BATCH, wire.encode_pointer_batch(digests), 0)
+        return len(digests)
 
     async def list_snapshots(self) -> list[str]:
-        payload = await self._rpc(
-            Msg.LIST_SNAPSHOTS, b"", Msg.SNAPSHOT_LIST
+        payload = await self._recovering(
+            lambda: self._round_trip(Msg.LIST_SNAPSHOTS, b"", Msg.SNAPSHOT_LIST)
         )
         return wire.decode_snapshot_list(payload)
 
     async def restore(self, snapshot_id: str) -> bytes:
-        await self._send(Msg.RESTORE, wire.encode_snapshot_id(snapshot_id))
-        payload = await self._expect(Msg.RESTORE_BEGIN)
+        """The snapshot's bytes; a cut stream is requested again whole."""
+        return await self._recovering(lambda: self._restore(snapshot_id))
+
+    async def _restore(self, snapshot_id: str) -> bytes:
+        payload = await self._round_trip(
+            Msg.RESTORE, wire.encode_snapshot_id(snapshot_id), Msg.RESTORE_BEGIN
+        )
         total_bytes = wire.decode_restore_begin(payload)
         # One buffer of the announced size, each piece received straight
         # into its slice; ``getvalue`` hands it back without a copy once
@@ -605,51 +625,14 @@ class AsyncBackupClient:
         resumes0 = self.resumes
         replayed0 = self.replayed_frames
         throttles0 = self.throttles
-
-        async def drain_one() -> None:
-            if not self._unacked:
-                return  # a resume already accounted every in-flight frame
-            ack = await self._expect(Msg.BATCH_OK)
-            wire.decode_batch_ok(ack)
-            self._unacked.popleft()
-            self._acked_seq += 1
-
-        async def ship(msg: Msg, payload: bytes) -> None:
-            """Enqueue + send one ship frame exactly once.
-
-            The frame joins ``_unacked`` *before* the send: if the send
-            (or anything later) dies, ``_recover`` replays it from the
-            queue, so the retried op must not send it a second time.
-            """
-            self._unacked.append((self._next_seq, msg, payload))
-            self._next_seq += 1
-            sent = False
-
-            async def op():
-                nonlocal sent
-                if sent:
-                    return
-                sent = True
-                await self._send(msg, payload)
-
-            await self._with_recovery(op)
-
         await self.begin_snapshot(snapshot_id)
         try:
             async for batch in _feed(shredder, data, batch_chunks):
                 n_chunks += len(batch)
-                # Decision round trip: all prior batch acks drain first
-                # (replies are FIFO), so at most `window` ship frames
-                # ride ahead of this request.
-                while self._unacked:
-                    await self._with_recovery(drain_one)
-                digests = [c.digest for c in batch]
-                lengths = [c.length for c in batch]
-                # Replaying a decide after reconnect is safe: the server
-                # forces re-ship for index entries whose payload never
-                # landed, so a lost DIGEST_REPLY cannot lose chunks.
-                flags = await self._with_recovery(
-                    lambda: self.decide_chunks(digests, lengths)
+                # The decide takes every ack still owed first, so at most
+                # `window` ship frames ride ahead of it.
+                flags = await self.decide_chunks(
+                    [c.digest for c in batch], [c.length for c in batch]
                 )
                 # Ship consecutive same-decision runs — order of arrival
                 # at the agent is recipe order, identical to in-process.
@@ -662,26 +645,16 @@ class AsyncBackupClient:
                     run = batch[i:j]
                     if is_dup:
                         duplicates += len(run)
-                        await ship(
-                            Msg.POINTER_BATCH,
-                            wire.encode_pointer_batch(
-                                [c.digest for c in run]
-                            ),
-                        )
+                        msg = Msg.POINTER_BATCH
+                        payload = wire.encode_pointer_batch([c.digest for c in run])
                     else:
-                        run_bytes = sum(c.length for c in run)
-                        shipped += run_bytes
-                        await ship(
-                            Msg.CHUNK_BATCH,
-                            wire.encode_chunk_batch(
-                                [(c.digest, c.data) for c in run]
-                            ),
+                        shipped += sum(c.length for c in run)
+                        msg = Msg.CHUNK_BATCH
+                        payload = wire.encode_chunk_batch(
+                            [(c.digest, c.data) for c in run]
                         )
-                    while len(self._unacked) >= self.window:
-                        await self._with_recovery(drain_one)
+                    await self._ship(msg, payload, self.window - 1)
                     i = j
-            while self._unacked:
-                await self._with_recovery(drain_one)
             transfer = await self.finish_snapshot(snapshot_id)
         finally:
             if own_shredder:
@@ -791,207 +764,3 @@ async def _feed(shredder: Shredder, data: bytes, batch_chunks: int | None):
                     stacklevel=2,
                 )
                 break
-
-
-# ----------------------------------------------------------------------
-# synchronous drop-in agent
-# ----------------------------------------------------------------------
-
-
-class _RemoteStoreProxy:
-    """The slice of the ChunkStore surface remote callers may touch."""
-
-    def __init__(self, agent: "RemoteAgent") -> None:
-        self._agent = agent
-
-    def has_chunk(self, digest: bytes) -> bool:
-        return self.has_chunks([digest])[0]
-
-    def has_chunks(self, digests) -> list[bool]:
-        return self._agent._call(self._agent._client.has_chunks(list(digests)))
-
-    def snapshot_ids(self) -> list[str]:
-        """This tenant's snapshots (the service scopes the listing)."""
-        return self._agent.list_snapshots()
-
-    def restore(self, snapshot_id: str) -> bytes:
-        return self._agent.restore(snapshot_id)
-
-
-class RemoteAgent:
-    """Synchronous ShredderAgent-shaped facade over the wire client.
-
-    Runs a private event loop on a background thread so callers keep the
-    blocking call style of :class:`~repro.backup.agent.ShredderAgent`:
-    ``begin_snapshot`` / ``receive_chunk`` / ``receive_pointer`` /
-    ``finish_snapshot`` / ``restore``.  Chunk and pointer receives are
-    buffered and flushed as batched wire frames (run-grouped, order
-    preserved) once ``flush_items`` accumulate or at ``finish_snapshot``
-    — per-call latency is traded for the batched wire shape.
-
-    One difference from the in-process agent: the service allows a
-    single open snapshot per connection, so interleaving two open
-    snapshots through one RemoteAgent raises at the server.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        tenant: str = "default",
-        flush_items: int = 256,
-        retry: RetryPolicy = NO_RETRY,
-        auth: str = "",
-        purpose: int = wire.PURPOSE_BACKUP,
-    ) -> None:
-        if flush_items < 1:
-            raise ValueError("flush_items must be >= 1")
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-remote-agent", daemon=True
-        )
-        self._thread.start()
-        self._flush_items = flush_items
-        #: Pending ops for the open snapshot: ("chunk", digest, data) or
-        #: ("pointer", digest), in arrival order.
-        self._buffer: list[tuple] = []
-        self._open: str | None = None
-        try:
-            self._client = self._call(
-                AsyncBackupClient.connect(
-                    host,
-                    port,
-                    tenant=tenant,
-                    retry=retry,
-                    auth=auth,
-                    purpose=purpose,
-                )
-            )
-        except BaseException:
-            self._shutdown_loop()
-            raise
-
-    # -- plumbing ------------------------------------------------------
-
-    def _call(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
-    def _shutdown_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        self._loop.close()
-
-    # -- ShredderAgent surface -----------------------------------------
-
-    @property
-    def store(self) -> _RemoteStoreProxy:
-        return _RemoteStoreProxy(self)
-
-    @property
-    def session_id(self) -> str:
-        return self._client.session_id
-
-    @property
-    def tenant(self) -> str:
-        return self._client.tenant
-
-    def begin_snapshot(self, snapshot_id: str) -> None:
-        self._call(self._client.begin_snapshot(snapshot_id))
-        self._open = snapshot_id
-        self._buffer.clear()
-
-    def _require_open(self, snapshot_id: str) -> None:
-        if self._open != snapshot_id:
-            raise ValueError(f"snapshot {snapshot_id!r} is not open")
-
-    def receive_chunk(
-        self, snapshot_id: str, data: bytes, digest: bytes | None = None
-    ) -> None:
-        self._require_open(snapshot_id)
-        # The wire always carries the digest (it is the integrity check
-        # the site verifies); compute it here when the caller didn't.
-        self._buffer.append(
-            ("chunk", digest if digest is not None else chunk_hash(data), data)
-        )
-        if len(self._buffer) >= self._flush_items:
-            self.flush()
-
-    def receive_pointer(self, snapshot_id: str, digest: bytes) -> None:
-        self._require_open(snapshot_id)
-        self._buffer.append(("pointer", digest))
-        if len(self._buffer) >= self._flush_items:
-            self.flush()
-
-    def receive_chunks(self, snapshot_id: str, items) -> None:
-        """Batched twin of :meth:`receive_chunk` (``(digest, data)``)."""
-        self._require_open(snapshot_id)
-        for digest, data in items:
-            self._buffer.append(
-                (
-                    "chunk",
-                    digest if digest is not None else chunk_hash(data),
-                    data,
-                )
-            )
-        if len(self._buffer) >= self._flush_items:
-            self.flush()
-
-    def receive_pointers(self, snapshot_id: str, pointer_digests) -> None:
-        """Batched twin of :meth:`receive_pointer`."""
-        self._require_open(snapshot_id)
-        self._buffer.extend(("pointer", d) for d in pointer_digests)
-        if len(self._buffer) >= self._flush_items:
-            self.flush()
-
-    def flush(self) -> None:
-        """Push buffered receives out as run-grouped batch frames."""
-        buffer, self._buffer = self._buffer, []
-        i = 0
-        while i < len(buffer):
-            kind = buffer[i][0]
-            j = i
-            while j < len(buffer) and buffer[j][0] == kind:
-                j += 1
-            run = buffer[i:j]
-            if kind == "chunk":
-                self._call(
-                    self._client.ship_chunks([(op[1], op[2]) for op in run])
-                )
-            else:
-                self._call(
-                    self._client.ship_pointers([op[1] for op in run])
-                )
-            i = j
-
-    def finish_snapshot(self, snapshot_id: str) -> TransferLog:
-        self._require_open(snapshot_id)
-        self.flush()
-        log = self._call(self._client.finish_snapshot(snapshot_id))
-        self._open = None
-        return log
-
-    def restore(self, snapshot_id: str) -> bytes:
-        return self._call(self._client.restore(snapshot_id))
-
-    def list_snapshots(self) -> list[str]:
-        return self._call(self._client.list_snapshots())
-
-    def backup(self, data: bytes, snapshot_id: str, **kwargs) -> RemoteBackupReport:
-        """The pipelined remote backup, callable synchronously."""
-        return self._call(self._client.backup(data, snapshot_id, **kwargs))
-
-    def close(self) -> None:
-        if self._loop.is_closed():
-            return
-        try:
-            self._call(self._client.close())
-        except Exception:
-            pass
-        self._shutdown_loop()
-
-    def __enter__(self) -> "RemoteAgent":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

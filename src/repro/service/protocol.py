@@ -10,12 +10,13 @@ of length-prefixed frames::
     +------+----------------+-------------------+
 
 The message set is batched-first, mirroring the in-process
-``lookup_batch`` shape: digests travel in DIGEST_BATCH frames (query or
-decide mode), payloads in CHUNK_BATCH frames carrying ``digest +
-payload`` pairs the site verifies before storing, and pointers in
-POINTER_BATCH frames.  The request/reply discipline is strictly
-in-order per connection, which is what lets the client pipeline
-requests and resolve replies FIFO (see :mod:`repro.service.client`).
+``lookup_or_insert_batch`` shape: digests and lengths travel in
+DIGEST_BATCH frames that run the tenant's dedup decide, payloads in
+CHUNK_BATCH frames carrying ``digest + payload`` pairs the site verifies
+before storing, and pointers in POINTER_BATCH frames.  The
+request/reply discipline is strictly in-order per connection, which is
+what lets the client pipeline requests and resolve replies FIFO (see
+:mod:`repro.service.client`).
 
 The codec is pure functions over ``bytes`` — no sockets — and a batch
 frame decodes to columns (digests, lengths) in one header parse plus one
@@ -45,7 +46,6 @@ __all__ = [
     "RemoteError",
     "encode_frame",
     "FrameConnection",
-    "MODE_QUERY",
     "MODE_DECIDE",
 ]
 
@@ -138,11 +138,11 @@ class Err(IntEnum):
 PURPOSE_BACKUP = 0
 PURPOSE_RESTORE = 1
 
-#: DIGEST_BATCH modes: QUERY is a read-only membership probe against
-#: the shared payload store (the remote twin of ``has_chunk``); DECIDE
-#: runs the tenant's dedup decision for the open snapshot and *inserts*
-#: into the tenant index, exactly like ``lookup_or_insert_batch``.
-MODE_QUERY = 0
+#: The one DIGEST_BATCH mode: DECIDE runs the tenant's dedup decision for
+#: the open snapshot and *inserts* into the tenant index, exactly like
+#: ``lookup_or_insert_batch``.  The header keeps its mode byte, and a
+#: decoder refuses any other value: there is no read-only probe of the
+#: shared store, which would tell a tenant what other tenants hold.
 MODE_DECIDE = 1
 
 
@@ -514,7 +514,7 @@ _FLAG = np.dtype("u1")  # one DIGEST_REPLY record
 
 @functools.lru_cache(maxsize=None)
 def _record(size: int, lengths: bool) -> np.dtype:
-    """A ``size``-byte digest, then (DECIDE mode) a big-endian u32."""
+    """A ``size``-byte digest, then (DIGEST_BATCH) a big-endian u32."""
     fields = [("digest", f"V{size}")]
     if lengths:
         fields.append(("length", ">u4"))
@@ -538,14 +538,10 @@ def _check_digests(digests: Sequence[bytes]) -> int:
     return size
 
 
-def encode_digest_batch(
-    digests: Sequence[bytes], lengths: Sequence[int] | None = None
-) -> bytes:
-    """QUERY mode without ``lengths``; DECIDE mode with per-digest chunk
-    lengths (the tenant index accounts dedup'd bytes from them)."""
+def encode_digest_batch(digests: Sequence[bytes], lengths: Sequence[int]) -> bytes:
+    """Digests with their chunk lengths (the tenant index accounts
+    dedup'd bytes from them)."""
     size = _check_digests(digests)
-    if lengths is None:
-        return _DIGEST_HEAD.pack(MODE_QUERY, size, len(digests)) + b"".join(digests)
     if len(lengths) != len(digests):
         raise ProtocolError("lengths/digests count mismatch")
     rows = np.empty(len(digests), _record(size, True))
@@ -554,18 +550,15 @@ def encode_digest_batch(
     return _DIGEST_HEAD.pack(MODE_DECIDE, size, len(digests)) + rows.tobytes()
 
 
-def decode_digest_batch(payload: bytes) -> tuple[int, list[bytes], list[int] | None]:
-    """``(mode, digests, lengths)`` as columns; ``lengths`` is ``None``
-    in QUERY mode."""
+def decode_digest_batch(payload: bytes) -> tuple[list[bytes], list[int]]:
+    """``(digests, lengths)`` as columns."""
     (mode, size, count), offset = _unpack(payload, _DIGEST_HEAD)
-    if mode not in (MODE_QUERY, MODE_DECIDE):
+    if mode != MODE_DECIDE:
         raise ProtocolError(f"unknown digest-batch mode {mode}")
     if size < 1:
         raise ProtocolError("zero digest size")
-    decide = mode == MODE_DECIDE
-    rows = _records(payload, offset, count, _record(size, decide))
-    lengths = rows["length"].tolist() if decide else None
-    return mode, rows["digest"].tolist(), lengths
+    rows = _records(payload, offset, count, _record(size, True))
+    return rows["digest"].tolist(), rows["length"].tolist()
 
 
 def encode_digest_reply(flags: Sequence[bool]) -> bytes:

@@ -940,26 +940,15 @@ class _Session:
     # -- frame handlers ------------------------------------------------
 
     async def _dispatch(self, msg: Msg, payload: bytes) -> None:
-        try:
-            handler = {
-                Msg.BEGIN_SNAPSHOT: self._on_begin,
-                Msg.RESUME: self._on_resume,
-                Msg.DIGEST_BATCH: self._on_digest_batch,
-                Msg.CHUNK_BATCH: self._on_chunk_batch,
-                Msg.POINTER_BATCH: self._on_pointer_batch,
-                Msg.FINISH: self._on_finish,
-                Msg.RESTORE: self._on_restore,
-                Msg.LIST_SNAPSHOTS: self._on_list,
-            }[msg]
-        except KeyError:
+        handler = self._HANDLERS.get(msg)
+        if handler is None:
             raise SessionError(
                 Err.BAD_FRAME, f"unexpected {msg.name} frame", fatal=True
-            ) from None
+            )
         service = self.service
         if (
             msg is Msg.DIGEST_BATCH
             and service.brownout_active
-            and payload[:1] == bytes([wire.MODE_DECIDE])
             and self.open_scoped is not None
         ):
             group = self._drain_decide_group(payload)
@@ -970,7 +959,7 @@ class _Session:
         op = self._LATENCY_OPS.get(msg)
         start = time.monotonic()
         try:
-            await handler(payload)
+            await handler(self, payload)
         except ConnectionError:
             raise
         except OSError as exc:
@@ -1008,11 +997,7 @@ class _Session:
                 item = self.queue.get_nowait()
             except asyncio.QueueEmpty:
                 return group
-            if (
-                isinstance(item, tuple)
-                and item[0] is Msg.DIGEST_BATCH
-                and item[1][:1] == bytes([wire.MODE_DECIDE])
-            ):
+            if isinstance(item, tuple) and item[0] is Msg.DIGEST_BATCH:
                 group.append(item[1])
             else:
                 self._pending = item
@@ -1111,15 +1096,9 @@ class _Session:
         return probe.pointers(digests, self.service.store.has_chunks)
 
     async def _on_digest_batch(self, payload: bytes) -> None:
-        mode, digests, lengths = wire.decode_digest_batch(payload)
-        if mode == wire.MODE_QUERY:
-            # Read-only membership against the *shared* payload store:
-            # the remote has_chunk — it reveals only chunks the caller
-            # could fetch anyway (its own restores go through it too).
-            flags = self.service.store.has_chunks(digests)
-        else:
-            self._require_open()
-            flags = self._decide_flags(digests, lengths)
+        digests, lengths = wire.decode_digest_batch(payload)
+        self._require_open()
+        flags = self._decide_flags(digests, lengths)
         await self.service._send_frame(
             self.conn, Msg.DIGEST_REPLY, wire.encode_digest_reply(flags)
         )
@@ -1135,9 +1114,7 @@ class _Session:
         all_digests: list[bytes] = []
         all_lengths: list[int] = []
         for payload in payloads:
-            mode, digests, lengths = wire.decode_digest_batch(payload)
-            if mode != wire.MODE_DECIDE:  # pragma: no cover — pre-filtered
-                raise SessionError(Err.BAD_FRAME, "mixed modes in group")
+            digests, lengths = wire.decode_digest_batch(payload)
             all_digests += digests
             all_lengths += lengths
             bounds.append(len(all_digests))
@@ -1153,7 +1130,8 @@ class _Session:
         scoped = self._require_open()
         # Views of the landed payload: the store's put makes the one copy.
         items = wire.decode_chunk_batch(memoryview(payload))
-        received = sum(len(data) for _, data in items)
+        lengths = [len(data) for _, data in items]
+        received = sum(lengths)
         quota = self.service.quota
         deny = quota.deny_reason(self.namespace.usage, received, len(items))
         if deny is not None:
@@ -1170,13 +1148,19 @@ class _Session:
             # flight (or the peer lies about content): fail loudly and
             # drop the connection — nothing of this batch was stored.
             raise SessionError(Err.DIGEST_MISMATCH, str(exc), fatal=True) from None
+        # The verified digests become this tenant's, decided or not, so
+        # a later pointer to them passes ``_on_pointer_batch``'s check.
+        counters = self.namespace.counters
+        self.namespace.index.insert_batch(
+            [digest for digest, _ in items],
+            accumulate(lengths, initial=counters.bytes_received),
+        )
         self.applied_frames += 1
         # Durable usage accounting, charged exactly once per *applied*
         # frame: the resume protocol's applied-frames high-water mark
         # means a re-shipped frame a parked session replays was never
         # applied (and so never charged) the first time.
         self.namespace.usage.charge(received, len(items))
-        counters = self.namespace.counters
         counters.chunks_received += len(items)
         counters.bytes_received += received
         await self.service._send_frame(
@@ -1187,6 +1171,17 @@ class _Session:
         scoped = self._require_open()
         digests = wire.decode_pointer_batch(payload)
         try:
+            # A pointer names a chunk this tenant decided or shipped.  Any
+            # other digest is refused in the agent's words for a chunk the
+            # store lacks, so knowing a digest never reads another
+            # tenant's chunk.
+            owned = self.namespace.index.backend.contains_batch(digests)
+            if not all(owned):
+                unowned = digests[owned.index(False)]
+                raise KeyError(
+                    f"pointer to unknown chunk {unowned.hex()[:16]} in "
+                    f"snapshot {scoped!r}"
+                )
             self.service.agent.receive_pointers(scoped, digests)
         except KeyError as exc:
             raise SessionError(
@@ -1267,3 +1262,16 @@ class _Session:
         await self.service._send_frame(
             self.conn, Msg.SNAPSHOT_LIST, wire.encode_snapshot_list(mine)
         )
+
+    #: Frame type -> handler, built once: a table per frame cost more
+    #: than the tenant's pointer-ownership check.
+    _HANDLERS = {
+        Msg.BEGIN_SNAPSHOT: _on_begin,
+        Msg.RESUME: _on_resume,
+        Msg.DIGEST_BATCH: _on_digest_batch,
+        Msg.CHUNK_BATCH: _on_chunk_batch,
+        Msg.POINTER_BATCH: _on_pointer_batch,
+        Msg.FINISH: _on_finish,
+        Msg.RESTORE: _on_restore,
+        Msg.LIST_SNAPSHOTS: _on_list,
+    }

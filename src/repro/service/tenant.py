@@ -11,6 +11,12 @@ Multi-tenancy splits the backup state along the privacy boundary:
   store insert is then a no-op), which deliberately closes the classic
   cross-tenant dedup side channel: wire behavior never reveals whether
   another tenant owns a chunk.
+* **A pointer needs ownership** — a POINTER_BATCH may name only digests
+  in the session tenant's index: ones it decided, or shipped and the
+  site verified (a CHUNK_BATCH records its digests there, counters
+  untouched).  Any other pointer is refused with the same fatal
+  UNKNOWN_CHUNK as a chunk the store lacks, so knowing a digest never
+  lets a tenant restore another tenant's chunk.
 * **Recipes are tenant-scoped** — snapshots live in the shared recipe
   store under ``tenant/snapshot`` scoped ids, and the service layer
   only ever resolves ids inside the caller's namespace, so restores,

@@ -111,8 +111,7 @@ class TestAgentProtocol:
     def test_roundtrip(self):
         agent = ShredderAgent()
         agent.begin_snapshot("s1")
-        agent.receive_chunk("s1", b"hello ")
-        agent.receive_chunk("s1", b"world")
+        agent.receive_chunks("s1", [(None, b"hello "), (None, b"world")])
         log = agent.finish_snapshot("s1")
         assert log.chunks_received == 2 and log.pointers_received == 0
         assert agent.restore("s1") == b"hello world"
@@ -120,10 +119,10 @@ class TestAgentProtocol:
     def test_pointers_reference_existing(self):
         agent = ShredderAgent()
         agent.begin_snapshot("s1")
-        agent.receive_chunk("s1", b"shared")
+        agent.receive_chunks("s1", [(None, b"shared")])
         agent.finish_snapshot("s1")
         agent.begin_snapshot("s2")
-        agent.receive_pointer("s2", chunk_hash(b"shared"))
+        agent.receive_pointers("s2", [chunk_hash(b"shared")])
         log = agent.finish_snapshot("s2")
         assert log.pointers_received == 1 and log.bytes_received == 0
         assert agent.restore("s2") == b"shared"
@@ -132,12 +131,12 @@ class TestAgentProtocol:
         agent = ShredderAgent()
         agent.begin_snapshot("s1")
         with pytest.raises(KeyError):
-            agent.receive_pointer("s1", chunk_hash(b"never sent"))
+            agent.receive_pointers("s1", [chunk_hash(b"never sent")])
 
     def test_unopened_snapshot_rejected(self):
         agent = ShredderAgent()
         with pytest.raises(ValueError):
-            agent.receive_chunk("nope", b"x")
+            agent.receive_chunks("nope", [(None, b"x")])
 
     def test_double_open_rejected(self):
         agent = ShredderAgent()

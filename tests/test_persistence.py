@@ -168,14 +168,6 @@ class TestClusterRestartRoundTrip:
             assert server.storage_kind == "memory"
             assert server.index.backend.kind == "memory"
 
-    def test_explicit_agent_with_backend_request_rejected(self):
-        from repro.backup import ShredderAgent
-
-        with pytest.raises(ValueError, match="explicit agent"):
-            BackupServer(
-                BackupConfig(backend="disk"), agent=ShredderAgent()
-            )
-
 
 class TestClusterDirectRestart:
     def test_cluster_object_round_trip_with_gc(self, tmp_path):

@@ -18,7 +18,6 @@ from repro.service import (
     NO_RETRY,
     AsyncBackupClient,
     BackupService,
-    RemoteAgent,
     RetryPolicy,
     ServiceConfig,
 )
@@ -104,20 +103,18 @@ class TestCodec:
         payload = wire.encode_snapshot_id("snap/with unicode ✓")
         assert wire.decode_snapshot_id(payload) == "snap/with unicode ✓"
 
-    def test_digest_batch_query_mode(self):
-        digests = [bytes([i]) * 32 for i in range(5)]
-        mode, got, lengths = wire.decode_digest_batch(
-            wire.encode_digest_batch(digests)
-        )
-        assert mode == wire.MODE_QUERY and got == digests and lengths is None
-
     def test_digest_batch_decide_mode(self):
         digests = [bytes([i]) * 32 for i in range(5)]
         sizes = [100, 200, 300, 400, 500]
-        mode, got, lengths = wire.decode_digest_batch(
-            wire.encode_digest_batch(digests, sizes)
-        )
-        assert mode == wire.MODE_DECIDE and got == digests and lengths == sizes
+        payload = wire.encode_digest_batch(digests, sizes)
+        assert payload[0] == wire.MODE_DECIDE
+        assert wire.decode_digest_batch(payload) == (digests, sizes)
+
+    def test_digest_batch_other_mode_rejected(self):
+        payload = wire.encode_digest_batch([bytes(32)], [1])
+        for mode in (0, 2, 255):
+            with pytest.raises(ProtocolError, match="mode"):
+                wire.decode_digest_batch(bytes([mode]) + payload[1:])
 
     def test_digest_reply_round_trip(self):
         flags = [True, False, True, True, False]
@@ -170,11 +167,11 @@ class TestCodec:
 
     def test_mixed_digest_sizes_rejected(self):
         with pytest.raises(ProtocolError):
-            wire.encode_digest_batch([b"\x00" * 32, b"\x00" * 16])
+            wire.encode_digest_batch([b"\x00" * 32, b"\x00" * 16], [1, 1])
 
     def test_empty_digest_batch_rejected(self):
         with pytest.raises(ProtocolError):
-            wire.encode_digest_batch([])
+            wire.encode_digest_batch([], [])
 
 
 # ----------------------------------------------------------------------
@@ -269,12 +266,6 @@ def _columns(digests, values):
 
 #: codec -> (strategy of valid inputs, encode, decode, decoded form).
 BATCH_CODECS = {
-    "digest_query": (
-        _digest_lists(),
-        wire.encode_digest_batch,
-        wire.decode_digest_batch,
-        lambda ds: (wire.MODE_QUERY, ds, None),
-    ),
     "digest_decide": (
         _digest_lists().flatmap(
             lambda ds: st.tuples(
@@ -283,7 +274,7 @@ BATCH_CODECS = {
         ),
         lambda x: wire.encode_digest_batch(*x),
         wire.decode_digest_batch,
-        lambda x: (wire.MODE_DECIDE, *x),
+        lambda x: x,
     ),
     "pointer": (
         _digest_lists(),
@@ -330,7 +321,6 @@ def test_batch_codecs_are_strict(codec, data):
 
 #: Each batch encoder that carries digests, fed a digest column.
 DIGEST_ENCODERS = {
-    "digest_query": wire.encode_digest_batch,
     "digest_decide": lambda ds: wire.encode_digest_batch(ds, [1] * len(ds)),
     "pointer": wire.encode_pointer_batch,
     "chunk": lambda ds: wire.encode_chunk_batch([(d, b"x") for d in ds]),
@@ -878,6 +868,17 @@ class TestFatalSessionErrors:
         assert code is Err.BAD_FRAME and hung_up
         assert metrics.sessions_active == 0
 
+    def test_digest_batch_in_any_other_mode_is_bad_frame(self):
+        """Mode 0 was a read-only probe of the shared store; it is gone,
+        and a peer that still sends it loses the session."""
+        payload = wire.encode_digest_batch([chunk_hash(b"x")], [1])
+        frame = wire.encode_frame(Msg.DIGEST_BATCH, bytes([0]) + payload[1:])
+        code, hung_up, metrics = run_service(
+            lambda service: answer_then_hang_up(service, frame, retry=RESUMABLE)
+        )
+        assert code is Err.BAD_FRAME and hung_up
+        assert metrics.sessions_active == 0
+
     def test_tokenless_begin_is_bad_frame(self):
         frame = wire.encode_frame(Msg.BEGIN_SNAPSHOT, wire.encode_snapshot_id("s"))
         code, hung_up, metrics = run_service(
@@ -963,13 +964,88 @@ class TestHttpSurface:
 
 
 # ----------------------------------------------------------------------
-# synchronous drop-in agent
+# pointer ownership
+# ----------------------------------------------------------------------
+
+
+class TestPointerOwnership:
+    def test_pointer_to_another_tenants_chunk_is_refused(self):
+        """Knowing a digest is not owning it: a tenant that points to
+        another tenant's chunk gets the refusal a never-stored chunk
+        gets, and never the bytes."""
+        secret = seeded_bytes(5000, seed=34)
+        digest = chunk_hash(secret)
+
+        async def refusal(service, tenant, target):
+            client = await connect(service, tenant)
+            await client.begin_snapshot("steal")
+            with pytest.raises(RemoteError) as err:
+                await client.ship_pointers([target])
+            await client.close()
+            return err.value
+
+        async def scenario(service):
+            victim = await connect(service, "victim")
+            await victim.begin_snapshot("mine")
+            assert await victim.decide_chunks([digest], [len(secret)]) == [False]
+            await victim.ship_chunks([(digest, secret)])
+            await victim.finish_snapshot("mine")
+            await victim.close()
+            stolen = await refusal(service, "attacker", digest)
+            unknown = await refusal(service, "bystander", chunk_hash(b"never"))
+            attacker = await connect(service, "attacker")
+            listing = await attacker.list_snapshots()
+            with pytest.raises(RemoteError) as restore_err:
+                await attacker.restore("steal")
+            await attacker.close()
+            return stolen, unknown, listing, restore_err.value.code
+
+        stolen, unknown, listing, restore_code = run_service(scenario)
+        assert stolen.code is unknown.code is Err.UNKNOWN_CHUNK
+        assert stolen.remote_message.replace(digest.hex()[:16], "<digest>").replace(
+            "attacker", "<tenant>"
+        ) == unknown.remote_message.replace(
+            chunk_hash(b"never").hex()[:16], "<digest>"
+        ).replace("bystander", "<tenant>")
+        assert listing == [] and restore_code is Err.UNKNOWN_SNAPSHOT
+
+    def test_shipped_chunk_is_owned_across_a_restart(self, tmp_path):
+        """A chunk shipped without a decide is the tenant's: pointing to
+        it later is accepted, even from a restarted service."""
+        payload = seeded_bytes(6000, seed=35)
+        digest = chunk_hash(payload)
+        data_dir = str(tmp_path / "svc")
+
+        async def ship(service):
+            client = await connect(service, "acme")
+            await client.begin_snapshot("s1")
+            await client.ship_chunks([(digest, payload)])
+            await client.finish_snapshot("s1")
+            await client.close()
+            return service.registry.get("acme").index.stats.total_chunks
+
+        async def point(service):
+            client = await connect(service, "acme")
+            await client.begin_snapshot("s2")
+            await client.ship_pointers([digest, digest])
+            await client.finish_snapshot("s2")
+            restored = await client.restore("s2")
+            await client.close()
+            return restored
+
+        # Recorded without a decide, so the dedup counters never moved.
+        assert run_service(ship, backend="disk", data_dir=data_dir) == 0
+        assert run_service(point, backend="disk", data_dir=data_dir) == payload * 2
+
+
+# ----------------------------------------------------------------------
+# the CLI's remote backup
 # ----------------------------------------------------------------------
 
 
 @pytest.fixture()
 def live_service():
-    """A real service on a background loop, for synchronous clients."""
+    """A real service on a background loop, for the CLI's own loop."""
     import threading
 
     loop = asyncio.new_event_loop()
@@ -991,34 +1067,46 @@ def live_service():
         loop.close()
 
 
-class TestRemoteAgent:
-    def test_agent_surface(self, live_service):
-        payload = b"q" * 20_000
-        with RemoteAgent("127.0.0.1", live_service.port, tenant="acme") as agent:
-            agent.begin_snapshot("s")
-            agent.receive_chunk("s", payload)
-            agent.receive_pointer("s", chunk_hash(payload))
-            log = agent.finish_snapshot("s")
-            assert (log.chunks_received, log.pointers_received) == (1, 1)
-            assert log.bytes_received == len(payload)
-            assert agent.restore("s") == payload * 2
-            assert agent.store.has_chunk(chunk_hash(payload))
-            assert not agent.store.has_chunk(chunk_hash(b"absent"))
-            assert agent.list_snapshots() == ["s"]
+class TestRemoteCli:
+    def remote_backup(self, service, path, *extra):
+        from repro.cli import main
 
-    def test_digest_verification_over_the_wire(self, live_service):
-        with RemoteAgent("127.0.0.1", live_service.port) as agent:
-            agent.begin_snapshot("s")
-            agent.receive_chunk("s", b"data", digest=chunk_hash(b"other"))
-            with pytest.raises(RemoteError, match="does not match"):
-                agent.finish_snapshot("s")  # flush ships the bad batch
+        return main(
+            ["backup", str(path), "--remote", f"127.0.0.1:{service.port}", *extra]
+        )
 
-    def test_drives_in_process_backup_server(self, live_service, snapshots):
-        """RemoteAgent is a drop-in where ShredderAgent is used today:
-        an unmodified BackupServer backs up through it over the wire."""
-        agent = RemoteAgent("127.0.0.1", live_service.port, tenant="acme")
-        with BackupServer(BackupConfig(), agent=agent) as server:
-            report = server.backup_snapshot(snapshots[0], "via-wire")
-            assert report.transfer.total_items == report.n_chunks
-            assert agent.restore("via-wire") == snapshots[0]
-        agent.close()
+    def test_backs_up_and_verifies(self, live_service, tmp_path, capsys):
+        path = tmp_path / "in.bin"
+        path.write_bytes(seeded_bytes(200_000, seed=36))
+        assert self.remote_backup(live_service, path, "--tenant", "ci") == 0
+        assert self.remote_backup(live_service, path, "--tenant", "ci") == 0
+        assert self.remote_backup(live_service, path, "--tenant", "other") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "stored as" in line] == [
+            f"remote service 127.0.0.1:{live_service.port} (tenant 'ci'), "
+            "stored as snapshot 'cli'",
+            f"remote service 127.0.0.1:{live_service.port} (tenant 'ci'), "
+            "stored as snapshot 'cli-2'",
+            f"remote service 127.0.0.1:{live_service.port} (tenant 'other'), "
+            "stored as snapshot 'cli'",
+        ]
+        dedup = [line for line in out if "duplicate chunks" in line]
+        # The decide is tenant-scoped: a second tenant dedups nothing.
+        assert "(100.0% duplicate chunks)" in dedup[1]
+        assert "(0.0% duplicate chunks)" in dedup[2]
+        assert out.count("  restore verified byte-exact") == 3
+
+    def test_wrong_restore_bytes_exit_nonzero(
+        self, live_service, tmp_path, capsys, monkeypatch
+    ):
+        async def corrupt_restore(client, snapshot_id):
+            return b"not what was backed up"
+
+        monkeypatch.setattr(AsyncBackupClient, "restore", corrupt_restore)
+        path = tmp_path / "in.bin"
+        path.write_bytes(seeded_bytes(50_000, seed=37))
+        with pytest.raises(SystemExit) as exit_:
+            self.remote_backup(live_service, path)
+        assert exit_.value.code not in (0, None)
+        assert "does not match" in str(exit_.value.code)
+        assert "restore verified byte-exact" not in capsys.readouterr().out

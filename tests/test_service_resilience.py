@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.core.hashing import chunk_hash
 from repro.service import (
     NO_RETRY,
     AsyncBackupClient,
@@ -128,6 +129,90 @@ class TestWireFaultRecovery:
         assert client.reconnects == 0 and client.resumes == 0
         # No token went out, so the cut snapshot aborted instead of parking.
         assert metrics.sessions_parked == 0 and metrics.sessions_resumed == 0
+
+
+async def ship_by_hand(client, snapshot_id: str, data: bytes, batch: int = 8) -> tuple[int, int]:
+    """One snapshot through ``decide_chunks`` / ``ship_chunks`` /
+    ``ship_pointers`` called directly, in 4 KiB chunks: the payload
+    bytes and chunks shipped."""
+    chunks = [data[i : i + 4096] for i in range(0, len(data), 4096)]
+    shipped = shipped_chunks = 0
+    await client.begin_snapshot(snapshot_id)
+    for lo in range(0, len(chunks), batch):
+        part = chunks[lo : lo + batch]
+        digests = [chunk_hash(c) for c in part]
+        flags = await client.decide_chunks(digests, [len(c) for c in part])
+        i = 0
+        while i < len(part):
+            j = i
+            while j < len(part) and flags[j] == flags[i]:
+                j += 1
+            if flags[i]:
+                await client.ship_pointers(digests[i:j])
+            else:
+                await client.ship_chunks(list(zip(digests[i:j], part[i:j])))
+                shipped += sum(map(len, part[i:j]))
+                shipped_chunks += j - i
+            i = j
+    await client.finish_snapshot(snapshot_id)
+    return shipped, shipped_chunks
+
+
+class TestEveryVerbRecovers:
+    """Recovery is not ``backup()``'s alone: the batched verbs, restore
+    and list recover on their own under the client's RetryPolicy."""
+
+    def test_batched_verbs_survive_drops_and_charge_once(self):
+        data = chaos_payload(512 * 1024, seed=21)
+
+        async def scenario(service):
+            client = await connect(service)
+            shipped = await ship_by_hand(client, "by-hand", data)
+            restored = await client.restore("by-hand")
+            listing = await client.list_snapshots()
+            await client.close()
+            usage = service.registry.get("default").usage
+            return client, shipped, restored, listing, usage.as_dict()
+
+        client, (shipped, chunks), restored, listing, usage = run_service(
+            scenario, faults="seed=6,wire.drop=0.05", resume_grace_s=10.0
+        )
+        assert restored == data and listing == ["by-hand"]
+        assert client.reconnects > 0 and client.resumes > 0
+        # Exactly once: the replayed frames were never charged twice.
+        assert usage == {"stored_bytes": shipped, "chunks": chunks}
+        assert 0 < shipped < len(data)  # the repeats went as pointers
+
+    def test_batched_verbs_under_no_retry_fail_on_first_drop(self):
+        data = chaos_payload(512 * 1024, seed=21)
+
+        async def scenario(service):
+            client = await connect(service, retry=NO_RETRY)
+            with pytest.raises((RemoteError, OSError, EOFError)):
+                await ship_by_hand(client, "fragile", data)
+            await client.close()
+            return client, service.metrics
+
+        client, metrics = run_service(
+            scenario, faults="seed=6,wire.drop=0.05", resume_grace_s=10.0
+        )
+        assert metrics.connections_total == 1 and client.reconnects == 0
+
+    @pytest.mark.parametrize("seed", [6, 10, 11, 12])
+    def test_restore_survives_drops(self, seed):
+        """Seeds whose plan drops the RESTORE (or a frame after the
+        backup) once the backup is done."""
+        data = random.Random(seed).randbytes(300_000)
+
+        async def scenario(service):
+            client = await connect(service, retry=RetryPolicy(base_delay_s=0.001))
+            await client.backup(data, "snap")
+            restored = await client.restore("snap")
+            await client.close()
+            return restored
+
+        restored = run_service(scenario, faults=f"seed={seed},wire.drop=0.1")
+        assert restored == data
 
 
 # ----------------------------------------------------------------------

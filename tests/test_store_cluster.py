@@ -578,16 +578,6 @@ class TestClusterBackupServer:
         with pytest.raises(ValueError):
             BackupConfig(store_backend="tape")
 
-    def test_explicit_agent_with_cluster_rejected(self):
-        """An externally supplied agent carries its own store; pairing
-        it with the cluster would silently disable dedup."""
-        from repro.backup import ShredderAgent
-
-        with pytest.raises(ValueError, match="agent"):
-            BackupServer(
-                BackupConfig(store_backend="cluster"), agent=ShredderAgent()
-            )
-
     def test_replication_exceeding_nodes_rejected(self):
         with pytest.raises(ValueError):
             BackupServer(

@@ -165,7 +165,7 @@ class DedupIndex:
         self,
         digests: Sequence[bytes],
         lengths: Sequence[int],
-        offsets: Sequence[int],
+        offsets: Sequence[int] | None,
     ) -> BatchProbe:
         """Batched lookup-or-insert over one batch, given as columns.
 
@@ -176,6 +176,10 @@ class DedupIndex:
         semantics as feeding the chunks one at a time, amortized over one
         probe and one insert per batch.  The counters move in bulk; only
         the misses take a Python loop.
+
+        ``offsets=None`` counts and probes but inserts nothing: a caller
+        that must see the payload before the digest may enter the index
+        records it later with :meth:`insert_batch`.
         """
         t0 = time.perf_counter()
         stats = self.stats
@@ -188,34 +192,37 @@ class DedupIndex:
         stats.total_bytes += sum(lengths)
         repeats: dict[int, int] = {}
         first: dict[bytes, int] = {}
-        new_items: list[tuple[bytes, bytes]] = []
+        firsts: list[int] = []
         for i in compress(count(), map(not_, hits)):
             digest = digests[i]
             j = first.setdefault(digest, i)
             if j != i:
                 repeats[i] = j
                 continue
-            new_items.append((digest, offsets[i].to_bytes(_OFFSET_BYTES, "big")))
+            firsts.append(i)
             stats.unique_bytes += lengths[i]
-        if new_items:
-            stats.unique_chunks += len(new_items)
+        stats.unique_chunks += len(firsts)
+        if firsts and offsets is not None:
             # known_absent: get_batch just proved these misses, and
             # ``first`` made the keys unique — the backend skips the
             # second probe, so a miss costs one index walk, not two.
-            self._backend.put_batch(new_items, known_absent=True)
+            self._backend.put_batch(
+                [
+                    (digests[i], offsets[i].to_bytes(_OFFSET_BYTES, "big"))
+                    for i in firsts
+                ],
+                known_absent=True,
+            )
         _record_lookup(probe_seconds)
         return BatchProbe(hits, repeats)
 
-    def insert_batch(self, digests: Sequence[bytes], offsets: Iterable[int]) -> None:
+    def insert_batch(self, digests: Iterable[bytes], offsets: Iterable[int]) -> None:
         """Insert-if-absent with the counters untouched: ``digests[i]``
-        first seen at ``offsets[i]``, recorded without a decide."""
-        present = self._backend.contains_batch(digests)
-        if not all(present):
-            self._backend.put_batch([
-                (digest, offset.to_bytes(_OFFSET_BYTES, "big"))
-                for digest, offset, known in zip(digests, offsets, present)
-                if not known
-            ])
+        first seen at ``offsets[i]``."""
+        self._backend.put_batch([
+            (digest, offset.to_bytes(_OFFSET_BYTES, "big"))
+            for digest, offset in zip(digests, offsets)
+        ])
 
     def add_all(self, chunks: Iterable["Chunk"]) -> DedupStats:
         """Feed a chunk sequence through the index; returns the stats."""

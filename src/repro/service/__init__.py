@@ -10,7 +10,7 @@ This package turns the in-process :class:`~repro.backup.server
   (HELLO handshake, DIGEST/CHUNK/POINTER batches, FINISH, RESTORE, ERROR);
 * :mod:`repro.service.tenant` — per-tenant namespaces: tenant-scoped
   dedup index and recipes over shared chunk payloads (a tenant may
-  point only to chunks its own index holds);
+  point only to chunks it shipped itself);
 * :mod:`repro.service.server` — the asyncio server with admission
   control and bounded-queue backpressure;
 * :mod:`repro.service.client` — the async client agent, the one remote

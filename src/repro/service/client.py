@@ -12,7 +12,7 @@ counts outstanding acks.
 
 Dedup decisions are **source-side** and tenant-scoped: the client sends
 one DIGEST_BATCH per pipeline batch and only ships payloads the server's
-index for *its tenant* has not seen — duplicate chunks cross the wire as
+index for *its tenant* has not stored — duplicate chunks cross the wire as
 pointer-sized digests, which is the §7 bandwidth story end to end.
 There is one remote backup path, :meth:`AsyncBackupClient.backup`;
 ``repro backup --remote`` drives it, and the batched verbs it is built
@@ -517,15 +517,15 @@ class AsyncBackupClient:
         )
 
     async def decide_chunks(self, digests, lengths) -> list[bool]:
-        """Tenant dedup decision (and index insert) for an open snapshot.
+        """Tenant dedup decision for an open snapshot.
 
         A repeat of an earlier miss in the same batch comes back as a
         pointer whose payload is that earlier chunk, so ship the batch's
         runs in batch order: each run of chunks must reach the server
         before the pointers that follow it, or the server refuses those
         pointers with a fatal UNKNOWN_CHUNK.  Replaying a decide after a
-        reconnect is safe: the server re-ships index entries whose
-        payload never landed, so a lost DIGEST_REPLY cannot lose chunks.
+        reconnect is safe: the tenant index holds only payloads that
+        landed, so a lost DIGEST_REPLY cannot lose chunks.
         """
         payload = wire.encode_digest_batch(list(digests), list(lengths))
         reply = await self._recovering(

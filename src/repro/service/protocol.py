@@ -139,10 +139,10 @@ PURPOSE_BACKUP = 0
 PURPOSE_RESTORE = 1
 
 #: The one DIGEST_BATCH mode: DECIDE runs the tenant's dedup decision for
-#: the open snapshot and *inserts* into the tenant index, exactly like
-#: ``lookup_or_insert_batch``.  The header keeps its mode byte, and a
-#: decoder refuses any other value: there is no read-only probe of the
-#: shared store, which would tell a tenant what other tenants hold.
+#: the open snapshot against the tenant index, which holds only what the
+#: tenant shipped.  The header keeps its mode byte, and a decoder refuses
+#: any other value: the removed query mode probed the shared store, which
+#: told a tenant what other tenants hold.
 MODE_DECIDE = 1
 
 

@@ -940,11 +940,21 @@ class _Session:
     # -- frame handlers ------------------------------------------------
 
     async def _dispatch(self, msg: Msg, payload: bytes) -> None:
-        handler = self._HANDLERS.get(msg)
-        if handler is None:
+        try:
+            handler = {
+                Msg.BEGIN_SNAPSHOT: self._on_begin,
+                Msg.RESUME: self._on_resume,
+                Msg.DIGEST_BATCH: self._on_digest_batch,
+                Msg.CHUNK_BATCH: self._on_chunk_batch,
+                Msg.POINTER_BATCH: self._on_pointer_batch,
+                Msg.FINISH: self._on_finish,
+                Msg.RESTORE: self._on_restore,
+                Msg.LIST_SNAPSHOTS: self._on_list,
+            }[msg]
+        except KeyError:
             raise SessionError(
                 Err.BAD_FRAME, f"unexpected {msg.name} frame", fatal=True
-            )
+            ) from None
         service = self.service
         if (
             msg is Msg.DIGEST_BATCH
@@ -959,7 +969,7 @@ class _Session:
         op = self._LATENCY_OPS.get(msg)
         start = time.monotonic()
         try:
-            await handler(self, payload)
+            await handler(payload)
         except ConnectionError:
             raise
         except OSError as exc:
@@ -1079,20 +1089,19 @@ class _Session:
         )
 
     def _decide_flags(self, digests, lengths, frames=()) -> list[bool]:
-        """Tenant-scoped dedup decision, the in-process single-store shape
-        run straight on the decoded columns.  ``frames`` are the starts of
-        a coalesced group's later frames: a repeat of a miss from an
-        earlier frame is checked against the store like a hit, exactly
-        as when each frame is decided alone."""
-        base = self.namespace.counters.bytes_received
-        offsets = list(accumulate(lengths, initial=base))
+        """Tenant-scoped dedup decision run straight on the decoded
+        columns.  The index takes a digest only when its payload lands
+        (``_on_chunk_batch``), so it holds exactly what this tenant
+        shipped: a hit is a chunk of its own, checked against the store
+        only for GC.  ``frames`` are the starts of a coalesced group's
+        later frames: a repeat of a miss from an earlier frame ships,
+        exactly as when each frame is decided alone."""
         probe = self.namespace.index.lookup_or_insert_batch(
-            digests, lengths, offsets
+            digests, lengths, None
         )
         for i, first in list(probe.repeats.items()):
             if bisect_right(frames, first) != bisect_right(frames, i):
                 del probe.repeats[i]
-                probe.hits[i] = True
         return probe.pointers(digests, self.service.store.has_chunks)
 
     async def _on_digest_batch(self, payload: bytes) -> None:
@@ -1148,8 +1157,9 @@ class _Session:
             # flight (or the peer lies about content): fail loudly and
             # drop the connection — nothing of this batch was stored.
             raise SessionError(Err.DIGEST_MISMATCH, str(exc), fatal=True) from None
-        # The verified digests become this tenant's, decided or not, so
-        # a later pointer to them passes ``_on_pointer_batch``'s check.
+        # The verified digests enter this tenant's index, decided or not:
+        # the only way in, so a pointer or a decide hit is always to a
+        # chunk this tenant shipped.
         counters = self.namespace.counters
         self.namespace.index.insert_batch(
             [digest for digest, _ in items],
@@ -1171,10 +1181,10 @@ class _Session:
         scoped = self._require_open()
         digests = wire.decode_pointer_batch(payload)
         try:
-            # A pointer names a chunk this tenant decided or shipped.  Any
-            # other digest is refused in the agent's words for a chunk the
-            # store lacks, so knowing a digest never reads another
-            # tenant's chunk.
+            # A pointer names a chunk this tenant shipped.  Any other
+            # digest is refused in the agent's words for a chunk the store
+            # lacks, so knowing a digest never reads another tenant's
+            # chunk.
             owned = self.namespace.index.backend.contains_batch(digests)
             if not all(owned):
                 unowned = digests[owned.index(False)]
@@ -1262,16 +1272,3 @@ class _Session:
         await self.service._send_frame(
             self.conn, Msg.SNAPSHOT_LIST, wire.encode_snapshot_list(mine)
         )
-
-    #: Frame type -> handler, built once: a table per frame cost more
-    #: than the tenant's pointer-ownership check.
-    _HANDLERS = {
-        Msg.BEGIN_SNAPSHOT: _on_begin,
-        Msg.RESUME: _on_resume,
-        Msg.DIGEST_BATCH: _on_digest_batch,
-        Msg.CHUNK_BATCH: _on_chunk_batch,
-        Msg.POINTER_BATCH: _on_pointer_batch,
-        Msg.FINISH: _on_finish,
-        Msg.RESTORE: _on_restore,
-        Msg.LIST_SNAPSHOTS: _on_list,
-    }

@@ -6,17 +6,19 @@ Multi-tenancy splits the backup state along the privacy boundary:
   across tenants by construction (the same digest is stored once no
   matter who ships it), which is the §2 storage win.
 * **The dedup index is tenant-scoped** — each tenant's ship-or-point
-  decisions consult only digests *that tenant* has stored.  A tenant
-  therefore re-ships a payload some other tenant already holds (the
-  store insert is then a no-op), which deliberately closes the classic
-  cross-tenant dedup side channel: wire behavior never reveals whether
-  another tenant owns a chunk.
+  decisions consult only digests *that tenant* has shipped.  A digest
+  enters the index only when its payload lands and the site verifies it
+  (CHUNK_BATCH, counters untouched); a decide counts and probes but
+  inserts nothing.  A tenant therefore re-ships a payload some other
+  tenant already holds (the store insert is then a no-op), and deciding
+  a digest it never shipped answers "ship" however often it asks —
+  the classic cross-tenant dedup side channel is closed: the decide
+  never reveals whether another tenant owns a chunk.
 * **A pointer needs ownership** — a POINTER_BATCH may name only digests
-  in the session tenant's index: ones it decided, or shipped and the
-  site verified (a CHUNK_BATCH records its digests there, counters
-  untouched).  Any other pointer is refused with the same fatal
-  UNKNOWN_CHUNK as a chunk the store lacks, so knowing a digest never
-  lets a tenant restore another tenant's chunk.
+  in the session tenant's index, i.e. chunks it shipped.  Any other
+  pointer is refused with the same fatal UNKNOWN_CHUNK as a chunk the
+  store lacks, so knowing a digest never lets a tenant restore another
+  tenant's chunk.
 * **Recipes are tenant-scoped** — snapshots live in the shared recipe
   store under ``tenant/snapshot`` scoped ids, and the service layer
   only ever resolves ids inside the caller's namespace, so restores,

@@ -715,8 +715,8 @@ class TestBrownout:
 
     def test_coalesced_group_decides_like_frames_one_by_one(self):
         """A repeat inside one frame is a pointer; a repeat of a miss
-        from an earlier frame of the group is checked against the store
-        — as when each frame is decided alone, so it ships here."""
+        from an earlier frame of the group ships, as when each frame is
+        decided alone."""
         x, y, z = (bytes([i]) * 32 for i in range(3))
         frames = [[x, y, x], [x, z, z]]
         payloads = [wire.encode_digest_batch(f, [100] * len(f)) for f in frames]

@@ -1009,6 +1009,66 @@ class TestPointerOwnership:
         ).replace("bystander", "<tenant>")
         assert listing == [] and restore_code is Err.UNKNOWN_SNAPSHOT
 
+    def test_decide_then_point_without_shipping_is_refused(self):
+        """A decide does not make a digest the tenant's: only a shipped
+        payload does, so decide-then-point with no CHUNK_BATCH between
+        is refused and never restores the victim's bytes."""
+        secret = seeded_bytes(5000, seed=36)
+        digest = chunk_hash(secret)
+
+        async def scenario(service):
+            victim = await connect(service, "victim")
+            await victim.begin_snapshot("mine")
+            await victim.decide_chunks([digest], [len(secret)])
+            await victim.ship_chunks([(digest, secret)])
+            await victim.finish_snapshot("mine")
+            await victim.close()
+            attacker = await connect(service, "attacker")
+            await attacker.begin_snapshot("steal")
+            decided = await attacker.decide_chunks([digest], [len(secret)])
+            with pytest.raises(RemoteError) as err:
+                await attacker.ship_pointers([digest])
+            await attacker.close()
+            attacker = await connect(service, "attacker")
+            listing = await attacker.list_snapshots()
+            with pytest.raises(RemoteError) as restore_err:
+                await attacker.restore("steal")
+            await attacker.close()
+            return decided, err.value.code, listing, restore_err.value.code
+
+        decided, code, listing, restore_code = run_service(scenario)
+        assert decided == [False]
+        assert code is Err.UNKNOWN_CHUNK
+        assert listing == [] and restore_code is Err.UNKNOWN_SNAPSHOT
+
+    def test_decide_never_reveals_another_tenants_chunk(self):
+        """Deciding a digest the tenant never shipped answers "ship"
+        every time, whether another tenant holds it or nobody does; once
+        the tenant ships it, the next decide points."""
+        held = seeded_bytes(5000, seed=37)
+        nobodys = seeded_bytes(5000, seed=38)
+        digests = [chunk_hash(held), chunk_hash(nobodys)]
+        lengths = [5000, 5000]
+
+        async def scenario(service):
+            owner = await connect(service, "owner")
+            await owner.begin_snapshot("mine")
+            await owner.ship_chunks([(digests[0], held)])
+            await owner.finish_snapshot("mine")
+            await owner.close()
+            prober = await connect(service, "prober")
+            await prober.begin_snapshot("probe")
+            asked = [await prober.decide_chunks(digests, lengths) for _ in range(3)]
+            await prober.ship_chunks([(digests[0], held), (digests[1], nobodys)])
+            shipped = await prober.decide_chunks(digests, lengths)
+            await prober.finish_snapshot("probe")
+            await prober.close()
+            return asked, shipped
+
+        asked, shipped = run_service(scenario)
+        assert asked == [[False, False]] * 3
+        assert shipped == [True, True]
+
     def test_shipped_chunk_is_owned_across_a_restart(self, tmp_path):
         """A chunk shipped without a decide is the tenant's: pointing to
         it later is accepted, even from a restarted service."""

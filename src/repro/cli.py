@@ -773,9 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "never complete HELLO (slowloris defence)")
     p_serve.add_argument("--brownout-lag", type=float, default=None,
                          metavar="SECS",
-                         help="enter brownout (wider decide batches, "
-                         "deferred scrub, window=1) when event-loop lag "
-                         "exceeds this (default: off)")
+                         help="enter brownout (deferred scrub, window=1) "
+                         "when event-loop lag exceeds this (default: off)")
     p_serve.add_argument("--breaker", type=int, default=None, metavar="N",
                          help="open the store-path circuit breaker after N "
                          "consecutive store failures; open = fast "

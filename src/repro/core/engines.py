@@ -129,8 +129,7 @@ def engine_tables(fingerprinter: RabinFingerprinter) -> _EngineTables:
     key = (fingerprinter.polynomial, fingerprinter.window_size)
     tables = _TABLE_CACHE.get(key)
     if tables is None:
-        # Threads that chunk (the service client's feeder) may race to
-        # a cold cache; build once.
+        # Threads that chunk may race to a cold cache; build once.
         with _TABLE_LOCK:
             tables = _TABLE_CACHE.get(key)
             if tables is None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.chunking import Chunk
 from repro.core.hashing import chunk_hash
 from repro.core.shredder import Shredder, ShredderConfig, ShredderReport
 from repro.hdfs.namenode import FileMetadata, NameNode
@@ -63,6 +62,34 @@ class HDFSClient:
         self.namenode.complete_file(path)
         return UploadResult(meta, len(meta.blocks), meta.length)
 
+    def _store_content_blocks(
+        self,
+        path: str,
+        data: bytes,
+        shredder: Shredder | None,
+        record_delimiter: bytes | None,
+    ) -> ShredderReport:
+        """Chunk ``data`` with ``shredder`` (a fresh one when ``None``),
+        snap the cuts forward to ``record_delimiter`` when given, and
+        store each non-empty piece as the next block of ``path``."""
+        own = shredder is None
+        if own:
+            shredder = Shredder(ShredderConfig.gpu_streams_memory())
+        try:
+            chunks, report = shredder.process(data)
+        finally:
+            if own:
+                shredder.close()
+        cuts = [c.end for c in chunks]
+        if record_delimiter is not None:
+            cuts = snap_cuts_to_records(data, cuts, record_delimiter)
+        prev = 0
+        for cut in cuts:
+            if cut > prev:
+                self._store_block(path, data[prev:cut])
+            prev = cut
+        return report
+
     def copy_from_local_gpu(
         self,
         data: bytes,
@@ -76,27 +103,8 @@ class HDFSClient:
         forward to record boundaries (semantic chunking) so no Map record
         is ever split across blocks.
         """
-        own = shredder is None
-        if own:
-            shredder = Shredder(ShredderConfig.gpu_streams_memory())
-        try:
-            chunks, report = shredder.process(data)
-        finally:
-            if own:
-                shredder.close()
         meta = self.namenode.create_file(path, content_based=True)
-        if record_delimiter is not None:
-            cuts = snap_cuts_to_records(data, [c.end for c in chunks], record_delimiter)
-            prev = 0
-            pieces = []
-            for cut in cuts:
-                pieces.append(data[prev:cut])
-                prev = cut
-        else:
-            pieces = [c.data for c in chunks]
-        for piece in pieces:
-            if piece:
-                self._store_block(path, piece)
+        report = self._store_content_blocks(path, data, shredder, record_delimiter)
         self.namenode.complete_file(path)
         return UploadResult(meta, len(meta.blocks), meta.length, report)
 
@@ -120,37 +128,15 @@ class HDFSClient:
             raise ValueError(f"{path} was not uploaded with content-based chunking")
         tail = b""
         if meta.blocks:
-            last = meta.blocks.pop()
-            nodes = [self.namenode.get_datanode(n) for n in last.replicas]
-            live = [n for n in nodes if n.alive]
+            last = meta.blocks[-1]
+            live = self.namenode.replica_nodes(last.block_id)
             if not live:
                 raise RuntimeError(f"tail block of {path} has no live replicas")
             tail = live[0].read_block(last.block_id)
-            for node in live:
-                node.delete_block(last.block_id)
-        own = shredder is None
-        if own:
-            shredder = Shredder(ShredderConfig.gpu_streams_memory())
-        try:
-            chunks, report = shredder.process(tail + data)
-        finally:
-            if own:
-                shredder.close()
-        if record_delimiter is not None:
-            combined = tail + data
-            cuts = snap_cuts_to_records(
-                combined, [c.end for c in chunks], record_delimiter
-            )
-            prev = 0
-            pieces = []
-            for cut in cuts:
-                pieces.append(combined[prev:cut])
-                prev = cut
-        else:
-            pieces = [c.data for c in chunks]
-        for piece in pieces:
-            if piece:
-                self._store_block(path, piece)
+            self.namenode.drop_last_block(path)
+        report = self._store_content_blocks(
+            path, tail + data, shredder, record_delimiter
+        )
         return UploadResult(meta, len(meta.blocks), meta.length, report)
 
     # -- read paths ----------------------------------------------------------

@@ -91,12 +91,19 @@ class NameNode:
     def delete_file(self, path: str) -> None:
         meta = self.get_file(path)
         for block in meta.blocks:
-            for node_id in block.replicas:
-                node = self._datanodes.get(node_id)
-                if node is not None and node.alive:
-                    node.delete_block(block.block_id)
-            self._block_index.pop(block.block_id, None)
+            self._forget_block(block)
         del self._files[path]
+
+    def drop_last_block(self, path: str) -> None:
+        """Delete the last block of ``path`` (an append replaces it)."""
+        self._forget_block(self.get_file(path).blocks.pop())
+
+    def _forget_block(self, block: BlockInfo) -> None:
+        for node_id in block.replicas:
+            node = self._datanodes.get(node_id)
+            if node is not None and node.alive:
+                node.delete_block(block.block_id)
+        self._block_index.pop(block.block_id, None)
 
     def exists(self, path: str) -> bool:
         return path in self._files

@@ -1,12 +1,11 @@
 """Client side of the backup service: the async agent.
 
 :class:`AsyncBackupClient` speaks the batched wire protocol and runs
-the paper's client-side pipeline across the network: a feeder thread
-drives :meth:`~repro.core.shredder.Shredder.pipeline_batches` (the
-scan + hash pipeline), and the event loop overlaps that local
-work with shipping — digests of batch *i+1* go out while the chunk
-payloads of batch *i* are still in flight, bounded by the server's
-advertised ack window.  Replies are strictly in-order per connection
+the paper's client-side pipeline across the network on one thread: the
+scan + hash of :meth:`~repro.core.shredder.Shredder.pipeline_batches`
+runs on the event loop, while up to ``window - 1`` ship frames of
+earlier batches ride ahead of it, unacked (the server's advertised ack
+window bounds them).  Replies are strictly in-order per connection
 (the protocol's contract), so the client never tags requests; it just
 counts outstanding acks.
 
@@ -40,13 +39,10 @@ pieces land straight in their slices of the restore's one output buffer.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import io
 import random
 import secrets
-import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -62,16 +58,6 @@ __all__ = [
     "RemoteBackupReport",
     "RetryPolicy",
 ]
-
-#: Digested batches buffered between the feeder thread and the sender.
-_FEED_DEPTH = 4
-
-#: How long a finished backup waits for its feeder thread to exit
-#: before giving up and leaking it (counted + warned, never silent).
-_FEED_JOIN_DEADLINE = 5.0
-
-#: Feeder threads that outlived the join deadline (process lifetime).
-_abandoned_feeders = 0
 
 #: Error codes worth a reconnect + resume: transient corruption the
 #: wire injected (the batch was rejected atomically, replay fixes it),
@@ -595,39 +581,29 @@ class AsyncBackupClient:
     # -- the pipelined backup ------------------------------------------
 
     async def backup(
-        self,
-        data: bytes,
-        snapshot_id: str,
-        *,
-        shredder: Shredder | None = None,
-        batch_chunks: int | None = None,
+        self, data: bytes, snapshot_id: str, *, batch_chunks: int | None = None
     ) -> RemoteBackupReport:
         """Chunk, hash, deduplicate, and ship one snapshot.
 
-        Local chunk+hash runs on one feeder thread, which drives the
-        serial scan + hash pipeline of :meth:`~repro.core.shredder
-        .Shredder.pipeline_batches`; this coroutine overlaps it with the
-        wire: per batch one DIGEST_BATCH decides source-side, payload
-        misses ship as CHUNK_BATCH and hits as POINTER_BATCH, with up to
-        ``window`` unacked batches in flight while the feeder chunks and
-        hashes the next batch.
+        The scan runs on the event loop: :meth:`~repro.core.shredder
+        .Shredder.pipeline_batches` chunks and hashes each batch (of
+        ``batch_chunks`` chunks, default the pipeline's) when this
+        coroutine asks for it.  Per batch one DIGEST_BATCH decides
+        source-side, then payload misses ship as CHUNK_BATCH and hits as
+        POINTER_BATCH.  Up to ``window - 1`` ship frames ride ahead,
+        unacked, while the next batch is scanned.
         """
-        own_shredder = shredder is None
-        if own_shredder:
-            shredder = Shredder(
-                ShredderConfig.gpu_streams_memory(
-                    chunker=_default_backup_chunker()
-                )
-            )
-        t0 = time.perf_counter()
-        n_chunks = duplicates = shipped = 0
-        reconnects0 = self.reconnects
-        resumes0 = self.resumes
-        replayed0 = self.replayed_frames
-        throttles0 = self.throttles
-        await self.begin_snapshot(snapshot_id)
-        try:
-            async for batch in _feed(shredder, data, batch_chunks):
+        with Shredder(
+            ShredderConfig.gpu_streams_memory(chunker=_default_backup_chunker())
+        ) as shredder:
+            t0 = time.perf_counter()
+            n_chunks = duplicates = shipped = 0
+            reconnects0 = self.reconnects
+            resumes0 = self.resumes
+            replayed0 = self.replayed_frames
+            throttles0 = self.throttles
+            await self.begin_snapshot(snapshot_id)
+            for batch in shredder.pipeline_batches(data, batch_chunks=batch_chunks):
                 n_chunks += len(batch)
                 # The decide takes every ack still owed first, so at most
                 # `window` ship frames ride ahead of it.
@@ -656,9 +632,6 @@ class AsyncBackupClient:
                     await self._ship(msg, payload, self.window - 1)
                     i = j
             transfer = await self.finish_snapshot(snapshot_id)
-        finally:
-            if own_shredder:
-                shredder.close()
         return RemoteBackupReport(
             snapshot_id=snapshot_id,
             total_bytes=len(data),
@@ -673,94 +646,3 @@ class AsyncBackupClient:
             throttles=self.throttles - throttles0,
         )
 
-
-async def _feed(shredder: Shredder, data: bytes, batch_chunks: int | None):
-    """Async-iterate digested pipeline batches produced on a thread.
-
-    The feeder thread blocks in the Shredder's bounded pipeline; a small
-    bounded queue carries batches onto the event loop, so chunk+hash for
-    batch *i+1* overlaps the shipping of batch *i* without unbounded
-    buffering.  The stop event keeps the thread from wedging on a full
-    queue if the consumer dies mid-stream.
-    """
-    loop = asyncio.get_running_loop()
-    queue: asyncio.Queue = asyncio.Queue(maxsize=_FEED_DEPTH)
-    stop = threading.Event()
-    _END = object()
-
-    def put(item) -> bool:
-        # Schedule the enqueue exactly once and poll that same future.
-        # A timed-out run_coroutine_threadsafe future is NOT cancelled —
-        # the put coroutine stays pending and lands the item when a slot
-        # frees, so rescheduling on timeout would enqueue it twice.
-        coro = queue.put(item)
-        try:
-            future = asyncio.run_coroutine_threadsafe(coro, loop)
-        except RuntimeError:
-            coro.close()  # never scheduled; silence the unawaited warning
-            return False  # loop is closing
-        while True:
-            try:
-                future.result(timeout=0.1)
-                return True
-            except concurrent.futures.TimeoutError:
-                if stop.is_set():
-                    future.cancel()
-                    return False
-            except (concurrent.futures.CancelledError, RuntimeError):
-                return False
-
-    def run() -> None:
-        try:
-            for batch in shredder.pipeline_batches(
-                data, batch_chunks=batch_chunks
-            ):
-                if not put(batch):
-                    return
-        except BaseException as exc:  # noqa: BLE001 — forwarded to consumer
-            put(exc)
-            return
-        put(_END)
-
-    feeder = threading.Thread(target=run, name="repro-feed", daemon=True)
-    feeder.start()
-    try:
-        while True:
-            item = await queue.get()
-            if item is _END:
-                # Let the feeder's put() future resolve before the join
-                # below blocks the loop.
-                await asyncio.sleep(0)
-                break
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-    finally:
-        # No awaits here: this also runs under GeneratorExit when the
-        # consumer abandons the stream, where suspending is illegal.
-        # stop + drain unblocks a feeder stuck on the full queue; its
-        # put() polls every 0.1 s and sees the flag.  The join has a
-        # real deadline: a feeder wedged in native code (chunker,
-        # hasher) must not hang the event loop forever — after
-        # _FEED_JOIN_DEADLINE it is abandoned (daemon thread), counted,
-        # and warned about instead of silently spun on.
-        stop.set()
-        deadline = time.monotonic() + _FEED_JOIN_DEADLINE
-        while feeder.is_alive():
-            try:
-                queue.get_nowait()
-            except asyncio.QueueEmpty:
-                pass
-            feeder.join(timeout=0.05)
-            if feeder.is_alive() and time.monotonic() >= deadline:
-                global _abandoned_feeders
-                _abandoned_feeders += 1
-                warnings.warn(
-                    f"feeder thread {feeder.name!r} still alive "
-                    f"{_FEED_JOIN_DEADLINE:g}s after backup ended; "
-                    f"abandoning it ({_abandoned_feeders} abandoned "
-                    "this process)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break

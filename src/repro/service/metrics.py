@@ -123,8 +123,7 @@ class ServiceMetrics:
     #: HELLO handshake inside the pre-auth deadline, failed AUTHs, hard
     #: quota denials, sessions shed at admission, THROTTLE control
     #: frames sent, data frames refused with RETRY_LATER, brownout
-    #: entries, decide batches coalesced while browned out, and circuit
-    #: breaker opens / fast-failed requests.
+    #: entries, and circuit breaker opens / fast-failed requests.
     preauth_evictions: int = 0
     auth_failures: int = 0
     quota_rejections: int = 0
@@ -132,7 +131,6 @@ class ServiceMetrics:
     throttles_sent: int = 0
     retry_later_sent: int = 0
     brownouts: int = 0
-    decide_coalesced: int = 0
     breaker_opens: int = 0
     breaker_fastfails: int = 0
 

@@ -33,7 +33,6 @@ import asyncio
 import os
 import socket
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -63,6 +62,9 @@ from repro.store.lookup import LookupCostModel
 from repro.store.schemes import make_scheme
 
 __all__ = ["ServiceConfig", "BackupService"]
+
+#: How long a brownout holds after its last trigger (seconds).
+_BROWNOUT_HOLD_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -144,13 +146,9 @@ class ServiceConfig:
     #: within this many seconds or it is dropped without ever holding a
     #: session slot; ``None`` disables.
     hello_timeout_s: float | None = 5.0
-    #: Brownout triggers (``None`` disables that trigger; both None =
-    #: no monitor task): sustained event-loop lag in seconds, or total
-    #: frames queued across sessions.
+    #: Brownout trigger: event-loop lag in seconds (``None`` = no
+    #: monitor task).
     brownout_lag_s: float | None = None
-    brownout_queue_frames: int | None = None
-    #: How long a triggered brownout holds after the signal clears.
-    brownout_hold_s: float = 2.0
     #: Store-path circuit breaker: consecutive store failures before it
     #: opens (``None`` disables), and the open-state cooldown.
     breaker_threshold: int | None = None
@@ -205,13 +203,6 @@ class ServiceConfig:
             raise ValueError("hello_timeout_s must be positive (or None)")
         if self.brownout_lag_s is not None and self.brownout_lag_s <= 0:
             raise ValueError("brownout_lag_s must be positive (or None)")
-        if (
-            self.brownout_queue_frames is not None
-            and self.brownout_queue_frames < 1
-        ):
-            raise ValueError("brownout_queue_frames must be >= 1 (or None)")
-        if self.brownout_hold_s <= 0:
-            raise ValueError("brownout_hold_s must be positive")
         if self.breaker_threshold is not None and self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1 (or None)")
         if self.breaker_cooldown_s <= 0:
@@ -301,8 +292,7 @@ class BackupService:
             else None
         )
         #: Brownout: while ``time.monotonic() < _brownout_until`` the
-        #: service widens decide batches, defers scrubbing, and hands
-        #: new sessions a window of 1.
+        #: service defers scrubbing and hands new sessions a window of 1.
         self._brownout_until = 0.0
         self._brownout_task: asyncio.Task | None = None
         self._listener: socket.socket | None = None
@@ -337,10 +327,7 @@ class BackupService:
         self._accepting = asyncio.create_task(self._accept_loop())
         if self.config.heartbeat_s is not None and hasattr(self.store, "heartbeat"):
             self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
-        if (
-            self.config.brownout_lag_s is not None
-            or self.config.brownout_queue_frames is not None
-        ):
+        if self.config.brownout_lag_s is not None:
             self._brownout_task = asyncio.create_task(self._brownout_monitor())
 
     async def stop(self, drain_s: float | None = None) -> None:
@@ -399,32 +386,23 @@ class BackupService:
     def brownout_active(self) -> bool:
         return time.monotonic() < self._brownout_until
 
-    def enter_brownout(self, hold_s: float | None = None) -> None:
-        """Degrade for ``hold_s`` (config default): widen decide batches,
-        defer scrubbing, advertise window=1 to new sessions.  Called by
-        the monitor on lag/queue pressure; public for drills and ops."""
+    def enter_brownout(self, hold_s: float = _BROWNOUT_HOLD_S) -> None:
+        """Degrade for ``hold_s``: defer scrubbing, advertise window=1 to
+        new sessions.  Called by the monitor on event-loop lag; public
+        for drills and ops."""
         if not self.brownout_active:
             self.metrics.add(brownouts=1)
-        hold = self.config.brownout_hold_s if hold_s is None else hold_s
         self._brownout_until = max(
-            self._brownout_until, time.monotonic() + hold
+            self._brownout_until, time.monotonic() + hold_s
         )
 
     async def _brownout_monitor(self) -> None:
-        cfg = self.config
         tick = 0.05
         loop = asyncio.get_running_loop()
         while True:
             before = loop.time()
             await asyncio.sleep(tick)
-            lag = loop.time() - before - tick
-            queued = sum(s.queue.qsize() for s in self._sessions)
-            if (
-                cfg.brownout_lag_s is not None and lag > cfg.brownout_lag_s
-            ) or (
-                cfg.brownout_queue_frames is not None
-                and queued >= cfg.brownout_queue_frames
-            ):
+            if loop.time() - before - tick > self.config.brownout_lag_s:
                 self.enter_brownout()
 
     def close(self) -> None:
@@ -671,7 +649,7 @@ class BackupService:
             status = "200 OK"
         elif path == "/metrics":
             snapshot = service_snapshot(self)
-            if "format=text" in query or path.endswith(".txt"):
+            if "format=text" in query:
                 body = render_text(snapshot)
                 content_type = "text/plain; charset=utf-8"
             else:
@@ -718,9 +696,6 @@ class _Session:
         self.clean_eof: bool = False
         #: Per-connection chaos injector (None when no plan is active).
         self.wire_faults = None
-        #: Pushback slot for brownout decide-coalescing: the first
-        #: non-matching frame drained while grouping waits here.
-        self._pending = None
 
     def abort_open(self) -> None:
         if self.open_scoped is not None:
@@ -818,10 +793,7 @@ class _Session:
 
     async def _worker(self) -> None:
         while True:
-            if self._pending is not None:
-                item, self._pending = self._pending, None
-            else:
-                item = await self.queue.get()
+            item = await self.queue.get()
             if item is self._EOF:
                 return
             if isinstance(item, SessionError):  # the reader gave up
@@ -862,9 +834,8 @@ class _Session:
         # EOF marker — a reader blocked on a full queue must not hold
         # the connection and its session slot; one inside ``recv`` fails.
         self.conn.close()
-        item, self._pending = self._pending, None
-        while item is not self._EOF:
-            item = await self.queue.get()
+        while await self.queue.get() is not self._EOF:
+            pass
 
     # -- overload gates ------------------------------------------------
 
@@ -956,15 +927,6 @@ class _Session:
                 Err.BAD_FRAME, f"unexpected {msg.name} frame", fatal=True
             ) from None
         service = self.service
-        if (
-            msg is Msg.DIGEST_BATCH
-            and service.brownout_active
-            and self.open_scoped is not None
-        ):
-            group = self._drain_decide_group(payload)
-            if len(group) > 1:
-                await self._on_digest_group(group)
-                return
         breaker = service.breaker if msg in self._STORE_FRAMES else None
         op = self._LATENCY_OPS.get(msg)
         start = time.monotonic()
@@ -995,23 +957,6 @@ class _Session:
                 service.metrics.observe_latency(
                     op, time.monotonic() - start
                 )
-
-    def _drain_decide_group(self, first_payload: bytes) -> list[bytes]:
-        """Brownout batch widening: drain consecutive queued decide
-        batches so one index pass serves them all.  The first frame
-        that doesn't match waits in ``_pending`` for the next worker
-        iteration — nothing is reordered."""
-        group = [first_payload]
-        while True:
-            try:
-                item = self.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return group
-            if isinstance(item, tuple) and item[0] is Msg.DIGEST_BATCH:
-                group.append(item[1])
-            else:
-                self._pending = item
-                return group
 
     def _require_open(self) -> str:
         if self.open_scoped is None:
@@ -1088,52 +1033,22 @@ class _Session:
             self.conn, Msg.RESUME_OK, wire.encode_resume_ok(self.applied_frames)
         )
 
-    def _decide_flags(self, digests, lengths, frames=()) -> list[bool]:
+    async def _on_digest_batch(self, payload: bytes) -> None:
         """Tenant-scoped dedup decision run straight on the decoded
         columns.  The index takes a digest only when its payload lands
         (``_on_chunk_batch``), so it holds exactly what this tenant
         shipped: a hit is a chunk of its own, checked against the store
-        only for GC.  ``frames`` are the starts of a coalesced group's
-        later frames: a repeat of a miss from an earlier frame ships,
-        exactly as when each frame is decided alone."""
+        only for GC.  A repeat of a miss earlier in the frame is a
+        pointer (its first copy ships ahead of it)."""
+        digests, lengths = wire.decode_digest_batch(payload)
+        self._require_open()
         probe = self.namespace.index.lookup_or_insert_batch(
             digests, lengths, None
         )
-        for i, first in list(probe.repeats.items()):
-            if bisect_right(frames, first) != bisect_right(frames, i):
-                del probe.repeats[i]
-        return probe.pointers(digests, self.service.store.has_chunks)
-
-    async def _on_digest_batch(self, payload: bytes) -> None:
-        digests, lengths = wire.decode_digest_batch(payload)
-        self._require_open()
-        flags = self._decide_flags(digests, lengths)
+        flags = probe.pointers(digests, self.service.store.has_chunks)
         await self.service._send_frame(
             self.conn, Msg.DIGEST_REPLY, wire.encode_digest_reply(flags)
         )
-
-    async def _on_digest_group(self, payloads: list[bytes]) -> None:
-        """Brownout: N queued decide batches in one widened index pass,
-        answered with N in-order DIGEST_REPLYs (the wire contract is
-        untouched — only the store-call shape widens)."""
-        service = self.service
-        service.metrics.add(decide_coalesced=len(payloads) - 1)
-        self._require_open()
-        bounds = [0]
-        all_digests: list[bytes] = []
-        all_lengths: list[int] = []
-        for payload in payloads:
-            digests, lengths = wire.decode_digest_batch(payload)
-            all_digests += digests
-            all_lengths += lengths
-            bounds.append(len(all_digests))
-        flags = self._decide_flags(all_digests, all_lengths, bounds[1:-1])
-        for lo, hi in zip(bounds, bounds[1:]):
-            await service._send_frame(
-                self.conn,
-                Msg.DIGEST_REPLY,
-                wire.encode_digest_reply(flags[lo:hi]),
-            )
 
     async def _on_chunk_batch(self, payload: bytes) -> None:
         scoped = self._require_open()

@@ -7,6 +7,7 @@ import pytest
 from repro.core.chunking import ChunkerConfig
 from repro.core.shredder import Shredder, ShredderConfig
 from repro.hdfs import HDFSCluster
+from repro.hdfs.errors import BlockNotFound
 from repro.mapreduce import IncoopRuntime
 from repro.mapreduce.applications import wordcount_job, wordcount_reference
 from repro.workloads import generate_text
@@ -91,3 +92,18 @@ class TestAppend:
         # Record snapping from a different tail start can shift a couple
         # of boundaries; the overwhelming majority must coincide.
         assert len(appended & whole) > 0.9 * len(whole)
+
+    def test_append_forgets_the_tail_it_replaces(self, cluster):
+        """A holder of the replaced tail can fail: re-replication repairs
+        the file instead of reading a block no datanode keeps."""
+        upload(cluster, generate_text(60_000, seed=92), "/log")
+        namenode = cluster.namenode
+        old_tail = namenode.get_file("/log").blocks[-1]
+        append(cluster, generate_text(30_000, seed=93), "/log")
+        namenode.get_datanode(old_tail.replicas[0]).fail()
+        namenode.re_replicate()
+        for block in namenode.get_file("/log").blocks:
+            live = namenode.replica_nodes(block.block_id)
+            assert len(live) == namenode.replication
+        with pytest.raises(BlockNotFound):
+            namenode.block_info(old_tail.block_id)

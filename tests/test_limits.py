@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import time
 
 import pytest
 
@@ -676,69 +677,22 @@ class TestBrownout:
         assert doc["service"]["brownout_active"] is True
         assert metrics.brownouts == 1
 
-    def test_brownout_coalesces_queued_decides(self):
-        """N queued decide batches collapse into one index pass that
-        still answers N in-order DIGEST_REPLYs."""
+    def test_event_loop_lag_enters_brownout(self):
+        """The monitor behind ``repro serve --brownout-lag``: a loop
+        blocked past the lag threshold browns the service out, and the
+        next session is handed a window of 1."""
 
         async def scenario(service):
-            service.enter_brownout(hold_s=30.0)
-            namespace = service.registry.get("acme")
-            sink = _FrameSink()
-            session = _Session(service, namespace, sink)
-            session.open_scoped = namespace.scoped_id("s")
-            batches = [
-                [(bytes([gen * 8 + i]) * 32, 100) for i in range(4)]
-                for gen in range(3)
-            ]
-            payloads = [
-                wire.encode_digest_batch(
-                    [d for d, _ in batch], [n for _, n in batch]
-                )
-                for batch in batches
-            ]
-            for payload in payloads[1:]:
-                session.queue.put_nowait((Msg.DIGEST_BATCH, payload))
-            # A trailing non-decide frame must not join the group.
-            session.queue.put_nowait((Msg.LIST_SNAPSHOTS, b""))
-            group = session._drain_decide_group(payloads[0])
-            await session._on_digest_group(group)
-            return group, session._pending, sink.frames(), service.metrics
+            await asyncio.sleep(0.1)  # let the monitor start ticking
+            time.sleep(0.3)  # block the loop well past brownout_lag_s
+            await asyncio.sleep(0.1)  # the monitor wakes late and sees it
+            client = await connect(service, "acme")
+            await client.close()
+            return client.window, service.metrics
 
-        group, pending, frames, metrics = run_service(scenario)
-        assert len(group) == 3
-        assert pending == (Msg.LIST_SNAPSHOTS, b"")
-        assert [msg for msg, _ in frames] == [Msg.DIGEST_REPLY] * 3
-        # All digests were fresh: every reply says "ship it".
-        for _, payload in frames:
-            assert wire.decode_digest_reply(payload) == [False] * 4
-        assert metrics.decide_coalesced == 2
-
-    def test_coalesced_group_decides_like_frames_one_by_one(self):
-        """A repeat inside one frame is a pointer; a repeat of a miss
-        from an earlier frame of the group ships, as when each frame is
-        decided alone."""
-        x, y, z = (bytes([i]) * 32 for i in range(3))
-        frames = [[x, y, x], [x, z, z]]
-        payloads = [wire.encode_digest_batch(f, [100] * len(f)) for f in frames]
-
-        async def scenario(service):
-            service.enter_brownout(hold_s=30.0)
-            replies = []
-            for tenant, grouped in (("acme", True), ("beta", False)):
-                namespace = service.registry.get(tenant)
-                sink = _FrameSink()
-                session = _Session(service, namespace, sink)
-                session.open_scoped = namespace.scoped_id("s")
-                if grouped:
-                    await session._on_digest_group(payloads)
-                else:
-                    for payload in payloads:
-                        await session._on_digest_batch(payload)
-                replies.append([wire.decode_digest_reply(p) for _, p in sink.frames()])
-            return replies
-
-        grouped, one_by_one = run_service(scenario)
-        assert grouped == one_by_one == [[False, False, True], [False, False, True]]
+        window, metrics = run_service(scenario, window=4, brownout_lag_s=0.1)
+        assert metrics.brownouts == 1
+        assert window == 1
 
     def test_backup_still_correct_while_browned_out(self):
         data = dedup_payload(512 * 1024, seed=9)
@@ -753,6 +707,28 @@ class TestBrownout:
 
         report, restored = run_service(scenario)
         assert restored == data and report.n_chunks > 0
+
+
+class TestDecide:
+    def test_decide_points_only_within_a_frame(self):
+        """A repeat inside one frame is a pointer; a repeat of a miss
+        from an earlier frame ships (its payload has not landed, so the
+        tenant index does not hold it)."""
+        x, y, z = (bytes([i]) * 32 for i in range(3))
+        frames = [[x, y, x], [x, z, z]]
+
+        async def scenario(service):
+            namespace = service.registry.get("acme")
+            sink = _FrameSink()
+            session = _Session(service, namespace, sink)
+            session.open_scoped = namespace.scoped_id("s")
+            for frame in frames:
+                await session._on_digest_batch(
+                    wire.encode_digest_batch(frame, [100] * len(frame))
+                )
+            return [wire.decode_digest_reply(p) for _, p in sink.frames()]
+
+        assert run_service(scenario) == [[False, False, True], [False, False, True]]
 
 
 class TestBreaker:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-import time
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.service import (
     RetryPolicy,
     ServiceConfig,
 )
-from repro.service import client as client_mod
 from repro.service.metrics import service_snapshot
 from repro.service.protocol import Err, RemoteError
 from repro.store.backend import FSYNC_ENV, PersistentBackend
@@ -366,63 +364,6 @@ class TestChaosSoak:
         # saw each unique chunk exactly once.
         log = report.transfer
         assert log.chunks_received == report.n_chunks - report.duplicate_chunks
-
-
-# ----------------------------------------------------------------------
-# feeder-thread join deadline (satellite)
-# ----------------------------------------------------------------------
-
-
-class _StuckShredder:
-    """Pipeline that wedges (as if in native code) after one batch."""
-
-    def __init__(self, hang_s: float):
-        self.hang_s = hang_s
-
-    def pipeline_batches(self, data, batch_chunks=None):
-        yield "first"
-        time.sleep(self.hang_s)
-        yield "late"
-
-
-class TestFeederJoin:
-    def test_wedged_feeder_is_abandoned_with_warning(self, monkeypatch):
-        monkeypatch.setattr(client_mod, "_FEED_JOIN_DEADLINE", 0.1)
-        before = client_mod._abandoned_feeders
-
-        async def scenario():
-            agen = client_mod._feed(_StuckShredder(1.0), b"", None)
-            assert await agen.__anext__() == "first"
-            # Yield to the loop so the feeder's put() future resolves
-            # and the thread advances into its (wedged) sleep.
-            await asyncio.sleep(0.05)
-            with pytest.warns(RuntimeWarning, match="feeder thread"):
-                await agen.aclose()  # consumer bails; feeder is wedged
-
-        asyncio.run(scenario())
-        assert client_mod._abandoned_feeders == before + 1
-
-    def test_prompt_feeder_joins_without_warning(self, recwarn):
-        async def scenario():
-            agen = client_mod._feed(_StuckShredder(0.0), b"", None)
-            got = [item async for item in agen]
-            assert got == ["first", "late"]
-
-        asyncio.run(scenario())
-        assert not [w for w in recwarn if w.category is RuntimeWarning]
-
-    def test_end_of_stream_does_not_wait_out_the_put_poll(self):
-        """The consumer is already waiting when the end marker lands, so
-        it wakes before the feeder's put() future resolves.  Joining
-        before that future resolves blocks the loop until put() polls
-        ``stop`` (0.1 s)."""
-        async def scenario():
-            t0 = time.perf_counter()
-            assert [item async for item in client_mod._feed(_StuckShredder(0.02), b"", None)] == [
-                "first", "late"]
-            return time.perf_counter() - t0
-
-        assert asyncio.run(scenario()) < 0.1
 
 
 # ----------------------------------------------------------------------

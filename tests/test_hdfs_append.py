@@ -107,3 +107,18 @@ class TestAppend:
             assert len(live) == namenode.replication
         with pytest.raises(BlockNotFound):
             namenode.block_info(old_tail.block_id)
+
+    def test_delete_after_append_leaves_no_block_behind(self, cluster):
+        """Neither the replaced tail nor the file's blocks outlive
+        ``delete``: no datanode keeps a copy, the namenode knows none."""
+        upload(cluster, generate_text(60_000, seed=94), "/log")
+        namenode = cluster.namenode
+        old_tail = namenode.get_file("/log").blocks[-1]
+        append(cluster, generate_text(30_000, seed=95), "/log")
+        blocks = namenode.get_file("/log").blocks
+        cluster.client.delete("/log")
+        for block in [old_tail, *blocks]:
+            with pytest.raises(BlockNotFound):
+                namenode.block_info(block.block_id)
+        assert all(node.block_count == 0 for node in cluster.datanodes)
+        assert namenode.under_replicated_blocks() == []

@@ -694,6 +694,13 @@ class TestBrownout:
         assert metrics.brownouts == 1
         assert window == 1
 
+    def test_monitor_runs_only_with_a_lag_threshold(self):
+        async def scenario(service):
+            return service._brownout_task is not None
+
+        assert run_service(scenario) is False
+        assert run_service(scenario, brownout_lag_s=0.5) is True
+
     def test_backup_still_correct_while_browned_out(self):
         data = dedup_payload(512 * 1024, seed=9)
 
@@ -730,6 +737,46 @@ class TestDecide:
 
         assert run_service(scenario) == [[False, False, True], [False, False, True]]
 
+
+    def test_brownout_decides_like_normal_service(self):
+        """Browned out or not, queued decide frames are answered one at
+        a time, in order, and a following frame stays queued."""
+        x, y, z = (bytes([i]) * 32 for i in range(3))
+        frames = [[x, y, x], [x, z, z], [y, y]]
+        payloads = [wire.encode_digest_batch(f, [100] * len(f)) for f in frames]
+
+        async def scenario(service):
+            replies = []
+            for tenant, brownout in (("acme", False), ("beta", True)):
+                if brownout:
+                    service.enter_brownout(hold_s=30.0)
+                namespace = service.registry.get(tenant)
+                sink = _FrameSink()
+                session = _Session(service, namespace, sink)
+                session.open_scoped = namespace.scoped_id("s")
+                for payload in payloads[1:]:
+                    session.queue.put_nowait((Msg.DIGEST_BATCH, payload))
+                session.queue.put_nowait((Msg.LIST_SNAPSHOTS, b""))
+                await session._dispatch(Msg.DIGEST_BATCH, payloads[0])
+                assert session.queue.qsize() == len(payloads)
+                while session.queue.qsize() > 1:
+                    await session._dispatch(*session.queue.get_nowait())
+                assert session.queue.get_nowait() == (Msg.LIST_SNAPSHOTS, b"")
+                replies.append(
+                    [
+                        wire.decode_digest_reply(payload)
+                        for msg, payload in sink.frames()
+                        if msg is Msg.DIGEST_REPLY
+                    ]
+                )
+            return replies
+
+        normal, browned_out = run_service(scenario)
+        assert normal == browned_out == [
+            [False, False, True],
+            [False, False, True],
+            [False, True],
+        ]
 
 class TestBreaker:
     def test_store_failures_open_breaker_and_fastfail(self):

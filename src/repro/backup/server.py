@@ -6,8 +6,9 @@ backup systems require), the Store thread hashes chunks and enqueues the
 fingerprints on an index-lookup queue, and a lookup thread ships either
 the chunk payload or a pointer to the backup-site agent.
 
-Timing model (drives Fig. 18's bandwidth curves): the pipeline's
-steady-state bandwidth is the input size over the slowest stage —
+Timing model (drives Fig. 18's bandwidth curves; its rates are this
+module's constants): the pipeline's steady-state bandwidth is the input
+size over the slowest stage —
 
 * image generation / reader I/O at 10 Gbps (§7.3's emulation rate);
 * chunking (GPU Shredder or pthreads CPU); with min/max enabled the GPU
@@ -20,20 +21,15 @@ steady-state bandwidth is the input size over the slowest stage —
   the component the paper blames for bandwidth dropping as similarity
   decreases.
 
-With ``store_backend="cluster"`` the backup site is a sharded,
-replicated :class:`~repro.store.cluster.ChunkStoreCluster` and the
-index stage runs through its batched, Bloom-filtered lookup path —
-the optimization §7.3's closing discussion points at: the per-digest
-dispatch cost amortizes over the batch and negative lookups stop
-paying the full-index miss price.
-
-With ``backend="disk"`` (or ``REPRO_STORE_BACKEND=disk``) every state
-owner — the dedup index, the site store or cluster shards, and the
-recipes — lives on the persistent log+LSM backend under ``data_dir``
-(``index/``, ``site/`` or ``cluster/``), so a server can be closed and
-a new one opened on the same ``data_dir``: every snapshot restores
-bit-identical and the reopened index/cluster answer ``lookup_batch``
-with the same hit/miss pattern as before the restart.
+The site comes from :func:`~repro.backup.site.open_site`.  On a cluster
+(``store_backend="cluster"``) the index stage runs through its batched,
+Bloom-filtered lookup path — the optimization §7.3's closing discussion
+points at: the per-digest dispatch cost amortizes over the batch and
+negative lookups stop paying the full-index miss price.  With
+``backend="disk"`` the dedup index (``data_dir/index``) and the site
+persist, so a server reopened on the same ``data_dir`` restores every
+snapshot bit-identical and answers ``lookup_batch`` with the same
+hit/miss pattern as before the restart.
 
 The server *executes* as the paper's pipeline: chunks arrive in
 digested batches from the scan→hash pipeline
@@ -49,22 +45,29 @@ because probes are issued per pipeline batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
 from pathlib import Path
 
 from repro.backup.agent import ShredderAgent, TransferLog
-from repro.backup.store import ChunkStore
+from repro.backup.site import SiteConfig, open_site
 from repro.core.chunking import ChunkerConfig
 from repro.core.dedup import DedupIndex
 from repro.core.shredder import Shredder, ShredderConfig
-from repro.store.backend import make_backend, resolve_backend
+from repro.store.backend import make_backend
 from repro.store.cluster import ChunkStoreCluster
 from repro.store.lookup import BatchLookupStats, LookupCostModel
-from repro.store.schemes import make_scheme
 
 __all__ = ["BackupConfig", "BackupReport", "BackupServer"]
 
 GBPS = 1e9 / 8  # bytes/s per Gbit/s
+#: Snapshot generation / reader rate (the paper emulates 10 Gbps) and
+#: the network link to the backup site.
+GENERATION_BANDWIDTH = 10 * GBPS
+LINK_BANDWIDTH = 10 * GBPS
+#: Aggregated chunk-hash throughput (SHA pipelined on host cores).
+HASH_BANDWIDTH = 4e9
+#: Extra Store-thread cost per byte when min/max filtering runs on the
+#: host after an unmodified GPU scan (the §7.3 limitation).
+MINMAX_FILTER_S_PER_BYTE = 4e-10
 
 
 def _default_backup_chunker() -> ChunkerConfig:
@@ -73,54 +76,14 @@ def _default_backup_chunker() -> ChunkerConfig:
 
 
 @dataclass(frozen=True)
-class BackupConfig:
-    """Backup-server configuration."""
+class BackupConfig(SiteConfig):
+    """Backup-server configuration: the site fields of
+    :class:`~repro.backup.site.SiteConfig` plus the chunking ones below
+    (the timing model's rates are this module's constants)."""
 
     chunker: ChunkerConfig = field(default_factory=_default_backup_chunker)
     #: Chunking engine: "gpu" (Shredder) | "cpu" (pthreads baseline).
     engine: str = "gpu"
-    #: Storage backend for every state owner (dedup index, site store /
-    #: cluster shards, recipes): "memory" | "disk"; ``None`` follows
-    #: ``REPRO_STORE_BACKEND`` (default memory, or disk when a
-    #: ``data_dir`` is given).
-    backend: str | None = None
-    #: Root directory for disk-backed state; ``None`` + disk backend
-    #: runs on ephemeral temp directories (removed on close).
-    data_dir: str | None = None
-    #: Snapshot generation / reader rate (the paper emulates 10 Gbps).
-    generation_bandwidth: float = 10 * GBPS
-    #: Network link to the backup site.
-    link_bandwidth: float = 10 * GBPS
-    #: Aggregated chunk-hash throughput (SHA pipelined on host cores).
-    hash_bandwidth: float = 4e9
-    #: Index lookup costs (unoptimized, per §7.3's closing discussion).
-    lookup_hit_s: float = 2e-6
-    lookup_miss_s: float = 12e-6
-    #: Extra Store-thread cost per byte when min/max filtering runs on the
-    #: host after an unmodified GPU scan (the §7.3 limitation).
-    minmax_filter_s_per_byte: float = 4e-10
-    #: Backup-site store: "single" (flat in-memory ChunkStore) or
-    #: "cluster" (sharded/replicated store behind batched Bloom lookups).
-    store_backend: str = "single"
-    #: Cluster sizing and placement (ignored for the single backend).
-    cluster_nodes: int = 4
-    placement: str = "replicated"  # "vanilla" | "striped" | "replicated" | "ec"
-    replication: int = 2
-    stripe_width: int = 4
-    #: Erasure-coding geometry (placement="ec"): k data + m parity
-    #: fragments per chunk on k + m distinct nodes.
-    ec_k: int = 4
-    ec_m: int = 2
-    #: Bounded cluster retry budgets; ``None`` keeps the cluster's
-    #: defaults (READ_ATTEMPTS / PUT_ATTEMPTS).
-    read_attempts: int | None = None
-    put_attempts: int | None = None
-    #: Batched-lookup knobs: digests per batch, per-batch dispatch cost,
-    #: and the in-memory Bloom probe that replaces full-index misses.
-    lookup_batch_size: int = 128
-    batch_rtt_s: float = 5e-5
-    bloom_probe_s: float = 2e-7
-    bloom_fp_rate: float = 0.01
     #: Chunks per pipeline batch handed to the lookup/ship stage;
     #: ``None`` sizes batches to cover ``HASH_BATCH_BYTES`` (4 MiB) of
     #: expected chunks (one hashing pass per batch).
@@ -129,21 +92,9 @@ class BackupConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("gpu", "cpu"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        resolve_backend(self.backend, self.data_dir)  # raises on bad kind
-        if self.store_backend not in ("single", "cluster"):
-            raise ValueError(f"unknown store backend {self.store_backend!r}")
-        if self.cluster_nodes < 1:
-            raise ValueError("cluster_nodes must be >= 1")
-        if self.lookup_batch_size < 1:
-            raise ValueError("lookup_batch_size must be >= 1")
+        super().__post_init__()
         if self.pipeline_batch_chunks is not None and self.pipeline_batch_chunks < 1:
             raise ValueError("pipeline_batch_chunks must be >= 1")
-        if self.ec_k < 1 or self.ec_m < 0:
-            raise ValueError("ec geometry wants k >= 1 and m >= 0")
-        if self.read_attempts is not None and self.read_attempts < 1:
-            raise ValueError("read_attempts must be >= 1")
-        if self.put_attempts is not None and self.put_attempts < 1:
-            raise ValueError("put_attempts must be >= 1")
 
 
 @dataclass
@@ -184,53 +135,21 @@ class BackupServer:
     """Consolidated backup server; state persists across snapshots."""
 
     def __init__(self, config: BackupConfig | None = None) -> None:
-        self.config = config or BackupConfig()
-        cfg = self.config
-        self.storage_kind = resolve_backend(cfg.backend, cfg.data_dir)
-        data_dir = Path(cfg.data_dir) if cfg.data_dir is not None else None
-        self.cluster: ChunkStoreCluster | None = None
-        if cfg.store_backend == "cluster":
-            self.cluster = ChunkStoreCluster(
-                n_nodes=cfg.cluster_nodes,
-                scheme=make_scheme(
-                    cfg.placement,
-                    replicas=cfg.replication,
-                    stripe_width=cfg.stripe_width,
-                    ec_k=cfg.ec_k,
-                    ec_m=cfg.ec_m,
-                ),
-                read_attempts=cfg.read_attempts,
-                put_attempts=cfg.put_attempts,
-                batch_size=cfg.lookup_batch_size,
-                bloom_fp_rate=cfg.bloom_fp_rate,
-                cost_model=LookupCostModel(
-                    hit_s=cfg.lookup_hit_s,
-                    miss_s=cfg.lookup_miss_s,
-                    bloom_probe_s=cfg.bloom_probe_s,
-                    batch_rtt_s=cfg.batch_rtt_s,
-                ),
-                backend=self.storage_kind,
-                data_dir=data_dir / "cluster" if data_dir is not None else None,
-            )
-            store = self.cluster
-        else:
-            store = ChunkStore(
-                backend=self.storage_kind,
-                data_dir=data_dir / "site" if data_dir is not None else None,
-            )
+        self.config = cfg = config or BackupConfig()
+        store = open_site(cfg)
+        self.storage_kind = store.backend_kind
+        self.cluster: ChunkStoreCluster | None = store if cfg.clustered else None
         self.agent = ShredderAgent(store=store)
         self.index = DedupIndex(
             make_backend(
                 self.storage_kind,
-                data_dir / "index" if data_dir is not None else None,
+                Path(cfg.data_dir) / "index" if cfg.data_dir is not None else None,
             )
         )
-        if self.config.engine == "gpu":
-            shredder_config = ShredderConfig.gpu_streams_memory(
-                chunker=self.config.chunker
-            )
+        if cfg.engine == "gpu":
+            shredder_config = ShredderConfig.gpu_streams_memory(chunker=cfg.chunker)
         else:
-            shredder_config = ShredderConfig.cpu(chunker=self.config.chunker)
+            shredder_config = ShredderConfig.cpu(chunker=cfg.chunker)
         self.shredder = Shredder(shredder_config)
         # Steady-state per-byte chunking cost, evaluated at a large stream
         # size so per-buffer launch overheads don't distort small test
@@ -349,19 +268,18 @@ class BackupServer:
         if cfg.engine == "gpu" and (
             cfg.chunker.min_size > 0 or cfg.chunker.max_size is not None
         ):
-            chunk_seconds += n * cfg.minmax_filter_s_per_byte
-        unique = n_chunks - duplicates
+            chunk_seconds += n * MINMAX_FILTER_S_PER_BYTE
         if lookup_stats is not None:
             lookup_seconds = self.cluster.lookup.modeled_seconds(lookup_stats)
         else:
-            lookup_seconds = (
-                duplicates * cfg.lookup_hit_s + unique * cfg.lookup_miss_s
+            lookup_seconds = LookupCostModel().per_digest_seconds(
+                duplicates, n_chunks - duplicates
             )
         stage_seconds = {
-            "generation": n / cfg.generation_bandwidth,
+            "generation": n / GENERATION_BANDWIDTH,
             "chunking": chunk_seconds,
-            "hashing": n / cfg.hash_bandwidth,
-            "index+network": lookup_seconds + shipped / cfg.link_bandwidth,
+            "hashing": n / HASH_BANDWIDTH,
+            "index+network": lookup_seconds + shipped / LINK_BANDWIDTH,
         }
         return BackupReport(
             snapshot_id=snapshot_id,

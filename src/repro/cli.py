@@ -273,9 +273,26 @@ def _parse_ec(spec: str) -> tuple[int, int]:
         k, m = int(k_s), int(m_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--ec wants integers K+M, got {spec!r}")
-    if k < 1 or m < 0:
-        raise argparse.ArgumentTypeError(f"--ec wants K >= 1 and M >= 0, got {spec!r}")
     return k, m
+
+
+def _site_fields(args) -> dict:
+    """The :class:`~repro.backup.site.SiteConfig` fields ``args`` sets;
+    a flag its command lacks leaves the field at its default."""
+    from dataclasses import fields
+
+    from repro.backup.site import SiteConfig
+
+    renamed = {"nodes": "cluster_nodes", "batch_size": "lookup_batch_size"}
+    names = {f.name for f in fields(SiteConfig)}
+    site = {
+        renamed.get(flag, flag): value
+        for flag, value in vars(args).items()
+        if renamed.get(flag, flag) in names
+    }
+    if hasattr(args, "ec"):
+        site["ec_k"], site["ec_m"] = args.ec
+    return site
 
 
 def _parse_remote(remote: str) -> tuple[str, int]:
@@ -352,9 +369,7 @@ def cmd_backup(args) -> int:
             )
         return _remote_backup(args, data)
     try:
-        config = BackupConfig(
-            engine=args.engine, backend=args.backend, data_dir=args.data_dir
-        )
+        config = BackupConfig(engine=args.engine, **_site_fields(args))
     except ValueError as exc:
         raise SystemExit(f"backup config rejected: {exc}")
     with BackupServer(config) as server:
@@ -380,18 +395,7 @@ def cmd_cluster(args) -> int:
     data = _read(args.file)
     try:
         config = BackupConfig(
-            engine=args.engine,
-            backend=args.backend,
-            data_dir=args.data_dir,
-            store_backend="cluster",
-            cluster_nodes=args.nodes,
-            placement=args.placement,
-            replication=args.replication,
-            ec_k=args.ec[0],
-            ec_m=args.ec[1],
-            read_attempts=args.read_attempts,
-            put_attempts=args.put_attempts,
-            lookup_batch_size=args.batch_size,
+            engine=args.engine, store_backend="cluster", **_site_fields(args)
         )
         server = BackupServer(config)
     except (ValueError, LookupError) as exc:
@@ -458,18 +462,17 @@ def cmd_serve(args) -> int:
 
     from repro.service import BackupService, ServiceConfig
 
+    if args.auth_file:
+        from repro.service import AuthRegistry
+
+        try:
+            AuthRegistry.load(args.auth_file)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"--auth-file rejected: {exc}")
     try:
         config = ServiceConfig(
             host=args.host,
             port=args.port,
-            backend=args.backend,
-            data_dir=args.data_dir,
-            store_backend=args.store_backend,
-            cluster_nodes=args.nodes,
-            placement=args.placement,
-            replication=args.replication,
-            ec_k=args.ec[0],
-            ec_m=args.ec[1],
             scrub_batch=args.scrub,
             max_sessions=args.max_sessions,
             queue_depth=args.queue_depth,
@@ -490,19 +493,15 @@ def cmd_serve(args) -> int:
             hello_timeout_s=args.hello_timeout,
             brownout_lag_s=args.brownout_lag,
             breaker_threshold=args.breaker,
+            **_site_fields(args),
         )
-    except (ValueError, OSError) as exc:
+        # Opening the site refuses what only the site can check (a
+        # placement the ring cannot hold) before anything is served.
+        service = BackupService(config)
+    except (ValueError, LookupError, OSError) as exc:
         raise SystemExit(f"serve config rejected: {exc}")
-    if args.auth_file:
-        from repro.service import AuthRegistry
-
-        try:
-            AuthRegistry.load(args.auth_file)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"--auth-file rejected: {exc}")
 
     async def run() -> None:
-        service = BackupService(config)
         await service.start()
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
@@ -536,35 +535,23 @@ def cmd_serve(args) -> int:
 
 
 def cmd_scrub(args) -> int:
-    from repro.store import ChunkStoreCluster
-    from repro.store.schemes import make_scheme
+    from repro.backup.site import SiteConfig, open_site
 
-    root = Path(args.data_dir)
-    if not root.exists():
+    if not Path(args.data_dir).exists():
         raise SystemExit(f"data dir {args.data_dir} does not exist")
-    # `repro cluster/serve --data-dir DIR` nest shards under DIR/cluster;
-    # accept either the root or the cluster dir itself.
-    cluster_dir = root / "cluster" if (root / "cluster").exists() else root
-    try:
-        cluster = ChunkStoreCluster(
-            n_nodes=args.nodes,
-            scheme=make_scheme(
-                args.placement,
-                replicas=args.replication,
-                ec_k=args.ec[0],
-                ec_m=args.ec[1],
-            ),
-            backend="disk",
-            data_dir=cluster_dir,
+    try:  # DIR is a `--data-dir` root or a bare cluster dir
+        cluster = open_site(
+            SiteConfig(backend="disk", store_backend="cluster", **_site_fields(args)),
+            bare_ok=True,
         )
-    except (ValueError, OSError) as exc:
-        raise SystemExit(f"cannot open cluster at {cluster_dir}: {exc}")
+    except (ValueError, LookupError, OSError) as exc:
+        raise SystemExit(f"cannot open cluster at {args.data_dir}: {exc}")
     with cluster:
         report = cluster.scrub(limit=args.limit)
         stored = sum(n.chunk_count for n in cluster.nodes.values() if n.alive)
     print(f"scrubbed {report.chunks_scanned} stored items "
           f"({report.bytes_verified} B re-digested) of {stored} "
-          f"across {args.nodes} shards under {cluster_dir}")
+          f"across {args.nodes} shards under {cluster.data_dir}")
     if report.corrupt:
         print(f"  {report.corrupt} failed verification: "
               f"{report.repaired} rebuilt from "
@@ -625,10 +612,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--min-size", type=int, default=0)
         p.add_argument("--max-size", type=int, default=None)
 
-    def add_placement_args(p, with_striped: bool = True):
-        choices = ("vanilla", "striped", "replicated", "ec") if with_striped \
-            else ("vanilla", "replicated", "ec")
-        p.add_argument("--placement", choices=choices, default="replicated")
+    def add_placement_args(p):
+        p.add_argument("--nodes", type=int, default=4,
+                       help="cluster shard count: store nodes on the "
+                       "consistent-hash ring (a reopened cluster needs the "
+                       "count it was created with)")
+        p.add_argument("--placement", default="replicated",
+                       choices=("vanilla", "striped", "replicated", "ec"))
         p.add_argument("--replication", type=int, default=2,
                        help="copies per chunk (replicated placement)")
         p.add_argument("--ec", type=_parse_ec, default=(4, 2), metavar="K+M",
@@ -637,17 +627,21 @@ def build_parser() -> argparse.ArgumentParser:
                        "K+M reconstruct (default 4+2)")
 
     def add_storage_args(p):
-        p.add_argument("--engine", choices=("gpu", "cpu"), default="gpu",
-                       help="chunking engine (Shredder GPU model or "
-                       "pthreads CPU baseline)")
         p.add_argument("--backend", choices=("memory", "disk"), default=None,
-                       help="storage backend for the index/store state "
+                       help="storage backend for every index and store "
                        "(default: REPRO_STORE_BACKEND or memory; disk = "
                        "append-only chunk log + LSM digest index)")
         p.add_argument("--data-dir", default=None, metavar="DIR",
                        help="directory for disk-backed state; reopening "
                        "the same DIR restores every snapshot and dedup "
                        "decision (implies --backend disk)")
+
+    def add_backup_args(p):
+        p.add_argument("file")
+        p.add_argument("--engine", choices=("gpu", "cpu"), default="gpu",
+                       help="chunking engine (Shredder GPU model or "
+                       "pthreads CPU baseline)")
+        add_storage_args(p)
 
     p_chunk = sub.add_parser("chunk", help="content-based chunking of a file")
     p_chunk.add_argument("file")
@@ -672,8 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1.set_defaults(fn=cmd_table1)
 
     p_backup = sub.add_parser("backup", help="one-shot dedup backup of a file")
-    p_backup.add_argument("file")
-    add_storage_args(p_backup)
+    add_backup_args(p_backup)
     p_backup.add_argument("--remote", default=None, metavar="HOST:PORT",
                           help="ship to a running `repro serve` daemon over "
                           "the wire instead of backing up in-process")
@@ -696,24 +689,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=9451,
                          help="listen port (0 = ephemeral, printed at boot)")
-    p_serve.add_argument("--backend", choices=("memory", "disk"), default=None,
-                         help="storage backend for the shared store and "
-                         "tenant indexes (default: REPRO_STORE_BACKEND "
-                         "or memory)")
-    p_serve.add_argument("--data-dir", default=None, metavar="DIR",
-                         help="root for disk-backed state; restarting on "
-                         "the same DIR resumes every tenant's snapshots "
-                         "(implies --backend disk)")
+    add_storage_args(p_serve)
     p_serve.add_argument("--store-backend", choices=("single", "cluster"),
                          default="single",
                          help="backup-site payload store behind the service")
-    p_serve.add_argument("--nodes", type=int, default=4,
-                         help="cluster shard count (--store-backend cluster)")
     add_placement_args(p_serve)
     p_serve.add_argument("--scrub", type=int, default=0, metavar="N",
                          help="stored items the background scrubber "
-                         "re-verifies per heartbeat (needs --heartbeat; "
-                         "0 = off)")
+                         "re-verifies per heartbeat (needs --store-backend "
+                         "cluster and --heartbeat; 0 = off)")
     p_serve.add_argument("--max-sessions", type=int, default=64,
                          help="concurrent agent sessions before BUSY")
     p_serve.add_argument("--queue-depth", type=int, default=4,
@@ -784,10 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster = sub.add_parser(
         "cluster", help="dedup backup through the sharded chunk-store cluster"
     )
-    p_cluster.add_argument("file")
-    add_storage_args(p_cluster)
-    p_cluster.add_argument("--nodes", type=int, default=4,
-                           help="store nodes on the consistent-hash ring")
+    add_backup_args(p_cluster)
     add_placement_args(p_cluster)
     p_cluster.add_argument("--read-attempts", type=int, default=None,
                            metavar="N",
@@ -810,8 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scrub.add_argument("data_dir", metavar="DIR",
                          help="the --data-dir a `repro cluster`/`repro "
                          "serve` run persisted its shards under")
-    p_scrub.add_argument("--nodes", type=int, default=4,
-                         help="shard count the cluster was created with")
     add_placement_args(p_scrub)
     p_scrub.add_argument("--limit", type=int, default=None, metavar="N",
                          help="verify at most N stored items (default: "

@@ -35,10 +35,9 @@ import socket
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 
 from repro.backup.agent import ShredderAgent
-from repro.backup.store import ChunkStore
+from repro.backup.site import SiteConfig, open_site
 from repro.faults import FAULTS_ENV, FaultPlan
 from repro.service import protocol as wire
 from repro.service.limits import (
@@ -55,11 +54,7 @@ from repro.service.metrics import (
 )
 from repro.service.protocol import Err, FrameConnection, Msg
 from repro.service.tenant import TenantRegistry
-from repro.store.backend import resolve_backend
-from repro.store.cluster import ChunkStoreCluster
 from repro.store.health import HealthPolicy
-from repro.store.lookup import LookupCostModel
-from repro.store.schemes import make_scheme
 
 __all__ = ["ServiceConfig", "BackupService"]
 
@@ -68,34 +63,17 @@ _BROWNOUT_HOLD_S = 2.0
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
-    """Backup-service configuration."""
+class ServiceConfig(SiteConfig):
+    """Backup-service configuration: the site fields of
+    :class:`~repro.backup.site.SiteConfig` plus the service's own below
+    (each tenant's index persists under ``data_dir/tenants/<name>``)."""
 
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (read it back from ``service.port``).
     port: int = 0
-    #: Storage backend for all shared + tenant state ("memory"|"disk";
-    #: ``None`` follows ``REPRO_STORE_BACKEND``).
-    backend: str | None = None
-    #: Root for disk-backed state (``site/`` or ``cluster/`` +
-    #: ``tenants/<name>/index``); ``None`` + disk = ephemeral tempdirs.
-    data_dir: str | None = None
-    #: Backup-site payload store: "single" | "cluster".
-    store_backend: str = "single"
-    cluster_nodes: int = 4
-    placement: str = "replicated"  # "vanilla" | "striped" | "replicated" | "ec"
-    replication: int = 2
-    stripe_width: int = 4
-    #: Erasure-coding geometry (placement="ec").
-    ec_k: int = 4
-    ec_m: int = 2
     #: Stored items the cluster's background scrubber re-verifies per
-    #: heartbeat (0 disables; needs ``heartbeat_s``).
+    #: heartbeat (0 disables; needs the cluster and ``heartbeat_s``).
     scrub_batch: int = 0
-    #: Bounded cluster retry budgets; ``None`` keeps the defaults.
-    read_attempts: int | None = None
-    put_attempts: int | None = None
-    lookup_batch_size: int = 128
     #: Concurrent agent sessions admitted before ERROR[BUSY].
     max_sessions: int = 64
     #: Bounded ingest queue per connection — the backpressure limit.
@@ -155,9 +133,7 @@ class ServiceConfig:
     breaker_cooldown_s: float = 1.0
 
     def __post_init__(self) -> None:
-        resolve_backend(self.backend, self.data_dir)  # raises on bad kind
-        if self.store_backend not in ("single", "cluster"):
-            raise ValueError(f"unknown store backend {self.store_backend!r}")
+        super().__post_init__()
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         if self.queue_depth < 1:
@@ -174,14 +150,10 @@ class ServiceConfig:
             raise ValueError("drain_s must be >= 0")
         if self.heartbeat_s is not None and self.heartbeat_s <= 0:
             raise ValueError("heartbeat_s must be positive (or None)")
-        if self.ec_k < 1 or self.ec_m < 0:
-            raise ValueError("ec geometry wants k >= 1 and m >= 0")
         if self.scrub_batch < 0:
             raise ValueError("scrub_batch must be >= 0")
-        if self.read_attempts is not None and self.read_attempts < 1:
-            raise ValueError("read_attempts must be >= 1")
-        if self.put_attempts is not None and self.put_attempts < 1:
-            raise ValueError("put_attempts must be >= 1")
+        if self.scrub_batch and (not self.clustered or self.heartbeat_s is None):
+            raise ValueError("scrub_batch needs store_backend='cluster' and heartbeat_s")
         for name in (
             "rate_bytes_per_s",
             "rate_ops_per_s",
@@ -237,39 +209,19 @@ class BackupService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = cfg = config or ServiceConfig()
-        self.storage_kind = resolve_backend(cfg.backend, cfg.data_dir)
-        data_dir = Path(cfg.data_dir) if cfg.data_dir is not None else None
         spec = cfg.faults
         if spec is None:
             spec = os.environ.get(FAULTS_ENV, "").strip()
         self.fault_plan = FaultPlan.parse(spec) if spec else None
-        if cfg.store_backend == "cluster":
-            self.store = ChunkStoreCluster(
-                n_nodes=cfg.cluster_nodes,
-                scheme=make_scheme(
-                    cfg.placement,
-                    replicas=cfg.replication,
-                    stripe_width=cfg.stripe_width,
-                    ec_k=cfg.ec_k,
-                    ec_m=cfg.ec_m,
-                ),
-                health=HealthPolicy(scrub_batch=cfg.scrub_batch),
-                read_attempts=cfg.read_attempts,
-                put_attempts=cfg.put_attempts,
-                batch_size=cfg.lookup_batch_size,
-                cost_model=LookupCostModel(),
-                backend=self.storage_kind,
-                data_dir=data_dir / "cluster" if data_dir is not None else None,
-                fault_plan=self.fault_plan,
-            )
-        else:
-            self.store = ChunkStore(
-                backend=self.storage_kind,
-                data_dir=data_dir / "site" if data_dir is not None else None,
-            )
+        self.store = open_site(
+            cfg,
+            fault_plan=self.fault_plan,
+            health=HealthPolicy(scrub_batch=cfg.scrub_batch),
+        )
+        self.storage_kind = self.store.backend_kind
         self.agent = ShredderAgent(store=self.store)
         self.registry = TenantRegistry(
-            backend=self.storage_kind, data_dir=data_dir
+            backend=self.storage_kind, data_dir=cfg.data_dir
         )
         self.metrics = ServiceMetrics()
         self.auth = (
@@ -325,7 +277,7 @@ class BackupService:
         self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
         self._accepting = asyncio.create_task(self._accept_loop())
-        if self.config.heartbeat_s is not None and hasattr(self.store, "heartbeat"):
+        if cfg.heartbeat_s is not None and cfg.clustered:
             self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
         if self.config.brownout_lag_s is not None:
             self._brownout_task = asyncio.create_task(self._brownout_monitor())

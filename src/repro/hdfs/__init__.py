@@ -1,24 +1,16 @@
-"""Inc-HDFS substrate: in-process namenode/datanodes, content-based splits."""
+"""Inc-HDFS substrate: a namenode's namespace over the site's chunk
+store, with content-based, record-aligned splits."""
 
 from repro.hdfs.client import DEFAULT_BLOCK_SIZE, HDFSClient, UploadResult
 from repro.hdfs.cluster import HDFSCluster
-from repro.hdfs.datanode import DataNode
-from repro.hdfs.errors import (
-    BlockNotFound,
-    DataNodeDown,
-    FileAlreadyExists,
-    FileNotFoundInHDFS,
-    HDFSError,
-    NoDataNodes,
-)
+from repro.hdfs.errors import FileAlreadyExists, FileNotFoundInHDFS, HDFSError
 from repro.hdfs.namenode import BlockInfo, FileMetadata, NameNode
 from repro.hdfs.semantic import snap_cuts_to_records, split_records
 from repro.hdfs.splits import InputSplit, file_splits
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE", "HDFSClient", "UploadResult", "HDFSCluster",
-    "DataNode", "BlockNotFound", "DataNodeDown", "FileAlreadyExists",
-    "FileNotFoundInHDFS", "HDFSError", "NoDataNodes",
+    "FileAlreadyExists", "FileNotFoundInHDFS", "HDFSError",
     "BlockInfo", "FileMetadata", "NameNode",
     "snap_cuts_to_records", "split_records", "InputSplit", "file_splits",
 ]

@@ -1,24 +1,31 @@
 """HDFS client: upload (fixed-size or Shredder content-based) and read.
 
 Mirrors the paper's Fig. 14: the computationally expensive chunking runs
-in the Shredder-enabled HDFS client before chunks are pushed to the
-datanodes.  The shell-level distinction is preserved in the API:
+in the Shredder-enabled HDFS client before its blocks are pushed to the
+site's chunk store, keyed by their SHA-256 digests.  The shell-level
+distinction is preserved in the API:
 
 ``copy_from_local``      fixed-size blocks (stock HDFS behaviour)
 ``copy_from_local_gpu``  content-based chunking via a Shredder instance,
                          optionally snapped to record boundaries
                          (semantic chunking, §6.3)
+
+A file is published as a recipe named by its path, and enters the
+namespace only once its blocks and recipe are stored, so a failed
+upload leaves no file behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.backup.store import SnapshotRecipe
 from repro.core.hashing import chunk_hash
 from repro.core.shredder import Shredder, ShredderConfig, ShredderReport
-from repro.hdfs.namenode import FileMetadata, NameNode
+from repro.hdfs.namenode import BlockInfo, FileMetadata, NameNode
 from repro.hdfs.semantic import snap_cuts_to_records
 from repro.hdfs.splits import InputSplit, file_splits
+from repro.store.cluster import ChunkStoreCluster
 
 __all__ = ["HDFSClient", "UploadResult", "DEFAULT_BLOCK_SIZE"]
 
@@ -38,17 +45,30 @@ class UploadResult:
 
 
 class HDFSClient:
-    """Client connected to a NameNode (and through it, the datanodes)."""
+    """Client of the namenode's namespace over the site's chunk store."""
 
-    def __init__(self, namenode: NameNode) -> None:
+    def __init__(self, namenode: NameNode, store: ChunkStoreCluster) -> None:
         self.namenode = namenode
+        self.store = store
 
     # -- write paths ---------------------------------------------------------
 
-    def _store_block(self, path: str, data: bytes) -> None:
-        block = self.namenode.allocate_block(path, len(data), chunk_hash(data))
-        for node_id in block.replicas:
-            self.namenode.get_datanode(node_id).store_block(block.block_id, data)
+    def _put_blocks(self, pieces: list[bytes]) -> list[BlockInfo]:
+        blocks = [BlockInfo(len(p), chunk_hash(p)) for p in pieces]
+        self.store.put_chunks((b.digest, p) for b, p in zip(blocks, pieces))
+        return blocks
+
+    def _publish(
+        self, path: str, blocks: list[BlockInfo], content_based: bool
+    ) -> FileMetadata:
+        digests = tuple(b.digest for b in blocks)
+        total = sum(b.length for b in blocks)
+        self.store.put_recipe(SnapshotRecipe(path, digests, total))
+        return self.namenode.create_file(path, blocks, content_based)
+
+    def _unpublish(self, path: str) -> None:
+        self.namenode.delete_file(path)
+        self.store.delete_recipe(path)
 
     def copy_from_local(
         self, data: bytes, path: str, block_size: int = DEFAULT_BLOCK_SIZE
@@ -56,22 +76,19 @@ class HDFSClient:
         """Stock upload: fixed-size blocks (offset-defined boundaries)."""
         if block_size <= 0:
             raise ValueError("block_size must be positive")
-        meta = self.namenode.create_file(path, content_based=False)
-        for off in range(0, len(data), block_size):
-            self._store_block(path, data[off : off + block_size])
-        self.namenode.complete_file(path)
+        self.namenode.check_free(path)
+        offsets = range(0, len(data), block_size)
+        pieces = [data[off : off + block_size] for off in offsets]
+        meta = self._publish(path, self._put_blocks(pieces), content_based=False)
         return UploadResult(meta, len(meta.blocks), meta.length)
 
-    def _store_content_blocks(
-        self,
-        path: str,
-        data: bytes,
-        shredder: Shredder | None,
-        record_delimiter: bytes | None,
-    ) -> ShredderReport:
+    @staticmethod
+    def _content_pieces(
+        data: bytes, shredder: Shredder | None, record_delimiter: bytes | None
+    ) -> tuple[list[bytes], ShredderReport]:
         """Chunk ``data`` with ``shredder`` (a fresh one when ``None``),
         snap the cuts forward to ``record_delimiter`` when given, and
-        store each non-empty piece as the next block of ``path``."""
+        return the non-empty pieces."""
         own = shredder is None
         if own:
             shredder = Shredder(ShredderConfig.gpu_streams_memory())
@@ -83,12 +100,8 @@ class HDFSClient:
         cuts = [c.end for c in chunks]
         if record_delimiter is not None:
             cuts = snap_cuts_to_records(data, cuts, record_delimiter)
-        prev = 0
-        for cut in cuts:
-            if cut > prev:
-                self._store_block(path, data[prev:cut])
-            prev = cut
-        return report
+        pieces = [data[a:b] for a, b in zip([0, *cuts], cuts) if b > a]
+        return pieces, report
 
     def copy_from_local_gpu(
         self,
@@ -103,9 +116,9 @@ class HDFSClient:
         forward to record boundaries (semantic chunking) so no Map record
         is ever split across blocks.
         """
-        meta = self.namenode.create_file(path, content_based=True)
-        report = self._store_content_blocks(path, data, shredder, record_delimiter)
-        self.namenode.complete_file(path)
+        self.namenode.check_free(path)
+        pieces, report = self._content_pieces(data, shredder, record_delimiter)
+        meta = self._publish(path, self._put_blocks(pieces), content_based=True)
         return UploadResult(meta, len(meta.blocks), meta.length, report)
 
     def append_gpu(
@@ -121,47 +134,34 @@ class HDFSClient:
         boundaries are content-local), so the client re-chunks just
         ``last block + new data`` and replaces that one block.  Every
         earlier block — and therefore every memoized map result over it —
-        is untouched.
+        is untouched.  The file's recipe is replaced and garbage
+        collection drops the old tail unless another file shares it.
         """
         meta = self.namenode.get_file(path)
         if not meta.content_based:
             raise ValueError(f"{path} was not uploaded with content-based chunking")
-        tail = b""
-        if meta.blocks:
-            last = meta.blocks[-1]
-            live = self.namenode.replica_nodes(last.block_id)
-            if not live:
-                raise RuntimeError(f"tail block of {path} has no live replicas")
-            tail = live[0].read_block(last.block_id)
-            self.namenode.drop_last_block(path)
-        report = self._store_content_blocks(
-            path, tail + data, shredder, record_delimiter
-        )
+        tail = self.store.get_chunk(meta.blocks[-1].digest) if meta.blocks else b""
+        pieces, report = self._content_pieces(tail + data, shredder, record_delimiter)
+        blocks = meta.blocks[:-1] + self._put_blocks(pieces)
+        self._unpublish(path)
+        meta = self._publish(path, blocks, content_based=True)
+        self.store.garbage_collect()
         return UploadResult(meta, len(meta.blocks), meta.length, report)
+
+    def delete(self, path: str) -> None:
+        """Drop ``path`` and garbage-collect the blocks only it used."""
+        self._unpublish(path)
+        self.store.garbage_collect()
 
     # -- read paths ----------------------------------------------------------
 
     def read(self, path: str) -> bytes:
-        """Whole-file read, preferring the first live replica per block."""
-        meta = self.namenode.get_file(path)
-        out = bytearray()
-        for block in meta.blocks:
-            nodes = self.namenode.replica_nodes(block.block_id)
-            if not nodes:
-                raise RuntimeError(
-                    f"block {block.block_id} of {path} has no live replicas"
-                )
-            out.extend(nodes[0].read_block(block.block_id))
-        return bytes(out)
+        """Whole-file read, each block from any live replica."""
+        self.namenode.get_file(path)
+        return self.store.restore(path)
 
     def read_split(self, split: InputSplit) -> bytes:
-        nodes = self.namenode.replica_nodes(split.block_id)
-        if not nodes:
-            raise RuntimeError(f"split {split.index} of {split.path} unreadable")
-        return nodes[0].read_block(split.block_id)
+        return self.store.get_chunk(split.digest)
 
     def get_splits(self, path: str) -> list[InputSplit]:
         return file_splits(self.namenode.get_file(path))
-
-    def delete(self, path: str) -> None:
-        self.namenode.delete_file(path)

@@ -1,15 +1,8 @@
-"""Error types for the in-process HDFS cluster."""
+"""Error types of the Inc-HDFS namespace."""
 
 from __future__ import annotations
 
-__all__ = [
-    "HDFSError",
-    "FileNotFoundInHDFS",
-    "FileAlreadyExists",
-    "BlockNotFound",
-    "NoDataNodes",
-    "DataNodeDown",
-]
+__all__ = ["HDFSError", "FileNotFoundInHDFS", "FileAlreadyExists"]
 
 
 class HDFSError(Exception):
@@ -22,15 +15,3 @@ class FileNotFoundInHDFS(HDFSError):
 
 class FileAlreadyExists(HDFSError):
     """Creating a path that already exists."""
-
-
-class BlockNotFound(HDFSError):
-    """A block id is unknown to the datanode or namenode."""
-
-
-class NoDataNodes(HDFSError):
-    """The cluster has no registered (live) datanodes."""
-
-
-class DataNodeDown(HDFSError):
-    """Operation routed to a datanode that is marked failed."""

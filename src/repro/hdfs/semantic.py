@@ -33,7 +33,9 @@ def snap_cuts_to_records(
         if cut >= n:
             pos = n
         else:
-            nxt = data.find(delimiter, max(0, cut - 1))
+            # A cut right after a delimiter is already record-aligned:
+            # search from where that delimiter would start.
+            nxt = data.find(delimiter, max(0, cut - len(delimiter)))
             pos = n if nxt == -1 else nxt + len(delimiter)
         if not snapped or pos > snapped[-1]:
             snapped.append(pos)

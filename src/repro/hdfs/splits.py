@@ -22,7 +22,6 @@ class InputSplit:
 
     path: str
     index: int
-    block_id: int
     offset: int
     length: int
     digest: bytes
@@ -42,7 +41,6 @@ def file_splits(meta: FileMetadata) -> list[InputSplit]:
             InputSplit(
                 path=meta.path,
                 index=i,
-                block_id=block.block_id,
                 offset=offset,
                 length=block.length,
                 digest=block.digest,

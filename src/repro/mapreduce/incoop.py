@@ -1,7 +1,9 @@
 """Incoop: incremental MapReduce via memoization + contraction (§6.1).
 
 Two reuse mechanisms from the Incoop paper, driven by Inc-HDFS's stable
-content-defined splits:
+content-defined splits, which the one job loop of
+:class:`~repro.mapreduce.runtime.MapReduceRuntime` applies when it runs
+with a memo server:
 
 * **Map-task memoization** — a map task's output is stored under
   ``(job, params, split digest)``.  Re-running the job on changed input
@@ -19,23 +21,12 @@ from-scratch run (tested property).
 
 from __future__ import annotations
 
-import hashlib
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any
-
 from repro.hdfs.client import HDFSClient
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.memo import MemoServer, memo_key
-from repro.mapreduce.runtime import ClusterModel, MapReduceRuntime, RunResult, RunStats
+from repro.mapreduce.memo import MemoServer
+from repro.mapreduce.runtime import ClusterModel, MapReduceRuntime, RunResult
 
 __all__ = ["IncoopRuntime"]
-
-#: Cost of fetching a memoized result instead of re-running the task
-#: (a memo-server lookup plus reading the stored output).
-MEMO_FETCH_S = 5e-3
-#: Cost of a reused contraction node (key check only).
-CONTRACT_FETCH_S = 2e-4
 
 
 class IncoopRuntime(MapReduceRuntime):
@@ -70,95 +61,13 @@ class IncoopRuntime(MapReduceRuntime):
 
     def run_incremental(self, job: MapReduceJob, path: str) -> RunResult:
         """Run ``job`` over ``path``, reusing memoized sub-computations."""
-        stats = RunStats()
-        splits = self.client.get_splits(path)
-        stats.n_splits = len(splits)
+        return self._run(job, path, self.memo)
 
-        # -- map phase with memoization --------------------------------------
-        leaf_outputs: list[tuple[str, dict[int, list[tuple]]]] = []
-        scheduled_tasks: list[tuple[str, float]] = []
-        for split in splits:
-            key = memo_key(job.name, job.params, split.split_id)
-            partitions = self.memo.get(key)
-            if partitions is None:
-                data = self.client.read_split(split)
-                partitions = self.run_map_task(job, data)
-                self.memo.put(key, partitions)
-                records = len(job.input_format(data))
-                stats.map_tasks_run += 1
-                seconds = self.cluster.map_task_seconds(
-                    split.length, records, job.compute_weight
-                )
-            else:
-                stats.map_tasks_reused += 1
-                seconds = MEMO_FETCH_S
-            stats.map_task_seconds.append(seconds)
-            scheduled_tasks.append((key, seconds))
-            leaf_outputs.append((key, partitions))
-
-        # -- reduce phase -----------------------------------------------------
-        output: dict[Any, Any] = {}
-        for p in range(job.n_reducers):
-            leaves = [
-                (f"{key}:{p}", partitions.get(p, []))
-                for key, partitions in leaf_outputs
-            ]
-            if job.combine_fn is not None:
-                pairs = self._contract(job, leaves, stats)
-            else:
-                pairs = [kv for _, leaf_pairs in leaves for kv in leaf_pairs]
-            output.update(self.run_reduce_task(job, pairs))
-            stats.reduce_tasks += 1
-            stats.reduce_task_seconds.append(
-                self.cluster.reduce_task_seconds(len(pairs))
-            )
-
-        if self.scheduler is not None:
-            self.last_schedule = self.scheduler.schedule(scheduled_tasks)
-            map_makespan = self.last_schedule.makespan_seconds
-        else:
-            map_makespan = self.cluster.makespan(
-                stats.map_task_seconds, self.cluster.map_slots
-            )
-        stats.makespan_seconds = map_makespan + self.cluster.makespan(
-            stats.reduce_task_seconds, self.cluster.reduce_slots
-        )
-        return RunResult(output, stats)
-
-    # ------------------------------------------------------------------
-
-    def _contract(
-        self,
-        job: MapReduceJob,
-        leaves: list[tuple[str, list[tuple]]],
-        stats: RunStats,
-    ) -> list[tuple]:
-        """Fold leaves through a memoized binary combine tree."""
-        level = leaves
-        while len(level) > 1:
-            nxt: list[tuple[str, list[tuple]]] = []
-            for i in range(0, len(level) - 1, 2):
-                (key_a, pairs_a), (key_b, pairs_b) = level[i], level[i + 1]
-                node_key = "contract:" + hashlib.sha256(
-                    (key_a + "|" + key_b).encode()
-                ).hexdigest()[:32]
-                cached = self.memo.get(node_key)
-                if cached is None:
-                    merged = self._combine_pairs(job, list(pairs_a) + list(pairs_b))
-                    self.memo.put(node_key, merged)
-                    stats.combine_nodes_run += 1
-                    stats.reduce_task_seconds.append(
-                        self.cluster.combine_seconds(len(pairs_a) + len(pairs_b))
-                    )
-                else:
-                    merged = cached
-                    stats.combine_nodes_reused += 1
-                    stats.reduce_task_seconds.append(CONTRACT_FETCH_S)
-                nxt.append((node_key, merged))
-            if len(level) % 2:
-                nxt.append(level[-1])
-            level = nxt
-        return list(level[0][1]) if level else []
+    def _map_makespan(self, tasks: list[tuple[str, float]]) -> float:
+        if self.scheduler is None:
+            return super()._map_makespan(tasks)
+        self.last_schedule = self.scheduler.schedule(tasks)
+        return self.last_schedule.makespan_seconds
 
     # ------------------------------------------------------------------
 

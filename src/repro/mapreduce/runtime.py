@@ -10,6 +10,7 @@ makes task-level memoization profitable.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from typing import Any
 
 from repro.hdfs.client import HDFSClient
 from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.memo import MemoServer, memo_key
 
 __all__ = ["ClusterModel", "RunStats", "RunResult", "MapReduceRuntime", "partition_of"]
 
@@ -33,6 +35,13 @@ def partition_of(key: Any, n_reducers: int) -> int:
     else:
         raw = repr(key).encode()
     return zlib.crc32(raw) % n_reducers
+
+
+#: Cost of fetching a memoized result instead of re-running the task
+#: (a memo-server lookup plus reading the stored output).
+MEMO_FETCH_S = 5e-3
+#: Cost of a reused contraction node (key check only).
+CONTRACT_FETCH_S = 2e-4
 
 
 @dataclass(frozen=True)
@@ -154,36 +163,100 @@ class MapReduceRuntime:
             grouped[k].append(v)
         return {k: job.reduce_fn(k, vs) for k, vs in grouped.items()}
 
-    # -- full job -------------------------------------------------------------
+    # -- the job loop -----------------------------------------------------------
 
     def run(self, job: MapReduceJob, path: str) -> RunResult:
         """Run the whole job from scratch over the splits of ``path``."""
+        return self._run(job, path, memo=None)
+
+    def _run(self, job: MapReduceJob, path: str, memo: MemoServer | None) -> RunResult:
+        """The one job loop: splits -> map -> shuffle -> reduce -> makespan.
+
+        With a ``memo`` server, map outputs are reused by split digest
+        and, when the job has a combiner, each reduce partition folds its
+        inputs through the memoized contraction tree.
+        """
         stats = RunStats()
         splits = self.client.get_splits(path)
         stats.n_splits = len(splits)
 
-        shuffle: dict[int, list[tuple]] = defaultdict(list)
+        leaf_outputs: list[tuple[str, dict[int, list[tuple]]]] = []
         for split in splits:
-            data = self.client.read_split(split)
-            partitions = self.run_map_task(job, data)
-            records = len(job.input_format(data))
-            stats.map_tasks_run += 1
-            stats.map_task_seconds.append(
-                self.cluster.map_task_seconds(split.length, records, job.compute_weight)
-            )
-            for p, pairs in partitions.items():
-                shuffle[p].extend(pairs)
+            key = memo_key(job.name, job.params, split.split_id)
+            partitions = memo.get(key) if memo is not None else None
+            if partitions is None:
+                data = self.client.read_split(split)
+                partitions = self.run_map_task(job, data)
+                if memo is not None:
+                    memo.put(key, partitions)
+                records = len(job.input_format(data))
+                stats.map_tasks_run += 1
+                seconds = self.cluster.map_task_seconds(
+                    split.length, records, job.compute_weight
+                )
+            else:
+                stats.map_tasks_reused += 1
+                seconds = MEMO_FETCH_S
+            stats.map_task_seconds.append(seconds)
+            leaf_outputs.append((key, partitions))
 
         output: dict[Any, Any] = {}
         for p in range(job.n_reducers):
-            pairs = shuffle.get(p, [])
+            leaves = [
+                (f"{key}:{p}", partitions.get(p, []))
+                for key, partitions in leaf_outputs
+            ]
+            if memo is not None and job.combine_fn is not None:
+                pairs = self._contract(job, leaves, stats, memo)
+            else:
+                pairs = [kv for _, leaf_pairs in leaves for kv in leaf_pairs]
             output.update(self.run_reduce_task(job, pairs))
             stats.reduce_tasks += 1
             stats.reduce_task_seconds.append(
                 self.cluster.reduce_task_seconds(len(pairs))
             )
 
-        stats.makespan_seconds = self.cluster.makespan(
-            stats.map_task_seconds, self.cluster.map_slots
-        ) + self.cluster.makespan(stats.reduce_task_seconds, self.cluster.reduce_slots)
+        keys = [key for key, _ in leaf_outputs]
+        map_makespan = self._map_makespan(list(zip(keys, stats.map_task_seconds)))
+        stats.makespan_seconds = map_makespan + self.cluster.makespan(
+            stats.reduce_task_seconds, self.cluster.reduce_slots
+        )
         return RunResult(output, stats)
+
+    def _map_makespan(self, tasks: list[tuple[str, float]]) -> float:
+        """Makespan of the map wave's ``(memo key, seconds)`` tasks."""
+        return self.cluster.makespan([s for _, s in tasks], self.cluster.map_slots)
+
+    def _contract(
+        self,
+        job: MapReduceJob,
+        leaves: list[tuple[str, list[tuple]]],
+        stats: RunStats,
+        memo: MemoServer,
+    ) -> list[tuple]:
+        """Fold leaves through a memoized binary combine tree."""
+        level = leaves
+        while len(level) > 1:
+            nxt: list[tuple[str, list[tuple]]] = []
+            for i in range(0, len(level) - 1, 2):
+                (key_a, pairs_a), (key_b, pairs_b) = level[i], level[i + 1]
+                node_key = "contract:" + hashlib.sha256(
+                    (key_a + "|" + key_b).encode()
+                ).hexdigest()[:32]
+                cached = memo.get(node_key)
+                if cached is None:
+                    merged = self._combine_pairs(job, list(pairs_a) + list(pairs_b))
+                    memo.put(node_key, merged)
+                    stats.combine_nodes_run += 1
+                    stats.reduce_task_seconds.append(
+                        self.cluster.combine_seconds(len(pairs_a) + len(pairs_b))
+                    )
+                else:
+                    merged = cached
+                    stats.combine_nodes_reused += 1
+                    stats.reduce_task_seconds.append(CONTRACT_FETCH_S)
+                nxt.append((node_key, merged))
+            if len(level) % 2:
+                nxt.append(level[-1])
+            level = nxt
+        return list(level[0][1]) if level else []

@@ -74,51 +74,61 @@ class TestOccupancy:
 
 
 class TestReReplication:
+    """HDFS re-replication is the chunk store's recipe-driven repair."""
+
     def make_cluster(self):
         cluster = HDFSCluster(num_datanodes=5, replication=2)
         data = seeded_bytes(100_000, seed=61)
         cluster.client.copy_from_local(data, "/f", block_size=16 * 1024)
         return cluster, data
 
+    @staticmethod
+    def fail(cluster):
+        """Fail the fullest alive node."""
+        alive = [n for n in cluster.store.nodes.values() if n.alive]
+        node = max(alive, key=lambda n: n.stored_bytes)
+        cluster.store.fail_node(node.node_id)
+
+    @staticmethod
+    def replica_counts(cluster):
+        blocks = cluster.namenode.get_file("/f").blocks
+        return [cluster.store.replica_count(b.digest) for b in blocks]
+
     def test_failure_creates_under_replication(self):
         cluster, _ = self.make_cluster()
-        assert cluster.namenode.under_replicated_blocks() == []
-        cluster.datanodes[0].fail()
-        assert len(cluster.namenode.under_replicated_blocks()) > 0
+        assert min(self.replica_counts(cluster)) == 2
+        self.fail(cluster)
+        assert min(self.replica_counts(cluster)) < 2
 
     def test_re_replicate_restores_target(self):
         cluster, data = self.make_cluster()
-        cluster.datanodes[0].fail()
-        created = cluster.namenode.re_replicate()
-        assert created > 0
-        assert cluster.namenode.under_replicated_blocks() == []
+        self.fail(cluster)
+        assert cluster.store.repair().chunks_recopied > 0
+        assert min(self.replica_counts(cluster)) == 2
 
     def test_survives_second_failure_after_repair(self):
         """The point of repair: a later failure of another node is safe."""
         cluster, data = self.make_cluster()
-        cluster.datanodes[0].fail()
-        cluster.namenode.re_replicate()
-        cluster.datanodes[1].fail()
+        self.fail(cluster)
+        cluster.store.repair()
+        self.fail(cluster)
         assert cluster.client.read("/f") == data
 
     def test_without_repair_second_failure_can_lose_data(self):
         cluster, data = self.make_cluster()
-        cluster.datanodes[0].fail()
-        cluster.datanodes[1].fail()
-        # Some block may now have zero live replicas; repair can't help it.
-        doomed = [
-            b for b in cluster.namenode.under_replicated_blocks()
-            if not cluster.namenode.replica_nodes(b.block_id)
-        ]
-        if doomed:  # placement is load-based, so this is the common case
-            with pytest.raises(RuntimeError):
-                cluster.client.read("/f")
+        self.fail(cluster)
+        self.fail(cluster)
+        # The two fullest nodes share a block: repair can't help it.
+        assert 0 in self.replica_counts(cluster)
+        assert not cluster.store.repair().healthy
+        with pytest.raises(KeyError):
+            cluster.client.read("/f")
 
     def test_repair_is_idempotent(self):
         cluster, _ = self.make_cluster()
-        cluster.datanodes[0].fail()
-        cluster.namenode.re_replicate()
-        assert cluster.namenode.re_replicate() == 0
+        self.fail(cluster)
+        cluster.store.repair()
+        assert cluster.store.repair().chunks_recopied == 0
 
 
 class TestBackupGC:

@@ -1,4 +1,4 @@
-"""Tests for the in-process HDFS cluster and Inc-HDFS uploads."""
+"""Tests for the in-process Inc-HDFS cluster and its uploads."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ import pytest
 from repro.core.chunking import ChunkerConfig
 from repro.core.shredder import Shredder, ShredderConfig
 from repro.hdfs import (
-    DataNodeDown,
     FileAlreadyExists,
     FileNotFoundInHDFS,
     HDFSCluster,
-    NoDataNodes,
     snap_cuts_to_records,
     split_records,
 )
@@ -53,21 +51,40 @@ class TestFixedSizeUpload:
         data = seeded_bytes(100_000, seed=2)
         cluster.client.copy_from_local(data, "/f", block_size=32 * 1024)
         for block in cluster.namenode.get_file("/f").blocks:
-            assert len(block.replicas) == 2
-            for node_id in block.replicas:
-                assert cluster.namenode.get_datanode(node_id).has_block(block.block_id)
+            assert cluster.store.replica_count(block.digest) == 2
 
     def test_placement_balances_load(self, cluster):
         data = seeded_bytes(500_000, seed=3)
         cluster.client.copy_from_local(data, "/f", block_size=16 * 1024)
-        used = [n.used_bytes for n in cluster.datanodes]
+        used = [n.stored_bytes for n in cluster.store.nodes.values()]
         assert max(used) < 3 * (sum(used) / len(used))
 
     def test_delete(self, cluster):
         cluster.client.copy_from_local(b"abc" * 100, "/f")
         cluster.client.delete("/f")
         assert not cluster.namenode.exists("/f")
-        assert all(n.block_count == 0 for n in cluster.datanodes)
+        assert cluster.store.chunk_count == 0
+        assert cluster.store.snapshot_count == 0
+
+    def test_delete_keeps_blocks_another_file_shares(self, cluster):
+        data = seeded_bytes(100_000, seed=4)
+        cluster.client.copy_from_local(data, "/a", block_size=32 * 1024)
+        cluster.client.copy_from_local(data, "/b", block_size=32 * 1024)
+        cluster.client.delete("/a")
+        assert cluster.client.read("/b") == data
+        assert cluster.store.chunk_count == 4
+
+    def test_failed_upload_leaves_no_file(self, cluster):
+        """The file enters the namespace only once its upload completes,
+        so a retry after a failed upload succeeds."""
+        with pytest.raises(TypeError):
+            cluster.client.copy_from_local_gpu(12345, "/x")
+        assert not cluster.namenode.exists("/x")
+        assert cluster.store.snapshot_count == 0
+        data = generate_text(20_000, seed=5)
+        with make_shredder() as sh:
+            cluster.client.copy_from_local_gpu(data, "/x", shredder=sh)
+        assert cluster.client.read("/x") == data
 
 
 class TestContentBasedUpload:
@@ -136,43 +153,37 @@ class TestContentBasedUpload:
         assert pos == len(text)
 
 
+def fail_fullest_node(cluster: HDFSCluster) -> None:
+    nodes = cluster.store.nodes.values()
+    cluster.store.fail_node(max(nodes, key=lambda n: n.stored_bytes).node_id)
+
+
 class TestFailures:
     def test_read_uses_surviving_replica(self, cluster):
         data = seeded_bytes(100_000, seed=9)
         cluster.client.copy_from_local(data, "/f", block_size=32 * 1024)
-        cluster.datanodes[0].fail()
+        fail_fullest_node(cluster)
         assert cluster.client.read("/f") == data
 
     def test_read_fails_when_all_replicas_down(self, cluster):
         data = seeded_bytes(50_000, seed=9)
         cluster.client.copy_from_local(data, "/f", block_size=32 * 1024)
-        for node in cluster.datanodes:
-            node.fail()
-        with pytest.raises(RuntimeError, match="replica"):
+        for node_id in list(cluster.store.nodes)[:-1]:
+            cluster.store.fail_node(node_id)
+        with pytest.raises(KeyError, match="missing"):
             cluster.client.read("/f")
 
-    def test_recovered_node_serves(self, cluster):
+    def test_repair_restores_replication(self, cluster):
         data = seeded_bytes(50_000, seed=9)
         cluster.client.copy_from_local(data, "/f", block_size=32 * 1024)
-        for node in cluster.datanodes:
-            node.fail()
-        for node in cluster.datanodes:
-            node.recover()
-        assert cluster.client.read("/f") == data
+        fail_fullest_node(cluster)
+        assert cluster.store.repair().healthy
+        for block in cluster.namenode.get_file("/f").blocks:
+            assert cluster.store.replica_count(block.digest) == 2
 
-    def test_datanode_down_rejects_io(self, cluster):
-        node = cluster.datanodes[0]
-        node.fail()
-        with pytest.raises(DataNodeDown):
-            node.store_block(1, b"x")
-
-    def test_no_datanodes(self):
-        from repro.hdfs import NameNode, HDFSClient
-
-        nn = NameNode()
-        client = HDFSClient(nn)
-        with pytest.raises(NoDataNodes):
-            client.copy_from_local(b"abc", "/f")
+    def test_needs_a_datanode(self):
+        with pytest.raises(ValueError):
+            HDFSCluster(num_datanodes=0)
 
 
 class TestSemanticChunking:
@@ -192,10 +203,12 @@ class TestSemanticChunking:
     def test_snap_empty(self):
         assert snap_cuts_to_records(b"", []) == []
 
-    def test_cut_already_after_delimiter_stays(self):
-        data = b"aaaa\nbbbb\n"
+    @pytest.mark.parametrize("delimiter", [b"\n", b"\r\n"])
+    def test_cut_already_after_delimiter_stays(self, delimiter):
+        data = delimiter.join([b"aa", b"bb", b"cc"])
         # A cut exactly after a delimiter is already record-aligned.
-        assert snap_cuts_to_records(data, [5, 10]) == [5, 10]
+        cut = 2 + len(delimiter)
+        assert snap_cuts_to_records(data, [cut], delimiter) == [cut, len(data)]
 
     def test_split_records_handles_missing_final_newline(self):
         assert split_records(b"a\nb") == [b"a", b"b"]

@@ -7,7 +7,6 @@ import pytest
 from repro.core.chunking import ChunkerConfig
 from repro.core.shredder import Shredder, ShredderConfig
 from repro.hdfs import HDFSCluster
-from repro.hdfs.errors import BlockNotFound
 from repro.mapreduce import IncoopRuntime
 from repro.mapreduce.applications import wordcount_job, wordcount_reference
 from repro.workloads import generate_text
@@ -94,31 +93,27 @@ class TestAppend:
         assert len(appended & whole) > 0.9 * len(whole)
 
     def test_append_forgets_the_tail_it_replaces(self, cluster):
-        """A holder of the replaced tail can fail: re-replication repairs
-        the file instead of reading a block no datanode keeps."""
+        """Garbage collection drops the replaced tail, and a node failure
+        after the append is repaired from the new recipe."""
         upload(cluster, generate_text(60_000, seed=92), "/log")
-        namenode = cluster.namenode
-        old_tail = namenode.get_file("/log").blocks[-1]
+        old_tail = cluster.namenode.get_file("/log").blocks[-1]
         append(cluster, generate_text(30_000, seed=93), "/log")
-        namenode.get_datanode(old_tail.replicas[0]).fail()
-        namenode.re_replicate()
-        for block in namenode.get_file("/log").blocks:
-            live = namenode.replica_nodes(block.block_id)
-            assert len(live) == namenode.replication
-        with pytest.raises(BlockNotFound):
-            namenode.block_info(old_tail.block_id)
+        blocks = cluster.namenode.get_file("/log").blocks
+        assert old_tail not in blocks
+        assert cluster.store.digests() == {b.digest for b in blocks}
+        store = cluster.store
+        store.fail_node(max(store.nodes.values(), key=lambda n: n.stored_bytes).node_id)
+        assert store.repair().healthy
+        for block in blocks:
+            assert store.replica_count(block.digest) == 2
 
     def test_delete_after_append_leaves_no_block_behind(self, cluster):
         """Neither the replaced tail nor the file's blocks outlive
-        ``delete``: no datanode keeps a copy, the namenode knows none."""
+        ``delete``: no store node keeps a copy, no recipe names one."""
         upload(cluster, generate_text(60_000, seed=94), "/log")
-        namenode = cluster.namenode
-        old_tail = namenode.get_file("/log").blocks[-1]
         append(cluster, generate_text(30_000, seed=95), "/log")
-        blocks = namenode.get_file("/log").blocks
         cluster.client.delete("/log")
-        for block in [old_tail, *blocks]:
-            with pytest.raises(BlockNotFound):
-                namenode.block_info(block.block_id)
-        assert all(node.block_count == 0 for node in cluster.datanodes)
-        assert namenode.under_replicated_blocks() == []
+        assert cluster.store.chunk_count == 0
+        assert cluster.store.digests() == set()
+        assert all(n.stored_bytes == 0 for n in cluster.store.nodes.values())
+        assert cluster.store.repair().chunks_scanned == 0

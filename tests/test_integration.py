@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backup import BackupConfig, BackupServer, MasterImage, SimilarityTable
+from repro.backup import (
+    BackupConfig,
+    BackupServer,
+    MasterImage,
+    SimilarityTable,
+    SnapshotRecipe,
+)
 from repro.core.chunking import ChunkerConfig
 from repro.core.executor import ShredderExecutor
 from repro.core.shredder import Shredder, ShredderConfig
-from repro.hdfs import HDFSCluster
+from repro.hdfs import BlockInfo, HDFSCluster
 from repro.mapreduce import AffinityScheduler, IncoopRuntime, MemoServer
 from repro.mapreduce.applications import (
     kmeans_iterate,
@@ -129,17 +135,13 @@ class TestExecutorAsUploadEngine:
         text = generate_text(120_000, seed=76)
         executor = ShredderExecutor(UPLOAD)
         chunks, totals = executor.run(text)
-        # Store the executor's chunks as blocks directly.
-        meta = cluster.namenode.create_file("/exec", content_based=True)
-        for chunk in chunks:
-            block = cluster.namenode.allocate_block(
-                "/exec", chunk.length, chunk.digest
-            )
-            for node_id in block.replicas:
-                cluster.namenode.get_datanode(node_id).store_block(
-                    block.block_id, chunk.data
-                )
-        cluster.namenode.complete_file("/exec")
+        # Store the executor's chunks as blocks directly: chunks and a
+        # recipe on the site's store, then the file in the namespace.
+        cluster.store.put_chunks((c.digest, c.data) for c in chunks)
+        digests = tuple(c.digest for c in chunks)
+        cluster.store.put_recipe(SnapshotRecipe("/exec", digests, len(text)))
+        blocks = [BlockInfo(c.length, c.digest) for c in chunks]
+        cluster.namenode.create_file("/exec", blocks, content_based=True)
         assert cluster.client.read("/exec") == text
         assert totals.buffers >= 1
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.chunking import ChunkerConfig
@@ -271,6 +273,54 @@ class TestIncoopReuse:
         _, results = kmeans_iterate(inc, "/input", CENTROIDS, iterations=2)
         for r in results:
             assert r.stats.map_tasks_run == 0
+
+
+def run_fingerprint(result) -> tuple:
+    """Output and ``RunStats`` of a run, per-task lists and output hashed."""
+    s = result.stats
+
+    def h(value) -> str:
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    return (
+        s.n_splits, s.map_tasks_run, s.map_tasks_reused, s.combine_nodes_run,
+        s.combine_nodes_reused, s.reduce_tasks, round(s.makespan_seconds, 9),
+        h(s.map_task_seconds), h(s.reduce_task_seconds),
+        h(sorted(result.output.items())),
+    )
+
+
+class TestJobLoopPinned:
+    """The plain and incremental runs share one job loop: on a seeded
+    corpus, both reproduce the output and telemetry the two separate
+    loops produced (task counts, per-task seconds, makespan)."""
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        text = generate_text(20_000, seed=31)
+        cluster = HDFSCluster()
+        with Shredder(UPLOAD_CFG) as sh:
+            cluster.client.copy_from_local_gpu(text, "/a", shredder=sh)
+            cluster.client.copy_from_local_gpu(
+                mutate_records(text, 10, seed=32), "/b", shredder=sh
+            )
+        return cluster
+
+    def test_plain_run(self, cluster):
+        result = MapReduceRuntime(cluster.client).run(wordcount_job(), "/a")
+        assert run_fingerprint(result) == (
+            28, 28, 0, 0, 0, 4, 0.7638018,
+            "feab2f9c9aa27cb7", "b00f618cbe033d27", "a8c9c1f8ed343cc0",
+        )
+
+    def test_primed_incremental_run(self, cluster):
+        inc = IncoopRuntime(cluster.client)
+        inc.run_incremental(wordcount_job(), "/a")
+        result = inc.run_incremental(wordcount_job(), "/b")
+        assert run_fingerprint(result) == (
+            28, 4, 24, 28, 80, 4, 0.743102,
+            "864552e3b78c387c", "b4297ee7ee1da27c", "af42c0fa286435d3",
+        )
 
 
 class TestJobValidation:

@@ -1,8 +1,8 @@
 """Service throughput: remote wire backups vs the in-process data path.
 
 The asyncio front-end (:mod:`repro.service`) puts a length-prefixed
-protocol, per-tenant dedup decisions, and a bounded ingest queue between
-the chunker and the store.  This bench measures what that costs: the
+protocol, per-tenant dedup decisions, and one session coroutine per
+connection between the chunker and the store.  This bench measures what that costs: the
 same snapshot stream is backed up through an in-process
 :class:`BackupServer` (no wire) and through concurrent
 :class:`AsyncBackupClient` sessions against one loopback
@@ -81,7 +81,7 @@ def run_in_process(jobs) -> float:
 
 
 async def _run_remote(
-    jobs, queue_depth: int, rate_bytes_per_s: float | None = None
+    jobs, rate_bytes_per_s: float | None = None
 ) -> tuple[float, float, dict]:
     """(aggregate MiB/s, dedup fraction, overload counters) for
     concurrent wire backups."""
@@ -89,7 +89,6 @@ async def _run_remote(
     config = ServiceConfig(
         port=0,
         max_sessions=max(16, len(jobs)),
-        queue_depth=queue_depth,
         rate_bytes_per_s=rate_bytes_per_s,
         # Pace rather than shed: a bench client has nowhere to retry to,
         # and a paced run is exactly what the table should show.
@@ -126,9 +125,9 @@ async def _run_remote(
 
 
 def run_remote(
-    jobs, queue_depth: int = 4, rate_bytes_per_s: float | None = None
+    jobs, rate_bytes_per_s: float | None = None
 ) -> tuple[float, float, dict]:
-    return asyncio.run(_run_remote(jobs, queue_depth, rate_bytes_per_s))
+    return asyncio.run(_run_remote(jobs, rate_bytes_per_s))
 
 
 def build_table(

@@ -475,7 +475,6 @@ def cmd_serve(args) -> int:
             port=args.port,
             scrub_batch=args.scrub,
             max_sessions=args.max_sessions,
-            queue_depth=args.queue_depth,
             faults=args.faults,
             stall_timeout_s=args.stall_timeout,
             resume_grace_s=args.resume_grace,
@@ -700,9 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "cluster and --heartbeat; 0 = off)")
     p_serve.add_argument("--max-sessions", type=int, default=64,
                          help="concurrent agent sessions before BUSY")
-    p_serve.add_argument("--queue-depth", type=int, default=4,
-                         help="bounded per-connection ingest queue (frames); "
-                         "the backpressure limit")
     p_serve.add_argument("--faults", default=None, metavar="SPEC",
                          help="chaos plan, e.g. 'seed=7,backend.io_error="
                          "0.01,wire.drop=0.02,node.kill=node-1:150' "

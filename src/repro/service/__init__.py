@@ -12,7 +12,7 @@ This package turns the in-process :class:`~repro.backup.server
   dedup index and recipes over shared chunk payloads (a tenant may
   point only to chunks it shipped itself);
 * :mod:`repro.service.server` — the asyncio server with admission
-  control and bounded-queue backpressure;
+  control, one coroutine per session and TCP-level backpressure;
 * :mod:`repro.service.client` — the async client agent, the one remote
   backup path: it overlaps local chunk+hash with in-flight shipping, and
   every verb recovers under its :class:`RetryPolicy`;

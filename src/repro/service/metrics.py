@@ -1,7 +1,7 @@
 """Service health/metrics surface.
 
 One aggregated snapshot per server: the service-level counters kept
-here (connections, sessions, frames, backpressure), each tenant's
+here (connections, sessions, frames, evictions, overload), each tenant's
 traffic and dedup effectiveness, the shared store's occupancy, and the
 process-wide instrumentation that already existed —
 :func:`repro.core.stats.snapshot` merges the scan counters, stage
@@ -108,9 +108,9 @@ class ServiceMetrics:
     frames_received: int = 0
     frames_sent: int = 0
     errors_sent: int = 0
-    #: Backpressure: how often the per-connection reader had to wait on
-    #: a full ingest queue (socket reads paused), and the deepest any
-    #: connection's queue ever got — bounded by the configured depth.
+    #: Gauges of the per-connection ingest queue, which is gone: nothing
+    #: updates them and both read 0.  Kept only because the benchmark
+    #: suite still reports them.
     backpressure_waits: int = 0
     max_queue_depth: int = 0
     #: Resilience: snapshots parked on abnormal disconnect, successfully
@@ -137,7 +137,7 @@ class ServiceMetrics:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
         # Histograms live outside the dataclass fields (asdict would
-        # choke on them); per-op round-trip service time in the worker.
+        # choke on them); per-op round-trip service time in the session.
         self.latency = {
             "decide": LatencyHistogram(),
             "chunk": LatencyHistogram(),
@@ -153,11 +153,6 @@ class ServiceMetrics:
         with self._lock:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
-
-    def observe_queue_depth(self, depth: int) -> None:
-        with self._lock:
-            if depth > self.max_queue_depth:
-                self.max_queue_depth = depth
 
     def to_dict(self) -> dict:
         with self._lock:

@@ -8,12 +8,12 @@ the health/metrics surface, anything else is dropped with one ERROR
 frame.
 
 **Backpressure is structural, not advisory.**  Each agent connection
-runs two coroutines joined by a *bounded* ``asyncio.Queue``: the reader
-receives frames and ``await put()``s them — when the ingest worker falls
-behind, the queue fills, the put blocks, and the reader simply stops
-reading the socket, so kernel TCP flow control pushes back on the
-client; nothing server-side ever buffers more than ``queue_depth``
-frames per connection.  The worker is the connection's only writer.
+is one coroutine that receives a frame, admits it, handles it and only
+then receives the next.  While it handles a frame it does not read the
+socket, so when the store falls behind the kernel buffers fill and TCP
+flow control pushes back on the client; nothing server-side buffers
+more than the one frame in hand.  The stall clock of slow-client
+eviction runs only while the session waits on the client.
 
 **Admission control**: at most ``max_sessions`` concurrent agent
 sessions; excess HELLOs receive ``ERROR[BUSY]`` and a clean close.
@@ -76,8 +76,6 @@ class ServiceConfig(SiteConfig):
     scrub_batch: int = 0
     #: Concurrent agent sessions admitted before ERROR[BUSY].
     max_sessions: int = 64
-    #: Bounded ingest queue per connection — the backpressure limit.
-    queue_depth: int = 4
     #: In-flight unacked batches the server advertises to clients.
     window: int = 4
     max_frame: int = wire.DEFAULT_MAX_FRAME
@@ -136,8 +134,6 @@ class ServiceConfig(SiteConfig):
         super().__post_init__()
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.restore_piece < 1:
@@ -624,17 +620,13 @@ class BackupService:
 
 
 class _Session:
-    """One agent connection: bounded-queue reader + ingest worker."""
-
-    _EOF = object()
+    """One agent connection, served by one coroutine (:meth:`run`): it
+    is the connection's only reader and only writer."""
 
     def __init__(self, service: BackupService, namespace, conn: FrameConnection) -> None:
         self.service = service
         self.namespace = namespace
         self.conn = conn
-        self.queue: asyncio.Queue = asyncio.Queue(
-            maxsize=service.config.queue_depth
-        )
         #: Scoped id of the one snapshot this session may have open.
         self.open_scoped: str | None = None
         #: Client-generated resume token from BEGIN/RESUME ("" = the
@@ -654,7 +646,7 @@ class _Session:
             try:
                 self.service.agent.abort_snapshot(self.open_scoped)
             except ValueError:
-                pass  # finished/aborted in the worker already
+                pass  # finished/aborted by a handler already
             self.namespace.counters.snapshots_aborted += 1
             self.open_scoped = None
 
@@ -681,113 +673,78 @@ class _Session:
         self.service._park(self)
 
     async def run(self) -> None:
-        worker = asyncio.create_task(self._worker())
-        try:
-            await self._read_loop()
-        finally:
-            # Wake the worker with EOF if the reader died first; it
-            # drains what was queued, then exits.
-            if not worker.done():
-                await self.queue.put(self._EOF)
-            await worker
+        """The session's one coroutine: receive, admit, dispatch, repeat.
 
-    async def _read_loop(self) -> None:
-        metrics = self.service.metrics
-        cfg = self.service.config
-        injector = self.wire_faults
+        Returns when the peer hangs up or its socket dies; a fatal error
+        answers one ERROR, parks (or aborts) the open snapshot and hangs
+        up so the peer sees EOF, not silence.
+        """
         while True:
             try:
-                frame = await asyncio.wait_for(self.conn.recv(), cfg.stall_timeout_s)
-            except asyncio.TimeoutError:
-                # Slow-client eviction: the worker sends ERROR[EVICTED];
-                # an open snapshot parks, so the client can resume.
-                metrics.add(sessions_evicted=1)
-                await self.queue.put(
-                    SessionError(
-                        Err.EVICTED,
-                        f"no frame in {cfg.stall_timeout_s:g}s; session evicted",
-                        fatal=True,
-                    )
-                )
-                return
-            except asyncio.IncompleteReadError as exc:
-                # EOF on the frame-header boundary = deliberate close;
-                # EOF mid-frame = the peer died mid-send.
-                self.clean_eof = not exc.partial and exc.expected == 5
-                return
+                frame = await self._recv()
+                if frame is None:
+                    return
+                # Overload gates first: rate pacing/shedding and the
+                # store-path breaker answer before any work is done.
+                await self._admit_frame(*frame)
+                await self._dispatch(*frame)
+                continue
+            except SessionError as exc:
+                error = exc
+            except wire.ProtocolError as exc:
+                # Broken framing, or a payload its decoder refused: the
+                # peer's stream can no longer be trusted.
+                error = SessionError(Err.BAD_FRAME, str(exc), fatal=True)
             except ConnectionError:
                 return  # abnormal: release() parks any open snapshot
-            except wire.ProtocolError as exc:
-                await self.queue.put(
-                    SessionError(Err.BAD_FRAME, str(exc), fatal=True)
+            except Exception as exc:  # noqa: BLE001 — wire boundary
+                error = SessionError(
+                    Err.INTERNAL, f"{type(exc).__name__}: {exc}", fatal=True
                 )
-                return
-            metrics.add(frames_received=1)
-            if injector is not None:
-                action = injector.frame_action()
-                if action is not None:
-                    if action[0] == "drop":
-                        # Kill the connection before the frame applies —
-                        # the client sees a reset and must resume.
-                        self.conn.abort()
-                        return
-                    if action[0] == "stall":
-                        await asyncio.sleep(action[1])
-                    elif action[0] == "garble":
-                        frame = (frame[0], injector.garble(frame[1]))
-            if self.queue.full():
-                # The bounded queue is the backpressure seam: this put
-                # blocks, this coroutine stops reading the socket, and
-                # TCP flow control does the rest.
-                metrics.add(backpressure_waits=1)
-            await self.queue.put(frame)
-            metrics.observe_queue_depth(self.queue.qsize())
-
-    async def _worker(self) -> None:
-        while True:
-            item = await self.queue.get()
-            if item is self._EOF:
-                return
-            if isinstance(item, SessionError):  # the reader gave up
-                error = item
-            else:
-                msg, payload = item
-                try:
-                    # Overload gates first: rate pacing/shedding and the
-                    # store-path breaker answer before any work is done.
-                    await self._admit_frame(msg, payload)
-                    await self._dispatch(msg, payload)
-                    continue
-                except SessionError as exc:
-                    error = exc
-                except wire.ProtocolError as exc:
-                    # A payload its decoder refused: the peer's framing
-                    # can no longer be trusted.
-                    error = SessionError(Err.BAD_FRAME, str(exc), fatal=True)
-                except ConnectionError:
-                    break
-                except Exception as exc:  # noqa: BLE001 — wire boundary
-                    error = SessionError(
-                        Err.INTERNAL, f"{type(exc).__name__}: {exc}", fatal=True
-                    )
             try:
                 await self.service._send_error(self.conn, error.code, str(error))
             except ConnectionError:
                 pass
             if error.fatal:
-                # Fatal = this connection is untrustworthy, not the
-                # snapshot: park it now (when the client can resume) so
-                # the teardown of the dead socket cannot demote the park
-                # to an abort.
                 self.release()
-                break
-        # The session is over: hang up so the peer sees EOF, not
-        # silence, and discard what the reader still queues until its
-        # EOF marker — a reader blocked on a full queue must not hold
-        # the connection and its session slot; one inside ``recv`` fails.
-        self.conn.close()
-        while await self.queue.get() is not self._EOF:
-            pass
+                self.conn.close()
+                return
+
+    async def _recv(self) -> tuple[Msg, bytes] | None:
+        """The next frame, after the chaos plan has had its say; ``None``
+        once the peer is gone."""
+        service = self.service
+        timeout = service.config.stall_timeout_s
+        try:
+            frame = await asyncio.wait_for(self.conn.recv(), timeout)
+        except asyncio.TimeoutError:
+            # Slow-client eviction.  The clock runs only while the
+            # session waits on the client, never while it paces or
+            # sends; an open snapshot parks, so the client can resume.
+            service.metrics.add(sessions_evicted=1)
+            raise SessionError(
+                Err.EVICTED, f"no frame in {timeout:g}s; session evicted", fatal=True
+            ) from None
+        except asyncio.IncompleteReadError as exc:
+            # EOF on the frame-header boundary = deliberate close;
+            # EOF mid-frame = the peer died mid-send.
+            self.clean_eof = not exc.partial and exc.expected == 5
+            return None
+        service.metrics.add(frames_received=1)
+        injector = self.wire_faults
+        if injector is not None:
+            action = injector.frame_action()
+            if action is not None:
+                if action[0] == "drop":
+                    # Kill the connection before the frame applies —
+                    # the client sees a reset and must resume.
+                    self.conn.abort()
+                    return None
+                if action[0] == "stall":
+                    await asyncio.sleep(action[1])
+                elif action[0] == "garble":
+                    frame = (frame[0], injector.garble(frame[1]))
+        return frame
 
     # -- overload gates ------------------------------------------------
 
@@ -847,7 +804,7 @@ class _Session:
                 await self._throttle(delay, "rate limit")
 
     async def _throttle(self, delay: float, reason: str) -> None:
-        """Pace the worker by ``delay``, telling the peer why first.
+        """Pace the session by ``delay``, telling the peer why first.
 
         The THROTTLE control frame rides ahead of the paced reply (the
         FIFO reply order is untouched); the server-side sleep is the
@@ -956,9 +913,10 @@ class _Session:
         service = self.service
         parked = service._parked.get(token)
         if parked is None:
-            # A reset client can redial faster than the dying session
-            # finishes draining its queue and parks: give the teardown
-            # a moment to land before declaring the token unknown.
+            # A reset client can redial before the dying session parks:
+            # it notices the dead socket only once the handler it is in
+            # (pacing, sending) returns.  Give the teardown a moment to
+            # land before declaring the token unknown.
             loop = asyncio.get_running_loop()
             deadline = loop.time() + min(
                 2.0, service.config.resume_grace_s

@@ -654,42 +654,62 @@ class TestService:
 
         assert run_service(scenario) is Err.BAD_TENANT
 
-    def test_backpressure_bounded_by_queue_depth(self):
-        """A slow server never buffers more than the bounded queue per
-        connection; the reader stalls instead (TCP pushes back)."""
+    def test_session_held_in_its_handler_stops_reading(self):
+        """Backpressure is TCP's: a session held in a handler reads no
+        further frame, so the client's sends block once the kernel
+        buffers fill, and every frame applies once the handler returns."""
+        release, entered = asyncio.Event(), asyncio.Event()
 
         async def scenario(service):
-            original = service._send_frame
+            conn = await FrameConnection.open("127.0.0.1", service.port, wire.DEFAULT_MAX_FRAME)
+            await conn.send(wire.MAGIC + wire.encode_frame(Msg.HELLO, wire.encode_hello("acme")))
+            assert (await conn.recv())[0] is Msg.HELLO_OK
+            await conn.send(wire.encode_frame(Msg.BEGIN_SNAPSHOT, wire.encode_begin("snap", "")))
+            assert await conn.recv() == (Msg.BEGIN_OK, b"")
+            (session,) = service._sessions
+            handle = session._on_chunk_batch
 
-            async def slow_send(writer, msg, payload=b""):
-                if msg is Msg.BATCH_OK:
-                    await asyncio.sleep(0.002)  # slow consumer
-                await original(writer, msg, payload)
+            async def held(payload):
+                entered.set()
+                await release.wait()
+                await handle(payload)
 
-            service._send_frame = slow_send
+            session._on_chunk_batch = held
+            received = service.metrics.frames_received
+            # Distinct 64 KiB chunks, sent raw on the non-blocking socket
+            # until the kernel refuses more (capped so it cannot hang).
+            datas, pending, blocked = [], memoryview(b""), False
+            while not blocked and len(datas) * 64 * 1024 < 64 * MB:
+                if not pending:
+                    data = len(datas).to_bytes(4, "big") * (16 * 1024)
+                    datas.append(data)
+                    pending = memoryview(wire.encode_frame(
+                        Msg.CHUNK_BATCH, wire.encode_chunk_batch([(chunk_hash(data), data)])
+                    ))
+                try:
+                    pending = pending[conn.sock.send(pending):]
+                except BlockingIOError:
+                    blocked = True
+                if len(datas) == 1 and not pending:
+                    await asyncio.wait_for(entered.wait(), 10)
+                await asyncio.sleep(0)  # the session may read, if it would
+            held_frames = service.metrics.frames_received - received
+            release.set()
+            await conn.send(pending)
+            acks = [await conn.recv() for _ in datas]
+            await conn.send(wire.encode_frame(Msg.FINISH, wire.encode_snapshot_id("snap")))
+            assert (await conn.recv())[0] is Msg.FINISH_OK
+            conn.close()
             client = await connect(service, "acme")
-            await client.begin_snapshot("snap")
-            # Blast ship frames without waiting for acks — the ingest
-            # worker (slowed above) falls behind the socket.
-            payloads = [bytes([i]) * 1000 for i in range(40)]
-            for data in payloads:
-                await client.conn.send(
-                    wire.encode_frame(
-                        Msg.CHUNK_BATCH,
-                        wire.encode_chunk_batch([(chunk_hash(data), data)]),
-                    )
-                )
-            for _ in payloads:
-                await client._expect(Msg.BATCH_OK)
-            await client.finish_snapshot("snap")
             restored = await client.restore("snap")
             await client.close()
-            assert restored == b"".join(payloads)
-            return service.metrics
+            return blocked, held_frames, acks, datas, restored
 
-        metrics = run_service(scenario, queue_depth=2)
-        assert metrics.backpressure_waits > 0
-        assert 0 < metrics.max_queue_depth <= 2
+        blocked, held_frames, acks, datas, restored = run_service(scenario)
+        assert blocked and len(datas) > 1
+        assert held_frames <= 1  # the frame in hand, nothing read ahead
+        assert acks == [(Msg.BATCH_OK, wire.encode_batch_ok(1, len(d))) for d in datas]
+        assert restored == b"".join(datas)
 
     def test_restore_streams_in_pieces(self):
         data = b"r" * 300_000
@@ -751,8 +771,6 @@ class TestService:
             ServiceConfig(store_backend="raid")
         with pytest.raises(ValueError):
             ServiceConfig(max_sessions=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(queue_depth=0)
         with pytest.raises(ValueError):
             ServiceConfig(backend="memory", data_dir="/tmp/x")
 

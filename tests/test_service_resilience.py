@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import socket
 
 import pytest
 
@@ -255,6 +256,67 @@ class TestStallEviction:
         assert metrics.sessions_evicted >= 1
         assert metrics.sessions_parked >= 1
         assert metrics.sessions_resumed >= 1
+
+    def test_throttle_paced_frame_is_not_evicted(self):
+        """The stall clock runs only while the server waits on the
+        client: a frame the server paces for longer than the timeout
+        costs the client nothing."""
+        data = random.Random(3).randbytes(300_000)
+        # No recovery (an eviction must surface) and no jitter (the
+        # client's pacing ends when the server's does).
+        strict = RetryPolicy(max_recoveries=0, op_timeout_s=None, jitter=False)
+
+        async def scenario(service):
+            client = await connect(service, retry=strict)
+            await client.begin_snapshot("paced")
+            # 300 kB against a 200 kB burst: paced for ~1 s > 0.3 s.
+            await client.ship_chunks([(chunk_hash(data), data)])
+            await client.finish_snapshot("paced")
+            restored = await client.restore("paced")
+            await client.close()
+            return restored, service.metrics
+
+        restored, metrics = run_service(
+            scenario, stall_timeout_s=0.3, rate_bytes_per_s=100_000
+        )
+        assert restored == data
+        assert metrics.throttles_sent == 1
+        assert metrics.sessions_evicted == 0
+
+    def test_slowly_drained_restore_is_not_evicted(self):
+        """A restore the client drains for longer than the stall timeout
+        completes, and the session still answers its next verb."""
+        data = random.Random(4).randbytes(8 * MB)
+
+        async def scenario(service):
+            client = await connect(service, retry=NO_RETRY)
+            await client.backup(data, "big")
+            # Small kernel buffers on both ends, so the server's sends
+            # block while the client drains instead of landing at once.
+            (session,) = service._sessions
+            for sock, opt in (
+                (session.conn.sock, socket.SO_SNDBUF),
+                (client.conn.sock, socket.SO_RCVBUF),
+            ):
+                sock.setsockopt(socket.SOL_SOCKET, opt, 64 * 1024)
+            recv = client.conn.recv
+
+            async def slow_recv(into=None):
+                await asyncio.sleep(0.01)  # 128 pieces: ~1.3 s > 0.5 s
+                return await recv(into)
+
+            client.conn.recv = slow_recv
+            restored = await client.restore("big")
+            listing = await client.list_snapshots()
+            await client.close()
+            return restored, listing, service.metrics
+
+        restored, listing, metrics = run_service(
+            scenario, stall_timeout_s=0.5, restore_piece=64 * 1024
+        )
+        assert restored == data
+        assert listing == ["big"]
+        assert metrics.sessions_evicted == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,15 +6,13 @@ unoptimized store walks an *on-disk* index.  With the ChunkBackend seam
 in place this bench measures it instead of assuming it, sweeping index
 size x backend x probe mix:
 
-* **hits** — digests present in the index (memtable or sorted runs);
+* **hits** — digests present in the index (the resident keydir);
 * **misses** — fresh digests; on the disk backend a miss is the same
-  walk a hit is — the memtable, then one ``bisect`` over each run's
-  resident key list — and never reads the log to say "no".
+  one dict probe a hit is, and never reads the log to say "no".
 
 Acceptance: both backends answer every probe correctly; on the disk
 backend a miss costs no more than 2x a hit at every index size (nothing
-sits in front of the runs, so the two differ only in where the walk
-stops).
+sits in front of the keydir, so the two are the same probe).
 
 Run standalone for the CI smoke:
 ``python benchmarks/bench_index_backends.py --quick``.
@@ -42,11 +40,7 @@ def build_backend(kind: str, digests: list[bytes], workdir: str):
     if kind == "memory":
         backend = MemoryBackend()
     else:
-        # A memtable below every swept index size forces real runs, so
-        # the probe path exercises the per-run binary search.
-        backend = PersistentBackend(
-            f"{workdir}/{kind}-{len(digests)}", memtable_limit=1024
-        )
+        backend = PersistentBackend(f"{workdir}/{kind}-{len(digests)}")
     value = b"\x00" * 8  # offsets, as the dedup index stores them
     for start in range(0, len(digests), PUT_BATCH):
         backend.put_batch(
@@ -101,7 +95,7 @@ def build_tables(report, sizes):
         "Batched index probe cost by backend [us/digest, lower is better]",
         ["Index size", "Backend", "Hit", "Miss"],
         paper_note="the 'unoptimized index lookup' of §7.3, measured: "
-        "a disk miss is one bisect per resident run, like a hit",
+        "a disk miss is one keydir probe, like a hit",
     )
     for size, kind, hit_us, miss_us in rows:
         t.add(size, kind, f"{hit_us:.3f}", f"{miss_us:.3f}")

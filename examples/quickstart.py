@@ -89,7 +89,7 @@ def main() -> None:
     # -- persistent storage backend ------------------------------------------
     # Every state owner (dedup index, site store/cluster shards, recipes)
     # stores through one batched ChunkBackend seam.  backend="disk" puts
-    # them on an append-only chunk log + LSM digest index under data_dir,
+    # them on an append-only chunk log + in-memory keydir under data_dir,
     # so a server can be closed, the process restarted, and a new server
     # opened on the same directory: snapshots restore bit-identical and
     # re-backing-up known data ships zero bytes.  Same via the CLI:

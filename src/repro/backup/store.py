@@ -3,9 +3,10 @@
 State lives on pluggable :class:`~repro.store.backend.ChunkBackend`
 instances — one for chunk payloads (digest -> bytes), one for recipes —
 so the backup site can run fully in memory (default) or durably on
-disk (``backend="disk"`` + ``data_dir``): an append-only chunk log with
-an LSM digest index that survives process restarts and recovers from a
-torn final record by truncating to the last valid frame.
+disk (``backend="disk"`` + ``data_dir``): an append-only chunk log,
+indexed by a checkpointed in-memory keydir, that survives process
+restarts and recovers from a torn final record by truncating to the
+last valid frame.
 """
 
 from __future__ import annotations

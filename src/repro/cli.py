@@ -629,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=("memory", "disk"), default=None,
                        help="storage backend for every index and store "
                        "(default: REPRO_STORE_BACKEND or memory; disk = "
-                       "append-only chunk log + LSM digest index)")
+                       "append-only chunk log + in-memory keydir)")
         p.add_argument("--data-dir", default=None, metavar="DIR",
                        help="directory for disk-backed state; reopening "
                        "the same DIR restores every snapshot and dedup "

@@ -14,7 +14,7 @@ lookup path and the §7.3 cost model already charge.
 
 State lives on a pluggable :class:`~repro.store.backend.ChunkBackend`
 (digest -> canonical offset): in-memory by default, or the persistent
-log+LSM backend (``backend="disk"``) so an index can be closed,
+log+keydir backend (``backend="disk"``) so an index can be closed,
 reopened from its ``data_dir``, and answer ``lookup_batch`` with the
 same hit/miss pattern — the realistic index-miss cost model the ROADMAP
 asked for.  Effectiveness counters (:class:`DedupStats`) describe the
@@ -203,16 +203,10 @@ class DedupIndex:
             stats.unique_bytes += lengths[i]
         stats.unique_chunks += len(firsts)
         if firsts and offsets is not None:
-            # known_absent: get_batch just proved these misses, and
-            # ``first`` made the keys unique — the backend skips the
-            # second probe, so a miss costs one index walk, not two.
-            self._backend.put_batch(
-                [
-                    (digests[i], offsets[i].to_bytes(_OFFSET_BYTES, "big"))
-                    for i in firsts
-                ],
-                known_absent=True,
-            )
+            self._backend.put_batch([
+                (digests[i], offsets[i].to_bytes(_OFFSET_BYTES, "big"))
+                for i in firsts
+            ])
         _record_lookup(probe_seconds)
         return BatchProbe(hits, repeats)
 

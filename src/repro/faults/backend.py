@@ -118,9 +118,7 @@ class FaultyBackend:
                 self.fault_stats.add("bit_flips_injected")
         return values
 
-    def put_batch(
-        self, items: Sequence[tuple[bytes, bytes]], *, known_absent: bool = False
-    ) -> list[bool]:
+    def put_batch(self, items: Sequence[tuple[bytes, bytes]]) -> list[bool]:
         self._data_plane("put_batch", len(items))
         spec = self.spec
         if (
@@ -129,13 +127,13 @@ class FaultyBackend:
             and self._rng.random() < spec.torn_write
         ):
             keep = self._rng.randrange(1, len(items))
-            self.inner.put_batch(items[:keep], known_absent=known_absent)
+            self.inner.put_batch(items[:keep])
             self.fault_stats.add("torn_writes")
             raise InjectedFault(
                 f"{self.name}: injected torn write "
                 f"({keep}/{len(items)} records applied)"
             )
-        return self.inner.put_batch(items, known_absent=known_absent)
+        return self.inner.put_batch(items)
 
     def delete_batch(self, keys: Sequence[bytes]) -> list[int]:
         self._data_plane("delete_batch", len(keys))

@@ -1,7 +1,7 @@
 """Sharded content-addressed chunk-store cluster (scale-out backup site).
 
 Layers, bottom up: :mod:`~repro.store.backend` (the batched
-``ChunkBackend`` storage protocol — in-memory and persistent log+LSM —
+``ChunkBackend`` storage protocol — in-memory and persistent log+keydir —
 behind every state owner), :mod:`~repro.store.ring` (consistent
 hashing), :mod:`~repro.store.bloom` (negative-lookup filters),
 :mod:`~repro.store.node` (per-shard stores), :mod:`~repro.store.schemes`

@@ -10,26 +10,24 @@ path already charges — with two implementations every state owner
 * :class:`MemoryBackend` — the extracted dict; behavior- and
   perf-identical default.
 * :class:`PersistentBackend` — the paper's backup site as *durable*
-  storage (§7): an append-only chunk log of CRC-framed records plus an
-  LSM-style digest index (in-memory memtable, sorted CRC-checked
-  on-disk runs, and size-tiered compaction collapsing the run set once
-  it exceeds the fanout).  Reopening a directory recovers the exact
-  prefix of validly framed records: a torn final record is truncated
-  away and reported, never silently decoded.
+  storage (§7), Bitcask's design (Sheehy & Smith, 2010): an append-only
+  chunk log of CRC-framed records is the truth, and a resident *keydir*
+  dict maps each live key to its value's ``(offset, length)`` in the
+  log.  Reopening a directory recovers the exact prefix of validly
+  framed records: a torn final record is truncated away and reported,
+  never silently decoded.
 
 Durability model: records reach the OS page cache on ``flush``; the
 recovery path assumes *prefix* durability (a crash may lose a suffix of
-the log, never rewrite its middle), which tail-truncation handles.  Run
-files are published by atomic rename; a run that fails validation is
-discarded wholesale and the whole log is replayed instead, so index
-corruption degrades to a slower open, not wrong answers.  A run's
-key/offset arrays are held in memory once loaded, so a lookup is the
-memtable and then one ``bisect`` per run, newest first, and nothing sits
-in front of it: a filter guarding a binary search over resident keys
-costs several times the search.  The one Bloom filter of the store is
-the node's (:mod:`repro.store.bloom`), which answers "absent" ahead of
-the whole backend.  The on-disk format and merge schedule model the LSM
-I/O discipline the same way the GPU layer models device timing.
+the log, never rewrite its middle), which tail-truncation handles.  The
+keydir is checkpointed to one CRC-checked file published by atomic
+rename, so open replays only the log past the checkpoint's watermark; a
+checkpoint that fails validation is ignored and the whole log replayed
+instead, so index corruption degrades to a slower open, not wrong
+answers.  A lookup is one dict probe and nothing sits in front of it:
+the one Bloom filter of the store is the node's
+(:mod:`repro.store.bloom`), which answers "absent" ahead of the whole
+backend.
 
 Backends are not thread-safe; each state owner confines its backend to
 the thread that owns it (the pipelined server probes from one stage).
@@ -37,7 +35,6 @@ the thread that owns it (the pipelined server probes from one stage).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import importlib
 import os
@@ -91,13 +88,19 @@ _FRAME_FIELDS = struct.Struct("<BII")  # the CRC-covered rest of the header
 _LOG_BUFFER = 1 << 15
 _OP_PUT = 1
 _OP_DEL = 2
-_RUN_MAGIC = b"RRUN2\n"
-_RUN_HEADER = struct.Struct("<IQ")  # n_entries, watermark
-#: The format PR 5 wrote: a serialized Bloom filter sat between a longer
-#: header and the entries.  Still loaded — the filter bytes are skipped.
-_RUN_MAGIC_V1 = b"RRUN1\n"
-_RUN_HEADER_V1 = struct.Struct("<IQQdII")  # ..., capacity, fp_rate, n_added, filter_len
-_RUN_ENTRY = struct.Struct("<HBQI")  # key_len, tombstone, value_offset, value_len
+_CHECKPOINT_NAME = "keydir.ckpt"
+#: Checkpoint file: magic, then CRC-covered header and entries, then the
+#: CRC.  Entries are written in keydir order, unsorted.
+_CHECKPOINT_MAGIC = b"RKEY1\n"
+_CHECKPOINT_HEADER = struct.Struct("<IQ")  # n_entries, watermark
+_CHECKPOINT_ENTRY = struct.Struct("<HQI")  # key_len, value_offset, value_len
+#: The next checkpoint is due once the records appended past the last
+#: one reach ``max(_CHECKPOINT_FLOOR, keys in it)``: crash replay stays
+#: bounded, and rewriting the keydir stays amortised O(1) per append.
+_CHECKPOINT_FLOOR = 4096
+#: Sorted-run index files that directories written before the keydir
+#: hold; open deletes them and rebuilds the keydir from the log.
+_RUN_GLOB = "run-*.run"
 
 
 @functools.cache
@@ -124,8 +127,8 @@ def _frame(op: int, key: bytes, value) -> bytes:
 class BackendStats:
     """Operation counters shared by every backend implementation.
 
-    The disk-only counters (flushes, compactions, recovery) stay zero
-    on :class:`MemoryBackend`.
+    The disk-only counters (fsyncs, checkpoints, compactions, recovery)
+    stay zero on :class:`MemoryBackend`.
     """
 
     puts: int = 0  # keys newly inserted
@@ -133,9 +136,8 @@ class BackendStats:
     contains: int = 0
     deletes: int = 0  # keys actually removed
     batches: int = 0  # batched calls serviced
-    memtable_flushes: int = 0
     fsyncs: int = 0  # device syncs (only with the fsync knob on)
-    compactions: int = 0  # run merges
+    checkpoints: int = 0  # keydir checkpoint files written
     log_compactions: int = 0  # whole-log rewrites (GC)
     recovered_records: int = 0
     truncated_bytes: int = 0
@@ -148,7 +150,7 @@ class RecoveryReport:
     valid_bytes: int
     truncated_bytes: int
     replayed_records: int
-    replayed_from: int  # log offset covered by the newest run
+    replayed_from: int  # log offset covered by the checkpoint
 
     @property
     def clean(self) -> bool:
@@ -172,9 +174,7 @@ class ChunkBackend(Protocol):
 
     def get_batch(self, keys: Sequence[bytes]) -> list[bytes | None]: ...
 
-    def put_batch(
-        self, items: Sequence[tuple[bytes, bytes]], *, known_absent: bool = False
-    ) -> list[bool]: ...
+    def put_batch(self, items: Sequence[tuple[bytes, bytes]]) -> list[bool]: ...
 
     def delete_batch(self, keys: Sequence[bytes]) -> list[int]: ...
 
@@ -220,14 +220,12 @@ class MemoryBackend:
         data = self._data
         return [data.get(k) for k in keys]
 
-    def put_batch(
-        self, items: Sequence[tuple[bytes, bytes]], *, known_absent: bool = False
-    ) -> list[bool]:
+    def put_batch(self, items: Sequence[tuple[bytes, bytes]]) -> list[bool]:
         t0 = time.perf_counter()
         self.stats.batches += 1
         data = self._data
         inserted = []
-        for key, value in items:  # the dict probe is free; ignore the hint
+        for key, value in items:
             if key in data:
                 inserted.append(False)
                 continue
@@ -276,50 +274,22 @@ class MemoryBackend:
         pass
 
 
-class _Run:
-    """One immutable sorted run of the LSM index, keys resident."""
-
-    __slots__ = ("path", "seq", "watermark", "keys", "tombs", "offs", "vlens")
-
-    def __init__(self, path, seq, watermark, keys, tombs, offs, vlens):
-        self.path = path
-        self.seq = seq
-        self.watermark = watermark
-        self.keys = keys
-        self.tombs = tombs
-        self.offs = offs
-        self.vlens = vlens
-
-    def lookup(self, key: bytes):
-        """``(offset, vlen) | _TOMBSTONE | None`` (None = not in run)."""
-        i = bisect.bisect_left(self.keys, key)
-        if i == len(self.keys) or self.keys[i] != key:
-            return None
-        if self.tombs[i]:
-            return _TOMBSTONE
-        return self.offs[i], self.vlens[i]
-
-
-_TOMBSTONE = object()
-
-
 class PersistentBackend:
-    """Append-only CRC-framed chunk log + LSM-style digest index.
+    """Append-only CRC-framed chunk log + resident keydir.
 
-    Every mutation appends one framed record to ``chunks.log`` and lands
-    in the memtable; once the memtable exceeds ``memtable_limit`` keys
-    it is written out as a sorted, CRC-checked run file, and once
-    ``compact_fanout`` runs accumulate (one size tier — this backend's
-    run counts stay within a tier of each other because flushes are
-    fixed-size) they merge into a single run, dropping tombstones.
-    Reads probe memtable first, then bisect each run's resident key
-    list newest-to-oldest — a hit and a miss cost about the same, and
-    neither reads the log to decide.
+    Every mutation appends one framed record to ``chunks.log`` and
+    updates the keydir, a dict of live keys only: a put adds
+    ``key -> (value_offset, value_len)``, a delete pops the key.  A hit
+    and a miss each cost one dict probe, and neither reads the log to
+    decide.
 
-    Crash recovery: each run records the log offset it covers
-    (``watermark``); reopening replays only the log suffix past the
-    newest watermark, and a torn or corrupt final record truncates the
-    log back to the last valid frame (reported in :attr:`recovery` and
+    Crash recovery: the keydir is checkpointed with the log offset it
+    covers (``watermark``) at ``close``, at the end of ``compact()``,
+    and once the records appended since the last checkpoint reach
+    ``max(4096, keys in that checkpoint)``.  Reopening loads the
+    checkpoint and replays only the log suffix past its watermark; a
+    torn or corrupt final record truncates the log back to the last
+    valid frame (reported in :attr:`recovery` and
     ``stats.truncated_bytes``).
     """
 
@@ -329,15 +299,9 @@ class PersistentBackend:
         self,
         directory: str | os.PathLike,
         *,
-        memtable_limit: int = 4096,
-        compact_fanout: int = 4,
         fsync: bool | None = None,
         _ephemeral: bool = False,
     ) -> None:
-        if memtable_limit < 1:
-            raise ValueError("memtable_limit must be >= 1")
-        if compact_fanout < 2:
-            raise ValueError("compact_fanout must be >= 2")
         if fsync is None:
             fsync = os.environ.get(FSYNC_ENV, "").strip().lower() in (
                 "1",
@@ -351,8 +315,6 @@ class PersistentBackend:
         #: device round trip.
         self.fsync = fsync
         self.directory = Path(directory)
-        self.memtable_limit = memtable_limit
-        self.compact_fanout = compact_fanout
         self.stats = BackendStats()
         core_module("stats").register_backend_stats(self.stats)
         self._ephemeral = _ephemeral
@@ -360,12 +322,13 @@ class PersistentBackend:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._log_path = self.directory / _LOG_NAME
         self._log_path.touch(exist_ok=True)
-        self._runs: list[_Run] = []
-        self._memtable: dict[bytes, tuple[int, int] | None] = {}
-        self._live_count = 0
-        self._live_bytes = 0
-        self._next_seq = 1
+        self._checkpoint_path = self.directory / _CHECKPOINT_NAME
+        self._keydir: dict[bytes, tuple[int, int]] = {}
+        #: Keys in the newest checkpoint, and records appended past it.
+        self._checkpoint_keys = 0
+        self._appended = 0
         self.recovery = self._open_and_recover()
+        self._live_bytes = sum(vlen for _, vlen in self._keydir.values())
         self._appender = open(self._log_path, "ab", buffering=_LOG_BUFFER)
         self._reader = open(self._log_path, "rb")
         #: Where the next record lands: appends never ask the file.
@@ -388,34 +351,55 @@ class PersistentBackend:
         # A compact() interrupted before publishing leaves its tmp file;
         # it was never the log, so it is dead weight.
         self._log_path.with_suffix(".compact").unlink(missing_ok=True)
+        for path in self.directory.glob(_RUN_GLOB):
+            path.unlink()
         try:
-            for path in sorted(self.directory.glob("run-*.run")):
-                self._runs.append(self._load_run(path))
-        except (ValueError, OSError):
-            # Any unreadable run poisons trust in all of them: fall back
-            # to replaying the full log (slower open, same answers).
-            # Every run *file* goes — the corrupt one must not fail the
-            # next open too, and an unloaded stale run left behind would
-            # outrank fresh runs once sequence numbers restart.
-            self._discard_runs()
-        if any(r.watermark > self._log_path.stat().st_size for r in self._runs):
-            # A run published after the log's durable tail was lost (we
-            # flush, not fsync): its entries point past EOF.  Trust only
-            # the log.
-            self._discard_runs()
-        self._runs.sort(key=lambda r: r.seq)
-        if self._runs:
-            self._next_seq = self._runs[-1].seq + 1
-        start = max((r.watermark for r in self._runs), default=0)
+            start = self._load_checkpoint()
+        except (ValueError, struct.error, OSError):
+            # An unreadable or stale checkpoint is ignored, and the
+            # whole log replayed instead (slower open, same answers).
+            # The file goes too: once the log grows back past its
+            # watermark, a stale checkpoint would look valid.
+            self._checkpoint_path.unlink(missing_ok=True)
+            self._keydir = {}
+            self._checkpoint_keys = start = 0
         report = self._replay_log(start)
-        self._recount_live()
+        self._appended = report.replayed_records
         self.stats.recovered_records += report.replayed_records
         self.stats.truncated_bytes += report.truncated_bytes
         return report
 
+    def _load_checkpoint(self) -> int:
+        """Fill the keydir from the checkpoint; returns its watermark."""
+        if not self._checkpoint_path.exists():
+            return 0
+        raw = self._checkpoint_path.read_bytes()
+        head = len(_CHECKPOINT_MAGIC)
+        if len(raw) < head + 4 or raw[:head] != _CHECKPOINT_MAGIC:
+            raise ValueError("bad checkpoint magic")
+        payload, (crc,) = raw[head:-4], struct.unpack("<I", raw[-4:])
+        if zlib.crc32(payload) != crc:
+            raise ValueError("checkpoint checksum mismatch")
+        n, watermark = _CHECKPOINT_HEADER.unpack_from(payload, 0)
+        if watermark > self._log_path.stat().st_size:
+            # Published after the log's durable tail was lost (we flush,
+            # not fsync): its entries point past EOF.  Trust only the log.
+            raise ValueError("checkpoint watermark past the end of the log")
+        keydir = self._keydir
+        pos = _CHECKPOINT_HEADER.size
+        for _ in range(n):
+            klen, off, vlen = _CHECKPOINT_ENTRY.unpack_from(payload, pos)
+            pos += _CHECKPOINT_ENTRY.size
+            keydir[payload[pos : pos + klen]] = (off, vlen)
+            pos += klen
+        if pos != len(payload):
+            raise ValueError("checkpoint length disagrees with its entry count")
+        self._checkpoint_keys = n
+        return watermark
+
     def _replay_log(self, start: int) -> RecoveryReport:
         size = self._log_path.stat().st_size
-        start = min(start, size)
+        keydir = self._keydir
         records = 0
         with open(self._log_path, "rb") as fh:
             fh.seek(start)
@@ -432,9 +416,9 @@ class PersistentBackend:
                     break
                 key = payload[:klen]
                 if op == _OP_PUT:
-                    self._memtable[key] = (offset + _FRAME.size + klen, vlen)
+                    keydir[key] = (offset + _FRAME.size + klen, vlen)
                 elif op == _OP_DEL:
-                    self._memtable[key] = None
+                    keydir.pop(key, None)
                 else:
                     break  # unknown op: treat like a torn record
                 offset += _FRAME.size + klen + vlen
@@ -450,121 +434,30 @@ class PersistentBackend:
             replayed_from=start,
         )
 
-    def _discard_runs(self) -> None:
-        self._runs = []
-        for path in self.directory.glob("run-*.run"):
-            path.unlink(missing_ok=True)
+    # -- checkpoint ----------------------------------------------------
 
-    def _recount_live(self) -> None:
-        """Rebuild the live key/byte counters from runs + memtable."""
-        merged: dict[bytes, int | None] = {}
-        for run in self._runs:  # oldest -> newest; newer wins
-            for key, tomb, vlen in zip(run.keys, run.tombs, run.vlens):
-                merged[key] = None if tomb else vlen
-        for key, entry in self._memtable.items():
-            merged[key] = None if entry is None else entry[1]
-        live = [v for v in merged.values() if v is not None]
-        self._live_count = len(live)
-        self._live_bytes = sum(live)
-
-    # -- run files -----------------------------------------------------
-
-    def _load_run(self, path: Path) -> _Run:
-        raw = path.read_bytes()
-        magic = raw[: len(_RUN_MAGIC)]
-        if len(raw) < len(_RUN_MAGIC) + 4 or magic not in (_RUN_MAGIC, _RUN_MAGIC_V1):
-            raise ValueError(f"bad run magic in {path.name}")
-        payload, (crc,) = raw[len(_RUN_MAGIC) : -4], struct.unpack("<I", raw[-4:])
-        if zlib.crc32(payload) != crc:
-            raise ValueError(f"run checksum mismatch in {path.name}")
-        if magic == _RUN_MAGIC:
-            n, watermark = _RUN_HEADER.unpack_from(payload, 0)
-            pos = _RUN_HEADER.size
-        else:
-            n, watermark, *_, filter_len = _RUN_HEADER_V1.unpack_from(payload, 0)
-            pos = _RUN_HEADER_V1.size + filter_len
-        keys, tombs, offs, vlens = [], [], [], []
-        for _ in range(n):
-            klen, tomb, off, vlen = _RUN_ENTRY.unpack_from(payload, pos)
-            pos += _RUN_ENTRY.size
-            keys.append(payload[pos : pos + klen])
-            pos += klen
-            tombs.append(bool(tomb))
-            offs.append(off)
-            vlens.append(vlen)
-        seq = int(path.stem.split("-")[1])
-        return _Run(path, seq, watermark, keys, tombs, offs, vlens)
-
-    def _write_run(
-        self, entries: list[tuple[bytes, tuple[int, int] | None]], watermark: int
-    ) -> _Run:
-        """Persist sorted ``(key, entry)`` pairs as the next run file."""
-        seq = self._next_seq
-        self._next_seq += 1
-        parts = [_RUN_HEADER.pack(len(entries), watermark)]
-        for key, entry in entries:
-            tomb = entry is None
-            off, vlen = (0, 0) if tomb else entry
-            parts.append(_RUN_ENTRY.pack(len(key), tomb, off, vlen))
-            parts.append(key)
-        payload = b"".join(parts)
-        path = self.directory / f"run-{seq:08d}.run"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(_RUN_MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
-        os.replace(tmp, path)  # atomic publish: a torn run never loads
-        return _Run(
-            path, seq, watermark,
-            [k for k, _ in entries],
-            [e is None for _, e in entries],
-            [0 if e is None else e[0] for _, e in entries],
-            [0 if e is None else e[1] for _, e in entries],
-        )
-
-    def _flush_memtable(self) -> None:
-        if not self._memtable:
-            return
-        self._appender.flush()
+    def _write_checkpoint(self) -> None:
+        """Persist the keydir, covering the log up to its current end."""
+        self._appender.flush()  # the log must reach the watermark first
         self._unflushed = False
-        entries = sorted(self._memtable.items())
-        self._runs.append(self._write_run(entries, self._log_end))
-        self._memtable = {}
-        self.stats.memtable_flushes += 1
-        if len(self._runs) >= self.compact_fanout:
-            self._merge_runs()
+        entry = _CHECKPOINT_ENTRY.pack
+        keydir = self._keydir
+        payload = b"".join(
+            [_CHECKPOINT_HEADER.pack(len(keydir), self._log_end)]
+            + [entry(len(k), off, vlen) + k for k, (off, vlen) in keydir.items()]
+        )
+        tmp = self._checkpoint_path.with_suffix(".tmp")
+        tmp.write_bytes(
+            _CHECKPOINT_MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
+        )
+        os.replace(tmp, self._checkpoint_path)  # atomic publish
+        self._checkpoint_keys = len(keydir)
+        self._appended = 0
+        self.stats.checkpoints += 1
 
-    def _merge_runs(self) -> None:
-        """Size-tiered merge: collapse the accumulated tier of runs.
-
-        The merge output is the only run left, so tombstones — needed
-        while older runs might still hold the deleted key — drop out.
-        """
-        merged: dict[bytes, tuple[int, int] | None] = {}
-        for run in self._runs:  # oldest -> newest; newer wins
-            for key, tomb, off, vlen in zip(run.keys, run.tombs, run.offs, run.vlens):
-                merged[key] = None if tomb else (off, vlen)
-        live = sorted((k, e) for k, e in merged.items() if e is not None)
-        watermark = max(r.watermark for r in self._runs)
-        old = self._runs
-        self._runs = [self._write_run(live, watermark)] if live else []
-        for run in old:
-            run.path.unlink(missing_ok=True)
-        self.stats.compactions += 1
-
-    # -- index lookup --------------------------------------------------
-
-    def _lookup(self, key: bytes):
-        """``(value_offset, value_len)`` of the live record, or None."""
-        entry = self._memtable.get(key, _MISSING)
-        if entry is not _MISSING:
-            return entry  # may be None (tombstone)
-        for run in reversed(self._runs):
-            # repro: lint-ok[batched-api] one key walking the LSM runs, not a key batch
-            found = run.lookup(key)
-            if found is _TOMBSTONE:
-                return None
-            if found is not None:
-                return found
-        return None
+    def _maybe_checkpoint(self) -> None:
+        if self._appended >= max(_CHECKPOINT_FLOOR, self._checkpoint_keys):
+            self._write_checkpoint()
 
     def _read_value(self, offset: int, vlen: int) -> bytes:
         if self._unflushed:
@@ -585,7 +478,8 @@ class PersistentBackend:
         self._require_open()
         self.stats.batches += 1
         self.stats.contains += len(keys)
-        return [self._lookup(k) is not None for k in keys]
+        keydir = self._keydir
+        return [k in keydir for k in keys]
 
     def __contains__(self, key: bytes) -> bool:
         return self.contains_batch([key])[0]
@@ -596,37 +490,25 @@ class PersistentBackend:
         self.stats.gets += len(keys)
         out: list[bytes | None] = []
         for key in keys:
-            entry = self._lookup(key)
+            entry = self._keydir.get(key)
             out.append(None if entry is None else self._read_value(*entry))
         return out
 
-    def put_batch(
-        self, items: Sequence[tuple[bytes, bytes]], *, known_absent: bool = False
-    ) -> list[bool]:
-        """Insert-if-absent.  ``known_absent=True`` is the caller's pledge
-        that every key was just probed absent (and keys are batch-unique):
-        the expensive run probes are skipped, only the memtable is
-        checked — the shape ``DedupIndex.lookup_or_insert_batch`` uses so
-        a miss is charged one LSM probe, not two."""
+    def put_batch(self, items: Sequence[tuple[bytes, bytes]]) -> list[bool]:
         self._require_open()
         t0 = time.perf_counter()
         self.stats.batches += 1
+        keydir = self._keydir
         inserted = []
         for key, value in items:
-            existing = (
-                self._memtable.get(key) if known_absent else self._lookup(key)
-            )
-            if existing is not None:
+            if key in keydir:
                 inserted.append(False)
                 continue
-            offset = self._append(_OP_PUT, key, value)
-            self._memtable[key] = (offset, len(value))
-            self._live_count += 1
+            keydir[key] = (self._append(_OP_PUT, key, value), len(value))
             self._live_bytes += len(value)
             self.stats.puts += 1
             inserted.append(True)
-        if len(self._memtable) >= self.memtable_limit:
-            self._flush_memtable()
+        self._maybe_checkpoint()
         _record_store(time.perf_counter() - t0)
         return inserted
 
@@ -635,18 +517,15 @@ class PersistentBackend:
         freed = []
         self.stats.batches += 1
         for key in keys:
-            entry = self._lookup(key)
+            entry = self._keydir.pop(key, None)
             if entry is None:
                 freed.append(0)
                 continue
             self._append(_OP_DEL, key, b"")
-            self._memtable[key] = None
-            self._live_count -= 1
             self._live_bytes -= entry[1]
             self.stats.deletes += 1
             freed.append(entry[1])
-        if len(self._memtable) >= self.memtable_limit:
-            self._flush_memtable()
+        self._maybe_checkpoint()
         return freed
 
     def _append(self, op: int, key: bytes, value) -> int:
@@ -654,27 +533,17 @@ class PersistentBackend:
         record = _frame(op, key, value)
         self._appender.write(record)
         self._unflushed = True
+        self._appended += 1
         offset = self._log_end + _FRAME.size + len(key)
         self._log_end += len(record)
         return offset
 
     def keys(self) -> Iterator[bytes]:
         self._require_open()
-        seen: set[bytes] = set()
-        for key, entry in self._memtable.items():
-            seen.add(key)
-            if entry is not None:
-                yield key
-        for run in reversed(self._runs):
-            for key, tomb in zip(run.keys, run.tombs):
-                if key in seen:
-                    continue
-                seen.add(key)
-                if not tomb:
-                    yield key
+        return iter(tuple(self._keydir))
 
     def __len__(self) -> int:
-        return self._live_count
+        return len(self._keydir)
 
     @property
     def value_bytes(self) -> int:
@@ -701,37 +570,36 @@ class PersistentBackend:
     def compact(self) -> int:
         """Rewrite the chunk log with live records only (GC's sweep).
 
-        Returns log bytes reclaimed.  The index collapses to a single
-        fresh run covering the rewritten log.
+        Returns log bytes reclaimed.  A fresh checkpoint covers the
+        rewritten log.
         """
         self._require_open()
         old_size = self._log_end
-        live = sorted(self.keys())
         tmp = self._log_path.with_suffix(".compact")
-        entries: list[tuple[bytes, tuple[int, int] | None]] = []
+        keydir: dict[bytes, tuple[int, int]] = {}
         new_size = 0
         with open(tmp, "wb") as out:
-            for key in live:
-                value = self._read_value(*self._lookup(key))
+            for key in sorted(self._keydir):
+                value = self._read_value(*self._keydir[key])
                 record = _frame(_OP_PUT, key, value)
                 out.write(record)
-                entries.append((key, (new_size + _FRAME.size + len(key), len(value))))
+                keydir[key] = (new_size + _FRAME.size + len(key), len(value))
                 new_size += len(record)
         self._appender.close()
         self._reader.close()
-        # Drop the old runs BEFORE publishing the rewritten log: their
+        # Drop the checkpoint BEFORE publishing the rewritten log: its
         # offsets are meaningless against it, and a crash in between
-        # must leave either (old log, no runs) or (new log, no runs) —
-        # both replay correctly — never stale runs over a new log.
-        self._discard_runs()
+        # must leave either (old log, no checkpoint) or (new log, no
+        # checkpoint) — both replay correctly — never a stale checkpoint
+        # over a new log.
+        self._checkpoint_path.unlink(missing_ok=True)
         os.replace(tmp, self._log_path)
         self._appender = open(self._log_path, "ab", buffering=_LOG_BUFFER)
         self._reader = open(self._log_path, "rb")
         self._replace_finalizer()
+        self._keydir = keydir
         self._log_end = new_size
-        self._runs = [self._write_run(entries, new_size)] if entries else []
-        self._memtable = {}
-        self._unflushed = False
+        self._write_checkpoint()
         self.stats.log_compactions += 1
         return old_size - new_size
 
@@ -740,15 +608,13 @@ class PersistentBackend:
         self._require_open()
         self._appender.close()
         self._reader.close()
+        self._checkpoint_path.unlink(missing_ok=True)
         open(self._log_path, "wb").close()  # truncate
         self._appender = open(self._log_path, "ab", buffering=_LOG_BUFFER)
         self._reader = open(self._log_path, "rb")
         self._replace_finalizer()
-        for run in self._runs:
-            run.path.unlink(missing_ok=True)
-        self._runs = []
-        self._memtable = {}
-        self._live_count = 0
+        self._keydir = {}
+        self._checkpoint_keys = self._appended = 0
         self._live_bytes = 0
         self._log_end = 0
         self._unflushed = False
@@ -756,9 +622,8 @@ class PersistentBackend:
     def close(self) -> None:
         if self._closed:
             return
-        if not self._ephemeral:
-            self._flush_memtable()  # reopen skips the replay
-            self._appender.flush()
+        if not self._ephemeral and self._appended:
+            self._write_checkpoint()  # reopen replays nothing
         self._closed = True
         self._finalizer()
 
@@ -795,8 +660,6 @@ class PersistentBackend:
             shutil.rmtree(directory, ignore_errors=True)
 
 
-_MISSING = object()
-
 
 # ----------------------------------------------------------------------
 # construction
@@ -827,7 +690,7 @@ def resolve_backend(kind: str | None = None, data_dir=None) -> str:
 
 
 def make_backend(
-    kind: str | None = None, path: str | os.PathLike | None = None, **disk_options
+    kind: str | None = None, path: str | os.PathLike | None = None
 ) -> ChunkBackend:
     """Build a backend: ``memory`` or ``disk`` (persistent at ``path``).
 
@@ -842,12 +705,12 @@ def make_backend(
     if kind == "memory":
         return MemoryBackend()
     if path is not None:
-        return PersistentBackend(path, **disk_options)
+        return PersistentBackend(path)
     tmp_root = os.environ.get(STORE_TMP_ENV) or None
     if tmp_root:
         Path(tmp_root).mkdir(parents=True, exist_ok=True)
     directory = tempfile.mkdtemp(prefix="repro-backend-", dir=tmp_root)
-    return PersistentBackend(directory, _ephemeral=True, **disk_options)
+    return PersistentBackend(directory, _ephemeral=True)
 
 
 # ----------------------------------------------------------------------
@@ -918,10 +781,10 @@ class RecipeStore:
         return SnapshotRecipe(sid, digests, total)
 
     def delete(self, snapshot_id: str) -> None:
-        key = snapshot_id.encode()
-        if not self._backend.contains_batch([key])[0]:
+        # An encoded recipe is at least its 12-byte header, so nothing
+        # freed means nothing stored: one call, not contains + delete.
+        if not self._backend.delete_batch([snapshot_id.encode()])[0]:
             raise KeyError(f"no snapshot {snapshot_id!r}")
-        self._backend.delete_batch([key])
 
     def __contains__(self, snapshot_id: str) -> bool:
         return self._backend.contains_batch([snapshot_id.encode()])[0]

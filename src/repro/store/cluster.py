@@ -17,7 +17,7 @@ cluster backup paths byte-identical.
 Storage is pluggable per shard (:mod:`repro.store.backend`):
 ``backend="memory"`` (default) keeps every node in-process;
 ``backend="disk"`` with a ``data_dir`` gives each node an append-only
-chunk log + LSM digest index under ``data_dir/<node_id>`` and persists
+chunk log + resident keydir under ``data_dir/<node_id>`` and persists
 recipes under ``data_dir/recipes``, so the cluster can be closed, the
 process restarted, and ``ChunkStoreCluster(..., backend="disk",
 data_dir=...)`` reopens every shard, recipe, and lookup answer
@@ -1091,7 +1091,7 @@ class ChunkStoreCluster:
     def close(self) -> None:
         """Close every shard backend and the recipe store.
 
-        On a disk cluster this persists the memtables, so a subsequent
+        On a disk cluster this checkpoints every keydir, so a subsequent
         ``ChunkStoreCluster(backend="disk", data_dir=...)`` with the
         same membership reopens without replaying the logs.
         """

@@ -2,7 +2,7 @@
 
 Each node owns an arc of the consistent-hash ring and keeps its shard
 contents on a pluggable :class:`~repro.store.backend.ChunkBackend`
-(digest -> payload; in-memory by default, the persistent log+LSM
+(digest -> payload; in-memory by default, the persistent log+keydir
 backend when the cluster is opened with ``backend="disk"``), plus a
 Bloom filter that short-circuits negative membership probes.  Probe
 outcomes are classified so the batched lookup path

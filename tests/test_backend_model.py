@@ -1,12 +1,13 @@
 """Model test of the storage backends.
 
 One ``hypothesis`` state machine drives a real backend through batched
-puts (duplicate keys inside one batch, and ``known_absent=True`` only
-where the model says so), deletes, reads, ``flush``, ``compact`` and — on
-disk — close-and-reopen, against an oracle that is a plain dict.  The
-disk machine draws ``memtable_limit`` and ``compact_fanout`` small enough
-that runs, tombstones shadowing older runs and tier merges all occur
-within a few steps.
+puts (duplicate keys inside one batch), deletes, reads, ``flush``,
+``compact`` and — on disk — close-and-reopen and crash-and-reopen,
+against an oracle that is a plain dict.  A crash drops the handle
+without ``close()``, so no checkpoint is written: the reopen loads the
+last (stale) keydir checkpoint and replays the log past it.  The disk
+machine draws the checkpoint floor small enough that checkpoints land
+between mutations within a few steps.
 
 What the model claims, after every step: ``get_batch``,
 ``contains_batch``, ``keys``, ``len`` and ``value_bytes`` answer exactly
@@ -33,10 +34,11 @@ from hypothesis.stateful import (
 )
 
 from repro.core.hashing import chunk_hash
+from repro.store import backend as backend_module
 from repro.store.backend import MemoryBackend, PersistentBackend
 
-#: Digest-shaped keys plus a few of other lengths (run entries frame the
-#: key length; neighbours in sort order that share a prefix).
+#: Digest-shaped keys plus a few of other lengths (checkpoint entries
+#: frame the key length; neighbours in sort order that share a prefix).
 KEYS = tuple(chunk_hash(b"key-%d" % i) for i in range(12)) + (
     b"",
     b"k",
@@ -45,8 +47,8 @@ KEYS = tuple(chunk_hash(b"key-%d" % i) for i in range(12)) + (
 )
 KEY = st.sampled_from(KEYS)
 VALUE = st.binary(max_size=24)
-MEMTABLE_LIMITS = (1, 2, 3, 5, 8)
-COMPACT_FANOUTS = (2, 3, 4)
+DEFAULT_FLOOR = backend_module._CHECKPOINT_FLOOR
+CHECKPOINT_FLOORS = (1, 2, 5, DEFAULT_FLOOR)
 
 
 class BackendModel(RuleBasedStateMachine):
@@ -55,7 +57,6 @@ class BackendModel(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.directory = tempfile.mkdtemp() if self.kind == "disk" else None
-        self.options: dict[str, int] = {}
         self.backend = None
         #: The oracle.
         self.model: dict[bytes, bytes] = {}
@@ -63,20 +64,15 @@ class BackendModel(RuleBasedStateMachine):
     def _open(self):
         if self.kind == "memory":
             return MemoryBackend()
-        return PersistentBackend(self.directory, **self.options)
+        return PersistentBackend(self.directory)
 
-    @initialize(
-        memtable_limit=st.sampled_from(MEMTABLE_LIMITS),
-        compact_fanout=st.sampled_from(COMPACT_FANOUTS),
-    )
-    def open(self, memtable_limit, compact_fanout):
-        self.options = {
-            "memtable_limit": memtable_limit,
-            "compact_fanout": compact_fanout,
-        }
+    @initialize(floor=st.sampled_from(CHECKPOINT_FLOORS))
+    def open(self, floor):
+        backend_module._CHECKPOINT_FLOOR = floor
         self.backend = self._open()
 
     def teardown(self) -> None:
+        backend_module._CHECKPOINT_FLOOR = DEFAULT_FLOOR
         if self.backend is not None:
             self.backend.close()
         if self.directory is not None:
@@ -93,13 +89,6 @@ class BackendModel(RuleBasedStateMachine):
             want.append(key not in self.model)
             self.model.setdefault(key, value)
         assert self.backend.put_batch(items) == want
-
-    @rule(keys=st.lists(KEY, max_size=4, unique=True), value=VALUE)
-    def put_known_absent(self, keys, value):
-        """The pledge is only made where it is true."""
-        items = [(key, value + key[:2]) for key in keys if key not in self.model]
-        assert self.backend.put_batch(items, known_absent=True) == [True] * len(items)
-        self.model.update(items)
 
     @rule(keys=st.lists(KEY, max_size=5))
     def delete_batch(self, keys):
@@ -120,6 +109,15 @@ class BackendModel(RuleBasedStateMachine):
     @rule()
     def close_reopen(self):
         self.backend.close()
+        self.backend = self._open()
+        assert self.backend.recovery.clean
+
+    @precondition(lambda self: self.kind == "disk")
+    @rule()
+    def crash_reopen(self):
+        """Records reach the OS, then the process dies: no close()."""
+        self.backend.flush()
+        self.backend._finalizer()  # closes the file handles, as exit would
         self.backend = self._open()
         assert self.backend.recovery.clean
 

@@ -66,7 +66,7 @@ BACKENDS = ("memory", "disk")
 
 MAX_RECIPES = 3
 MAX_NODES = 12
-#: Reopening nine log+LSM backends costs more than any other step.
+#: Reopening nine log+keydir backends costs more than any other step.
 MAX_REOPENS = 2
 PICK = st.integers(0, 63)
 

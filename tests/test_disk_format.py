@@ -6,7 +6,8 @@ formats PR 5 introduced: ``RRUN1`` run files (a serialized Bloom filter
 between header and entries) and ``ECF1`` fragment records (digest over
 the payload only).  Every later format change must keep opening it; the
 CI step "Disk and wire format goldens" scrubs the same directory through
-the CLI.
+the CLI.  Open deletes its run files and rebuilds the index from the
+log alone.
 
 It was generated by running, on that commit::
 
@@ -38,46 +39,46 @@ DATA = b"".join(chunk_hash(b"store_v1-%d" % i) for i in range(200))
 #: first recipe deleted) and closed — then again after a reopen, GC and
 #: close.  Recorded before the fragment write path was rewritten for
 #: speed; any change to fragment framing, parity bytes, log records or
-#: run files shows up here.
+#: checkpoint files shows up here.
 GOLDEN_WRITTEN = {
     "node-0/chunks.log": "f40860d2815be8aa1f1a451d7df9baa9d3413723161bd4abd2e1361281b79c10",
-    "node-0/run-00000001.run": "16f48e68deff1dd5ddb74ed17c77cfc74be686b4a9e4208c2e423e83026dab86",
+    "node-0/keydir.ckpt": "ab998cc103f4372b9e75a73f3c0829201275b814a4c63d728130b9be2fabd00e",
     "node-1/chunks.log": "87f90f2b2c424606cba4fc12b9526db1121ca896ea7920af50d2cd1d7f20281c",
-    "node-1/run-00000001.run": "918c4824975f45119bc4d08de5b4e8aaa2f7252ab40479448c089df8d233adb8",
+    "node-1/keydir.ckpt": "e4da7f797f4de2b686002e31c77e1863dcc199f7b086fd461861fae8fd538d9b",
     "node-2/chunks.log": "96a72de269dec9fdfb8a037bf1718c07955f4cb412bcd839befd86af414f732c",
-    "node-2/run-00000001.run": "e87bb6b69194b7a45180f26456831dd843e7e51e116916f5f83055d1e8086043",
+    "node-2/keydir.ckpt": "ad900ac5feeffb9b3be610b47935d9ee082dd0ddb8a4824148fea8ccb6a0aefd",
     "node-3/chunks.log": "a2d5bf4aa46e7d3c792f32cd086dd9ff5e3e92072de2c51ce6a702b3681701f4",
-    "node-3/run-00000001.run": "6ff6fee983deaf8aab71f8fa060935412dc682bab23df12fcf994f38f2483213",
+    "node-3/keydir.ckpt": "da42869579eac7c50d6c1d24d1dda6565febff6fe3b2b4f9e15b999d4a853316",
     "node-4/chunks.log": "1c263d37c3e85c38b93b89199175774ca6ded43a7069ccff6ae15d3ac0a377b3",
-    "node-4/run-00000001.run": "6323e3b8fda831c7493995bcd58d024e40ba54a260c0688d3796f9f9c39c894b",
+    "node-4/keydir.ckpt": "f1bdd268bf70c63927816bba981fd52a93433ba68c78518b188d25b512301567",
     "node-5/chunks.log": "3a2f5420be814787889e48a888401d6a538adc918ea067ff6ff510e2c73651e2",
-    "node-5/run-00000001.run": "65d65d544039d3aa0844a3f5117816643edf04962004342e968c4ea11f55cdd2",
+    "node-5/keydir.ckpt": "c0097167ed8209f6d1519cb9b7581b7a0f9ab69c15020c44f0ab73442d81e2c9",
     "node-6/chunks.log": "40a3cc9a1a1d5d8dc0439239b752e286e0c49eab3eaae14bc8cff5b40d268661",
-    "node-6/run-00000001.run": "c49db31a80c7e8ec42ff48c916960fe024f0bc65b2a57fbbc441f7deed9dc0a2",
+    "node-6/keydir.ckpt": "c3bff8a023e7d9eef469862c279b52d3ad61b14d17dc22b74cd11ab8e116e6b8",
     "node-7/chunks.log": "2130eddf379ed1d9bfd59b4ebf8e4233bff425e138ad45a51c2c05bfb6948792",
-    "node-7/run-00000001.run": "ca6c4c093aef5fa1e1741c31fe3cab827e74e55e26f5103d3d71c0f872f522e3",
+    "node-7/keydir.ckpt": "f6b1e3fe45a87dc3ca30ace494411372755463b8ac88f5e7f1977592713faa7f",
     "recipes/chunks.log": "e500c07a723fbfbfaf36638766f17c795e0d9d9854b5272ff0506c9e8a305ed4",
-    "recipes/run-00000001.run": "83ef6da73292925097010a9f78f0f779b0673b79452cc6aa88c69d673bbf66d2",
+    "recipes/keydir.ckpt": "e304f8a6588bb8aa7a534120593b117cb541f7f25349f4f31460f0be2a1f97fb",
 }
 GOLDEN_COLLECTED = {
     "node-0/chunks.log": "a15fcc62a65c4e253d48b3c9c40406ed67f2139216e2806e534816fd7d6a97c1",
-    "node-0/run-00000002.run": "7f1cc7dcf18930816dee2a7a005fc626a45125eb92a7edf9a7188fdc0801e2ef",
+    "node-0/keydir.ckpt": "e71d13f52463e532d40016e1e9e4647859076e8b951ce320c1e2b4f77ad6d4ee",
     "node-1/chunks.log": "03d60bdadf263d83ebc4c99b7f37e8ac85627a46af30834ef7d92f30d639002b",
-    "node-1/run-00000002.run": "f00d0762a0ea0f0c0854a4395ca4a74b9147c2459f8ac0a9adf74db21898de7d",
+    "node-1/keydir.ckpt": "a6bd4fc4521586eb7c4d19f132e2993f2463a8555c4eb492c4a4b7701709a439",
     "node-2/chunks.log": "133a7dbae0d0c19d6cd63586ac703ac52f92f0fb6e297b57f1c139c755091334",
-    "node-2/run-00000002.run": "f3b64dd148943c40e375e5f82642458f2632778dbed1b74b06d39294bf5e2521",
+    "node-2/keydir.ckpt": "55cec8a829e390953fdfc0fa97cf5339b46e1ee1ac19eb278a6c5f567bdc5070",
     "node-3/chunks.log": "7cbeb6945edb714dc9323994f6e62bf355d2f5fe32c8134275f2b2bf1bb3c00e",
-    "node-3/run-00000002.run": "07e609b9a7a6f96524767aae7ed1397bb95c195218d0ea3fa149d27318303fda",
+    "node-3/keydir.ckpt": "344263f07cf56d7fa276c2ac30c26ee22e9e2da74c063826d948f51f3f38cf1a",
     "node-4/chunks.log": "f4d4467712dc133fc2a065edde140eef65bcdfb68dba9e3e087c07effde7cf4d",
-    "node-4/run-00000002.run": "a4854f122937b3eb5f02262ad1bb503772f881bc07ebb1e3e87f9d8890c733a0",
+    "node-4/keydir.ckpt": "c839c1a80d23bbc9a732e665a034391635c47d4da260f6e63836fa8f13d7cd5f",
     "node-5/chunks.log": "ea0aa50a15e94d1cd2c779a24deee9c41f4315afb4c2aae73895f28f642adebb",
-    "node-5/run-00000002.run": "5e64e1f384899ddd87e1a7a6e965755f8dd345a879abc496ecae43a6e7d7e6f1",
+    "node-5/keydir.ckpt": "82f1ef458cd69442591fd811ae3cfb1d93c15566c53b3ef09d7a5ed2cc7df48c",
     "node-6/chunks.log": "4988e747623a78cbd035c6b1771fbae23f7f2131f2cc2cf3d2c0057b8e3daf3b",
-    "node-6/run-00000002.run": "77c577614617157ddb1c0e058ffef6e1475a6198f650c0788797ff5a4114a298",
+    "node-6/keydir.ckpt": "83f09e75e364a6288da060c9bf15d86a839f0986e3203753f7cfb2cab79b608b",
     "node-7/chunks.log": "014b7a8908ed9174f2c312e708384453a395fc03e88c80eba4770e3444d636f3",
-    "node-7/run-00000002.run": "e7064ba9e3ba3e7f33bc2b1f3f0d5a31e03198535e61de8deb85da931795be1a",
+    "node-7/keydir.ckpt": "64da8b89615909c08dd26f0b2d79f90cdc50092f15a2326570049e9308f04605",
     "recipes/chunks.log": "e500c07a723fbfbfaf36638766f17c795e0d9d9854b5272ff0506c9e8a305ed4",
-    "recipes/run-00000001.run": "83ef6da73292925097010a9f78f0f779b0673b79452cc6aa88c69d673bbf66d2",
+    "recipes/keydir.ckpt": "e304f8a6588bb8aa7a534120593b117cb541f7f25349f4f31460f0be2a1f97fb",
 }
 
 
@@ -93,15 +94,20 @@ def open_cluster(root: Path) -> ChunkStoreCluster:
 
 
 def formats(root: Path) -> tuple[set[bytes], set[bytes]]:
-    """The run-file magics and fragment-record magics under ``root``."""
-    runs = {path.read_bytes()[:6] for path in root.glob("*/run-*.run")}
+    """The index-file magics (runs, checkpoints) and fragment-record
+    magics under ``root``."""
+    indexes = {
+        path.read_bytes()[:6]
+        for pattern in ("*/run-*.run", "*/keydir.ckpt")
+        for path in root.glob(pattern)
+    }
     with open_cluster(root) as cluster:
         records = {
             record[:4]
             for node in cluster.nodes.values()
             for record in node.get_chunks(node.digests())
         }
-    return runs, records
+    return indexes, records
 
 
 def test_v1_store_opens_restores_and_takes_new_writes(tmp_path):
@@ -119,8 +125,8 @@ def test_v1_store_opens_restores_and_takes_new_writes(tmp_path):
             SnapshotRecipe("v2", old + (chunk_hash(extra),), len(DATA) + len(extra))
         )
 
-    # Old and new runs, old and new records, side by side.
-    assert formats(root) == ({b"RRUN1\n", b"RRUN2\n"}, {b"ECF1", b"ECF2"})
+    # The runs gave way to checkpoints; old and new records side by side.
+    assert formats(root) == ({b"RKEY1\n"}, {b"ECF1", b"ECF2"})
     with open_cluster(root) as cluster:
         assert cluster.restore("v1") == DATA
         assert cluster.restore("v2") == DATA + extra

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.hashing import chunk_hash
+from repro.store import backend as backend_module
 from repro.store.backend import (
+    _CHECKPOINT_HEADER,
+    _CHECKPOINT_MAGIC,
     _FRAME,
-    _Run,
     BACKEND_KINDS,
     MemoryBackend,
     PersistentBackend,
@@ -38,24 +41,12 @@ def make_items(n: int, salt: bytes = b"") -> list[tuple[bytes, bytes]]:
     ]
 
 
-@pytest.fixture
-def run_lookups(monkeypatch) -> list[bytes]:
-    """Every key a run is searched for, in order — counted by wrapping
-    ``_Run.lookup`` here, because the hot path keeps no counter."""
-    keys: list[bytes] = []
-    lookup = _Run.lookup
-    monkeypatch.setattr(
-        _Run, "lookup", lambda run, key: keys.append(key) or lookup(run, key)
-    )
-    return keys
-
-
 @pytest.fixture(params=["memory", "disk"])
 def backend(request, tmp_path):
     if request.param == "memory":
         b = MemoryBackend()
     else:
-        b = PersistentBackend(tmp_path / "b", memtable_limit=16, compact_fanout=3)
+        b = PersistentBackend(tmp_path / "b")
     yield b
     b.close()
 
@@ -126,7 +117,7 @@ class TestProtocolConformance:
 class TestPersistence:
     def test_close_reopen_round_trip(self, tmp_path):
         items = make_items(200)
-        with PersistentBackend(tmp_path / "b", memtable_limit=32) as b:
+        with PersistentBackend(tmp_path / "b") as b:
             b.put_batch(items)
             b.delete_batch([items[5][0], items[6][0]])
         with PersistentBackend(tmp_path / "b") as b:
@@ -138,11 +129,11 @@ class TestPersistence:
                 assert value == (None if i in (5, 6) else expected)
 
     def test_crash_reopen_replays_log(self, tmp_path):
-        """No close(): the memtable is lost, the log has everything."""
-        b = PersistentBackend(tmp_path / "b", memtable_limit=10_000)
+        """No close(): no checkpoint was written, the log has everything."""
+        b = PersistentBackend(tmp_path / "b")
         items = make_items(50)
         b.put_batch(items)
-        b.flush()  # records reach the OS; memtable never spilled
+        b.flush()  # records reach the OS; no checkpoint yet
         shutil.copytree(tmp_path / "b", tmp_path / "crashed")
         b.close()
         with PersistentBackend(tmp_path / "crashed") as b2:
@@ -150,29 +141,58 @@ class TestPersistence:
             assert len(b2) == 50
             assert b2.get_batch([items[17][0]]) == [items[17][1]]
 
-    def test_runs_flush_and_compact(self, tmp_path, monkeypatch, run_lookups):
-        b = PersistentBackend(tmp_path / "b", memtable_limit=8, compact_fanout=3)
-        for start in range(0, 80, 8):
-            b.put_batch(make_items(8, salt=b"%d-" % start))
-        assert b.stats.memtable_flushes >= 8
-        assert b.stats.compactions >= 2
-        runs = list((tmp_path / "b").glob("run-*.run"))
-        assert 0 < len(runs) < 3  # tiers collapsed, not accumulated
-        # Everything still answers, through memtable or runs alike.
-        for start in range(0, 80, 8):
-            items = make_items(8, salt=b"%d-" % start)
-            assert b.get_batch([k for k, _ in items]) == [v for _, v in items]
-        # Absent keys are answered by the runs' resident key lists: one
-        # bisect per run, and the log is never read to say "no".
-        misses = [chunk_hash(b"miss-%d" % i) for i in range(200)]
-        monkeypatch.setattr(b, "_read_value", None)  # calling it raises
-        run_lookups.clear()
-        assert b.contains_batch(misses) == [False] * 200
-        assert len(run_lookups) == 200 * len(b._runs)
+    def test_checkpoint_bounds_crash_replay(self, tmp_path):
+        """Past 4096 appended records a checkpoint lands without
+        close(), so a crash replays only the log suffix past it."""
+        items = make_items(5000)
+        b = PersistentBackend(tmp_path / "b")
+        for start in range(0, len(items), 500):
+            b.put_batch(items[start : start + 500])
+        assert b.stats.checkpoints == 1  # at 4500 records, not before
+        b.flush()
+        b._finalizer()  # the process dies: handles closed, no close()
+        with PersistentBackend(tmp_path / "b") as b2:
+            assert b2.recovery.replayed_from > 0
+            assert b2.recovery.replayed_records == 500 < len(items)
+            assert len(b2) == len(items)
+            keys = [items[0][0], items[4499][0], items[-1][0]]
+            assert b2.get_batch(keys) == [items[0][1], items[4499][1], items[-1][1]]
+
+    def test_checkpoint_interval_grows_with_the_keydir(self, tmp_path, monkeypatch):
+        """The next checkpoint is due after max(floor, keys in the last
+        one) appends: rewriting the keydir stays amortised O(1) per
+        append, and a close with nothing appended rewrites nothing."""
+        monkeypatch.setattr(backend_module, "_CHECKPOINT_FLOOR", 4)
+        b = PersistentBackend(tmp_path / "b")
+        b.put_batch(make_items(10))  # 10 >= 4: checkpoint of 10 keys
+        assert b.stats.checkpoints == 1
+        for i in range(9):  # 9 appends < 10: none due yet
+            b.put_batch(make_items(1, salt=b"%d-" % i))
+        assert b.stats.checkpoints == 1
+        b.delete_batch([make_items(1)[0][0]])  # the 10th append
+        assert b.stats.checkpoints == 2
         b.close()
+        assert b.stats.checkpoints == 2  # nothing appended since
+        with PersistentBackend(tmp_path / "b") as b2:
+            assert b2.recovery.replayed_records == 0 and len(b2) == 18
+        assert b2.stats.checkpoints == 0
+
+    def test_lsm_run_files_are_deleted_on_open(self, tmp_path):
+        """A directory the LSM index wrote opens from its log alone."""
+        items = make_items(12)
+        with PersistentBackend(tmp_path / "b") as b:
+            b.put_batch(items)
+        (tmp_path / "b" / "keydir.ckpt").unlink()
+        run = tmp_path / "b" / "run-00000001.run"
+        run.write_bytes(b"RRUN2\n" + bytes(40))
+        with PersistentBackend(tmp_path / "b") as b2:
+            assert not run.exists()
+            assert b2.recovery.replayed_from == 0
+            assert b2.recovery.replayed_records == 12
+            assert b2.get_batch([items[11][0]]) == [items[11][1]]
 
     def test_log_compaction_reclaims_dead_records(self, tmp_path):
-        b = PersistentBackend(tmp_path / "b", memtable_limit=16)
+        b = PersistentBackend(tmp_path / "b")
         items = make_items(60)
         b.put_batch(items)
         b.delete_batch([k for k, _ in items[:40]])
@@ -191,104 +211,121 @@ class TestPersistence:
             assert b2.get_batch([items[45][0]]) == [items[45][1]]
 
     def test_interrupted_compact_recovers_from_either_log(self, tmp_path):
-        """compact() deletes runs before publishing the rewritten log,
-        so a crash at its worst points leaves (old log, no runs) or
-        (new log, no runs) — both replay correctly, never stale runs
-        dereferencing into a rewritten log."""
-        with PersistentBackend(tmp_path / "b", memtable_limit=4) as b:
+        """compact() deletes the checkpoint before publishing the
+        rewritten log, so a crash at its worst points leaves (old log, no
+        checkpoint) or (new log, no checkpoint) — both replay correctly,
+        never a stale checkpoint dereferencing into a rewritten log."""
+        with PersistentBackend(tmp_path / "b") as b:
             # Non-sorted insert order, so the compacted (key-sorted) log
-            # would re-shuffle offsets — the stale-run poison scenario.
+            # re-shuffles offsets — the stale-checkpoint poison scenario.
             items = make_items(19)
             for item in reversed(items):
                 b.put_batch([item])
-            b.flush()
-            shutil.copytree(tmp_path / "b", tmp_path / "pre")
-        # Crash point A: runs unlinked, old log still in place (the tmp
-        # rewrite never published).
+        shutil.copytree(tmp_path / "b", tmp_path / "pre")
+        # Crash point A: checkpoint unlinked, old log still in place (the
+        # tmp rewrite never published).
         work = tmp_path / "crash-a"
         shutil.copytree(tmp_path / "pre", work)
-        for run in work.glob("run-*.run"):
-            run.unlink()
+        (work / "keydir.ckpt").unlink()
         (work / "chunks.compact").write_bytes(b"partial rewrite")
         with PersistentBackend(work) as b2:
+            assert b2.recovery.replayed_from == 0
             assert sorted(b2.keys()) == sorted(k for k, _ in items)
             assert b2.get_batch([items[3][0]]) == [items[3][1]]
             assert not (work / "chunks.compact").exists()  # tmp swept
-        # Crash point B: new log published, runs gone (crash before the
-        # fresh run was written) — full replay of the compacted log.
+        # Crash point B: new log published, checkpoint not yet rewritten
+        # — full replay of the compacted log.
         work = tmp_path / "crash-b"
         shutil.copytree(tmp_path / "pre", work)
         with PersistentBackend(work) as b3:
             b3.delete_batch([items[0][0]])
             b3.compact()
-        for run in work.glob("run-*.run"):
-            run.unlink()
+        (work / "keydir.ckpt").unlink()
         with PersistentBackend(work) as b4:
             assert b4.recovery.replayed_from == 0
             assert sorted(b4.keys()) == sorted(k for k, _ in items[1:])
             assert b4.get_batch([items[7][0]]) == [items[7][1]]
 
-    def test_corrupt_run_file_falls_back_to_log_replay(self, tmp_path):
-        with PersistentBackend(tmp_path / "b", memtable_limit=8) as b:
-            items = make_items(40)
-            b.put_batch(items[:20])  # two separate memtable flushes ->
-            b.put_batch(items[20:])  # two runs, below the merge fanout
-        runs = sorted((tmp_path / "b").glob("run-*.run"))
-        assert len(runs) >= 2  # corrupt an *early* run, later ones valid
-        raw = bytearray(runs[0].read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        runs[0].write_bytes(bytes(raw))
-        with PersistentBackend(tmp_path / "b") as b2:
-            assert b2.recovery.replayed_from == 0  # full replay, no trust
-            assert len(b2) == 40
-            assert b2.get_batch([items[33][0]]) == [items[33][1]]
-            # Every old run file was dropped — the corrupt one must not
-            # fail the next open, and a stale survivor must never outrank
-            # runs written after the sequence counter restarted.
-            for old in runs:
-                assert not old.exists()
-        # Close spilled a fresh run; the state reopens clean.
-        with PersistentBackend(tmp_path / "b") as b3:
-            assert b3.recovery.clean and len(b3) == 40
-
-    def test_run_watermark_past_log_end_discards_runs(self, tmp_path):
-        """A run published after the log's durable tail was lost (we
-        flush, not fsync) must not serve offsets past EOF."""
-        with PersistentBackend(tmp_path / "b", memtable_limit=8) as b:
-            items = make_items(24)
+    def test_corrupt_checkpoint_falls_back_to_log_replay(self, tmp_path):
+        items = make_items(40)
+        with PersistentBackend(tmp_path / "b") as b:
             b.put_batch(items)
-            b.flush()
+        checkpoint = tmp_path / "b" / "keydir.ckpt"
+        good = checkpoint.read_bytes()
+        payload = good[len(_CHECKPOINT_MAGIC) : -4]
+        n, watermark = _CHECKPOINT_HEADER.unpack_from(payload)
+        # One entry more than it holds, under a valid CRC: parses short.
+        overcount = _CHECKPOINT_HEADER.pack(n + 1, watermark) + payload[
+            _CHECKPOINT_HEADER.size :
+        ]
+        flipped = bytearray(good)
+        flipped[len(good) // 2] ^= 0xFF
+        for bad in (
+            b"RRUN2\n" + good[len(_CHECKPOINT_MAGIC) :],  # magic
+            bytes(flipped),  # CRC
+            good[:5],  # shorter than any checkpoint
+            _CHECKPOINT_MAGIC + overcount + struct.pack("<I", zlib.crc32(overcount)),
+        ):
+            checkpoint.write_bytes(bad)
+            with PersistentBackend(tmp_path / "b") as b2:
+                assert b2.recovery.replayed_from == 0  # full replay, no trust
+                assert b2.recovery.replayed_records == 40
+                assert len(b2) == 40
+                assert b2.get_batch([items[33][0]]) == [items[33][1]]
+            # Close wrote a fresh checkpoint; the state reopens from it.
+            with PersistentBackend(tmp_path / "b") as b3:
+                assert b3.recovery.replayed_from == watermark
+                assert b3.recovery.replayed_records == 0 and len(b3) == 40
+            assert checkpoint.read_bytes() == good
+
+    def test_checkpoint_watermark_past_log_end_is_ignored(self, tmp_path):
+        """A checkpoint published after the log's durable tail was lost
+        (we flush, not fsync) must not serve offsets past EOF — nor
+        later, once the log has grown back past its watermark."""
+        items = make_items(24)
+        with PersistentBackend(tmp_path / "b") as b:
+            b.put_batch(items)
         log_path = tmp_path / "b" / "chunks.log"
         offsets = frame_offsets(log_path.read_bytes())
         cut = offsets[10]  # lose the tail: only 10 records remain durable
         with open(log_path, "r+b") as fh:
             fh.truncate(cut)
-        with PersistentBackend(tmp_path / "b") as b2:
-            # Runs outran the surviving log: discarded, full replay.
-            assert b2.recovery.replayed_from == 0
-            assert len(b2) == 10
-            surviving = [k for k, _ in items[:10]]
-            values = b2.get_batch(surviving)
-            assert values == [v for _, v in items[:10]]  # no short reads
-            assert b2.contains_batch([items[20][0]]) == [False]
+        b2 = PersistentBackend(tmp_path / "b")
+        # The checkpoint outran the surviving log: ignored, full replay.
+        assert b2.recovery.replayed_from == 0
+        assert len(b2) == 10
+        surviving = [k for k, _ in items[:10]]
+        assert b2.get_batch(surviving) == [v for _, v in items[:10]]  # no short reads
+        assert b2.contains_batch([items[20][0]]) == [False]
+        # New records regrow the log past the old watermark; then the
+        # process dies before any checkpoint.
+        regrown = make_items(30, salt=b"regrown")
+        b2.put_batch(regrown)
+        b2.flush()
+        b2._finalizer()
+        with PersistentBackend(tmp_path / "b") as b3:
+            assert b3.recovery.replayed_from == 0
+            assert sorted(b3.keys()) == sorted(surviving + [k for k, _ in regrown])
+            assert b3.get_batch([regrown[29][0]]) == [regrown[29][1]]
 
-    def test_tracked_log_end_is_the_file_size(self, tmp_path):
+    def test_tracked_log_end_is_the_file_size(self, tmp_path, monkeypatch):
         """Appends track where the log ends instead of asking the file;
-        puts, deletes, a memtable flush, a reopen that truncated a torn
+        puts, deletes, a checkpoint, a reopen that truncated a torn
         tail, compact() and clear() must all leave it exact."""
 
         def assert_tracked(b):
             b.flush()
             assert b._log_end == (b.directory / "chunks.log").stat().st_size
 
+        monkeypatch.setattr(backend_module, "_CHECKPOINT_FLOOR", 8)
         items = make_items(30)
-        b = PersistentBackend(tmp_path / "b", memtable_limit=8)
+        b = PersistentBackend(tmp_path / "b")
         b.put_batch(items[:5])
         assert_tracked(b)
         b.delete_batch([items[0][0], items[1][0]])
         assert_tracked(b)
         b.put_batch(items[5:])
-        assert b.stats.memtable_flushes > 0
+        assert b.stats.checkpoints > 0
         assert_tracked(b)
         shutil.copytree(tmp_path / "b", tmp_path / "torn")
         b.close()
@@ -309,24 +346,6 @@ class TestPersistence:
             torn.clear()
             assert_tracked(torn)
 
-    def test_put_known_absent_skips_reprobe(self, tmp_path, run_lookups):
-        b = PersistentBackend(tmp_path / "b", memtable_limit=4)
-        items = make_items(12)  # several runs: run probes are the cost
-        b.put_batch(items)
-        fresh = make_items(3, salt=b"fresh")
-        run_lookups.clear()
-        assert b.put_batch(fresh, known_absent=True) == [True, True, True]
-        assert not run_lookups  # no run probes paid
-        assert b.get_batch([fresh[0][0]]) == [fresh[0][1]]
-        # The pledge only covers run state; a memtable duplicate is
-        # still refused rather than double-counted.
-        b2 = PersistentBackend(tmp_path / "b2", memtable_limit=100)
-        b2.put_batch(items[:1])
-        assert b2.put_batch(items[:1], known_absent=True) == [False]
-        b.close()
-        b2.close()
-
-
 def frame_offsets(log: bytes) -> list[int]:
     """Start offset of every record frame in a log image."""
     offsets, pos = [], 0
@@ -342,7 +361,7 @@ class TestTornLogRecovery:
 
     @pytest.fixture()
     def crash_image(self, tmp_path):
-        b = PersistentBackend(tmp_path / "b", memtable_limit=10_000)
+        b = PersistentBackend(tmp_path / "b")
         items = make_items(8, salt=b"torn")
         b.put_batch(items)
         b.flush()
@@ -451,12 +470,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="closed"):
             b.put_batch(make_items(1))
 
-    def test_bad_options_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            PersistentBackend(tmp_path / "a", memtable_limit=0)
-        with pytest.raises(ValueError):
-            PersistentBackend(tmp_path / "b", compact_fanout=1)
-
     def test_store_imports_clean_of_core(self):
         """repro.core stores through repro.store: the store reaches core
         on first use (``core_module``), never while being imported."""
@@ -494,9 +507,13 @@ class TestRecipeStore:
             recipes.put(SnapshotRecipe("s", (), 0))
         with pytest.raises(KeyError, match="no snapshot"):
             recipes.get("absent")
+        stats = recipes._backend.stats
+        batches = stats.batches
         with pytest.raises(KeyError, match="no snapshot"):
             recipes.delete("absent")
+        assert stats.batches == batches + 1  # one delete_batch, no probe
         recipes.delete("s")
+        assert stats.batches == batches + 2
         assert len(recipes) == 0
 
     def test_empty_recipe(self, recipes):

@@ -15,9 +15,10 @@ Two pipelines per configuration:
 ``fast``
     The zero-copy path: striped vector scan running the byte-plane
     roll kernel on the static geometry (``DEFAULT_LANES`` x
-    ``DEFAULT_TILE_BYTES`` x ``DEFAULT_ROLL_STEPS``), vectorized
-    ``select_cuts_fast``, lazy view chunks with one batched hashing
-    pass, batched index/cluster lookups, all on one thread.  Rows carry
+    ``DEFAULT_TILE_BYTES`` x ``DEFAULT_ROLL_STEPS``), ``Chunker.chunk``'s
+    one-buffer ``pipeline_chunks`` run (incremental min/max selection,
+    lazy view chunks, one batched hashing pass per batch), batched
+    index/cluster lookups, all on one thread.  Rows carry
     the scan's kernel-dispatch counters (dispatches/MiB, bytes/dispatch,
     geometry) so dispatch reduction is visible in the committed
     trajectory, and the result records the ``scan_geometry`` used.
@@ -56,7 +57,6 @@ from repro.core import (
     SerialEngine,
     VectorEngine,
     default_engine,
-    ensure_digests,
     reset_scan_counters,
     scan_counters,
     select_cuts,
@@ -134,7 +134,6 @@ def fast_pipeline(data, chunker: Chunker, backend: str):
                 cluster.put_chunk(chunk.digest, chunk.data)
         return chunks, cluster
     index = DedupIndex()
-    ensure_digests(chunks)
     index.add_all(chunks)
     return chunks, index
 

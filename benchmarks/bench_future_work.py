@@ -16,7 +16,7 @@ import time
 from repro.core import Chunker, ChunkerConfig, select_cuts
 from repro.core.parallel_minmax import parallel_select_cuts
 from repro.core.shredder import Shredder, ShredderConfig
-from repro.netre import REConfig, RETunnel, TrafficConfig, TrafficGenerator
+from repro.netre import RETunnel, TrafficConfig, TrafficGenerator
 from repro.workloads import seeded_bytes
 
 GB = 1 << 30
@@ -87,7 +87,7 @@ def test_re_middlebox(benchmark, report):
     def run():
         rows = []
         for update_p in (0.0, 0.2, 0.5, 1.0):
-            tunnel = RETunnel(REConfig(use_gpu=False))
+            tunnel = RETunnel()
             gen = TrafficGenerator(
                 TrafficConfig(n_objects=25, object_size=16 * 1024,
                               update_probability=update_p, seed=83)

@@ -16,7 +16,7 @@ KB = 1024
 def main() -> None:
     print("RE tunnel: Shredder chunking + synchronized LRU chunk caches\n")
     for update_p in (0.0, 0.25, 0.75):
-        tunnel = RETunnel(REConfig(use_gpu=True, cache_bytes=4 * 1024 * KB))
+        tunnel = RETunnel(REConfig(cache_bytes=4 * 1024 * KB))
         generator = TrafficGenerator(
             TrafficConfig(
                 n_objects=30,
@@ -34,7 +34,6 @@ def main() -> None:
             f"({savings:6.1%} saved, "
             f"{tunnel.encoder.cache.evictions} cache evictions)"
         )
-        tunnel.close()
     print("\nEvery payload was reconstructed and verified at the far end.")
 
 

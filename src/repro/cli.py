@@ -59,32 +59,6 @@ def _chunker_config(args) -> "ChunkerConfig":
     )
 
 
-def _profiled_chunk(chunker, view) -> list:
-    """Chunk ``view`` through the chunk + hash pipeline, metered.
-
-    Slices the buffer into scan-tile-sized pieces and runs the real
-    scan + hash pipeline plus a batched dedup probe, so the stage
-    timers (scan / hash / lookup) and fused-kernel dispatch counters
-    reflect the production data path.  Chunks are identical to the
-    whole-buffer path (stream chunking is boundary-exact).
-    """
-    from repro.core import DedupIndex, pipeline_chunks
-    from repro.core import reset_scan_counters, reset_stage_times
-    from repro.core.engines import DEFAULT_TILE_BYTES
-
-    reset_scan_counters()
-    reset_stage_times()
-    piece = DEFAULT_TILE_BYTES
-    buffers = [view[off : off + piece] for off in range(0, len(view), piece)]
-    chunks = [
-        chunk
-        for batch in pipeline_chunks(chunker.candidate_cuts, chunker.config, buffers)
-        for chunk in batch
-    ]
-    DedupIndex().add_all(chunks)
-    return chunks
-
-
 def _print_profile(n_bytes: int, seconds: float) -> None:
     """Print the stage split from the one merged stats snapshot.
 
@@ -135,40 +109,35 @@ def cmd_chunk(args) -> int:
     import mmap
     import time
 
-    from repro.core import Chunker, size_stats
+    from repro.core import Chunker, DedupIndex, size_stats
+    from repro.core import reset_scan_counters, reset_stage_times
 
     chunker = Chunker(_chunker_config(args))
-    profile_seconds = 0.0
     # Zero-copy path: chunk the file through an mmap'd memoryview — the
     # scan, boundary selection, and batched hashing all run against the
     # page cache without ever copying the payload into Python bytes.
+    # ``--profile`` meters that same call, plus one batched dedup probe.
     with open(args.file, "rb") as fh:
         try:
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except (ValueError, OSError):  # empty file or unmappable source
             mapped = None
-        if mapped is None:
-            data = _read(args.file)
+        view = memoryview(_read(args.file) if mapped is None else mapped)
+        chunks = []
+        try:
             if args.profile:
-                t0 = time.perf_counter()
-                chunks = _profiled_chunk(chunker, memoryview(data))
-                profile_seconds = time.perf_counter() - t0
-            else:
-                chunks = chunker.chunk(data)
-        else:
-            view = memoryview(mapped)
-            chunks = []
-            try:
-                if args.profile:
-                    t0 = time.perf_counter()
-                    chunks = _profiled_chunk(chunker, view)
-                    profile_seconds = time.perf_counter() - t0
-                else:
-                    chunks = chunker.chunk(view)  # digests computed batched
-            finally:
-                for c in chunks:
-                    c.release()  # digests recorded; let the mmap go
-                view.release()
+                reset_scan_counters()
+                reset_stage_times()
+            t0 = time.perf_counter()
+            chunks = chunker.chunk(view)
+            if args.profile:
+                DedupIndex().add_all(chunks)
+            seconds = time.perf_counter() - t0
+        finally:
+            for c in chunks:
+                c.release()  # digests recorded; let the mmap go
+            view.release()
+            if mapped is not None:
                 try:
                     mapped.close()
                 except BufferError:
@@ -192,7 +161,7 @@ def cmd_chunk(args) -> int:
         f"(min {stats.minimum}, max {stats.maximum})"
     )
     if args.profile:
-        _print_profile(stats.total, profile_seconds)
+        _print_profile(stats.total, seconds)
     return 0
 
 

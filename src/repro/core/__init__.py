@@ -2,8 +2,10 @@
 
 One scan driver turns bytes into chunks — ``stream_chunks`` (scan +
 incremental min/max stitch) run by ``pipeline_chunks`` (batched
-hashing); ``Chunker``, ``HostParallelChunker``, ``Shredder`` and
-``ShredderExecutor`` are configurations of it.
+hashing); ``Chunker`` (whose ``chunk`` is the one-buffer pipeline),
+``HostParallelChunker``, ``Shredder`` and ``ShredderExecutor`` are
+configurations of it.  ``select_cuts`` over ``SerialEngine`` candidates
+is the reference it is tested against.
 """
 
 from repro.core.baselines import FixedSizeChunker, SampleByteChunker
@@ -17,7 +19,6 @@ from repro.core.chunking import (
     ensure_digests,
     pipeline_chunks,
     select_cuts,
-    select_cuts_fast,
 )
 from repro.core.dedup import DedupIndex, DedupStats
 from repro.core.engines import (
@@ -28,7 +29,7 @@ from repro.core.engines import (
     as_uint8,
     default_engine,
 )
-from repro.core.hashing import chunk_hash, digest_chunks, digest_many, short_hash, weak_checksum
+from repro.core.hashing import chunk_hash, digest_many, short_hash, weak_checksum
 from repro.core.host_chunker import HOARD, MALLOC, AllocatorModel, HostParallelChunker
 from repro.core.executor import ExecutionTotals, ShredderExecutor
 from repro.core.parallel_minmax import compute_jumps, parallel_select_cuts
@@ -53,11 +54,11 @@ __all__ = [
     "compute_jumps", "parallel_select_cuts",
     "DoubleBuffer", "PinnedRingBuffer", "RingSlot",
     "Chunk", "Chunker", "ChunkerConfig", "chunk_sizes", "ensure_digests",
-    "pipeline_chunks", "PipelineError", "select_cuts", "select_cuts_fast",
+    "pipeline_chunks", "PipelineError", "select_cuts",
     "DedupIndex", "DedupStats",
     "Engine", "SerialEngine", "VectorEngine", "as_byte_view", "as_uint8",
     "default_engine",
-    "chunk_hash", "digest_chunks", "digest_many", "short_hash", "weak_checksum",
+    "chunk_hash", "digest_many", "short_hash", "weak_checksum",
     "HOARD", "MALLOC", "AllocatorModel", "HostParallelChunker",
     "DEFAULT_WINDOW_SIZE", "RabinFingerprinter", "default_polynomial",
     "Shredder", "ShredderConfig", "ShredderReport",

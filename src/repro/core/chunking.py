@@ -9,9 +9,10 @@ The whole data path is **zero-copy**: chunkers accept any buffer-protocol
 object, :class:`Chunk` records are lazy ``(offset, length)`` views into
 the caller's buffers that materialize ``data``/``digest`` on demand, and
 the streaming path carries a ring of buffer references instead of
-re-concatenated bytestrings.  Because chunks reference the buffers they
-were cut from, callers that mutate or recycle those buffers should call
-:meth:`Chunk.materialize` first.
+re-concatenated bytestrings.  Writable inputs are snapshotted on
+arrival, so chunks alias read-only buffers only; callers that unmap
+those (an ``mmap``) should call :meth:`Chunk.materialize` or
+:meth:`Chunk.release` first.
 
 Defaults follow §3.1: a 48-byte window whose fingerprint's low-order
 13 bits are compared against a fixed marker, giving an expected chunk
@@ -35,7 +36,7 @@ from repro.core.engines import (
     as_byte_view,
     default_engine,
 )
-from repro.core.hashing import chunk_hash, digest_chunks, digest_many, digest_views
+from repro.core.hashing import chunk_hash, digest_many, digest_views
 from repro.core.rabin import DEFAULT_WINDOW_SIZE, RabinFingerprinter
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "Chunk",
     "Chunker",
     "select_cuts",
-    "select_cuts_fast",
     "chunk_sizes",
     "ensure_digests",
     "pipeline_chunks",
@@ -273,8 +273,9 @@ def select_cuts(
     Returns the selected cuts, ending with ``length``.  Empty input
     (``length == 0``) yields no cuts.
 
-    Pure-Python reference implementation; :func:`select_cuts_fast` is the
-    production path (bit-identical, differentially tested).
+    Reference implementation: the production path is the incremental
+    selection inside :func:`stream_chunks` (bit-identical, differentially
+    tested against this loop over ``SerialEngine`` candidates).
     """
     if length == 0:
         return []
@@ -298,57 +299,6 @@ def select_cuts(
     if not cuts or cuts[-1] != length:
         cuts.append(length)
     return cuts
-
-
-def select_cuts_fast(
-    candidates,
-    length: int,
-    min_size: int = 0,
-    max_size: int | None = None,
-) -> list[int]:
-    """Vectorized :func:`select_cuts` (bit-identical output).
-
-    The default configuration (``min_size <= 1``, no maximum) reduces to
-    pure array ops.  With limits, the greedy walk jumps candidate-to-
-    candidate with ``np.searchsorted`` — ``O(selected · log n)`` instead
-    of a Python loop over every candidate — touching only the cuts it
-    emits, like the Lillibridge-style jump selection in
-    :mod:`repro.core.parallel_minmax`.
-    """
-    if length == 0:
-        return []
-    c = np.asarray(candidates, dtype=np.int64)
-    n = int(c.size)
-    if n and int(c[-1]) > length:
-        raise ValueError(
-            f"candidate cut {int(c[-1])} beyond buffer length {length}"
-        )
-    if min_size <= 1 and max_size is None:
-        uniq = np.unique(c[c > 0]) if n else c
-        out = uniq.tolist()
-        if not out or out[-1] != length:
-            out.append(length)
-        return out
-    out: list[int] = []
-    prev = 0
-    step = max(min_size, 1)
-    while True:
-        i = int(np.searchsorted(c, prev + step, side="left"))
-        nxt = int(c[i]) if i < n else None
-        if nxt is not None and (max_size is None or nxt - prev <= max_size):
-            out.append(nxt)
-            prev = nxt
-            continue
-        if max_size is not None and (
-            nxt is not None or length - prev > max_size
-        ):
-            prev += max_size
-            out.append(prev)
-            continue
-        break
-    if not out or out[-1] != length:
-        out.append(length)
-    return out
 
 
 def chunk_sizes(cuts: Iterable[int]) -> list[int]:
@@ -592,10 +542,11 @@ def pipeline_chunks(
 class Chunker:
     """User-facing content-based chunker.
 
-    Combines an engine (marker scan) with boundary selection and hashing.
-    Accepts any buffer-protocol input and never copies payload bytes:
-    the returned chunks are lazy views whose digests are computed for the
-    whole batch in one pass.
+    An engine (marker scan) plus a configuration of the one scan driver:
+    :meth:`chunk` and :meth:`chunk_stream` both run
+    :func:`stream_chunks`.  Accepts any buffer-protocol input; read-only
+    payload bytes are never copied, and the returned chunks are lazy
+    views whose digests are computed a batch at a time.
 
     >>> chunker = Chunker()
     >>> chunks = chunker.chunk(data)
@@ -638,39 +589,22 @@ class Chunker:
         :func:`stream_chunks` / :func:`pipeline_chunks`)."""
         return self.candidate_cut_array(data).tolist()
 
-    def cuts(self, data) -> list[int]:
-        """Selected exclusive cut offsets for ``data`` (ends with ``len(data)``)."""
-        return select_cuts_fast(
-            self.candidate_cut_array(data),
-            len(as_byte_view(data)),
-            self.config.min_size,
-            self.config.max_size,
-        )
-
     # -- chunk-level API ----------------------------------------------------
 
-    def chunk(self, data, base_offset: int = 0) -> list[Chunk]:
+    def chunk(self, data) -> list[Chunk]:
         """Chunk one in-memory buffer into hashed :class:`Chunk` records.
 
-        Zero-copy: each chunk is a lazy view into ``data``; all digests
-        for the scan are computed in one batched pass.  The views alias
-        ``data`` even when it is writable (unlike the streaming path,
-        which snapshots writable buffers because producers refill them
-        mid-iteration): digests identify the content as of this call, so
-        a caller that mutates ``data`` afterwards must ``materialize()``
-        the chunks first or their ``.data`` will no longer match
-        ``.digest`` (the backup agent rejects such payloads).
+        The one-buffer stream of :func:`pipeline_chunks`, flattened: the
+        same scan, min/max selection and batched hashing as every other
+        entry point.  Read-only input is chunked zero-copy (each chunk is
+        a lazy view into ``data``); writable input is snapshotted once.
         """
         view = as_byte_view(data)
-        cuts = self.cuts(view)
-        chunks = []
-        prev = 0
-        for cut, digest in zip(cuts, digest_chunks(view, cuts)):
-            chunks.append(
-                Chunk(base_offset + prev, cut - prev, digest=digest, views=(view[prev:cut],))
-            )
-            prev = cut
-        return chunks
+        return [
+            chunk
+            for batch in pipeline_chunks(self.candidate_cuts, self.config, [view])
+            for chunk in batch
+        ]
 
     def chunk_stream(
         self, buffers: Iterable, carry_limit: int = 1 << 26

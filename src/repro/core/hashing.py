@@ -5,9 +5,10 @@ collision-resistant function; the digest is the key used by the matching
 step (dedup index, memoization server).  SHA-1 was typical of systems of
 the paper's era (LBFS, Venti); SHA-256 is the default here.
 
-The batched entry points (:func:`digest_chunks`, :func:`digest_many`)
-hash whole scan batches in one pass over ``memoryview`` slices — no
-per-chunk ``bytes`` copies — on the calling thread.
+The batched entry point :func:`digest_many` hashes a whole scan batch
+in one pass over ``memoryview`` slices — no per-chunk ``bytes`` copies —
+on the calling thread; :func:`digest_views` hashes one chunk that spans
+several buffers without joining them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "chunk_hash",
     "short_hash",
     "weak_checksum",
-    "digest_chunks",
     "digest_many",
     "digest_views",
 ]
@@ -59,24 +59,3 @@ def digest_many(pieces: Sequence) -> list[bytes]:
     the fast path).
     """
     return [hashlib.sha256(p).digest() for p in pieces]
-
-
-def digest_chunks(buffer, cuts: Sequence[int]) -> list[bytes]:
-    """Batched digests of the chunks ``buffer[prev:cut]`` implied by ``cuts``.
-
-    ``cuts`` are sorted exclusive end offsets (the first chunk starts at
-    offset 0), exactly as produced by boundary selection.  The buffer is
-    sliced through one ``memoryview`` — zero copies — and the whole batch
-    is hashed in a single pass, so ``Chunker``, the SPMD host chunker and
-    the backup server pay one call per scan batch instead of one Python
-    round trip per chunk.
-    """
-    from repro.core.engines import as_byte_view  # local: keep hashing numpy-free
-
-    mv = as_byte_view(buffer)
-    slices = []
-    prev = 0
-    for cut in cuts:
-        slices.append(mv[prev:cut])
-        prev = cut
-    return digest_many(slices)

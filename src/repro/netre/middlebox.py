@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.chunking import Chunker, ChunkerConfig
-from repro.core.shredder import Shredder, ShredderConfig
 from repro.netre.cache import ChunkCache
 
 __all__ = ["Shim", "EncodedStream", "Encoder", "Decoder", "REConfig", "RETunnel"]
@@ -40,7 +39,6 @@ class REConfig:
 
     chunker: ChunkerConfig = field(default_factory=_re_chunker_config)
     cache_bytes: int = 4 * 1024 * KB
-    use_gpu: bool = True
 
 
 @dataclass(frozen=True)
@@ -78,18 +76,11 @@ class Encoder:
     def __init__(self, config: REConfig | None = None) -> None:
         self.config = config or REConfig()
         self.cache = ChunkCache(self.config.cache_bytes)
-        if self.config.use_gpu:
-            self._shredder = Shredder(
-                ShredderConfig.gpu_streams_memory(chunker=self.config.chunker)
-            )
-            self._chunk = lambda data: self._shredder.process(data)[0]
-        else:
-            chunker = Chunker(self.config.chunker)
-            self._chunk = chunker.chunk
+        self.chunker = Chunker(self.config.chunker)
 
     def encode(self, payload: bytes) -> EncodedStream:
         items: list[Shim | bytes] = []
-        for chunk in self._chunk(payload):
+        for chunk in self.chunker.chunk(payload):
             if chunk.digest in self.cache:
                 self.cache.get(chunk.digest)  # LRU touch, mirrored below
                 items.append(Shim(chunk.digest, chunk.length))
@@ -97,10 +88,6 @@ class Encoder:
                 self.cache.insert(chunk.digest, chunk.data)
                 items.append(chunk.data)
         return EncodedStream(items, original_bytes=len(payload))
-
-    def close(self) -> None:
-        if self.config.use_gpu:
-            self._shredder.close()
 
 
 class Decoder:
@@ -159,6 +146,3 @@ class RETunnel:
         if self.original_bytes == 0:
             return 0.0
         return 1.0 - self.wire_bytes / self.original_bytes
-
-    def close(self) -> None:
-        self.encoder.close()

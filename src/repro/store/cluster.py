@@ -79,11 +79,10 @@ from repro.store.health import FailureDetector, HealthPolicy, NodeState
 from repro.store.lookup import (
     BatchedLookup,
     BatchLookupStats,
-    LookupCostModel,
     walk_positions,
 )
 from repro.store.node import NodeDownError, StoreNode
-from repro.store.ring import DEFAULT_VNODES, HashRing
+from repro.store.ring import HashRing
 from repro.store.schemes import (
     CorruptItemError,
     PlacementScheme,
@@ -197,12 +196,8 @@ class ChunkStoreCluster:
         self,
         n_nodes: int = 4,
         scheme: PlacementScheme | None = None,
-        vnodes: int = DEFAULT_VNODES,
         bloom_capacity: int = 1 << 14,
-        bloom_fp_rate: float = 0.01,
         batch_size: int = 128,
-        cost_model: LookupCostModel | None = None,
-        node_prefix: str = "node",
         backend: str | None = None,
         data_dir: str | os.PathLike | None = None,
         fault_plan: FaultPlan | str | None = "env",
@@ -226,10 +221,9 @@ class ChunkStoreCluster:
         self.backend_kind = resolve_backend(backend, data_dir)
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.scheme = scheme or ReplicatedPlacement(min(2, n_nodes))
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing()
         self._nodes: dict[str, StoreNode] = {}
         self._bloom_capacity = bloom_capacity
-        self._bloom_fp_rate = bloom_fp_rate
         # Chaos plumbing: "env" (the default) activates a plan only when
         # REPRO_FAULTS is set, so normal runs pay nothing.  Reads are
         # digest-verified exactly when faults are in play (or on explicit
@@ -252,15 +246,14 @@ class ChunkStoreCluster:
         self._scrub_cursor: list[tuple[str, bytes]] = []
         self._recipes = RecipeStore(self._make_backend("recipes"))
         self._closed = False
-        for i in range(n_nodes):
-            self.add_node(f"{node_prefix}-{i}")
+        for _ in range(n_nodes):
+            self.add_node()
         self.scheme.validate(self.ring)
         self.lookup = BatchedLookup(
             self.ring,
             self.scheme,
             self._nodes,
             batch_size,
-            cost_model,
             on_probe=self._note,
         )
 
@@ -874,12 +867,7 @@ class ChunkStoreCluster:
         backend = self._make_backend(node_id)
         if self.fault_plan is not None:
             backend = self.fault_plan.wrap_backend(backend, node_id)
-        self._nodes[node_id] = StoreNode(
-            node_id,
-            self._bloom_capacity,
-            self._bloom_fp_rate,
-            backend=backend,
-        )
+        self._nodes[node_id] = StoreNode(node_id, self._bloom_capacity, backend=backend)
         self.detector.forget(node_id)  # a replacement starts with a clean slate
         self.ring.add_node(node_id)
         return node_id

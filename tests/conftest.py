@@ -12,6 +12,8 @@ from repro.core import (
     RabinFingerprinter,
     SerialEngine,
     VectorEngine,
+    chunk_hash,
+    select_cuts,
 )
 
 
@@ -20,6 +22,28 @@ def probe(index, chunks):
     return index.lookup_or_insert_batch(
         [c.digest for c in chunks], [c.length for c in chunks], [c.offset for c in chunks]
     )
+
+
+def reference_chunks(config: ChunkerConfig, data: bytes) -> list[tuple[int, int, bytes]]:
+    """``(offset, length, digest)`` of every chunk, computed without the
+    scan driver: ``SerialEngine`` candidates, ``select_cuts``, and one
+    ``chunk_hash`` per chunk.  The oracle the chunking entry points are
+    differentially tested against."""
+    engine = SerialEngine(RabinFingerprinter(config.polynomial, config.window_size))
+    cuts = select_cuts(
+        engine.candidate_cuts(data, config.mask, config.marker),
+        len(data), config.min_size, config.max_size,
+    )
+    return [
+        (prev, cut - prev, chunk_hash(data[prev:cut]))
+        for prev, cut in zip([0] + cuts, cuts)
+    ]
+
+
+def chunk_shape(chunks) -> list[tuple[int, int, bytes]]:
+    """``(offset, length, digest)`` of chunk records, to compare with
+    :func:`reference_chunks`."""
+    return [(c.offset, c.length, c.digest) for c in chunks]
 
 
 def seeded_bytes(n: int, seed: int = 7) -> bytes:

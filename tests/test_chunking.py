@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +12,15 @@ from repro.core.chunking import (
     Chunk,
     Chunker,
     ChunkerConfig,
+    _resolve_batch_chunks,
     chunk_sizes,
     select_cuts,
 )
 from repro.core.engines import VectorEngine
+from repro.core.hashing import chunk_hash
 from repro.core.rabin import RabinFingerprinter
-from tests.conftest import seeded_bytes
+from repro.core.stats import reset_stage_times, stage_times
+from tests.conftest import chunk_shape, reference_chunks, seeded_bytes
 
 
 class TestChunkerConfig:
@@ -122,15 +126,43 @@ class TestChunker:
             pos = c.end
         assert pos == len(data_64k)
 
-    def test_base_offset(self, small_chunker, data_64k):
-        chunks = small_chunker.chunk(data_64k[:1024], base_offset=5000)
-        assert chunks[0].offset == 5000
-
     def test_digests_are_content_hashes(self, small_chunker, data_64k):
-        from repro.core.hashing import chunk_hash
-
         for c in small_chunker.chunk(data_64k[:4096]):
             assert c.digest == chunk_hash(c.data)
+
+    @pytest.mark.parametrize("kind", ["bytearray", "ndarray"])
+    def test_writable_input_is_snapshotted(self, kind, small_chunker, data_64k):
+        """Refilling a chunked writable buffer leaves every chunk's payload
+        matching its digest: writable input is copied, not aliased."""
+        buf = bytearray(data_64k) if kind == "bytearray" else np.frombuffer(
+            data_64k, dtype=np.uint8
+        ).copy()
+        chunks = small_chunker.chunk(buf)
+        buf[:] = bytes(len(buf)) if kind == "bytearray" else 0
+        assert chunks and all(chunk_hash(c.data) == c.digest for c in chunks)
+        assert b"".join(c.data for c in chunks) == data_64k
+
+    def test_output_spans_hash_batches(self, small_config, small_chunker):
+        """Input with more chunks than one hash batch holds comes back
+        flattened in stream order, equal to the reference."""
+        data = seeded_bytes(320 * 1024, seed=31)
+        chunks = small_chunker.chunk(data)
+        assert len(chunks) > _resolve_batch_chunks(small_config)
+        assert chunk_shape(chunks) == reference_chunks(small_config, data)
+
+    def test_records_scan_and_hash_stages(self, small_chunker, data_64k):
+        """The stage timers ``repro chunk --profile`` prints are fed by
+        the call the plain run makes."""
+        reset_stage_times()
+        small_chunker.chunk(data_64k)
+        times = stage_times()
+        assert times.get("scan", 0.0) > 0.0
+        assert times.get("hash", 0.0) > 0.0
+        reset_stage_times()
+
+    def test_non_contiguous_input_rejected(self, small_chunker, data_64k):
+        with pytest.raises(BufferError):
+            small_chunker.chunk(memoryview(data_64k)[::2])
 
     def test_empty_input(self, small_chunker):
         assert small_chunker.chunk(b"") == []
@@ -169,44 +201,35 @@ class TestChunker:
 
 
 class TestChunkStream:
-    """Cross-buffer streaming must match whole-buffer chunking exactly."""
+    """Cross-buffer streaming must match the whole-stream reference exactly."""
+
+    CONFIG = ChunkerConfig(mask_bits=6, marker=0x2A)
 
     def chunker(self):
-        return Chunker(ChunkerConfig(mask_bits=6, marker=0x2A))
+        return Chunker(self.CONFIG)
 
     def test_stream_equals_whole(self, data_64k):
-        chunker = self.chunker()
-        whole = chunker.chunk(data_64k)
         pieces = [data_64k[i : i + 7000] for i in range(0, len(data_64k), 7000)]
-        streamed = list(chunker.chunk_stream(pieces))
-        assert [c.offset for c in streamed] == [c.offset for c in whole]
-        assert [c.digest for c in streamed] == [c.digest for c in whole]
+        streamed = list(self.chunker().chunk_stream(pieces))
+        assert chunk_shape(streamed) == reference_chunks(self.CONFIG, data_64k)
 
     @given(split=st.lists(st.integers(1, 5000), min_size=1, max_size=10))
     @settings(max_examples=30, deadline=None)
     def test_stream_split_invariance(self, split):
         data = seeded_bytes(sum(split), seed=17)
-        chunker = self.chunker()
-        whole = chunker.chunk(data)
         pieces = []
         pos = 0
         for s in split:
             pieces.append(data[pos : pos + s])
             pos += s
-        streamed = list(chunker.chunk_stream(pieces))
-        assert [(c.offset, c.length) for c in streamed] == [
-            (c.offset, c.length) for c in whole
-        ]
+        streamed = list(self.chunker().chunk_stream(pieces))
+        assert chunk_shape(streamed) == reference_chunks(self.CONFIG, data)
 
     def test_stream_with_min_max(self, data_64k):
         cfg = ChunkerConfig(mask_bits=6, marker=0x2A, min_size=64, max_size=512)
-        chunker = Chunker(cfg)
-        whole = chunker.chunk(data_64k)
         pieces = [data_64k[i : i + 9999] for i in range(0, len(data_64k), 9999)]
-        streamed = list(chunker.chunk_stream(pieces))
-        assert [(c.offset, c.length) for c in streamed] == [
-            (c.offset, c.length) for c in whole
-        ]
+        streamed = list(Chunker(cfg).chunk_stream(pieces))
+        assert chunk_shape(streamed) == reference_chunks(cfg, data_64k)
 
     def test_empty_stream(self):
         assert list(self.chunker().chunk_stream([])) == []

@@ -203,6 +203,24 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "chunks, mean" in out
 
+    def test_chunk_profile_meters_the_plain_run(self, tmp_path, capsys, monkeypatch):
+        """``--profile`` times the same one-buffer chunk call as the plain
+        run: the same chunk table, and no window-straddling splices sent
+        through the small-buffer gather scan (its pair tables stay unbuilt)."""
+        from repro.cli import main
+        from repro.core import engines
+
+        path = tmp_path / "big.bin"
+        path.write_bytes(seeded_bytes(8 << 20, seed=64))
+        assert main(["chunk", str(path), "--all"]) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setattr(engines, "_TABLE_CACHE", {})
+        assert main(["chunk", str(path), "--all", "--profile"]) == 0
+        profiled = capsys.readouterr().out
+        assert profiled.startswith(plain)
+        assert "Pipeline stage split" in profiled[len(plain):]
+        assert engines._TABLE_CACHE == {}
+
     def test_dedup_command(self, tmp_path, sample_file, capsys):
         from repro.cli import main
 

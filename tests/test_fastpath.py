@@ -4,13 +4,13 @@ Covers the streaming/vectorized data path end to end:
 
 * differential fuzz of SerialEngine vs VectorEngine vs the zero-copy
   ``stream_chunks`` across input types, odd buffer splits, all-zero runs
-  and sub-window buffers — cuts and digests must be bit-identical;
+  and sub-window buffers — cuts and digests must be bit-identical to the
+  ``SerialEngine`` + ``select_cuts`` reference;
 * the O(N) guarantee of the streaming scan (regression test for the
   quadratic carry re-concatenation);
 * lazy ``Chunk`` semantics (on-demand data/digest, release, pickling);
-* the vectorized ``select_cuts_fast`` vs the Python reference;
 * module-level table caches (Rabin position tables, engine pair tables);
-* batched hashing (``digest_chunks`` / ``ensure_digests``).
+* batched hashing (``digest_many`` / ``ensure_digests``).
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from repro.core.chunking import (
     Chunker,
     ChunkerConfig,
     ensure_digests,
-    select_cuts,
-    select_cuts_fast,
     stream_chunks,
 )
 from repro.core.engines import (
@@ -42,9 +40,9 @@ from repro.core.engines import (
     engine_tables,
 )
 from repro.core.stats import reset_scan_counters, scan_counters
-from repro.core.hashing import chunk_hash, digest_chunks, digest_many
+from repro.core.hashing import chunk_hash, digest_many
 from repro.core.rabin import RabinFingerprinter
-from tests.conftest import seeded_bytes
+from tests.conftest import chunk_shape, reference_chunks, seeded_bytes
 
 # Small window/mask so random test inputs contain many boundaries.
 SMALL_POLY = gf2.find_irreducible(19, seed=3)
@@ -130,10 +128,9 @@ class TestDifferentialFuzz:
             "ndarray": lambda b: np.frombuffer(b, dtype=np.uint8),
         }[kind]
         chunker = Chunker(small_config())
-        whole = chunker.chunk(data)
         pieces = [wrap(p) for p in split_buffers(data, [777, 41, 2048])]
         streamed = list(chunker.chunk_stream(pieces))
-        assert [c.digest for c in streamed] == [c.digest for c in whole]
+        assert chunk_shape(streamed) == reference_chunks(small_config(), data)
 
     @given(
         seed=st.integers(0, 1000),
@@ -146,15 +143,12 @@ class TestDifferentialFuzz:
         data = seeded_bytes(sum(split), seed=seed)
         cfg = small_config(min_size=min_size, max_size=max_size)
         chunker = Chunker(cfg)
-        whole = chunker.chunk(data)
         pieces, pos = [], 0
         for s in split:
             pieces.append(data[pos : pos + s])
             pos += s
         streamed = list(chunker.chunk_stream(pieces))
-        assert [(c.offset, c.length, c.digest) for c in streamed] == [
-            (c.offset, c.length, c.digest) for c in whole
-        ]
+        assert chunk_shape(streamed) == reference_chunks(cfg, data)
 
     def test_serial_engine_stream_agrees(self):
         """The streaming layer is engine-agnostic: serial == vector."""
@@ -406,33 +400,6 @@ class TestLazyChunk:
         assert chunk.data == data
 
 
-class TestSelectCutsFast:
-    @given(
-        candidates=st.lists(st.integers(1, 499), max_size=40).map(sorted),
-        min_size=st.integers(0, 60),
-        max_size=st.sampled_from([None, 60, 100, 200]),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, candidates, min_size, max_size):
-        if max_size is not None and max_size < min_size:
-            min_size, max_size = max_size, min_size
-        assert select_cuts_fast(candidates, 500, min_size, max_size) == select_cuts(
-            candidates, 500, min_size, max_size
-        )
-
-    def test_empty(self):
-        assert select_cuts_fast([], 0) == []
-        assert select_cuts_fast([], 100) == [100]
-
-    def test_beyond_length_raises(self):
-        with pytest.raises(ValueError, match="beyond"):
-            select_cuts_fast([200], 100)
-
-    def test_accepts_ndarray_candidates(self):
-        cand = np.array([10, 30, 70], dtype=np.int64)
-        assert select_cuts_fast(cand, 100) == [10, 30, 70, 100]
-
-
 class TestTableCaches:
     def test_engine_pair_tables_shared(self):
         a = VectorEngine(RabinFingerprinter(SMALL_POLY, window_size=8))
@@ -477,17 +444,6 @@ class TestTableCaches:
 
 
 class TestBatchedHashing:
-    def test_digest_chunks_matches_per_chunk(self):
-        data = seeded_bytes(64 * 1024, seed=31)
-        cuts = [1000, 5000, 5001, 40000, len(data)]
-        expect = []
-        prev = 0
-        for cut in cuts:
-            expect.append(chunk_hash(data[prev:cut]))
-            prev = cut
-        assert digest_chunks(data, cuts) == expect
-        assert digest_chunks(memoryview(data), cuts) == expect
-
     def test_digest_many_matches_chunk_hash(self):
         """One pass over mixed buffer types == one digest per piece."""
         raw = [seeded_bytes(3000 + i, seed=i) for i in range(50)]
@@ -546,7 +502,6 @@ class TestBatchedHashing:
         writable buffers are snapshotted, never aliased."""
         data = seeded_bytes(96 * 1024, seed=47)
         chunker = Chunker(small_config())
-        whole = chunker.chunk(data)
 
         def recycling_producer(piece_size=8192):
             scratch = bytearray(piece_size)
@@ -556,6 +511,4 @@ class TestBatchedHashing:
                 yield memoryview(scratch)[: len(piece)]
 
         streamed = list(chunker.chunk_stream(recycling_producer()))
-        assert [(c.offset, c.length, c.digest) for c in streamed] == [
-            (c.offset, c.length, c.digest) for c in whole
-        ]
+        assert chunk_shape(streamed) == reference_chunks(small_config(), data)

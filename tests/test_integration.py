@@ -27,7 +27,7 @@ from repro.mapreduce.applications import (
     wordcount_job,
     wordcount_reference,
 )
-from repro.netre import REConfig, RETunnel
+from repro.netre import RETunnel
 from repro.workloads import generate_points, generate_text, mutate_records
 
 CHUNKER = ChunkerConfig(mask_bits=9, marker=0x155, min_size=128, max_size=2048)
@@ -152,7 +152,7 @@ class TestBackupOverRETunnel:
         the tunnel dedups what the backup already shipped once."""
         image = MasterImage(size=1 << 20, segment_size=16 * 1024, seed=77)
         table = SimilarityTable.uniform(0.05, image.n_segments)
-        tunnel = RETunnel(REConfig(use_gpu=False))
+        tunnel = RETunnel()
         first = image.snapshot(table, 1)
         second = image.snapshot(table, 2)  # highly similar to first
         tunnel.send(first)
@@ -160,4 +160,3 @@ class TestBackupOverRETunnel:
         tunnel.send(second)
         assert tunnel.savings > saved_before
         assert tunnel.savings > 0.3
-        tunnel.close()

@@ -18,8 +18,7 @@ from repro.netre import (
     TrafficGenerator,
 )
 from repro.workloads import seeded_bytes
-
-CPU_CFG = REConfig(use_gpu=False)  # faster for unit tests; GPU covered once
+from tests.conftest import reference_chunks
 
 
 class TestChunkCache:
@@ -77,12 +76,12 @@ class TestChunkCache:
 
 class TestTunnel:
     def test_roundtrip(self):
-        tunnel = RETunnel(CPU_CFG)
+        tunnel = RETunnel()
         payload = seeded_bytes(50_000, seed=1)
         assert tunnel.send(payload) == payload
 
     def test_repeat_transfer_mostly_shims(self):
-        tunnel = RETunnel(CPU_CFG)
+        tunnel = RETunnel()
         payload = seeded_bytes(50_000, seed=2)
         tunnel.send(payload)
         encoded = tunnel.encoder.encode(payload)
@@ -91,7 +90,7 @@ class TestTunnel:
         assert encoded.savings > 0.9
 
     def test_savings_accumulate(self):
-        tunnel = RETunnel(CPU_CFG)
+        tunnel = RETunnel()
         payload = seeded_bytes(30_000, seed=3)
         tunnel.send(payload)
         first = tunnel.savings
@@ -99,12 +98,12 @@ class TestTunnel:
         assert tunnel.savings > first
 
     def test_unique_traffic_no_savings(self):
-        tunnel = RETunnel(CPU_CFG)
+        tunnel = RETunnel()
         tunnel.send(seeded_bytes(30_000, seed=4))
         assert tunnel.savings < 0.05
 
     def test_caches_stay_synchronized(self):
-        tunnel = RETunnel(CPU_CFG)
+        tunnel = RETunnel()
         gen = TrafficGenerator(TrafficConfig(n_objects=10, object_size=8 * 1024))
         for payload in gen.requests(40):
             tunnel.send(payload)
@@ -114,27 +113,29 @@ class TestTunnel:
             )
 
     def test_desync_detected(self):
-        encoder = Encoder(CPU_CFG)
-        decoder = Decoder(CPU_CFG)
+        encoder = Encoder()
+        decoder = Decoder()
         payload = seeded_bytes(20_000, seed=5)
         encoder.encode(payload)  # primes only the encoder cache
         second = encoder.encode(payload)  # now full of shims
         with pytest.raises(KeyError, match="desync"):
             decoder.decode(second)
 
-    def test_gpu_and_cpu_encoders_equivalent(self):
+    def test_first_pass_items_are_reference_chunks(self):
+        """A cold encoder forwards exactly the packet-scale chunks of the
+        reference chunking (min/max limits applied), in order."""
+        cfg = REConfig()
         payload = seeded_bytes(40_000, seed=6)
-        cpu = Encoder(REConfig(use_gpu=False)).encode(payload)
-        gpu_encoder = Encoder(REConfig(use_gpu=True))
-        gpu = gpu_encoder.encode(payload)
-        gpu_encoder.close()
-        assert [
-            i.digest if isinstance(i, Shim) else chunk_hash(i) for i in cpu.items
-        ] == [i.digest if isinstance(i, Shim) else chunk_hash(i) for i in gpu.items]
+        items = Encoder(cfg).encode(payload).items
+        expected = reference_chunks(cfg.chunker, payload)
+        assert not any(isinstance(i, Shim) for i in items)
+        assert [(len(i), chunk_hash(i)) for i in items] == [
+            (length, digest) for _, length, digest in expected
+        ]
 
     def test_eviction_pressure_keeps_correctness(self):
         """Tiny caches force constant eviction; payloads still roundtrip."""
-        cfg = REConfig(use_gpu=False, cache_bytes=16 * 1024)
+        cfg = REConfig(cache_bytes=16 * 1024)
         tunnel = RETunnel(cfg)
         gen = TrafficGenerator(TrafficConfig(n_objects=8, object_size=4 * 1024))
         tunnel.send_all(gen.requests(50))

@@ -22,17 +22,14 @@ from repro.core import (
     Chunker,
     ChunkerConfig,
     HostParallelChunker,
-    SerialEngine,
     Shredder,
     ShredderConfig,
     ShredderExecutor,
-    chunk_hash,
     pipeline_chunks,
     select_cuts,
 )
 from repro.core.chunking import stream_chunks
-from repro.core.rabin import RabinFingerprinter
-from tests.conftest import seeded_bytes
+from tests.conftest import chunk_shape, reference_chunks, seeded_bytes
 
 W = 8  # window of the even-window configs below
 MAX = 256
@@ -73,22 +70,6 @@ def split(data: bytes, sizes: list[int]) -> list[bytes]:
 
 def flat(batches) -> list:
     return [chunk for batch in batches for chunk in batch]
-
-
-def shape(chunks) -> list[tuple[int, int, bytes]]:
-    return [(c.offset, c.length, c.digest) for c in chunks]
-
-
-def reference(cfg: ChunkerConfig, data: bytes) -> list[tuple[int, int, bytes]]:
-    engine = SerialEngine(RabinFingerprinter(cfg.polynomial, cfg.window_size))
-    cuts = select_cuts(
-        engine.candidate_cuts(data, cfg.mask, cfg.marker),
-        len(data), cfg.min_size, cfg.max_size,
-    )
-    return [
-        (prev, cut - prev, chunk_hash(data[prev:cut]))
-        for prev, cut in zip([0] + cuts, cuts)
-    ]
 
 
 def _shredder_config(backend: str, cfg: ChunkerConfig, sizes: list[int]) -> ShredderConfig:
@@ -162,10 +143,10 @@ class TestEveryDriverMatchesSerialReference:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_bit_identical_over_adversarial_splits(self, driver, config):
         cfg = CONFIGS[config]
-        expected = reference(cfg, self.DATA)
+        expected = reference_chunks(cfg, self.DATA)
         for name, sizes in SPLITS.items():
             chunks = DRIVERS[driver](cfg, self.DATA, sizes)
-            assert shape(chunks) == expected, name
+            assert chunk_shape(chunks) == expected, name
             assert b"".join(c.data for c in chunks) == self.DATA, name
 
     @pytest.mark.parametrize("driver", DRIVERS)
@@ -192,7 +173,7 @@ class TestBackupEnginesAgree:
     def test_same_recipes_over_adversarial_splits(self, config):
         cfg = CONFIGS[config]
         data = TestEveryDriverMatchesSerialReference.DATA
-        expected = [digest for _, _, digest in reference(cfg, data)]
+        expected = [digest for _, _, digest in reference_chunks(cfg, data)]
         for name, sizes in SPLITS.items():
             buffer_size = min(s for s in sizes if s)
             gpu = _backup("gpu", cfg, data, buffer_size)

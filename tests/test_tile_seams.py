@@ -38,16 +38,13 @@ from repro.core.engines import DEFAULT_LANES, DEFAULT_ROLL_STEPS, DEFAULT_TILE_B
 from repro.core.rabin import RabinFingerprinter
 from repro.core.stats import reset_scan_counters, scan_counters
 from repro.workloads import seeded_bytes
+from tests.conftest import chunk_shape, reference_chunks
 
 MASK = (1 << 13) - 1
 MARKER = 0x1A2B & MASK
 #: Small-geometry config so a few KiB of data crosses many tiles/seams.
 SMALL = dict(lanes=16, tile_bytes=512)
 MB = 1 << 20
-
-
-def chunk_shape(chunks):
-    return [(c.offset, c.length, c.digest) for c in chunks]
 
 
 @lru_cache(maxsize=None)
@@ -140,9 +137,8 @@ class TestTileSeamDifferential:
         """Full Chunker (min/max + digests) over a small-tile engine."""
         config = ChunkerConfig(min_size=512, max_size=4096)
         data = seeded_bytes(96 * 1024, seed=21)
-        reference = Chunker(config, SerialEngine()).chunk(data)
         tiled = Chunker(config, VectorEngine(roll_steps=1, **SMALL)).chunk(data)
-        assert chunk_shape(tiled) == chunk_shape(reference)
+        assert chunk_shape(tiled) == reference_chunks(config, data)
 
 
 class TestFusedKernelAcrossSeams:
@@ -182,9 +178,8 @@ class TestFusedKernelAcrossSeams:
     def test_chunker_end_to_end_fused(self):
         config = ChunkerConfig(min_size=512, max_size=4096)
         data = seeded_bytes(96 * 1024, seed=22)
-        reference = Chunker(config, SerialEngine()).chunk(data)
         fused = Chunker(config, VectorEngine(roll_steps=8, **SMALL)).chunk(data)
-        assert chunk_shape(fused) == chunk_shape(reference)
+        assert chunk_shape(fused) == reference_chunks(config, data)
 
 
 class TestGeometryContract:

@@ -3,8 +3,8 @@
 §7.3 charges every digest an individual index lookup (hits 2 us, misses
 12 us) — the "unoptimized" stage the paper blames for backup bandwidth
 collapsing as snapshot similarity drops.  The sharded chunk-store
-cluster replaces it with batched, Bloom-filtered lookups.  This bench
-sweeps the three cluster knobs against the single-node baseline:
+cluster replaces it with batched lookups over resident keydirs.  This
+bench sweeps the three cluster knobs against the single-node baseline:
 
 * **batch size** — the per-batch dispatch cost amortizes as 1/B; the
   acceptance bar is the batched stage strictly below the per-digest
@@ -155,7 +155,7 @@ def sweep_redundancy(stream, schemes, nodes=8, batch=128):
 
 
 def check_acceptance(batch_rows, baseline) -> None:
-    """Batched/Bloom-filtered stage strictly below baseline for B >= 64."""
+    """Batched stage strictly below baseline for B >= 64."""
     for batch, seconds in batch_rows:
         if batch >= 64:
             assert seconds < baseline, (
@@ -172,7 +172,7 @@ def build_tables(report, size_mb, batch_sizes, node_counts, replications,
     t1 = report(
         "Cluster lookup stage vs batch size [ms, lower is better]",
         ["Batch size", "index+network", "vs per-digest baseline"],
-        paper_note="batched+Bloom beats the §7.3 per-digest stage for B >= 64",
+        paper_note="batched lookups beat the §7.3 per-digest stage for B >= 64",
     )
     for batch, seconds in batch_rows:
         t1.add(batch, seconds * 1e3, f"{seconds / baseline:.2f}x")

@@ -22,10 +22,10 @@ size over the slowest stage —
   decreases.
 
 The site comes from :func:`~repro.backup.site.open_site`.  On a cluster
-(``store_backend="cluster"``) the index stage runs through its batched,
-Bloom-filtered lookup path — the optimization §7.3's closing discussion
-points at: the per-digest dispatch cost amortizes over the batch and
-negative lookups stop paying the full-index miss price.  With
+(``store_backend="cluster"``) the index stage runs through its batched
+lookup path over resident keydirs — the optimization §7.3's closing
+discussion points at: the per-digest dispatch cost amortizes over the
+batch and negative lookups stop paying the full-index miss price.  With
 ``backend="disk"`` the dedup index (``data_dir/index``) and the site
 persist, so a server reopened on the same ``data_dir`` restores every
 snapshot bit-identical and answers ``lookup_batch`` with the same

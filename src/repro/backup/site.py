@@ -31,7 +31,7 @@ class SiteConfig:
     #: runs on ephemeral temp directories (removed on close).
     data_dir: str | None = None
     #: "single" (flat ChunkStore) or "cluster" (sharded store behind
-    #: batched Bloom lookups).
+    #: batched lookups).
     store_backend: str = "single"
     #: Cluster sizing and placement (ignored by the single store).
     cluster_nodes: int = 4

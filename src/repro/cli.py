@@ -388,8 +388,7 @@ def cmd_cluster(args) -> int:
         print(f"  shipped {report.shipped_bytes} B "
               f"({report.dedup_fraction:.1%} duplicate chunks)")
         print(f"  batched lookups: {stats.n_batches} batches of "
-              f"<= {args.batch_size}, {stats.bloom_negatives} Bloom-filtered "
-              f"misses, {stats.false_positives} false positives")
+              f"<= {args.batch_size}, {stats.hits} hits, {stats.misses} misses")
         print(f"  modeled bandwidth: {report.backup_bandwidth_gbps:.2f} Gbps "
               f"(bottleneck: {report.bottleneck})")
         table = ResultTable("Shard occupancy", ["Node", "Chunks", "Bytes", "State"])

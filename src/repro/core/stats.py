@@ -230,22 +230,15 @@ def register_node_stats(stats_obj) -> None:
 
 
 def _aggregate(instances) -> dict:
-    """Field-wise merge of live stats dataclasses.
-
-    Integer counters sum across instances; float gauges (fill ratios)
-    report their maximum — the saturation signal survives aggregation,
-    a mean across mostly-empty instances would hide it.
-    """
+    """Field-wise merge of live stats dataclasses: integer counters
+    sum across instances."""
     merged: dict = {"instances": len(instances)}
     for obj in instances:
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, int):
                 continue
-            if isinstance(value, float):
-                merged[f.name] = max(merged.get(f.name, 0.0), value)
-            else:
-                merged[f.name] = merged.get(f.name, 0) + value
+            merged[f.name] = merged.get(f.name, 0) + value
     return merged
 
 

@@ -3,11 +3,11 @@
 Layers, bottom up: :mod:`~repro.store.backend` (the batched
 ``ChunkBackend`` storage protocol — in-memory and persistent log+keydir —
 behind every state owner), :mod:`~repro.store.ring` (consistent
-hashing), :mod:`~repro.store.bloom` (negative-lookup filters),
-:mod:`~repro.store.node` (per-shard stores), :mod:`~repro.store.schemes`
-(pluggable placement), :mod:`~repro.store.lookup` (batched, node-grouped
-probes), :mod:`~repro.store.cluster` (the ChunkStore-compatible facade
-with failure recovery, persistence, and cluster-wide GC).
+hashing), :mod:`~repro.store.node` (per-shard stores),
+:mod:`~repro.store.schemes` (pluggable placement),
+:mod:`~repro.store.lookup` (batched, node-grouped probes),
+:mod:`~repro.store.cluster` (the ChunkStore-compatible facade with
+failure recovery, persistence, and cluster-wide GC).
 """
 
 from repro.store.backend import (
@@ -20,7 +20,6 @@ from repro.store.backend import (
     make_backend,
     resolve_backend,
 )
-from repro.store.bloom import BloomFilter
 from repro.store.cluster import (
     ChunkStoreCluster,
     MigrationReport,
@@ -36,7 +35,7 @@ from repro.store.erasure import (
     codec_for,
 )
 from repro.store.lookup import BatchedLookup, BatchLookupStats, LookupCostModel
-from repro.store.node import NodeDownError, NodeStats, ProbeResult, StoreNode
+from repro.store.node import NodeDownError, NodeStats, StoreNode
 from repro.store.ring import DEFAULT_VNODES, HashRing
 from repro.store.schemes import (
     ErasureCodedPlacement,
@@ -56,7 +55,6 @@ __all__ = [
     "RecoveryReport",
     "make_backend",
     "resolve_backend",
-    "BloomFilter",
     "ChunkStoreCluster",
     "MigrationReport",
     "RepairReport",
@@ -72,7 +70,6 @@ __all__ = [
     "LookupCostModel",
     "NodeDownError",
     "NodeStats",
-    "ProbeResult",
     "StoreNode",
     "DEFAULT_VNODES",
     "HashRing",

@@ -25,9 +25,9 @@ rename, so open replays only the log past the checkpoint's watermark; a
 checkpoint that fails validation is ignored and the whole log replayed
 instead, so index corruption degrades to a slower open, not wrong
 answers.  A lookup is one dict probe and nothing sits in front of it:
-the one Bloom filter of the store is the node's
-(:mod:`repro.store.bloom`), which answers "absent" ahead of the whole
-backend.
+with every live key resident, a filter would add a second probe to a
+miss that already costs one (Bitcask keeps no filter for the same
+reason).
 
 Backends are not thread-safe; each state owner confines its backend to
 the thread that owns it (the pipelined server probes from one stage).

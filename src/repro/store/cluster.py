@@ -4,8 +4,8 @@ The scale-out generalisation of :class:`repro.backup.store.ChunkStore`:
 chunks are partitioned across :class:`~repro.store.node.StoreNode`
 shards by a consistent-hash ring, placed according to a pluggable
 :class:`~repro.store.schemes.PlacementScheme`, probed through the
-batched Bloom-filtered lookup path, and kept durable across node loss
-by recipe-driven re-replication.
+batched lookup path, and kept durable across node loss by
+recipe-driven re-replication.
 
 The cluster exposes the same duck-typed surface as the single-node
 ``ChunkStore`` (``put_chunk`` / ``has_chunk`` / ``get_chunk`` /
@@ -196,7 +196,6 @@ class ChunkStoreCluster:
         self,
         n_nodes: int = 4,
         scheme: PlacementScheme | None = None,
-        bloom_capacity: int = 1 << 14,
         batch_size: int = 128,
         backend: str | None = None,
         data_dir: str | os.PathLike | None = None,
@@ -223,7 +222,6 @@ class ChunkStoreCluster:
         self.scheme = scheme or ReplicatedPlacement(min(2, n_nodes))
         self.ring = HashRing()
         self._nodes: dict[str, StoreNode] = {}
-        self._bloom_capacity = bloom_capacity
         # Chaos plumbing: "env" (the default) activates a plan only when
         # REPRO_FAULTS is set, so normal runs pay nothing.  Reads are
         # digest-verified exactly when faults are in play (or on explicit
@@ -732,9 +730,8 @@ class ChunkStoreCluster:
         """Cluster-wide mark-and-sweep; returns physical bytes freed.
 
         Marks every digest referenced by any recipe, then sweeps each
-        alive node (which rebuilds its Bloom filter, since filters
-        cannot unlearn deleted keys, and compacts the node's chunk log
-        on persistent backends).
+        alive node (which compacts the node's chunk log on persistent
+        backends).
         """
         live = self._recipes.live_digests()
         return sum(node.sweep(live) for node in self._alive_nodes())
@@ -842,7 +839,7 @@ class ChunkStoreCluster:
     def lookup_batch(
         self, digests
     ) -> tuple[dict[bytes, bool], BatchLookupStats]:
-        """Batched, Bloom-filtered membership query (see lookup.py)."""
+        """Batched membership query (see lookup.py)."""
         return self.lookup.lookup_batch(digests)
 
     def lookup_chunks(self, chunks) -> tuple[dict[bytes, bool], BatchLookupStats]:
@@ -867,7 +864,7 @@ class ChunkStoreCluster:
         backend = self._make_backend(node_id)
         if self.fault_plan is not None:
             backend = self.fault_plan.wrap_backend(backend, node_id)
-        self._nodes[node_id] = StoreNode(node_id, self._bloom_capacity, backend=backend)
+        self._nodes[node_id] = StoreNode(node_id, backend=backend)
         self.detector.forget(node_id)  # a replacement starts with a clean slate
         self.ring.add_node(node_id)
         return node_id

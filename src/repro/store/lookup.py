@@ -1,10 +1,10 @@
-"""Batched, Bloom-filtered chunk-index lookups.
+"""Batched chunk-index lookups over resident keydirs.
 
 §7.3 blames the *unoptimized index lookup + network shipping* stage for
 backup bandwidth collapsing as snapshot similarity drops: every digest
 pays a synchronous per-lookup round trip, and every unique chunk pays
-the expensive full-index miss.  This module implements the two standard
-fixes and the timing model that prices them:
+the expensive full-index miss.  This module implements the two fixes
+and the timing model that prices them:
 
 * **Batching** — digests are grouped into batches, and a batch walks
   its placements one *position* per round: every round's digests are
@@ -12,14 +12,13 @@ fixes and the timing model that prices them:
   instead of one probe per digest (:func:`walk_positions`).  One round
   trip is charged per *batch* instead of per digest, so the dispatch
   overhead amortizes as ``batch_rtt_s / batch_size``.
-* **Bloom filtering** — each node answers "definitely absent" from its
-  in-memory filter, so negative lookups (every unique chunk) cost a
-  memory probe instead of a full index walk.  Only Bloom false
-  positives still pay the miss price.
+* **A resident index** — every node keeps its whole keydir in RAM
+  (:mod:`repro.store.backend`), so a negative lookup (every unique
+  chunk) costs a memory probe instead of a full index walk, and no
+  probe pays the miss price.
 
-The unbatched baseline is the degenerate configuration: batch size 1,
-no filter — exactly the per-digest ``hit_s``/``miss_s`` charges the
-backup server's single-node path uses.
+The unbatched baseline is the per-digest ``hit_s``/``miss_s`` charge
+the backup server's single-node path uses.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.store.backend import core_module
-from repro.store.node import NodeDownError, ProbeResult, StoreNode
+from repro.store.node import NodeDownError, StoreNode
 from repro.store.ring import HashRing
 from repro.store.schemes import PlacementScheme
 
@@ -84,23 +83,23 @@ class LookupCostModel:
     """Per-outcome costs of the index-lookup stage (§7.3 extended).
 
     ``hit_s`` / ``miss_s`` match the backup server's unoptimized
-    defaults; ``bloom_probe_s`` is the in-memory filter probe; and
+    defaults; ``probe_s`` is one resident-keydir probe; and
     ``batch_rtt_s`` is the fixed dispatch + round-trip cost paid once
     per batch (per digest in the unbatched baseline).
     """
 
     hit_s: float = 2e-6
     miss_s: float = 12e-6
-    bloom_probe_s: float = 2e-7
+    probe_s: float = 2e-7
     batch_rtt_s: float = 5e-5
 
     def batched_seconds(self, stats: "BatchLookupStats") -> float:
-        """Modeled stage time for a batched, Bloom-filtered run."""
+        """Modeled stage time for a batched run: a resident keydir
+        answers every probe from memory, so no miss pays ``miss_s``."""
         return (
             stats.n_batches * self.batch_rtt_s
-            + stats.bloom_probes * self.bloom_probe_s
+            + stats.probes * self.probe_s
             + stats.hits * self.hit_s
-            + stats.index_walks * self.miss_s
         )
 
     def per_digest_seconds(self, hits: int, misses: int) -> float:
@@ -112,36 +111,32 @@ class LookupCostModel:
 class BatchLookupStats:
     """Outcome counters for one or more batched lookups."""
 
-    #: Per-digest outcomes: every input digest is exactly one of hit,
-    #: bloom_negative (no replica's filter admitted it), or
-    #: false_positive (some filter admitted it but no replica had it).
+    #: Per-digest outcomes: every input digest is a hit or a miss.
     n_digests: int = 0
     n_batches: int = 0
     n_node_batches: int = 0
     hits: int = 0
-    bloom_negatives: int = 0
-    false_positives: int = 0
-    #: Per-probe work: filter probes issued and full-index walks paid
-    #: (a multi-replica miss can probe several filters for one digest).
-    bloom_probes: int = 0
-    index_walks: int = 0
+    misses: int = 0
+    #: Node probes issued (a multi-replica lookup can probe several
+    #: nodes for one digest).
+    probes: int = 0
     #: Probes a replica failed with an I/O error (the replica is treated
     #: as unavailable for that digest; surviving replicas still answer).
     probe_errors: int = 0
 
     @property
-    def misses(self) -> int:
-        return self.bloom_negatives + self.false_positives
+    def index_walks(self) -> int:
+        """On-disk index walks paid: always 0, every keydir is resident.
+        Kept because the benchmark suite reads it."""
+        return 0
 
     def merge(self, other: "BatchLookupStats") -> None:
         self.n_digests += other.n_digests
         self.n_batches += other.n_batches
         self.n_node_batches += other.n_node_batches
         self.hits += other.hits
-        self.bloom_negatives += other.bloom_negatives
-        self.false_positives += other.false_positives
-        self.bloom_probes += other.bloom_probes
-        self.index_walks += other.index_walks
+        self.misses += other.misses
+        self.probes += other.probes
         self.probe_errors += other.probe_errors
 
 
@@ -218,7 +213,6 @@ class BatchedLookup:
         stats.n_batches += 1
         stats.n_node_batches += len({p[0] for p in placements})
         probed = [False] * len(batch)
-        false_positive = [False] * len(batch)
 
         def ask(node_id: str, items: list[int]) -> list[bool] | None:
             node = self.nodes.get(node_id)
@@ -236,15 +230,12 @@ class BatchedLookup:
                 if self.on_probe is not None:
                     self.on_probe(node_id, False)
                 return None
-            stats.bloom_probes += len(items)
+            stats.probes += len(items)
             if self.on_probe is not None:
                 self.on_probe(node_id, True)
-            for i, result in zip(items, results):
+            for i in items:
                 probed[i] = True
-                if result is ProbeResult.FALSE_POSITIVE:
-                    false_positive[i] = True
-                    stats.index_walks += 1
-            return [result is ProbeResult.HIT for result in results]
+            return results
 
         node_hits = walk_positions(placements, need, ask)
         for i, hits in enumerate(node_hits):
@@ -254,17 +245,10 @@ class BatchedLookup:
                 raise NodeDownError(
                     f"no alive replica for chunk {batch[i].hex()[:16]}"
                 )
-            elif hits:
-                # Some fragments exist but too few to reconstruct: the
-                # chunk must be re-shipped.  The partial holders paid
-                # index walks for a miss verdict, the same shape as a
-                # false positive.
-                stats.index_walks += hits
-                stats.false_positives += 1
-            elif false_positive[i]:
-                stats.false_positives += 1
             else:
-                stats.bloom_negatives += 1
+                # Too few fragments to reconstruct count as absent: the
+                # chunk must be re-shipped.
+                stats.misses += 1
         return [hits >= need for hits in node_hits]
 
     def lookup_batch(

@@ -20,7 +20,6 @@ from repro.backup import ChunkStore, ShredderAgent
 from repro.core.hashing import chunk_hash
 from repro.store import ChunkStoreCluster, NodeDownError, make_scheme
 from repro.store.lookup import BatchedLookup, BatchLookupStats, walk_positions
-from repro.store.node import ProbeResult
 
 PLACEMENTS = ("vanilla", "striped", "replicated", "ec")
 BACKENDS = ("memory", "disk")
@@ -95,33 +94,25 @@ def ref_lookup_batch(cluster, digests, batch_size):
         placements = [cluster.scheme.nodes_for(cluster.ring, d) for d in batch]
         stats.n_node_batches += len({p[0] for p in placements})
         for digest, placement in zip(batch, placements):
-            hits, probed, false_positive = 0, False, False
+            hits, probed = 0, False
             for node_id in placement:
                 node = cluster.nodes[node_id]
                 if not node.alive:
                     continue
-                result = node.probe(digest)
+                (present,) = node.probe_batch([digest])
                 probed = True
-                stats.bloom_probes += 1
-                if result is ProbeResult.HIT:
+                stats.probes += 1
+                if present:
                     hits += 1
                     if hits >= need:
                         break
-                elif result is ProbeResult.FALSE_POSITIVE:
-                    false_positive = True
-                    stats.index_walks += 1
             if not probed:
                 raise NodeDownError("no alive replica")
             hit_map[digest] = hits >= need
             if hits >= need:
                 stats.hits += 1
-            elif hits:
-                stats.index_walks += hits
-                stats.false_positives += 1
-            elif false_positive:
-                stats.false_positives += 1
             else:
-                stats.bloom_negatives += 1
+                stats.misses += 1
     return hit_map, stats
 
 

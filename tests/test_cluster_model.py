@@ -104,7 +104,6 @@ class ClusterModel(RuleBasedStateMachine):
         return ChunkStoreCluster(
             n_nodes=n_nodes,
             scheme=self.make_scheme(),
-            bloom_capacity=64,
             batch_size=4,
             backend=self.backend,
             data_dir=self.data_dir,

@@ -132,9 +132,7 @@ class TestBatchedApi:
             "batched-api"
         ]
 
-    @pytest.mark.parametrize(
-        "per_item, twin", [("holds", "holds_batch"), ("probe", "probe_batch")]
-    )
+    @pytest.mark.parametrize("per_item, twin", [("holds", "holds_batch")])
     def test_fires_on_per_item_node_calls(self, tmp_path, per_item, twin):
         write_tree(
             tmp_path,

@@ -123,7 +123,7 @@ class TestSelfHealing:
             holders = sum(
                 1
                 for node in cluster.nodes.values()
-                if node.alive and node.has_chunk(digest)
+                if node.alive and node.holds(digest)
             )
             assert holders == 2
 

@@ -114,22 +114,18 @@ _PINNED = {
         [0.0040534432, 0.0024546592],
         [
             {"n_digests": 870, "n_batches": 7, "n_node_batches": 28, "hits": 0,
-             "bloom_negatives": 870, "false_positives": 0, "bloom_probes": 1740,
-             "index_walks": 0, "probe_errors": 0},
+             "misses": 870, "probes": 1740, "probe_errors": 0},
             {"n_digests": 875, "n_batches": 7, "n_node_batches": 28, "hits": 772,
-             "bloom_negatives": 103, "false_positives": 0, "bloom_probes": 978,
-             "index_walks": 0, "probe_errors": 0},
+             "misses": 103, "probes": 978, "probe_errors": 0},
         ],
     ),
     "ec": (
         [0.0047494432, 0.0030002592],
         [
             {"n_digests": 870, "n_batches": 7, "n_node_batches": 56, "hits": 0,
-             "bloom_negatives": 870, "false_positives": 0, "bloom_probes": 5220,
-             "index_walks": 0, "probe_errors": 0},
+             "misses": 870, "probes": 5220, "probe_errors": 0},
             {"n_digests": 875, "n_batches": 7, "n_node_batches": 56, "hits": 772,
-             "bloom_negatives": 103, "false_positives": 0, "bloom_probes": 3706,
-             "index_walks": 0, "probe_errors": 0},
+             "misses": 103, "probes": 3706, "probe_errors": 0},
         ],
     ),
 }

@@ -19,10 +19,10 @@ from repro.core.chunking import Chunk
 from repro.core.hashing import chunk_hash
 from repro.store import (
     BatchedLookup,
-    BloomFilter,
     ChunkStoreCluster,
     HashRing,
     NodeDownError,
+    PersistentBackend,
     ReplicatedPlacement,
     StoreNode,
     StripedPlacement,
@@ -110,57 +110,6 @@ class TestHashRing:
         for d in ds:
             if before[d] != "node-2":
                 assert ring.node_for(d) == before[d]
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter(capacity=500, fp_rate=0.01)
-        keys = make_digests(500)
-        for k in keys:
-            bloom.add(k)
-        assert all(k in bloom for k in keys)
-
-    def test_false_positive_rate_bounded(self):
-        bloom = BloomFilter(capacity=1000, fp_rate=0.01)
-        for k in make_digests(1000, salt=b"in"):
-            bloom.add(k)
-        absent = make_digests(2000, salt=b"out")
-        fp = sum(1 for k in absent if k in bloom)
-        assert fp / len(absent) < 0.05  # nominal 1%, generous ceiling
-
-    def test_false_positive_rate_bounded_on_one_nodes_arc(self):
-        """Probe positions are the digest's own bits: the keys the ring
-        routes to one node must still spread over the whole filter."""
-        ring = HashRing()
-        for i in range(8):
-            ring.add_node(f"node-{i}")
-        mine = [d for d in make_digests(8000, salt=b"in") if ring.node_for(d) == "node-3"]
-        bloom = BloomFilter(capacity=len(mine), fp_rate=0.01)
-        for d in mine:
-            bloom.add(d)
-        assert all(d in bloom for d in mine)
-        absent = [d for d in make_digests(16000, salt=b"out") if ring.node_for(d) == "node-3"]
-        fp = sum(1 for d in absent if d in bloom)
-        assert fp / len(absent) <= 0.05
-
-    def test_short_keys_are_padded_not_false_negative(self):
-        keys = [b"", b"k", b"\x00heartbeat", b"snapshot-7", bytes(15), b"\xff" * 15]
-        bloom = BloomFilter(capacity=len(keys))
-        for key in keys:
-            bloom.add(key)
-        assert all(key in bloom for key in keys)
-
-    def test_clear(self):
-        bloom = BloomFilter(capacity=10)
-        bloom.add(b"key")
-        bloom.clear()
-        assert b"key" not in bloom and bloom.n_added == 0
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            BloomFilter(capacity=0)
-        with pytest.raises(ValueError):
-            BloomFilter(capacity=10, fp_rate=1.5)
 
 
 class TestPlacementSchemes:
@@ -353,55 +302,39 @@ class TestFailureRecovery:
         assert cluster.restore("snap") == blob
 
 
-class TestBloomMaintenance:
-    """Long-lived shards must not let the filter saturate (ISSUE 5)."""
+class TestNodeMembership:
+    def test_reopen_reads_no_keys_and_answers_as_before(self, tmp_path, monkeypatch):
+        """Membership is the resident keydir itself: a reopened node
+        walks no key listing before it can answer."""
+        stored = make_digests(40)
+        asked = stored[::3] + make_digests(40, salt=b"absent")
+        node = StoreNode("n", backend=PersistentBackend(tmp_path / "n"))
+        for d in stored:
+            node.put_chunk(d, d * 4)
+        before = (node.probe_batch(asked), node.holds_batch(asked))
+        node.close()
 
-    def test_fresh_node_tracks_fill_without_rebuilds(self):
-        node = StoreNode("n", bloom_capacity=64)
-        assert node.stats.bloom_rebuilds == 0
-        assert node.stats.bloom_fill_ratio == 0.0
-        p = b"p" * 32
-        node.put_chunk(chunk_hash(p), p)
-        assert 0.0 < node.stats.bloom_fill_ratio <= 1.0
-
-    def test_filter_rebuilds_as_shard_fills(self):
-        node = StoreNode("n", bloom_capacity=64, bloom_fp_rate=0.01)
-        for i in range(400):
-            p = i.to_bytes(4, "big") * 8
-            node.put_chunk(chunk_hash(p), p)
-        # 64 -> 128 -> 256 -> 512: three saturation-driven rebuilds.
-        assert node.stats.bloom_rebuilds >= 3
-        assert node.bloom_capacity >= 400
-        assert node.stats.bloom_fill_ratio <= 1.0
-        # Rebuilds re-add every live digest: still no false negatives.
-        for d in node.digests():
-            assert node.has_chunk(d)
-
-    def test_fp_rate_stays_bounded_after_growth(self):
-        node = StoreNode("n", bloom_capacity=32, bloom_fp_rate=0.01)
-        for i in range(300):
-            p = b"fill" + i.to_bytes(4, "big") * 8
-            node.put_chunk(chunk_hash(p), p)
-        for d in make_digests(1000, salt=b"absent"):
-            node.probe(d)
-        # A never-rebuilt 32-capacity filter would false-positive on
-        # nearly every probe; the rebuilt one stays near its target.
-        assert node.stats.false_positives < 0.1 * 1000
-
-    def test_sweep_rebuilds_without_counting_saturation(self):
-        """GC's routine rebuild must not pollute the saturation signal."""
-        node = StoreNode("n")
-        digests = []
-        for i in range(20):
-            p = i.to_bytes(4, "big") * 8
-            digests.append(chunk_hash(p))
-            node.put_chunk(chunk_hash(p), p)
-        node.sweep(live=set(digests[:10]))
-        assert node.stats.bloom_rebuilds == 0  # rebuilt, but not saturated
-        assert node.chunk_count == 10
-        assert node.stats.bloom_fill_ratio == pytest.approx(
-            10 / node.bloom_capacity
+        backend = PersistentBackend(tmp_path / "n")
+        listings = []
+        original = backend.keys
+        monkeypatch.setattr(
+            backend, "keys", lambda: listings.append(1) or original()
         )
+        node = StoreNode("n", backend=backend)
+        assert (node.probe_batch(asked), node.holds_batch(asked)) == before
+        assert listings == []
+        node.close()
+
+    def test_probe_batch_charges_stats_and_holds_batch_does_not(self):
+        node = StoreNode("n")
+        stored = make_digests(5)
+        for d in stored:
+            node.put_chunk(d, d)
+        asked = stored[:2] + make_digests(3, salt=b"absent")
+        assert node.holds_batch(asked) == [True, True, False, False, False]
+        assert (node.stats.probes, node.stats.hits, node.stats.bloom_negatives) == (0, 0, 0)
+        assert node.probe_batch(asked) == [True, True, False, False, False]
+        assert (node.stats.probes, node.stats.hits, node.stats.bloom_negatives) == (5, 2, 3)
 
 
 class TestClusterGC:
@@ -421,19 +354,6 @@ class TestClusterGC:
         assert all(not cluster.has_chunk(d) for d in drop_ds)
         assert all(cluster.has_chunk(d) for d in keep_ds)
         assert cluster.restore("keep") == keep_blob
-
-    def test_gc_rebuilds_bloom_filters(self):
-        """After a sweep the filters must not remember dead digests as
-        present-on-disk hits, and must still never false-negative."""
-        cluster = ChunkStoreCluster(n_nodes=2, scheme=VanillaPlacement())
-        keep_ds, _ = populate(cluster, 30, "keep")
-        gone = b"gone" * 16
-        cluster.put_chunk(chunk_hash(gone), gone)
-        assert cluster.garbage_collect() > 0
-        for node in cluster.nodes.values():
-            for d in keep_ds:
-                if node.holds(d):
-                    assert node.has_chunk(d)  # no false negatives post-rebuild
 
     def test_empty_gc_noop(self):
         cluster = ChunkStoreCluster(n_nodes=2)
@@ -467,9 +387,29 @@ class TestBatchedLookup:
         hit_map, stats = cluster.lookup_batch([d] * 10)
         assert hit_map[d] and stats.n_digests == 1
 
-    def test_bloom_filters_most_misses(self, cluster):
+    def test_new_digests_all_miss(self, cluster):
         _, stats = cluster.lookup_batch(make_digests(400, salt=b"new"))
-        assert stats.bloom_negatives > 0.9 * stats.n_digests
+        assert stats.misses == stats.n_digests == 400
+        assert stats.hits == 0
+
+    def test_miss_charges_probes_and_no_index_walk(self, cluster):
+        """A miss costs one resident-keydir probe per replica asked."""
+        (absent,) = make_digests(1, salt=b"absent")
+        before = {nid: (n.stats.probes, n.stats.bloom_negatives)
+                  for nid, n in cluster.nodes.items()}
+        hit_map, stats = cluster.lookup_batch([absent])
+        assert hit_map == {absent: False}
+        assert (stats.misses, stats.probes, stats.index_walks) == (1, 2, 0)
+        placement = cluster.lookup.placement(absent)
+        for nid, node in cluster.nodes.items():
+            probes, negatives = before[nid]
+            charged = 1 if nid in placement else 0
+            assert node.stats.probes == probes + charged
+            assert node.stats.bloom_negatives == negatives + charged
+        model = cluster.lookup.cost_model
+        assert model.batched_seconds(stats) == (
+            model.batch_rtt_s + 2 * model.probe_s
+        )
 
     def test_batched_cost_below_per_digest_baseline(self, cluster):
         model = cluster.lookup.cost_model
@@ -554,7 +494,7 @@ class TestClusterBackupServer:
                 assert s2.agent.restore(sid) == s1.agent.restore(sid) == data
                 assert r2.duplicate_chunks == r1.duplicate_chunks
                 assert r2.shipped_bytes == r1.shipped_bytes
-                # Batching + Bloom filtering beats the per-digest stage.
+                # Batching over resident keydirs beats the per-digest stage.
                 assert (
                     r2.stage_seconds["index+network"]
                     < r1.stage_seconds["index+network"]

@@ -21,6 +21,7 @@ from repro.store import (
     BatchedLookup,
     ChunkStoreCluster,
     HashRing,
+    MemoryBackend,
     NodeDownError,
     PersistentBackend,
     ReplicatedPlacement,
@@ -303,6 +304,105 @@ class TestFailureRecovery:
 
 
 class TestNodeMembership:
+    """A node's membership answer is its backend keydir, exactly."""
+
+    @pytest.fixture(params=["memory", "disk"])
+    def node(self, request, tmp_path):
+        backend = (
+            PersistentBackend(tmp_path / "n") if request.param == "disk"
+            else MemoryBackend()
+        )
+        node = StoreNode("n", backend=backend)
+        yield node
+        node.close()
+
+    def test_no_false_negatives(self, node):
+        stored = make_digests(500)
+        for d in stored:
+            node.put_chunk(d, d)
+        assert node.probe_batch(stored) == [True] * 500
+        assert node.stats.hits == 500 and node.stats.bloom_negatives == 0
+
+    def test_no_false_positives(self, node):
+        for d in make_digests(1000, salt=b"in"):
+            node.put_chunk(d, d)
+        absent = make_digests(2000, salt=b"out")
+        assert node.probe_batch(absent) == [False] * 2000
+        assert node.stats.hits == 0 and node.stats.bloom_negatives == 2000
+
+    def test_no_false_positives_on_one_nodes_arc(self):
+        """The keys the ring routes to one node share a hash prefix
+        range; its answers stay exact on them."""
+        cluster = ChunkStoreCluster(n_nodes=8, scheme=VanillaPlacement())
+        node = cluster.nodes["node-3"]
+        mine = [d for d in make_digests(8000, salt=b"in")
+                if cluster.ring.node_for(d) == "node-3"]
+        for d in mine:
+            cluster.put_chunk(d, d)
+        absent = [d for d in make_digests(16000, salt=b"out")
+                  if cluster.ring.node_for(d) == "node-3"]
+        assert mine and absent
+        assert node.probe_batch(mine) == [True] * len(mine)
+        assert node.probe_batch(absent) == [False] * len(absent)
+
+    def test_short_keys_answered_exactly(self, node):
+        keys = [b"k", b"\x00heartbeat", b"snapshot-7", bytes(15), b"\xff" * 15]
+        for key in keys[::2]:
+            node.put_chunk(key, key + b"!")
+        assert node.probe_batch(keys) == [True, False, True, False, True]
+        assert node.probe_batch([b"", b"kk", bytes(14), bytes(16)]) == [False] * 4
+
+    def test_probe_batch_answers_in_order_with_duplicates(self, node):
+        a, b = make_digests(2)
+        (x,) = make_digests(1, salt=b"absent")
+        node.put_chunk(a, a)
+        node.put_chunk(b, b)
+        assert node.probe_batch([a, x, a, b, x]) == [True, False, True, True, False]
+        assert (node.stats.probes, node.stats.hits, node.stats.bloom_negatives) == (5, 3, 2)
+
+    def test_empty_probe_batch_charges_nothing(self, node):
+        node.put_chunk(b"k", b"v")
+        assert node.probe_batch([]) == []
+        assert (node.stats.probes, node.stats.hits, node.stats.bloom_negatives) == (0, 0, 0)
+
+    def test_cleared_backend_answers_absent(self):
+        node = StoreNode("n")
+        stored = make_digests(20)
+        for d in stored:
+            node.put_chunk(d, d)
+        node.backend.clear()
+        assert node.probe_batch(stored) == [False] * 20
+        assert node.holds_batch(stored) == [False] * 20
+
+    def test_membership_grows_with_the_shard(self, monkeypatch):
+        """Every put is visible to the next probe, at any fill, with no
+        key listing along the way."""
+        node = StoreNode("n")
+        monkeypatch.setattr(
+            node.backend, "keys", lambda: pytest.fail("membership listed keys")
+        )
+        stored = []
+        absent = make_digests(100, salt=b"absent")
+        for start in range(0, 400, 50):
+            for i in range(start, start + 50):
+                p = i.to_bytes(4, "big") * 8
+                stored.append(chunk_hash(p))
+                node.put_chunk(stored[-1], p)
+            assert node.probe_batch(stored) == [True] * len(stored)
+            assert node.probe_batch(absent) == [False] * len(absent)
+        assert node.chunk_count == 400
+
+    def test_sweep_drops_dead_keys_from_membership(self, node):
+        digests = []
+        for i in range(20):
+            p = i.to_bytes(4, "big") * 8
+            digests.append(chunk_hash(p))
+            node.put_chunk(digests[-1], p)
+        assert node.sweep(live=set(digests[:10])) == 10 * 32
+        assert node.chunk_count == 10
+        assert node.probe_batch(digests) == [True] * 10 + [False] * 10
+        assert node.holds_batch(digests) == [True] * 10 + [False] * 10
+
     def test_reopen_reads_no_keys_and_answers_as_before(self, tmp_path, monkeypatch):
         """Membership is the resident keydir itself: a reopened node
         walks no key listing before it can answer."""
@@ -354,6 +454,17 @@ class TestClusterGC:
         assert all(not cluster.has_chunk(d) for d in drop_ds)
         assert all(cluster.has_chunk(d) for d in keep_ds)
         assert cluster.restore("keep") == keep_blob
+
+    def test_gc_leaves_no_dead_digest_probing_present(self):
+        cluster = ChunkStoreCluster(n_nodes=2, scheme=VanillaPlacement())
+        keep_ds, _ = populate(cluster, 30, "keep")
+        gone = b"gone" * 16
+        cluster.put_chunk(chunk_hash(gone), gone)
+        assert cluster.garbage_collect() > 0
+        for node in cluster.nodes.values():
+            assert node.probe_batch([chunk_hash(gone)]) == [False]
+            assert node.probe_batch(keep_ds) == node.holds_batch(keep_ds)
+        assert all(cluster.has_chunk(d) for d in keep_ds)
 
     def test_empty_gc_noop(self):
         cluster = ChunkStoreCluster(n_nodes=2)

@@ -3,8 +3,8 @@
 Commands
 --------
 ``chunk FILE``      content-based chunking of a file; prints chunk table
-                    (``--profile`` adds the scan/hash/lookup stage split
-                    and fused-kernel dispatch counters)
+                    (``--profile`` adds the scan/hash/lookup stage split,
+                    the scan kernel that ran and its dispatch counters)
 ``dedup A B``       cross-file dedup statistics (how similar are A and B?)
 ``throughput``      the Figure 12 configuration comparison (modeled)
 ``table1``          the simulated GPU's Table 1 characteristics
@@ -85,16 +85,18 @@ def _print_profile(n_bytes: int, seconds: float) -> None:
     c = snap["scan"]
     if c["dispatches"]:
         g = c["geometry"]
+        kernel = g.get("kernel", "numpy")
         print(
-            f"scan kernel: {c['dispatches']} dispatches over {c['tiles']} "
+            f"scan kernel: {kernel}, {c['dispatches']} dispatches over {c['tiles']} "
             f"tiles ({c['bytes_per_dispatch'] / 1024:.0f} KiB/dispatch, "
             f"{c['dispatches_per_mib']:.1f} dispatches/MiB)"
         )
-        print(
-            f"scan geometry: lanes={g.get('lanes')} "
-            f"tile={g.get('tile_bytes', 0) >> 10} KiB "
-            f"roll_steps={g.get('roll_steps')}"
-        )
+        if kernel == "numpy":
+            print(
+                f"scan geometry: lanes={g.get('lanes')} "
+                f"tile={g.get('tile_bytes', 0) >> 10} KiB "
+                f"roll_steps={g.get('roll_steps')}"
+            )
     backends = snap["backends"]
     if backends.get("instances"):
         print(
@@ -615,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chunk.add_argument("--all", action="store_true", help="print every chunk")
     p_chunk.add_argument("--profile", action="store_true",
                          help="run the scan + hash pipeline + a dedup probe "
-                         "and print the per-stage time split and scan "
-                         "dispatch counters")
+                         "and print the per-stage time split, the scan "
+                         "kernel that ran and its dispatch counters")
     add_chunker_args(p_chunk)
     p_chunk.set_defaults(fn=cmd_chunk)
 

@@ -18,26 +18,33 @@ Two interchangeable implementations:
     differential testing and tiny inputs.
 
 ``VectorEngine``
-    NumPy data-parallel evaluation.  Small inputs use the linearity of
-    Rabin fingerprints (XOR of per-position table entries, folded in
-    16-bit pairs).  Large inputs use a *striped roll kernel*: the buffer
-    is cut into cache-sized tiles, each tile into ``lanes`` equal
-    sub-streams, and every lane rolls its own window serially while NumPy
-    vectorizes *across* lanes — the paper's SPMD kernel layout (§3.1).
-    The tile is transposed once into **byte planes** (row ``t`` = byte
-    ``t`` of every lane), which is the paper's memory coalescing (§4.3)
-    in NumPy terms: every operand of a step — leaving bytes, entering
-    bytes, state — is one contiguous lane-wide row, never a strided
-    walk of each lane's own sub-stream.  The only tables the kernel
-    reads are two of 256 entries (2 KiB each, L1-resident), and one
+    The fast engine.  Every input of at least a window goes to the
+    **native kernel** (:mod:`repro.core.native`): one compiled C loop
+    that rolls the window byte by byte over the engine's two 256-entry
+    tables, with no lanes, tiles or seed rows, built on the first scan
+    and called through ``ctypes`` with the GIL released.  When no
+    library can be built, the engine falls back to NumPy
+    (:meth:`VectorEngine.numpy_cut_array`), which is also the second
+    oracle the native kernel is tested against.  Small inputs use the
+    linearity of Rabin fingerprints (XOR of per-position table entries,
+    folded in 16-bit pairs).  Large inputs use a *striped roll kernel*:
+    the buffer is cut into cache-sized tiles, each tile into ``lanes``
+    equal sub-streams, and every lane rolls its own window serially
+    while NumPy vectorizes *across* lanes — the paper's SPMD kernel
+    layout (§3.1).  The tile is transposed once into **byte planes**
+    (row ``t`` = byte ``t`` of every lane), which is the paper's memory
+    coalescing (§4.3) in NumPy terms: every operand of a step — leaving
+    bytes, entering bytes, state — is one contiguous lane-wide row,
+    never a strided walk of each lane's own sub-stream.  The only tables
+    the roll kernel reads are the two the native kernel reads, and one
     lookup fetches the data terms of ``roll_steps`` rows ahead of the
-    chain that retires them — amortizing per-launch dispatch the way
-    the paper amortizes kernel launch and DMA over larger work units
-    (§4.1).  The gather path's pair tables are cached at module level
-    keyed by ``(polynomial, window_size)`` and built on first use.
-    Every scan runs on the calling thread, and a defaulted engine's
-    geometry is three constants (:data:`DEFAULT_LANES`,
-    :data:`DEFAULT_TILE_BYTES`, :data:`DEFAULT_ROLL_STEPS`).
+    chain that retires them — amortizing per-launch dispatch the way the
+    paper amortizes kernel launch and DMA over larger work units (§4.1).
+    The gather path's pair tables are cached at module level keyed by
+    ``(polynomial, window_size)`` and built on first use.  Every scan
+    runs on the calling thread, and a defaulted engine's NumPy geometry
+    is three constants (:data:`DEFAULT_LANES`, :data:`DEFAULT_TILE_BYTES`,
+    :data:`DEFAULT_ROLL_STEPS`).
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import threading
 
 import numpy as np
 
+from repro.core import native
 from repro.core.rabin import RabinFingerprinter
 
 __all__ = [
@@ -207,23 +215,28 @@ _TRANSPOSE_LANES = 64
 
 
 class VectorEngine(Engine):
-    """NumPy engine evaluating all windows in parallel.
+    """The fast engine: the native kernel, with NumPy as its fallback.
 
-    Small buffers (``<= _GATHER_MAX_POSITIONS`` windows) are evaluated
-    by table gathers: the fingerprint of the window starting at ``i`` is
-    ``XOR_q T2[q][pair(i + 2q)]`` where ``pair(p) = data[p] | data[p+1]<<8``
-    (``T2`` are the pair tables of :func:`engine_tables`, built on first
-    use).
+    Every input of at least a window is scanned by the native kernel
+    (:mod:`repro.core.native`) when its library loads: one byte-serial
+    roll over the two 256-entry tables below, one call per scan.  When
+    no library can be built, :meth:`numpy_cut_array` runs instead.
 
-    Everything larger runs the striped roll kernel
-    (:meth:`_roll_hits`): per tile, one transpose into byte planes, then
-    a chain of lane-wide steps whose every operand is a contiguous row
-    and whose only tables are two 256-entry, L1-resident ones.
-    ``roll_steps`` is the number of rows whose data terms one stacked
-    lookup fetches ahead of the chain — the paper's amortization of
-    per-launch cost over larger work units (§4.1); ``1`` is a block of
-    one row, the same code.  Bit-identical to :class:`SerialEngine` and
-    to the gather reference at every geometry (differentially fuzzed).
+    NumPy fallback: small buffers (``<= _GATHER_MAX_POSITIONS``
+    windows) are evaluated by table gathers: the fingerprint of the
+    window starting at ``i`` is ``XOR_q T2[q][pair(i + 2q)]`` where
+    ``pair(p) = data[p] | data[p+1]<<8`` (``T2`` are the pair tables of
+    :func:`engine_tables`, built on first use).  Everything larger runs
+    the striped roll kernel (:meth:`_roll_hits`): per tile, one
+    transpose into byte planes, then a chain of lane-wide steps whose
+    every operand is a contiguous row and whose only tables are the two
+    256-entry, L1-resident ones.  ``roll_steps`` is the number of rows
+    whose data terms one stacked lookup fetches ahead of the chain — the
+    paper's amortization of per-launch cost over larger work units
+    (§4.1); ``1`` is a block of one row, the same code.  ``lanes``,
+    ``tile_bytes`` and ``roll_steps`` shape the fallback only.  Both
+    kernels are bit-identical to :class:`SerialEngine` and to the gather
+    reference at every geometry (differentially fuzzed).
 
     Requires an even window size (the default, 48, is even).
     """
@@ -394,14 +407,17 @@ class VectorEngine(Engine):
             row, lane = np.divmod(flat, lanes)
             pos = lane * steps + row
             hits.append(t0 + pos[pos < mt])
-        self._record_scan(dispatches, tiles, m, n, roll_steps=S)
+        self._record_scan(dispatches, tiles, m, n, self._numpy_geometry(S))
         out = np.concatenate(hits)
         out.sort()
         return out
 
+    def _numpy_geometry(self, roll_steps: int) -> dict:
+        return {"lanes": self.lanes, "tile_bytes": self.tile_bytes, "roll_steps": roll_steps}
+
+    @staticmethod
     def _record_scan(
-        self, dispatches: int, tiles: int, positions: int, nbytes: int,
-        roll_steps: int,
+        dispatches: int, tiles: int, positions: int, nbytes: int, geometry: dict
     ) -> None:
         """Feed one scan's instrumentation to :mod:`repro.core.stats`.
 
@@ -415,17 +431,47 @@ class VectorEngine(Engine):
             tiles=tiles,
             positions=positions,
             scanned_bytes=nbytes,
-            geometry={
-                "lanes": self.lanes,
-                "tile_bytes": self.tile_bytes,
-                "roll_steps": roll_steps,
-            },
+            geometry=geometry,
         )
+
+    # -- native kernel -----------------------------------------------------
+
+    def _native_cuts(self, scan, d: np.ndarray, mask: int, marker: int) -> np.ndarray:
+        """Candidate cuts of ``d`` (at least a window long) from the
+        native kernel ``scan``, which reads ``d`` in place."""
+        w = self.fingerprinter.window_size
+        m = d.size - w + 1
+        lead = self.fingerprinter.degree - 8
+        fold, out = self._fold_table.ctypes.data, self._out_table.ctypes.data
+        # Twice the expected count on random data (one candidate per
+        # 2**bits positions), and no more than a 256th of the positions;
+        # a scan that finds more reallocates once, to the exact count.
+        cap = (m >> max(bin(mask).count("1") - 1, 8)) + 64
+        while True:
+            cuts = np.empty(cap, dtype=np.int64)
+            count = scan(d.ctypes.data, d.size, w, lead, fold, out, int(mask), int(marker),
+                         cuts.ctypes.data, cap)
+            if count <= cap:
+                break
+            cap = count
+        self._record_scan(1, 1, m, d.size, {"kernel": "native"})
+        return cuts[:count]
 
     # -- public scan API ---------------------------------------------------
 
     def candidate_cut_array(self, data, mask: int, marker: int) -> np.ndarray:
         """Candidate cuts as an ``int64`` array (exclusive end offsets):
+        the native kernel, or :meth:`numpy_cut_array` without it."""
+        d = as_uint8(data)
+        if d.size < self.fingerprinter.window_size:
+            return np.empty(0, dtype=np.int64)
+        scan = native.kernel()
+        if scan is None:
+            return self.numpy_cut_array(d, mask, marker)
+        return self._native_cuts(scan, d, mask, marker)
+
+    def numpy_cut_array(self, data, mask: int, marker: int) -> np.ndarray:
+        """The NumPy fallback, and the native kernel's second oracle:
         roll kernel for large inputs, gather for small."""
         d = as_uint8(data)
         w = self.fingerprinter.window_size
@@ -441,7 +487,7 @@ class VectorEngine(Engine):
             else:
                 fps = self.fingerprints(d)
                 hits = np.flatnonzero((fps & np.uint64(mask)) == np.uint64(marker))
-            self._record_scan(1, 1, m, d.size, roll_steps=0)
+            self._record_scan(1, 1, m, d.size, self._numpy_geometry(0))
         return hits.astype(np.int64, copy=False) + w
 
     def candidate_cuts(self, data, mask: int, marker: int) -> list[int]:

@@ -4,12 +4,13 @@ Besides the chunk-size summaries, this module hosts two lightweight
 process-wide instrumentation sinks for the fast path:
 
 * **Scan counters** — every scan records how many kernel dispatches it
-  issued (one dispatch = one block of the roll kernel: a stacked
-  data-term lookup for up to ``roll_steps`` byte-plane rows and the
-  chain that retires them, the ``window`` seed rows of a tile counted
-  in the same blocks; the paper's per-launch amortization, §4.1,
-  measured instead of modeled), how many bytes and tiles it covered,
-  and the tile geometry used.  The e2e benchmark surfaces
+  issued (a native scan is one dispatch per call; in the NumPy fallback
+  one dispatch = one block of the roll kernel: a stacked data-term
+  lookup for up to ``roll_steps`` byte-plane rows and the chain that
+  retires them, the ``window`` seed rows of a tile counted in the same
+  blocks; the paper's per-launch amortization, §4.1, measured instead
+  of modeled), how many bytes and tiles it covered, and the kernel or
+  tile geometry used.  The e2e benchmark surfaces
   ``bytes_per_dispatch`` so dispatch reduction shows up directly in
   ``BENCH_e2e.json``.
 * **Stage timers** — the chunk pipeline (scan / hash) and the dedup
@@ -99,14 +100,16 @@ def dedup_ratio(chunks: Sequence[Chunk]) -> float:
 
 @dataclass
 class ScanCounters:
-    """Cumulative striped-scan instrumentation since the last reset.
+    """Cumulative scan instrumentation since the last reset.
 
-    ``dispatches`` counts roll-kernel blocks (the Python-level loop of
-    the striped scan: each block advances every lane of a tile by up to
-    ``roll_steps`` rows, seed rows included; a gather evaluation counts
-    as one).  ``geometry`` records the last scan's configured
-    ``(lanes, tile_bytes, roll_steps)`` so benchmark rows can attribute
-    a dispatch rate to the geometry that produced it.
+    ``dispatches`` counts native kernel calls (one per scan) and NumPy
+    roll-kernel blocks (the Python-level loop of the striped scan: each
+    block advances every lane of a tile by up to ``roll_steps`` rows,
+    seed rows included; a gather evaluation counts as one).
+    ``geometry`` records the last scan's kernel: ``{"kernel": "native"}``,
+    or the NumPy fallback's configured ``(lanes, tile_bytes,
+    roll_steps)``, so benchmark rows can attribute a dispatch rate to
+    the kernel that produced it.
     """
 
     scans: int = 0

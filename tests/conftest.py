@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -49,6 +50,35 @@ def chunk_shape(chunks) -> list[tuple[int, int, bytes]]:
 def seeded_bytes(n: int, seed: int = 7) -> bytes:
     """Deterministic pseudo-random bytes."""
     return random.Random(seed).randbytes(n)
+
+
+@contextlib.contextmanager
+def scan_kernel_as(name: str):
+    """``"numpy"``: disable the native loader for the body, so every scan
+    takes the NumPy fallback.  ``"native"``: skip unless the native
+    kernel loads."""
+    from repro.core import native
+
+    if name == "native":
+        if native.kernel() is None:
+            pytest.skip("the native scan kernel did not load")
+        yield
+        return
+    saved = native._KERNEL
+    native._KERNEL = None
+    try:
+        yield
+    finally:
+        native._KERNEL = saved
+
+
+@pytest.fixture(scope="module", params=["native", "numpy"])
+def scan_kernel(request):
+    """Run a scan test module twice: with the native kernel loaded, and
+    with the loader disabled.  The native pass is skipped where no
+    library can be built."""
+    with scan_kernel_as(request.param):
+        yield request.param
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,9 @@ from repro.core.rabin import RabinFingerprinter
 from repro.core.stats import reset_stage_times, stage_times
 from tests.conftest import chunk_shape, reference_chunks, seeded_bytes
 
+# Every test here runs with the native scan kernel and with the NumPy fallback.
+pytestmark = pytest.mark.usefixtures("scan_kernel")
+
 
 class TestChunkerConfig:
     def test_defaults_match_paper(self):

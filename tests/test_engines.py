@@ -11,6 +11,9 @@ from repro.core import gf2
 from repro.core.engines import SerialEngine, VectorEngine, default_engine
 from repro.core.rabin import RabinFingerprinter
 
+# Every test here runs with the native scan kernel and with the NumPy fallback.
+pytestmark = pytest.mark.usefixtures("scan_kernel")
+
 # Small window/mask so random test inputs contain many boundaries.
 SMALL_FP = RabinFingerprinter(gf2.find_irreducible(19, seed=3), window_size=8)
 SMALL_MASK = (1 << 5) - 1

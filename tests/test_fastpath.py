@@ -44,6 +44,9 @@ from repro.core.hashing import chunk_hash, digest_many
 from repro.core.rabin import RabinFingerprinter
 from tests.conftest import chunk_shape, reference_chunks, seeded_bytes
 
+# Every test here runs with the native scan kernel and with the NumPy fallback.
+pytestmark = pytest.mark.usefixtures("scan_kernel")
+
 # Small window/mask so random test inputs contain many boundaries.
 SMALL_POLY = gf2.find_irreducible(19, seed=3)
 SMALL_FP = RabinFingerprinter(SMALL_POLY, window_size=8)
@@ -299,13 +302,14 @@ class TestFusedRollKernel:
         assert engine.candidate_cuts(data, mask, marker) == expect
 
     def test_dispatch_counters_report_reduction(self):
-        """S=8 issues >= 4x fewer kernel dispatches per MiB than S=1."""
+        """S=8 issues >= 4x fewer roll-kernel dispatches per MiB than S=1
+        (the NumPy kernel, called directly: a native scan is one dispatch)."""
         data = seeded_bytes(1 << 20, seed=3)
         rates = {}
         for steps in (1, 8):
             engine = VectorEngine(lanes=1024, tile_bytes=1 << 18, roll_steps=steps)
             reset_scan_counters()
-            engine.candidate_cut_array(data, (1 << 13) - 1, 0x0123)
+            engine.numpy_cut_array(data, (1 << 13) - 1, 0x0123)
             counters = scan_counters()
             assert counters.dispatches > 0
             assert counters.scanned_bytes == len(data)
@@ -407,18 +411,19 @@ class TestTableCaches:
         assert engine_tables(a.fingerprinter) is engine_tables(b.fingerprinter)
 
     def test_roll_scan_builds_no_pair_tables(self):
-        """Constructing an engine and scanning past the crossover reads
-        only the two 256-entry roll tables; the first small scan (or
-        ``fingerprints()``) is what builds the gather tables."""
+        """Constructing an engine and scanning past the crossover with
+        the NumPy kernel reads only the two 256-entry roll tables; the
+        first small NumPy scan (or ``fingerprints()``) is what builds the
+        gather tables.  A native scan builds none at any size."""
         fp = RabinFingerprinter(gf2.find_irreducible(23, seed=41), window_size=12)
         key = (fp.polynomial, fp.window_size)
-        assert key not in _TABLE_CACHE
+        _TABLE_CACHE.pop(key, None)  # the module runs once per scan kernel
         engine = VectorEngine(fp)
         data = seeded_bytes(64 * 1024, seed=37)
-        cuts = engine.candidate_cuts(data, SMALL_MASK, SMALL_MARKER)
+        cuts = engine.numpy_cut_array(data, SMALL_MASK, SMALL_MARKER).tolist()
         assert key not in _TABLE_CACHE
         small = data[: _GATHER_MAX_POSITIONS]
-        assert engine.candidate_cuts(small, SMALL_MASK, SMALL_MARKER) == [
+        assert engine.numpy_cut_array(small, SMALL_MASK, SMALL_MARKER).tolist() == [
             c for c in cuts if c <= len(small)
         ]
         assert key in _TABLE_CACHE

@@ -8,8 +8,8 @@
   ``Shredder.process`` + a seen-set on every observable (reports,
   recipes, restores) for both engines and store backends;
 * the default configuration is the measured one: one thread for
-  either engine, no cache file, and the static scan geometry with its
-  exact dispatch count.
+  either engine, no cache file but the native kernel's library, and
+  the exact dispatch count of either scan kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.core import (
     VectorEngine,
     pipeline_chunks,
 )
+from repro.core import native
 from repro.core.stats import (
     reset_scan_counters,
     reset_stage_times,
@@ -40,6 +41,7 @@ from repro.core.stats import (
     stage_times,
 )
 from repro.workloads import seeded_bytes
+from tests.conftest import scan_kernel_as
 
 MB = 1 << 20
 
@@ -245,7 +247,9 @@ print(len(set(threading.enumerate()) ^ before))
 
 class TestDefaultConfiguration:
     @pytest.mark.parametrize("engine", ["gpu", "cpu"])
-    def test_default_backup_starts_no_thread_and_writes_no_cache(self, engine, tmp_path):
+    def test_default_backup_starts_no_thread_and_caches_only_the_kernel(self, engine, tmp_path):
+        """No thread, and nothing in ``~/.cache/repro`` but the native
+        scan kernel's library (no tuner cache, no build leftovers)."""
         env = dict(os.environ, HOME=str(tmp_path))
         for name in ("REPRO_THREADS", "REPRO_AUTOTUNE", "REPRO_AUTOTUNE_CACHE", "XDG_CACHE_HOME"):
             env.pop(name, None)
@@ -257,18 +261,27 @@ class TestDefaultConfiguration:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split()[-1] == "0"
-        assert not (tmp_path / ".cache" / "repro").exists()
+        built = [] if native.kernel() is None else [f"rabin-{native._tag()}.so"]
+        assert [p.name for p in (tmp_path / ".cache" / "repro").iterdir()] == built
 
-    def test_static_geometry_exact_dispatch_count(self):
-        """A 24 MiB image scans in 1 MiB tiles of 4096 lanes, 8 rows per
-        block: 6 seed blocks + 32 roll blocks = 38 dispatches per MiB,
-        the count the benchmark suite treats as exact."""
+    @pytest.mark.parametrize("kernel", ["native", "numpy"])
+    def test_static_geometry_exact_dispatch_count(self, kernel):
+        """A 24 MiB image is one scan.  The native kernel runs it as one
+        dispatch; the NumPy fallback scans it in 1 MiB tiles of 4096
+        lanes, 8 rows per block: 6 seed blocks + 32 roll blocks = 38
+        dispatches per MiB.  Both are counts the benchmark suite treats
+        as exact."""
         data = np.random.default_rng(2012).bytes(24 * MB)
         reset_scan_counters()
-        with BackupServer() as server:
+        with scan_kernel_as(kernel), BackupServer() as server:
             server.backup_snapshot(data, "g0")
         counters = scan_counters()
         reset_scan_counters()
-        assert counters.geometry == {"lanes": 4096, "tile_bytes": MB, "roll_steps": 8}
         assert counters.scanned_bytes == len(data)
-        assert counters.dispatches / 24 == 38
+        assert counters.scans == 1
+        if kernel == "native":
+            assert counters.geometry == {"kernel": "native"}
+            assert counters.dispatches == 1
+        else:
+            assert counters.geometry == {"lanes": 4096, "tile_bytes": MB, "roll_steps": 8}
+            assert counters.dispatches / 24 == 38

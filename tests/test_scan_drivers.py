@@ -31,6 +31,9 @@ from repro.core import (
 from repro.core.chunking import stream_chunks
 from tests.conftest import chunk_shape, reference_chunks, seeded_bytes
 
+# Every test here runs with the native scan kernel and with the NumPy fallback.
+pytestmark = pytest.mark.usefixtures("scan_kernel")
+
 W = 8  # window of the even-window configs below
 MAX = 256
 

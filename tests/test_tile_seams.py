@@ -40,6 +40,9 @@ from repro.core.stats import reset_scan_counters, scan_counters
 from repro.workloads import seeded_bytes
 from tests.conftest import chunk_shape, reference_chunks
 
+# Every test here runs with the native scan kernel and with the NumPy fallback.
+pytestmark = pytest.mark.usefixtures("scan_kernel")
+
 MASK = (1 << 13) - 1
 MARKER = 0x1A2B & MASK
 #: Small-geometry config so a few KiB of data crosses many tiles/seams.
@@ -223,10 +226,11 @@ class TestGeometryContract:
 
 
 class TestScanCounters:
-    """One 16 KiB scan at the production window (16337 positions):
-    the counters carry the geometry that ran and its exact block count
-    (per tile, ``ceil(w / S)`` seed blocks + ``ceil((rows - 1) / S)``
-    roll blocks)."""
+    """One 16 KiB NumPy roll-kernel scan at the production window (16337
+    positions), called directly (a native scan is one dispatch): the
+    counters carry the geometry that ran and its exact block count (per
+    tile, ``ceil(w / S)`` seed blocks + ``ceil((rows - 1) / S)`` roll
+    blocks)."""
 
     @pytest.mark.parametrize("lanes, tile, steps, tiles, dispatches", [
         (16, 512, 8, 32, 449),
@@ -238,7 +242,7 @@ class TestScanCounters:
         data = seeded_bytes(16 * 1024, seed=3)
         engine = VectorEngine(lanes=lanes, tile_bytes=tile, roll_steps=steps)
         reset_scan_counters()
-        engine.candidate_cut_array(data, MASK, MARKER)
+        engine.numpy_cut_array(data, MASK, MARKER)
         counters = scan_counters()
         reset_scan_counters()
         assert counters.geometry == {"lanes": lanes, "tile_bytes": tile, "roll_steps": steps}

@@ -121,7 +121,7 @@ def reference_pipeline(data: bytes, config: ChunkerConfig, engine) -> tuple[list
         prev = cut
     index = DedupIndex()
     for chunk in chunks:  # one Python probe per digest (batch of one)
-        index.lookup_or_insert_batch([chunk.digest], [chunk.length], [chunk.offset])
+        index.lookup_or_insert_batch([chunk.digest], [chunk.length])
     return chunks, index
 
 

@@ -115,13 +115,21 @@ class ShredderAgent:
         session.total_bytes += sum(lengths)
 
     def finish_snapshot(self, snapshot_id: str) -> TransferLog:
-        """Close the session, persist the recipe, return the transfer log."""
+        """Close the session, persist the recipe, return the transfer log.
+
+        This is the snapshot's commit point: the chunk logs reach the OS
+        before the recipe is written and the recipe log after it, so a
+        crash once this returns never leaves a recipe without its
+        chunks, nor an acknowledged snapshot without its recipe.
+        """
         session = self._session(snapshot_id)
+        self.store.flush()
         self.store.put_recipe(
             SnapshotRecipe(
                 snapshot_id, tuple(session.digests), total_bytes=session.total_bytes
             )
         )
+        self.store.flush()
         del self._open[snapshot_id]
         return session.log
 

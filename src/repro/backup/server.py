@@ -187,7 +187,6 @@ class BackupServer:
         """
         digests = [c.digest for c in batch]
         lengths = [c.length for c in batch]
-        offsets = [c.offset for c in batch]
         if self.cluster is not None:
             # The cluster is authoritative: hits are chunks some shard
             # already stores.  Probe only digests this snapshot has not
@@ -204,14 +203,14 @@ class BackupServer:
                 seen.add(digest)
             # Keep the server-side index warm so both backends expose
             # identical dedup statistics.
-            self.index.lookup_or_insert_batch(digests, lengths, offsets)
+            self.index.lookup_or_insert_batch(digests, lengths)
             return decisions
         # A repeat of an earlier chunk of this batch is a pointer (its
         # first copy ships ahead of it); every hit is re-checked against
         # the store, which the index can outlive.
-        return self.index.lookup_or_insert_batch(
-            digests, lengths, offsets
-        ).pointers(digests, self.agent.store.has_chunks)
+        return self.index.lookup_or_insert_batch(digests, lengths).pointers(
+            digests, self.agent.store.has_chunks
+        )
 
     def backup_snapshot(self, data: bytes, snapshot_id: str) -> BackupReport:
         """Deduplicate and ship one image snapshot to the backup site.

@@ -7,13 +7,13 @@ data or a pointer, and Inc-HDFS (§6) uses digests as memoization keys.
 
 The probe surface is batched-only: ``lookup_batch`` (read-only) and
 ``lookup_or_insert_batch`` (the stateful backup flow), which takes a
-batch as columns — digests, lengths, offsets — exactly as a decoded
+batch as columns — digests and lengths — exactly as a decoded
 DIGEST_BATCH frame carries it, so no per-chunk record is built between
 the wire and the index.  One call per batch is the shape the cluster
 lookup path and the §7.3 cost model already charge.
 
 State lives on a pluggable :class:`~repro.store.backend.ChunkBackend`
-(digest -> canonical offset): in-memory by default, or the persistent
+(digest -> chunk length): in-memory by default, or the persistent
 log+keydir backend (``backend="disk"``) so an index can be closed,
 reopened from its ``data_dir``, and answer ``lookup_batch`` with the
 same hit/miss pattern — the realistic index-miss cost model the ROADMAP
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 __all__ = ["DedupIndex", "DedupStats"]
 
-_OFFSET_BYTES = 8  # canonical offsets ride the backend as u64 values
+_LENGTH_BYTES = 8  # chunk lengths ride the backend as u64 values
 
 
 def _record_lookup(seconds: float) -> None:
@@ -114,7 +114,7 @@ class BatchProbe(NamedTuple):
 
 
 class DedupIndex:
-    """Digest -> first-seen chunk location index over a ChunkBackend.
+    """Digest -> chunk length index over a ChunkBackend.
 
     ``backend`` may be a ready :class:`~repro.store.backend.ChunkBackend`
     instance, a kind string (``"memory"`` / ``"disk"``), or ``None`` to
@@ -145,7 +145,7 @@ class DedupIndex:
         return self._backend.contains_batch([digest])[0]
 
     def lookup_batch(self, digests: Iterable[bytes]) -> list[int | None]:
-        """Resolve many digests against the current index in one call.
+        """Each digest's chunk length, or ``None``, in one call.
 
         Read-only: nothing is inserted and stats are untouched, so
         repeats of an unseen digest within one batch all resolve to
@@ -165,19 +165,19 @@ class DedupIndex:
         self,
         digests: Sequence[bytes],
         lengths: Sequence[int],
-        offsets: Sequence[int] | None,
+        insert: bool = True,
     ) -> BatchProbe:
         """Batched lookup-or-insert over one batch, given as columns.
 
-        ``digests[i]`` names a chunk of ``lengths[i]`` bytes first seen
-        at ``offsets[i]``.  One backend probe answers the whole batch;
-        each miss is inserted at its offset, and a later copy of a miss
-        in the same batch is a repeat, not a second insert — the same
-        semantics as feeding the chunks one at a time, amortized over one
-        probe and one insert per batch.  The counters move in bulk; only
+        ``digests[i]`` names a chunk of ``lengths[i]`` bytes.  One
+        backend probe answers the whole batch; each miss is inserted
+        with its length, and a later copy of a miss in the same batch is
+        a repeat, not a second insert — the same semantics as feeding
+        the chunks one at a time, amortized over one probe and one
+        insert per batch.  The counters move in bulk; only
         the misses take a Python loop.
 
-        ``offsets=None`` counts and probes but inserts nothing: a caller
+        ``insert=False`` counts and probes but inserts nothing: a caller
         that must see the payload before the digest may enter the index
         records it later with :meth:`insert_batch`.
         """
@@ -185,7 +185,7 @@ class DedupIndex:
         stats = self.stats
         found = self._backend.get_batch(digests)
         probe_seconds = time.perf_counter() - t0
-        # Offsets ride the backend as non-empty u64 values: a found
+        # Lengths ride the backend as non-empty u64 values: a found
         # value is truthy, a miss is None.
         hits = list(map(bool, found))
         stats.total_chunks += len(hits)
@@ -202,29 +202,36 @@ class DedupIndex:
             firsts.append(i)
             stats.unique_bytes += lengths[i]
         stats.unique_chunks += len(firsts)
-        if firsts and offsets is not None:
+        if firsts and insert:
             self._backend.put_batch([
-                (digests[i], offsets[i].to_bytes(_OFFSET_BYTES, "big"))
+                (digests[i], lengths[i].to_bytes(_LENGTH_BYTES, "big"))
                 for i in firsts
             ])
         _record_lookup(probe_seconds)
         return BatchProbe(hits, repeats)
 
-    def insert_batch(self, digests: Iterable[bytes], offsets: Iterable[int]) -> None:
+    def insert_batch(
+        self, digests: Iterable[bytes], lengths: Iterable[int]
+    ) -> list[bool]:
         """Insert-if-absent with the counters untouched: ``digests[i]``
-        first seen at ``offsets[i]``."""
-        self._backend.put_batch([
-            (digest, offset.to_bytes(_OFFSET_BYTES, "big"))
-            for digest, offset in zip(digests, offsets)
+        names a chunk of ``lengths[i]`` bytes.  Per position, whether it
+        went in (``False``: the digest was already indexed)."""
+        return self._backend.put_batch([
+            (digest, length.to_bytes(_LENGTH_BYTES, "big"))
+            for digest, length in zip(digests, lengths)
         ])
+
+    def total_length(self) -> int:
+        """Sum of every indexed chunk's length (one pass over the
+        values): the payload bytes the index stands for."""
+        values = self._backend.get_batch(list(self._backend.keys()))
+        return sum(int.from_bytes(v, "big") for v in values)
 
     def add_all(self, chunks: Iterable["Chunk"]) -> DedupStats:
         """Feed a chunk sequence through the index; returns the stats."""
         chunks = list(chunks)
         self.lookup_or_insert_batch(
-            [c.digest for c in chunks],
-            [c.length for c in chunks],
-            [c.offset for c in chunks],
+            [c.digest for c in chunks], [c.length for c in chunks]
         )
         return self.stats
 

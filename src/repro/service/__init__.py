@@ -10,7 +10,8 @@ This package turns the in-process :class:`~repro.backup.server
   (HELLO handshake, DIGEST/CHUNK/POINTER batches, FINISH, RESTORE, ERROR);
 * :mod:`repro.service.tenant` — per-tenant namespaces: tenant-scoped
   dedup index and recipes over shared chunk payloads (a tenant may
-  point only to chunks it shipped itself);
+  point only to chunks it shipped itself), and usage read off that
+  index;
 * :mod:`repro.service.server` — the asyncio server with admission
   control, one coroutine per session and TCP-level backpressure;
 * :mod:`repro.service.client` — the async client agent, the one remote
@@ -19,7 +20,7 @@ This package turns the in-process :class:`~repro.backup.server
 * :mod:`repro.service.metrics` — the aggregated health/metrics
   surface served over plain HTTP on the same port;
 * :mod:`repro.service.limits` — overload protection: token-bucket
-  rate limits, per-tenant quotas with durable usage accounting,
+  rate limits, per-tenant quotas,
   shared-secret HMAC auth, and the store-path circuit breaker.
 """
 
@@ -29,7 +30,6 @@ from repro.service.limits import (
     ServiceLimits,
     TenantQuota,
     TokenBucket,
-    UsageAccount,
     auth_token,
 )
 from repro.service.protocol import (
@@ -69,6 +69,5 @@ __all__ = [
     "ServiceLimits",
     "TenantQuota",
     "TokenBucket",
-    "UsageAccount",
     "auth_token",
 ]

@@ -10,11 +10,10 @@ concurrent client load without falling over:
   when the debt grows past a threshold;
 * :class:`ServiceLimits` — per-tenant and global bytes/s + ops/s
   buckets behind one ``charge()`` call made per inbound data frame;
-* :class:`TenantQuota` / :class:`UsageAccount` — hard per-tenant
-  ceilings (stored payload bytes, chunk count, concurrent sessions)
-  over durable usage accounting: the account persists to
-  ``data_dir/tenants/<name>/usage.json`` with atomic replace, so a
-  disk-backed restart resumes billing exactly where it stopped;
+* :class:`TenantQuota` — hard per-tenant ceilings (stored payload
+  bytes, chunk count, concurrent sessions) checked against the usage
+  the tenant's own dedup index holds (:mod:`repro.service.tenant`), so
+  a disk-backed restart resumes billing exactly where it stopped;
 * :class:`AuthRegistry` — shared-secret HMAC authentication for the
   HELLO handshake, loaded from a ``tenant: secret`` file
   (``serve --auth-file``); clients present
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import hmac
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -42,7 +40,6 @@ __all__ = [
     "ServiceLimits",
     "TenantQuota",
     "TokenBucket",
-    "UsageAccount",
     "auth_token",
 ]
 
@@ -191,7 +188,7 @@ class ServiceLimits:
 
 
 # ----------------------------------------------------------------------
-# quotas + durable usage accounting
+# quotas
 # ----------------------------------------------------------------------
 
 
@@ -221,23 +218,21 @@ class TenantQuota:
         )
 
     def deny_reason(
-        self, usage: "UsageAccount", add_bytes: int, add_chunks: int
+        self, stored_bytes: int, chunks: int, add_bytes: int, add_chunks: int
     ) -> str | None:
-        """Why storing ``add_*`` on top of ``usage`` must be refused."""
+        """Why storing ``add_*`` on top of ``stored_bytes`` in
+        ``chunks`` chunks must be refused."""
         if (
             self.max_bytes is not None
-            and usage.stored_bytes + add_bytes > self.max_bytes
+            and stored_bytes + add_bytes > self.max_bytes
         ):
             return (
-                f"byte quota exceeded: {usage.stored_bytes} stored + "
+                f"byte quota exceeded: {stored_bytes} stored + "
                 f"{add_bytes} requested > {self.max_bytes} allowed"
             )
-        if (
-            self.max_chunks is not None
-            and usage.chunks + add_chunks > self.max_chunks
-        ):
+        if self.max_chunks is not None and chunks + add_chunks > self.max_chunks:
             return (
-                f"chunk quota exceeded: {usage.chunks} stored + "
+                f"chunk quota exceeded: {chunks} stored + "
                 f"{add_chunks} requested > {self.max_chunks} allowed"
             )
         return None
@@ -248,49 +243,6 @@ class TenantQuota:
             "max_chunks": self.max_chunks,
             "max_sessions": self.max_sessions,
         }
-
-
-class UsageAccount:
-    """Durable per-tenant usage: stored payload bytes + chunk count.
-
-    With a ``path`` every mutation is persisted by atomic replace
-    (write tmp, ``os.replace``), so the account a restarted service
-    reopens is exactly the last committed state — quota enforcement
-    survives the restart, and a half-written file can never be read
-    back (the replace is all-or-nothing).  Without a path the account
-    is process-local (memory backend).
-    """
-
-    def __init__(self, path: str | os.PathLike | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self.stored_bytes = 0
-        self.chunks = 0
-        if self.path is not None and self.path.exists():
-            try:
-                doc = json.loads(self.path.read_text())
-                self.stored_bytes = int(doc.get("stored_bytes", 0))
-                self.chunks = int(doc.get("chunks", 0))
-            except (ValueError, OSError):
-                # A corrupt account file zeroes the account rather than
-                # bricking the tenant; the next charge rewrites it.
-                self.stored_bytes = 0
-                self.chunks = 0
-
-    def charge(self, nbytes: int, nchunks: int) -> None:
-        self.stored_bytes += nbytes
-        self.chunks += nchunks
-        self._save()
-
-    def _save(self) -> None:
-        if self.path is None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(self.as_dict()))
-        os.replace(tmp, self.path)
-
-    def as_dict(self) -> dict:
-        return {"stored_bytes": self.stored_bytes, "chunks": self.chunks}
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,9 @@ pipelines, and the batched shapes of every store call.  Dedup decisions
 are tenant-scoped (see :mod:`repro.service.tenant`); payloads and
 recipes live on the shared single-node store or cluster, so a server
 restarted on the same ``data_dir`` resumes serving the same snapshots.
+FINISH_OK is sent only once the tenant index, the chunks and the recipe
+have reached the OS, so an acknowledged snapshot survives a crash of
+the server process.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import os
 import socket
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 
 from repro.backup.agent import ShredderAgent
 from repro.backup.site import SiteConfig, open_site
@@ -953,7 +955,7 @@ class _Session:
         digests, lengths = wire.decode_digest_batch(payload)
         self._require_open()
         probe = self.namespace.index.lookup_or_insert_batch(
-            digests, lengths, None
+            digests, lengths, insert=False
         )
         flags = probe.pointers(digests, self.service.store.has_chunks)
         await self.service._send_frame(
@@ -966,8 +968,10 @@ class _Session:
         items = wire.decode_chunk_batch(memoryview(payload))
         lengths = [len(data) for _, data in items]
         received = sum(lengths)
-        quota = self.service.quota
-        deny = quota.deny_reason(self.namespace.usage, received, len(items))
+        usage = self.namespace.usage
+        deny = self.service.quota.deny_reason(
+            usage.stored_bytes, usage.chunks, received, len(items)
+        )
         if deny is not None:
             # Hard ceiling: refuse *before* anything lands, fatally —
             # the parked session can resume once quota is raised, but
@@ -984,18 +988,10 @@ class _Session:
             raise SessionError(Err.DIGEST_MISMATCH, str(exc), fatal=True) from None
         # The verified digests enter this tenant's index, decided or not:
         # the only way in, so a pointer or a decide hit is always to a
-        # chunk this tenant shipped.
-        counters = self.namespace.counters
-        self.namespace.index.insert_batch(
-            [digest for digest, _ in items],
-            accumulate(lengths, initial=counters.bytes_received),
-        )
+        # chunk this tenant shipped, and usage counts each digest once.
+        self.namespace.insert_chunks([digest for digest, _ in items], lengths)
         self.applied_frames += 1
-        # Durable usage accounting, charged exactly once per *applied*
-        # frame: the resume protocol's applied-frames high-water mark
-        # means a re-shipped frame a parked session replays was never
-        # applied (and so never charged) the first time.
-        self.namespace.usage.charge(received, len(items))
+        counters = self.namespace.counters
         counters.chunks_received += len(items)
         counters.bytes_received += received
         await self.service._send_frame(
@@ -1036,6 +1032,11 @@ class _Session:
                 Err.UNKNOWN_SNAPSHOT,
                 f"snapshot {snapshot_id!r} is not the open one",
             )
+        # The commit point: this tenant's index, then (in the agent) the
+        # chunk logs and the recipe reach the OS before FINISH_OK.  An
+        # index entry whose payload a crash lost only re-ships: every
+        # decide hit is checked against the store.
+        self.namespace.index.flush()
         log = self.service.agent.finish_snapshot(scoped)
         self.open_scoped = None
         self.resume_token = ""

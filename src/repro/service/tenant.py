@@ -24,11 +24,15 @@ Multi-tenancy splits the backup state along the privacy boundary:
   only ever resolves ids inside the caller's namespace, so restores,
   listings, and retention are tenant-isolated while cluster-wide GC
   (which marks across *all* recipes) keeps shared payloads safe.
+* **Usage is the index** — it maps each digest to its chunk's length,
+  so a tenant stores ``len(index)`` chunks, the values summed in bytes.
+  A digest is charged when it first enters the index and never again:
+  a replayed frame or a re-shipped payload cannot bill twice.
 
 On a disk backend each tenant's index persists under
 ``data_dir/tenants/<name>/index`` and reopens with the same hit/miss
-pattern after a server restart; recipes ride the shared store's own
-persistence.
+pattern and the same usage after a server restart; recipes ride the
+shared store's own persistence.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
+from typing import Sequence
 
 from repro.core.dedup import DedupIndex
-from repro.service.limits import UsageAccount
 from repro.store.backend import make_backend
 
 __all__ = ["TenantNamespace", "TenantRegistry"]
@@ -69,22 +74,48 @@ class TenantCounters:
     bytes_restored: int = 0
 
 
+class TenantUsage:
+    """A tenant's ``chunks`` and ``stored_bytes``, read off its index:
+    the sum is read once at open, then :meth:`TenantNamespace
+    .insert_chunks` adds each length the index takes in."""
+
+    def __init__(self, index: DedupIndex) -> None:
+        self._index = index
+        self.stored_bytes = index.total_length()
+
+    @property
+    def chunks(self) -> int:
+        return len(self._index)
+
+    def as_dict(self) -> dict:
+        return {"stored_bytes": self.stored_bytes, "chunks": self.chunks}
+
+
 @dataclass
 class TenantNamespace:
     """One tenant's slice of the service: scoped index + counters.
 
-    ``usage`` is the tenant's *durable* quota accounting (unique stored
-    logical bytes + chunk count), persisted next to the index so it
-    survives a disk-backed restart; ``active_sessions`` is the live
-    concurrent-session count the admission path checks per-tenant
-    session quotas against.
+    ``usage`` is the tenant's quota accounting, derived from the index,
+    so it survives a disk-backed restart with it; ``active_sessions``
+    is the live concurrent-session count the admission path checks
+    per-tenant session quotas against.
     """
 
     name: str
     index: DedupIndex
     counters: TenantCounters = field(default_factory=TenantCounters)
-    usage: UsageAccount = field(default_factory=UsageAccount)
+    usage: TenantUsage = field(init=False)
     active_sessions: int = 0
+
+    def __post_init__(self) -> None:
+        self.usage = TenantUsage(self.index)
+
+    def insert_chunks(
+        self, digests: Sequence[bytes], lengths: Sequence[int]
+    ) -> None:
+        """Index verified payloads; charge the digests that are new."""
+        inserted = self.index.insert_batch(digests, lengths)
+        self.usage.stored_bytes += sum(compress(lengths, inserted))
 
     def scoped_id(self, snapshot_id: str) -> str:
         """The shared-store id for this tenant's snapshot."""
@@ -141,15 +172,9 @@ class TenantRegistry:
                 if self.data_dir is not None
                 else None
             )
-            usage_path = (
-                self.data_dir / "tenants" / name / "usage.json"
-                if self.data_dir is not None
-                else None
-            )
             namespace = TenantNamespace(
                 name=name,
                 index=DedupIndex(make_backend(self.backend_kind, index_dir)),
-                usage=UsageAccount(usage_path),
             )
             self._tenants[name] = namespace
         return namespace

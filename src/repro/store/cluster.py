@@ -1068,9 +1068,13 @@ class ChunkStoreCluster:
     # -- lifecycle -----------------------------------------------------
 
     def flush(self) -> None:
-        """Push buffered log records on every shard (disk backends)."""
+        """Push buffered log records on every shard (disk backends).
+
+        A node that cannot flush is charged to the detector like any
+        failed node call: the scheme's redundancy covers its loss.
+        """
         for node in self._alive_nodes():
-            node.flush()
+            self._ask(node, node.flush)
         self._recipes.flush()
 
     def close(self) -> None:

@@ -21,7 +21,6 @@ from repro.service import (
     ServiceLimits,
     TenantQuota,
     TokenBucket,
-    UsageAccount,
     auth_token,
 )
 from repro.service import protocol as wire
@@ -164,46 +163,27 @@ class TestServiceLimits:
 
 
 # ----------------------------------------------------------------------
-# quotas + durable usage
+# quotas
 # ----------------------------------------------------------------------
 
 
 class TestQuota:
     def test_deny_reasons(self):
         quota = TenantQuota(max_bytes=1000, max_chunks=10)
-        usage = UsageAccount()
-        usage.charge(900, 9)
-        assert quota.deny_reason(usage, 50, 1) is None
-        assert "byte quota" in quota.deny_reason(usage, 200, 1)
-        assert "chunk quota" in quota.deny_reason(usage, 50, 2)
+        assert quota.deny_reason(900, 9, 50, 1) is None
+        assert quota.deny_reason(900, 9, 100, 1) is None
+        assert "byte quota" in quota.deny_reason(900, 9, 200, 1)
+        assert "chunk quota" in quota.deny_reason(900, 9, 50, 2)
 
     def test_inactive_quota_denies_nothing(self):
         quota = TenantQuota()
         assert not quota.active
-        assert quota.deny_reason(UsageAccount(), 1 << 40, 1 << 20) is None
+        assert quota.deny_reason(0, 0, 1 << 40, 1 << 20) is None
+        assert quota.deny_reason(1 << 40, 1 << 20, 1 << 40, 1 << 20) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TenantQuota(max_bytes=0)
-
-    def test_usage_persists_by_atomic_replace(self, tmp_path):
-        path = tmp_path / "usage.json"
-        account = UsageAccount(path)
-        account.charge(500, 3)
-        account.charge(250, 2)
-        reopened = UsageAccount(path)
-        assert (reopened.stored_bytes, reopened.chunks) == (750, 5)
-
-    def test_corrupt_usage_file_zeroes_account(self, tmp_path):
-        path = tmp_path / "usage.json"
-        path.write_text("{not json")
-        account = UsageAccount(path)
-        assert (account.stored_bytes, account.chunks) == (0, 0)
-
-    def test_pathless_account_is_memory_only(self):
-        account = UsageAccount()
-        account.charge(10, 1)
-        assert account.as_dict() == {"stored_bytes": 10, "chunks": 1}
 
 
 # ----------------------------------------------------------------------
@@ -474,6 +454,26 @@ class TestServiceQuota:
         assert reopened == usage1
         assert code is Err.QUOTA_EXCEEDED
         assert stored <= 60_000
+
+    def test_one_payload_shipped_twice_is_charged_once(self):
+        """Usage counts what the tenant's index holds: a payload shipped
+        in two CHUNK_BATCH frames of one snapshot is one chunk."""
+        payload = unique_payload(30_000, seed=12)
+        digest = chunk_hash(payload)
+
+        async def scenario(service):
+            client = await connect(service, "acme")
+            await client.begin_snapshot("twice")
+            await client.ship_chunks([(digest, payload)])
+            await client.ship_chunks([(digest, payload)])
+            await client.finish_snapshot("twice")
+            restored = await client.restore("twice")
+            await client.close()
+            return restored, service.registry.get("acme").usage.as_dict()
+
+        restored, usage = run_service(scenario)
+        assert restored == payload + payload
+        assert usage == {"stored_bytes": len(payload), "chunks": 1}
 
     def test_accounting_is_exactly_once_across_resume(self):
         """Re-shipped frames after reconnects never double-charge: the

@@ -57,12 +57,12 @@ class TestDedupIndexRestart:
         with DedupIndex("disk", data_dir=tmp_path / "idx") as index:
             assert index.lookup_batch(probe_digests) == pattern
             assert len(index) == len(payloads)
-            # Every previously-inserted chunk is now a duplicate, at the
-            # same canonical offset the first process assigned.
+            # Every previously-inserted chunk is now a duplicate, with
+            # the length the first process recorded.
             again = probe(index, make_chunks(payloads, 10_000))
             assert again.hits == [True] * len(payloads)
             assert index.lookup_batch(probe_digests[: len(payloads)]) == [
-                c.offset for c in first
+                c.length for c in first
             ]
 
 

@@ -137,6 +137,19 @@ class TestSelfHealing:
         assert not cluster.nodes["node-2"].alive
         assert cluster.stats.heartbeats >= 6
 
+    def test_flush_charges_a_node_that_died_undeclared(self):
+        """A snapshot's commit flushes every node the ring still lists:
+        one whose backend died before the detector declared it is a
+        failed call charged to that node, not a failed commit."""
+        plan = FaultPlan.parse("seed=23,node.kill=node-2:1")
+        cluster = make_cluster(fault_plan=plan)
+        node = cluster.nodes["node-2"]
+        with pytest.raises(InjectedFault):
+            node.backend.contains_batch([b"x"])
+        assert node.alive
+        cluster.flush()
+        assert node.stats.io_errors == 1
+
     def test_explicit_fail_node_does_not_auto_repair(self):
         cluster = make_cluster()
         items = make_items(30)

@@ -79,8 +79,8 @@ class TestDedupIndex:
         b = make_chunk(b"hello", offset=100)
         assert probe(index, [a]).hits == [False]
         assert probe(index, [b]).hits == [True]
-        # The canonical copy is the first.
-        assert index.lookup_batch([b.digest]) == [0]
+        # The index holds the chunk's length.
+        assert index.lookup_batch([b.digest]) == [5]
 
     def test_repeat_within_a_batch_is_not_a_hit(self):
         index = DedupIndex()
@@ -106,6 +106,14 @@ class TestDedupIndex:
         flags = probe(index, batch).pointers([c.digest for c in batch], has_chunks)
         assert flags == [True, False, False, True]
         assert asked == [[old.digest, gone.digest]]
+
+    def test_insert_flags_and_total_length(self):
+        index = DedupIndex()
+        a, b = make_chunk(b"aaaa"), make_chunk(b"bb")
+        assert index.insert_batch([a.digest, b.digest, a.digest], [4, 2, 4]) == [
+            True, True, False,
+        ]
+        assert index.total_length() == 6
 
     def test_lookup_without_insert(self):
         index = DedupIndex()

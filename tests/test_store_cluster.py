@@ -552,7 +552,7 @@ class TestDedupIndexBatch:
         hits = index.lookup_batch(
             [chunks[0].digest, chunk_hash(b"unseen"), chunks[1].digest]
         )
-        assert hits == [chunks[0].offset, None, chunks[1].offset]
+        assert hits == [chunks[0].length, None, chunks[1].length]
         assert (index.stats.total_chunks, index.stats.unique_chunks) == stats_before
 
     def test_batch_matches_sequential_loop(self):

@@ -268,10 +268,11 @@ class BackupServer:
             cfg.chunker.min_size > 0 or cfg.chunker.max_size is not None
         ):
             chunk_seconds += n * MINMAX_FILTER_S_PER_BYTE
+        cost = LookupCostModel()
         if lookup_stats is not None:
-            lookup_seconds = self.cluster.lookup.modeled_seconds(lookup_stats)
+            lookup_seconds = cost.batched_seconds(lookup_stats)
         else:
-            lookup_seconds = LookupCostModel().per_digest_seconds(
+            lookup_seconds = cost.per_digest_seconds(
                 duplicates, n_chunks - duplicates
             )
         stage_seconds = {

@@ -15,12 +15,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.store.backend import (
-    ChunkBackend,
-    RecipeStore,
-    make_backend,
-    resolve_backend,
-)
+from repro.store.backend import RecipeStore, make_backend, resolve_backend
 
 __all__ = ["ChunkStore", "SnapshotRecipe"]
 
@@ -50,18 +45,15 @@ class ChunkStore:
         self,
         backend: str | None = None,
         data_dir: str | os.PathLike | None = None,
-        chunks_backend: ChunkBackend | None = None,
-        recipes_backend: ChunkBackend | None = None,
     ) -> None:
         kind = resolve_backend(backend, data_dir)
         base = Path(data_dir) if data_dir is not None else None
         self.backend_kind = kind
-        self._chunks = chunks_backend or make_backend(
+        self._chunks = make_backend(
             kind, base / "chunks" if base is not None else None
         )
         self._recipes = RecipeStore(
-            recipes_backend
-            or make_backend(kind, base / "recipes" if base is not None else None)
+            make_backend(kind, base / "recipes" if base is not None else None)
         )
 
     def put_chunk(self, digest: bytes, data: bytes) -> bool:

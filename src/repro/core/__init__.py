@@ -34,7 +34,7 @@ from repro.core.engines import (
     as_uint8,
     default_engine,
 )
-from repro.core.hashing import chunk_hash, digest_many, short_hash, weak_checksum
+from repro.core.hashing import chunk_hash, digest_many
 from repro.core.host_chunker import HOARD, MALLOC, AllocatorModel, HostParallelChunker
 from repro.core.executor import ExecutionTotals, ShredderExecutor
 from repro.core.parallel_minmax import compute_jumps, parallel_select_cuts
@@ -63,7 +63,7 @@ __all__ = [
     "DedupIndex", "DedupStats",
     "Engine", "SerialEngine", "VectorEngine", "as_byte_view", "as_uint8",
     "default_engine",
-    "chunk_hash", "digest_many", "short_hash", "weak_checksum",
+    "chunk_hash", "digest_many",
     "HOARD", "MALLOC", "AllocatorModel", "HostParallelChunker",
     "DEFAULT_WINDOW_SIZE", "RabinFingerprinter", "default_polynomial",
     "Shredder", "ShredderConfig", "ShredderReport",

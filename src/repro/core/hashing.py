@@ -14,13 +14,10 @@ several buffers without joining them.
 from __future__ import annotations
 
 import hashlib
-import zlib
 from typing import Iterable, Sequence
 
 __all__ = [
     "chunk_hash",
-    "short_hash",
-    "weak_checksum",
     "digest_many",
     "digest_views",
 ]
@@ -32,16 +29,6 @@ def chunk_hash(data) -> bytes:
     ``memoryview`` slices without materializing ``bytes``.
     """
     return hashlib.sha256(data).digest()
-
-
-def short_hash(data) -> int:
-    """64-bit truncation of :func:`chunk_hash`, for compact in-memory keys."""
-    return int.from_bytes(chunk_hash(data)[:8], "big")
-
-
-def weak_checksum(data) -> int:
-    """Fast 32-bit checksum (CRC32) used for cheap pre-filtering in indexes."""
-    return zlib.crc32(data) & 0xFFFFFFFF
 
 
 def digest_views(views: Iterable) -> bytes:

@@ -966,19 +966,27 @@ class _Session:
         scoped = self._require_open()
         # Views of the landed payload: the store's put makes the one copy.
         items = wire.decode_chunk_batch(memoryview(payload))
+        digests = [digest for digest, _ in items]
         lengths = [len(data) for _, data in items]
         received = sum(lengths)
-        usage = self.namespace.usage
-        deny = self.service.quota.deny_reason(
-            usage.stored_bytes, usage.chunks, received, len(items)
-        )
-        if deny is not None:
-            # Hard ceiling: refuse *before* anything lands, fatally —
-            # the parked session can resume once quota is raised, but
-            # replaying the same frame will be denied again, so the
-            # tenant can never store past its cap.
-            self.service.metrics.add(quota_rejections=1)
-            raise SessionError(Err.QUOTA_EXCEEDED, deny, fatal=True)
+        quota = self.service.quota
+        if quota.max_bytes is not None or quota.max_chunks is not None:
+            # Only digests new to the tenant's index are ever charged
+            # (``insert_chunks``), so only they count against the cap.
+            new = dict(zip(digests, lengths))
+            held = self.namespace.index.backend.contains_batch(list(new))
+            add = [n for n, was_held in zip(new.values(), held) if not was_held]
+            usage = self.namespace.usage
+            deny = quota.deny_reason(
+                usage.stored_bytes, usage.chunks, sum(add), len(add)
+            )
+            if deny is not None:
+                # Hard ceiling: refuse *before* anything lands, fatally —
+                # the parked session can resume once quota is raised, but
+                # replaying the same frame will be denied again, so the
+                # tenant can never store past its cap.
+                self.service.metrics.add(quota_rejections=1)
+                raise SessionError(Err.QUOTA_EXCEEDED, deny, fatal=True)
         try:
             self.service.agent.receive_chunks(scoped, items)
         except ValueError as exc:
@@ -989,7 +997,7 @@ class _Session:
         # The verified digests enter this tenant's index, decided or not:
         # the only way in, so a pointer or a decide hit is always to a
         # chunk this tenant shipped, and usage counts each digest once.
-        self.namespace.insert_chunks([digest for digest, _ in items], lengths)
+        self.namespace.insert_chunks(digests, lengths)
         self.applied_frames += 1
         counters = self.namespace.counters
         counters.chunks_received += len(items)

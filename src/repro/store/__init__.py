@@ -5,9 +5,10 @@ Layers, bottom up: :mod:`~repro.store.backend` (the batched
 behind every state owner), :mod:`~repro.store.ring` (consistent
 hashing), :mod:`~repro.store.node` (per-shard stores),
 :mod:`~repro.store.schemes` (pluggable placement),
-:mod:`~repro.store.lookup` (batched, node-grouped probes),
-:mod:`~repro.store.cluster` (the ChunkStore-compatible facade with
-failure recovery, persistence, and cluster-wide GC).
+:mod:`~repro.store.lookup` (the node-grouped position walk and the
+index-stage cost model), :mod:`~repro.store.cluster` (the
+ChunkStore-compatible facade: placement, batched lookup, failure
+recovery, persistence, and cluster-wide GC).
 """
 
 from repro.store.backend import (
@@ -34,7 +35,7 @@ from repro.store.erasure import (
     ReedSolomonCodec,
     codec_for,
 )
-from repro.store.lookup import BatchedLookup, BatchLookupStats, LookupCostModel
+from repro.store.lookup import BatchLookupStats, LookupCostModel
 from repro.store.node import NodeDownError, NodeStats, StoreNode
 from repro.store.ring import DEFAULT_VNODES, HashRing
 from repro.store.schemes import (
@@ -65,7 +66,6 @@ __all__ = [
     "FragmentRecord",
     "ReedSolomonCodec",
     "codec_for",
-    "BatchedLookup",
     "BatchLookupStats",
     "LookupCostModel",
     "NodeDownError",

@@ -29,7 +29,7 @@ Failure handling is self-managing: every node operation goes through
 one guarded call (:meth:`ChunkStoreCluster._ask`) that feeds a
 consecutive-error :class:`~repro.store.health.FailureDetector`, so a
 node that starts erroring is marked suspect, then declared dead —
-dropped from the ring and (by default) immediately re-replicated from
+dropped from the ring and immediately re-replicated from
 surviving copies — without anyone calling :meth:`fail_node`.  Under an
 active :class:`~repro.faults.FaultPlan` (the ``REPRO_FAULTS`` env var)
 every shard backend is wrapped in a chaos decorator and reads are
@@ -74,13 +74,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterator
 
 from repro.faults import FaultPlan
-from repro.store.backend import RecipeStore, make_backend, resolve_backend
-from repro.store.health import FailureDetector, HealthPolicy, NodeState
-from repro.store.lookup import (
-    BatchedLookup,
-    BatchLookupStats,
-    walk_positions,
+from repro.store.backend import (
+    RecipeStore,
+    core_module,
+    make_backend,
+    resolve_backend,
 )
+from repro.store.health import FailureDetector, HealthPolicy, NodeState
+from repro.store.lookup import BatchLookupStats, walk_positions
 from repro.store.node import NodeDownError, StoreNode
 from repro.store.ring import HashRing
 from repro.store.schemes import (
@@ -207,6 +208,8 @@ class ChunkStoreCluster:
     ) -> None:
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if read_attempts is not None and read_attempts < 1:
             raise ValueError("read_attempts must be >= 1")
         if put_attempts is not None and put_attempts < 1:
@@ -222,6 +225,11 @@ class ChunkStoreCluster:
         self.scheme = scheme or ReplicatedPlacement(min(2, n_nodes))
         self.ring = HashRing()
         self._nodes: dict[str, StoreNode] = {}
+        #: Digests per lookup window: the unit one position walk covers,
+        #: and the most keys one node call carries.
+        self.batch_size = batch_size
+        self._placements: dict[bytes, tuple[str, ...]] = {}
+        self._placements_version = self.ring.version
         # Chaos plumbing: "env" (the default) activates a plan only when
         # REPRO_FAULTS is set, so normal runs pay nothing.  Reads are
         # digest-verified exactly when faults are in play (or on explicit
@@ -247,13 +255,6 @@ class ChunkStoreCluster:
         for _ in range(n_nodes):
             self.add_node()
         self.scheme.validate(self.ring)
-        self.lookup = BatchedLookup(
-            self.ring,
-            self.scheme,
-            self._nodes,
-            batch_size,
-            on_probe=self._note,
-        )
 
     def _make_backend(self, name: str):
         path = self.data_dir / name if self.data_dir is not None else None
@@ -288,17 +289,15 @@ class ChunkStoreCluster:
         if node_id in self.ring:
             self.ring.remove_node(node_id)
         self.stats.nodes_died += 1
-        self._auto_repair()
+        self._repair_on_death()
 
-    def _auto_repair(self) -> None:
-        """Re-replicate after a declared death (policy-gated).
+    def _repair_on_death(self) -> None:
+        """Re-replicate after a declared death.
 
         A death declared *while* a reconcile pass is running (the pass
         itself feeds the detector) queues one follow-up repair, which
         the pass runs when it ends, instead of recursing.
         """
-        if not self.health.auto_repair:
-            return
         if self._repairing:
             self._repair_pending = True
             return
@@ -347,14 +346,34 @@ class ChunkStoreCluster:
     def _alive_nodes(self) -> list[StoreNode]:
         return [n for n in self._nodes.values() if n.alive]
 
+    #: Placement memo entries kept before the memo starts over.
+    PLACEMENT_MEMO_MAX = 1 << 15
+
+    def placement(self, digest: bytes) -> tuple[str, ...]:
+        """``scheme.nodes_for`` on the current ring, computed once per
+        digest per ring membership version (a placement from an older
+        ring names the wrong nodes, so any change drops the memo)."""
+        memo = self._placements
+        if (
+            self._placements_version != self.ring.version
+            or len(memo) >= self.PLACEMENT_MEMO_MAX
+        ):
+            memo.clear()
+            self._placements_version = self.ring.version
+        placement = memo.get(digest)
+        if placement is None:
+            placement = memo[digest] = self.scheme.nodes_for(self.ring, digest)
+        return placement
+
     def _placement(self, digest: bytes) -> list[StoreNode]:
         """Alive nodes the scheme targets for this digest."""
         nodes = self._nodes
-        return [
-            nodes[nid]
-            for nid in self.lookup.placement(digest)
-            if nodes[nid].alive
-        ]
+        return [nodes[nid] for nid in self.placement(digest) if nodes[nid].alive]
+
+    def _windows(self, digests):
+        """``digests`` in ``batch_size`` runs."""
+        for start in range(0, len(digests), self.batch_size):
+            yield digests[start : start + self.batch_size]
 
     def _read_order(self, placed: list[StoreNode]) -> Iterator[StoreNode]:
         """Candidate holders of a digest placed on ``placed``,
@@ -672,7 +691,7 @@ class ChunkStoreCluster:
         """Batched membership straight through replica resolution."""
         return [
             holder is not None
-            for window in self.lookup.windows(digests)
+            for window in self._windows(digests)
             for holder in self._holders(window)
         ]
 
@@ -687,7 +706,7 @@ class ChunkStoreCluster:
         bare header is not trusted under faults.
         """
         lengths: list[int | None] = []
-        for window in self.lookup.windows(digests):
+        for window in self._windows(digests):
             by_node: dict[StoreNode, list[int]] = {}
             for i, node in enumerate(self._holders(window)):
                 if node is not None:
@@ -839,8 +858,54 @@ class ChunkStoreCluster:
     def lookup_batch(
         self, digests
     ) -> tuple[dict[bytes, bool], BatchLookupStats]:
-        """Batched membership query (see lookup.py)."""
-        return self.lookup.lookup_batch(digests)
+        """Batched data-plane membership query (§7.3's index stage).
+
+        Returns ``(hit_map, stats)``; ``hit_map[d]`` is True iff
+        ``scheme.min_fragments`` alive placement targets hold ``d`` —
+        one for whole-chunk schemes, ``k`` for erasure coding (fewer
+        fragments cannot reconstruct, so a dedup hit on them would lose
+        the chunk).  Each ``batch_size`` window walks its placements one
+        position per round through :meth:`_ask`, one ``probe_batch`` per
+        node per round (:func:`walk_positions`).  Unlike
+        :meth:`has_chunks` it never looks off the placement, and every
+        probe is charged to ``NodeStats``.  Duplicate digests resolve
+        once; a digest with no alive placement target raises
+        :class:`NodeDownError`.
+        """
+        need = self.scheme.min_fragments
+        stats = BatchLookupStats()
+        unique = list(dict.fromkeys(digests))
+        stats.n_digests = len(unique)
+        hit_map: dict[bytes, bool] = {}
+        for window in self._windows(unique):
+            placements = [self.placement(d) for d in window]
+            stats.n_batches += 1
+            stats.n_node_batches += len({p[0] for p in placements})
+            probed = [False] * len(window)
+
+            def ask(node_id: str, items: list[int]) -> list[bool] | None:
+                node = self._nodes[node_id]
+                found = self._ask(node, node.probe_batch, [window[i] for i in items])
+                if found is not None:
+                    stats.probes += len(items)
+                    for i in items:
+                        probed[i] = True
+                return found
+
+            counts = walk_positions(placements, need, ask)
+            for digest, count, asked in zip(window, counts, probed):
+                if count >= need:
+                    stats.hits += 1
+                elif not asked:
+                    raise NodeDownError(
+                        f"no alive replica for chunk {digest.hex()[:16]}"
+                    )
+                else:
+                    # Too few items to reconstruct count as absent: the
+                    # chunk must be re-shipped.
+                    stats.misses += 1
+                hit_map[digest] = count >= need
+        return hit_map, stats
 
     def lookup_chunks(self, chunks) -> tuple[dict[bytes, bool], BatchLookupStats]:
         """Batched membership query straight from chunk records.
@@ -849,7 +914,8 @@ class ChunkStoreCluster:
         before the probe — lazy zero-copy chunks never pay a per-chunk
         Python hashing round trip on the lookup path.
         """
-        return self.lookup.lookup_chunks(chunks)
+        core_module("chunking").ensure_digests(chunks)
+        return self.lookup_batch([c.digest for c in chunks])
 
     # -- membership / failure / recovery -------------------------------
 
@@ -1056,7 +1122,7 @@ class ChunkStoreCluster:
         if self._repair_pending:
             # A node was declared dead mid-pass: one follow-up repair.
             self._repair_pending = False
-            self._auto_repair()
+            self._repair_on_death()
         return lost, short
 
     def _node(self, node_id: str) -> StoreNode:

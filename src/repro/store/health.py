@@ -11,8 +11,8 @@ a simple consecutive-error discipline:
   probed, still serving — an advisory state surfaced in health
   snapshots);
 * ``dead_after`` consecutive errors mark it **dead** — the cluster
-  then drops the node from the ring and (with ``auto_repair``)
-  immediately re-replicates from surviving copies;
+  then drops the node from the ring and immediately re-replicates
+  from surviving copies;
 * any success resets the error run, so transient fault storms (a
   recoverable I/O hiccup) never escalate to a death.
 
@@ -43,8 +43,6 @@ class HealthPolicy:
     suspect_after: int = 2
     #: Consecutive errors before a node is declared dead.
     dead_after: int = 4
-    #: Re-replicate automatically the moment a death is declared.
-    auto_repair: bool = True
     #: Stored items the background scrubber re-verifies per heartbeat
     #: (0 disables heartbeat-driven scrubbing; ``cluster.scrub()`` can
     #: still run full passes on demand).

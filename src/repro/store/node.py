@@ -7,7 +7,8 @@ backend when the cluster is opened with ``backend="disk"``).  Both
 backends keep every live key in RAM, so a membership probe is one
 batched ``contains_batch`` and nothing sits in front of it: a filter
 would only add a second probe to a miss that already costs one dict
-lookup.  The batched lookup path (:mod:`repro.store.lookup`) asks
+lookup.  The cluster's batched lookup
+(:meth:`repro.store.cluster.ChunkStoreCluster.lookup_batch`) asks
 nodes through :meth:`StoreNode.probe_batch`, which charges
 :class:`NodeStats`.
 """

@@ -19,7 +19,7 @@ import pytest
 from repro.backup import ChunkStore, ShredderAgent
 from repro.core.hashing import chunk_hash
 from repro.store import ChunkStoreCluster, NodeDownError, make_scheme
-from repro.store.lookup import BatchedLookup, BatchLookupStats, walk_positions
+from repro.store.lookup import BatchLookupStats, walk_positions
 
 PLACEMENTS = ("vanilla", "striped", "replicated", "ec")
 BACKENDS = ("memory", "disk")
@@ -186,7 +186,7 @@ def test_batched_answers_and_counters_match_per_digest_walk(
             assert all(has for d, has in zip(probe, want_has) if d in by_digest)
 
         hit_map, stats = batched.lookup_batch(probe)
-        want_map, want_stats = ref_lookup_batch(reference, probe, batched.lookup.batch_size)
+        want_map, want_stats = ref_lookup_batch(reference, probe, batched.batch_size)
         assert hit_map == want_map
         assert stats == want_stats
         if scenario == "mid-repair":
@@ -405,30 +405,30 @@ def test_placement_computed_once_per_digest_per_ring_version(tmp_path, monkeypat
     assert sorted(calls) == sorted(digests)  # exactly once each
 
     # Membership changed: a memoised placement would name the dead node.
-    victim = cluster.lookup.placement(items[0][0])[0]
+    victim = cluster.placement(items[0][0])[0]
     calls.clear()
     cluster.fail_node(victim)
     _exercise(cluster, items)
     assert sorted(calls) == sorted(digests)
-    assert all(victim not in cluster.lookup.placement(d) for d in digests)
+    assert all(victim not in cluster.placement(d) for d in digests)
 
     calls.clear()
     new = cluster.add_node()
     _exercise(cluster, items)
     assert sorted(calls) == sorted(digests)
     fresh = make_scheme("ec")
-    assert any(new in cluster.lookup.placement(d) for d in digests)
+    assert any(new in cluster.placement(d) for d in digests)
     assert all(
-        cluster.lookup.placement(d) == fresh.nodes_for(cluster.ring, d) for d in digests
+        cluster.placement(d) == fresh.nodes_for(cluster.ring, d) for d in digests
     )
     cluster.close()
 
 
 def test_placement_memo_is_bounded(tmp_path, monkeypatch):
-    monkeypatch.setattr(BatchedLookup, "PLACEMENT_MEMO_MAX", 8)
+    monkeypatch.setattr(ChunkStoreCluster, "PLACEMENT_MEMO_MAX", 8)
     cluster = make_cluster("replicated", "memory", tmp_path)
     fresh = make_scheme("replicated")
     for digest, _ in make_items(50):
-        assert cluster.lookup.placement(digest) == fresh.nodes_for(cluster.ring, digest)
-        assert len(cluster.lookup._placements) <= 8
+        assert cluster.placement(digest) == fresh.nodes_for(cluster.ring, digest)
+        assert len(cluster._placements) <= 8
     cluster.close()

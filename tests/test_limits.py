@@ -475,6 +475,33 @@ class TestServiceQuota:
         assert restored == payload + payload
         assert usage == {"stored_bytes": len(payload), "chunks": 1}
 
+    def test_reship_at_the_cap_is_accepted(self):
+        """The quota counts only digests the tenant's index lacks: a
+        tenant at its byte cap may re-ship a payload it holds, and is
+        still refused a new one."""
+        payload = unique_payload(30_000, seed=13)
+        digest = chunk_hash(payload)
+        other = unique_payload(1_000, seed=14)
+
+        async def scenario(service):
+            client = await connect(service, "acme")
+            for snapshot_id in ("first", "again"):
+                await client.begin_snapshot(snapshot_id)
+                await client.ship_chunks([(digest, payload)])
+                await client.finish_snapshot(snapshot_id)
+            restored = await client.restore("again")
+            usage = service.registry.get("acme").usage.as_dict()
+            await client.begin_snapshot("new")
+            with pytest.raises(RemoteError) as err:
+                await client.ship_chunks([(chunk_hash(other), other)])
+            await client.close()
+            return restored, usage, err.value.code
+
+        restored, usage, code = run_service(scenario, quota_bytes=30_000)
+        assert restored == payload
+        assert usage == {"stored_bytes": 30_000, "chunks": 1}
+        assert code is Err.QUOTA_EXCEEDED
+
     def test_accounting_is_exactly_once_across_resume(self):
         """Re-shipped frames after reconnects never double-charge: the
         durable account matches the one-delivery report exactly."""

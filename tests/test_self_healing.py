@@ -246,10 +246,11 @@ class TestRepairVsLookup:
     def test_repair_during_inflight_lookup(self, backend, tmp_path):
         """repair() interleaving with an in-flight lookup stays correct.
 
-        The batched lookup reports every node sub-batch to its
-        ``on_probe`` observer; driving repair() from there runs it
-        between two node calls of one lookup, the same interleaving a
-        detector-triggered auto-repair produces on a live server.
+        The batched lookup reports every node sub-batch to the failure
+        detector through ``cluster._note``; driving repair() from there
+        runs it between two node calls of one lookup, the same
+        interleaving a detector-triggered auto-repair produces on a live
+        server.
         """
         kwargs = {"backend": backend}
         if backend == "disk":
@@ -262,7 +263,7 @@ class TestRepairVsLookup:
         digests = [d for d, _ in items]
 
         reports = []
-        observe = cluster.lookup.on_probe
+        observe = cluster._note
 
         def repair_once(node_id, ok):
             observe(node_id, ok)
@@ -270,15 +271,15 @@ class TestRepairVsLookup:
                 reports.append(None)  # claim the slot: repair() probes too
                 reports[0] = cluster.repair()
 
-        cluster.lookup.on_probe = repair_once
-        hit_map, stats = cluster.lookup.lookup_batch(digests)
-        cluster.lookup.on_probe = observe
+        cluster._note = repair_once
+        hit_map, stats = cluster.lookup_batch(digests)
+        del cluster._note
         (report,) = reports
         assert report.healthy
         assert all(hit_map[d] for d in digests)
         assert stats.n_digests == len(digests)
         # And a fresh lookup after the repair sees everything too.
-        hit_map2, _ = cluster.lookup.lookup_batch(digests)
+        hit_map2, _ = cluster.lookup_batch(digests)
         assert all(hit_map2[d] for d in digests)
         cluster.close()
 
@@ -297,7 +298,7 @@ class TestRepairVsLookup:
         # Keep probing until the kill threshold trips mid-stream.
         hit_map = None
         for _ in range(8):
-            hit_map, stats = cluster.lookup.lookup_batch(digests)
+            hit_map, stats = cluster.lookup_batch(digests)
             if not cluster.nodes["node-0"].alive:
                 break
         assert not cluster.nodes["node-0"].alive

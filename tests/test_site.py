@@ -114,18 +114,18 @@ _PINNED = {
         [0.0040534432, 0.0024546592],
         [
             {"n_digests": 870, "n_batches": 7, "n_node_batches": 28, "hits": 0,
-             "misses": 870, "probes": 1740, "probe_errors": 0},
+             "misses": 870, "probes": 1740},
             {"n_digests": 875, "n_batches": 7, "n_node_batches": 28, "hits": 772,
-             "misses": 103, "probes": 978, "probe_errors": 0},
+             "misses": 103, "probes": 978},
         ],
     ),
     "ec": (
         [0.0047494432, 0.0030002592],
         [
             {"n_digests": 870, "n_batches": 7, "n_node_batches": 56, "hits": 0,
-             "misses": 870, "probes": 5220, "probe_errors": 0},
+             "misses": 870, "probes": 5220},
             {"n_digests": 875, "n_batches": 7, "n_node_batches": 56, "hits": 772,
-             "misses": 103, "probes": 3706, "probe_errors": 0},
+             "misses": 103, "probes": 3706},
         ],
     ),
 }

@@ -18,9 +18,9 @@ from repro.core.dedup import DedupIndex
 from repro.core.chunking import Chunk
 from repro.core.hashing import chunk_hash
 from repro.store import (
-    BatchedLookup,
     ChunkStoreCluster,
     HashRing,
+    LookupCostModel,
     MemoryBackend,
     NodeDownError,
     PersistentBackend,
@@ -511,19 +511,19 @@ class TestBatchedLookup:
         hit_map, stats = cluster.lookup_batch([absent])
         assert hit_map == {absent: False}
         assert (stats.misses, stats.probes, stats.index_walks) == (1, 2, 0)
-        placement = cluster.lookup.placement(absent)
+        placement = cluster.placement(absent)
         for nid, node in cluster.nodes.items():
             probes, negatives = before[nid]
             charged = 1 if nid in placement else 0
             assert node.stats.probes == probes + charged
             assert node.stats.bloom_negatives == negatives + charged
-        model = cluster.lookup.cost_model
+        model = LookupCostModel()
         assert model.batched_seconds(stats) == (
             model.batch_rtt_s + 2 * model.probe_s
         )
 
     def test_batched_cost_below_per_digest_baseline(self, cluster):
-        model = cluster.lookup.cost_model
+        model = LookupCostModel()
         digests = sorted(cluster.digests()) + make_digests(200, salt=b"miss")
         _, stats = cluster.lookup_batch(digests)
         batched = model.batched_seconds(stats)
@@ -538,9 +538,8 @@ class TestBatchedLookup:
         assert all(hit_map.values())
 
     def test_bad_batch_size(self):
-        cluster = ChunkStoreCluster(n_nodes=2)
-        with pytest.raises(ValueError):
-            BatchedLookup(cluster.ring, cluster.scheme, cluster.nodes, 0)
+        with pytest.raises(ValueError, match="batch_size"):
+            ChunkStoreCluster(n_nodes=2, batch_size=0)
 
 
 class TestDedupIndexBatch:

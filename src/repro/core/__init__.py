@@ -8,9 +8,10 @@ configurations of it.  ``select_cuts`` over ``SerialEngine`` candidates
 is the reference it is tested against.
 
 The scan itself is ``VectorEngine.candidate_cut_array``: the native
-kernel (``repro.core.native``, one byte-serial C roll, built on the
-first scan into the user's cache and called through ``ctypes``), or the
-engine's NumPy roll and gather kernels where no library can be built.
+kernel (``repro.core.native``, a C roll in four interleaved lanes,
+built on the first scan into the user's cache and called through
+``ctypes``), or the engine's NumPy roll and gather kernels where no
+library can be built.
 """
 
 from repro.core.baselines import FixedSizeChunker, SampleByteChunker

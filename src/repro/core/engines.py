@@ -20,14 +20,15 @@ Two interchangeable implementations:
 ``VectorEngine``
     The fast engine.  Every input of at least a window goes to the
     **native kernel** (:mod:`repro.core.native`): one compiled C loop
-    that rolls the window byte by byte over the engine's two 256-entry
-    tables, with no lanes, tiles or seed rows, built on the first scan
-    and called through ``ctypes`` with the GIL released.  When no
-    library can be built, the engine falls back to NumPy
-    (:meth:`VectorEngine.numpy_cut_array`), which is also the second
-    oracle the native kernel is tested against.  Small inputs use the
-    linearity of Rabin fingerprints (XOR of per-position table entries,
-    folded in 16-bit pairs).  Large inputs use a *striped roll kernel*:
+    that rolls the window over the engine's two 256-entry tables in
+    four interleaved lanes (one serial chain below a floor of positions
+    per lane), built on the first scan and called through ``ctypes``
+    with the GIL released.  When no library can be built, the engine
+    falls back to NumPy (:meth:`VectorEngine.numpy_cut_array`), which
+    is also the second oracle the native kernel is tested against.
+    Small inputs use the linearity of Rabin fingerprints (XOR of
+    per-position table entries, folded in 16-bit pairs).  Large inputs
+    use a *striped roll kernel*:
     the buffer is cut into cache-sized tiles, each tile into ``lanes``
     equal sub-streams, and every lane rolls its own window serially
     while NumPy vectorizes *across* lanes — the paper's SPMD kernel
@@ -218,8 +219,8 @@ class VectorEngine(Engine):
     """The fast engine: the native kernel, with NumPy as its fallback.
 
     Every input of at least a window is scanned by the native kernel
-    (:mod:`repro.core.native`) when its library loads: one byte-serial
-    roll over the two 256-entry tables below, one call per scan.  When
+    (:mod:`repro.core.native`) when its library loads: a laned roll
+    over the two 256-entry tables below, one call per scan.  When
     no library can be built, :meth:`numpy_cut_array` runs instead.
 
     NumPy fallback: small buffers (``<= _GATHER_MAX_POSITIONS``
@@ -444,9 +445,10 @@ class VectorEngine(Engine):
         lead = self.fingerprinter.degree - 8
         fold, out = self._fold_table.ctypes.data, self._out_table.ctypes.data
         # Twice the expected count on random data (one candidate per
-        # 2**bits positions), and no more than a 256th of the positions;
-        # a scan that finds more reallocates once, to the exact count.
-        cap = (m >> max(bin(mask).count("1") - 1, 8)) + 64
+        # 2**bits positions), and no more than a 256th of the positions,
+        # plus a slack of 64 for each lane's region of the buffer; a scan
+        # that finds more reallocates once, to the exact count.
+        cap = (m >> max(bin(mask).count("1") - 1, 8)) + 64 * native.LANES
         while True:
             cuts = np.empty(cap, dtype=np.int64)
             count = scan(d.ctypes.data, d.size, w, lead, fold, out, int(mask), int(marker),

@@ -1,16 +1,25 @@
-"""The native scan kernel: one C loop that rolls the Rabin window byte by byte.
+"""The native scan kernel: one C loop that rolls the Rabin window in lanes.
 
 :class:`~repro.core.engines.VectorEngine` hands every scan of at least a
 window to :func:`kernel` first.  The kernel reads the engine's own two
 256-entry tables (the fold table and the leaving-byte table of the NumPy
-roll kernel) and has no lanes, tiles or seed rows: one state carried from
-the first byte to the last, the serial reference's recurrence,
+roll kernel) and rolls the serial reference's recurrence,
 
     f(p+1) = f(p) * x**8  ^  d[p] * x**(8*w)  ^  d[p+w]   (mod P)
 
-compiled.  It writes candidate cut offsets into a caller-supplied
-``int64`` buffer and returns the total count, so a caller whose buffer
-was too small reallocates to that count and calls again.
+compiled.  One state carried from the first byte to the last waits on
+its own fold-table load at every step, so the kernel splits the
+positions into :data:`LANES` contiguous segments (the last takes the
+remainder), seeds each lane from the ``w`` bytes before its segment and
+advances every lane one step per iteration: independent chains the core
+overlaps, the paper's sub-streams (§4.3) on one core.  An input with
+fewer than :data:`LANE_FLOOR` positions per lane rolls as one serial
+chain.  Each lane writes its candidate cut offsets to its own region of
+a caller-supplied ``int64`` buffer, and the regions are compacted into
+stream order at the end.  The kernel returns the exact total count, so
+a caller whose buffer was too small reallocates to that count and calls
+again; a lane that overran its region while the total fits (skewed
+data) is answered by a serial rescan into the whole buffer.
 
 The library is built on the first scan, never at import, with the system
 C compiler and loaded with :mod:`ctypes`, which releases the GIL for the
@@ -36,22 +45,31 @@ import sys
 import tempfile
 import threading
 
-__all__ = ["kernel"]
+__all__ = ["LANES", "LANE_FLOOR", "kernel"]
 
-_SOURCE = r"""
+#: Lanes the kernel rolls interleaved, and the fewest positions a lane
+#: must get for the laned loop to run (shorter inputs roll serially).
+#: Both are compiled into the library: constants, not options.
+LANES = 4
+LANE_FLOOR = 4096
+
+_SOURCE = f"""
+#define LANES {LANES}
+#define LANE_FLOOR {LANE_FLOOR}
+/* Unrolls a loop over the lanes, so each lane's state is a register. */
+#define UNROLL_LANES _Pragma("GCC unroll {LANES}")
+""" + r"""
 #include <stdint.h>
+#include <string.h>
 
 const char *repro_rabin_tag(void) { return REPRO_TAG; }
 
-int64_t repro_rabin_cuts(const uint8_t *d, int64_t n, int64_t w, int32_t lead,
-                         const uint64_t *fold, const uint64_t *out,
-                         uint64_t mask, uint64_t marker,
-                         int64_t *cuts, int64_t cap)
+static int64_t serial_cuts(const uint8_t *d, int64_t n, int64_t w, int32_t lead,
+                           const uint64_t *fold, const uint64_t *out,
+                           uint64_t mask, uint64_t marker, int64_t *cuts, int64_t cap)
 {
     uint64_t f = 0;
     int64_t i, count = 0;
-    if (n < w)
-        return 0;
     for (i = 0; i < w; i++)
         f = (f << 8) ^ fold[f >> lead] ^ d[i];
     for (i = w;; i++) {
@@ -65,6 +83,74 @@ int64_t repro_rabin_cuts(const uint8_t *d, int64_t n, int64_t w, int32_t lead,
             return count;
         f = (f << 8) ^ fold[f >> lead] ^ out[d[i - w]] ^ d[i];
     }
+}
+
+int64_t repro_rabin_cuts(const uint8_t *d, int64_t n, int64_t w, int32_t lead,
+                         const uint64_t *fold, const uint64_t *out,
+                         uint64_t mask, uint64_t marker,
+                         int64_t *cuts, int64_t cap)
+{
+    /* Lane k rolls the positions w + k*seg + t, t in [0, seg), over
+       s = d + k*seg: byte s[t] leaves and s[t + w] enters.  The last
+       lane then rolls on through the remainder.  Lane k writes its
+       cuts to region k of the buffer (the last region takes the
+       rounding), and the regions are compacted in order at the end. */
+    uint64_t f[LANES];
+    int64_t count[LANES], room[LANES], *region[LANES];
+    int64_t m = n - w + 1, seg, t, i, k, total = 0;
+    const uint8_t *s;
+    if (m <= 0)
+        return 0;
+    if (m < (int64_t)LANES * LANE_FLOOR)
+        return serial_cuts(d, n, w, lead, fold, out, mask, marker, cuts, cap);
+    seg = m / LANES;
+    for (k = 0; k < LANES; k++) {
+        s = d + k * seg;
+        f[k] = 0;
+        for (i = 0; i < w; i++)
+            f[k] = (f[k] << 8) ^ fold[f[k] >> lead] ^ s[i];
+        count[k] = 0;
+        region[k] = cuts + k * (cap / LANES);
+        room[k] = k < LANES - 1 ? cap / LANES : cap - k * (cap / LANES);
+    }
+    for (t = 0;; t++) {
+        UNROLL_LANES
+        for (k = 0; k < LANES; k++)
+            if ((f[k] & mask) == marker) {
+                if (count[k] < room[k])
+                    region[k][count[k]] = w + k * seg + t;
+                count[k]++;
+            }
+        if (t == seg - 1)
+            break;
+        UNROLL_LANES
+        for (k = 0; k < LANES; k++) {
+            s = d + k * seg;
+            f[k] = (f[k] << 8) ^ fold[f[k] >> lead] ^ out[s[t]] ^ s[t + w];
+        }
+    }
+    k = LANES - 1;
+    s = d + k * seg;
+    for (t = seg; t < m - k * seg; t++) {
+        f[k] = (f[k] << 8) ^ fold[f[k] >> lead] ^ out[s[t - 1]] ^ s[t - 1 + w];
+        if ((f[k] & mask) == marker) {
+            if (count[k] < room[k])
+                region[k][count[k]] = w + k * seg + t;
+            count[k]++;
+        }
+    }
+    for (k = 0; k < LANES; k++)
+        total += count[k];
+    if (total > cap)
+        return total;  /* the caller reallocates to the exact count */
+    for (k = 0; k < LANES; k++)
+        if (count[k] > room[k])  /* a lane overran its region: rare */
+            return serial_cuts(d, n, w, lead, fold, out, mask, marker, cuts, cap);
+    for (i = 0, k = 0; k < LANES; k++) {
+        memmove(cuts + i, region[k], count[k] * sizeof *cuts);
+        i += count[k];
+    }
+    return total;
 }
 """
 

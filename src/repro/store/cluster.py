@@ -842,15 +842,25 @@ class ChunkStoreCluster:
         One reconcile of the digest that distrusts ``node``'s record:
         on the placement the record is rebuilt, then replaced; off it,
         dropping the stray *is* the heal — once the placement holds the
-        full set.  With no healthy source the suspect copy stays put: it
-        may itself be a transient read-side fault.
+        full set.  Too few other sources (a digest down to its last
+        ``min_fragments`` items) read the suspect record once more: a
+        read-side fault does not repeat, and a record that verifies now
+        sources the rebuild of the missing items.  With no healthy source
+        the suspect copy stays put.
         """
-        lost, short = self._reconcile(
-            [digest],
-            MigrationReport(),
-            drop_strays=node not in self._placement(digest),
-            distrust={node.node_id},
-        )
+        for _pass in range(2):
+            ring = self.ring.version
+            lost, short = self._reconcile(
+                [digest],
+                MigrationReport(),
+                drop_strays=node not in self._placement(digest),
+                distrust={node.node_id},
+            )
+            # A write lost to a node that died during the heal: once
+            # more on the new ring, since the repair that death ran
+            # covers only what recipes name.
+            if not short or self.ring.version == ring:
+                break
         return not lost and not short
 
     # -- batched lookup ------------------------------------------------
@@ -1071,6 +1081,9 @@ class ChunkStoreCluster:
           the placement no longer names go only after every planned
           write landed: the placement verifiably holds a full set.
 
+        A record in ``distrust`` is rebuilt over when the others suffice,
+        and is read again, verified, only when they do not.
+
         Work accumulates into ``report`` (``bytes_moved`` is the size of
         the items written).  Returns ``(lost, short)``: digests with
         fewer than ``min_fragments`` verified items anywhere, and
@@ -1088,11 +1101,17 @@ class ChunkStoreCluster:
             for digest in digests:
                 targets = self._placement(digest)
                 census = self._alive_nodes() if drop_strays else targets
-                for _attempt in range(self.read_attempts):
-                    items, chunk_len, held, failures = self._gather(
-                        digest, verify, census, distrust
-                    )
-                    if len(items) >= need or not failures:
+                for skip in (distrust, ()):
+                    for _attempt in range(self.read_attempts):
+                        items, chunk_len, held, failures = self._gather(
+                            digest, verify, census, skip
+                        )
+                        if len(items) >= need or not failures:
+                            break
+                    # A failed verified read is also what a read-side
+                    # fault looks like: with too few other sources, the
+                    # distrusted records are read once more.
+                    if len(items) >= need or not distrust:
                         break
                 if len(items) < need:
                     lost.append(digest)

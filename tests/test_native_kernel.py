@@ -7,6 +7,12 @@
   polynomials and windows, every buffer type scanned in place, a mask
   that makes every position a candidate (the capacity retry), and a
   hypothesis split fuzz.
+* The lanes: a cut at a lane start and ``w - 1`` bytes before one,
+  inputs of ``LANES * LANE_FLOOR - 1``, ``LANES * LANE_FLOOR`` and
+  ``LANES * LANE_FLOOR + 1`` positions, a lane that overruns its region
+  of the buffer while the total fits, a hypothesis property against the
+  NumPy oracle up to ``2 * LANES * LANE_FLOOR`` bytes, and a split fuzz
+  whose buffers cross the floor.
 * Its instrumentation: one dispatch per scan, geometry
   ``{"kernel": "native"}``, and ``repro chunk --profile`` names the
   kernel that ran.
@@ -83,6 +89,63 @@ def native_cuts(fp: RabinFingerprinter, data, mask: int, marker: int) -> list[in
     if counters.scans:
         assert counters.geometry == {"kernel": "native"}
     return cuts
+
+
+#: The laned loop runs from this many positions up.
+LANED = native.LANES * native.LANE_FLOOR
+
+
+def lane_starts(n: int, w: int) -> list[int]:
+    """The first cut offset each lane of the laned loop rolls, for an
+    ``n``-byte input of at least ``LANED`` positions."""
+    seg = (n - w + 1) // native.LANES
+    return [w + k * seg for k in range(native.LANES)]
+
+
+def reachable(fp: RabinFingerprinter, marker: int) -> bool:
+    """Whether a fingerprint of ``fp`` can carry ``marker`` (a degree-8
+    fingerprint never sets bit 16)."""
+    return marker >> fp.degree == 0
+
+
+def plant_cut(data: bytearray, fp: RabinFingerprinter, cut: int, mask: int, marker: int) -> None:
+    """Rewrite the window ending at ``cut`` until it fingerprints to
+    ``marker`` under ``mask``, so ``cut`` is a candidate."""
+    w = fp.window_size
+    rng = np.random.default_rng(cut)
+    while fp.fingerprint(bytes(data[cut - w : cut])) & mask != marker:
+        data[cut - w : cut] = rng.integers(0, 256, w, dtype=np.uint8).tobytes()
+
+
+def kernel_cuts(fn, fp: RabinFingerprinter, data: bytes, mask: int, marker: int,
+                cap: int) -> tuple[int, list[int]]:
+    """One direct call of the kernel ``fn`` with a ``cap``-entry buffer:
+    the count it returns and the cuts it wrote, checked to write nothing
+    past the buffer."""
+    d = np.frombuffer(data, dtype=np.uint8)
+    engine = VectorEngine(fp)
+    cuts = np.full(cap + 1, -1, dtype=np.int64)
+    count = fn(d.ctypes.data, d.size, fp.window_size, fp.degree - 8,
+               engine._fold_table.ctypes.data, engine._out_table.ctypes.data,
+               mask, marker, cuts.ctypes.data, cap)
+    assert cuts[cap] == -1
+    return count, cuts[: min(count, cap)].tolist()
+
+
+def assert_matches_references(fn, fp: RabinFingerprinter, data: bytes, mask: int,
+                              marker: int) -> list[int]:
+    """The kernel's cuts equal the pure-Python reference's (the NumPy
+    oracle's from 100 KB up, where the reference is slow), both from a
+    buffer no lane region can overrun (so a laned scan's own cuts come
+    back, never the serial rescan's) and through the engine's sizing;
+    returns them."""
+    expect = VectorEngine(fp).numpy_cut_array(data, mask, marker).tolist()
+    if len(data) < 100_000:
+        assert expect == SerialEngine(fp).candidate_cuts(data, mask, marker)
+    roomy = native.LANES * max(len(data) - fp.window_size + 1, 1)
+    assert kernel_cuts(fn, fp, data, mask, marker, roomy) == (len(expect), expect)
+    assert native_cuts(fp, data, mask, marker) == expect
+    return expect
 
 
 class TestContract:
@@ -202,6 +265,103 @@ class TestContract:
             assert scan_counters().geometry == {"kernel": "native"}
         reset_scan_counters()
         assert chunk_shape(chunks) == reference_chunks(config, data)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(LANED, 3 * LANED),
+        sizes=st.lists(st.integers(LANED - 100, LANED + 200), min_size=1, max_size=3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_split_fuzz_across_the_lane_floor(self, native_fn, seed, size, sizes):
+        """The split fuzz with buffers just below and above the size the
+        laned loop starts at."""
+        config = ChunkerConfig(window_size=16, mask_bits=8, marker=0x5A, min_size=64, max_size=1024)
+        data = seeded_bytes(size, seed=seed)
+        pieces, pos, i = [], 0, 0
+        while pos < len(data):
+            pieces.append(data[pos : pos + sizes[i % len(sizes)]])
+            pos += sizes[i % len(sizes)]
+            i += 1
+        chunks = list(Chunker(config).chunk_stream(pieces))
+        assert chunk_shape(chunks) == reference_chunks(config, data)
+
+    @pytest.mark.parametrize("mask_name", list(MASKS))
+    @pytest.mark.parametrize("fp_name", list(FPS))
+    @pytest.mark.parametrize("before", [0, 1, "w-1"])
+    def test_cut_at_a_lane_seam(self, native_fn, fp_name, mask_name, before):
+        """A cut planted at every lane start, one byte before it (the
+        previous lane's last position) or ``w - 1`` bytes before it."""
+        fp = FPS[fp_name]
+        mask, marker = MASKS[mask_name]
+        w = fp.window_size
+        back = w - 1 if before == "w-1" else before
+        data = bytearray(seeded_bytes(LANED + 1000 + w - 1, seed=w + back))
+        planted = [start - back for start in lane_starts(len(data), w)[1:]]
+        if reachable(fp, marker):
+            for cut in planted:
+                plant_cut(data, fp, cut, mask, marker)
+        cuts = assert_matches_references(native_fn, fp, bytes(data), mask, marker)
+        if reachable(fp, marker):
+            assert set(planted) <= set(cuts)
+
+    @pytest.mark.parametrize("mask_name", list(MASKS))
+    @pytest.mark.parametrize("fp_name", list(FPS))
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_sizes_around_the_lane_floor(self, native_fn, fp_name, mask_name, delta):
+        """``LANES * LANE_FLOOR - 1`` positions roll serially; that many
+        and one more roll in lanes."""
+        fp = FPS[fp_name]
+        mask, marker = MASKS[mask_name]
+        size = LANED + delta + fp.window_size - 1
+        assert_matches_references(native_fn, fp, seeded_bytes(size, seed=size), mask, marker)
+
+    @pytest.mark.parametrize("mask_name", list(MASKS))
+    @pytest.mark.parametrize("fp_name", list(FPS))
+    def test_lane_overruns_its_region_while_the_total_fits(self, native_fn, fp_name, mask_name):
+        """Random bytes in the first lane, zeros in the rest, and a buffer
+        of exactly the reference's count: the first lane finds more cuts
+        than its quarter of the buffer holds, and one call still returns
+        the exact count and the reference's cuts."""
+        fp = FPS[fp_name]
+        mask, marker = MASKS[mask_name]
+        w = fp.window_size
+        n = 2 * LANED + w - 1
+        starts = lane_starts(n, w)
+        hot = starts[1] - w  # lane 0 rolls the windows inside d[:hot + w - 1]
+        data = seeded_bytes(hot, seed=w) + bytes(n - hot)
+        expect = SerialEngine(fp).candidate_cuts(data, mask, marker)
+        per_lane = np.bincount(np.searchsorted(starts, expect, side="right") - 1,
+                               minlength=native.LANES)
+        if mask and expect:  # every-position cuts fill the regions evenly
+            assert per_lane[0] > len(expect) // native.LANES
+        assert kernel_cuts(native_fn, fp, data, mask, marker, len(expect)) == (len(expect), expect)
+
+    @given(
+        fp_name=st.sampled_from(list(FPS)),
+        size=st.integers(0, 2 * LANED),
+        seed=st.integers(0, 2**32 - 1),
+        bits=st.integers(3, 5),
+        marker=st.integers(0, 31),
+        zeros=st.tuples(st.floats(0, 1), st.integers(0, 3000)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_numpy_oracle(self, native_fn, fp_name, size, seed, bits,
+                                           marker, zeros):
+        """Any input up to twice the laned threshold, with a 3 to 5-bit
+        mask (so cuts land on seams) and an optional zero run (a dense
+        burst of cuts when the marker is 0), scans exactly like the
+        NumPy oracle."""
+        fp = FPS[fp_name]
+        mask = (1 << bits) - 1
+        marker &= mask
+        data = bytearray(seeded_bytes(size, seed=seed))
+        at, length = int(zeros[0] * size), zeros[1]
+        data[at : at + length] = bytes(len(data[at : at + length]))
+        data = bytes(data)
+        expect = VectorEngine(fp).numpy_cut_array(data, mask, marker).tolist()
+        roomy = native.LANES * max(size - fp.window_size + 1, 1)
+        assert kernel_cuts(native_fn, fp, data, mask, marker, roomy) == (len(expect), expect)
+        assert native_cuts(fp, data, mask, marker) == expect
 
 
 class TestInstrumentation:

@@ -1,7 +1,9 @@
 """Tests for the background integrity scrubber: detection and repair of
 persistent shard corruption (replicated and erasure-coded), heartbeat
-slicing, the scrub-under-chaos drill against seeded ``REPRO_FAULTS``
-bit flips, and the injected-vs-detected fault accounting."""
+slicing, a read-side flip on a chunk that node deaths left at its last
+``min_fragments`` items, the scrub-under-chaos drill against seeded
+``REPRO_FAULTS`` bit flips, and the injected-vs-detected fault
+accounting."""
 
 from __future__ import annotations
 
@@ -147,6 +149,72 @@ class TestScrubHealing:
         assert report.repaired == 0 and report.unrepaired == 2
         assert not report.healthy
         assert all(n.holds(ds[0]) for n in holders)  # nothing destroyed
+
+
+class TestScrubAfterDeaths:
+    def test_read_side_flip_on_a_digest_at_min_fragments_heals(self, monkeypatch):
+        """Two holders of an uncommitted chunk die (a death mid-backup:
+        repair is recipe-driven and no recipe names the chunk yet), so it
+        is down to its last 4 of 6 fragments.  A scrub read of one of
+        them serves a flipped bit once.  The heal reads that record
+        again, it verifies, and the two missing fragments are rebuilt:
+        the detection counts as repaired, not unrepaired."""
+        cluster = ChunkStoreCluster(n_nodes=8, scheme=ErasureCodedPlacement(4, 2))
+        payload = b"in flight" * 500
+        digest = chunk_hash(payload)
+        cluster.put_chunk(digest, payload)
+        placed = cluster.placement(digest)
+        for node_id in placed[4:]:
+            cluster.fail_node(node_id)
+        assert cluster.repair().chunks_scanned == 0
+        assert stored_items(cluster) == 4
+        backend = cluster.nodes[placed[0]].backend
+        reads = []
+
+        def flip_first_read(keys):
+            """The fault injector's transient read-side flip, at one read."""
+            values = get_batch(keys)
+            if not reads:
+                values[0] = bytes([values[0][0] ^ 1]) + values[0][1:]
+            reads.append(keys)
+            return values
+
+        get_batch = backend.get_batch
+        monkeypatch.setattr(backend, "get_batch", flip_first_read)
+        report = cluster.scrub()
+        assert (report.corrupt, report.repaired, report.unrepaired) == (1, 1, 0)
+        assert len(reads) == 2  # the scrub's read, and the heal's verified re-read
+        assert stored_items(cluster) == 6
+        assert cluster.scrub().corrupt == 0
+        assert cluster.get_chunk(digest) == payload
+
+    def test_write_lost_to_a_node_dying_mid_heal_lands_on_the_new_ring(self, monkeypatch):
+        """The heal of a corrupt fragment also owes a fragment to a
+        target whose disk is failing.  Its last write attempt is the
+        failure that gets the target declared dead, so the write is lost
+        and the repair that death runs skips the chunk (no recipe names
+        it).  The heal reconciles once more on the new ring."""
+        cluster = ChunkStoreCluster(n_nodes=8, scheme=ErasureCodedPlacement(4, 2))
+        payload = b"in flight" * 500
+        digest = chunk_hash(payload)
+        cluster.put_chunk(digest, payload)
+        placed = cluster.placement(digest)
+        corrupt_stored(cluster.nodes[placed[0]], digest)
+        dying = cluster.nodes[placed[5]]
+        dying.backend.delete_batch([digest])
+
+        def failing(*args):
+            raise OSError("injected disk failure")
+
+        # Four straight failures kill a node: the scrub's listing, the
+        # heal's read, then its two write attempts.
+        for op in ("keys", "contains_batch", "get_batch", "put_batch", "delete_batch"):
+            monkeypatch.setattr(dying.backend, op, failing)
+        report = cluster.scrub()
+        assert not dying.alive and cluster.stats.nodes_died == 1
+        assert (report.corrupt, report.repaired, report.unrepaired) == (1, 1, 0)
+        assert stored_items(cluster) == 6
+        assert cluster.scrub().corrupt == 0
 
 
 class TestScrubUnderChaos:

@@ -1,80 +1,22 @@
-"""The paper's §9 future-work directions, quantified.
+"""The paper's §9 future-work and §2.1 baseline rows this repo can check.
 
-1. Parallel min/max selection ([31, 33]) — removes the Store thread's
-   sequential post-filter limitation that capped the backup case study
-   at 2.5x.
-2. GPUDirect packet I/O ([4]) — NIC-to-GPU DMA removes the 2 GBps SAN
-   reader from the data path.
-3. Multi-GPU scaling — data-parallel chunking across devices.
-4. RE middleboxes ([11]) — WAN bandwidth savings from Shredder chunking.
+1. RE middleboxes ([11]) — WAN bandwidth savings from Shredder chunking,
+   through the ``netre`` tunnel.
+2. SampleByte ([9]) — the §2.1 trade-off: sampling is fast but its dedup
+   degrades as chunks grow, where Rabin's does not.
+
+§9's other directions (parallel min/max selection, GPUDirect packet I/O,
+multi-GPU chunking) come with no number to check a model against, so no
+row here prices them.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.core import Chunker, ChunkerConfig, select_cuts
-from repro.core.parallel_minmax import parallel_select_cuts
-from repro.core.shredder import Shredder, ShredderConfig
+from repro.core import Chunker, ChunkerConfig
 from repro.netre import RETunnel, TrafficConfig, TrafficGenerator
 from repro.workloads import seeded_bytes
 
-GB = 1 << 30
 MB = 1 << 20
-
-
-def test_parallel_minmax(benchmark, report):
-    """Parallel jump-table min/max selection vs sequential greedy."""
-    data = seeded_bytes(4 * MB, seed=81)
-    chunker = Chunker(ChunkerConfig(mask_bits=10, marker=0x2AB))
-    candidates = chunker.candidate_cuts(data)
-    table = report(
-        "Future work: parallel min/max selection (equivalence + wall time)",
-        ["Selector", "Cuts", "Wall ms"],
-        paper_note="§9: incorporate parallel chunking with min/max [31, 33]",
-    )
-
-    def run():
-        t0 = time.perf_counter()
-        seq = select_cuts(candidates, len(data), 2048, 16384)
-        t_seq = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        par = parallel_select_cuts(candidates, len(data), 2048, 16384, workers=4)
-        t_par = time.perf_counter() - t0
-        assert par == seq
-        return seq, t_seq, par, t_par
-
-    seq, t_seq, par, t_par = benchmark(run)
-    table.add("sequential greedy", len(seq), t_seq * 1e3)
-    table.add("parallel jump table", len(par), t_par * 1e3)
-
-
-def test_gpu_direct_and_multi_gpu(benchmark, report):
-    table = report(
-        "Future work: GPUDirect + multi-GPU throughput [GBps, 1 GB modeled]",
-        ["Configuration", "Throughput", "Bottleneck"],
-        paper_note="§9: GPUDirect removes the host from the ingest path",
-    )
-
-    def run():
-        rows = []
-        for name, cfg in [
-            ("baseline (SAN reader @2GBps)", ShredderConfig.gpu_streams_memory()),
-            ("+ GPUDirect (IB @4GBps)", ShredderConfig.gpu_streams_memory(gpu_direct=True)),
-            ("+ GPUDirect + 2 GPUs", ShredderConfig.gpu_streams_memory(gpu_direct=True, num_gpus=2)),
-            ("+ GPUDirect + 4 GPUs", ShredderConfig.gpu_streams_memory(gpu_direct=True, num_gpus=4)),
-        ]:
-            with Shredder(cfg) as shredder:
-                rep = shredder.simulate(GB)
-            rows.append((name, rep.throughput_bps, rep.bottleneck()))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    for name, bps, bottleneck in rows:
-        table.add(name, bps / 1e9, bottleneck)
-    throughputs = [r[1] for r in rows]
-    assert throughputs[1] > 1.5 * throughputs[0]  # GPUDirect lifts reader wall
-    assert throughputs[-1] >= throughputs[1]      # GPUs never hurt
 
 
 def test_re_middlebox(benchmark, report):

@@ -3,9 +3,10 @@
 One scan driver turns bytes into chunks — ``stream_chunks`` (scan +
 incremental min/max stitch) run by ``pipeline_chunks`` (batched
 hashing); ``Chunker`` (whose ``chunk`` is the one-buffer pipeline),
-``HostParallelChunker``, ``Shredder`` and ``ShredderExecutor`` are
-configurations of it.  ``select_cuts`` over ``SerialEngine`` candidates
-is the reference it is tested against.
+``HostParallelChunker`` and ``Shredder`` are configurations of it.
+``select_cuts`` over ``SerialEngine`` candidates is the reference it is
+tested against.  The GPU is a cost model only: ``Shredder.simulate``
+prices the modeled device (``repro.gpu``) and is its one entry point.
 
 The scan itself is ``VectorEngine.candidate_cut_array``: the native
 kernel (``repro.core.native``, a C roll in four interleaved lanes,
@@ -15,7 +16,7 @@ library can be built.
 """
 
 from repro.core.baselines import FixedSizeChunker, SampleByteChunker
-from repro.core.buffers import DoubleBuffer, PinnedRingBuffer, RingSlot
+from repro.core.buffers import PinnedRingBuffer
 from repro.core.chunking import (
     Chunk,
     Chunker,
@@ -37,8 +38,6 @@ from repro.core.engines import (
 )
 from repro.core.hashing import chunk_hash, digest_many
 from repro.core.host_chunker import HOARD, MALLOC, AllocatorModel, HostParallelChunker
-from repro.core.executor import ExecutionTotals, ShredderExecutor
-from repro.core.parallel_minmax import compute_jumps, parallel_select_cuts
 from repro.core.rabin import DEFAULT_WINDOW_SIZE, RabinFingerprinter, default_polynomial
 from repro.core.shredder import Shredder, ShredderConfig, ShredderReport
 from repro.core.stats import (
@@ -56,9 +55,7 @@ from repro.core.stats import snapshot as stats_snapshot
 
 __all__ = [
     "FixedSizeChunker", "SampleByteChunker",
-    "ExecutionTotals", "ShredderExecutor",
-    "compute_jumps", "parallel_select_cuts",
-    "DoubleBuffer", "PinnedRingBuffer", "RingSlot",
+    "PinnedRingBuffer",
     "Chunk", "Chunker", "ChunkerConfig", "chunk_sizes", "ensure_digests",
     "pipeline_chunks", "PipelineError", "select_cuts",
     "DedupIndex", "DedupStats",

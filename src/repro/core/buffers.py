@@ -1,114 +1,51 @@
-"""Host and device staging buffers (§4.1.1 and §4.1.2).
+"""The pinned host staging ring (§4.1.2).
 
-Two buffer disciplines from the paper:
+:class:`PinnedRingBuffer` models a circular ring of page-pinned host
+staging regions allocated *once* at initialization and reused
+round-robin (Fig. 7), so the high cost of pinned allocation is paid a
+constant number of times instead of per transfer.  The ring depth
+matches the number of pipeline stages.
 
-:class:`DoubleBuffer`
-    Twin device buffers used alternately for communication and
-    computation, enabling concurrent copy and execution (Fig. 4).
-
-:class:`PinnedRingBuffer`
-    A circular ring of page-pinned host staging regions allocated *once*
-    at initialization and reused round-robin (Fig. 7), so the high cost of
-    pinned allocation is paid a constant number of times instead of per
-    transfer.  The ring depth matches the number of pipeline stages.
-
-Both track modeled time so the effectiveness experiments (Fig. 5, Fig. 6)
-can be regenerated.
+It prices modeled time only: :meth:`repro.core.shredder.Shredder.simulate`
+charges its staging copy, and Fig. 6 compares its amortized setup cost
+against allocating a fresh pinned (or pageable) buffer per transfer.
+Double buffering (§4.1.1, Fig. 4) is a schedule, not a buffer object:
+:func:`repro.gpu.timeline.double_buffered_schedule`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.gpu.device import DeviceBuffer, GPUDevice
 from repro.gpu.host_memory import HostAllocation, HostMemoryModel
 
-__all__ = ["DoubleBuffer", "PinnedRingBuffer", "RingSlot"]
-
-
-class DoubleBuffer:
-    """Twin (or wider) set of device buffers used round-robin.
-
-    ``next_buffer()`` returns the buffer the next transfer should fill
-    while the kernel may still be consuming the previous one; the timeline
-    scheduler (:func:`repro.gpu.timeline.double_buffered_schedule`)
-    provides the corresponding timing semantics.
-    """
-
-    def __init__(self, device: GPUDevice, buffer_size: int, count: int = 2) -> None:
-        if count < 2:
-            raise ValueError(f"double buffering needs >= 2 buffers, got {count}")
-        self.device = device
-        self.buffers: list[DeviceBuffer] = [device.alloc(buffer_size) for _ in range(count)]
-        self._turn = 0
-
-    def next_buffer(self) -> DeviceBuffer:
-        buf = self.buffers[self._turn % len(self.buffers)]
-        self._turn += 1
-        return buf
-
-    def release(self) -> None:
-        """Free all device buffers."""
-        for buf in self.buffers:
-            self.device.free(buf)
-        self.buffers.clear()
-
-
-@dataclass
-class RingSlot:
-    """One pinned staging region in the ring."""
-
-    index: int
-    allocation: HostAllocation
-    in_use: bool = False
+__all__ = ["PinnedRingBuffer"]
 
 
 @dataclass
 class PinnedRingBuffer:
     """Circular ring of pinned host staging buffers (§4.1.2).
 
-    ``acquire()`` hands out the next free slot round-robin; the caller
-    models a host memcpy from its pageable input region into the slot
-    (``staging_copy_time``) and later calls ``release``.
-
-    ``setup_seconds`` is the one-time allocation cost; ``amortized_cost``
-    lets Fig. 6 compare against allocating a fresh pinned (or pageable)
-    buffer for every transfer.
+    Each transfer is modeled as a host memcpy from its pageable input
+    region into a slot (``staging_copy_time``).  ``setup_seconds`` is
+    the one-time allocation cost; ``amortized_cost`` lets Fig. 6 compare
+    against allocating a fresh pinned (or pageable) buffer for every
+    transfer.
     """
 
     memory: HostMemoryModel
     slot_size: int
     num_slots: int = 4
-    _slots: list[RingSlot] = field(default_factory=list)
-    _next: int = 0
+    _slots: list[HostAllocation] = field(default_factory=list)
     setup_seconds: float = 0.0
-    acquires: int = 0
 
     def __post_init__(self) -> None:
         if self.num_slots < 1:
             raise ValueError("ring needs at least one slot")
-        for i in range(self.num_slots):
-            alloc = self.memory.alloc_pinned(self.slot_size)
-            self._slots.append(RingSlot(i, alloc))
-            self.setup_seconds += alloc.alloc_seconds
-
-    def acquire(self) -> RingSlot:
-        """Next slot, round-robin.  Raises if the ring is saturated."""
         for _ in range(self.num_slots):
-            slot = self._slots[self._next % self.num_slots]
-            self._next += 1
-            if not slot.in_use:
-                slot.in_use = True
-                self.acquires += 1
-                return slot
-        raise RuntimeError(
-            f"pinned ring exhausted: all {self.num_slots} slots are in use"
-        )
-
-    def release(self, slot: RingSlot) -> None:
-        if not slot.in_use:
-            raise ValueError(f"ring slot {slot.index} is not in use")
-        slot.in_use = False
+            alloc = self.memory.alloc_pinned(self.slot_size)
+            self._slots.append(alloc)
+            self.setup_seconds += alloc.alloc_seconds
 
     def staging_copy_time(self, size: int) -> float:
         """Modeled pageable->pinned memcpy for one transfer of ``size``."""
@@ -124,6 +61,6 @@ class PinnedRingBuffer:
 
     def destroy(self) -> None:
         """Release all pinned slots back to the host memory model."""
-        for slot in self._slots:
-            self.memory.free(slot.allocation)
+        for alloc in self._slots:
+            self.memory.free(alloc)
         self._slots.clear()

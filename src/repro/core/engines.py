@@ -446,8 +446,10 @@ class VectorEngine(Engine):
         fold, out = self._fold_table.ctypes.data, self._out_table.ctypes.data
         # Twice the expected count on random data (one candidate per
         # 2**bits positions), and no more than a 256th of the positions,
-        # plus a slack of 64 for each lane's region of the buffer; a scan
-        # that finds more reallocates once, to the exact count.
+        # plus a slack of 64 for each lane's region of the buffer.  A scan
+        # that finds more, or crowds one lane past its region, returns a
+        # capacity above ``cap`` that fits every lane: the one retry is
+        # laned too, and returns the exact count.
         cap = (m >> max(bin(mask).count("1") - 1, 8)) + 64 * native.LANES
         while True:
             cuts = np.empty(cap, dtype=np.int64)

@@ -16,10 +16,13 @@ overlaps, the paper's sub-streams (§4.3) on one core.  An input with
 fewer than :data:`LANE_FLOOR` positions per lane rolls as one serial
 chain.  Each lane writes its candidate cut offsets to its own region of
 a caller-supplied ``int64`` buffer, and the regions are compacted into
-stream order at the end.  The kernel returns the exact total count, so
-a caller whose buffer was too small reallocates to that count and calls
-again; a lane that overran its region while the total fits (skewed
-data) is answered by a serial rescan into the whole buffer.
+stream order at the end.  The kernel returns the exact total count when
+every lane's cuts fit its region.  When one did not (the total is too
+big, or skewed data crowds one lane), it returns ``LANES`` times the
+largest lane count instead, which is always more than the capacity it
+was given: a caller reallocates to the count returned and calls again,
+and that second, laned call fits every lane and returns the exact
+total.  The serial roll returns the exact total too.
 
 The library is built on the first scan, never at import, with the system
 C compiler and loaded with :mod:`ctypes`, which releases the GIL for the
@@ -97,7 +100,8 @@ int64_t repro_rabin_cuts(const uint8_t *d, int64_t n, int64_t w, int32_t lead,
        rounding), and the regions are compacted in order at the end. */
     uint64_t f[LANES];
     int64_t count[LANES], room[LANES], *region[LANES];
-    int64_t m = n - w + 1, seg, t, i, k, total = 0;
+    int64_t m = n - w + 1, seg, t, i, k, total = 0, most = 0;
+    int over = 0;
     const uint8_t *s;
     if (m <= 0)
         return 0;
@@ -139,13 +143,16 @@ int64_t repro_rabin_cuts(const uint8_t *d, int64_t n, int64_t w, int32_t lead,
             count[k]++;
         }
     }
-    for (k = 0; k < LANES; k++)
+    /* A lane that overran its region (always so when the total does
+       not fit) asks for LANES times the largest lane count: more than
+       cap, and a retry at that capacity gives every lane its count. */
+    for (k = 0; k < LANES; k++) {
         total += count[k];
-    if (total > cap)
-        return total;  /* the caller reallocates to the exact count */
-    for (k = 0; k < LANES; k++)
-        if (count[k] > room[k])  /* a lane overran its region: rare */
-            return serial_cuts(d, n, w, lead, fold, out, mask, marker, cuts, cap);
+        over |= count[k] > room[k];
+        most = count[k] > most ? count[k] : most;
+    }
+    if (over)
+        return (int64_t)LANES * most;
     for (i = 0, k = 0; k < LANES; k++) {
         memmove(cuts + i, region[k], count[k] * sizeof *cuts);
         i += count[k];

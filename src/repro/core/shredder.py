@@ -1,7 +1,7 @@
 """The Shredder framework facade (§3.1, §5).
 
 Ties together the four host-driver modules (Reader, Transfer, Chunking
-kernel, Store) over the simulated GPU, with each of the paper's
+kernel, Store) over the modeled GPU, with each of the paper's
 optimizations individually toggleable:
 
 ===================  =======================================  ==========
@@ -13,12 +13,18 @@ pipeline_stages      multi-stage streaming pipeline (1-4)      §4.2
 coalesced_memory     half-warp cooperative memory fetch        §4.3
 ===================  =======================================  ==========
 
-Chunks are always computed for real by the one scan driver
+Other fields: ``chunker`` (window, mask, marker, min/max), ``backend``
+(``"gpu"`` or the ``"cpu"`` pthreads baseline), ``buffer_size``,
+``ring_slots`` (ring depth and the pipeline's buffers in flight), and
+``host_threads`` / ``use_hoard`` (the CPU baseline's cost model).
+
+Chunks are always computed on the host by the one scan driver
 (:func:`~repro.core.chunking.stream_chunks`, batched and hashed by
 :func:`~repro.core.chunking.pipeline_chunks`) — bit-identical across
-all presets; the backend only picks the candidate scan.  The report
-(:meth:`Shredder.simulate`) carries the modeled execution time from
-which the Figure 12 throughput bars are regenerated.
+all presets; the backend only picks the candidate scan.  The GPU is
+priced, never executed: :meth:`Shredder.simulate` is the one GPU model,
+and its report carries the modeled execution time from which the
+Figure 12 throughput bars are regenerated.
 
 Presets
 -------
@@ -49,7 +55,7 @@ from repro.gpu import chunking_kernel as _chunking_kernel
 from repro.gpu.device import GPUDevice
 from repro.gpu.dma import Direction, MemoryType
 from repro.gpu.host_memory import HostMemoryModel
-from repro.gpu.specs import HostSpec, XEON_X5650_HOST
+from repro.gpu.specs import XEON_X5650_HOST
 from repro.gpu.timeline import (
     PhaseCosts,
     ScheduleResult,
@@ -83,16 +89,6 @@ class ShredderConfig:
     coalesced_memory: bool = True
     host_threads: int = 12
     use_hoard: bool = True
-    #: §9 future work: GPUDirect over InfiniBand — the NIC DMAs straight
-    #: into device memory, removing the host staging copy and the 2 GBps
-    #: SAN reader from the data path.
-    gpu_direct: bool = False
-    #: §9 future work: data-parallel chunking across several GPUs (each
-    #: buffer round-robins to a device with its own PCIe link).
-    num_gpus: int = 1
-    #: Effective ingest bandwidth when gpu_direct is on (InfiniBand QDR-
-    #: class fabric of the paper's era: ~4 GB/s).
-    gpu_direct_bandwidth: float = 4e9
 
     def __post_init__(self) -> None:
         if self.backend not in ("gpu", "cpu"):
@@ -103,8 +99,6 @@ class ShredderConfig:
             raise ValueError("pipeline_stages must be in [1, 4]")
         if self.ring_slots < 1:
             raise ValueError("ring_slots must be >= 1")
-        if self.num_gpus < 1:
-            raise ValueError("num_gpus must be >= 1")
 
     # -- presets matching the Figure 12 bars --------------------------------
 
@@ -195,23 +189,14 @@ class Shredder:
     >>> report.throughput_bps / 1e9   # modeled GB/s
     """
 
-    def __init__(
-        self,
-        config: ShredderConfig | None = None,
-        device: GPUDevice | None = None,
-        host_memory: HostMemoryModel | None = None,
-        host: HostSpec = XEON_X5650_HOST,
-    ) -> None:
+    def __init__(self, config: ShredderConfig | None = None) -> None:
         self.config = config or ShredderConfig()
-        self.host = host
-        self.host_memory = host_memory or HostMemoryModel(host)
+        self.host_memory = HostMemoryModel()
         self._ring: PinnedRingBuffer | None = None
         if self.config.backend == "gpu":
             self._chunker = Chunker(self.config.chunker)
-            self.device = device or GPUDevice()
-            self.kernel = _chunking_kernel.ChunkingKernel(
-                self.config.chunker, engine=self._chunker.engine
-            )
+            self.device = GPUDevice()
+            self.kernel = _chunking_kernel.ChunkingKernel(self.config.chunker)
             if self.config.pinned_ring:
                 self._ring = PinnedRingBuffer(
                     self.host_memory, self.config.buffer_size, self.config.ring_slots
@@ -223,7 +208,6 @@ class Shredder:
                 self.config.chunker,
                 threads=self.config.host_threads,
                 allocator=HOARD if self.config.use_hoard else MALLOC,
-                host=host,
             )
         #: The backend's min/max-agnostic marker scan, handed to the
         #: one driver by both :meth:`process` and :meth:`pipeline_batches`.
@@ -266,26 +250,7 @@ class Shredder:
 
     def _gpu_phase_costs(self, size: int, n_chunks: int) -> PhaseCosts:
         cfg = self.config
-        if cfg.gpu_direct:
-            # NIC-to-GPU DMA: no host staging, no SAN reader in the path.
-            # Ingest and PCIe transfer collapse into one stage running at
-            # the slower of the fabric and the (per-GPU) PCIe link.
-            wire = max(
-                size / cfg.gpu_direct_bandwidth,
-                self.device.dma.transfer_time(
-                    size // cfg.num_gpus, Direction.HOST_TO_DEVICE, MemoryType.PINNED
-                ),
-            )
-            kernel = self.kernel.estimate(
-                self.device, size // cfg.num_gpus, boundary_count=n_chunks,
-                coalesced=cfg.coalesced_memory,
-            ).kernel_seconds
-            store = (
-                self.device.download_time(max(1, n_chunks) * BOUNDARY_RECORD_BYTES)
-                + n_chunks * PER_CHUNK_UPCALL_S
-            )
-            return PhaseCosts(0.0, wire, kernel, store)
-        read = size / self.host.reader_bandwidth
+        read = size / XEON_X5650_HOST.reader_bandwidth
         if cfg.pinned_ring:
             assert self._ring is not None
             transfer = self._ring.staging_copy_time(size) + self.device.dma.transfer_time(
@@ -303,12 +268,8 @@ class Shredder:
             transfer = self.device.dma.transfer_time(
                 size, Direction.HOST_TO_DEVICE, MemoryType.PAGEABLE
             )
-        if cfg.num_gpus > 1:
-            # Buffers round-robin across devices: each device sees 1/k of
-            # the stream, and each has its own PCIe link.
-            transfer /= cfg.num_gpus
         kernel = self.kernel.estimate(
-            self.device, max(1, size // cfg.num_gpus), boundary_count=n_chunks,
+            self.device, size, boundary_count=n_chunks,
             coalesced=cfg.coalesced_memory,
         ).kernel_seconds
         store = (

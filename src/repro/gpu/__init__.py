@@ -1,8 +1,13 @@
-"""Simulated GPU substrate: a Tesla C2050 model parameterized by Table 1."""
+"""Modeled GPU substrate: a Tesla C2050 cost model parameterized by Table 1.
+
+Nothing here executes or holds data: ``repro.core.shredder.Shredder.simulate``
+and the figure scripts price DMA, device memory, the chunking kernel and
+the pipeline schedule through these models.
+"""
 
 from repro.gpu.chunking_kernel import ChunkingKernel, KernelStats, divergence_factor
 from repro.gpu.coalescing import coalesce_half_warp, coalesced_trace, is_coalescable, naive_trace
-from repro.gpu.device import DeviceBuffer, DeviceMemoryError, GPUDevice
+from repro.gpu.device import GPUDevice
 from repro.gpu.device_memory import AccessStats, DeviceMemoryConfig, DeviceMemoryModel
 from repro.gpu.dma import DMAModel, DMATransfer, Direction, MemoryType
 from repro.gpu.host_memory import HostAllocation, HostMemoryModel
@@ -19,7 +24,7 @@ from repro.gpu.timeline import (
 __all__ = [
     "ChunkingKernel", "KernelStats", "divergence_factor",
     "coalesce_half_warp", "coalesced_trace", "is_coalescable", "naive_trace",
-    "DeviceBuffer", "DeviceMemoryError", "GPUDevice",
+    "GPUDevice",
     "AccessStats", "DeviceMemoryConfig", "DeviceMemoryModel",
     "DMAModel", "DMATransfer", "Direction", "MemoryType",
     "HostAllocation", "HostMemoryModel",

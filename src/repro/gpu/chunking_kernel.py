@@ -1,17 +1,18 @@
-"""The content-based chunking kernel (§3.1, §4.3, §5.2.2).
+"""The content-based chunking kernel's timing model (§3.1, §4.3, §5.2.2).
 
 The kernel divides a device buffer into equal sub-streams, one per thread;
 each thread computes a sliding-window Rabin fingerprint over its
 sub-stream (plus a ``window-1`` byte overlap into its neighbour) and
 records a boundary wherever the masked fingerprint equals the marker.
 
-Correctness: boundaries are computed for real by the shared NumPy engine
-(bit-identical to the host chunker — the windows evaluated are the same
-regardless of which thread evaluates them).
+Correctness is not modeled here: the boundaries come from the host scan
+driver (:func:`repro.core.chunking.stream_chunks`), bit-identical to the
+serial reference — the windows evaluated are the same regardless of
+which thread evaluates them.  This module prices the kernel only.
 
 Timing: a roofline of the two resources the paper identifies —
 
-* *compute*: ``cycles_per_byte`` per thread across all scalar processors,
+* *compute*: ``CYCLES_PER_BYTE`` per thread across all scalar processors,
   inflated by warp divergence when boundary hits make threads branch
   (§5.2.2 "Warp divergence"), and by the sub-stream overlap bytes;
 * *memory*: the banked device-memory model run over a representative
@@ -27,12 +28,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.chunking import ChunkerConfig
-from repro.core.engines import VectorEngine, default_engine
 from repro.gpu import coalescing
-from repro.gpu.device import DeviceBuffer, GPUDevice
+from repro.gpu.device import GPUDevice
 from repro.gpu.device_memory import DeviceMemoryConfig, DeviceMemoryModel
 
 __all__ = ["KernelStats", "ChunkingKernel", "divergence_factor"]
@@ -90,84 +88,28 @@ def _memory_stats(memory: DeviceMemoryConfig, n: int, threads: int, coalesced: b
 
 
 class ChunkingKernel:
-    """Simulated GPU chunking kernel.
+    """Timing model of the GPU chunking kernel.
 
-    Parameters
-    ----------
-    config:
-        Chunking parameters (window, mask, marker).  min/max are *not*
-        applied here — the GPU returns raw candidate boundaries and the
-        Store thread post-filters them (§7.3).
-    threads_per_sp:
-        Resident threads per scalar processor (occupancy); the paper's
-        kernel launches many more threads than SPs to hide latency.
-    cycles_per_byte:
-        Per-thread cost of one sliding-window step: two table lookups,
-        shift/mask/xor, marker compare and loop bookkeeping, with the
-        loop-unrolled, RAW-avoiding instruction scheduling of §5.2.2.
-    restructured:
-        Whether the divergence-minimizing restructuring of §5.2.2 is on.
+    ``config`` gives the chunking parameters (window, mask, marker).
+    min/max are *not* applied here — the GPU returns raw candidate
+    boundaries and the Store thread post-filters them (§7.3).
     """
 
-    def __init__(
-        self,
-        config: ChunkerConfig | None = None,
-        engine: VectorEngine | None = None,
-        threads_per_sp: int = 8,
-        cycles_per_byte: float = 55.0,
-        restructured: bool = True,
-    ) -> None:
+    #: Resident threads per scalar processor (occupancy); the paper's
+    #: kernel launches many more threads than SPs to hide latency.
+    THREADS_PER_SP = 8
+    #: Per-thread cost of one sliding-window step: two table lookups,
+    #: shift/mask/xor, marker compare and loop bookkeeping, with the
+    #: loop-unrolled, RAW-avoiding instruction scheduling of §5.2.2.
+    CYCLES_PER_BYTE = 55.0
+    #: The divergence-minimizing restructuring of §5.2.2 is on.
+    RESTRUCTURED = True
+
+    def __init__(self, config: ChunkerConfig | None = None) -> None:
         self.config = config or ChunkerConfig()
-        self.engine = engine or default_engine()
-        if self.engine.window_size != self.config.window_size:
-            raise ValueError("engine window size does not match chunker config")
-        if threads_per_sp < 1:
-            raise ValueError("threads_per_sp must be >= 1")
-        self.threads_per_sp = threads_per_sp
-        self.cycles_per_byte = cycles_per_byte
-        self.restructured = restructured
 
     def thread_count(self, device: GPUDevice) -> int:
-        return device.spec.total_sps * self.threads_per_sp
-
-    def occupancy_report(self, device: GPUDevice, coalesced: bool = True):
-        """Resident blocks/warps per SM for this kernel's resource usage.
-
-        The coalesced kernel stages a full 48 KB tile in shared memory, so
-        shared memory limits it to one block per SM; the naive kernel uses
-        no shared memory and is limited by warp slots.  The timing
-        calibration (``cycles_per_byte``) absorbs the resulting latency-
-        hiding difference; this report exposes *why*.
-        """
-        from repro.gpu.occupancy import KernelResources, occupancy
-
-        resources = KernelResources(
-            shared_memory_per_block=device.spec.shared_memory_per_sm if coalesced else 0
-        )
-        return occupancy(resources, device.spec)
-
-    # ------------------------------------------------------------------
-
-    def run(
-        self, device: GPUDevice, buf: DeviceBuffer, coalesced: bool = True
-    ) -> tuple[list[int], KernelStats]:
-        """Execute the kernel over a device buffer.
-
-        Returns ``(candidate_cuts, stats)`` where cuts are exclusive end
-        offsets within the buffer (min/max-agnostic).  The device buffer
-        is scanned through its NumPy view — zero copies — via the
-        engine's striped data-parallel path, which is the same
-        lane-per-sub-stream layout the real kernel uses (§3.1).
-        """
-        data = buf.view()
-        n = int(data.size)
-        cut_array = self.engine.candidate_cut_array(
-            data, self.config.mask, self.config.marker
-        )
-        stats = self.estimate(
-            device, n, boundary_count=int(cut_array.size), coalesced=coalesced
-        )
-        return cut_array.tolist(), stats
+        return device.spec.total_sps * self.THREADS_PER_SP
 
     def estimate(
         self,
@@ -186,10 +128,10 @@ class ChunkingKernel:
         # -- compute roofline ------------------------------------------------
         windows = max(1, n - self.config.window_size + 1)
         boundary_fraction = min(1.0, boundary_count / windows)
-        div = divergence_factor(boundary_fraction, spec.warp_size, self.restructured)
+        div = divergence_factor(boundary_fraction, spec.warp_size, self.RESTRUCTURED)
         # Each thread re-scans window-1 bytes of overlap into its neighbour.
         scanned = n + threads * (self.config.window_size - 1)
-        compute_cycles = scanned * self.cycles_per_byte * div / spec.total_sps
+        compute_cycles = scanned * self.CYCLES_PER_BYTE * div / spec.total_sps
         compute_bps = n / compute_cycles * spec.clock_hz
 
         # -- memory roofline -------------------------------------------------

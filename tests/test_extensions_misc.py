@@ -1,4 +1,4 @@
-"""Tests for occupancy, HDFS re-replication, backup GC, persistence, CLI."""
+"""Tests for HDFS re-replication, backup GC, persistence, CLI."""
 
 from __future__ import annotations
 
@@ -6,71 +6,9 @@ import pytest
 
 from repro.backup import ChunkStore, SnapshotRecipe
 from repro.core.hashing import chunk_hash
-from repro.gpu import GPUDevice
-from repro.gpu.occupancy import (
-    MAX_BLOCKS_PER_SM,
-    MAX_WARPS_PER_SM,
-    KernelResources,
-    occupancy,
-)
 from repro.hdfs import HDFSCluster
 from repro.mapreduce import MemoServer
 from repro.workloads import seeded_bytes
-
-
-class TestOccupancy:
-    def test_shared_memory_limits_coalesced_kernel(self):
-        """A full 48 KB tile per block allows exactly one block per SM."""
-        occ = occupancy(KernelResources(shared_memory_per_block=48 * 1024))
-        assert occ.blocks_per_sm == 1
-        assert occ.limiting_resource == "shared memory"
-
-    def test_no_shared_memory_limited_elsewhere(self):
-        occ = occupancy(KernelResources(shared_memory_per_block=0))
-        assert occ.blocks_per_sm > 1
-        assert occ.limiting_resource != "shared memory"
-
-    def test_register_pressure(self):
-        occ = occupancy(
-            KernelResources(
-                threads_per_block=512,
-                registers_per_thread=60,
-                shared_memory_per_block=0,
-            )
-        )
-        assert occ.limiting_resource == "registers"
-        assert occ.blocks_per_sm == 1  # 512*60 > 32768/2
-
-    def test_block_slot_ceiling(self):
-        occ = occupancy(
-            KernelResources(
-                threads_per_block=32, registers_per_thread=1,
-                shared_memory_per_block=0,
-            )
-        )
-        assert occ.blocks_per_sm <= MAX_BLOCKS_PER_SM
-
-    def test_warps_never_exceed_hardware(self):
-        for tpb in (32, 128, 512, 1024):
-            occ = occupancy(
-                KernelResources(threads_per_block=tpb, shared_memory_per_block=0)
-            )
-            assert occ.warps_per_sm <= MAX_WARPS_PER_SM
-            assert 0.0 <= occ.occupancy_fraction <= 1.0
-
-    def test_kernel_report(self):
-        from repro.gpu import ChunkingKernel
-
-        device = GPUDevice()
-        kernel = ChunkingKernel()
-        coalesced = kernel.occupancy_report(device, coalesced=True)
-        naive = kernel.occupancy_report(device, coalesced=False)
-        assert coalesced.limiting_resource == "shared memory"
-        assert naive.blocks_per_sm > coalesced.blocks_per_sm
-
-    def test_invalid_resources(self):
-        with pytest.raises(ValueError):
-            KernelResources(threads_per_block=0)
 
 
 class TestReReplication:

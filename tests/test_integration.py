@@ -2,8 +2,7 @@
 
 Each test drives several packages together the way a deployment would:
 Shredder feeding Inc-HDFS feeding Incoop; the backup server rotating
-snapshots with retention; the threaded executor as the HDFS upload
-engine; RE tunnels carrying backup traffic.
+snapshots with retention; RE tunnels carrying backup traffic.
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ from repro.backup import (
     BackupServer,
     MasterImage,
     SimilarityTable,
-    SnapshotRecipe,
 )
 from repro.core.chunking import ChunkerConfig
-from repro.core.executor import ShredderExecutor
 from repro.core.shredder import Shredder, ShredderConfig
-from repro.hdfs import BlockInfo, HDFSCluster
+from repro.hdfs import HDFSCluster
 from repro.mapreduce import AffinityScheduler, IncoopRuntime, MemoServer
 from repro.mapreduce.applications import (
     kmeans_iterate,
@@ -126,24 +123,6 @@ class TestBackupRetention:
             server.agent.store.garbage_collect()  # no recipes deleted: no-op
             for gen in range(4):
                 assert server.agent.restore(f"g{gen}") == snaps[gen]
-
-
-class TestExecutorAsUploadEngine:
-    def test_executor_chunks_feed_hdfs(self):
-        """The threaded executor can drive the Inc-HDFS upload path."""
-        cluster = HDFSCluster()
-        text = generate_text(120_000, seed=76)
-        executor = ShredderExecutor(UPLOAD)
-        chunks, totals = executor.run(text)
-        # Store the executor's chunks as blocks directly: chunks and a
-        # recipe on the site's store, then the file in the namespace.
-        cluster.store.put_chunks((c.digest, c.data) for c in chunks)
-        digests = tuple(c.digest for c in chunks)
-        cluster.store.put_recipe(SnapshotRecipe("/exec", digests, len(text)))
-        blocks = [BlockInfo(c.length, c.digest) for c in chunks]
-        cluster.namenode.create_file("/exec", blocks, content_based=True)
-        assert cluster.client.read("/exec") == text
-        assert totals.buffers >= 1
 
 
 class TestBackupOverRETunnel:

@@ -24,7 +24,6 @@ from repro.core import (
     HostParallelChunker,
     Shredder,
     ShredderConfig,
-    ShredderExecutor,
     pipeline_chunks,
     select_cuts,
 )
@@ -133,9 +132,6 @@ DRIVERS = {
     "HostParallelChunker.chunk": lambda cfg, data, sizes: HostParallelChunker(
         cfg, threads=3
     ).chunk(data),
-    "ShredderExecutor.run": lambda cfg, data, sizes: ShredderExecutor(
-        _shredder_config("gpu", cfg, sizes)
-    ).run(iter(split(data, sizes)))[0],
 }
 
 

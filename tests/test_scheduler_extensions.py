@@ -1,4 +1,4 @@
-"""Tests for the affinity scheduler and the GPUDirect/multi-GPU extensions."""
+"""Tests for the affinity scheduler, alone and driving Incoop."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.core.shredder import Shredder, ShredderConfig
 from repro.mapreduce.scheduler import AffinityScheduler
-
-GB = 1 << 30
 
 
 class TestAffinityScheduler:
@@ -82,44 +80,3 @@ class TestIncoopWithScheduler:
         # Re-run finds every memoized result where it was left.
         assert incoop.last_schedule.locality_rate > 0.7
         assert second.stats.makespan_seconds < first.stats.makespan_seconds
-
-
-class TestGPUDirect:
-    def test_removes_reader_bottleneck(self):
-        base = ShredderConfig.gpu_streams_memory()
-        direct = ShredderConfig.gpu_streams_memory(gpu_direct=True)
-        with Shredder(base) as a, Shredder(direct) as b:
-            t_base = a.simulate(GB)
-            t_direct = b.simulate(GB)
-        assert t_base.bottleneck() == "read"
-        assert t_direct.throughput_bps > 1.5 * t_base.throughput_bps
-
-    def test_chunks_unaffected(self):
-        from repro.core.chunking import ChunkerConfig
-        from repro.workloads import seeded_bytes
-
-        data = seeded_bytes(1 << 20, seed=66)
-        cfg = ChunkerConfig(mask_bits=8, marker=0x55)
-        with Shredder(ShredderConfig.gpu_streams_memory(chunker=cfg)) as a:
-            plain, _ = a.process(data)
-        with Shredder(
-            ShredderConfig.gpu_streams_memory(chunker=cfg, gpu_direct=True)
-        ) as b:
-            direct, _ = b.process(data)
-        assert [c.digest for c in plain] == [c.digest for c in direct]
-
-
-class TestMultiGPU:
-    def test_scaling_saturates_at_reader(self):
-        throughputs = []
-        for k in (1, 2, 4):
-            cfg = ShredderConfig.gpu_streams(num_gpus=k)  # naive kernel: GPU-bound
-            with Shredder(cfg) as s:
-                throughputs.append(s.simulate(GB).throughput_bps)
-        assert throughputs[1] > 1.5 * throughputs[0]  # 2 GPUs nearly double
-        # With 4 GPUs the 2 GBps reader dominates; scaling flattens.
-        assert throughputs[2] < 2.2e9
-
-    def test_invalid_gpu_count(self):
-        with pytest.raises(ValueError):
-            ShredderConfig(num_gpus=0)

@@ -154,7 +154,6 @@ class TestTimingShape:
             (ShredderConfig.gpu_basic(), 32),
             (ShredderConfig.gpu_streams(), 32),
             (replace(ShredderConfig.gpu_streams(), pinned_ring=False), 32),
-            (ShredderConfig.gpu_streams_memory(gpu_direct=True, num_gpus=2), 32),
             # ... and the sizes the figure scripts sweep.
             *((ShredderConfig.gpu_streams_memory(), mb) for mb in (16, 32, 64, 128, 256)),
         ],
@@ -199,7 +198,6 @@ GOLDEN_REPORTS = {
     "gpu_streams_memory": ("4fb052199c8f9f7e", "801266be8e9dea3e", "6aa568478e085461", "164a3837cd144338"),
     "cpu": ("22198fd0e87511f7", "e410603266a0f819", "4d8bfd5b46aab638", "022792b340db5b24"),
     "cpu_nohoard": ("5f2fe1a41154dda5", "f7c0a2660b5dd456", "43dccaaf6be59918", "e2fd25702963a2d4"),
-    "gpu_direct_2gpus": ("9483a4906be09798", "786882cb2b4a74ca", "d716d758459815e4", "830c15b21561233b"),
     "gpu_basic_16mb": ("175d4ab05d85c011", "468e8f083d30f6d1", "a1763ece311988ae", "0bec15d271a03f74"),
 }
 GOLDEN_CONFIGS = {
@@ -208,7 +206,6 @@ GOLDEN_CONFIGS = {
     "gpu_streams_memory": ShredderConfig.gpu_streams_memory,
     "cpu": ShredderConfig.cpu,
     "cpu_nohoard": lambda: ShredderConfig.cpu(hoard=False),
-    "gpu_direct_2gpus": lambda: ShredderConfig.gpu_streams_memory(gpu_direct=True, num_gpus=2),
     "gpu_basic_16mb": lambda: ShredderConfig.gpu_basic(buffer_size=16 * MB),
 }
 

@@ -331,8 +331,8 @@ def stream_chunks(
     quadratic re-scan of a growing carry.
 
     ``candidate_fn(data) -> cuts`` supplies min/max-agnostic marker cuts
-    (e.g. ``Chunker.candidate_cuts`` or the simulated device's); min/max
-    selection runs incrementally here against the true previous boundary.
+    (e.g. ``Chunker.candidate_cuts``); min/max selection runs
+    incrementally here against the true previous boundary.
 
     Zero-copy applies to *read-only* buffers (bytes, read-only
     memoryviews, mmaps).  Writable buffers (bytearray, writable NumPy

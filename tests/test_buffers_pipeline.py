@@ -41,3 +41,25 @@ class TestPinnedRingBuffer:
         assert mem.pinned_bytes == 2 * MB
         ring.destroy()
         assert mem.pinned_bytes == 0
+
+    def test_needs_a_slot(self):
+        with pytest.raises(ValueError, match="slot"):
+            PinnedRingBuffer(HostMemoryModel(), MB, num_slots=0)
+
+    def test_setup_is_the_slot_allocations(self):
+        """The one-time setup is the slots' pinned allocations, spread
+        evenly over the transfers that reuse them."""
+        ring = PinnedRingBuffer(HostMemoryModel(), 8 * MB, num_slots=3)
+        one_slot = HostMemoryModel().alloc_pinned(8 * MB).alloc_seconds
+        assert ring.setup_seconds == pytest.approx(3 * one_slot)
+        assert ring.amortized_cost(6) == pytest.approx(ring.setup_seconds / 6)
+
+    def test_amortized_cost_needs_transfers(self):
+        ring = PinnedRingBuffer(HostMemoryModel(), MB, num_slots=1)
+        with pytest.raises(ValueError, match="positive"):
+            ring.amortized_cost(0)
+
+    def test_staging_copy_is_a_host_memcpy(self):
+        mem = HostMemoryModel()
+        ring = PinnedRingBuffer(mem, 4 * MB, num_slots=2)
+        assert ring.staging_copy_time(3 * MB) == mem.memcpy_time(3 * MB)

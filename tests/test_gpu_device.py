@@ -6,6 +6,7 @@ import pytest
 
 from repro.gpu.chunking_kernel import ChunkingKernel, divergence_factor
 from repro.gpu.device import GPUDevice
+from repro.gpu.dma import Direction, MemoryType
 from repro.gpu.host_memory import HostMemoryModel
 from repro.gpu.specs import TESLA_C2050, XEON_X5650_HOST, table1_rows
 
@@ -98,7 +99,40 @@ class TestDivergence:
             divergence_factor(1.5)
 
 
+class TestDevice:
+    def test_defaults_to_the_paper_gpu(self, device):
+        assert device.spec is TESLA_C2050
+        assert device.dma.gpu is TESLA_C2050
+
+    def test_download_is_a_device_to_host_transfer(self, device):
+        assert device.download_time(MB) == device.dma.transfer_time(
+            MB, Direction.DEVICE_TO_HOST, MemoryType.PINNED
+        )
+
+    def test_pageable_download_slower(self, device):
+        assert device.download_time(64 * MB, MemoryType.PAGEABLE) > device.download_time(
+            64 * MB
+        )
+
+
 class TestChunkingKernel:
+    def test_thread_count_oversubscribes_sps(self, device):
+        kernel = ChunkingKernel()
+        assert kernel.thread_count(device) == TESLA_C2050.total_sps * kernel.THREADS_PER_SP
+
+    def test_kernel_is_restructured(self, device):
+        """§5.2.2's divergence restructuring is always on: a dense
+        boundary stream pays the restructured factor, not a serialized
+        warp."""
+        n = 64 * MB
+        stats = ChunkingKernel().estimate(device, n, boundary_count=n // 2)
+        windows = n - ChunkingKernel().config.window_size + 1
+        assert stats.divergence == divergence_factor(
+            (n // 2) / windows, TESLA_C2050.warp_size, restructured=True
+        )
+        assert stats.divergence < TESLA_C2050.warp_size
+
+
     def test_coalesced_beats_naive(self, device):
         kernel = ChunkingKernel()
         naive = kernel.estimate(device, 64 * MB, coalesced=False)

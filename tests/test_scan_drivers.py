@@ -109,6 +109,17 @@ def _shredder_whole(backend: str):
     return run
 
 
+def _shredder_whole_batches(backend: str):
+    """The facade's batched path handed one buffer, as the backup
+    server and the service client call it."""
+
+    def run(cfg, data, sizes):
+        with Shredder(_shredder_config(backend, cfg, sizes)) as shredder:
+            return flat(shredder.pipeline_batches(data, batch_chunks=5))
+
+    return run
+
+
 def _process(shredder, pieces):
     return shredder.process(pieces)[0]
 
@@ -129,6 +140,8 @@ DRIVERS = {
     "Shredder.pipeline_batches[cpu]": _shredder("cpu", _batches),
     "Shredder.chunk[gpu]": _shredder_whole("gpu"),
     "Shredder.chunk[cpu]": _shredder_whole("cpu"),
+    "Shredder.pipeline_batches[gpu,whole]": _shredder_whole_batches("gpu"),
+    "Shredder.pipeline_batches[cpu,whole]": _shredder_whole_batches("cpu"),
     "HostParallelChunker.chunk": lambda cfg, data, sizes: HostParallelChunker(
         cfg, threads=3
     ).chunk(data),

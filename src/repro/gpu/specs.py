@@ -26,13 +26,10 @@ class GPUSpec:
     sps_per_sm: int = 32
     clock_hz: float = 1.15e9
     gflops: float = 1030.0
-    device_memory_bytes: int = int(2.6 * GB)
     #: Peak global-memory bandwidth (Table 1: 144 GBps).
     device_memory_bandwidth: float = 144e9
     #: Global-memory access latency range in cycles (Table 1: 400-600).
     device_memory_latency_cycles: tuple[int, int] = (400, 600)
-    shared_memory_per_sm: int = 48 * KB
-    registers_per_sm: int = 32768
     warp_size: int = 32
     #: Effective PCIe DMA bandwidth (Table 1: 5.406 / 5.129 GBps).
     h2d_bandwidth: float = 5.406e9

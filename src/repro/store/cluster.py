@@ -47,8 +47,9 @@ Over that seam there is one of each path:
   until ``min_fragments`` verified items are in hand, and falls through
   erroring or corrupt holders instead of failing (``degraded_reads`` /
   ``corrupt_reads`` / ``ec_parity_decodes`` in :class:`ClusterStats`);
-* **write** — ``put_chunk`` sends item ``i`` to placement position
-  ``i`` with bounded retry, and acks only a reconstructable set;
+* **write** — ``put_chunks`` sends item ``i`` to placement position
+  ``i`` with bounded retry, and acks only a reconstructable set; a
+  ``batch_size`` window is one ``encode`` and one write per node;
 * **reconcile** — :meth:`_reconcile` diffs the desired placement
   against what verified holders cover and rebuilds only the missing
   items (fragment-sized traffic under erasure coding).  :meth:`repair`,
@@ -71,7 +72,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterator
+from typing import TYPE_CHECKING, Collection, Iterator, Mapping
 
 from repro.faults import FaultPlan
 from repro.store.backend import (
@@ -86,6 +87,7 @@ from repro.store.node import NodeDownError, StoreNode
 from repro.store.ring import HashRing
 from repro.store.schemes import (
     CorruptItemError,
+    ItemWrite,
     PlacementScheme,
     ReplicatedPlacement,
 )
@@ -567,22 +569,25 @@ class ChunkStoreCluster:
     READ_ATTEMPTS = 3
 
     def _put_with_retry(
-        self, node: StoreNode, digest: bytes, index: int, payload: bytes,
-        chunk_len: int,
-    ) -> bool | None:
-        """Write item ``index`` of a chunk to ``node``, with bounded retry.
+        self, node: StoreNode, writes: list[ItemWrite]
+    ) -> list[bool] | None:
+        """Write a batch of items to ``node`` in one ``scheme.write``,
+        with bounded retry.
 
-        Returns the insert-if-absent flag of ``scheme.write`` — ``False``
+        Returns the insert-if-absent flags of ``scheme.write`` — ``False``
         means the node already held a record under the digest, which
         lands the write just the same — or ``None`` when nothing landed
         because the node is gone.  Raises the final OSError only when
         the target is still a live ring member after exhausting its
         attempts — a node the failed writes killed has left the replica
-        set and is not owed a copy.
+        set and is not owed a copy.  A failed attempt may have applied a
+        prefix of the batch (a torn write); the retry rewrites the whole
+        batch, and insert-if-absent makes that idempotent — the records
+        the torn attempt landed just read as already present.
         """
         for attempt in range(self.put_attempts):
             try:
-                inserted = self.scheme.write(node, digest, index, payload, chunk_len)
+                inserted = self.scheme.write(node, writes)
             except NodeDownError:
                 return None  # raced a declared death; placement shrank
             except OSError:
@@ -598,57 +603,118 @@ class ChunkStoreCluster:
         return None
 
     def put_chunk(self, digest: bytes, data: bytes) -> bool:
-        """Store a chunk on every placement target; False if known.
+        """Store one chunk; False if known (see :meth:`put_chunks`)."""
+        return self.put_chunks([(digest, data)])[0]
 
-        Item ``i`` of ``scheme.encode`` goes to preference position
-        ``i``.  Durability is strict: if any placement write errors past
-        its retry budget, the error propagates (after every target was
-        attempted) — an acked chunk has an item on every target that is
-        still alive, at least ``min_fragments`` of them (fewer cannot
-        reconstruct — a partial set that acked would be silent data
-        loss on the first degraded read).  Items that did land make the
-        caller's retry a cheap content-addressed no-op.
+    def put_chunks(self, items) -> list[bool]:
+        """Store a batch of ``(digest, data)``; per chunk, False if it
+        was already known.
+
+        The batch is written one ``batch_size`` window at a time, in
+        three batched steps: the window's placements (through the memo),
+        one ``scheme.encode`` of all its chunks, and one write per node
+        (:meth:`_put_with_retry` → ``scheme.write`` → one backend
+        ``put_batch``) carrying every item the window places there —
+        item ``i`` of a chunk goes to its preference position ``i``.
+        Each node's records land in chunk order, so its log holds the
+        same bytes as a chunk-at-a-time put would leave.
+
+        Durability is strict: if a node's write errors past its retry
+        budget, the error propagates — after every other node of the
+        window was written — and an acked chunk has an item on every
+        target that is still alive, at least ``min_fragments`` of them
+        (fewer cannot reconstruct — a partial set that acked would be
+        silent data loss on the first degraded read).  A chunk left
+        short because targets died mid-window is placed again on the
+        shrunken ring (bounded by node count).  Items that did land
+        make the caller's retry a cheap content-addressed no-op.
 
         There is no "do you have it?" round first: every node put is
         insert-if-absent, and its return value already says whether the
-        record was there (which counts as landed).
+        record was there (which counts as landed).  A chunk is known
+        when ``min_fragments`` of its targets already held it — a repeat
+        earlier in the same batch included.
         """
-        need = self.scheme.min_fragments
+        items = list(items)
+        new: list[bool] = []
+        for window in self._windows(items):
+            new += self._put_window(window)
+        return new
+
+    def _targets(self, digest: bytes) -> list[StoreNode]:
+        """The alive placement targets of a chunk about to be written;
+        :class:`NodeDownError` when too few are left to reconstruct it."""
         targets = self._placement(digest)
+        need = self.scheme.min_fragments
         if len(targets) < need:
             raise NodeDownError(
                 f"only {len(targets)} alive placement targets for "
                 f"{self.scheme.name} chunk {digest.hex()[:16]}, need {need}"
             )
-        items = self.scheme.encode(data)
+        return targets
+
+    def _put_window(self, window: list[tuple[bytes, bytes]]) -> list[bool]:
+        """:meth:`put_chunks` of one window."""
+        need = self.scheme.min_fragments
+        placements = [self._targets(digest) for digest, _ in window]
+        encoded = self.scheme.encode([data for _, data in window])
+        # Per node, its writes in chunk order and the chunk each serves.
+        batches: dict[StoreNode, tuple[list[ItemWrite], list[int]]] = {}
+        for i, ((digest, data), targets, chunk_items) in enumerate(
+            zip(window, placements, encoded)
+        ):
+            for position, node in enumerate(targets):
+                writes, owners = batches.setdefault(node, ([], []))
+                writes.append((digest, position, chunk_items[position], len(data)))
+                owners.append(i)
+        landed = [0] * len(window)
+        already = [0] * len(window)
         last_error: OSError | None = None
-        landed = already = 0
-        for position, node in enumerate(targets):
+        for node, (writes, owners) in batches.items():
             try:
-                inserted = self._put_with_retry(
-                    node, digest, position, items[position], len(data)
-                )
+                inserted = self._put_with_retry(node, writes)
             except OSError as exc:
                 last_error = exc
                 continue
             if inserted is not None:
-                landed += 1
-                already += not inserted
+                for i, new in zip(owners, inserted):
+                    landed[i] += 1
+                    already[i] += not new
         if last_error is not None:
             raise last_error
-        if landed < need:
-            # Too many targets died mid-put to serve the chunk: re-place
-            # on the shrunken ring (bounded by node count).
-            return self.put_chunk(digest, data)
-        return already < need
+        short = {window[i][0]: window[i][1] for i, n in enumerate(landed) if n < need}
+        if short:
+            self._place_again(short)
+        return [count < need for count in already]
+
+    def _place_again(self, chunks: dict[bytes, bytes]) -> None:
+        """Place again the chunks that landed fewer than
+        ``min_fragments`` items because targets died mid-put.
+
+        One reconcile on the shrunken ring, with the chunks in hand: the
+        items that landed stay where they are, whatever index they hold,
+        and only the indices no target covers are written.  Putting the
+        chunk again at its new positions could not do that — a survivor
+        answers "already held" for an index another target is then given
+        too, and the put would ack a set that does not reconstruct.
+        Raises like a put: :class:`NodeDownError` when too few targets
+        are alive, ``OSError`` when a write to a live target failed.
+        """
+        while chunks:
+            for digest in chunks:
+                self._targets(digest)
+            ring = self.ring.version
+            _lost, short = self._reconcile(list(chunks), MigrationReport(), chunks=chunks)
+            if short and self.ring.version == ring:
+                raise OSError(
+                    f"{len(short)} chunk(s) short of their placement: "
+                    "a write to a live target failed"
+                )
+            # A target died during the pass: once more on the new ring.
+            chunks = {digest: chunks[digest] for digest in short}
 
     def has_chunk(self, digest: bytes) -> bool:
         return self.has_chunks([digest])[0]
-
-    def put_chunks(self, items) -> list[bool]:
-        """Store a batch of ``(digest, data)``; placement is per digest,
-        so this is a convenience loop, not a single backend write."""
-        return [self.put_chunk(digest, data) for digest, data in items]
 
     def get_chunk(self, digest: bytes) -> bytes:
         data = self._read_any(digest)
@@ -1053,7 +1119,7 @@ class ChunkStoreCluster:
         if replace and self._ask(node, node.delete_chunk, digest) is None:
             return False
         try:
-            landed = self._put_with_retry(node, digest, index, payload, chunk_len)
+            landed = self._put_with_retry(node, [(digest, index, payload, chunk_len)])
         except OSError:
             return False
         return landed is not None
@@ -1064,6 +1130,7 @@ class ChunkStoreCluster:
         report: MigrationReport,
         drop_strays: bool = False,
         distrust: Collection[str] = (),
+        chunks: Mapping[bytes, bytes] | None = None,
     ) -> tuple[list[bytes], list[bytes]]:
         """Make each digest's current placement hold its full item set.
 
@@ -1082,7 +1149,9 @@ class ChunkStoreCluster:
           write landed: the placement verifiably holds a full set.
 
         A record in ``distrust`` is rebuilt over when the others suffice,
-        and is read again, verified, only when they do not.
+        and is read again, verified, only when they do not.  A digest
+        whose chunk is in ``chunks`` (a put placing it again) takes its
+        items from the chunk, not from what the holders still have.
 
         Work accumulates into ``report`` (``bytes_moved`` is the size of
         the items written).  Returns ``(lost, short)``: digests with
@@ -1113,7 +1182,11 @@ class ChunkStoreCluster:
                     # distrusted records are read once more.
                     if len(items) >= need or not distrust:
                         break
-                if len(items) < need:
+                data = chunks.get(digest) if chunks else None
+                if data is not None:
+                    (encoded,) = scheme.encode([data])
+                    items, chunk_len = dict(enumerate(encoded)), len(data)
+                elif len(items) < need:
                     lost.append(digest)
                     continue
                 orders = self._assign(targets, held)

@@ -13,11 +13,12 @@ the codec underneath it:
   invertible: *any* ``k`` of the ``k+m`` fragments reconstruct the
   chunk (the MDS property), and any lost fragment can be rebuilt from
   any ``k`` survivors without materializing the others.
-* **Packed-lane NumPy arithmetic** — encode, parity decode and rebuild
-  are one kernel: ``k`` input rows times a coefficient matrix is one
-  gather per input byte from a cached 256-entry table per input row
-  whose byte lane ``i`` holds the product for output row ``i``, so the
-  XOR of the gathers carries up to eight output rows; no per-byte Python.
+* **Packed-lane NumPy arithmetic** — encode (a whole batch of chunks
+  side by side in one grid), parity decode and rebuild are one kernel:
+  ``k`` input rows times a coefficient matrix is one gather per input
+  byte from a cached 256-entry table per input row whose byte lane
+  ``i`` holds the product for output row ``i``, so the XOR of the
+  gathers carries up to eight output rows; no per-byte Python.
 
 Fragments travel framed (:func:`pack_fragment` / :func:`unpack_fragment`):
 a fixed header carries the fragment index, the ``(k, m)`` geometry, the
@@ -134,25 +135,30 @@ def _lane_tables(rows: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return packed.view(f"u{lanes}").reshape(groups, k, 256)
 
 
-def _gf_matmul(rows: tuple[tuple[int, ...], ...], grid: np.ndarray, out=None) -> np.ndarray:
-    """``rows`` (``r x k`` coefficients) times ``grid`` (``k`` rows of
-    bytes) over GF(2^8), into ``out`` (``r`` rows)."""
-    k, size = grid.shape
+def _gf_matmul(rows: tuple[tuple[int, ...], ...], grid, out=None) -> np.ndarray:
+    """``rows`` (``r x k`` coefficients) times ``grid`` (``k`` equal
+    rows of bytes: a 2-D array, or a sequence of 1-D ones) over
+    GF(2^8), into ``out`` (``r`` rows)."""
+    k, size = len(grid), len(grid[0])
     if out is None:
         out = np.empty((len(rows), size), dtype=np.uint8)
     if not rows:
         return out
     tables = _lane_tables(rows)
     lanes = tables.itemsize
-    index = grid.astype(np.intp)
-    for first, group in zip(range(0, len(rows), lanes), tables):
-        # Gathering row by row into one accumulator beats one gather
-        # over all k rows plus a reduce at fragment sizes (>= 1 KiB).
-        packed = group[0].take(index[0])
-        for j in range(1, k):
-            packed ^= group[j].take(index[j])
+    # One input row in intp at a time: the temporary stays one row x 8
+    # bytes however many chunks sit side by side in the grid.  Gathering
+    # row by row into one accumulator per lane group beats one gather
+    # over all k rows plus a reduce at fragment sizes (>= 1 KiB).
+    index = grid[0].astype(np.intp)
+    packed = [group[0].take(index) for group in tables]
+    for j in range(1, k):
+        index = grid[j].astype(np.intp)
+        for acc, group in zip(packed, tables):
+            acc ^= group[j].take(index)
+    for first, acc in zip(range(0, len(rows), lanes), packed):
         last = min(first + lanes, len(rows))
-        out[first:last] = packed.view(np.uint8).reshape(size, lanes)[:, : last - first].T
+        out[first:last] = acc.view(np.uint8).reshape(size, lanes)[:, : last - first].T
     return out
 
 
@@ -253,11 +259,11 @@ def unpack_fragment(blob: bytes) -> FragmentRecord:
 class ReedSolomonCodec:
     """Systematic ``(k, m)`` Reed–Solomon codec over GF(2^8).
 
-    ``encode`` yields ``k + m`` fragments: the first ``k`` are chunk
-    slices (zero-padded to equal length), the last ``m`` are Cauchy
-    parity.  ``decode`` reconstructs the chunk from any ``k`` fragments;
-    ``rebuild`` re-derives specific lost fragments from any ``k``
-    survivors.
+    ``encode`` yields ``k + m`` fragments per chunk of a batch: the
+    first ``k`` are chunk slices (zero-padded to equal length), the
+    last ``m`` are Cauchy parity.  ``decode`` reconstructs the chunk
+    from any ``k`` fragments; ``rebuild`` re-derives specific lost
+    fragments from any ``k`` survivors.
     """
 
     def __init__(self, k: int, m: int) -> None:
@@ -289,15 +295,38 @@ class ReedSolomonCodec:
 
     # -- encode --------------------------------------------------------
 
-    def encode(self, data) -> list[bytes]:
-        """Split ``data`` into ``k`` slices + ``m`` parity fragments."""
-        buf = np.frombuffer(data, dtype=np.uint8)
-        size = self.fragment_size(buf.size)
-        frames = np.zeros((self.n, size), dtype=np.uint8)
-        frames.reshape(-1)[: buf.size] = buf
-        _gf_matmul(self._parity, frames[: self.k], out=frames[self.k :])
-        # repro: lint-ok[zero-copy] the fragments are the API: one copy each, to the node
-        return [row.tobytes() for row in frames]
+    def encode(self, chunks: Sequence) -> list[list[memoryview]]:
+        """Each chunk's ``k`` slices + ``m`` parity fragments, the whole
+        batch in one parity computation.
+
+        The chunks' ``k x size`` grids sit side by side in one ``k``-row
+        grid (row ``j`` is every chunk's slice ``j``, zero-padded to its
+        fragment size), and one :func:`_gf_matmul` computes all of their
+        parity: GF(2^8) matrix products are column-independent, so every
+        fragment is byte-identical to a one-chunk encode.  A chunk's
+        fragments are views of its columns of that grid.  The call's
+        fixed cost is paid once per batch, not once per chunk; beyond
+        the batch's fragments it holds one grid row in ``intp``.
+        """
+        views = [memoryview(data) for data in chunks]
+        sizes = [self.fragment_size(len(view)) for view in views]
+        rows = []
+        for j in range(self.k):
+            parts = []
+            for view, size in zip(views, sizes):
+                piece = view[j * size : (j + 1) * size]
+                parts.append(piece)
+                if len(piece) < size:
+                    parts.append(b"\0" * (size - len(piece)))
+            rows.append(np.frombuffer(b"".join(parts), dtype=np.uint8))
+        grid = [memoryview(row) for row in rows]
+        grid += map(memoryview, _gf_matmul(self._parity, rows))
+        fragments = []
+        start = 0
+        for size in sizes:
+            fragments.append([row[start : start + size] for row in grid])
+            start += size
+        return fragments
 
     # -- decode --------------------------------------------------------
 

@@ -62,9 +62,14 @@ class StoreNode:
 
     def put_chunk(self, digest: bytes, data: bytes) -> bool:
         """Store a chunk; returns False if already present on this node."""
+        return self.put_chunks([(digest, data)])[0]
+
+    def put_chunks(self, items) -> list[bool]:
+        """Store a batch of ``(digest, data)`` in one backend
+        ``put_batch``; per item, False if already present."""
         self._require_alive()
-        self.stats.puts += 1
-        return self._backend.put_batch([(digest, data)])[0]
+        self.stats.puts += len(items)
+        return self._backend.put_batch(items)
 
     def probe_batch(self, digests) -> list[bool]:
         """Data-plane membership: one backend ``contains_batch``, with
@@ -110,15 +115,25 @@ class StoreNode:
     # unchanged because the key is still the chunk digest — one fragment
     # per chunk per node.
 
-    def put_fragment(
-        self, digest: bytes, index: int, k: int, m: int,
-        chunk_len: int, payload: bytes,
-    ) -> bool:
-        """Store one framed fragment of ``digest`` (False if present)."""
+    def put_fragment(self, k: int, m: int, writes) -> list[bool]:
+        """Store a batch of framed ``(k, m)`` fragments in one backend
+        ``put_batch``; per fragment, False if a record was present.
+
+        Each write is ``(digest, index, payload, chunk_len)`` — a
+        :data:`~repro.store.schemes.ItemWrite`.  The cluster sends each
+        node one call per write window carrying all of its fragments,
+        so the call's fixed cost is paid per window, not per fragment.
+        The singular name stays because it is the node's fragment write
+        (one fragment per chunk digest per node), whatever the batch.
+        """
         self._require_alive()
-        self.stats.puts += 1
-        record = pack_fragment(index, k, m, chunk_len, payload)
-        return self._backend.put_batch([(digest, record)])[0]
+        self.stats.puts += len(writes)
+        return self._backend.put_batch(
+            [
+                (digest, pack_fragment(index, k, m, chunk_len, payload))
+                for digest, index, payload, chunk_len in writes
+            ]
+        )
 
     def get_fragment(self, digest: bytes) -> FragmentRecord:
         """Read, parse, and *verify* this node's fragment of ``digest``.

@@ -19,15 +19,18 @@ every component — writer, batched lookup, repair — independently
 derives identical placements without a central directory.
 
 A scheme also owns its **item form**: how a chunk becomes the records
-its placement targets store, and back.  ``encode`` yields one item per
-placement position, ``write`` / ``read`` move one item to or from one
-node (``read`` verifies what it returns), ``decode`` reconstructs the
-chunk from any ``min_fragments`` items and ``rebuild`` re-derives
-specific items from them.  The base class is the whole-chunk form that
-vanilla, striped and replicated placement share — a repetition code:
-every item is the chunk itself, one valid copy reconstructs, and a copy
-on a target covers that target's position.  Erasure coding overrides it
-with Reed–Solomon fragments.  The cluster runs one read, write and
+its placement targets store, and back.  ``encode`` yields, for each
+chunk of a batch, one item per placement position; ``write`` stores a
+batch of items on one node in one node put; ``read`` fetches one item
+from one node and verifies it; ``decode`` reconstructs the chunk from
+any ``min_fragments`` items and ``rebuild`` re-derives specific items
+from them.  Both batched calls exist for the write path's call shape:
+a cluster put pays one ``encode`` per window of chunks and one
+``write`` per node, not one of each per chunk.  The base class is the
+whole-chunk form that vanilla, striped and replicated placement share
+— a repetition code: every item is the chunk itself, one valid copy
+reconstructs, and a copy on a target covers that target's position.
+Erasure coding overrides it with Reed–Solomon fragments.  The cluster runs one read, write and
 reconcile path over this seam and never asks which kind it has.
 """
 
@@ -49,6 +52,7 @@ from repro.store.ring import HashRing
 
 __all__ = [
     "CorruptItemError",
+    "ItemWrite",
     "PlacementScheme",
     "VanillaPlacement",
     "StripedPlacement",
@@ -72,6 +76,12 @@ class StoredItem(NamedTuple):
     #: ``None`` from a ``peek`` that had no need to read the bytes.
     payload: bytes | None
     chunk_len: int | None
+
+
+#: One item bound for one node, ``(digest, index, payload, chunk_len)``:
+#: item ``index`` of the chunk ``digest``, which is ``chunk_len`` bytes
+#: long.  A plain tuple: a window builds one per placement position.
+ItemWrite = tuple[bytes, int, bytes, int]
 
 
 class PlacementScheme:
@@ -108,17 +118,16 @@ class PlacementScheme:
 
     # -- item form: whole copies ---------------------------------------
 
-    def encode(self, data: bytes) -> Sequence[bytes]:
-        """The item for each placement position."""
-        return [data] * self.copies
+    def encode(self, chunks: Sequence[bytes]) -> list[Sequence[bytes]]:
+        """Per chunk of a batch, the item for each placement position."""
+        return [(data,) * self.copies for data in chunks]
 
-    def write(
-        self, node: StoreNode, digest: bytes, index: int, payload: bytes,
-        chunk_len: int,
-    ) -> bool:
-        """Store item ``index`` on ``node``, insert-if-absent (False if
-        the node already held a record under the digest)."""
-        return node.put_chunk(digest, payload)
+    def write(self, node: StoreNode, writes: Sequence[ItemWrite]) -> list[bool]:
+        """Store a batch of items on ``node`` in one node put (one
+        backend ``put_batch``), insert-if-absent: per write, False if
+        the node already held a record under its digest — an earlier
+        write of the same batch included."""
+        return node.put_chunks([(digest, payload) for digest, _, payload, _ in writes])
 
     def unpack(self, digest: bytes, record: bytes, verify: bool) -> StoredItem:
         """Parse one stored record; raises :class:`CorruptItemError`.
@@ -270,14 +279,11 @@ class ErasureCodedPlacement(PlacementScheme):
     # geometry and record digest, so every read verifies regardless of
     # ``verify`` and an index is only known by reading the record.
 
-    def encode(self, data: bytes) -> Sequence[bytes]:
-        return self._codec.encode(data)
+    def encode(self, chunks: Sequence[bytes]) -> list[Sequence[bytes]]:
+        return self._codec.encode(chunks)
 
-    def write(
-        self, node: StoreNode, digest: bytes, index: int, payload: bytes,
-        chunk_len: int,
-    ) -> bool:
-        return node.put_fragment(digest, index, self.k, self.m, chunk_len, payload)
+    def write(self, node: StoreNode, writes: Sequence[ItemWrite]) -> list[bool]:
+        return node.put_fragment(self.k, self.m, writes)
 
     def _item(self, parse, *args) -> FragmentRecord:
         """``parse(*args)`` — a verifying fragment parse — as a stored

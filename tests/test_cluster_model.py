@@ -445,11 +445,13 @@ class TestOnePath:
         cluster = make_cluster(scheme)
         form = cluster.scheme
         ((digest, data),) = make_chunks(1, 1001)
-        items = form.encode(data)
+        (items,) = form.encode([data])
         assert len(items) == form.copies
         node = cluster.nodes["node-0"]
-        assert form.write(node, digest, 1, items[1], len(data)) is True
-        assert form.write(node, digest, 1, items[1], len(data)) is False
+        write = (digest, 1, items[1], len(data))
+        # Insert-if-absent within one batch and across batches.
+        assert form.write(node, [write, write]) == [True, False]
+        assert form.write(node, [write]) == [False]
         item = form.read(node, digest, True)
         assert item.payload == items[1] and item.chunk_len == len(data)
         assert item.index in (1, None)  # a whole copy names no position

@@ -70,7 +70,7 @@ class TestCodec:
         the MDS property, exhaustively for (3, 2)."""
         codec = ReedSolomonCodec(3, 2)
         data = bytes(random.Random(size).getrandbits(8) for _ in range(size))
-        frags = codec.encode(data)
+        frags = codec.encode([data])[0]
         assert len(frags) == 5
         for subset in itertools.combinations(range(5), 3):
             picked = {i: frags[i] for i in subset}
@@ -79,7 +79,7 @@ class TestCodec:
     def test_random_subsets_larger_geometry(self):
         codec = ReedSolomonCodec(8, 4)
         data = bytes(range(256)) * 13  # not a multiple of k
-        frags = codec.encode(data)
+        frags = codec.encode([data])[0]
         rng = random.Random(7)
         for _ in range(20):
             subset = rng.sample(range(12), 8)
@@ -91,7 +91,7 @@ class TestCodec:
         concatenation, never GF arithmetic."""
         codec = ReedSolomonCodec(4, 2)
         data = b"abcdefgh" * 64
-        frags = codec.encode(data)
+        frags = codec.encode([data])[0]
         size = codec.fragment_size(len(data))
         joined = b"".join(frags[:4])
         assert joined[: len(data)] == data
@@ -103,7 +103,7 @@ class TestCodec:
         codec = ReedSolomonCodec(4, 2)
         for size in (1, 5, 7, 9, 1023):
             data = bytes([size % 251]) * size
-            frags = codec.encode(data)
+            frags = codec.encode([data])[0]
             assert len(frags[0]) * 4 >= size
             assert codec.decode({i: frags[i] for i in (0, 2, 4, 5)}, size) == data
 
@@ -112,7 +112,7 @@ class TestCodec:
         fragment alone decodes."""
         codec = ReedSolomonCodec(1, 2)
         data = b"only copy" * 11
-        frags = codec.encode(data)
+        frags = codec.encode([data])[0]
         for i, frag in enumerate(frags):
             assert codec.decode({i: frag}, len(data)) == data
 
@@ -121,12 +121,12 @@ class TestCodec:
         sufficient."""
         codec = ReedSolomonCodec(4, 0)
         data = b"striped!" * 32
-        frags = codec.encode(data)
+        frags = codec.encode([data])[0]
         assert codec.decode(dict(enumerate(frags)), len(data)) == data
 
     def test_insufficient_fragments_rejected(self):
         codec = ReedSolomonCodec(4, 2)
-        frags = codec.encode(b"x" * 100)
+        frags = codec.encode([b"x" * 100])[0]
         with pytest.raises(ValueError):
             codec.decode({0: frags[0], 1: frags[1], 2: frags[2]}, 100)
 
@@ -135,7 +135,7 @@ class TestCodec:
         repair must not produce equivalent-but-different parity."""
         codec = ReedSolomonCodec(4, 2)
         data = bytes(random.Random(3).getrandbits(8) for _ in range(777))
-        frags = codec.encode(data)
+        frags = codec.encode([data])[0]
         survivors = {i: frags[i] for i in (1, 2, 4, 5)}  # lost 0 and 3
         rebuilt = codec.rebuild(survivors, [0, 3])
         assert rebuilt[0] == frags[0]
@@ -200,6 +200,28 @@ class TestPackedLaneKernel:
         assert gf_mul(0x53, 0xCA) == slow_gf_mul(0x53, 0xCA)
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        geometry=st.sampled_from(KERNEL_GEOMETRIES),
+        sizes=st.lists(
+            st.one_of(st.just(0), st.integers(1, 40), st.integers(1000, 1400)),
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_stacked_encode_matches_one_chunk_at_a_time(self, geometry, sizes, seed):
+        """A batch encodes in one grid, side by side: every fragment is
+        byte-identical to its chunk's own encode and to the scalar
+        reference, empty chunks and lengths not divisible by k included."""
+        codec = ReedSolomonCodec(*geometry)
+        rng = random.Random(seed)
+        chunks = [rng.randbytes(size) for size in sizes]
+        stacked = codec.encode(chunks)
+        assert len(stacked) == len(chunks)
+        for chunk, fragments in zip(chunks, stacked):
+            assert fragments == codec.encode([chunk])[0]
+            assert fragments == reference_fragments(codec, chunk)
+
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_kernel_matches_scalar_reference(self, data):
         k, m = data.draw(st.sampled_from(KERNEL_GEOMETRIES), label="geometry")
@@ -210,7 +232,7 @@ class TestPackedLaneKernel:
         chunk = random.Random(data.draw(st.integers(0, 2**32))).randbytes(size)
         codec = ReedSolomonCodec(k, m)
         expected = reference_fragments(codec, chunk)
-        fragments = codec.encode(chunk)
+        fragments = codec.encode([chunk])[0]
         assert fragments == expected
         if math.comb(n, k) <= 220:  # every k-subset, parity included
             subsets = list(itertools.combinations(range(n), k))

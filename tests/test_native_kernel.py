@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -93,6 +93,9 @@ def native_cuts(fp: RabinFingerprinter, data, mask: int, marker: int) -> list[in
 
 #: The laned loop runs from this many positions up.
 LANED = native.LANES * native.LANE_FLOOR
+#: The widest window among ``FPS``: an input of ``LANED + MAX_W - 1``
+#: bytes or more is laned under every one of them.
+MAX_W = max(fp.window_size for fp in FPS.values())
 
 
 def lane_starts(n: int, w: int) -> list[int]:
@@ -346,12 +349,20 @@ class TestContract:
 
     @given(
         fp_name=st.sampled_from(list(FPS)),
-        size=st.integers(0, 2 * LANED),
+        # From the full range alone hypothesis draws mostly small sizes,
+        # which roll serially; the second range is laned under every
+        # fingerprinter.
+        size=st.one_of(st.integers(0, 2 * LANED), st.integers(LANED + MAX_W - 1, 2 * LANED)),
         seed=st.integers(0, 2**32 - 1),
         bits=st.integers(3, 5),
         marker=st.integers(0, 31),
         zeros=st.tuples(st.floats(0, 1), st.integers(0, 3000)),
     )
+    # Every run scans at least one laned input, whatever hypothesis draws.
+    @example(fp_name="default", size=LANED + MAX_W - 1, seed=1, bits=3, marker=0,
+             zeros=(0.0, 0))
+    @example(fp_name="poly31-w64", size=2 * LANED, seed=2, bits=5, marker=7,
+             zeros=(0.5, 3000))
     @settings(max_examples=60, deadline=None)
     def test_property_matches_numpy_oracle(self, native_fn, fp_name, size, seed, bits,
                                            marker, zeros):
